@@ -8,10 +8,9 @@ next as (A, B).  The step multiplicity m_p = 2^(k+1) for targets in
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
-
-import mpmath
 
 __all__ = [
     "LADDER_GUARD",
@@ -175,24 +174,22 @@ def chain_constants(n: float, p0: float, A: float, B: float, target_p: float,
     if precision is None:
         power = math.pow
         a_cur, b_cur = float(A), float(B)
+        ctx = contextlib.nullcontext()
     else:
+        import mpmath  # deferred: only the high-precision mode needs it
+
         power = mpmath.power
         a_cur, b_cur = mpmath.mpf(A), mpmath.mpf(B)
+        ctx = mpmath.workdps(precision)
     steps = []
     from_p = p0
-    ctx = mpmath.workdps(precision) if precision is not None else None
-    try:
-        if ctx is not None:
-            ctx.__enter__()
+    with ctx:
         for to_p in hops:
             c1, c2 = _one_step(n, from_p, to_p, a_cur, b_cur, power)
             steps.append(BootstrapStep(from_p=from_p, to_p=to_p,
                                        r=r_p(n, from_p, to_p),
                                        C1=float(c1), C2=float(c2)))
             a_cur, b_cur, from_p = c1, c2, to_p
-    finally:
-        if ctx is not None:
-            ctx.__exit__(None, None, None)
     return BootstrapChain(n=n, p0=p0, target_p=target_p, base_A=float(A),
                           base_B=float(B), steps=tuple(steps),
                           m_p=2 ** (k + 1))

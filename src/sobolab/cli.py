@@ -65,6 +65,8 @@ def _parse_times(text: str) -> list[float]:
     """Either "a:b:step" (inclusive endpoints) or a comma list."""
     if ":" in text:
         a, b, step = (float(x) for x in text.split(":"))
+        if not step > 0:
+            raise ValueError(f"time step must be positive, got {step:g}")
         n = int(round((b - a) / step))
         return [a + i * step for i in range(n + 1)]
     return _parse_floats(text)
@@ -333,8 +335,8 @@ def main(argv=None) -> int:
         return 1
     payload = _payload(args.command, config, results)
     path = write_artifact(_out_dir(args), args.command, payload)
-    print(path)
-    print(json.dumps(to_plain(results), indent=2, sort_keys=True)[:2000])
+    print(path)  # first line: the artifact path; then the full results JSON
+    print(json.dumps(payload["results"], indent=2, sort_keys=True))
     return status
 
 

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from .manifold import DiscreteManifold
-from .norms import grad_lp_norm, lp_norm, q_energy
+from .norms import _per_member, grad_lp_norm, lp_norm, q_energy
 from .spectral import PotentialField, SpectralDecomposition
 
 __all__ = [
@@ -165,16 +164,55 @@ class SobolevEstimate:
     ensemble_meta: dict = field(default_factory=dict)
 
 
+class _Worst(NamedTuple):
+    ratio: float  # -inf when no member is used
+    witness: int  # flat index of the worst member, earliest on ties; -1 if none
+    violations: int
+    used: int
+
+
+def _worst_ratio(num, den, slack: float = 0.0, used=None) -> _Worst:
+    """Worst num/den over per-member (or per-case) values, flattened in C order.
+
+    A member with den <= 0 has ratio inf when num > 0 and carries no
+    information otherwise, so it is not used; an explicit boolean ``used``
+    mask replaces that rule.  Violations are used members with
+    num > den (1 + slack).
+    """
+    num, den = np.broadcast_arrays(np.asarray(num, dtype=float),
+                                   np.asarray(den, dtype=float))
+    num, den = num.ravel(), den.ravel()
+    finite = np.isfinite(num) & np.isfinite(den)
+    if not finite.all():
+        raise ValueError("non-finite functional value on member "
+                         f"{int(np.argmin(finite))}")
+    used = (den > 0) | (num > 0) if used is None else np.ravel(used)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(used, np.where(den > 0, num / den, math.inf), -math.inf)
+    witness = int(np.argmax(ratio)) if used.any() else -1
+    violations = np.count_nonzero(used & (num > den * (1.0 + slack)))
+    return _Worst(float(ratio[witness]) if witness >= 0 else -math.inf,
+                  witness, int(violations), int(np.count_nonzero(used)))
+
+
 def _sobolev_terms(m: DiscreteManifold, p: float, members: np.ndarray):
     n = m.dim
     if not 1 <= p < n:
         raise ValueError("need 1 <= p < dim")
     pstar = n * p / (n - p)
-    vol_term = m.volume ** (p / n)
-    lhs = np.array([lp_norm(m, u, pstar) ** p for u in members])
-    grd = np.array([grad_lp_norm(m, u, p) ** p for u in members])
-    low = np.array([lp_norm(m, u, p) ** p for u in members]) / vol_term
+    lhs = lp_norm(m, members, pstar) ** p
+    grd = grad_lp_norm(m, members, p) ** p
+    low = lp_norm(m, members, p) ** p / m.volume ** (p / n)
     return pstar, lhs, grd, low
+
+
+def _min_A_from_terms(lhs: np.ndarray, grd: np.ndarray, low: np.ndarray,
+                      B: float) -> float:
+    scale = np.maximum(lhs, B * low)
+    flat = grd <= 1e-13 * np.maximum(scale, 1.0)
+    if np.any(lhs[flat] > B * low[flat] * (1.0 + 1e-12) + 1e-300):
+        return math.inf
+    return max(0.0, _worst_ratio(lhs - B * low, grd, used=~flat).ratio)
 
 
 def min_feasible_A(m: DiscreteManifold, p: float, members: np.ndarray,
@@ -184,15 +222,7 @@ def min_feasible_A(m: DiscreteManifold, p: float, members: np.ndarray,
     Returns inf when some gradient-free member already violates the B term.
     """
     _, lhs, grd, low = _sobolev_terms(m, p, members)
-    scale = np.maximum(lhs, B * low)
-    flat = grd <= 1e-13 * np.maximum(scale, 1.0)
-    if np.any(lhs[flat] > B * low[flat] * (1.0 + 1e-12) + 1e-300):
-        return math.inf
-    active = ~flat
-    if not np.any(active):
-        return 0.0
-    residual = (lhs[active] - B * low[active]) / grd[active]
-    return float(max(0.0, np.max(residual)))
+    return _min_A_from_terms(lhs, grd, low, B)
 
 
 def estimate_sobolev_AB(m: DiscreteManifold, p: float, members: np.ndarray,
@@ -209,7 +239,7 @@ def estimate_sobolev_AB(m: DiscreteManifold, p: float, members: np.ndarray,
     pstar, lhs, grd, low = _sobolev_terms(m, p, members)
     best = None
     for b in b_grid:
-        a = min_feasible_A(m, p, members, b)
+        a = _min_A_from_terms(lhs, grd, low, b)
         if not math.isfinite(a):
             continue
         if best is None or a + b < best[0] + best[1]:
@@ -217,8 +247,7 @@ def estimate_sobolev_AB(m: DiscreteManifold, p: float, members: np.ndarray,
     if best is None:
         raise ValueError("no feasible (A, B) on the grid; extend the B grid")
     a, b = best
-    rhs = a * grd + b * low
-    ratio = float(np.max(lhs / np.maximum(rhs, 1e-300)))
+    ratio = _worst_ratio(lhs, a * grd + b * low).ratio
     return SobolevEstimate(p=p, target_exponent=pstar, A_est=a, B_est=b,
                            max_ratio=ratio, ensemble_meta=dict(meta or {}))
 
@@ -232,13 +261,10 @@ def estimate_single_A(m: DiscreteManifold, mu: float, members: np.ndarray,
     if mu <= 2:
         raise ValueError("mu must exceed 2 for the exponent 2mu/(mu-2)")
     q = 2.0 * mu / (mu - 2.0)
-    worst = 0.0
-    for u in members:
-        energy = q_energy(m, psi, u)
-        if energy <= 0:
-            raise ValueError("nonpositive energy member; use a nonnegative potential")
-        worst = max(worst, lp_norm(m, u, q) ** 2 / energy)
-    return worst
+    energy = q_energy(m, psi, members)
+    if np.any(energy <= 0):
+        raise ValueError("nonpositive energy member; use a nonnegative potential")
+    return max(0.0, _worst_ratio(lp_norm(m, members, q) ** 2, energy).ratio)
 
 
 def single_constant_from_pair(est: SobolevEstimate, vol: float, n: int) -> float:
@@ -273,10 +299,10 @@ class LogSobolevProfile:
         object.__setattr__(self, "beta_values", b)
 
 
-def entropy(m: DiscreteManifold, u: np.ndarray) -> float:
-    """int u^2 ln u^2 with the 0 ln 0 = 0 convention."""
+def entropy(m: DiscreteManifold, u: np.ndarray) -> float | np.ndarray:
+    """int u^2 ln u^2 with the 0 ln 0 = 0 convention; one value per row of u."""
     x = u * u
-    return float(np.sum(m.mass * x * np.log(np.where(x > 0, x, 1.0))))
+    return _per_member(np.sum(m.mass * x * np.log(np.where(x > 0, x, 1.0)), axis=-1))
 
 
 def measure_log_sobolev_beta(m: DiscreteManifold, psi: PotentialField,
@@ -287,13 +313,12 @@ def measure_log_sobolev_beta(m: DiscreteManifold, psi: PotentialField,
     Raw per-sigma maxima are returned; non-increase in sigma is a property
     of the construction when Q >= 0, not an enforced post-processing step.
     """
-    for i, u in enumerate(members):
-        if abs(lp_norm(m, u, 2.0) - 1.0) > 1e-8:
-            raise ValueError(f"member {i} is not unit-L2 normalized")
-    ents = np.array([entropy(m, u) for u in members])
-    qs = np.array([q_energy(m, psi, u) for u in members])
+    off = np.abs(lp_norm(m, members, 2.0) - 1.0) > 1e-8
+    if off.any():
+        raise ValueError(f"member {int(np.argmax(off))} is not unit-L2 normalized")
     sigma_grid = np.asarray(sigma_grid, dtype=float)
-    beta = np.array([np.max(ents - s * qs) for s in sigma_grid])
+    beta = np.max(entropy(m, members)
+                  - sigma_grid[:, None] * q_energy(m, psi, members), axis=1)
     return LogSobolevProfile(sigma_grid=sigma_grid, beta_values=beta,
                              source="measured")
 
@@ -344,6 +369,8 @@ def tau_of_t(t: float, beta: Callable[[float], float] | LogSobolevProfile,
             return float(np.interp(s, grid, vals))
     else:
         beta_fn = beta
+    from scipy.integrate import quad  # deferred: costs ~0.3 s at import
+
     integral, _ = quad(beta_fn, 0.0, t, limit=200, points=[0.0, t * 0.5])
     return integral / (2.0 * t)
 
@@ -359,16 +386,18 @@ def ultracontractivity_constant(A: float, mu: float) -> dict:
 
 @dataclass(frozen=True)
 class InequalityCheck:
-    """LHS <= RHS functional pair evaluated per ensemble member."""
+    """LHS <= RHS functional pair; each maps the member matrix to a vector."""
 
     label: str
-    lhs: Callable[[np.ndarray], float]
-    rhs: Callable[[np.ndarray], float]
+    lhs: Callable[[np.ndarray], np.ndarray]
+    rhs: Callable[[np.ndarray], np.ndarray]
 
 
 def two_term_check(m: DiscreteManifold, p: float, A: float, B: float
                    ) -> InequalityCheck:
     """||u||_{p*}^p <= A ||grad u||_p^p + (B/vol^{p/n}) ||u||_p^p as a check."""
+    if A < 0 or B < 0:
+        raise ValueError("need A >= 0 and B >= 0")
     n = m.dim
     pstar = n * p / (n - p)
     vol_term = m.volume ** (p / n)
@@ -395,20 +424,7 @@ class VerifyReport:
 def verify_inequality(check: InequalityCheck, members: np.ndarray,
                       slack: float = RELATIVE_SLACK) -> VerifyReport:
     """Count members with LHS > RHS beyond relative slack; report the worst ratio."""
-    worst = -math.inf
-    witness = -1
-    violations = 0
-    for i, u in enumerate(members):
-        lhs = check.lhs(u)
-        rhs = check.rhs(u)
-        if not (math.isfinite(lhs) and math.isfinite(rhs)):
-            raise ValueError(f"non-finite functional value on member {i}")
-        ratio = lhs / rhs if rhs > 0 else (0.0 if lhs <= 0 else math.inf)
-        if ratio > worst:
-            worst = ratio
-            witness = i
-        if lhs > rhs * (1.0 + slack):
-            violations += 1
+    worst = _worst_ratio(check.lhs(members), check.rhs(members), slack=slack)
     return VerifyReport(label=check.label, members=len(members),
-                        violations=violations, worst_ratio=worst,
-                        witness=witness)
+                        violations=worst.violations, worst_ratio=worst.ratio,
+                        witness=worst.witness)

@@ -16,7 +16,7 @@ import numpy as np
 from .bootstrap import chain_constants, curvature_volume_rhs, BootstrapChain
 from .constants import (DEFAULT_B_GRID, EnsembleSpec, estimate_sobolev_AB,
                         generate_ensemble, InequalityCheck, two_term_check,
-                        verify_inequality)
+                        verify_inequality, _worst_ratio)
 from .manifold import (DiscreteManifold, ModelSpec, build, gamma_integral,
                        geometric_summary, scale_metric)
 from .norms import bessel_norm, grad_lp_norm, lp_norm
@@ -87,6 +87,10 @@ def parse_flow_spec(text: str, t_max: float | None = None,
     """Parse "sphere:r0=1" or "torus:n=3,res=10,L=6.283"."""
     head, _, rest = text.partition(":")
     kw = dict(item.split("=", 1) for item in rest.split(",") if item)
+    known = {"sphere": {"r0", "r", "subdiv"}, "torus": {"n", "res", "L"}}
+    unknown = sorted(set(kw) - known.get(head, set()))
+    if head in known and unknown:
+        raise ValueError(f"unknown {head} flow options: {unknown}")
     if head == "sphere":
         return shrinking_sphere_flow(
             r0=float(kw.get("r0", kw.get("r", 1.0))),
@@ -127,6 +131,29 @@ def flow_rhs_factor(m: DiscreteManifold, p: float, chain: BootstrapChain) -> flo
     summ = geometric_summary(m)
     return curvature_volume_rhs(summ["r_max_plus"], summ["vol"], m.dim, p,
                                 chain.m_p, chain.base_A)
+
+
+def _defect(family: str, m: DiscreteManifold, summ: dict, c_adj: float,
+            eps: float) -> float | None:
+    """The curvature defect of the d (kappa) and e (gamma) forms; None for b."""
+    if family == "d":
+        return summ["kappa"]
+    if family == "e":  # adjusted integral-curvature form
+        return gamma_integral(m, c_adj, eps)
+    return None
+
+
+def _form_norm(family: str, m: DiscreteManifold, dec_unit, U: np.ndarray,
+               p: float, defect: float | None) -> np.ndarray:
+    """Per-member right-hand norm of the b, d and e forms (before the constant).
+
+    Family b uses ||(-Lap+1)^(1/2)u||_p (dec_unit is the Psi = 1
+    decomposition); d and e use ||grad u||_p + (1 + defect)||u||_p with the
+    Ricci defect kappa or the integral-curvature gamma.
+    """
+    if family == "b":
+        return bessel_norm(m, dec_unit, U, p)
+    return grad_lp_norm(m, U, p) + (1.0 + defect) * lp_norm(m, U, p)
 
 
 @dataclass(frozen=True)
@@ -192,21 +219,11 @@ def track(flow: ExactFlow, times, selector: str, p: float,
         base_constants.update(A=est.A_est, B=est.B_est)
     else:
         q = n * p / (n - p)
-        c0 = 0.0
-        kappa0 = geometric_summary(base)["kappa"]
-        for u in members:
-            if family == "b":
-                denom = bessel_norm(base, dec_base, u, p)
-            elif family == "d":
-                denom = (grad_lp_norm(base, u, p)
-                         + (1.0 + kappa0) * lp_norm(base, u, p))
-            else:  # family e: adjusted integral-curvature form
-                c_adj = -min(0.0, float(np.min(base.scalar_curvature))) / n
-                gamma0 = gamma_integral(base, c_adj, eps)
-                denom = (grad_lp_norm(base, u, p)
-                         + (1.0 + gamma0) * lp_norm(base, u, p))
-            if denom > 0:
-                c0 = max(c0, lp_norm(base, u, q) / denom)
+        c_adj = -min(0.0, float(np.min(base.scalar_curvature))) / n
+        defect0 = _defect(family, base, geometric_summary(base), c_adj, eps)
+        c0 = max(0.0, _worst_ratio(
+            lp_norm(base, members, q),
+            _form_norm(family, base, dec_base, members, p, defect0)).ratio)
         # the spectral/gradient norms are not scale-covariant under the +1
         # shift; the transfer factor compensates over the sampled horizon
         transfer = 1.0
@@ -233,23 +250,15 @@ def track(flow: ExactFlow, times, selector: str, p: float,
                                        members, slack=RATIO_SLACK)
             rec.update(alpha=alpha, C1=chain.C1, C2=chain.C2, m_p=chain.m_p)
         else:
-            q = n * p / (n - p)
             factor = base_constants["C"] * math.sqrt(1.0 + summ["r_max_plus"])
-            if family == "b":
-                dec_t = decompose(mt, constant_potential(mt, 1.0))
-                rhs = lambda u: factor * bessel_norm(mt, dec_t, u, p)
-            elif family == "d":
-                kap = summ["kappa"]
-                rhs = lambda u, k=kap: factor * (
-                    grad_lp_norm(mt, u, p) + (1.0 + k) * lp_norm(mt, u, p))
-            else:
-                c_adj = -min(0.0, float(np.min(base.scalar_curvature))) / n
-                gam = gamma_integral(mt, c_adj, eps)
-                rec.update(gamma=gam)
-                rhs = lambda u, g=gam: factor * (
-                    grad_lp_norm(mt, u, p) + (1.0 + g) * lp_norm(mt, u, p))
-            check = InequalityCheck(label=f"flow-{selector}",
-                                    lhs=lambda u: lp_norm(mt, u, q), rhs=rhs)
+            dec_t = (decompose(mt, constant_potential(mt, 1.0))
+                     if family == "b" else None)
+            defect = _defect(family, mt, summ, c_adj, eps)
+            if family == "e":
+                rec.update(gamma=defect)
+            check = InequalityCheck(
+                label=f"flow-{selector}", lhs=lambda U: lp_norm(mt, U, q),
+                rhs=lambda U: factor * _form_norm(family, mt, dec_t, U, p, defect))
             report = verify_inequality(check, members, slack=RATIO_SLACK)
             rec.update(C=factor)
         rec.update(worst_ratio=report.worst_ratio, violations=report.violations)

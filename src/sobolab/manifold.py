@@ -48,11 +48,20 @@ class GradientElements:
         return self.weights.shape[0]
 
     def vectors(self, u: np.ndarray) -> np.ndarray:
-        """Gradient vectors, shape (num_elements, ncomp)."""
-        return (self.matrix @ u).reshape(self.num_elements, self.ncomp)
+        """Gradient vectors, shape u.shape[:-1] + (num_elements, ncomp).
+
+        u is one node function (N,) or a member matrix (K, N), rows = members.
+        """
+        return (self.matrix @ u.T).T.reshape(
+            u.shape[:-1] + (self.num_elements, self.ncomp))
 
     def magnitudes(self, u: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(self.vectors(u), axis=1)
+        """Per-element gradient lengths, shape u.shape[:-1] + (num_elements,)."""
+        g = self.matrix @ u.T  # (E * ncomp,) or (E * ncomp, K)
+        np.square(g, out=g)  # in place: the product is the largest temporary
+        sq = g.reshape((self.num_elements, self.ncomp) + g.shape[1:]).sum(axis=1)
+        del g
+        return np.sqrt(sq, out=sq).T
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from typing import Callable
 
 import numpy as np
 
+from .constants import _worst_ratio
 from .manifold import DiscreteManifold, scale_metric, gamma_integral
 from .norms import bessel_norm, grad_lp_norm, lp_norm
 from .spectral import (SpectralDecomposition, apply_function, decompose,
@@ -80,6 +81,14 @@ class UltracontractivityFit:
 # ---------------------------------------------------------------------------
 # heat semigroup
 
+def _case(witness: int, outer, inner, count: int) -> tuple:
+    """(outer, inner, member) of a flat index into an outer x inner x count grid."""
+    if witness < 0:
+        return ()
+    i, j, k = np.unravel_index(witness, (len(outer), len(inner), count))
+    return (outer[i], inner[j], int(k))
+
+
 def heat_contraction_check(m: DiscreteManifold, dec: SpectralDecomposition,
                            t_list, p_list, members: np.ndarray,
                            tol: float = CONTRACTION_TOL) -> ContractionReport:
@@ -91,28 +100,20 @@ def heat_contraction_check(m: DiscreteManifold, dec: SpectralDecomposition,
     if not dec.potential.is_nonnegative:
         raise ValueError("contraction check requires a nonnegative potential; "
                          "shift the potential first")
-    worst = -math.inf
-    worst_case = ()
-    violations = 0
-    cases = 0
-    coeffs = dec.eigenvectors.T @ (m.mass[:, None] * members.T)
+    t_list, p_list = [float(t) for t in t_list], [float(p) for p in p_list]
+    if any(t < 0 for t in t_list):
+        raise ValueError(f"heat times must be >= 0, got {t_list}")
+    coeffs = dec.coefficients(members)
+    before = [lp_norm(m, members, p) for p in p_list]
+    after = []  # (t, p, member) cases
     for t in t_list:
-        heat = np.exp(-t * dec.eigenvalues)
-        evolved = (dec.eigenvectors @ (heat[:, None] * coeffs)).T
-        for p in p_list:
-            for i, u in enumerate(members):
-                denom = lp_norm(m, u, p)
-                if denom == 0:
-                    continue
-                ratio = lp_norm(m, evolved[i], p) / denom
-                cases += 1
-                if ratio > worst:
-                    worst, worst_case = ratio, (float(t), float(p), i)
-                if ratio > 1.0 + tol:
-                    violations += 1
-    return ContractionReport(label="heat-lp-contraction", cases=cases,
-                             violations=violations, worst_ratio=worst,
-                             worst_case=worst_case)
+        evolved = dec.synthesize(np.exp(-t * dec.eigenvalues) * coeffs)
+        after.append([lp_norm(m, evolved, p) for p in p_list])
+    worst = _worst_ratio(after, before, slack=tol)
+    return ContractionReport(
+        label="heat-lp-contraction", cases=worst.used,
+        violations=worst.violations, worst_ratio=worst.ratio,
+        worst_case=_case(worst.witness, t_list, p_list, len(members)))
 
 
 def ultracontractivity_fit(dec: SpectralDecomposition, t_low: float,
@@ -161,35 +162,26 @@ def check_heat_kernel_bounds(m: DiscreteManifold, dec: SpectralDecomposition,
     ||e^{-tH}u||_inf <= exp(2 tau(t/2) - (3t/4) inf Psi^-) ||u||_1, with
     inf Psi^- = min(0, min Psi) so the correction factor is >= 1.
     """
-    inf_minus = dec.potential.inf_minus
-    worst = -math.inf
-    worst_case = ()
-    violations = 0
-    cases = 0
-    coeffs = dec.eigenvectors.T @ (m.mass[:, None] * members.T)
+    t_list = [float(t) for t in t_list]
     for t in t_list:
         if not 0 < t < sigma_star / 4.0:
             raise ValueError(f"t={t} outside (0, sigma_star/4)")
+    inf_minus = dec.potential.inf_minus
+    base = np.stack([lp_norm(m, members, 2.0), lp_norm(m, members, 1.0)])
+    coeffs = dec.coefficients(members)
+    sups, dens = [], []  # (t, tag, member) cases
+    for t in t_list:
         correction = -0.75 * t * inf_minus
-        bound2 = math.exp(tau(t) + correction)
-        bound1 = math.exp(2.0 * tau(t / 2.0) + correction)
-        heat = np.exp(-t * dec.eigenvalues)
-        evolved = (dec.eigenvectors @ (heat[:, None] * coeffs)).T
-        for i, u in enumerate(members):
-            sup = float(np.max(np.abs(evolved[i])))
-            for tag, bound, base in (("L2", bound2, lp_norm(m, u, 2.0)),
-                                     ("L1", bound1, lp_norm(m, u, 1.0))):
-                if base == 0:
-                    continue
-                ratio = sup / (bound * base)
-                cases += 1
-                if ratio > worst:
-                    worst, worst_case = ratio, (float(t), tag, i)
-                if ratio > 1.0 + slack:
-                    violations += 1
-    return ContractionReport(label="heat-kernel-bounds", cases=cases,
-                             violations=violations, worst_ratio=worst,
-                             worst_case=worst_case)
+        bounds = np.array([math.exp(tau(t) + correction),
+                           math.exp(2.0 * tau(t / 2.0) + correction)])
+        evolved = dec.synthesize(np.exp(-t * dec.eigenvalues) * coeffs)
+        sups.append(lp_norm(m, evolved, math.inf))
+        dens.append(bounds[:, None] * base)
+    worst = _worst_ratio(np.array(sups)[:, None, :], dens, slack=slack)
+    return ContractionReport(
+        label="heat-kernel-bounds", cases=worst.used,
+        violations=worst.violations, worst_ratio=worst.ratio,
+        worst_case=_case(worst.witness, t_list, ("L2", "L1"), len(members)))
 
 
 # ---------------------------------------------------------------------------
@@ -205,21 +197,6 @@ def _node_dual(m: DiscreteManifold, v: np.ndarray, q: float) -> np.ndarray:
     if nrm == 0:
         return np.zeros_like(v)
     return np.sign(v) * np.abs(v) ** (q - 1.0) / nrm ** (q - 1.0)
-
-
-def _scan_ratios(op: Callable[[np.ndarray], np.ndarray],
-                 out_norm: Callable[[np.ndarray], float],
-                 m: DiscreteManifold, p_in: float,
-                 members: np.ndarray) -> tuple[float, int]:
-    best, best_idx = -math.inf, -1
-    for i, u in enumerate(members):
-        denom = lp_norm(m, u, p_in)
-        if denom == 0:
-            continue
-        ratio = out_norm(op(u)) / denom
-        if ratio > best:
-            best, best_idx = ratio, i
-    return best, best_idx
 
 
 def _refine_node_op(op: Callable[[np.ndarray], np.ndarray],
@@ -244,11 +221,6 @@ def _refine_node_op(op: Callable[[np.ndarray], np.ndarray],
     return best
 
 
-def _grad_out_norm(m: DiscreteManifold, vecs: np.ndarray, q: float) -> float:
-    mags = np.linalg.norm(vecs, axis=1)
-    return float(np.sum(m.grad.weights * mags ** q) ** (1.0 / q))
-
-
 def _refine_grad_op(dec: SpectralDecomposition, power: float,
                     p_in: float, p_out: float, u0: np.ndarray,
                     iters: int = REFINE_ITERATIONS) -> float:
@@ -260,11 +232,11 @@ def _refine_grad_op(dec: SpectralDecomposition, power: float,
     best = -math.inf
     for _ in range(iters):
         vecs = m.grad.vectors(apply_function(dec, fwd, u))
-        nv = _grad_out_norm(m, vecs, p_out)
+        mags = np.linalg.norm(vecs, axis=1)
+        nv = float(np.sum(m.grad.weights * mags ** p_out) ** (1.0 / p_out))
         if nv == 0:
             break
         best = max(best, nv)
-        mags = np.linalg.norm(vecs, axis=1)
         dual = vecs * np.where(mags > 0, mags ** (p_out - 2.0), 0.0)[:, None]
         dual /= nv ** (p_out - 1.0)
         pulled = m.grad.matrix.T @ (np.repeat(m.grad.weights, m.grad.ncomp)
@@ -300,19 +272,17 @@ def mapping_norm(dec: SpectralDecomposition, operator_label: str,
         raise ValueError("negative power of a singular operator; "
                          "use a potential with a positive spectral floor")
     fwd = power_multiplier(power)
-    if grad_op:
-        op = lambda u: m.grad.vectors(apply_function(dec, fwd, u))
-        out_norm = lambda vecs: _grad_out_norm(m, vecs, p_out)
-    else:
-        op = lambda u: apply_function(dec, fwd, u)
-        out_norm = lambda v: lp_norm(m, v, p_out)
-    best, best_idx = _scan_ratios(op, out_norm, m, p_in, members)
-    if refine and best_idx >= 0 and p_in > 1:
+    out_norm = grad_lp_norm if grad_op else lp_norm
+    scan = _worst_ratio(out_norm(m, apply_function(dec, fwd, members), p_out),
+                        lp_norm(m, members, p_in))
+    best = scan.ratio
+    if refine and scan.witness >= 0 and p_in > 1:
+        u0 = members[scan.witness]
         if grad_op:
-            refined = _refine_grad_op(dec, power, p_in, p_out, members[best_idx])
+            refined = _refine_grad_op(dec, power, p_in, p_out, u0)
         else:
             refined = _refine_node_op(lambda u: apply_function(dec, fwd, u),
-                                      m, p_in, p_out, members[best_idx])
+                                      m, p_in, p_out, u0)
         best = max(best, refined)
     return MappingNormScan(operator_label=operator_label, p_in=p_in,
                            p_out=p_out, estimate=best, mesh_level=mesh_level,
@@ -331,13 +301,8 @@ def gradient_bessel_constant(dec_unit: SpectralDecomposition, p: float,
                              a: float, members: np.ndarray) -> float:
     """Smallest feasible C in ||grad v||_p <= C(||(-Lap+1)^{1/2}v||_p + a||v||_p)."""
     m = dec_unit.manifold
-    worst = 0.0
-    for v in members:
-        denom = bessel_norm(m, dec_unit, v, p) + a * lp_norm(m, v, p)
-        if denom == 0:
-            continue
-        worst = max(worst, grad_lp_norm(m, v, p) / denom)
-    return worst
+    denom = bessel_norm(m, dec_unit, members, p) + a * lp_norm(m, members, p)
+    return max(0.0, _worst_ratio(grad_lp_norm(m, members, p), denom).ratio)
 
 
 def bessel_equivalence_constants(dec_zero: SpectralDecomposition, a: float,
@@ -355,20 +320,17 @@ def bessel_equivalence_constants(dec_zero: SpectralDecomposition, a: float,
         raise ValueError("equivalence constants require the bare Laplacian spectrum")
     m = dec_zero.manifold
     lam = dec_zero.eigenvalues
-    ratios = []
-    for u in members:
-        coeffs = dec_zero.coefficients(u)
-        mid = lp_norm(m, dec_zero.synthesize(np.sqrt(lam + a * a) * coeffs), p)
-        outer = (a * lp_norm(m, u, p)
-                 + lp_norm(m, dec_zero.synthesize(np.sqrt(lam) * coeffs), p))
-        # constants carry no information at a = 0: both sides are roundoff
-        if outer <= 1e-10 * (1.0 + a) * lp_norm(m, u, p):
-            continue
-        ratios.append(mid / outer)
-    if not ratios:
+    coeffs = dec_zero.coefficients(members)
+    base = lp_norm(m, members, p)
+    mid = lp_norm(m, dec_zero.synthesize(np.sqrt(lam + a * a) * coeffs), p)
+    outer = a * base + lp_norm(m, dec_zero.synthesize(np.sqrt(lam) * coeffs), p)
+    # constants carry no information at a = 0: both sides are roundoff
+    used = outer > 1e-10 * (1.0 + a) * base
+    worst = _worst_ratio(mid, outer, used=used)
+    if worst.used == 0:
         raise ValueError("degenerate ensemble: every member is constant")
-    return {"c1_hat": float(min(ratios)), "c2_hat": float(max(ratios)),
-            "members_used": len(ratios)}
+    return {"c1_hat": float(np.min(mid[used] / outer[used])),
+            "c2_hat": worst.ratio, "members_used": worst.used}
 
 
 # ---------------------------------------------------------------------------
@@ -387,46 +349,36 @@ def scaling_transfer_check(m: DiscreteManifold, lam: float, mu: float,
     """
     if lam < 1:
         raise ValueError("transfer direction requires lam >= 1")
+    if not mu > p:
+        raise ValueError(f"need mu > p for the exponent mu p/(mu-p), "
+                         f"got mu={mu}, p={p}")
     q_out = mu * p / (mu - p)
     scaled = scale_metric(m, lam)
     n = m.dim
-    worst_scaling = 0.0
-    for u in members:
-        for q in (p, q_out, 2.0):
-            a = lp_norm(scaled, u, q)
-            b = lam ** (n / q) * lp_norm(m, u, q)
-            worst_scaling = max(worst_scaling, abs(a - b) / max(b, 1e-300))
-        a = grad_lp_norm(scaled, u, p)
-        b = lam ** (n / p - 1.0) * grad_lp_norm(m, u, p)
-        worst_scaling = max(worst_scaling, abs(a - b) / max(b, 1e-300))
+    orig = {q: lp_norm(m, members, q) for q in (p, q_out, 2.0)}
+    pairs = [(lp_norm(scaled, members, q), lam ** (n / q) * orig[q]) for q in orig]
+    pairs.append((grad_lp_norm(scaled, members, p),
+                  lam ** (n / p - 1.0) * grad_lp_norm(m, members, p)))
+    worst_scaling = max(
+        float(np.max(np.abs(a - b) / np.maximum(b, 1e-300), initial=0.0))
+        for a, b in pairs)
     if worst_scaling > scaling_tol:
-        raise AssertionError(
+        raise ValueError(
             f"norm scaling law violated: relative error {worst_scaling:.3g}")
 
     dec_scaled = decompose(scaled, dec_unit.potential)
-    c_scaled = 0.0
-    for u in members:
-        denom = bessel_norm(scaled, dec_scaled, u, p)
-        if denom == 0:
-            continue
-        c_scaled = max(c_scaled, lp_norm(scaled, u, q_out) / denom)
+    c_scaled = max(0.0, _worst_ratio(
+        lp_norm(scaled, members, q_out),
+        bessel_norm(scaled, dec_scaled, members, p)).ratio)
 
     transferred = lam * c_scaled
-    violations = 0
-    worst = -math.inf
-    for u in members:
-        rhs = transferred * bessel_norm(m, dec_unit, u, p)
-        lhs = lp_norm(m, u, q_out)
-        if rhs == 0:
-            continue
-        ratio = lhs / rhs
-        worst = max(worst, ratio)
-        if lhs > rhs * (1.0 + slack):
-            violations += 1
+    worst = _worst_ratio(orig[q_out],
+                         transferred * bessel_norm(m, dec_unit, members, p),
+                         slack=slack)
     return {"lam": lam, "mu": mu, "p": p, "q_out": q_out,
             "scaling_error": worst_scaling, "C_scaled": c_scaled,
-            "C_transferred": transferred, "violations": violations,
-            "worst_ratio": worst}
+            "C_transferred": transferred, "violations": worst.violations,
+            "worst_ratio": worst.ratio}
 
 
 def integral_ricci_check(m: DiscreteManifold, c: float, eps: float, p: float,
@@ -443,10 +395,6 @@ def integral_ricci_check(m: DiscreteManifold, c: float, eps: float, p: float,
         raise ValueError("need p < dim")
     gamma = gamma_integral(m, c, eps)
     q = n * p / (n - p)
-    worst = 0.0
-    for u in members:
-        denom = grad_lp_norm(m, u, p) + (1.0 + gamma) * lp_norm(m, u, p)
-        if denom == 0:
-            continue
-        worst = max(worst, lp_norm(m, u, q) / denom)
+    denom = grad_lp_norm(m, members, p) + (1.0 + gamma) * lp_norm(m, members, p)
+    worst = max(0.0, _worst_ratio(lp_norm(m, members, q), denom).ratio)
     return {"gamma": gamma, "C": worst, "c": c, "eps": eps, "p": p, "q_out": q}

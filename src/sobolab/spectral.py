@@ -93,10 +93,12 @@ class SpectralDecomposition:
         return float(self.eigenvalues[0])
 
     def coefficients(self, u: np.ndarray) -> np.ndarray:
-        return self.eigenvectors.T @ (self.manifold.mass * u)
+        """Mass inner products <u, phi_k>; u is (N,) or (K, N) with rows = members."""
+        return (u * self.manifold.mass) @ self.eigenvectors
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        return self.eigenvectors @ coeffs
+        """Inverse of coefficients, row by row."""
+        return coeffs @ self.eigenvectors.T
 
 
 def decompose(m: DiscreteManifold, psi: PotentialField) -> SpectralDecomposition:
@@ -127,7 +129,10 @@ def decompose(m: DiscreteManifold, psi: PotentialField) -> SpectralDecomposition
 
 def apply_function(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.ndarray],
                    u: np.ndarray) -> np.ndarray:
-    """Evaluate f(H) u = sum_k f(lambda_k) <u, phi_k>_mass phi_k."""
+    """Evaluate f(H) u = sum_k f(lambda_k) <u, phi_k>_mass phi_k.
+
+    u is one node function (N,) or a member matrix (K, N), rows = members.
+    """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         fw = np.asarray(f(dec.eigenvalues), dtype=float)
     if fw.shape != dec.eigenvalues.shape:

@@ -1,8 +1,12 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import sobolab
+from sobolab import semigroup
 from sobolab.cli import main
 
 
@@ -178,3 +182,71 @@ def test_artifacts_never_mutated(tmp_path):
     before = path.read_bytes()
     run(tmp_path, "ladder", "--n", "3", "--p0", "2", "--target", "2.5")
     assert path.read_bytes() == before
+
+
+def test_stdout_is_path_then_full_results_json(tmp_path, capsys):
+    assert run(tmp_path, "flow", "--flow", "sphere:r0=1", "--times",
+               "0:0.4:0.05", "--theorem", "a2", "--p", "1.5", "--p0", "1.2",
+               "--seed", "9", "--size", "20") == 0
+    first, _, rest = capsys.readouterr().out.partition("\n")
+    assert len(rest) > 2000  # longer than the old 2000-character cut
+    doc = json.loads(Path(first).read_text())
+    assert json.loads(rest) == doc["results"]
+
+
+def test_import_defers_quadrature_and_mpmath():
+    src = str(Path(sobolab.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import sobolab.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'mpmath' or m.startswith('scipy.integrate')))")
+    out = subprocess.run([sys.executable, "-c", code, src], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+def one_line_error(capsys, *words):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    for word in words:
+        assert word in err
+
+
+def test_heat_rejects_negative_time(tmp_path, capsys):
+    assert run(tmp_path, "heat", "--model", "torus:n=2,res=8", "--seed", "1",
+               "--size", "10", "--t-list", "-1") == 1
+    one_line_error(capsys, "heat times")
+
+
+def test_scaling_rejects_mu_not_above_p(tmp_path, capsys):
+    assert run(tmp_path, "scaling", "--model", "torus:n=3,res=6", "--seed", "1",
+               "--size", "10", "--mu", "1", "--p", "1.5") == 1
+    one_line_error(capsys, "mu=1", "p=1.5")
+
+
+def test_scaling_law_guard_is_a_one_line_error(tmp_path, capsys, monkeypatch):
+    check = semigroup.scaling_transfer_check
+    monkeypatch.setattr(semigroup, "scaling_transfer_check",
+                        lambda *a, **kw: check(*a, scaling_tol=-1.0, **kw))
+    assert run(tmp_path, "scaling", "--model", "torus:n=3,res=6", "--seed", "1",
+               "--size", "10") == 1
+    one_line_error(capsys, "norm scaling law violated")
+
+
+def test_flow_rejects_nonpositive_time_step(tmp_path, capsys):
+    for times in ("0:0.4:0", "0:0.4:-0.1"):
+        assert run(tmp_path, "flow", "--times", times, "--seed", "1",
+                   "--size", "10") == 1
+        one_line_error(capsys, "time step")
+
+
+def test_flow_rejects_unknown_spec_options(tmp_path, capsys):
+    assert run(tmp_path, "flow", "--flow", "torus:n=3,res=6,bogus=1",
+               "--times", "0,0.5", "--theorem", "b3", "--p", "2.5",
+               "--seed", "1", "--size", "10") == 1
+    one_line_error(capsys, "bogus")
+
+
+def test_verify_rejects_negative_constants(tmp_path, capsys):
+    assert run(tmp_path, "verify", "--model", "torus:n=2,res=8", "--p", "1.2",
+               "--A", "-1", "--B", "1", "--seed", "1", "--size", "10") == 1
+    one_line_error(capsys, "A >= 0")

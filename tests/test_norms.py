@@ -150,3 +150,34 @@ def test_norm_report_consistency(torus2, torus2_dec1):
     for p in (1.0, 1.5, 2.0):
         assert rep.w1p[p] == pytest.approx(rep.lp[p] + rep.grad_lp[p], rel=1e-14)
         assert rep.lp[p] >= 0 and rep.bessel_1p[p] >= 0
+
+
+# the matrix contract: a (K, N) member matrix gives one value per row, equal
+# to stacking the single-member calls
+ENSEMBLES = [("torus2", "torus2_dec1", "torus2_members"),
+             ("sphere3", "sphere3_dec1", "sphere3_members")]
+
+
+@pytest.mark.parametrize("names", ENSEMBLES, ids=["torus", "sphere"])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, np.inf])
+def test_norms_on_member_matrix_equal_stacked_rows(request, names, p):
+    m, dec1, members = (request.getfixturevalue(n) for n in names)
+    U = members[:40]
+    cases = [(lambda u: lp_norm(m, u, p)), (lambda u: grad_lp_norm(m, u, p))]
+    if np.isfinite(p):
+        cases.append(lambda u: bessel_norm(m, dec1, u, p))
+    for norm in cases:
+        batched = norm(U)
+        assert batched.shape == (len(U),)
+        stacked = np.array([norm(u) for u in U])
+        assert isinstance(norm(U[0]), float)
+        np.testing.assert_allclose(batched, stacked, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("names", ENSEMBLES, ids=["torus", "sphere"])
+def test_q_energy_on_member_matrix_equals_stacked_rows(request, names):
+    m, _, members = (request.getfixturevalue(n) for n in names)
+    psi = constant_potential(m, 1.0)
+    U = members[:40]
+    stacked = np.array([q_energy(m, psi, u) for u in U])
+    np.testing.assert_allclose(q_energy(m, psi, U), stacked, rtol=1e-13, atol=0)

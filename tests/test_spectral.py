@@ -6,6 +6,7 @@ from sobolab import (SingularOperatorError, apply_function,
                      constant_potential, decompose, heat_multiplier, lambda0,
                      op_norm_2_to_inf, power_multiplier, scale_metric)
 from sobolab.manifold import DiscreteManifold, GradientElements
+from sobolab.norms import lp_norm
 from sobolab.spectral import (DENSE_NODE_GUARD, PotentialField,
                               shifted_quarter_curvature, spectrum_rows)
 
@@ -198,3 +199,18 @@ def test_spectrum_rows(torus2_dec0):
     rows = spectrum_rows(torus2_dec0)
     assert rows[0] == (0, 0.0)
     assert len(rows) == len(torus2_dec0.eigenvalues)
+
+
+@pytest.mark.parametrize("names", [("torus2_dec1", "torus2_members"),
+                                   ("sphere3_dec1", "sphere3_members")],
+                         ids=["torus", "sphere"])
+def test_apply_function_on_member_matrix_equals_stacked_rows(request, names):
+    dec, members = (request.getfixturevalue(n) for n in names)
+    m, U = dec.manifold, members[:40]
+    for f in (np.sqrt, heat_multiplier(0.3), lambda lam: lam):
+        batched = apply_function(dec, f, U)
+        assert batched.shape == U.shape
+        op_norm = np.max(np.abs(f(dec.eigenvalues)))  # ||f(H)||_{2->2}
+        for row, u in zip(batched, U):
+            diff = row - apply_function(dec, f, u)
+            assert lp_norm(m, diff, 2.0) <= 1e-13 * op_norm * lp_norm(m, u, 2.0)
