@@ -62,14 +62,20 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def _parse_times(text: str) -> list[float]:
-    """Either "a:b:step" (inclusive endpoints) or a comma list."""
+    """Either "a:b:step" (inclusive endpoints) or a comma list; all finite."""
     if ":" in text:
         a, b, step = (float(x) for x in text.split(":"))
+        if not all(map(math.isfinite, (a, b, step))):
+            raise ValueError(
+                f"time range {text!r} needs finite endpoints and step")
         if not step > 0:
             raise ValueError(f"time step must be positive, got {step:g}")
         n = int(round((b - a) / step))
         return [a + i * step for i in range(n + 1)]
-    return _parse_floats(text)
+    times = _parse_floats(text)
+    if not all(map(math.isfinite, times)):
+        raise ValueError(f"sample times must be finite, got {text!r}")
+    return times
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +153,7 @@ def _cmd_heat(args):
 def _cmd_riesz(args):
     m, dec1, spec, members = _prepare(args)
     scan = sg.riesz_ratio(dec1, args.p, members, meta=spec.meta())
-    dec0 = decompose(m, constant_potential(m, 0.0))
+    dec0 = dec1.shifted(-1.0)  # the bare Laplacian, exactly
     eq = sg.bessel_equivalence_constants(dec0, args.a, args.p, members)
     ck = sg.gradient_bessel_constant(dec1, args.p, args.a, members)
     return {"riesz": to_plain(scan), "equivalence": eq,
@@ -330,11 +336,11 @@ def main(argv=None) -> int:
               if k not in ("command", "out", "config")}
     try:
         results, status = _BODIES[args.command](args)
+        payload = _payload(args.command, config, results)
+        path = write_artifact(_out_dir(args), args.command, payload)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    payload = _payload(args.command, config, results)
-    path = write_artifact(_out_dir(args), args.command, payload)
     print(path)  # first line: the artifact path; then the full results JSON
     print(json.dumps(payload["results"], indent=2, sort_keys=True))
     return status

@@ -63,6 +63,10 @@ class ExactFlow:
                                  f"t < {self.r0 ** 2 / 2.0}")
         elif self.variant != "static-torus":
             raise ValueError(f"unknown flow variant {self.variant!r}")
+        r = self.base.scalar_curvature
+        if not np.all(r == r[0]):
+            raise ValueError("exact flows need constant scalar curvature on the "
+                             "base, so that R/4 is a shift of the spectrum")
 
 
 def shrinking_sphere_flow(r0: float = 1.0, subdiv: int = 3,
@@ -122,8 +126,13 @@ def metric_at(flow: ExactFlow, t: float) -> DiscreteManifold:
 
 
 def lambda0_series(flow: ExactFlow, times) -> list[float]:
-    """lambda0(t) samples for inspection; no monotonicity is asserted."""
-    return [lambda0(metric_at(flow, t)) for t in times]
+    """lambda0(t) samples for inspection; no monotonicity is asserted.
+
+    g(t) = lam(t)^2 g(0) and R(t) = R(0)/lam(t)^2, so -Lap + R/4 at time t is
+    the time-0 operator over lam(t)^2: one decomposition serves every t.
+    """
+    lam0 = lambda0(flow.base)
+    return [lam0 / scale_factor(flow, t) ** 2 for t in times]
 
 
 def flow_rhs_factor(m: DiscreteManifold, p: float, chain: BootstrapChain) -> float:
@@ -200,14 +209,17 @@ def track(flow: ExactFlow, times, selector: str, p: float,
         p0 = 1.2 if n == 2 else 2.0
     if not p0 < p < n:
         raise ValueError(f"need p0 < p < n, got p0={p0}, p={p}, n={n}")
-    lam0_base = lambda0(base)
+    # the one decomposition of the run: every time-t spectrum is a shift and
+    # rescaling of it, and it seeds the ensemble.  R/4 is constant (ExactFlow
+    # checks it), so -Lap + R/4 is this operator shifted by R/4 - 1.
+    dec_base = decompose(base, constant_potential(base, 1.0))
+    lam0_base = dec_base.shifted(base.scalar_curvature[0] / 4.0 - 1.0).lambda_min
     if selector.endswith("2") and lam0_base <= 1e-12:
         raise HypothesisError(
             f"selector {selector!r} requires lambda0(g(0)) > 0, got "
             f"{lam0_base:.3g}; use the finite-horizon selector "
             f"{selector[0]}3 instead")
 
-    dec_base = decompose(base, constant_potential(base, 1.0))
     members = generate_ensemble(base, ensemble, dec=dec_base)
     family = selector[0]
     base_constants: dict = {"lambda0_g0": lam0_base}
@@ -233,13 +245,15 @@ def track(flow: ExactFlow, times, selector: str, p: float,
             transfer = max(transfer, lam_t ** (-1.0) / math.sqrt(1.0 + r_plus))
         base_constants.update(C0=c0, transfer=transfer, C=c0 * transfer)
 
+    dec_bare = dec_base.shifted(-1.0) if family == "b" else None
     records = []
     for t in times:
+        lam_t = scale_factor(flow, t)
         mt = metric_at(flow, t)
         summ = geometric_summary(mt)
         bracket = (summ["r_max_plus"] + 1.0) * summ["vol"] ** (2.0 / n)
         rec = {"t": t, "vol": summ["vol"], "r_max_plus": summ["r_max_plus"],
-               "kappa": summ["kappa"], "lambda0": lambda0(mt),
+               "kappa": summ["kappa"], "lambda0": lam0_base / lam_t ** 2,
                "bracket": bracket}
         if family == "a":
             alpha = bracket if selector == "a2" else 1.0 + bracket
@@ -251,7 +265,7 @@ def track(flow: ExactFlow, times, selector: str, p: float,
             rec.update(alpha=alpha, C1=chain.C1, C2=chain.C2, m_p=chain.m_p)
         else:
             factor = base_constants["C"] * math.sqrt(1.0 + summ["r_max_plus"])
-            dec_t = (decompose(mt, constant_potential(mt, 1.0))
+            dec_t = (dec_bare.scaled(lam_t).shifted(1.0)
                      if family == "b" else None)
             defect = _defect(family, mt, summ, c_adj, eps)
             if family == "e":

@@ -137,11 +137,11 @@ class ModelSpec:
     def __post_init__(self):
         if self.variant not in ("torus", "sphere", "box"):
             raise ValueError(f"unknown model variant {self.variant!r}")
+        if not 0 < self.radius < np.inf:
+            raise ValueError("radius must be positive and finite")
         if self.variant == "sphere":
             if self.dim != 2:
                 raise ValueError("sphere models are 2-dimensional only")
-            if self.radius <= 0:
-                raise ValueError("radius must be positive")
             if self.resolution < 1:
                 raise ValueError("subdivision level too small for the stencil")
         else:
@@ -152,11 +152,11 @@ class ModelSpec:
             sides = self.sides if self.sides else (2.0 * np.pi,) * self.dim
             if len(sides) != self.dim:
                 raise ValueError("need one side length per dimension")
-            if any(s <= 0 for s in sides):
-                raise ValueError("side lengths must be positive")
+            if not all(0 < s < np.inf for s in sides):
+                raise ValueError("side lengths must be positive and finite")
             object.__setattr__(self, "sides", tuple(float(s) for s in sides))
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not 0 < self.scale < np.inf:
+            raise ValueError("scale must be positive and finite")
 
     def describe(self) -> str:
         if self.variant == "sphere":

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -40,9 +41,35 @@ def to_plain(obj):
     return obj
 
 
+def _nonfinite_field(obj, path: str = "") -> str | None:
+    """Dotted path of the first non-finite float in a plain JSON tree, or None."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else path
+    if isinstance(obj, dict):
+        items = ((f"{path}.{k}" if path else k, obj[k]) for k in sorted(obj))
+    elif isinstance(obj, list):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(obj))
+    else:
+        return None
+    for sub, value in items:
+        found = _nonfinite_field(value, sub)
+        if found is not None:
+            return found
+    return None
+
+
 def canonical_json(payload) -> str:
-    return json.dumps(to_plain(payload), sort_keys=True, separators=(",", ":"),
-                      allow_nan=False)
+    """Sorted, compact JSON; a non-finite float raises ValueError naming its field."""
+    plain = to_plain(payload)
+    try:
+        return json.dumps(plain, sort_keys=True, separators=(",", ":"),
+                          allow_nan=False)
+    except ValueError:
+        field = _nonfinite_field(plain)
+        if field is None:
+            raise
+        raise ValueError(f"{field} is not finite; a JSON artifact cannot "
+                         "hold it") from None
 
 
 def config_hash(config) -> str:

@@ -17,8 +17,8 @@ import numpy as np
 from .constants import _worst_ratio
 from .manifold import DiscreteManifold, scale_metric, gamma_integral
 from .norms import bessel_norm, grad_lp_norm, lp_norm
-from .spectral import (SpectralDecomposition, apply_function, decompose,
-                       heat_multiplier, op_norm_2_to_inf, power_multiplier)
+from .spectral import (SpectralDecomposition, apply_function, heat_multiplier,
+                       op_norm_2_to_inf, power_multiplier)
 
 __all__ = [
     "MappingNormScan",
@@ -349,6 +349,8 @@ def scaling_transfer_check(m: DiscreteManifold, lam: float, mu: float,
     """
     if lam < 1:
         raise ValueError("transfer direction requires lam >= 1")
+    if np.any(dec_unit.potential.values != 1.0):
+        raise ValueError("scaling transfer needs the Psi = 1 decomposition")
     if not mu > p:
         raise ValueError(f"need mu > p for the exponent mu p/(mu-p), "
                          f"got mu={mu}, p={p}")
@@ -366,7 +368,9 @@ def scaling_transfer_check(m: DiscreteManifold, lam: float, mu: float,
         raise ValueError(
             f"norm scaling law violated: relative error {worst_scaling:.3g}")
 
-    dec_scaled = decompose(scaled, dec_unit.potential)
+    # H/lam^2 on the scaled metric has potential 1/lam^2; shifting it back to
+    # Psi = 1 gives the scaled-metric Bessel operator without a new eigh
+    dec_scaled = dec_unit.shifted(-1.0).scaled(lam).shifted(1.0)
     c_scaled = max(0.0, _worst_ratio(
         lp_norm(scaled, members, q_out),
         bessel_norm(scaled, dec_scaled, members, p)).ratio)

@@ -8,13 +8,13 @@ resolvents) is evaluated on the resulting eigenpairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 import scipy.linalg as la
 
-from .manifold import DiscreteManifold
+from .manifold import DiscreteManifold, scale_metric
 
 __all__ = [
     "DENSE_NODE_GUARD",
@@ -100,6 +100,43 @@ class SpectralDecomposition:
         """Inverse of coefficients, row by row."""
         return coeffs @ self.eigenvectors.T
 
+    def shifted(self, c: float) -> SpectralDecomposition:
+        """Exact decomposition of H + c for a constant c, with no new eigh.
+
+        The eigenvectors are shared; eigenvalues and potential move by c and
+        the clipping rule of decompose is applied again, so a shift down to
+        the bare Laplacian keeps its kernel at exactly 0.
+        """
+        psi = PotentialField(self.potential.values + c,
+                             f"{self.potential.label}{c:+g}")
+        return replace(self, eigenvalues=_clip(self.eigenvalues + c),
+                       potential=psi)
+
+    def scaled(self, lam: float) -> SpectralDecomposition:
+        """Exact decomposition of H / lam^2 on scale_metric(manifold, lam).
+
+        Under g -> lam^2 g the mass scales by lam^n and the stiffness by
+        lam^(n-2), so eigenvalues (and the potential that keeps H/lam^2)
+        divide by lam^2 and mass-orthonormal eigenvectors by lam^(n/2).
+        """
+        m = scale_metric(self.manifold, lam)
+        if m is self.manifold:
+            return self
+        inv2 = lam ** -2.0
+        psi = PotentialField(self.potential.values * inv2,
+                             f"({self.potential.label})/{lam:g}^2")
+        return SpectralDecomposition(
+            eigenvalues=self.eigenvalues * inv2,
+            eigenvectors=self.eigenvectors * lam ** (-m.dim / 2.0),
+            potential=psi, manifold=m)
+
+
+def _clip(w: np.ndarray) -> np.ndarray:
+    """Set eigenvalues with |lambda| <= EIG_CLIP_REL * max|lambda| to exactly 0."""
+    clip = EIG_CLIP_REL * np.max(np.abs(w)) if w.size else 0.0
+    w[np.abs(w) <= clip] = 0.0
+    return w
+
 
 def decompose(m: DiscreteManifold, psi: PotentialField) -> SpectralDecomposition:
     """Dense generalized symmetric eigendecomposition of S + M_Psi vs M.
@@ -120,10 +157,8 @@ def decompose(m: DiscreteManifold, psi: PotentialField) -> SpectralDecomposition
     a /= sqrt_m[None, :]
     a = 0.5 * (a + a.T)
     w, v = la.eigh(a)
-    clip = EIG_CLIP_REL * np.max(np.abs(w)) if n > 0 else 0.0
-    w[np.abs(w) <= clip] = 0.0
     phi = v / sqrt_m[:, None]
-    return SpectralDecomposition(eigenvalues=w, eigenvectors=phi,
+    return SpectralDecomposition(eigenvalues=_clip(w), eigenvectors=phi,
                                  potential=psi, manifold=m)
 
 

@@ -1,5 +1,7 @@
 """Shared meshes, decompositions and ensembles (dense eigh is the slow part)."""
 
+import sys
+
 import pytest
 
 from sobolab import (EnsembleSpec, build, constant_potential, decompose,
@@ -94,3 +96,24 @@ def torus3_members(torus3, torus3_dec1):
 def sphere3_members(sphere3, sphere3_dec1):
     spec = EnsembleSpec(seed=42, size=100, generator="mixed")
     return generate_ensemble(sphere3, spec, dec=sphere3_dec1)
+
+
+@pytest.fixture
+def decompose_calls(monkeypatch):
+    """Node counts of every dense decomposition made while the test runs.
+
+    The counting wrapper replaces decompose in every sobolab namespace that
+    binds it, so calls made through another module are counted too.
+    """
+    from sobolab import spectral
+    original, calls = spectral.decompose, []
+
+    def counting(m, psi):
+        calls.append(m.num_nodes)
+        return original(m, psi)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "sobolab" and \
+                getattr(mod, "decompose", None) is original:
+            monkeypatch.setattr(mod, "decompose", counting)
+    return calls

@@ -250,3 +250,28 @@ def test_verify_rejects_negative_constants(tmp_path, capsys):
     assert run(tmp_path, "verify", "--model", "torus:n=2,res=8", "--p", "1.2",
                "--A", "-1", "--B", "1", "--seed", "1", "--size", "10") == 1
     one_line_error(capsys, "A >= 0")
+
+
+@pytest.mark.parametrize("argv", [
+    ("riesz", "--model", "torus:n=2,res=8", "--p", "2", "--a", "1"),
+    ("scaling", "--model", "torus:n=3,res=6", "--lam", "2"),
+], ids=["riesz", "scaling"])
+def test_command_decomposes_the_mesh_once(tmp_path, decompose_calls, argv):
+    assert run(tmp_path, *argv, "--seed", "1", "--size", "10") == 0
+    assert len(decompose_calls) == 1
+
+
+def test_nonfinite_result_is_a_one_line_error(tmp_path, capsys):
+    # A = B = 0 makes the right-hand side vanish: the worst ratio is inf
+    assert run(tmp_path, "verify", "--model", "torus:n=2,res=8", "--p", "1.5",
+               "--A", "0", "--B", "0", "--seed", "1", "--size", "5") == 1
+    one_line_error(capsys, "results.report.worst_ratio", "not finite")
+    assert not list(tmp_path.glob("*.json"))
+
+
+@pytest.mark.parametrize("times", ["0:inf:1", "-inf:0:1", "0:1:inf",
+                                   "0:nan:0.1", "0,inf"])
+def test_flow_rejects_nonfinite_times(tmp_path, capsys, times):
+    assert run(tmp_path, "flow", f"--times={times}", "--seed", "1",
+               "--size", "10") == 1
+    one_line_error(capsys, "finite")

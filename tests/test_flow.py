@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from sobolab import (EnsembleSpec, HypothesisError, lambda0_series, metric_at,
+from sobolab import (EnsembleSpec, HypothesisError, constant_potential,
+                     decompose, generate_ensemble, lambda0_series, metric_at,
                      shrinking_sphere_flow, static_torus_flow, track)
-from sobolab.flow import parse_flow_spec, scale_factor
-from sobolab.manifold import scale_metric
+from sobolab import flow as flow_module
+from sobolab.flow import SELECTORS, ExactFlow, parse_flow_spec, scale_factor
+from sobolab.manifold import build, scale_metric, with_fields
 
 
 @pytest.fixture(scope="module")
@@ -127,3 +129,55 @@ def test_parse_flow_spec():
     assert flow.variant == "static-torus"
     with pytest.raises(ValueError):
         parse_flow_spec("klein:res=3")
+
+
+# ---------------------------------------------------------------------------
+# one decomposition per run: every time-t spectrum is a view of the t = 0 one
+
+SMALL_FLOWS = {
+    "sphere": (lambda: shrinking_sphere_flow(r0=1.0, subdiv=2, t_max=0.45),
+               [0.0, 0.2, 0.4], 1.5, 1.2),
+    "torus": (lambda: static_torus_flow(dim=3, resolution=6, t_max=1.0),
+              [0.0, 0.5, 1.0], 2.5, None),
+}
+
+
+@pytest.mark.parametrize("selector", SELECTORS)
+@pytest.mark.parametrize("name", sorted(SMALL_FLOWS))
+def test_track_decomposes_once(name, selector, decompose_calls, monkeypatch):
+    make, times, p, p0 = SMALL_FLOWS[name]
+    flow = make()
+    spec = EnsembleSpec(seed=11, size=12, generator="mixed")
+    original, seen = flow_module.generate_ensemble, []
+
+    def capture(*args, **kw):
+        seen.append(original(*args, **kw))
+        return seen[-1]
+
+    monkeypatch.setattr(flow_module, "generate_ensemble", capture)
+    if name == "torus" and selector.endswith("2"):  # lambda0(g(0)) = 0
+        with pytest.raises(HypothesisError):
+            track(flow, times, selector, p, spec, p0=p0)
+    else:
+        track(flow, times, selector, p, spec, p0=p0)
+        assert len(seen) == 1
+    assert decompose_calls == [flow.base.num_nodes]
+    if seen:
+        base = flow.base
+        expected = generate_ensemble(
+            base, spec, dec=decompose(base, constant_potential(base, 1.0)))
+        assert np.array_equal(seen[0], expected)
+
+
+def test_lambda0_series_decomposes_once(sphere_flow, decompose_calls):
+    times = [0.0, 0.1, 0.4]
+    series = lambda0_series(sphere_flow, times)
+    assert decompose_calls == [sphere_flow.base.num_nodes]
+    assert series[2] == pytest.approx(series[0] * 5.0, rel=1e-14)
+
+
+def test_exact_flow_rejects_nonconstant_curvature():
+    base = build("torus:n=2,res=6")
+    curved = with_fields(base, scalar_curvature=np.linspace(0.0, 1.0, 36))
+    with pytest.raises(ValueError, match="constant scalar curvature"):
+        ExactFlow(variant="static-torus", base=curved, t_max=1.0)

@@ -1,0 +1,67 @@
+"""Property tests: every --times, flow-spec and model-spec string either parses
+or raises ValueError (which the CLI turns into exit 1 and a one-line error).
+
+Numbers come from short token lists, and free text has no digits, so every
+mesh a flow spec builds stays small and no --times range exceeds ~10^4
+samples.
+"""
+
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sobolab.cli import _parse_times
+from sobolab.flow import ExactFlow, parse_flow_spec
+from sobolab.manifold import ModelSpec, parse_model_spec
+
+GARBAGE = st.text(alphabet=st.characters(blacklist_categories=("Nd", "Cs")),
+                  max_size=8)
+NUMBER = st.sampled_from(["0", "1", "2", "3", "-1", "0.5", "1e-3", "2.5", "nan",
+                          "inf", "-inf", "1e400", "", " 2", "x", "1x2",
+                          "2x2x2"]) | GARBAGE
+TIME = st.floats(-5.0, 5.0).map(repr) | NUMBER
+STEP = st.floats(0.05, 5.0).map(repr) | NUMBER  # smallest step 1e-3
+TIMES = (st.builds("{}:{}:{}".format, TIME, TIME, STEP)
+         | st.lists(TIME, max_size=4).map(":".join)
+         | st.lists(TIME, max_size=4).map(",".join))
+
+
+def spec_strings(heads, keys):
+    item = st.builds("{}={}".format, st.sampled_from(keys), NUMBER) | GARBAGE
+    return st.builds(lambda head, sep, items: head + sep + ",".join(items),
+                     st.sampled_from(heads) | GARBAGE,
+                     st.sampled_from([":", "", "::"]),
+                     st.lists(item, max_size=4))
+
+
+@given(TIMES)
+def test_parse_times_parses_or_raises_value_error(text):
+    try:
+        times = _parse_times(text)
+    except ValueError:
+        return
+    assert all(math.isfinite(t) for t in times)
+
+
+@settings(deadline=None, max_examples=60)
+@given(spec_strings(["sphere", "torus", "box"],
+                    ["r0", "r", "subdiv", "n", "res", "L", "bogus"]))
+def test_parse_flow_spec_parses_or_raises_value_error(text):
+    try:
+        flow = parse_flow_spec(text)
+    except ValueError:
+        return
+    assert isinstance(flow, ExactFlow)
+    assert all(math.isfinite(x) for x in flow.base.points.ravel())
+
+
+@given(spec_strings(["sphere", "torus", "box", " torus"],
+                    ["n", "res", "subdiv", "r", "r0", "scale", "L", "bogus"]))
+def test_parse_model_spec_parses_or_raises_value_error(text):
+    try:
+        spec = parse_model_spec(text)
+    except ValueError:
+        return
+    assert isinstance(spec, ModelSpec)
+    assert all(math.isfinite(x) for x in (spec.radius, spec.scale, *spec.sides))

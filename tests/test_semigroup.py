@@ -296,6 +296,9 @@ def test_scaling_transfer_rejects_shrinking(torus3_coarse, torus3_coarse_dec1,
     with pytest.raises(ValueError):
         scaling_transfer_check(torus3_coarse, 0.5, 3.0, 1.5,
                                torus3_members[:5], torus3_coarse_dec1)
+    with pytest.raises(ValueError, match="Psi = 1"):
+        scaling_transfer_check(torus3_coarse, 2.0, 3.0, 1.5, torus3_members[:5],
+                               torus3_coarse_dec1.shifted(-1.0))
 
 
 def test_integral_ricci_sphere_reduces_to_plain_form(sphere3, sphere3_members):

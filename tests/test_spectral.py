@@ -214,3 +214,60 @@ def test_apply_function_on_member_matrix_equals_stacked_rows(request, names):
         for row, u in zip(batched, U):
             diff = row - apply_function(dec, f, u)
             assert lp_norm(m, diff, 2.0) <= 1e-13 * op_norm * lp_norm(m, u, 2.0)
+
+
+# ---------------------------------------------------------------------------
+# shift and scale views: exact decompositions of H + c and of H/lam^2 on the
+# scaled metric, checked against a fresh decompose.  Both meshes have
+# degenerate eigenvalue clusters, where eigenvectors are basis-dependent, so
+# views are compared through f(H), not column by column.
+
+@pytest.fixture(scope="module", params=["sphere:r=1,subdiv=2", "torus:n=3,res=8"])
+def view_base(request):
+    from sobolab import build
+    m = build(request.param)
+    return decompose(m, constant_potential(m, 1.0))
+
+
+def assert_same_operator(view, direct):
+    lam = direct.eigenvalues
+    assert np.max(np.abs(view.eigenvalues - lam)) <= 1e-12 * np.max(np.abs(lam))
+    m = direct.manifold
+    U = np.random.default_rng(8).standard_normal((6, m.num_nodes))
+    diff = apply_function(view, np.sqrt, U) - apply_function(direct, np.sqrt, U)
+    assert np.all(lp_norm(m, diff, 2.0) <= 1e-12 * lp_norm(m, U, 2.0))
+
+
+@pytest.mark.parametrize("c", [-1.0, -0.5, 2.0])
+def test_shifted_view_matches_decompose(view_base, c):
+    m = view_base.manifold
+    direct = decompose(m, constant_potential(m, 1.0 + c))
+    view = view_base.shifted(c)
+    assert np.array_equal(view.potential.values, direct.potential.values)
+    assert_same_operator(view, direct)
+
+
+@pytest.mark.parametrize("lam", [0.6, 2.0])
+def test_scaled_view_matches_decompose(view_base, lam):
+    ms = scale_metric(view_base.manifold, lam)
+    direct = decompose(ms, constant_potential(ms, 1.0))
+    view = view_base.shifted(-1.0).scaled(lam).shifted(1.0)
+    assert np.array_equal(view.manifold.mass, ms.mass)
+    assert np.array_equal(view.potential.values, direct.potential.values)
+    assert_same_operator(view, direct)
+    phi = view.eigenvectors
+    gram = phi.T @ (ms.mass[:, None] * phi)
+    assert np.max(np.abs(gram - np.eye(ms.num_nodes))) <= 1e-12
+    # the potential scales with the operator: Psi = 1 becomes 1/lam^2
+    assert np.allclose(view_base.scaled(lam).potential.values, lam ** -2.0,
+                       rtol=1e-15, atol=0.0)
+    assert view_base.scaled(1.0) is view_base
+
+
+def test_shift_to_bare_laplacian_has_exact_kernel(view_base):
+    bare = view_base.shifted(-1.0)
+    direct = decompose(bare.manifold, constant_potential(bare.manifold, 0.0))
+    assert np.all(bare.potential.values == 0.0)
+    kernel = bare.eigenvalues == 0.0
+    assert kernel.sum() == (direct.eigenvalues == 0.0).sum() == 1
+    assert kernel[0]
