@@ -22,6 +22,7 @@ from . import constants as ct
 from . import flow as fl
 from . import semigroup as sg
 from .manifold import build
+from .norms import lp_norm
 from .reporting import (config_hash, to_plain, write_artifact, write_csv,
                         write_svg_loglog)
 from .spectral import constant_potential, decompose, spectrum_rows
@@ -136,10 +137,7 @@ def _cmd_heat(args):
                          spectrum_rows(dec1))
         results["spectrum_csv"] = str(path)
     if args.beta_csv:
-        unit_spec = ct.EnsembleSpec(seed=spec.seed, size=spec.size,
-                                    generator=spec.generator,
-                                    normalization="unit-l2")
-        unit_members = ct.generate_ensemble(m, unit_spec, dec=dec1)
+        unit_members = members / lp_norm(m, members, 2.0)[:, None]
         grid = np.geomspace(1e-3, 2.0, 25)
         profile = ct.measure_log_sobolev_beta(
             m, constant_potential(m, 1.0), grid, unit_members)
@@ -181,12 +179,9 @@ def _cmd_scaling(args):
 
 
 def _cmd_flow(args):
-    if args.seed is None:
-        raise SystemExit("a seed is mandatory; pass --seed")
+    spec = _ensemble_spec(args)
     times = _parse_times(args.times)
     flow = fl.parse_flow_spec(args.flow, t_max=max(times) + 1e-9 if times else None)
-    spec = ct.EnsembleSpec(seed=args.seed, size=args.size,
-                           generator=args.generator)
     traj = fl.track(flow, times, args.theorem, args.p, spec, p0=args.p0)
     header = ["t", "vol", "r_max_plus", "kappa", "lambda0", "bracket",
               "worst_ratio", "violations"]

@@ -143,9 +143,9 @@ def generate_ensemble(m: DiscreteManifold, spec: EnsembleSpec,
             u = _eigen_mix_member(dec, rng, spec.modes)
         if not np.any(u):
             u = np.ones(m.num_nodes)  # degenerate draw; constants are valid members
-        if spec.normalization == "unit-l2":
-            u = u / lp_norm(m, u, 2.0)
         members[i] = u
+    if spec.normalization == "unit-l2":
+        members /= lp_norm(m, members, 2.0)[:, None]
     return members
 
 

@@ -15,10 +15,9 @@ import numpy as np
 
 from .bootstrap import chain_constants, curvature_volume_rhs, BootstrapChain
 from .constants import (DEFAULT_B_GRID, EnsembleSpec, estimate_sobolev_AB,
-                        generate_ensemble, InequalityCheck, two_term_check,
-                        verify_inequality, _worst_ratio)
-from .manifold import (DiscreteManifold, ModelSpec, build, gamma_integral,
-                       geometric_summary, scale_metric)
+                        generate_ensemble, two_term_check, _worst_ratio)
+from .manifold import (DiscreteManifold, ModelSpec, _check_node_count, build,
+                       gamma_integral, geometric_summary, scale_metric)
 from .norms import bessel_norm, grad_lp_norm, lp_norm
 from .spectral import constant_potential, decompose, lambda0
 
@@ -86,9 +85,11 @@ def static_torus_flow(dim: int = 3, resolution: int = 10,
     return ExactFlow(variant="static-torus", base=base, t_max=t_max)
 
 
-def parse_flow_spec(text: str, t_max: float | None = None,
-                    resolution: int | None = None) -> ExactFlow:
-    """Parse "sphere:r0=1" or "torus:n=3,res=10,L=6.283"."""
+def parse_flow_spec(text: str, t_max: float | None = None) -> ExactFlow:
+    """Parse "sphere:r0=1" or "torus:n=3,res=10,L=6.283".
+
+    Meshes over DENSE_NODE_GUARD nodes are refused before anything is built.
+    """
     head, _, rest = text.partition(":")
     kw = dict(item.split("=", 1) for item in rest.split(",") if item)
     known = {"sphere": {"r0", "r", "subdiv"}, "torus": {"n", "res", "L"}}
@@ -96,19 +97,21 @@ def parse_flow_spec(text: str, t_max: float | None = None,
     if head in known and unknown:
         raise ValueError(f"unknown {head} flow options: {unknown}")
     if head == "sphere":
+        subdiv = int(kw.get("subdiv", 3))
+        _check_node_count("sphere", 2, subdiv)
         return shrinking_sphere_flow(
-            r0=float(kw.get("r0", kw.get("r", 1.0))),
-            subdiv=resolution or int(kw.get("subdiv", 3)),
+            r0=float(kw.get("r0", kw.get("r", 1.0))), subdiv=subdiv,
             t_max=t_max)
     if head == "torus":
+        dim, res = int(kw.get("n", 3)), int(kw.get("res", 10))
+        _check_node_count("torus", dim, res)
         sides: tuple[float, ...] = ()
         if "L" in kw:
             sides = tuple(float(s) for s in kw["L"].split("x"))
             if len(sides) == 1:
-                sides = sides * int(kw.get("n", 3))
-        return static_torus_flow(dim=int(kw.get("n", 3)),
-                                 resolution=resolution or int(kw.get("res", 10)),
-                                 sides=sides, t_max=t_max or 1.0)
+                sides = sides * dim
+        return static_torus_flow(dim=dim, resolution=res, sides=sides,
+                                 t_max=t_max or 1.0)
     raise ValueError(f"unknown flow spec {text!r}")
 
 
@@ -236,17 +239,11 @@ def track(flow: ExactFlow, times, selector: str, p: float,
         c0 = max(0.0, _worst_ratio(
             lp_norm(base, members, q),
             _form_norm(family, base, dec_base, members, p, defect0)).ratio)
-        # the spectral/gradient norms are not scale-covariant under the +1
-        # shift; the transfer factor compensates over the sampled horizon
-        transfer = 1.0
-        for t in times:
-            lam_t = scale_factor(flow, t)
-            r_plus = geometric_summary(metric_at(flow, t))["r_max_plus"]
-            transfer = max(transfer, lam_t ** (-1.0) / math.sqrt(1.0 + r_plus))
-        base_constants.update(C0=c0, transfer=transfer, C=c0 * transfer)
 
+    # one pass builds each metric g(t); the two sides of every check are kept,
+    # because the b/d/e constant needs the transfer over all times first
     dec_bare = dec_base.shifted(-1.0) if family == "b" else None
-    records = []
+    records, sides, transfer = [], [], 1.0
     for t in times:
         lam_t = scale_factor(flow, t)
         mt = metric_at(flow, t)
@@ -256,27 +253,35 @@ def track(flow: ExactFlow, times, selector: str, p: float,
                "kappa": summ["kappa"], "lambda0": lam0_base / lam_t ** 2,
                "bracket": bracket}
         if family == "a":
-            alpha = bracket if selector == "a2" else 1.0 + bracket
-            alpha = max(1.0, alpha)
+            alpha = max(1.0, bracket if selector == "a2" else 1.0 + bracket)
             chain = chain_constants(n, p0, alpha * base_constants["A"],
                                     alpha * base_constants["B"], p)
-            report = verify_inequality(two_term_check(mt, p, chain.C1, chain.C2),
-                                       members, slack=RATIO_SLACK)
+            check = two_term_check(mt, p, chain.C1, chain.C2)
+            lhs, rhs = check.lhs(members), check.rhs(members)
             rec.update(alpha=alpha, C1=chain.C1, C2=chain.C2, m_p=chain.m_p)
         else:
-            factor = base_constants["C"] * math.sqrt(1.0 + summ["r_max_plus"])
+            # the spectral/gradient norms are not scale-covariant under the +1
+            # shift; the transfer factor compensates over the sampled horizon
+            transfer = max(transfer, lam_t ** (-1.0)
+                           / math.sqrt(1.0 + summ["r_max_plus"]))
             dec_t = (dec_bare.scaled(lam_t).shifted(1.0)
                      if family == "b" else None)
             defect = _defect(family, mt, summ, c_adj, eps)
             if family == "e":
                 rec.update(gamma=defect)
-            check = InequalityCheck(
-                label=f"flow-{selector}", lhs=lambda U: lp_norm(mt, U, q),
-                rhs=lambda U: factor * _form_norm(family, mt, dec_t, U, p, defect))
-            report = verify_inequality(check, members, slack=RATIO_SLACK)
-            rec.update(C=factor)
-        rec.update(worst_ratio=report.worst_ratio, violations=report.violations)
+            lhs = lp_norm(mt, members, q)
+            rhs = _form_norm(family, mt, dec_t, members, p, defect)
+        sides.append((lhs, rhs))
         records.append(rec)
+
+    if family != "a":
+        base_constants.update(C0=c0, transfer=transfer, C=c0 * transfer)
+        for rec in records:
+            rec.update(C=base_constants["C"] * math.sqrt(1.0 + rec["r_max_plus"]))
+    for (lhs, rhs), rec in zip(sides, records):
+        # family a checks its chained constants as they are (factor 1)
+        worst = _worst_ratio(lhs, rec.get("C", 1.0) * rhs, slack=RATIO_SLACK)
+        rec.update(worst_ratio=worst.ratio, violations=worst.violations)
     return FlowTrajectory(variant=flow.variant, selector=selector, p=p, p0=p0,
                           times=times, records=tuple(records),
                           base_constants=base_constants)

@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 SERIALIZATION_VERSION = 1
+DENSE_NODE_GUARD = 4000
 
 
 @dataclass(frozen=True)
@@ -54,6 +55,14 @@ class GradientElements:
         """
         return (self.matrix @ u.T).T.reshape(
             u.shape[:-1] + (self.num_elements, self.ncomp))
+
+    def pullback(self, s: np.ndarray) -> np.ndarray:
+        """Node vector G^T W s of an element field s (num_elements, ncomp).
+
+        The counterpart of vectors: <vectors(u), s> weighted by element
+        volume equals u . pullback(s) for every node function u.
+        """
+        return self.matrix.T @ (np.repeat(self.weights, self.ncomp) * s.ravel())
 
     def magnitudes(self, u: np.ndarray) -> np.ndarray:
         """Per-element gradient lengths, shape u.shape[:-1] + (num_elements,)."""
@@ -169,8 +178,32 @@ class ModelSpec:
         return s
 
 
+def _check_node_count(variant: str, dim: int, res: int) -> None:
+    """Refuse a model of more than DENSE_NODE_GUARD nodes before it is built.
+
+    A grid has res^dim nodes and an icosphere (res = subdiv) 10 * 4^res + 2.
+    A power of 256 bits or more is named but never formed, so a huge n or
+    subdiv costs nothing.  Sizes that ModelSpec rejects pass unchecked.
+    """
+    sphere = variant == "sphere"
+    base, exp = (4, res) if sphere else (res, dim)
+    if variant not in ("torus", "box", "sphere") or base < 2 or exp < 1:
+        return
+    count = f"10*4^{res}+2" if sphere else f"{res}^{dim}"
+    if exp * (base.bit_length() - 1) < 256:
+        n = 10 * 4 ** res + 2 if sphere else res ** dim
+        if n <= DENSE_NODE_GUARD:
+            return
+        count += f" = {n}"
+    raise ValueError(f"{variant} model of {count} nodes exceeds the dense "
+                     f"decomposition guard ({DENSE_NODE_GUARD})")
+
+
 def parse_model_spec(text: str) -> ModelSpec:
-    """Parse a spec string like "torus:n=2,res=32,L=6.2831853"."""
+    """Parse a spec string like "torus:n=2,res=32,L=6.2831853".
+
+    Meshes over DENSE_NODE_GUARD nodes are refused before anything is built.
+    """
     head, _, rest = text.partition(":")
     kw: dict[str, str] = {}
     if rest:
@@ -182,6 +215,7 @@ def parse_model_spec(text: str) -> ModelSpec:
     variant = head.strip()
     dim = int(kw.pop("n", 2))
     res = int(kw.pop("res", kw.pop("subdiv", 16)))
+    _check_node_count(variant, dim, res)
     radius = float(kw.pop("r", kw.pop("r0", 1.0)))
     scale = float(kw.pop("scale", 1.0))
     sides: tuple[float, ...] = ()
@@ -214,7 +248,6 @@ def _grid_arrays(dim: int, res: int, sides: tuple[float, ...], periodic: bool):
     points = coords * h[None, :]
 
     rows, cols, vals = [], [], []
-    weights = []
     ncomp = dim
     if periodic:
         cells = idx
@@ -253,26 +286,16 @@ def _grid_arrays(dim: int, res: int, sides: tuple[float, ...], periodic: bool):
     return points, mass, stiff, grad, boundary
 
 
-def _build_torus(spec: ModelSpec) -> DiscreteManifold:
+def _build_grid(spec: ModelSpec) -> DiscreteManifold:
+    periodic = spec.variant == "torus"
     points, mass, stiff, grad, boundary = _grid_arrays(
-        spec.dim, spec.resolution, spec.sides, periodic=True)
+        spec.dim, spec.resolution, spec.sides, periodic)
     n = points.shape[0]
     return DiscreteManifold(
         dim=spec.dim, points=points, mass=mass, stiffness=stiff, grad=grad,
         boundary_mask=boundary,
         scalar_curvature=np.zeros(n), ric_min=np.zeros(n), ricci_lower=0.0,
-        label=spec.describe(), periods=spec.sides)
-
-
-def _build_box(spec: ModelSpec) -> DiscreteManifold:
-    points, mass, stiff, grad, boundary = _grid_arrays(
-        spec.dim, spec.resolution, spec.sides, periodic=False)
-    n = points.shape[0]
-    return DiscreteManifold(
-        dim=spec.dim, points=points, mass=mass, stiffness=stiff, grad=grad,
-        boundary_mask=boundary,
-        scalar_curvature=np.zeros(n), ric_min=np.zeros(n), ricci_lower=0.0,
-        label=spec.describe(), periods=None)
+        label=spec.describe(), periods=spec.sides if periodic else None)
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +391,7 @@ def build(spec: ModelSpec | str) -> DiscreteManifold:
     """Construct the model described by spec (ModelSpec or spec string)."""
     if isinstance(spec, str):
         spec = parse_model_spec(spec)
-    builder = {"torus": _build_torus, "box": _build_box, "sphere": _build_sphere}
-    m = builder[spec.variant](spec)
+    m = (_build_sphere if spec.variant == "sphere" else _build_grid)(spec)
     m.validate()
     if spec.scale != 1.0:
         m = scale_metric(m, spec.scale)

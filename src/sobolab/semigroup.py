@@ -187,61 +187,38 @@ def check_heat_kernel_bounds(m: DiscreteManifold, dec: SpectralDecomposition,
 # ---------------------------------------------------------------------------
 # mapping norms
 
-def _dual_exponent(p: float) -> float:
-    return p / (p - 1.0)
+def _refine(dec: SpectralDecomposition, power: float, grad_op: bool,
+            p_in: float, p_out: float, u0: np.ndarray) -> float:
+    """Adjoint power iteration for u -> H^power u or u -> grad H^power u.
 
-
-def _node_dual(m: DiscreteManifold, v: np.ndarray, q: float) -> np.ndarray:
-    """J_q(v): mass-duality element with <J_q(v), v>_mass = ||v||_q, ||J||_q' = 1."""
-    nrm = lp_norm(m, v, q)
-    if nrm == 0:
-        return np.zeros_like(v)
-    return np.sign(v) * np.abs(v) ** (q - 1.0) / nrm ** (q - 1.0)
-
-
-def _refine_node_op(op: Callable[[np.ndarray], np.ndarray],
-                    m: DiscreteManifold, p_in: float, p_out: float,
-                    u0: np.ndarray, iters: int = REFINE_ITERATIONS) -> float:
-    """Adjoint power iteration for a mass-self-adjoint node operator."""
-    pd = _dual_exponent(p_in)
-    u = u0 / lp_norm(m, u0, p_in)
-    best = -math.inf
-    for _ in range(iters):
-        v = op(u)
-        nv = lp_norm(m, v, p_out)
-        if nv == 0:
-            break
-        best = max(best, nv)
-        w = op(_node_dual(m, v, p_out))
-        mag = np.abs(w)
-        if not mag.any():
-            break
-        u = np.sign(w) * mag ** (pd - 1.0)
-        u /= lp_norm(m, u, p_in)
-    return best
-
-
-def _refine_grad_op(dec: SpectralDecomposition, power: float,
-                    p_in: float, p_out: float, u0: np.ndarray,
-                    iters: int = REFINE_ITERATIONS) -> float:
-    """Adjoint power iteration for u -> grad(H^power u) with element outputs."""
+    The output v is a weighted vector field: for H^power a one-component
+    field on nodes with mass weights, for grad H^power the element gradients
+    with element-volume weights.  Each step measures ||v||_{p_out}, takes
+    the duality element v |v|^(p_out-2) / ||v||^(p_out-1), pulls it back to
+    a node function in the mass pairing and maps that through the
+    mass-self-adjoint H^power.
+    """
     m = dec.manifold
-    pd = _dual_exponent(p_in)
     fwd = power_multiplier(power)
+    if grad_op:
+        field, weights = m.grad.vectors, m.grad.weights
+        pullback = lambda s: m.grad.pullback(s) / m.mass
+    else:
+        field, weights = (lambda v: v[:, None]), m.mass
+        pullback = lambda s: s[:, 0]
+    pd = p_in / (p_in - 1.0)
     u = u0 / lp_norm(m, u0, p_in)
     best = -math.inf
-    for _ in range(iters):
-        vecs = m.grad.vectors(apply_function(dec, fwd, u))
+    for _ in range(REFINE_ITERATIONS):
+        vecs = field(apply_function(dec, fwd, u))
         mags = np.linalg.norm(vecs, axis=1)
-        nv = float(np.sum(m.grad.weights * mags ** p_out) ** (1.0 / p_out))
+        nv = float(np.sum(weights * mags ** p_out) ** (1.0 / p_out))
         if nv == 0:
             break
         best = max(best, nv)
-        dual = vecs * np.where(mags > 0, mags ** (p_out - 2.0), 0.0)[:, None]
+        dual = vecs * (np.where(mags > 0, mags, 1.0) ** (p_out - 2.0))[:, None]
         dual /= nv ** (p_out - 1.0)
-        pulled = m.grad.matrix.T @ (np.repeat(m.grad.weights, m.grad.ncomp)
-                                    * dual.ravel())
-        w = apply_function(dec, fwd, pulled / m.mass)
+        w = apply_function(dec, fwd, pullback(dual))
         mag = np.abs(w)
         if not mag.any():
             break
@@ -277,13 +254,8 @@ def mapping_norm(dec: SpectralDecomposition, operator_label: str,
                         lp_norm(m, members, p_in))
     best = scan.ratio
     if refine and scan.witness >= 0 and p_in > 1:
-        u0 = members[scan.witness]
-        if grad_op:
-            refined = _refine_grad_op(dec, power, p_in, p_out, u0)
-        else:
-            refined = _refine_node_op(lambda u: apply_function(dec, fwd, u),
-                                      m, p_in, p_out, u0)
-        best = max(best, refined)
+        best = max(best, _refine(dec, power, grad_op, p_in, p_out,
+                                 members[scan.witness]))
     return MappingNormScan(operator_label=operator_label, p_in=p_in,
                            p_out=p_out, estimate=best, mesh_level=mesh_level,
                            ensemble_meta=dict(meta or {}))

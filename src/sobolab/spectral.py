@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg as la
 
-from .manifold import DiscreteManifold, scale_metric
+from .manifold import DENSE_NODE_GUARD, DiscreteManifold, scale_metric
 
 __all__ = [
     "DENSE_NODE_GUARD",
@@ -33,7 +33,6 @@ __all__ = [
     "spectrum_rows",
 ]
 
-DENSE_NODE_GUARD = 4000
 EIG_CLIP_REL = 1e-10
 
 
@@ -162,12 +161,9 @@ def decompose(m: DiscreteManifold, psi: PotentialField) -> SpectralDecomposition
                                  potential=psi, manifold=m)
 
 
-def apply_function(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.ndarray],
-                   u: np.ndarray) -> np.ndarray:
-    """Evaluate f(H) u = sum_k f(lambda_k) <u, phi_k>_mass phi_k.
-
-    u is one node function (N,) or a member matrix (K, N), rows = members.
-    """
+def _multiplier(dec: SpectralDecomposition,
+                f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """f(lambda_k) on the spectrum; SingularOperatorError where it is not finite."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         fw = np.asarray(f(dec.eigenvalues), dtype=float)
     if fw.shape != dec.eigenvalues.shape:
@@ -177,7 +173,16 @@ def apply_function(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.ndar
         raise SingularOperatorError(
             f"multiplier undefined at eigenvalue(s) {bad[:3]} "
             f"(operator is singular for this function)")
-    return dec.synthesize(fw * dec.coefficients(u))
+    return fw
+
+
+def apply_function(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.ndarray],
+                   u: np.ndarray) -> np.ndarray:
+    """Evaluate f(H) u = sum_k f(lambda_k) <u, phi_k>_mass phi_k.
+
+    u is one node function (N,) or a member matrix (K, N), rows = members.
+    """
+    return dec.synthesize(_multiplier(dec, f) * dec.coefficients(u))
 
 
 def heat_multiplier(t: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -199,11 +204,7 @@ def lambda0(m: DiscreteManifold) -> float:
 def op_norm_2_to_inf(dec: SpectralDecomposition,
                      f: Callable[[np.ndarray], np.ndarray]) -> float:
     """Exact L2 -> Linf operator norm of f(H): max_x sqrt(sum_k f(l_k)^2 phi_k(x)^2)."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        fw = np.asarray(f(dec.eigenvalues), dtype=float)
-    if not np.all(np.isfinite(fw)):
-        raise SingularOperatorError("multiplier undefined on the spectrum")
-    sq = (dec.eigenvectors ** 2) @ (fw ** 2)
+    sq = (dec.eigenvectors ** 2) @ (_multiplier(dec, f) ** 2)
     return float(np.sqrt(np.max(sq)))
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import sobolab
+from sobolab import flow as fl
 from sobolab import semigroup
 from sobolab.cli import main
 
@@ -237,6 +238,19 @@ def test_flow_rejects_nonpositive_time_step(tmp_path, capsys):
         assert run(tmp_path, "flow", "--times", times, "--seed", "1",
                    "--size", "10") == 1
         one_line_error(capsys, "time step")
+
+
+def test_flow_honours_normalization(tmp_path, monkeypatch):
+    seen = []
+
+    def capture(flow, times, selector, p, ensemble, **kw):
+        seen.append(ensemble)
+        raise ValueError("stop after the ensemble spec")
+
+    monkeypatch.setattr(fl, "track", capture)
+    assert run(tmp_path, "flow", "--seed", "1", "--size", "10",
+               "--normalization", "unit-l2") == 1
+    assert [spec.normalization for spec in seen] == ["unit-l2"]
 
 
 def test_flow_rejects_unknown_spec_options(tmp_path, capsys):

@@ -8,6 +8,7 @@ samples.
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -65,3 +66,15 @@ def test_parse_model_spec_parses_or_raises_value_error(text):
         return
     assert isinstance(spec, ModelSpec)
     assert all(math.isfinite(x) for x in (spec.radius, spec.scale, *spec.sides))
+
+
+@pytest.mark.parametrize("parse, text, count", [
+    (parse_model_spec, "sphere:r=1", "10*4^16+2 = 42949672962"),
+    (parse_model_spec, "torus:n=40,res=2", "2^40 = 1099511627776"),
+    (parse_flow_spec, "sphere:r0=1,subdiv=5", "10*4^5+2 = 10242"),
+])
+def test_specs_over_the_node_guard_are_refused_before_building(parse, text,
+                                                               count):
+    with pytest.raises(ValueError, match="guard") as err:
+        parse(text)
+    assert count in str(err.value) and "\n" not in str(err.value)

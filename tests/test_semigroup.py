@@ -208,10 +208,22 @@ def test_grad_composite_adjoint_identity(torus2, torus2_dec1):
     fwd = power_multiplier(-0.5)
     forward = np.sum(m.grad.weights[:, None]
                      * m.grad.vectors(apply_function(torus2_dec1, fwd, u)) * s)
-    pulled = m.grad.matrix.T @ (np.repeat(m.grad.weights, m.grad.ncomp)
-                                * s.ravel())
-    back = m.mass_inner(u, apply_function(torus2_dec1, fwd, pulled / m.mass))
+    back = m.mass_inner(u, apply_function(torus2_dec1, fwd,
+                                          m.grad.pullback(s) / m.mass))
     assert forward == pytest.approx(back, rel=1e-10)
+
+
+def test_refined_inverse_reaches_first_nonzero_eigenvalue(torus2, torus2_dec1):
+    """On zero-mean members ||H^-1||_{2->2} is 1/lambda_1; the scan alone falls short."""
+    members = generate_ensemble(
+        torus2, EnsembleSpec(seed=7, size=40, generator="mixed"),
+        dec=torus2_dec1)
+    members -= (members @ torus2.mass / torus2.volume)[:, None]
+    exact = 1.0 / torus2_dec1.eigenvalues[1]
+    plain = mapping_norm(torus2_dec1, "H^-1", 2.0, 2.0, members, refine=False)
+    sharp = mapping_norm(torus2_dec1, "H^-1", 2.0, 2.0, members)
+    assert plain.estimate < 0.99 * exact
+    assert sharp.estimate == pytest.approx(exact, rel=1e-3)
 
 
 def test_riesz_p2_energy_identity_bound(torus2, torus2_dec1, torus2_members):

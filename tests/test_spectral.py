@@ -5,7 +5,8 @@ import scipy.sparse as sp
 from sobolab import (SingularOperatorError, apply_function,
                      constant_potential, decompose, heat_multiplier, lambda0,
                      op_norm_2_to_inf, power_multiplier, scale_metric)
-from sobolab.manifold import DiscreteManifold, GradientElements
+from sobolab.manifold import (DiscreteManifold, GradientElements, ModelSpec,
+                              build)
 from sobolab.norms import lp_norm
 from sobolab.spectral import (DENSE_NODE_GUARD, PotentialField,
                               shifted_quarter_curvature, spectrum_rows)
@@ -66,13 +67,16 @@ def test_negative_power_of_neumann_kernel_errors(torus2, torus2_dec0):
 
 def test_decompose_guard_and_bad_potential(torus2):
     psi = constant_potential(torus2, 0.0)
-    big = DENSE_NODE_GUARD + 1
     fake = psi.values[:10]
     with pytest.raises(ValueError):
         decompose(torus2, PotentialField(fake, "short"))
     with pytest.raises(ValueError):
         PotentialField(np.array([np.nan]), "bad")
-    assert big > DENSE_NODE_GUARD  # guard constant stays visible in the API
+    # a mesh built in code bypasses the spec parsers' size gate
+    big = build(ModelSpec("torus", dim=2, resolution=64))
+    assert big.num_nodes > DENSE_NODE_GUARD
+    with pytest.raises(ValueError, match="guard"):
+        decompose(big, constant_potential(big, 0.0))
 
 
 def test_residual_and_orthonormality(sphere3, sphere3_dec1):
