@@ -103,20 +103,37 @@ def _bump_member(m: DiscreteManifold, rng: np.random.Generator, nmax: int) -> np
     return u
 
 
+def _mass_noise(dec: SpectralDecomposition, rng: np.random.Generator,
+                k: int) -> np.ndarray:
+    """First k coefficients of node noise xi / sqrt(mass), xi standard normal.
+
+    They are independent standard normals in every mass-orthonormal basis.
+    """
+    m = dec.manifold
+    xi = rng.standard_normal(m.num_nodes)
+    return (xi * np.sqrt(m.mass)) @ dec.eigenvectors[:, :k]
+
+
 def _band_limited_member(dec: SpectralDecomposition, rng: np.random.Generator,
                          modes: int, decay: float) -> np.ndarray:
-    k = min(modes, dec.eigenvalues.shape[0])
-    g = rng.standard_normal(modes)[:k]
+    """(1 + H)^(-decay/2) Pi_K of mass noise; K ends the cluster of mode `modes`."""
+    bounds = dec.cluster_bounds()
+    k = bounds[np.searchsorted(bounds, min(modes, bounds[-1]))]
     weights = (1.0 + dec.eigenvalues[:k]) ** (-decay / 2.0)
-    return dec.eigenvectors[:, :k] @ (g * weights)
+    return dec.eigenvectors[:, :k] @ (_mass_noise(dec, rng, k) * weights)
 
 
 def _eigen_mix_member(dec: SpectralDecomposition, rng: np.random.Generator,
                       modes: int) -> np.ndarray:
-    kmax = min(modes, dec.eigenvalues.shape[0])
-    idx = rng.integers(0, kmax, size=3)
-    coef = rng.standard_normal(3)
-    return dec.eigenvectors[:, idx] @ coef
+    """Mass noise projected onto three clusters starting below mode `modes`."""
+    bounds = dec.cluster_bounds()
+    count = np.searchsorted(bounds[:-1], min(modes, bounds[-1]))
+    picked = rng.integers(0, count, size=3)
+    k = bounds[picked.max() + 1]
+    keep = np.zeros(k)
+    for c in picked:
+        keep[bounds[c]:bounds[c + 1]] = 1.0
+    return dec.eigenvectors[:, :k] @ (_mass_noise(dec, rng, k) * keep)
 
 
 def generate_ensemble(m: DiscreteManifold, spec: EnsembleSpec,
@@ -124,7 +141,11 @@ def generate_ensemble(m: DiscreteManifold, spec: EnsembleSpec,
     """Members as rows, bit-identical for identical (seed, generator, manifold).
 
     Spectral generators (band-limited, eigen-mix, mixed) require a
-    decomposition of the manifold; bumps need only node coordinates.
+    decomposition of the manifold; bumps need only node coordinates.  A
+    spectral member projects seeded node noise onto whole eigenvalue
+    clusters, so it does not depend on the eigensolver's basis inside a
+    degenerate eigenspace; it draws from its own child generator, so the
+    main stream (and with it every bump) does not depend on the mesh.
     """
     if spec.generator != "bumps" and dec is None:
         raise ValueError(f"generator {spec.generator!r} requires a spectral decomposition")
@@ -138,9 +159,10 @@ def generate_ensemble(m: DiscreteManifold, spec: EnsembleSpec,
         if kind == "bumps":
             u = _bump_member(m, rng, spec.bumps)
         elif kind == "band-limited":
-            u = _band_limited_member(dec, rng, spec.modes, spec.decay)
+            u = _band_limited_member(dec, rng.spawn(1)[0], spec.modes,
+                                     spec.decay)
         else:
-            u = _eigen_mix_member(dec, rng, spec.modes)
+            u = _eigen_mix_member(dec, rng.spawn(1)[0], spec.modes)
         if not np.any(u):
             u = np.ones(m.num_nodes)  # degenerate draw; constants are valid members
         members[i] = u

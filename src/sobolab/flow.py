@@ -108,8 +108,6 @@ def parse_flow_spec(text: str, t_max: float | None = None) -> ExactFlow:
         sides: tuple[float, ...] = ()
         if "L" in kw:
             sides = tuple(float(s) for s in kw["L"].split("x"))
-            if len(sides) == 1:
-                sides = sides * dim
         return static_torus_flow(dim=dim, resolution=res, sides=sides,
                                  t_max=t_max or 1.0)
     raise ValueError(f"unknown flow spec {text!r}")

@@ -132,7 +132,9 @@ class ModelSpec:
     """Catalog entry for a buildable model.
 
     variant is one of "torus", "sphere", "box".  resolution is nodes per axis
-    for grids and the subdivision level for spheres.  scale applies a
+    for grids and the subdivision level for spheres.  A grid's one side
+    length (default 2 pi) serves every axis; it is repeated only after the
+    variant and resolution are validated.  scale applies a
     post-construction metric scaling g -> scale^2 g.
     """
 
@@ -158,7 +160,9 @@ class ModelSpec:
                 raise ValueError("dimension must be >= 1")
             if self.resolution < 2:
                 raise ValueError("resolution too small to support the stencil")
-            sides = self.sides if self.sides else (2.0 * np.pi,) * self.dim
+            sides = self.sides if self.sides else (2.0 * np.pi,)
+            if len(sides) == 1:
+                sides = sides * self.dim
             if len(sides) != self.dim:
                 raise ValueError("need one side length per dimension")
             if not all(0 < s < np.inf for s in sides):
@@ -221,8 +225,6 @@ def parse_model_spec(text: str) -> ModelSpec:
     sides: tuple[float, ...] = ()
     if "L" in kw:
         sides = tuple(float(s) for s in kw.pop("L").split("x"))
-        if len(sides) == 1:
-            sides = sides * dim
     if kw:
         raise ValueError(f"unknown model options: {sorted(kw)}")
     return ModelSpec(variant=variant, dim=dim, resolution=res, sides=sides,

@@ -17,8 +17,8 @@ import numpy as np
 from .constants import _worst_ratio
 from .manifold import DiscreteManifold, scale_metric, gamma_integral
 from .norms import bessel_norm, grad_lp_norm, lp_norm
-from .spectral import (SpectralDecomposition, apply_function, heat_multiplier,
-                       op_norm_2_to_inf, power_multiplier)
+from .spectral import (SpectralDecomposition, _op_norms_2_to_inf,
+                       apply_function, heat_multiplier, power_multiplier)
 
 __all__ = [
     "MappingNormScan",
@@ -82,11 +82,15 @@ class UltracontractivityFit:
 # heat semigroup
 
 def _case(witness: int, outer, inner, count: int) -> tuple:
-    """(outer, inner, member) of a flat index into an outer x inner x count grid."""
+    """(outer, inner, member) of a flat index into an outer x inner x count grid.
+
+    An infinite exponent is written "inf", which a JSON artifact can hold.
+    """
     if witness < 0:
         return ()
     i, j, k = np.unravel_index(witness, (len(outer), len(inner), count))
-    return (outer[i], inner[j], int(k))
+    labels = tuple("inf" if x == math.inf else x for x in (outer[i], inner[j]))
+    return labels + (int(k),)
 
 
 def heat_contraction_check(m: DiscreteManifold, dec: SpectralDecomposition,
@@ -143,7 +147,7 @@ def ultracontractivity_fit(dec: SpectralDecomposition, t_low: float,
                 f"window reaches the ground-state-dominated regime "
                 f"(t_high > {4.0 / gap:.3g}); shrink the window")
     ts = np.exp(np.linspace(math.log(t_low), math.log(t_high), samples))
-    norms = np.array([op_norm_2_to_inf(dec, heat_multiplier(t)) for t in ts])
+    norms = _op_norms_2_to_inf(dec, [heat_multiplier(t) for t in ts])
     coeff = np.polyfit(np.log(ts), np.log(norms), 1)
     slope = float(coeff[0])
     return UltracontractivityFit(

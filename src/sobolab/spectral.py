@@ -1,18 +1,22 @@
-"""Dense spectral decomposition of H = -Laplacian + Psi and operator calculus f(H).
+"""Spectral decomposition of H = -Laplacian + Psi and operator calculus f(H).
 
-The generalized symmetric problem (S + M_Psi) phi = lambda M phi is reduced
-via the diagonal mass square root and solved with a dense symmetric
-eigensolver; every operator function (heat semigroup, fractional powers,
-resolvents) is evaluated on the resulting eigenpairs.
+The generalized symmetric problem (S + M_Psi) phi = lambda M phi is solved
+in closed form on a periodic grid with uniform mass and constant Psi (a
+tensor product of real Fourier modes), and otherwise reduced via the
+diagonal mass square root and solved with a dense symmetric eigensolver;
+every operator function (heat semigroup, fractional powers, resolvents) is
+evaluated on the resulting eigenpairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Callable
 
 import numpy as np
 import scipy.linalg as la
+import scipy.sparse as sp
 
 from .manifold import DENSE_NODE_GUARD, DiscreteManifold, scale_metric
 
@@ -34,6 +38,8 @@ __all__ = [
 ]
 
 EIG_CLIP_REL = 1e-10
+CLUSTER_GAP_REL = 1e-9  # roundoff splits are ~1e-15, real gaps >= ~1e-5
+GRID_MATCH_REL = 1e-13  # stiffness-vs-Kronecker-sum mismatch allowed
 
 
 class SingularOperatorError(ValueError):
@@ -99,6 +105,19 @@ class SpectralDecomposition:
         """Inverse of coefficients, row by row."""
         return coeffs @ self.eigenvectors.T
 
+    def cluster_bounds(self) -> np.ndarray:
+        """Start index of every eigenvalue cluster, followed by N.
+
+        A new cluster starts where consecutive eigenvalues differ by more
+        than CLUSTER_GAP_REL * max|lambda|, so a cluster holds whole
+        eigenspaces and quantities built from whole clusters do not depend
+        on the eigensolver's choice of basis inside them.
+        """
+        lam = self.eigenvalues
+        tol = CLUSTER_GAP_REL * np.max(np.abs(lam), initial=0.0)
+        return np.concatenate(
+            ([0], np.flatnonzero(np.diff(lam) > tol) + 1, [lam.size]))
+
     def shifted(self, c: float) -> SpectralDecomposition:
         """Exact decomposition of H + c for a constant c, with no new eigh.
 
@@ -138,10 +157,12 @@ def _clip(w: np.ndarray) -> np.ndarray:
 
 
 def decompose(m: DiscreteManifold, psi: PotentialField) -> SpectralDecomposition:
-    """Dense generalized symmetric eigendecomposition of S + M_Psi vs M.
+    """Generalized symmetric eigendecomposition of S + M_Psi vs M.
 
-    Eigenvalues with |lambda| <= 1e-10 * max|lambda| are clipped to exactly 0
-    so the Neumann kernel is detected reliably by the operator calculus.
+    Periodic grids with uniform mass, a Kronecker-sum stiffness and constant
+    Psi get exact Fourier eigenpairs; every other model a dense eigh.
+    Eigenvalues with |lambda| <= 1e-10 * max|lambda| are clipped to exactly
+    0 so the Neumann kernel is detected reliably by the operator calculus.
     """
     n = m.num_nodes
     if n > DENSE_NODE_GUARD:
@@ -149,6 +170,18 @@ def decompose(m: DiscreteManifold, psi: PotentialField) -> SpectralDecomposition
             f"{n} nodes exceeds the dense decomposition guard ({DENSE_NODE_GUARD})")
     if psi.values.shape != (n,):
         raise ValueError("potential has wrong shape")
+    res = _fourier_grid(m)
+    if res is not None and np.all(psi.values == psi.values[0]):
+        w, phi = _fourier_eigenpairs(m, res, float(psi.values[0]))
+    else:
+        w, phi = _dense_eigenpairs(m, psi)
+    return SpectralDecomposition(eigenvalues=_clip(w), eigenvectors=phi,
+                                 potential=psi, manifold=m)
+
+
+def _dense_eigenpairs(m: DiscreteManifold, psi: PotentialField):
+    """Eigenvalues and mass-orthonormal eigenvectors by a dense eigh."""
+    n = m.num_nodes
     sqrt_m = np.sqrt(m.mass)
     a = m.stiffness.toarray()
     a[np.diag_indices(n)] += m.mass * psi.values
@@ -156,9 +189,82 @@ def decompose(m: DiscreteManifold, psi: PotentialField) -> SpectralDecomposition
     a /= sqrt_m[None, :]
     a = 0.5 * (a + a.T)
     w, v = la.eigh(a)
-    phi = v / sqrt_m[:, None]
-    return SpectralDecomposition(eigenvalues=_clip(w), eigenvectors=phi,
-                                 potential=psi, manifold=m)
+    return w, v / sqrt_m[:, None]
+
+
+def _periodic_laplacian(res: int) -> sp.csr_matrix:
+    """The 1-d periodic second difference 2u_j - u_(j-1) - u_(j+1)."""
+    j = np.arange(res)
+    return sp.csr_matrix(
+        (np.repeat([2.0, -1.0, -1.0], res),
+         (np.tile(j, 3), np.concatenate([j, (j + 1) % res, (j - 1) % res]))),
+        shape=(res, res))
+
+
+def _fourier_grid(m: DiscreteManifold) -> int | None:
+    """Nodes per axis when H is separable on a periodic grid, else None.
+
+    That needs uniform mass m0 and a stiffness equal, up to GRID_MATCH_REL,
+    to the Kronecker sum of (m0 / h_d^2) L_d over the axes (C order, axis 0
+    slowest), L_d the periodic second difference and h_d = period_d / res;
+    the comparison costs O(nnz).
+    """
+    if m.periods is None or len(m.periods) != m.dim:
+        return None
+    n = m.num_nodes
+    res = round(n ** (1.0 / m.dim))
+    m0 = m.mass[0]
+    if res < 2 or res ** m.dim != n or np.any(m.mass != m0):
+        return None
+    lap = _periodic_laplacian(res)
+    expected = sp.csr_matrix((n, n))
+    for d, period in enumerate(m.periods):
+        c = m0 / (period / res) ** 2
+        expected = expected + sp.kron(
+            sp.kron(sp.identity(res ** d), c * lap),
+            sp.identity(res ** (m.dim - d - 1)), format="csr")
+    scale = abs(expected).max()
+    if abs(m.stiffness - expected).max() > GRID_MATCH_REL * scale:
+        return None
+    return res
+
+
+def _fourier_axis(res: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues 4 sin^2(pi k/res) and orthonormal real Fourier columns.
+
+    Columns run 1, cos 1, sin 1, cos 2, sin 2, ... (then the alternating
+    mode when res is even); a cos/sin pair shares one computed eigenvalue.
+    """
+    freq = (np.arange(res) + 1) // 2
+    lam = 4.0 * np.sin(np.pi * freq / res) ** 2
+    angle = 2.0 * np.pi * (np.outer(np.arange(res), freq) % res) / res
+    q = np.where(np.arange(res) % 2 == 1, np.cos(angle), np.sin(angle))
+    q[:, 0] = 1.0
+    q *= np.where((freq == 0) | (2 * freq == res), 1.0, np.sqrt(2.0)) / np.sqrt(res)
+    return lam, q
+
+
+def _fourier_eigenpairs(m: DiscreteManifold, res: int, psi: float):
+    """Exact eigenpairs on a grid accepted by _fourier_grid, for constant Psi.
+
+    Eigenvalues are sums of per-axis 4 sin^2(pi k/res) / h_d^2 plus Psi,
+    in stable ascending order; each eigenvector is the product of one
+    Fourier column per axis over sqrt(m0), formed in one broadcast pass.
+    """
+    dim = m.dim
+    lam1, q = _fourier_axis(res)
+    modes = np.indices((res,) * dim).reshape(dim, -1)  # C order, like nodes
+    w = sum(lam1[modes[d]] / (period / res) ** 2
+            for d, period in enumerate(m.periods))
+    order = np.argsort(w, kind="stable")
+    factors = []
+    for d in range(dim):
+        shape = [1] * dim + [order.size]
+        shape[d] = res
+        factors.append(q[:, modes[d, order]].reshape(shape))
+    factors[0] = factors[0] / np.sqrt(m.mass[0])
+    phi = reduce(np.multiply, factors).reshape(order.size, order.size)
+    return w[order] + psi, phi
 
 
 def _multiplier(dec: SpectralDecomposition,
@@ -204,8 +310,14 @@ def lambda0(m: DiscreteManifold) -> float:
 def op_norm_2_to_inf(dec: SpectralDecomposition,
                      f: Callable[[np.ndarray], np.ndarray]) -> float:
     """Exact L2 -> Linf operator norm of f(H): max_x sqrt(sum_k f(l_k)^2 phi_k(x)^2)."""
-    sq = (dec.eigenvectors ** 2) @ (_multiplier(dec, f) ** 2)
-    return float(np.sqrt(np.max(sq)))
+    return float(_op_norms_2_to_inf(dec, [f])[0])
+
+
+def _op_norms_2_to_inf(dec: SpectralDecomposition,
+                       fs: list[Callable[[np.ndarray], np.ndarray]]) -> np.ndarray:
+    """op_norm_2_to_inf of every f in fs, squaring the eigenvectors once."""
+    fw2 = np.stack([_multiplier(dec, f) ** 2 for f in fs], axis=1)
+    return np.sqrt(np.max((dec.eigenvectors ** 2) @ fw2, axis=0))
 
 
 def spectrum_rows(dec: SpectralDecomposition) -> list[tuple[int, float]]:

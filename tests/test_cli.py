@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -289,3 +290,32 @@ def test_flow_rejects_nonfinite_times(tmp_path, capsys, times):
     assert run(tmp_path, "flow", f"--times={times}", "--seed", "1",
                "--size", "10") == 1
     one_line_error(capsys, "finite")
+
+
+def test_heat_writes_an_infinite_exponent_as_inf(tmp_path):
+    """The contraction check runs p = 1, 2 and inf; a worst case at p = inf
+    used to make the artifact writer refuse the payload (exit 1)."""
+    seen = set()
+    for seed in ("1", "2", "3", "4"):
+        out = tmp_path / seed
+        assert main(["heat", "--model", "torus:n=2,res=8", "--generator",
+                     "band-limited", "--seed", seed, "--out", str(out)]) == 0
+        _, doc = read_artifact(out, "heat")
+        seen.add(doc["results"]["contraction"]["worst_case"][1])
+    assert seen <= {1.0, 2.0, "inf"}
+    assert semigroup._case(5, [0.1], [1.0, 2.0, math.inf], 2) == (0.1, "inf", 1)
+
+
+def test_heat_on_a_torus_makes_no_dense_eigendecomposition(tmp_path,
+                                                           monkeypatch):
+    import numpy as np
+    import scipy.linalg
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense eigh called")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    assert run(tmp_path, "heat", "--model", "torus:n=2,res=16", "--seed", "2",
+               "--size", "20", "--fit-window", "0.02,0.2",
+               "--spectrum-csv") == 0

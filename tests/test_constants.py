@@ -1,9 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sobolab import (EnsembleSpec, beta_from_sobolev, constant_potential,
+import sobolab
+from sobolab import (EnsembleSpec, beta_from_sobolev, build,
+                     constant_potential, decompose,
                      entropy, estimate_single_A, estimate_sobolev_AB,
                      generate_ensemble, lp_norm, measure_log_sobolev_beta,
                      scale_metric, tau_closed_form, tau_of_t,
@@ -223,3 +229,49 @@ def test_estimate_single_A_requires_positive_energy(torus2_unit):
     psi0 = constant_potential(torus2_unit, 0.0)
     with pytest.raises(ValueError):
         estimate_single_A(torus2_unit, 4.0, members, psi0)
+
+
+_THREADED_ENSEMBLES = """
+import sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from sobolab import EnsembleSpec, build, constant_potential, decompose, generate_ensemble
+out = {}
+for text in sys.argv[3:]:
+    m = build(text)
+    dec = decompose(m, constant_potential(m, 1.0))
+    out[text] = generate_ensemble(m, EnsembleSpec(seed=31, size=80), dec=dec)
+np.savez(sys.argv[2], **out)
+"""
+
+
+def test_ensembles_agree_across_blas_thread_counts(tmp_path):
+    """Spectral members project noise onto whole eigenvalue clusters, so the
+    solver's basis inside a degenerate eigenspace (which LAPACK picks
+    differently at different thread counts) does not reach them."""
+    src = str(Path(sobolab.__file__).resolve().parents[1])
+    models = ["sphere:r=1,subdiv=3", "torus:n=2,res=32", "box:n=2,res=16"]
+    runs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        path = tmp_path / f"threads{threads}.npz"
+        subprocess.run([sys.executable, "-c", _THREADED_ENSEMBLES, src,
+                        str(path), *models], env=env, check=True)
+        runs.append(np.load(path))
+    for text in models:
+        a, b = runs[0][text], runs[1][text]
+        assert np.all(np.max(np.abs(a - b), axis=1)
+                      <= 1e-9 * np.max(np.abs(b), axis=1)), text
+
+
+@pytest.mark.parametrize("text", ["torus:n=2,res=8", "sphere:r=1,subdiv=1"])
+def test_spectral_members_leave_the_bump_stream_alone(text):
+    """Spectral members draw their node noise (N values, so a mesh-dependent
+    count) from child generators: the bumps of a mixed ensemble are the
+    bumps-only ensemble's members, whatever the mesh."""
+    m = build(text)
+    dec = decompose(m, constant_potential(m, 1.0))
+    mixed = generate_ensemble(m, EnsembleSpec(seed=4, size=9), dec=dec)
+    bumps = generate_ensemble(m, EnsembleSpec(seed=4, size=3, generator="bumps"))
+    assert np.array_equal(mixed[1::3], bumps)

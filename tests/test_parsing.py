@@ -7,6 +7,7 @@ samples.
 """
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -78,3 +79,23 @@ def test_specs_over_the_node_guard_are_refused_before_building(parse, text,
     with pytest.raises(ValueError, match="guard") as err:
         parse(text)
     assert count in str(err.value) and "\n" not in str(err.value)
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_model_spec, "torus:n=1000000,res=1,L=1"),
+    (parse_model_spec, "box:n=1000000,res=0,L=2"),
+    (parse_model_spec, "sphere:n=1000000,subdiv=1,L=1"),
+    (parse_model_spec, "cube:n=1000000,res=1,L=1"),
+    (parse_flow_spec, "torus:n=1000000,res=1,L=1"),
+])
+def test_one_side_length_is_not_repeated_for_an_invalid_spec(parse, text):
+    """A one-value L is repeated once per axis only after the variant and
+    resolution are valid, so a huge n costs nothing when res < 2."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            parse(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6  # a million-entry tuple would take 8 MB

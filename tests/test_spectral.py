@@ -1,14 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sobolab import (SingularOperatorError, apply_function,
-                     constant_potential, decompose, heat_multiplier, lambda0,
-                     op_norm_2_to_inf, power_multiplier, scale_metric)
+from sobolab import (EnsembleSpec, SingularOperatorError, apply_function,
+                     constant_potential, decompose, generate_ensemble,
+                     heat_multiplier, lambda0, op_norm_2_to_inf,
+                     power_multiplier, scale_metric, spectral)
 from sobolab.manifold import (DiscreteManifold, GradientElements, ModelSpec,
                               build)
 from sobolab.norms import lp_norm
 from sobolab.spectral import (DENSE_NODE_GUARD, PotentialField,
+                              SpectralDecomposition,
                               shifted_quarter_curvature, spectrum_rows)
 
 
@@ -275,3 +279,82 @@ def test_shift_to_bare_laplacian_has_exact_kernel(view_base):
     kernel = bare.eigenvalues == 0.0
     assert kernel.sum() == (direct.eigenvalues == 0.0).sum() == 1
     assert kernel[0]
+
+
+# Closed-form Fourier eigenpairs on periodic grids against the dense eigh of
+# the same mesh.  Both bases are mass-orthonormal, but inside a degenerate
+# eigenspace they differ, so only basis-independent quantities are compared.
+FOURIER_SPECS = ["torus:n=1,res=32", "torus:n=2,res=32", "torus:n=3,res=8",
+                 "torus:n=2,res=9,L=3x5", "torus:n=2,res=12,L=1,scale=1.7"]
+
+
+def _dense(m, psi):
+    w, v = spectral._dense_eigenpairs(m, psi)
+    return SpectralDecomposition(spectral._clip(w), v, psi, m)
+
+
+def _max_residual(dec):
+    """max |(S + M Psi) phi_k - lambda_k M phi_k| over nodes and pairs."""
+    m, phi = dec.manifold, dec.eigenvectors
+    resid = (m.stiffness @ phi + (m.mass * dec.potential.values)[:, None] * phi
+             - m.mass[:, None] * phi * dec.eigenvalues[None, :])
+    return np.max(np.abs(resid))
+
+
+@pytest.mark.parametrize("text", FOURIER_SPECS)
+def test_fourier_eigenpairs_match_dense(text):
+    m = build(text)
+    psi = constant_potential(m, 1.0)
+    assert spectral._fourier_grid(m) is not None
+    fourier, dense = decompose(m, psi), _dense(m, psi)
+    lam_max = np.max(np.abs(dense.eigenvalues))
+    assert np.max(np.abs(fourier.eigenvalues - dense.eigenvalues)) \
+        <= 1e-12 * lam_max
+    phi = fourier.eigenvectors
+    gram = phi.T @ (m.mass[:, None] * phi)
+    assert np.max(np.abs(gram - np.eye(m.num_nodes))) <= 1e-12
+    assert _max_residual(fourier) <= 1e-12 * lam_max * np.max(m.mass)
+    u = np.random.default_rng(5).standard_normal((4, m.num_nodes))
+    for f in (heat_multiplier(0.05), power_multiplier(-0.5),
+              power_multiplier(1.0)):
+        norm_f = np.max(np.abs(f(dense.eigenvalues)))
+        diff = apply_function(fourier, f, u) - apply_function(dense, f, u)
+        assert np.all(lp_norm(m, diff, 2.0)
+                      <= 1e-12 * norm_f * lp_norm(m, u, 2.0))
+    spec = EnsembleSpec(seed=9, size=60, generator="mixed")
+    a = generate_ensemble(m, spec, dec=fourier)
+    b = generate_ensemble(m, spec, dec=dense)
+    assert np.all(np.max(np.abs(a - b), axis=1)
+                  <= 1e-9 * np.max(np.abs(b), axis=1))
+
+
+def _perturbed_torus():
+    m = build("torus:n=2,res=8")
+    s = m.stiffness.tolil()
+    s[0, 1] -= 1e-6
+    s[1, 0] -= 1e-6
+    s[0, 0] += 1e-6
+    s[1, 1] += 1e-6
+    return replace(m, stiffness=s.tocsr())
+
+
+@pytest.mark.parametrize("case", ["perturbed-torus", "sphere", "box",
+                                  "varying-potential"])
+def test_non_separable_models_fall_back_to_dense(case, monkeypatch):
+    if case == "perturbed-torus":
+        m = _perturbed_torus()
+    elif case in ("sphere", "box"):
+        m = build({"sphere": "sphere:r=1,subdiv=1", "box": "box:n=2,res=6"}[case])
+    else:
+        m = build("torus:n=2,res=8")
+    psi = (PotentialField(1.0 + m.points[:, 0], "x") if case == "varying-potential"
+           else constant_potential(m, 1.0))
+    calls = []
+    original = spectral.la.eigh
+    monkeypatch.setattr(spectral.la, "eigh",
+                        lambda a: calls.append(a.shape) or original(a))
+    dec = decompose(m, psi)
+    assert calls == [(m.num_nodes, m.num_nodes)]
+    assert _max_residual(dec) <= 1e-10 * np.max(np.abs(dec.eigenvalues))
+    if case in ("perturbed-torus", "sphere", "box"):
+        assert spectral._fourier_grid(m) is None
