@@ -12,9 +12,8 @@ from .manifold import (DiscreteManifold, ModelSpec, build, gamma_integral,
 from .spectral import (PotentialField, SpectralDecomposition,
                        SingularOperatorError, apply_function,
                        constant_potential, decompose, heat_multiplier,
-                       lambda0, op_norm_2_to_inf, power_multiplier,
-                       quarter_curvature, shifted_quarter_curvature)
-from .norms import bessel_norm, grad_lp_norm, lp_norm, q_energy, w1p_norm
+                       lambda0, power_multiplier, quarter_curvature)
+from .norms import bessel_norm, grad_lp_norm, lp_norm, q_energy
 from .constants import (EnsembleSpec, InequalityCheck, LogSobolevProfile,
                         SobolevEstimate, beta_from_sobolev, entropy,
                         estimate_single_A, estimate_sobolev_AB,
@@ -27,10 +26,9 @@ from .bootstrap import (BootstrapChain, PLadder, alpha_scaling_bound,
                         p_next, r_p, step_constants)
 from .semigroup import (MappingNormScan, bessel_equivalence_constants,
                         check_heat_kernel_bounds, heat_contraction_check,
-                        integral_ricci_check, mapping_norm, riesz_ratio,
-                        scaling_transfer_check, ultracontractivity_fit)
-from .flow import (ExactFlow, FlowTrajectory, HypothesisError,
-                   lambda0_series, metric_at, shrinking_sphere_flow,
-                   static_torus_flow, track)
+                        mapping_norm, riesz_ratio, scaling_transfer_check,
+                        ultracontractivity_fit)
+from .flow import (ExactFlow, FlowTrajectory, HypothesisError, metric_at,
+                   shrinking_sphere_flow, static_torus_flow, track)
 
 __version__ = "0.1.0"

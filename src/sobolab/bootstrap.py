@@ -24,10 +24,10 @@ __all__ = [
     "step_constants",
     "chain_constants",
     "alpha_scaling_bound",
-    "curvature_volume_rhs",
 ]
 
 LADDER_GUARD = 200
+SCALING_SLACK = 1e-9  # relative and absolute slack of alpha_scaling_bound
 
 
 def p_next(n: float, p: float) -> float:
@@ -196,11 +196,11 @@ def chain_constants(n: float, p0: float, A: float, B: float, target_p: float,
 
 
 def alpha_scaling_bound(n: float, p0: float, target_p: float, A1: float,
-                        B1: float, alpha: float, slack: float = 1e-9) -> dict:
+                        B1: float, alpha: float) -> dict:
     """Check chain(alpha A1, alpha B1).C_i <= alpha^(m_p p/p0) chain(A1, B1).C_i.
 
     Returns the verification record; raises AssertionError with the
-    counterexample tuple if the bound fails beyond slack.
+    counterexample tuple if the bound fails beyond SCALING_SLACK.
     """
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
@@ -215,15 +215,8 @@ def alpha_scaling_bound(n: float, p0: float, target_p: float, A1: float,
     }
     for name, got, bound in (("C1", scaled.C1, factor * base.C1),
                              ("C2", scaled.C2, factor * base.C2)):
-        if got > bound * (1.0 + slack) + slack:
+        if got > bound * (1.0 + SCALING_SLACK) + SCALING_SLACK:
             raise AssertionError(
                 f"scaling bound failed for {name}: {got} > {bound} at "
                 f"(n={n}, p0={p0}, p={target_p}, A1={A1}, B1={B1}, alpha={alpha})")
     return record
-
-
-def curvature_volume_rhs(r_max_plus: float, vol: float, n: int, p: float,
-                         m_p: int, base_constant: float) -> float:
-    """base * [(max R^+ + 1) vol^(2/n)]^(m_p p/2), the flow-form RHS prefactor."""
-    bracket = (r_max_plus + 1.0) * vol ** (2.0 / n)
-    return base_constant * bracket ** (m_p * p / 2.0)

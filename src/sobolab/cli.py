@@ -336,8 +336,14 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(path)  # first line: the artifact path; then the full results JSON
-    print(json.dumps(payload["results"], indent=2, sort_keys=True))
+    try:
+        print(path)  # first line: the artifact path; then the full results JSON
+        print(json.dumps(payload["results"], indent=2, sort_keys=True))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (e.g. `| head -1`); the artifact is written,
+        # and the interpreter's final flush must not hit the pipe again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return status
 
 

@@ -47,6 +47,9 @@ DEFAULT_B_GRID = (1.0, 1.2, 1.5, 2.0, 3.0, 5.0)
 RELATIVE_SLACK = 1e-9
 
 GENERATORS = ("band-limited", "bumps", "eigen-mix", "mixed")
+BAND_DECAY = 2.0  # band-limited members weigh modes by (1 + H)^(-decay/2)
+SPECTRAL_MODES = 40  # spectral members draw from clusters up to this mode
+BUMP_COUNT = 6  # bump parameter draws per bump member
 
 
 @dataclass(frozen=True)
@@ -57,9 +60,6 @@ class EnsembleSpec:
     size: int = 200
     generator: str = "mixed"
     normalization: str = "none"  # "none" | "unit-l2"
-    decay: float = 2.0
-    modes: int = 40
-    bumps: int = 6
 
     def __post_init__(self):
         if self.generator not in GENERATORS:
@@ -71,8 +71,8 @@ class EnsembleSpec:
 
     def meta(self) -> dict:
         return {"seed": self.seed, "size": self.size, "generator": self.generator,
-                "normalization": self.normalization, "decay": self.decay,
-                "modes": self.modes, "bumps": self.bumps}
+                "normalization": self.normalization, "decay": BAND_DECAY,
+                "modes": SPECTRAL_MODES, "bumps": BUMP_COUNT}
 
 
 def _wrapped_sq_dist(points: np.ndarray, center: np.ndarray,
@@ -84,14 +84,14 @@ def _wrapped_sq_dist(points: np.ndarray, center: np.ndarray,
     return np.sum(d * d, axis=1)
 
 
-def _bump_member(m: DiscreteManifold, rng: np.random.Generator, nmax: int) -> np.ndarray:
+def _bump_member(m: DiscreteManifold, rng: np.random.Generator) -> np.ndarray:
     """Superposition of Gaussian bumps; parameters drawn mesh-independently."""
-    count = 1 + int(rng.integers(0, nmax))
+    count = 1 + int(rng.integers(0, BUMP_COUNT))
     lo = m.points.min(axis=0)
     span = m.points.max(axis=0) - lo
     diam = float(np.linalg.norm(span)) or 1.0
     u = np.zeros(m.num_nodes)
-    for _ in range(nmax):  # fixed draw count keeps the stream mesh-comparable
+    for _ in range(BUMP_COUNT):  # fixed draw count: mesh-comparable stream
         frac = rng.random(m.points.shape[1])
         width = diam * (0.03 + 0.17 * rng.random())
         amp = rng.standard_normal()
@@ -114,20 +114,20 @@ def _mass_noise(dec: SpectralDecomposition, rng: np.random.Generator,
     return (xi * np.sqrt(m.mass)) @ dec.eigenvectors[:, :k]
 
 
-def _band_limited_member(dec: SpectralDecomposition, rng: np.random.Generator,
-                         modes: int, decay: float) -> np.ndarray:
-    """(1 + H)^(-decay/2) Pi_K of mass noise; K ends the cluster of mode `modes`."""
+def _band_limited_member(dec: SpectralDecomposition,
+                         rng: np.random.Generator) -> np.ndarray:
+    """(1 + H)^(-BAND_DECAY/2) Pi_K of mass noise; K ends a cluster at SPECTRAL_MODES."""
     bounds = dec.cluster_bounds()
-    k = bounds[np.searchsorted(bounds, min(modes, bounds[-1]))]
-    weights = (1.0 + dec.eigenvalues[:k]) ** (-decay / 2.0)
+    k = bounds[np.searchsorted(bounds, min(SPECTRAL_MODES, bounds[-1]))]
+    weights = (1.0 + dec.eigenvalues[:k]) ** (-BAND_DECAY / 2.0)
     return dec.eigenvectors[:, :k] @ (_mass_noise(dec, rng, k) * weights)
 
 
-def _eigen_mix_member(dec: SpectralDecomposition, rng: np.random.Generator,
-                      modes: int) -> np.ndarray:
-    """Mass noise projected onto three clusters starting below mode `modes`."""
+def _eigen_mix_member(dec: SpectralDecomposition,
+                      rng: np.random.Generator) -> np.ndarray:
+    """Mass noise projected onto three clusters starting below SPECTRAL_MODES."""
     bounds = dec.cluster_bounds()
-    count = np.searchsorted(bounds[:-1], min(modes, bounds[-1]))
+    count = np.searchsorted(bounds[:-1], min(SPECTRAL_MODES, bounds[-1]))
     picked = rng.integers(0, count, size=3)
     k = bounds[picked.max() + 1]
     keep = np.zeros(k)
@@ -157,12 +157,11 @@ def generate_ensemble(m: DiscreteManifold, spec: EnsembleSpec,
         else:
             kind = spec.generator
         if kind == "bumps":
-            u = _bump_member(m, rng, spec.bumps)
+            u = _bump_member(m, rng)
         elif kind == "band-limited":
-            u = _band_limited_member(dec, rng.spawn(1)[0], spec.modes,
-                                     spec.decay)
+            u = _band_limited_member(dec, rng.spawn(1)[0])
         else:
-            u = _eigen_mix_member(dec, rng.spawn(1)[0], spec.modes)
+            u = _eigen_mix_member(dec, rng.spawn(1)[0])
         if not np.any(u):
             u = np.ones(m.num_nodes)  # degenerate draw; constants are valid members
         members[i] = u
@@ -217,11 +216,16 @@ def _worst_ratio(num, den, slack: float = 0.0, used=None) -> _Worst:
                   witness, int(violations), int(np.count_nonzero(used)))
 
 
-def _sobolev_terms(m: DiscreteManifold, p: float, members: np.ndarray):
-    n = m.dim
+def _pstar(n: int, p: float) -> float:
+    """The Sobolev exponent np/(n-p); ValueError unless 1 <= p < n."""
     if not 1 <= p < n:
         raise ValueError("need 1 <= p < dim")
-    pstar = n * p / (n - p)
+    return n * p / (n - p)
+
+
+def _sobolev_terms(m: DiscreteManifold, p: float, members: np.ndarray):
+    n = m.dim
+    pstar = _pstar(n, p)
     lhs = lp_norm(m, members, pstar) ** p
     grd = grad_lp_norm(m, members, p) ** p
     low = lp_norm(m, members, p) ** p / m.volume ** (p / n)
@@ -421,7 +425,7 @@ def two_term_check(m: DiscreteManifold, p: float, A: float, B: float
     if A < 0 or B < 0:
         raise ValueError("need A >= 0 and B >= 0")
     n = m.dim
-    pstar = n * p / (n - p)
+    pstar = _pstar(n, p)
     vol_term = m.volume ** (p / n)
     return InequalityCheck(
         label=f"sobolev-two-term:p={p:g}",
@@ -443,10 +447,10 @@ class VerifyReport:
         return self.violations == 0
 
 
-def verify_inequality(check: InequalityCheck, members: np.ndarray,
-                      slack: float = RELATIVE_SLACK) -> VerifyReport:
-    """Count members with LHS > RHS beyond relative slack; report the worst ratio."""
-    worst = _worst_ratio(check.lhs(members), check.rhs(members), slack=slack)
+def verify_inequality(check: InequalityCheck, members: np.ndarray) -> VerifyReport:
+    """Count members with LHS > RHS beyond RELATIVE_SLACK; report the worst ratio."""
+    worst = _worst_ratio(check.lhs(members), check.rhs(members),
+                         slack=RELATIVE_SLACK)
     return VerifyReport(label=check.label, members=len(members),
                         violations=worst.violations, worst_ratio=worst.ratio,
                         witness=worst.witness)

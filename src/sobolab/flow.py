@@ -13,13 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bootstrap import chain_constants, curvature_volume_rhs, BootstrapChain
-from .constants import (DEFAULT_B_GRID, EnsembleSpec, estimate_sobolev_AB,
-                        generate_ensemble, two_term_check, _worst_ratio)
+from .bootstrap import chain_constants
+from .constants import (EnsembleSpec, estimate_sobolev_AB, generate_ensemble,
+                        two_term_check, _worst_ratio)
 from .manifold import (DiscreteManifold, ModelSpec, _check_node_count, build,
                        gamma_integral, geometric_summary, scale_metric)
 from .norms import bessel_norm, grad_lp_norm, lp_norm
-from .spectral import constant_potential, decompose, lambda0
+from .spectral import constant_potential, decompose
 
 __all__ = [
     "HypothesisError",
@@ -30,14 +30,13 @@ __all__ = [
     "parse_flow_spec",
     "scale_factor",
     "metric_at",
-    "lambda0_series",
-    "flow_rhs_factor",
     "track",
     "SELECTORS",
 ]
 
 SELECTORS = ("a2", "a3", "b2", "b3", "d2", "d3", "e2", "e3")
 RATIO_SLACK = 1e-9
+GAMMA_EPS = 1.0  # the eps of the integral-curvature quantity in family e
 
 
 class HypothesisError(ValueError):
@@ -126,30 +125,13 @@ def metric_at(flow: ExactFlow, t: float) -> DiscreteManifold:
     return scale_metric(flow.base, scale_factor(flow, t))
 
 
-def lambda0_series(flow: ExactFlow, times) -> list[float]:
-    """lambda0(t) samples for inspection; no monotonicity is asserted.
-
-    g(t) = lam(t)^2 g(0) and R(t) = R(0)/lam(t)^2, so -Lap + R/4 at time t is
-    the time-0 operator over lam(t)^2: one decomposition serves every t.
-    """
-    lam0 = lambda0(flow.base)
-    return [lam0 / scale_factor(flow, t) ** 2 for t in times]
-
-
-def flow_rhs_factor(m: DiscreteManifold, p: float, chain: BootstrapChain) -> float:
-    """base_A * [(max R^+ + 1) vol^(2/n)]^(m_p p / 2) from time-t geometry."""
-    summ = geometric_summary(m)
-    return curvature_volume_rhs(summ["r_max_plus"], summ["vol"], m.dim, p,
-                                chain.m_p, chain.base_A)
-
-
-def _defect(family: str, m: DiscreteManifold, summ: dict, c_adj: float,
-            eps: float) -> float | None:
+def _defect(family: str, m: DiscreteManifold, summ: dict,
+            c_adj: float) -> float | None:
     """The curvature defect of the d (kappa) and e (gamma) forms; None for b."""
     if family == "d":
         return summ["kappa"]
     if family == "e":  # adjusted integral-curvature form
-        return gamma_integral(m, c_adj, eps)
+        return gamma_integral(m, c_adj, GAMMA_EPS)
     return None
 
 
@@ -188,8 +170,7 @@ class FlowTrajectory:
 
 
 def track(flow: ExactFlow, times, selector: str, p: float,
-          ensemble: EnsembleSpec, p0: float | None = None,
-          eps: float = 1.0, b_grid=None) -> FlowTrajectory:
+          ensemble: EnsembleSpec, p0: float | None = None) -> FlowTrajectory:
     """Verify the selected inequality family at each sampled time.
 
     Base constants are estimated once at t = 0 on the ensemble; what varies
@@ -226,14 +207,12 @@ def track(flow: ExactFlow, times, selector: str, p: float,
     base_constants: dict = {"lambda0_g0": lam0_base}
 
     if family == "a":
-        est = estimate_sobolev_AB(base, p0, members,
-                                  b_grid=tuple(b_grid) if b_grid else DEFAULT_B_GRID,
-                                  meta=ensemble.meta())
+        est = estimate_sobolev_AB(base, p0, members, meta=ensemble.meta())
         base_constants.update(A=est.A_est, B=est.B_est)
     else:
         q = n * p / (n - p)
         c_adj = -min(0.0, float(np.min(base.scalar_curvature))) / n
-        defect0 = _defect(family, base, geometric_summary(base), c_adj, eps)
+        defect0 = _defect(family, base, geometric_summary(base), c_adj)
         c0 = max(0.0, _worst_ratio(
             lp_norm(base, members, q),
             _form_norm(family, base, dec_base, members, p, defect0)).ratio)
@@ -264,7 +243,7 @@ def track(flow: ExactFlow, times, selector: str, p: float,
                            / math.sqrt(1.0 + summ["r_max_plus"]))
             dec_t = (dec_bare.scaled(lam_t).shifted(1.0)
                      if family == "b" else None)
-            defect = _defect(family, mt, summ, c_adj, eps)
+            defect = _defect(family, mt, summ, c_adj)
             if family == "e":
                 rec.update(gamma=defect)
             lhs = lp_norm(mt, members, q)

@@ -23,12 +23,10 @@ __all__ = [
     "with_fields",
     "geometric_summary",
     "gamma_integral",
-    "manifold_to_json",
-    "manifold_from_json",
 ]
 
-SERIALIZATION_VERSION = 1
 DENSE_NODE_GUARD = 4000
+VALIDATE_RTOL = 1e-10  # invariant residuals allowed, relative to |stiffness|
 
 
 @dataclass(frozen=True)
@@ -109,19 +107,19 @@ class DiscreteManifold:
     def mass_inner(self, u: np.ndarray, v: np.ndarray) -> float:
         return float(np.sum(self.mass * u * v))
 
-    def validate(self, rtol: float = 1e-10) -> None:
+    def validate(self) -> None:
         """Check construction invariants; raises ValueError on failure."""
         if np.any(self.mass <= 0):
             raise ValueError("mass weights must be positive")
-        scale = abs(self.stiffness).sum() + 1.0
+        tol = VALIDATE_RTOL * (abs(self.stiffness).sum() + 1.0)
         asym = abs(self.stiffness - self.stiffness.T).max()
-        if asym > rtol * scale:
+        if asym > tol:
             raise ValueError("stiffness is not symmetric")
         ones = np.ones(self.num_nodes)
         r = self.stiffness @ ones
-        if np.max(np.abs(r)) > rtol * scale:
+        if np.max(np.abs(r)) > tol:
             raise ValueError("stiffness does not annihilate constants")
-        if np.max(self.grad.magnitudes(ones)) > rtol * scale:
+        if np.max(self.grad.magnitudes(ones)) > tol:
             raise ValueError("element gradient of constants is nonzero")
         if np.any(self.ric_min < -self.ricci_lower - 1e-12):
             raise ValueError("ric_min violates the ricci_lower bound")
@@ -450,20 +448,16 @@ def with_fields(m: DiscreteManifold, *, scalar_curvature=None, ric_min=None,
     return replace(m, **kw)
 
 
-def geometric_summary(m: DiscreteManifold, psi: np.ndarray | None = None) -> dict:
-    """Volume, positive-part curvature maximum, Ricci defect, potential floor.
+def geometric_summary(m: DiscreteManifold) -> dict:
+    """Volume, positive-part curvature maximum and Ricci defect.
 
-    kappa is (-min{0, min ric_min})^(1/2); inf_psi_minus is min(0, min psi)
-    for an optional per-node potential field.
+    kappa is (-min{0, min ric_min})^(1/2).
     """
-    out = {
+    return {
         "vol": m.volume,
         "r_max_plus": float(max(0.0, np.max(m.scalar_curvature))),
         "kappa": float(np.sqrt(max(0.0, -np.min(m.ric_min)))),
     }
-    if psi is not None:
-        out["inf_psi_minus"] = float(min(0.0, np.min(psi)))
-    return out
 
 
 def gamma_integral(m: DiscreteManifold, c: float, eps: float) -> float:
@@ -478,58 +472,3 @@ def gamma_integral(m: DiscreteManifold, c: float, eps: float) -> float:
     neg = np.maximum(0.0, -(m.ric_min + c))
     integral = float(np.sum(m.mass * neg ** (m.dim / 2.0 + eps)))
     return integral ** (1.0 / (2.0 * eps))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def manifold_to_json(m: DiscreteManifold) -> dict:
-    s = m.stiffness.tocoo()
-    g = m.grad.matrix.tocoo()
-    return {
-        "version": SERIALIZATION_VERSION,
-        "dim": m.dim,
-        "label": m.label,
-        "nodes": m.points.tolist(),
-        "mass": m.mass.tolist(),
-        "stiffness": {"rows": s.row.tolist(), "cols": s.col.tolist(),
-                      "vals": s.data.tolist()},
-        "grad": {"rows": g.row.tolist(), "cols": g.col.tolist(),
-                 "vals": g.data.tolist(), "weights": m.grad.weights.tolist(),
-                 "ncomp": m.grad.ncomp},
-        "boundary": m.boundary_mask.astype(int).tolist(),
-        "scalar_curvature": m.scalar_curvature.tolist(),
-        "ric_min": m.ric_min.tolist(),
-        "ricci_lower": m.ricci_lower,
-        "periods": list(m.periods) if m.periods is not None else None,
-    }
-
-
-def manifold_from_json(doc: dict) -> DiscreteManifold:
-    if doc.get("version") != SERIALIZATION_VERSION:
-        raise ValueError(f"unsupported manifold document version {doc.get('version')!r}")
-    points = np.asarray(doc["nodes"], dtype=float)
-    n = points.shape[0]
-    s = doc["stiffness"]
-    stiff = sp.csr_matrix((s["vals"], (s["rows"], s["cols"])), shape=(n, n))
-    g = doc["grad"]
-    nw = len(g["weights"])
-    gmat = sp.csr_matrix((g["vals"], (g["rows"], g["cols"])),
-                         shape=(nw * g["ncomp"], n))
-    grad = GradientElements(matrix=gmat,
-                            weights=np.asarray(g["weights"], dtype=float),
-                            ncomp=g["ncomp"])
-    periods = doc.get("periods")
-    m = DiscreteManifold(
-        dim=doc["dim"], points=points,
-        mass=np.asarray(doc["mass"], dtype=float),
-        stiffness=stiff, grad=grad,
-        boundary_mask=np.asarray(doc["boundary"], dtype=bool),
-        scalar_curvature=np.asarray(doc["scalar_curvature"], dtype=float),
-        ric_min=np.asarray(doc["ric_min"], dtype=float),
-        ricci_lower=float(doc["ricci_lower"]),
-        label=doc["label"],
-        periods=tuple(periods) if periods is not None else None,
-    )
-    m.validate()
-    return m

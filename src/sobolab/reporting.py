@@ -76,15 +76,24 @@ def config_hash(config) -> str:
     return hashlib.sha256(canonical_json(config).encode()).hexdigest()
 
 
-def write_artifact(out_dir: Path, stem: str, payload) -> Path:
-    """Write canonical JSON to <stem>_<contenthash12>.json; never overwrites."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    text = canonical_json(payload)
+def _write_addressed(out_dir: Path, stem: str, suffix: str, text: str,
+                     end: str = "") -> Path:
+    """Write text + end to <stem>_<sha256(text)[:12]>.<suffix>; never overwrites."""
     digest = hashlib.sha256(text.encode()).hexdigest()[:12]
-    path = out_dir / f"{stem}_{digest}.json"
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / f"{stem}_{digest}.{suffix}"
     if not path.exists():
-        path.write_text(text + "\n")
+        path.write_text(text + end)
     return path
+
+
+def write_artifact(out_dir: Path, stem: str, payload) -> Path:
+    """Write canonical JSON to <stem>_<contenthash12>.json; never overwrites.
+
+    The name hashes the JSON without the trailing newline the file ends with.
+    """
+    return _write_addressed(out_dir, stem, "json", canonical_json(payload),
+                            end="\n")
 
 
 def write_csv(out_dir: Path, stem: str, header: list[str], rows) -> Path:
@@ -93,13 +102,7 @@ def write_csv(out_dir: Path, stem: str, header: list[str], rows) -> Path:
         cells = [to_plain(x) for x in row]
         lines.append(",".join(repr(x) if isinstance(x, float) else str(x)
                               for x in cells))
-    text = "\n".join(lines) + "\n"
-    digest = hashlib.sha256(text.encode()).hexdigest()[:12]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"{stem}_{digest}.csv"
-    if not path.exists():
-        path.write_text(text)
-    return path
+    return _write_addressed(out_dir, stem, "csv", "\n".join(lines) + "\n")
 
 
 def write_svg_loglog(out_dir: Path, stem: str, xs, ys, title: str,
@@ -135,10 +138,4 @@ def write_svg_loglog(out_dir: Path, stem: str, xs, ys, title: str,
         parts.append(f'<circle cx="{sx(x):.1f}" cy="{sy(y):.1f}" r="3" '
                      'fill="#1f6fb2"/>')
     parts.append("</svg>")
-    text = "\n".join(parts) + "\n"
-    digest = hashlib.sha256(text.encode()).hexdigest()[:12]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"{stem}_{digest}.svg"
-    if not path.exists():
-        path.write_text(text)
-    return path
+    return _write_addressed(out_dir, stem, "svg", "\n".join(parts) + "\n")

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .constants import _worst_ratio
-from .manifold import DiscreteManifold, scale_metric, gamma_integral
+from .manifold import DiscreteManifold, scale_metric
 from .norms import bessel_norm, grad_lp_norm, lp_norm
 from .spectral import (SpectralDecomposition, _op_norms_2_to_inf,
                        apply_function, heat_multiplier, power_multiplier)
@@ -32,13 +32,13 @@ __all__ = [
     "gradient_bessel_constant",
     "bessel_equivalence_constants",
     "scaling_transfer_check",
-    "integral_ricci_check",
     "OPERATOR_POWERS",
 ]
 
 CONTRACTION_TOL = 1e-8
 VERIFY_SLACK = 1e-9
 REFINE_ITERATIONS = 5
+FIT_SAMPLES = 9  # log-spaced times in an ultracontractivity fit window
 
 OPERATOR_POWERS = {"H^0": 0.0, "H^-1/2": -0.5, "H^-1": -1.0, "H^1/2": 0.5}
 
@@ -121,8 +121,7 @@ def heat_contraction_check(m: DiscreteManifold, dec: SpectralDecomposition,
 
 
 def ultracontractivity_fit(dec: SpectralDecomposition, t_low: float,
-                           t_high: float, samples: int = 9
-                           ) -> UltracontractivityFit:
+                           t_high: float) -> UltracontractivityFit:
     """Least-squares fit of log ||e^{-tH}||_{2->inf} against log t.
 
     Returns mu_hat = -4 * slope and the prefactor c_hat.  The window must
@@ -146,7 +145,7 @@ def ultracontractivity_fit(dec: SpectralDecomposition, t_low: float,
             raise ValueError(
                 f"window reaches the ground-state-dominated regime "
                 f"(t_high > {4.0 / gap:.3g}); shrink the window")
-    ts = np.exp(np.linspace(math.log(t_low), math.log(t_high), samples))
+    ts = np.exp(np.linspace(math.log(t_low), math.log(t_high), FIT_SAMPLES))
     norms = _op_norms_2_to_inf(dec, [heat_multiplier(t) for t in ts])
     coeff = np.polyfit(np.log(ts), np.log(norms), 1)
     slope = float(coeff[0])
@@ -158,8 +157,7 @@ def ultracontractivity_fit(dec: SpectralDecomposition, t_low: float,
 def check_heat_kernel_bounds(m: DiscreteManifold, dec: SpectralDecomposition,
                              tau: Callable[[float], float], t_list,
                              members: np.ndarray,
-                             sigma_star: float = math.inf,
-                             slack: float = VERIFY_SLACK) -> ContractionReport:
+                             sigma_star: float = math.inf) -> ContractionReport:
     """Verify the L2->inf and L1->inf heat bounds driven by tau(t).
 
     ||e^{-tH}u||_inf <= exp(tau(t) - (3t/4) inf Psi^-) ||u||_2 and
@@ -181,7 +179,7 @@ def check_heat_kernel_bounds(m: DiscreteManifold, dec: SpectralDecomposition,
         evolved = dec.synthesize(np.exp(-t * dec.eigenvalues) * coeffs)
         sups.append(lp_norm(m, evolved, math.inf))
         dens.append(bounds[:, None] * base)
-    worst = _worst_ratio(np.array(sups)[:, None, :], dens, slack=slack)
+    worst = _worst_ratio(np.array(sups)[:, None, :], dens, slack=VERIFY_SLACK)
     return ContractionReport(
         label="heat-kernel-bounds", cases=worst.used,
         violations=worst.violations, worst_ratio=worst.ratio,
@@ -310,13 +308,12 @@ def bessel_equivalence_constants(dec_zero: SpectralDecomposition, a: float,
 
 
 # ---------------------------------------------------------------------------
-# scaling transfer and integral-curvature forms
+# scaling transfer
 
 def scaling_transfer_check(m: DiscreteManifold, lam: float, mu: float,
                            p: float, members: np.ndarray,
                            dec_unit: SpectralDecomposition,
-                           scaling_tol: float = 1e-10,
-                           slack: float = VERIFY_SLACK) -> dict:
+                           scaling_tol: float = 1e-10) -> dict:
     """Transfer ||u||_{mu p/(mu-p)} <= C ||(-Lap+1)^{1/2}u||_p across g -> lam^2 g.
 
     First verifies the exact norm-scaling laws ||u||_{q, scaled} =
@@ -354,27 +351,8 @@ def scaling_transfer_check(m: DiscreteManifold, lam: float, mu: float,
     transferred = lam * c_scaled
     worst = _worst_ratio(orig[q_out],
                          transferred * bessel_norm(m, dec_unit, members, p),
-                         slack=slack)
+                         slack=VERIFY_SLACK)
     return {"lam": lam, "mu": mu, "p": p, "q_out": q_out,
             "scaling_error": worst_scaling, "C_scaled": c_scaled,
             "C_transferred": transferred, "violations": worst.violations,
             "worst_ratio": worst.ratio}
-
-
-def integral_ricci_check(m: DiscreteManifold, c: float, eps: float, p: float,
-                         members: np.ndarray) -> dict:
-    """Smallest feasible C in ||u||_{np/(n-p)} <= C(||grad u||_p + (1+gamma)||u||_p).
-
-    gamma is the integral-curvature quantity of the adjusted negative Ricci
-    part; it vanishes when ric_min + c >= 0 everywhere.
-    """
-    if not 1 < p < 2:
-        raise ValueError("the integral-curvature route requires 1 < p < 2")
-    n = m.dim
-    if p >= n:
-        raise ValueError("need p < dim")
-    gamma = gamma_integral(m, c, eps)
-    q = n * p / (n - p)
-    denom = grad_lp_norm(m, members, p) + (1.0 + gamma) * lp_norm(m, members, p)
-    worst = max(0.0, _worst_ratio(lp_norm(m, members, q), denom).ratio)
-    return {"gamma": gamma, "C": worst, "c": c, "eps": eps, "p": p, "q_out": q}

@@ -27,11 +27,9 @@ __all__ = [
     "SpectralDecomposition",
     "constant_potential",
     "quarter_curvature",
-    "shifted_quarter_curvature",
     "decompose",
     "apply_function",
     "lambda0",
-    "op_norm_2_to_inf",
     "heat_multiplier",
     "power_multiplier",
     "spectrum_rows",
@@ -75,13 +73,6 @@ def constant_potential(m: DiscreteManifold, c: float) -> PotentialField:
 
 def quarter_curvature(m: DiscreteManifold) -> PotentialField:
     return PotentialField(m.scalar_curvature / 4.0, "R/4")
-
-
-def shifted_quarter_curvature(m: DiscreteManifold) -> PotentialField:
-    """R/4 - (min R^-)/4 + 1, a nonnegative shift of the curvature potential."""
-    lo = min(0.0, float(np.min(m.scalar_curvature)))
-    return PotentialField(m.scalar_curvature / 4.0 - lo / 4.0 + 1.0,
-                          "R/4-minR-/4+1")
 
 
 @dataclass(frozen=True)
@@ -307,15 +298,12 @@ def lambda0(m: DiscreteManifold) -> float:
     return decompose(m, quarter_curvature(m)).lambda_min
 
 
-def op_norm_2_to_inf(dec: SpectralDecomposition,
-                     f: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Exact L2 -> Linf operator norm of f(H): max_x sqrt(sum_k f(l_k)^2 phi_k(x)^2)."""
-    return float(_op_norms_2_to_inf(dec, [f])[0])
-
-
 def _op_norms_2_to_inf(dec: SpectralDecomposition,
                        fs: list[Callable[[np.ndarray], np.ndarray]]) -> np.ndarray:
-    """op_norm_2_to_inf of every f in fs, squaring the eigenvectors once."""
+    """Exact L2 -> Linf norm max_x sqrt(sum_k f(l_k)^2 phi_k(x)^2) of each f(H).
+
+    The eigenvectors are squared once for all of fs.
+    """
     fw2 = np.stack([_multiplier(dec, f) ** 2 for f in fs], axis=1)
     return np.sqrt(np.max((dec.eigenvectors ** 2) @ fw2, axis=0))
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from sobolab import (alpha_scaling_bound, build_ladder, chain_constants,
                      iterate_ladder, p_next, r_p, step_constants)
-from sobolab.bootstrap import curvature_volume_rhs
 
 
 def exact_ladder(n: int, p0, count: int):
@@ -168,18 +167,3 @@ def test_alpha_bound_property(n, a, b, alpha, frac):
     p0 = 2.0
     target = p0 + frac * (n - p0) * 0.999
     alpha_scaling_bound(n, p0, target, a, b, alpha)
-
-
-def test_curvature_volume_rhs_flat_unit_volume():
-    # flat unit-volume model: bracket is exactly 1, factor is the base constant
-    assert curvature_volume_rhs(0.0, 1.0, 2, 1.5, 2, 3.7) == pytest.approx(3.7)
-
-
-def test_curvature_volume_rhs_sphere_closed_form(sphere3):
-    from sobolab import geometric_summary
-    from sobolab.flow import flow_rhs_factor
-    chain = chain_constants(2, 1.2, 1.0, 1.0, 1.5)
-    summ = geometric_summary(sphere3)
-    expected = chain.base_A * ((summ["r_max_plus"] + 1.0)
-                               * summ["vol"]) ** (chain.m_p * 1.5 / 2.0)
-    assert flow_rhs_factor(sphere3, 1.5, chain) == pytest.approx(expected, rel=1e-12)

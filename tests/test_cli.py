@@ -267,6 +267,31 @@ def test_verify_rejects_negative_constants(tmp_path, capsys):
     one_line_error(capsys, "A >= 0")
 
 
+@pytest.mark.parametrize("p", ["2", "3"], ids=["p=n", "p>n"])
+def test_verify_rejects_p_not_below_dim(tmp_path, capsys, p):
+    assert run(tmp_path, "verify", "--model", "torus:n=2,res=8", "--p", p,
+               "--A", "1", "--B", "1", "--seed", "1", "--size", "5") == 1
+    one_line_error(capsys, "p < dim")
+
+
+def test_closed_stdout_after_the_path_line_is_not_an_error(tmp_path):
+    src = str(Path(sobolab.__file__).resolve().parents[1])
+    argv = ["flow", "--flow", "sphere:r0=1,subdiv=2", "--times", "0:0.4:0.001",
+            "--theorem", "a2", "--seed", "1", "--size", "5", "--out", str(tmp_path)]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from sobolab.cli import main; sys.exit(main(sys.argv[2:]))")
+    # the results JSON (~170 kB) outgrows the pipe buffer, so the writer
+    # is still printing when the reader goes away after the first line
+    proc = subprocess.Popen([sys.executable, "-c", code, src, *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline().decode().strip()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 0, err
+    assert "Traceback" not in err and "Error" not in err, err
+    assert Path(first).parent == tmp_path and Path(first).exists()
+
+
 @pytest.mark.parametrize("argv", [
     ("riesz", "--model", "torus:n=2,res=8", "--p", "2", "--a", "1"),
     ("scaling", "--model", "torus:n=3,res=6", "--lam", "2"),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sobolab import (EnsembleSpec, HypothesisError, constant_potential,
-                     decompose, generate_ensemble, lambda0_series, metric_at,
+                     decompose, generate_ensemble, metric_at,
                      shrinking_sphere_flow, static_torus_flow, track)
 from sobolab import flow as flow_module
 from sobolab.flow import SELECTORS, ExactFlow, parse_flow_spec, scale_factor
@@ -58,14 +58,20 @@ def test_horizon_validation():
         metric_at(flow, -0.1)
 
 
+def _lambda0_series(flow, times, p, selector):
+    spec = EnsembleSpec(seed=3, size=5, generator="mixed")
+    traj = track(flow, times, selector, p, spec)
+    return [rec["lambda0"] for rec in traj.records]
+
+
 def test_lambda0_series_closed_forms(sphere_flow, torus_flow):
     times = [0.0, 0.1, 0.2, 0.3, 0.4]
-    series = lambda0_series(sphere_flow, times)
+    series = _lambda0_series(sphere_flow, times, 1.5, "d2")
     assert len(series) == len(times)
     for t, lam in zip(times, series):
         assert lam == pytest.approx(1.0 / (2.0 * (1.0 - 2.0 * t)), abs=1e-6)
     assert all(a < b for a, b in zip(series, series[1:]))  # increasing here
-    flat = lambda0_series(torus_flow, [0.0, 0.5, 1.0])
+    flat = _lambda0_series(torus_flow, [0.0, 0.5, 1.0], 2.5, "d3")
     assert np.allclose(flat, 0.0, atol=1e-9)
 
 
@@ -170,10 +176,25 @@ def test_track_decomposes_once(name, selector, decompose_calls, monkeypatch):
 
 
 def test_lambda0_series_decomposes_once(sphere_flow, decompose_calls):
-    times = [0.0, 0.1, 0.4]
-    series = lambda0_series(sphere_flow, times)
+    series = _lambda0_series(sphere_flow, [0.0, 0.1, 0.4], 1.5, "d2")
     assert decompose_calls == [sphere_flow.base.num_nodes]
     assert series[2] == pytest.approx(series[0] * 5.0, rel=1e-14)
+
+
+def test_track_e_family_integral_curvature(sphere_flow):
+    """gamma vanishes on the sphere (e reduces to d) and is closed-form on a
+    flat torus given ric_min = -1: the integrand is 1, so gamma = vol^(1/2)."""
+    spec = EnsembleSpec(seed=3, size=20, generator="mixed")
+    d2, e2 = (track(sphere_flow, [0.0, 0.4], sel, 1.5, spec) for sel in ("d2", "e2"))
+    assert [r["gamma"] for r in e2.records] == [0.0, 0.0]
+    assert [r["C"] for r in e2.records] == [r["C"] for r in d2.records]
+    base = with_fields(build("torus:n=3,res=6"), ric_min=-1.0, ricci_lower=1.0)
+    flow = ExactFlow(variant="static-torus", base=base, t_max=1.0)
+    traj = track(flow, [0.0, 1.0], "e3", 2.5, spec)
+    for rec in traj.records:
+        assert rec["gamma"] == pytest.approx(np.sqrt(base.volume), rel=1e-12)
+        assert 0 < rec["C"] < np.inf
+    assert traj.total_violations == 0
 
 
 def test_exact_flow_rejects_nonconstant_curvature():

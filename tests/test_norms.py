@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sobolab import (bessel_norm, build, constant_potential, grad_lp_norm,
-                     lp_norm, q_energy, scale_metric, w1p_norm)
-from sobolab.norms import norm_report
+                     lp_norm, q_energy, scale_metric)
 
 
 def test_constant_on_unit_volume_is_one(torus2_unit):
@@ -79,7 +78,7 @@ def test_bessel_w1p_two_sided_equivalence(torus2, torus2_dec1, torus2_members):
     ratios = []
     for u in torus2_members[:100]:
         b = bessel_norm(torus2, torus2_dec1, u, p)
-        w = w1p_norm(torus2, u, p)
+        w = lp_norm(torus2, u, p) + grad_lp_norm(torus2, u, p)  # W^{1,p}
         if w > 0:
             ratios.append(b / w)
     c = max(max(ratios), 1.0 / min(ratios))
@@ -101,13 +100,6 @@ def test_q_energy_cases(torus2, torus2_dec1):
     half = apply_function(torus2_dec1, np.sqrt, u)
     assert q_energy(torus2, psi1, u) == pytest.approx(
         torus2.mass_inner(half, half), rel=1e-8)
-
-
-def test_w1p_is_sum_convention(torus2):
-    rng = np.random.default_rng(5)
-    u = rng.standard_normal(torus2.num_nodes)
-    assert w1p_norm(torus2, u, 1.5) == pytest.approx(
-        lp_norm(torus2, u, 1.5) + grad_lp_norm(torus2, u, 1.5), rel=1e-14)
 
 
 def test_p_below_one_rejected(torus2):
@@ -141,15 +133,6 @@ def test_holder_consistency(seed, p, dq):
     u = rng.standard_normal(m.num_nodes)
     bound = m.volume ** (1.0 / p - 1.0 / q) * lp_norm(m, u, q)
     assert lp_norm(m, u, p) <= bound + 1e-10
-
-
-def test_norm_report_consistency(torus2, torus2_dec1):
-    rng = np.random.default_rng(8)
-    u = rng.standard_normal(torus2.num_nodes)
-    rep = norm_report(torus2, torus2_dec1, constant_potential(torus2, 1.0), u)
-    for p in (1.0, 1.5, 2.0):
-        assert rep.w1p[p] == pytest.approx(rep.lp[p] + rep.grad_lp[p], rel=1e-14)
-        assert rep.lp[p] >= 0 and rep.bessel_1p[p] >= 0
 
 
 # the matrix contract: a (K, N) member matrix gives one value per row, equal

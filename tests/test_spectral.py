@@ -6,14 +6,13 @@ import scipy.sparse as sp
 
 from sobolab import (EnsembleSpec, SingularOperatorError, apply_function,
                      constant_potential, decompose, generate_ensemble,
-                     heat_multiplier, lambda0, op_norm_2_to_inf,
-                     power_multiplier, scale_metric, spectral)
+                     heat_multiplier, lambda0, power_multiplier,
+                     scale_metric, spectral)
 from sobolab.manifold import (DiscreteManifold, GradientElements, ModelSpec,
                               build)
 from sobolab.norms import lp_norm
 from sobolab.spectral import (DENSE_NODE_GUARD, PotentialField,
-                              SpectralDecomposition,
-                              shifted_quarter_curvature, spectrum_rows)
+                              SpectralDecomposition, spectrum_rows)
 
 
 def test_torus_kernel_is_constant(torus2, torus2_dec0):
@@ -138,12 +137,13 @@ def test_op_norm_single_node_identity():
         scalar_curvature=np.zeros(1), ric_min=np.zeros(1), ricci_lower=0.0,
         label="point")
     dec = decompose(m, constant_potential(m, 0.0))
-    assert op_norm_2_to_inf(dec, lambda lam: np.ones_like(lam)) == pytest.approx(1.0)
+    got = spectral._op_norms_2_to_inf(dec, [lambda lam: np.ones_like(lam)])[0]
+    assert got == pytest.approx(1.0)
 
 
 def test_op_norm_ground_state_domination(torus2, torus2_dec1):
     t = 10.0
-    got = op_norm_2_to_inf(torus2_dec1, heat_multiplier(t))
+    got = spectral._op_norms_2_to_inf(torus2_dec1, [heat_multiplier(t)])[0]
     expected = np.exp(-t) / np.sqrt(torus2.volume)
     assert got == pytest.approx(expected, rel=1e-6)
 
@@ -195,12 +195,6 @@ def test_shifted_operator_equivalence(torus2):
     via_shift = np.exp(-t * inf_minus) * apply_function(
         decompose(torus2, shifted), heat_multiplier(t), u)
     assert np.max(np.abs(direct - via_shift)) < 1e-8 * max(1.0, np.max(np.abs(direct)))
-
-
-def test_shifted_quarter_curvature_nonnegative(sphere3):
-    psi = shifted_quarter_curvature(sphere3)
-    assert psi.is_nonnegative
-    assert psi.inf_minus == 0.0
 
 
 def test_spectrum_rows(torus2_dec0):
