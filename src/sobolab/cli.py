@@ -21,13 +21,15 @@ from . import bootstrap as bs
 from . import constants as ct
 from . import flow as fl
 from . import semigroup as sg
-from .manifold import build
+from .manifold import build, parse_model_spec
 from .norms import lp_norm
 from .reporting import (config_hash, to_plain, write_artifact, write_csv,
                         write_svg_loglog)
 from .spectral import constant_potential, decompose, spectrum_rows
 
 __all__ = ["main"]
+
+MAX_TIME_SAMPLES = 10_000  # a --times range may not expand to more samples
 
 
 def _out_dir(args) -> Path:
@@ -51,9 +53,9 @@ def _ensemble_spec(args) -> ct.EnsembleSpec:
 
 
 def _prepare(args):
+    spec = _ensemble_spec(args)
     m = build(args.model)
     dec1 = decompose(m, constant_potential(m, 1.0))
-    spec = _ensemble_spec(args)
     members = ct.generate_ensemble(m, spec, dec=dec1)
     return m, dec1, spec, members
 
@@ -71,8 +73,11 @@ def _parse_times(text: str) -> list[float]:
                 f"time range {text!r} needs finite endpoints and step")
         if not step > 0:
             raise ValueError(f"time step must be positive, got {step:g}")
-        n = int(round((b - a) / step))
-        return [a + i * step for i in range(n + 1)]
+        n = (b - a) / step  # round(n) + 1 samples; inf when it overflows
+        if not n < MAX_TIME_SAMPLES - 0.5:
+            raise ValueError(f"time range {text!r} has more than "
+                             f"{MAX_TIME_SAMPLES} samples")
+        return [a + i * step for i in range(int(round(n)) + 1)]
     times = _parse_floats(text)
     if not all(map(math.isfinite, times)):
         raise ValueError(f"sample times must be finite, got {text!r}")
@@ -100,6 +105,7 @@ def _cmd_bootstrap(args):
 
 
 def _cmd_estimate(args):
+    ct._pstar(parse_model_spec(args.model).dim, args.p)  # before building
     m, dec1, spec, members = _prepare(args)
     est = ct.estimate_sobolev_AB(m, args.p, members,
                                  b_grid=tuple(_parse_floats(args.b_grid)),
@@ -108,6 +114,7 @@ def _cmd_estimate(args):
 
 
 def _cmd_verify(args):
+    ct._pstar(parse_model_spec(args.model).dim, args.p)  # before building
     m, dec1, spec, members = _prepare(args)
     rep = ct.verify_inequality(ct.two_term_check(m, args.p, args.A, args.B),
                                members)
@@ -159,10 +166,10 @@ def _cmd_riesz(args):
 
 
 def _cmd_w2p(args):
-    m, dec1, spec, members = _prepare(args)
     mu = args.mu
     if not args.p < mu / 2:
         raise SystemExit("w2p requires p < mu/2")
+    m, dec1, spec, members = _prepare(args)
     p_out = mu * args.p / (mu - 2 * args.p)
     scan = sg.mapping_norm(dec1, "H^-1", args.p, p_out, members,
                            meta=spec.meta())
@@ -173,6 +180,7 @@ def _cmd_w2p(args):
 
 
 def _cmd_scaling(args):
+    sg._transfer_exponent(args.mu, args.p)  # before building
     m, dec1, spec, members = _prepare(args)
     rep = sg.scaling_transfer_check(m, args.lam, args.mu, args.p, members, dec1)
     return {"transfer": rep, "model": m.label}, (0 if rep["violations"] == 0 else 2)

@@ -103,68 +103,52 @@ def _bump_member(m: DiscreteManifold, rng: np.random.Generator) -> np.ndarray:
     return u
 
 
-def _mass_noise(dec: SpectralDecomposition, rng: np.random.Generator,
-                k: int) -> np.ndarray:
-    """First k coefficients of node noise xi / sqrt(mass), xi standard normal.
-
-    They are independent standard normals in every mass-orthonormal basis.
-    """
-    m = dec.manifold
-    xi = rng.standard_normal(m.num_nodes)
-    return (xi * np.sqrt(m.mass)) @ dec.eigenvectors[:, :k]
-
-
-def _band_limited_member(dec: SpectralDecomposition,
-                         rng: np.random.Generator) -> np.ndarray:
-    """(1 + H)^(-BAND_DECAY/2) Pi_K of mass noise; K ends a cluster at SPECTRAL_MODES."""
-    bounds = dec.cluster_bounds()
-    k = bounds[np.searchsorted(bounds, min(SPECTRAL_MODES, bounds[-1]))]
-    weights = (1.0 + dec.eigenvalues[:k]) ** (-BAND_DECAY / 2.0)
-    return dec.eigenvectors[:, :k] @ (_mass_noise(dec, rng, k) * weights)
-
-
-def _eigen_mix_member(dec: SpectralDecomposition,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Mass noise projected onto three clusters starting below SPECTRAL_MODES."""
-    bounds = dec.cluster_bounds()
-    count = np.searchsorted(bounds[:-1], min(SPECTRAL_MODES, bounds[-1]))
-    picked = rng.integers(0, count, size=3)
-    k = bounds[picked.max() + 1]
-    keep = np.zeros(k)
-    for c in picked:
-        keep[bounds[c]:bounds[c + 1]] = 1.0
-    return dec.eigenvectors[:, :k] @ (_mass_noise(dec, rng, k) * keep)
-
-
 def generate_ensemble(m: DiscreteManifold, spec: EnsembleSpec,
                       dec: SpectralDecomposition | None = None) -> np.ndarray:
     """Members as rows, bit-identical for identical (seed, generator, manifold).
 
     Spectral generators (band-limited, eigen-mix, mixed) require a
     decomposition of the manifold; bumps need only node coordinates.  A
-    spectral member projects seeded node noise onto whole eigenvalue
-    clusters, so it does not depend on the eigensolver's basis inside a
-    degenerate eigenspace; it draws from its own child generator, so the
-    main stream (and with it every bump) does not depend on the mesh.
+    spectral member projects seeded node noise xi / sqrt(mass) (standard
+    normal coefficients in every mass-orthonormal basis) onto whole
+    eigenvalue clusters, so it does not depend on the eigensolver's basis
+    inside a degenerate eigenspace; it draws from its own child generator,
+    so the main stream (and with it every bump) does not depend on the mesh.
+    Members are drawn in stream order; the spectral ones are then projected
+    in one product.
     """
     if spec.generator != "bumps" and dec is None:
         raise ValueError(f"generator {spec.generator!r} requires a spectral decomposition")
     rng = np.random.default_rng(spec.seed)
     members = np.empty((spec.size, m.num_nodes))
+    if spec.generator != "bumps":
+        bounds = dec.cluster_bounds()
+        # count clusters start below SPECTRAL_MODES; K = bounds[count] ends the last
+        count = np.searchsorted(bounds[:-1], min(SPECTRAL_MODES, bounds[-1]))
+        band = (1.0 + dec.eigenvalues[:bounds[count]]) ** (-BAND_DECAY / 2.0)
+    rows, weights = [], []
     for i in range(spec.size):
         if spec.generator == "mixed":
             kind = ("band-limited", "bumps", "eigen-mix")[i % 3]
         else:
             kind = spec.generator
         if kind == "bumps":
-            u = _bump_member(m, rng)
-        elif kind == "band-limited":
-            u = _band_limited_member(dec, rng.spawn(1)[0])
-        else:
-            u = _eigen_mix_member(dec, rng.spawn(1)[0])
-        if not np.any(u):
-            u = np.ones(m.num_nodes)  # degenerate draw; constants are valid members
-        members[i] = u
+            members[i] = _bump_member(m, rng)
+            continue
+        child = rng.spawn(1)[0]
+        if kind == "band-limited":
+            weights.append(band)
+        else:  # three clusters, each ending at or before K
+            keep = np.zeros_like(band)
+            for c in child.integers(0, count, size=3):
+                keep[bounds[c]:bounds[c + 1]] = 1.0
+            weights.append(keep)
+        child.standard_normal(out=members[i])
+        rows.append(i)
+    if rows:
+        members[rows] = dec.synthesize(np.array(weights) * dec.coefficients(
+            members[rows] / np.sqrt(m.mass), band.size))
+    members[~members.any(axis=1)] = 1.0  # degenerate draw; constants are valid members
     if spec.normalization == "unit-l2":
         members /= lp_norm(m, members, 2.0)[:, None]
     return members

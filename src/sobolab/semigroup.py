@@ -310,6 +310,14 @@ def bessel_equivalence_constants(dec_zero: SpectralDecomposition, a: float,
 # ---------------------------------------------------------------------------
 # scaling transfer
 
+def _transfer_exponent(mu: float, p: float) -> float:
+    """mu p/(mu-p); ValueError unless mu > p."""
+    if not mu > p:
+        raise ValueError(f"need mu > p for the exponent mu p/(mu-p), "
+                         f"got mu={mu}, p={p}")
+    return mu * p / (mu - p)
+
+
 def scaling_transfer_check(m: DiscreteManifold, lam: float, mu: float,
                            p: float, members: np.ndarray,
                            dec_unit: SpectralDecomposition,
@@ -324,10 +332,7 @@ def scaling_transfer_check(m: DiscreteManifold, lam: float, mu: float,
         raise ValueError("transfer direction requires lam >= 1")
     if np.any(dec_unit.potential.values != 1.0):
         raise ValueError("scaling transfer needs the Psi = 1 decomposition")
-    if not mu > p:
-        raise ValueError(f"need mu > p for the exponent mu p/(mu-p), "
-                         f"got mu={mu}, p={p}")
-    q_out = mu * p / (mu - p)
+    q_out = _transfer_exponent(mu, p)
     scaled = scale_metric(m, lam)
     n = m.dim
     orig = {q: lp_norm(m, members, q) for q in (p, q_out, 2.0)}

@@ -88,13 +88,13 @@ class SpectralDecomposition:
     def lambda_min(self) -> float:
         return float(self.eigenvalues[0])
 
-    def coefficients(self, u: np.ndarray) -> np.ndarray:
-        """Mass inner products <u, phi_k>; u is (N,) or (K, N) with rows = members."""
-        return (u * self.manifold.mass) @ self.eigenvectors
+    def coefficients(self, u: np.ndarray, k: int | None = None) -> np.ndarray:
+        """Mass inner products <u, phi_j>, j < k (default all), for u or each row of u."""
+        return (u * self.manifold.mass) @ self.eigenvectors[:, :k]
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        """Inverse of coefficients, row by row."""
-        return coeffs @ self.eigenvectors.T
+        """Sum of coeffs_j phi_j over the leading coeffs.shape[-1] modes, row by row."""
+        return coeffs @ self.eigenvectors[:, :coeffs.shape[-1]].T
 
     def cluster_bounds(self) -> np.ndarray:
         """Start index of every eigenvalue cluster, followed by N.

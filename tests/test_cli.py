@@ -8,7 +8,7 @@ import pytest
 
 import sobolab
 from sobolab import flow as fl
-from sobolab import semigroup
+from sobolab import cli, semigroup
 from sobolab.cli import main
 
 
@@ -344,3 +344,26 @@ def test_heat_on_a_torus_makes_no_dense_eigendecomposition(tmp_path,
     assert run(tmp_path, "heat", "--model", "torus:n=2,res=16", "--seed", "2",
                "--size", "20", "--fit-window", "0.02,0.2",
                "--spectrum-csv") == 0
+
+
+@pytest.mark.parametrize("argv, words", [
+    (("riesz",), ["a seed is mandatory"]),
+    (("verify", "--p", "2", "--A", "1", "--B", "1", "--seed", "1"), ["p < dim"]),
+    (("estimate", "--p", "2", "--seed", "1"), ["p < dim"]),
+    (("w2p", "--p", "1.5", "--mu", "3", "--seed", "1"), ["w2p requires p"]),
+    (("scaling", "--mu", "1", "--p", "1.5", "--seed", "1"), ["mu=1", "p=1.5"]),
+], ids=["riesz-no-seed", "verify-p=n", "estimate-p=n", "w2p-p=mu/2", "scaling-mu<p"])
+def test_bad_arguments_fail_before_the_model_is_built(tmp_path, capsys,
+                                                      monkeypatch, argv, words):
+    def refuse(*args, **kwargs):
+        raise AssertionError("model built before the arguments were checked")
+
+    monkeypatch.setattr(cli, "build", refuse)
+    monkeypatch.setattr(cli, "decompose", refuse)
+    argv = (*argv, "--model", "sphere:r=1,subdiv=4", "--size", "5")
+    if argv[0] in ("riesz", "w2p"):  # these two refuse with SystemExit
+        with pytest.raises(SystemExit, match=words[0]):
+            run(tmp_path, *argv)
+    else:
+        assert run(tmp_path, *argv) == 1
+        one_line_error(capsys, *words)

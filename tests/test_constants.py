@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import sobolab
-from sobolab import (EnsembleSpec, beta_from_sobolev, build,
-                     constant_potential, decompose,
+from sobolab import constants as ct
+from sobolab import (EnsembleSpec, SpectralDecomposition, beta_from_sobolev,
+                     build, constant_potential, decompose,
                      entropy, estimate_single_A, estimate_sobolev_AB,
                      generate_ensemble, lp_norm, measure_log_sobolev_beta,
                      scale_metric, tau_closed_form, tau_of_t,
@@ -275,3 +276,76 @@ def test_spectral_members_leave_the_bump_stream_alone(text):
     mixed = generate_ensemble(m, EnsembleSpec(seed=4, size=9), dec=dec)
     bumps = generate_ensemble(m, EnsembleSpec(seed=4, size=3, generator="bumps"))
     assert np.array_equal(mixed[1::3], bumps)
+
+
+# Reference: the member-at-a-time construction that generate_ensemble
+# replaced.  Each spectral member took its own coefficient and synthesis
+# product over the leading eigenvector columns.
+
+def _reference_mass_noise(dec, rng, k):
+    xi = rng.standard_normal(dec.manifold.num_nodes)
+    return (xi * np.sqrt(dec.manifold.mass)) @ dec.eigenvectors[:, :k]
+
+
+def _reference_band_limited(dec, rng):
+    bounds = dec.cluster_bounds()
+    k = bounds[np.searchsorted(bounds, min(ct.SPECTRAL_MODES, bounds[-1]))]
+    weights = (1.0 + dec.eigenvalues[:k]) ** (-ct.BAND_DECAY / 2.0)
+    return dec.eigenvectors[:, :k] @ (_reference_mass_noise(dec, rng, k) * weights)
+
+
+def _reference_eigen_mix(dec, rng):
+    bounds = dec.cluster_bounds()
+    count = np.searchsorted(bounds[:-1], min(ct.SPECTRAL_MODES, bounds[-1]))
+    picked = rng.integers(0, count, size=3)
+    k = bounds[picked.max() + 1]
+    keep = np.zeros(k)
+    for c in picked:
+        keep[bounds[c]:bounds[c + 1]] = 1.0
+    return dec.eigenvectors[:, :k] @ (_reference_mass_noise(dec, rng, k) * keep)
+
+
+def _reference_ensemble(m, spec, dec):
+    rng = np.random.default_rng(spec.seed)
+    members = np.empty((spec.size, m.num_nodes))
+    for i in range(spec.size):
+        kind = (("band-limited", "bumps", "eigen-mix")[i % 3]
+                if spec.generator == "mixed" else spec.generator)
+        if kind == "bumps":
+            u = ct._bump_member(m, rng)
+        elif kind == "band-limited":
+            u = _reference_band_limited(dec, rng.spawn(1)[0])
+        else:
+            u = _reference_eigen_mix(dec, rng.spawn(1)[0])
+        members[i] = u if np.any(u) else np.ones(m.num_nodes)
+    return members
+
+
+@pytest.mark.parametrize("text", ["torus:n=3,res=8", "sphere:r=1,subdiv=2",
+                                  "box:n=2,res=16"])
+def test_ensemble_matches_member_at_a_time_reference(text, monkeypatch):
+    """One projection of all spectral members gives the reference's members:
+    bumps bit for bit, spectral members up to the order of the sums, with
+    one cluster_bounds call per ensemble."""
+    m = build(text)
+    dec = decompose(m, constant_potential(m, 1.0))
+    specs = [EnsembleSpec(seed, 31, gen)
+             for gen in ct.GENERATORS for seed in (3, 17)]
+    expected = [_reference_ensemble(m, spec, dec) for spec in specs]
+    bounds, calls = SpectralDecomposition.cluster_bounds, []
+
+    def counting(self):
+        calls.append(self)
+        return bounds(self)
+
+    monkeypatch.setattr(SpectralDecomposition, "cluster_bounds", counting)
+    for spec, want in zip(specs, expected):
+        del calls[:]
+        got = generate_ensemble(m, spec, dec=dec)
+        assert len(calls) == (spec.generator != "bumps"), spec
+        for i, (a, b) in enumerate(zip(got, want)):
+            if spec.generator == "bumps" or (spec.generator == "mixed"
+                                             and i % 3 == 1):
+                assert np.array_equal(a, b), (spec, i)
+            else:
+                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), (spec, i)

@@ -2,7 +2,8 @@
 
 An import that nothing uses, or an ``__all__`` entry that names nothing, is
 dead weight that no other test notices: a tool that walks ``__all__`` with
-``getattr(module, name, None)`` skips a missing name silently.
+``getattr(module, name, None)`` skips a missing name silently.  The
+eigenvector matrix is read inside ``spectral`` only.
 """
 
 import ast
@@ -15,6 +16,7 @@ import sobolab
 MODULES = sorted(Path(sobolab.__file__).parent.glob("*.py"))
 # the package namespace re-exports what it imports
 IMPORTERS = [p for p in MODULES if p.name != "__init__.py"]
+NOT_SPECTRAL = [p for p in MODULES if p.name != "spectral.py"]
 
 
 def _imports(nodes) -> dict[str, int]:
@@ -66,3 +68,13 @@ def test_every_all_entry_names_something(path):
     tree = ast.parse(path.read_text())
     missing = sorted(set(_exports(tree)) - _top_level_names(tree))
     assert not missing, f"{path.name}: __all__ names nothing for {missing}"
+
+
+@pytest.mark.parametrize("path", NOT_SPECTRAL, ids=[p.name for p in NOT_SPECTRAL])
+def test_only_spectral_reads_the_eigenbasis(path):
+    """Other modules go through coefficients/synthesize, so the dense
+    eigenvector matrix can be replaced by another basis inside spectral."""
+    tree = ast.parse(path.read_text())
+    reads = [n.lineno for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and n.attr == "eigenvectors"]
+    assert not reads, f"{path.name} reads eigenvectors on lines {reads}"

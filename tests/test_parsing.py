@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sobolab.cli import _parse_times
+from sobolab.cli import MAX_TIME_SAMPLES, _parse_times
 from sobolab.flow import ExactFlow, parse_flow_spec
 from sobolab.manifold import ModelSpec, parse_model_spec
 
@@ -99,3 +99,19 @@ def test_one_side_length_is_not_repeated_for_an_invalid_spec(parse, text):
     finally:
         tracemalloc.stop()
     assert peak < 10 ** 6  # a million-entry tuple would take 8 MB
+
+
+@pytest.mark.parametrize("text", ["0:1:1e-320", "0:1:1e-12"])
+def test_time_range_sample_count_is_bounded_before_the_list(text):
+    """1/1e-320 overflows to inf and 1/1e-12 asks for 10^12 samples; both
+    are refused from the sample count, before any list exists."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as err:
+            _parse_times(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6
+    assert str(MAX_TIME_SAMPLES) in str(err.value) and "\n" not in str(err.value)
+    assert len(_parse_times("0:0.4:0.05")) == 9
