@@ -54,7 +54,7 @@ def _ensemble_spec(args) -> ct.EnsembleSpec:
 
 def _prepare(args):
     spec = _ensemble_spec(args)
-    m = build(args.model)
+    m = build(parse_model_spec(args.model, members=spec.size))
     dec1 = decompose(m, constant_potential(m, 1.0))
     members = ct.generate_ensemble(m, spec, dec=dec1)
     return m, dec1, spec, members
@@ -189,7 +189,8 @@ def _cmd_scaling(args):
 def _cmd_flow(args):
     spec = _ensemble_spec(args)
     times = _parse_times(args.times)
-    flow = fl.parse_flow_spec(args.flow, t_max=max(times) + 1e-9 if times else None)
+    flow = fl.parse_flow_spec(args.flow, t_max=max(times) + 1e-9 if times else None,
+                              members=spec.size)
     traj = fl.track(flow, times, args.theorem, args.p, spec, p0=args.p0)
     header = ["t", "vol", "r_max_plus", "kappa", "lambda0", "bracket",
               "worst_ratio", "violations"]

@@ -45,6 +45,7 @@ __all__ = [
 
 DEFAULT_B_GRID = (1.0, 1.2, 1.5, 2.0, 3.0, 5.0)
 RELATIVE_SLACK = 1e-9
+TIE_REL = 1e-12  # ratios this close (relative) to the worst are ties
 
 GENERATORS = ("band-limited", "bumps", "eigen-mix", "mixed")
 BAND_DECAY = 2.0  # band-limited members weigh modes by (1 + H)^(-decay/2)
@@ -171,7 +172,7 @@ class SobolevEstimate:
 
 class _Worst(NamedTuple):
     ratio: float  # -inf when no member is used
-    witness: int  # flat index of the worst member, earliest on ties; -1 if none
+    witness: int  # earliest flat index tied with the worst (TIE_REL); -1 if none
     violations: int
     used: int
 
@@ -182,7 +183,8 @@ def _worst_ratio(num, den, slack: float = 0.0, used=None) -> _Worst:
     A member with den <= 0 has ratio inf when num > 0 and carries no
     information otherwise, so it is not used; an explicit boolean ``used``
     mask replaces that rule.  Violations are used members with
-    num > den (1 + slack).
+    num > den (1 + slack).  The witness is the earliest case within TIE_REL
+    of the worst ratio, so roundoff among equal ratios does not pick it.
     """
     num, den = np.broadcast_arrays(np.asarray(num, dtype=float),
                                    np.asarray(den, dtype=float))
@@ -192,12 +194,15 @@ def _worst_ratio(num, den, slack: float = 0.0, used=None) -> _Worst:
         raise ValueError("non-finite functional value on member "
                          f"{int(np.argmin(finite))}")
     used = (den > 0) | (num > 0) if used is None else np.ravel(used)
+    if not used.any():
+        return _Worst(-math.inf, -1, 0, 0)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(used, np.where(den > 0, num / den, math.inf), -math.inf)
-    witness = int(np.argmax(ratio)) if used.any() else -1
+    top = float(np.max(ratio))
+    tied = ratio >= (top - TIE_REL * abs(top) if top < math.inf else top)
     violations = np.count_nonzero(used & (num > den * (1.0 + slack)))
-    return _Worst(float(ratio[witness]) if witness >= 0 else -math.inf,
-                  witness, int(violations), int(np.count_nonzero(used)))
+    return _Worst(top, int(np.argmax(tied)), int(violations),
+                  int(np.count_nonzero(used)))
 
 
 def _pstar(n: int, p: float) -> float:

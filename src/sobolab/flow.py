@@ -84,10 +84,12 @@ def static_torus_flow(dim: int = 3, resolution: int = 10,
     return ExactFlow(variant="static-torus", base=base, t_max=t_max)
 
 
-def parse_flow_spec(text: str, t_max: float | None = None) -> ExactFlow:
+def parse_flow_spec(text: str, t_max: float | None = None,
+                    members: int = 1) -> ExactFlow:
     """Parse "sphere:r0=1" or "torus:n=3,res=10,L=6.283".
 
-    Meshes over DENSE_NODE_GUARD nodes are refused before anything is built.
+    Meshes the model-spec parser would refuse for an ensemble of the given
+    number of members are refused before anything is built.
     """
     head, _, rest = text.partition(":")
     kw = dict(item.split("=", 1) for item in rest.split(",") if item)
@@ -97,13 +99,13 @@ def parse_flow_spec(text: str, t_max: float | None = None) -> ExactFlow:
         raise ValueError(f"unknown {head} flow options: {unknown}")
     if head == "sphere":
         subdiv = int(kw.get("subdiv", 3))
-        _check_node_count("sphere", 2, subdiv)
+        _check_node_count("sphere", 2, subdiv, members)
         return shrinking_sphere_flow(
             r0=float(kw.get("r0", kw.get("r", 1.0))), subdiv=subdiv,
             t_max=t_max)
     if head == "torus":
         dim, res = int(kw.get("n", 3)), int(kw.get("res", 10))
-        _check_node_count("torus", dim, res)
+        _check_node_count("torus", dim, res, members)
         sides: tuple[float, ...] = ()
         if "L" in kw:
             sides = tuple(float(s) for s in kw["L"].split("x"))

@@ -8,6 +8,7 @@ are assigned analytically, never estimated from the mesh.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,7 +26,8 @@ __all__ = [
     "gamma_integral",
 ]
 
-DENSE_NODE_GUARD = 4000
+DENSE_NODE_GUARD = 4000  # nodes of a sphere or box (dense decomposition)
+MEMBER_GUARD = 2 ** 24  # ensemble size x nodes: a 128 MiB member matrix
 VALIDATE_RTOL = 1e-10  # invariant residuals allowed, relative to |stiffness|
 
 
@@ -180,31 +182,40 @@ class ModelSpec:
         return s
 
 
-def _check_node_count(variant: str, dim: int, res: int) -> None:
-    """Refuse a model of more than DENSE_NODE_GUARD nodes before it is built.
+def _check_node_count(variant: str, dim: int, res: int, members: int) -> None:
+    """Refuse a model spec whose mesh is too large before it is built.
 
     A grid has res^dim nodes and an icosphere (res = subdiv) 10 * 4^res + 2.
-    A power of 256 bits or more is named but never formed, so a huge n or
-    subdiv costs nothing.  Sizes that ModelSpec rejects pass unchecked.
+    Spheres and boxes, which decompose only densely, may have at most
+    DENSE_NODE_GUARD nodes; on every model, members x nodes (the member
+    matrix of an ensemble) may be at most MEMBER_GUARD.  A power of 256
+    bits or more is named but never formed, so a huge n or subdiv costs
+    nothing.  Sizes that ModelSpec rejects pass unchecked.
     """
     sphere = variant == "sphere"
     base, exp = (4, res) if sphere else (res, dim)
     if variant not in ("torus", "box", "sphere") or base < 2 or exp < 1:
         return
     count = f"10*4^{res}+2" if sphere else f"{res}^{dim}"
+    n = math.inf
     if exp * (base.bit_length() - 1) < 256:
         n = 10 * 4 ** res + 2 if sphere else res ** dim
-        if n <= DENSE_NODE_GUARD:
-            return
         count += f" = {n}"
-    raise ValueError(f"{variant} model of {count} nodes exceeds the dense "
-                     f"decomposition guard ({DENSE_NODE_GUARD})")
+    if variant != "torus" and n > DENSE_NODE_GUARD:
+        raise ValueError(f"{variant} model of {count} nodes exceeds the dense "
+                         f"decomposition guard ({DENSE_NODE_GUARD})")
+    if n * members > MEMBER_GUARD:
+        raise ValueError(f"{variant} model of {count} nodes times {members} "
+                         f"members exceeds the member matrix guard "
+                         f"({MEMBER_GUARD} entries)")
 
 
-def parse_model_spec(text: str) -> ModelSpec:
+def parse_model_spec(text: str, members: int = 1) -> ModelSpec:
     """Parse a spec string like "torus:n=2,res=32,L=6.2831853".
 
-    Meshes over DENSE_NODE_GUARD nodes are refused before anything is built.
+    Meshes too large for the dense decomposition (spheres and boxes) or
+    for an ensemble of the given number of members are refused (see
+    _check_node_count) before anything is built.
     """
     head, _, rest = text.partition(":")
     kw: dict[str, str] = {}
@@ -217,7 +228,7 @@ def parse_model_spec(text: str) -> ModelSpec:
     variant = head.strip()
     dim = int(kw.pop("n", 2))
     res = int(kw.pop("res", kw.pop("subdiv", 16)))
-    _check_node_count(variant, dim, res)
+    _check_node_count(variant, dim, res, members)
     radius = float(kw.pop("r", kw.pop("r0", 1.0)))
     scale = float(kw.pop("scale", 1.0))
     sides: tuple[float, ...] = ()

@@ -2,10 +2,10 @@
 
 The generalized symmetric problem (S + M_Psi) phi = lambda M phi is solved
 in closed form on a periodic grid with uniform mass and constant Psi (a
-tensor product of real Fourier modes), and otherwise reduced via the
-diagonal mass square root and solved with a dense symmetric eigensolver;
-every operator function (heat semigroup, fractional powers, resolvents) is
-evaluated on the resulting eigenpairs.
+tensor product of real Fourier modes, applied by axis-wise real FFTs), and
+otherwise reduced via the diagonal mass square root and solved with a dense
+symmetric eigensolver; every operator function (heat semigroup, fractional
+powers, resolvents) is evaluated on the resulting eigenpairs.
 """
 
 from __future__ import annotations
@@ -76,11 +76,153 @@ def quarter_curvature(m: DiscreteManifold) -> PotentialField:
 
 
 @dataclass(frozen=True)
+class DenseBasis:
+    """Mass-orthonormal eigenvectors held as the explicit N x N matrix phi.
+
+    Every basis has these methods; u is one node function (N,) or a member
+    matrix (K, N), rows = members, and so are the coefficient arrays.
+    """
+
+    phi: np.ndarray  # columns
+    mass: np.ndarray
+
+    def coefficients(self, u: np.ndarray, k: int | None = None) -> np.ndarray:
+        """Mass inner products <u, phi_j>, j < k (default all), for u or each row of u."""
+        return (u * self.mass) @ self.phi[:, :k]
+
+    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
+        """Sum of coeffs_j phi_j over the leading coeffs.shape[-1] modes, row by row."""
+        return coeffs @ self.phi[:, :coeffs.shape[-1]].T
+
+    def columns(self, k: int | None = None) -> np.ndarray:
+        """The leading k (default all) eigenvectors as columns."""
+        return self.phi[:, :k]
+
+    def row_sums(self, w: np.ndarray) -> np.ndarray:
+        """sum_k w[k, j] phi_k(x)^2 at every node x, for each column j of w."""
+        return (self.phi ** 2) @ w
+
+    def scaled(self, lam: float, m: DiscreteManifold) -> DenseBasis:
+        """The basis on m = scale_metric(., lam): phi / lam^(n/2)."""
+        return DenseBasis(self.phi * lam ** (-m.dim / 2.0), m.mass)
+
+
+@dataclass(frozen=True)
+class FourierBasis:
+    """Products of real Fourier columns over sqrt(m0) on a res^dim periodic grid.
+
+    Eigenvector k is the mode order[k] (C order over the axes, each axis in
+    the column order of _fourier_axis).  Coefficients and syntheses are
+    axis-wise real FFTs, so the N x N matrix is formed only by columns().
+    """
+
+    res: int
+    dim: int
+    m0: float  # the uniform node mass
+    order: np.ndarray  # stable ascending-eigenvalue permutation of the modes
+
+    def _grid(self, u: np.ndarray) -> np.ndarray:
+        return u.reshape(u.shape[:-1] + (self.res,) * self.dim)
+
+    def coefficients(self, u: np.ndarray, k: int | None = None) -> np.ndarray:
+        c = self._grid(u)
+        for axis in range(-self.dim, 0):
+            c = _real_fourier(c, axis)
+        c = c.reshape(u.shape)[..., self.order[:k]]
+        c *= np.sqrt(self.m0)
+        return c
+
+    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
+        shape = coeffs.shape[:-1] + self.order.shape
+        u = np.zeros(shape)
+        u[..., self.order[:coeffs.shape[-1]]] = coeffs
+        u = self._grid(u)
+        for axis in range(-self.dim, 0):  # rebinding frees each input early
+            u = _real_fourier_inverse(u, axis)
+        u /= np.sqrt(self.m0)
+        return u.reshape(shape)
+
+    def columns(self, k: int | None = None) -> np.ndarray:
+        """The leading k columns in closed form, without an FFT."""
+        q = _fourier_axis(self.res)[1]
+        modes = np.indices((self.res,) * self.dim).reshape(self.dim, -1)
+        keep = self.order[:k]
+        factors = []
+        for d in range(self.dim):
+            shape = [1] * self.dim + [keep.size]
+            shape[d] = self.res
+            factors.append(q[:, modes[d, keep]].reshape(shape))
+        phi = reduce(np.multiply, factors).reshape(self.order.size, keep.size)
+        return phi / np.sqrt(self.m0)
+
+    def row_sums(self, w: np.ndarray) -> np.ndarray:
+        """sum_k w[k, j] / vol at every node.
+
+        The columns of one eigenvalue have squares summing to their count
+        over vol at every node, and w is a function of the eigenvalue.
+        """
+        n = self.order.size
+        return np.broadcast_to(np.sum(w, axis=0) / (n * self.m0),
+                               (n,) + w.shape[1:])
+
+    def scaled(self, lam: float, m: DiscreteManifold) -> FourierBasis:
+        """The basis on m = scale_metric(., lam): m0 becomes m0 lam^n."""
+        return replace(self, m0=float(m.mass[0]))
+
+
+_SQRT2 = np.sqrt(2.0)
+
+
+def _along(axis: int, index) -> tuple:
+    """An index tuple taking index on a negative axis and all of the others."""
+    return (Ellipsis, index) + (slice(None),) * (-axis - 1)
+
+
+def _real_fourier(u: np.ndarray, axis: int) -> np.ndarray:
+    """Coefficients of u along a negative axis against the _fourier_axis columns.
+
+    With the orthonormal rfft F: c_0 = Re F_0, c_(2k-1) = sqrt 2 Re F_k,
+    c_(2k) = -sqrt 2 Im F_k, and for even res the last c is Re F_(res/2).
+    """
+    res = u.shape[axis]
+    f = np.fft.rfft(u, axis=axis, norm="ortho")
+    c = np.empty(u.shape)
+    c[_along(axis, 0)] = f[_along(axis, 0)].real
+    np.multiply(f[_along(axis, slice(1, None))].real, _SQRT2,
+                out=c[_along(axis, slice(1, None, 2))])
+    np.multiply(f[_along(axis, slice(1, (res + 1) // 2))].imag, -_SQRT2,
+                out=c[_along(axis, slice(2, None, 2))])
+    if res % 2 == 0:
+        c[_along(axis, -1)] = f[_along(axis, -1)].real
+    return c
+
+
+def _real_fourier_inverse(c: np.ndarray, axis: int) -> np.ndarray:
+    """The inverse of _real_fourier: node values sum_j c_j q_j along axis."""
+    res = c.shape[axis]
+    shape = list(c.shape)
+    shape[axis] = res // 2 + 1
+    f = np.empty(shape, dtype=complex)
+    f[_along(axis, 0)] = c[_along(axis, 0)]
+    np.divide(c[_along(axis, slice(1, None, 2))], _SQRT2,
+              out=f[_along(axis, slice(1, None))].real)
+    np.divide(c[_along(axis, slice(2, None, 2))], -_SQRT2,
+              out=f[_along(axis, slice(1, (res + 1) // 2))].imag)
+    if res % 2 == 0:
+        f[_along(axis, -1)] = c[_along(axis, -1)]
+    return np.fft.irfft(f, n=res, axis=axis, norm="ortho")
+
+
+@dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenpairs of H = -Laplacian + Psi, orthonormal in the mass inner product."""
+    """Eigenpairs of H = -Laplacian + Psi, orthonormal in the mass inner product.
+
+    The eigenvectors are reached through basis (a DenseBasis or a
+    FourierBasis) and nowhere else.
+    """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # columns, mass-orthonormal
+    basis: DenseBasis | FourierBasis
     potential: PotentialField
     manifold: DiscreteManifold
 
@@ -90,11 +232,11 @@ class SpectralDecomposition:
 
     def coefficients(self, u: np.ndarray, k: int | None = None) -> np.ndarray:
         """Mass inner products <u, phi_j>, j < k (default all), for u or each row of u."""
-        return (u * self.manifold.mass) @ self.eigenvectors[:, :k]
+        return self.basis.coefficients(u, k)
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """Sum of coeffs_j phi_j over the leading coeffs.shape[-1] modes, row by row."""
-        return coeffs @ self.eigenvectors[:, :coeffs.shape[-1]].T
+        return self.basis.synthesize(coeffs)
 
     def cluster_bounds(self) -> np.ndarray:
         """Start index of every eigenvalue cluster, followed by N.
@@ -112,7 +254,7 @@ class SpectralDecomposition:
     def shifted(self, c: float) -> SpectralDecomposition:
         """Exact decomposition of H + c for a constant c, with no new eigh.
 
-        The eigenvectors are shared; eigenvalues and potential move by c and
+        The basis is shared; eigenvalues and potential move by c and
         the clipping rule of decompose is applied again, so a shift down to
         the bare Laplacian keeps its kernel at exactly 0.
         """
@@ -136,8 +278,7 @@ class SpectralDecomposition:
                              f"({self.potential.label})/{lam:g}^2")
         return SpectralDecomposition(
             eigenvalues=self.eigenvalues * inv2,
-            eigenvectors=self.eigenvectors * lam ** (-m.dim / 2.0),
-            potential=psi, manifold=m)
+            basis=self.basis.scaled(lam, m), potential=psi, manifold=m)
 
 
 def _clip(w: np.ndarray) -> np.ndarray:
@@ -151,28 +292,32 @@ def decompose(m: DiscreteManifold, psi: PotentialField) -> SpectralDecomposition
     """Generalized symmetric eigendecomposition of S + M_Psi vs M.
 
     Periodic grids with uniform mass, a Kronecker-sum stiffness and constant
-    Psi get exact Fourier eigenpairs; every other model a dense eigh.
-    Eigenvalues with |lambda| <= 1e-10 * max|lambda| are clipped to exactly
-    0 so the Neumann kernel is detected reliably by the operator calculus.
+    Psi get exact Fourier eigenvalues and a FourierBasis; every other model a
+    dense eigh, refused over DENSE_NODE_GUARD nodes.  Eigenvalues with
+    |lambda| <= 1e-10 * max|lambda| are clipped to exactly 0 so the Neumann
+    kernel is detected reliably by the operator calculus.
     """
     n = m.num_nodes
-    if n > DENSE_NODE_GUARD:
-        raise ValueError(
-            f"{n} nodes exceeds the dense decomposition guard ({DENSE_NODE_GUARD})")
     if psi.values.shape != (n,):
         raise ValueError("potential has wrong shape")
     res = _fourier_grid(m)
     if res is not None and np.all(psi.values == psi.values[0]):
-        w, phi = _fourier_eigenpairs(m, res, float(psi.values[0]))
+        w = _fourier_eigenvalues(m, res)
+        order = np.argsort(w, kind="stable")
+        w = w[order] + psi.values[0]
+        basis = FourierBasis(res=res, dim=m.dim, m0=float(m.mass[0]), order=order)
     else:
-        w, phi = _dense_eigenpairs(m, psi)
-    return SpectralDecomposition(eigenvalues=_clip(w), eigenvectors=phi,
+        w, basis = _dense_eigenpairs(m, psi)
+    return SpectralDecomposition(eigenvalues=_clip(w), basis=basis,
                                  potential=psi, manifold=m)
 
 
 def _dense_eigenpairs(m: DiscreteManifold, psi: PotentialField):
-    """Eigenvalues and mass-orthonormal eigenvectors by a dense eigh."""
+    """Eigenvalues and a DenseBasis by a dense eigh."""
     n = m.num_nodes
+    if n > DENSE_NODE_GUARD:
+        raise ValueError(
+            f"{n} nodes exceeds the dense decomposition guard ({DENSE_NODE_GUARD})")
     sqrt_m = np.sqrt(m.mass)
     a = m.stiffness.toarray()
     a[np.diag_indices(n)] += m.mass * psi.values
@@ -180,7 +325,7 @@ def _dense_eigenpairs(m: DiscreteManifold, psi: PotentialField):
     a /= sqrt_m[None, :]
     a = 0.5 * (a + a.T)
     w, v = la.eigh(a)
-    return w, v / sqrt_m[:, None]
+    return w, DenseBasis(v / sqrt_m[:, None], m.mass)
 
 
 def _periodic_laplacian(res: int) -> sp.csr_matrix:
@@ -235,27 +380,16 @@ def _fourier_axis(res: int) -> tuple[np.ndarray, np.ndarray]:
     return lam, q
 
 
-def _fourier_eigenpairs(m: DiscreteManifold, res: int, psi: float):
-    """Exact eigenpairs on a grid accepted by _fourier_grid, for constant Psi.
+def _fourier_eigenvalues(m: DiscreteManifold, res: int) -> np.ndarray:
+    """Eigenvalues of -Laplacian on a grid accepted by _fourier_grid, per mode.
 
-    Eigenvalues are sums of per-axis 4 sin^2(pi k/res) / h_d^2 plus Psi,
-    in stable ascending order; each eigenvector is the product of one
-    Fourier column per axis over sqrt(m0), formed in one broadcast pass.
+    Mode (k_0, ..., k_(n-1)), in C order like the nodes, has the sum of the
+    per-axis 4 sin^2(pi k/res) / h_d^2.
     """
-    dim = m.dim
-    lam1, q = _fourier_axis(res)
-    modes = np.indices((res,) * dim).reshape(dim, -1)  # C order, like nodes
-    w = sum(lam1[modes[d]] / (period / res) ** 2
-            for d, period in enumerate(m.periods))
-    order = np.argsort(w, kind="stable")
-    factors = []
-    for d in range(dim):
-        shape = [1] * dim + [order.size]
-        shape[d] = res
-        factors.append(q[:, modes[d, order]].reshape(shape))
-    factors[0] = factors[0] / np.sqrt(m.mass[0])
-    phi = reduce(np.multiply, factors).reshape(order.size, order.size)
-    return w[order] + psi, phi
+    lam1 = _fourier_axis(res)[0]
+    modes = np.indices((res,) * m.dim).reshape(m.dim, -1)
+    return sum(lam1[modes[d]] / (period / res) ** 2
+               for d, period in enumerate(m.periods))
 
 
 def _multiplier(dec: SpectralDecomposition,
@@ -302,10 +436,10 @@ def _op_norms_2_to_inf(dec: SpectralDecomposition,
                        fs: list[Callable[[np.ndarray], np.ndarray]]) -> np.ndarray:
     """Exact L2 -> Linf norm max_x sqrt(sum_k f(l_k)^2 phi_k(x)^2) of each f(H).
 
-    The eigenvectors are squared once for all of fs.
+    The basis forms the row sums once for all of fs.
     """
     fw2 = np.stack([_multiplier(dec, f) ** 2 for f in fs], axis=1)
-    return np.sqrt(np.max((dec.eigenvectors ** 2) @ fw2, axis=0))
+    return np.sqrt(np.max(dec.basis.row_sums(fw2), axis=0))
 
 
 def spectrum_rows(dec: SpectralDecomposition) -> list[tuple[int, float]]:

@@ -367,3 +367,76 @@ def test_bad_arguments_fail_before_the_model_is_built(tmp_path, capsys,
     else:
         assert run(tmp_path, *argv) == 1
         one_line_error(capsys, *words)
+
+
+TORUS_JOBS = [
+    ("heat", "--model", "torus:n=2,res=16", "--fit-window", "0.02,0.2",
+     "--spectrum-csv"),
+    ("riesz", "--model", "torus:n=2,res=12", "--p", "2"),
+    ("scaling", "--model", "torus:n=3,res=6", "--lam", "2"),
+    ("flow", "--flow", "torus:n=3,res=6", "--times", "0,0.5", "--theorem",
+     "b3", "--p", "2.5"),
+]
+
+
+@pytest.mark.parametrize("argv", TORUS_JOBS, ids=[a[0] for a in TORUS_JOBS])
+def test_torus_jobs_form_no_dense_eigenbasis(tmp_path, monkeypatch, argv):
+    import numpy as np
+    import scipy.linalg
+
+    from sobolab import spectral
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an N x N eigenbasis was formed")
+
+    monkeypatch.setattr(spectral.FourierBasis, "columns", refuse)
+    monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    assert run(tmp_path, *argv, "--seed", "3", "--size", "20") == 0
+
+
+def test_heat_grid_job_peak_memory_is_below_one_dense_matrix(tmp_path):
+    """The benchmark's heat-grid job on 56^2 nodes allocates less at its
+    peak than one N x N float matrix (79 MB)."""
+    import tracemalloc
+
+    nodes = 56 ** 2
+    tracemalloc.start()
+    try:
+        status = run(tmp_path, "heat", "--model", "torus:n=2,res=56",
+                     "--t-list", "0.01,0.1,1", "--fit-window", "1e-3,1e-2",
+                     "--svg", "--spectrum-csv", "--seed", "1")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert status == 0
+    assert peak < nodes ** 2 * 8
+
+
+@pytest.mark.slow
+def test_heat_on_a_torus_past_the_dense_guard(tmp_path):
+    """65,536 nodes: the Fourier basis needs no node guard, and the decay
+    fit shows t^(-n/4) = t^(-1/2)."""
+    assert run(tmp_path, "heat", "--model", "torus:n=2,res=256",
+               "--t-list", "0.01,0.1,1", "--fit-window", "1e-3,1e-2",
+               "--seed", "7") == 0
+    _, doc = read_artifact(tmp_path, "heat")
+    assert doc["results"]["contraction"]["violations"] == 0
+    assert doc["results"]["ultracontractivity"]["slope"] == pytest.approx(
+        -0.5, abs=0.1)
+
+
+@pytest.mark.parametrize("argv", [
+    ("heat", "--model", "torus:n=2,res=16"),
+    ("flow", "--flow", "torus:n=3,res=6", "--times", "0,0.5", "--theorem",
+     "b3", "--p", "2.5"),
+], ids=["heat", "flow"])
+def test_huge_ensemble_size_is_refused_before_building(tmp_path, capsys,
+                                                       monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("model built before the size was checked")
+
+    monkeypatch.setattr(cli, "build", refuse)
+    monkeypatch.setattr(fl, "build", refuse)
+    assert run(tmp_path, *argv, "--seed", "1", "--size", "1000000000") == 1
+    one_line_error(capsys, "1000000000 members", "member matrix guard")

@@ -284,14 +284,14 @@ def test_spectral_members_leave_the_bump_stream_alone(text):
 
 def _reference_mass_noise(dec, rng, k):
     xi = rng.standard_normal(dec.manifold.num_nodes)
-    return (xi * np.sqrt(dec.manifold.mass)) @ dec.eigenvectors[:, :k]
+    return (xi * np.sqrt(dec.manifold.mass)) @ dec.basis.columns(k)
 
 
 def _reference_band_limited(dec, rng):
     bounds = dec.cluster_bounds()
     k = bounds[np.searchsorted(bounds, min(ct.SPECTRAL_MODES, bounds[-1]))]
     weights = (1.0 + dec.eigenvalues[:k]) ** (-ct.BAND_DECAY / 2.0)
-    return dec.eigenvectors[:, :k] @ (_reference_mass_noise(dec, rng, k) * weights)
+    return dec.basis.columns(k) @ (_reference_mass_noise(dec, rng, k) * weights)
 
 
 def _reference_eigen_mix(dec, rng):
@@ -302,7 +302,7 @@ def _reference_eigen_mix(dec, rng):
     keep = np.zeros(k)
     for c in picked:
         keep[bounds[c]:bounds[c + 1]] = 1.0
-    return dec.eigenvectors[:, :k] @ (_reference_mass_noise(dec, rng, k) * keep)
+    return dec.basis.columns(k) @ (_reference_mass_noise(dec, rng, k) * keep)
 
 
 def _reference_ensemble(m, spec, dec):
@@ -349,3 +349,14 @@ def test_ensemble_matches_member_at_a_time_reference(text, monkeypatch):
                 assert np.array_equal(a, b), (spec, i)
             else:
                 assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), (spec, i)
+
+
+def test_worst_ratio_witness_is_the_earliest_tie():
+    top = 1.0 + 4e-15
+    worst = ct._worst_ratio([0.5, 1.0, top, 1.0 - 1e-9], [1.0, 1.0, 1.0, 1.0])
+    assert (worst.ratio, worst.witness) == (top, 1)  # the maximum, tied earlier
+    worst = ct._worst_ratio([1.0, 2.0, 3.0], [1.0, 0.0, 0.0])  # two inf ratios
+    assert (worst.ratio, worst.witness, worst.used) == (math.inf, 1, 3)
+    worst = ct._worst_ratio([-2.0, -1.0 - 1e-13, -1.0], [1.0, 1.0, 1.0])
+    assert (worst.ratio, worst.witness) == (-1.0, 1)
+    assert ct._worst_ratio([0.0], [0.0]) == (-math.inf, -1, 0, 0)

@@ -3,7 +3,7 @@
 An import that nothing uses, or an ``__all__`` entry that names nothing, is
 dead weight that no other test notices: a tool that walks ``__all__`` with
 ``getattr(module, name, None)`` skips a missing name silently.  The
-eigenvector matrix is read inside ``spectral`` only.
+eigenbasis of a decomposition is read inside ``spectral`` only.
 """
 
 import ast
@@ -72,9 +72,9 @@ def test_every_all_entry_names_something(path):
 
 @pytest.mark.parametrize("path", NOT_SPECTRAL, ids=[p.name for p in NOT_SPECTRAL])
 def test_only_spectral_reads_the_eigenbasis(path):
-    """Other modules go through coefficients/synthesize, so the dense
-    eigenvector matrix can be replaced by another basis inside spectral."""
+    """Other modules go through coefficients/synthesize, so which basis a
+    decomposition holds (dense or Fourier) is a matter for spectral alone."""
     tree = ast.parse(path.read_text())
     reads = [n.lineno for n in ast.walk(tree)
-             if isinstance(n, ast.Attribute) and n.attr == "eigenvectors"]
-    assert not reads, f"{path.name} reads eigenvectors on lines {reads}"
+             if isinstance(n, ast.Attribute) and n.attr == "basis"]
+    assert not reads, f"{path.name} reads the basis on lines {reads}"

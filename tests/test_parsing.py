@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from sobolab.cli import MAX_TIME_SAMPLES, _parse_times
 from sobolab.flow import ExactFlow, parse_flow_spec
-from sobolab.manifold import ModelSpec, parse_model_spec
+from sobolab.manifold import MEMBER_GUARD, ModelSpec, parse_model_spec
 
 GARBAGE = st.text(alphabet=st.characters(blacklist_categories=("Nd", "Cs")),
                   max_size=8)
@@ -80,6 +80,23 @@ def test_specs_over_the_node_guard_are_refused_before_building(parse, text,
         parse(text)
     assert count in str(err.value) and "\n" not in str(err.value)
 
+
+def test_member_guard_bounds_size_times_nodes():
+    """Tori are not held to the dense node guard; on every model the member
+    matrix (ensemble size x nodes) is bounded before anything is built."""
+    assert parse_model_spec("torus:n=2,res=256", members=200).resolution == 256
+    assert 256 ** 2 * 200 <= MEMBER_GUARD
+    with pytest.raises(ValueError, match="dense decomposition guard"):
+        parse_model_spec("box:n=2,res=64")
+    for parse, text in [(parse_model_spec, "torus:n=2,res=16"),
+                        (parse_model_spec, "sphere:r=1,subdiv=2"),
+                        (parse_flow_spec, "torus:n=3,res=6"),
+                        (parse_flow_spec, "sphere:r0=1,subdiv=2")]:
+        with pytest.raises(ValueError, match="member matrix guard") as err:
+            parse(text, members=10 ** 9)
+        assert "\n" not in str(err.value)
+    with pytest.raises(ValueError, match="2\\^300 nodes times 1 members"):
+        parse_model_spec("torus:n=300,res=2")
 
 @pytest.mark.parametrize("parse, text", [
     (parse_model_spec, "torus:n=1000000,res=1,L=1"),

@@ -311,3 +311,19 @@ def test_scaling_transfer_rejects_shrinking(torus3_coarse, torus3_coarse_dec1,
     with pytest.raises(ValueError, match="Psi = 1"):
         scaling_transfer_check(torus3_coarse, 2.0, 3.0, 1.5, torus3_members[:5],
                                torus3_coarse_dec1.shifted(-1.0))
+
+
+def test_contraction_witness_is_stable_on_tied_ratios(torus2_fit,
+                                                      torus2_fit_dec1):
+    """The README heat example (seed 7): positive members and constants all
+    contract by exactly e^{-t} in L^1, so the top ratios agree to roundoff
+    and a 1-ULP change of the members must not move the witness."""
+    m, dec = torus2_fit, torus2_fit_dec1
+    members = generate_ensemble(m, EnsembleSpec(seed=7), dec=dec)
+    args = (m, dec, [0.01, 0.1, 1.0], [1.0, 2.0, math.inf])
+    rep = heat_contraction_check(*args, members)
+    nudged = heat_contraction_check(*args, np.nextafter(members, np.inf))
+    assert nudged.worst_case == rep.worst_case
+    assert (nudged.violations, nudged.cases) == (rep.violations, rep.cases) \
+        == (0, 1800)
+    assert nudged.worst_ratio == pytest.approx(rep.worst_ratio, rel=1e-14)

@@ -18,7 +18,7 @@ from sobolab.spectral import (DENSE_NODE_GUARD, PotentialField,
 def test_torus_kernel_is_constant(torus2, torus2_dec0):
     dec = torus2_dec0
     assert dec.eigenvalues[0] == 0.0
-    phi0 = dec.eigenvectors[:, 0]
+    phi0 = dec.basis.columns(1)[:, 0]
     assert np.max(np.abs(phi0 - phi0[0])) < 1e-8 * np.abs(phi0[0])
 
 
@@ -75,8 +75,9 @@ def test_decompose_guard_and_bad_potential(torus2):
         decompose(torus2, PotentialField(fake, "short"))
     with pytest.raises(ValueError):
         PotentialField(np.array([np.nan]), "bad")
-    # a mesh built in code bypasses the spec parsers' size gate
-    big = build(ModelSpec("torus", dim=2, resolution=64))
+    # a mesh built in code bypasses the spec parsers' size gate; a box
+    # decomposes densely at every size
+    big = build(ModelSpec("box", dim=2, resolution=64))
     assert big.num_nodes > DENSE_NODE_GUARD
     with pytest.raises(ValueError, match="guard"):
         decompose(big, constant_potential(big, 0.0))
@@ -86,13 +87,14 @@ def test_residual_and_orthonormality(sphere3, sphere3_dec1):
     dec = sphere3_dec1
     s = sphere3.stiffness.toarray()
     mpsi = np.diag(sphere3.mass * dec.potential.values)
-    lhs = (s + mpsi) @ dec.eigenvectors
-    rhs = sphere3.mass[:, None] * dec.eigenvectors * dec.eigenvalues[None, :]
+    phi = dec.basis.columns()
+    lhs = (s + mpsi) @ phi
+    rhs = sphere3.mass[:, None] * phi * dec.eigenvalues[None, :]
     resid = lhs - rhs
     # mass-norm residual per eigenpair
     norms = np.sqrt(np.sum(resid * resid / sphere3.mass[:, None], axis=0))
     assert np.all(norms <= 1e-8 * (1.0 + np.abs(dec.eigenvalues)))
-    gram = dec.eigenvectors.T @ (sphere3.mass[:, None] * dec.eigenvectors)
+    gram = phi.T @ (sphere3.mass[:, None] * phi)
     assert np.max(np.abs(gram - np.eye(sphere3.num_nodes))) < 1e-8
 
 
@@ -257,7 +259,7 @@ def test_scaled_view_matches_decompose(view_base, lam):
     assert np.array_equal(view.manifold.mass, ms.mass)
     assert np.array_equal(view.potential.values, direct.potential.values)
     assert_same_operator(view, direct)
-    phi = view.eigenvectors
+    phi = view.basis.columns()
     gram = phi.T @ (ms.mass[:, None] * phi)
     assert np.max(np.abs(gram - np.eye(ms.num_nodes))) <= 1e-12
     # the potential scales with the operator: Psi = 1 becomes 1/lam^2
@@ -289,7 +291,7 @@ def _dense(m, psi):
 
 def _max_residual(dec):
     """max |(S + M Psi) phi_k - lambda_k M phi_k| over nodes and pairs."""
-    m, phi = dec.manifold, dec.eigenvectors
+    m, phi = dec.manifold, dec.basis.columns()
     resid = (m.stiffness @ phi + (m.mass * dec.potential.values)[:, None] * phi
              - m.mass[:, None] * phi * dec.eigenvalues[None, :])
     return np.max(np.abs(resid))
@@ -304,7 +306,7 @@ def test_fourier_eigenpairs_match_dense(text):
     lam_max = np.max(np.abs(dense.eigenvalues))
     assert np.max(np.abs(fourier.eigenvalues - dense.eigenvalues)) \
         <= 1e-12 * lam_max
-    phi = fourier.eigenvectors
+    phi = fourier.basis.columns()
     gram = phi.T @ (m.mass[:, None] * phi)
     assert np.max(np.abs(gram - np.eye(m.num_nodes))) <= 1e-12
     assert _max_residual(fourier) <= 1e-12 * lam_max * np.max(m.mass)
@@ -318,6 +320,48 @@ def test_fourier_eigenpairs_match_dense(text):
     spec = EnsembleSpec(seed=9, size=60, generator="mixed")
     a = generate_ensemble(m, spec, dec=fourier)
     b = generate_ensemble(m, spec, dec=dense)
+    assert np.all(np.max(np.abs(a - b), axis=1)
+                  <= 1e-9 * np.max(np.abs(b), axis=1))
+
+
+@pytest.mark.parametrize("text", FOURIER_SPECS)
+def test_fourier_basis_matches_its_explicit_columns(text):
+    """The FFT coefficients, syntheses, f(H) and 2->inf norms equal the
+    products with the closed-form columns, on views of the basis too."""
+    m = build(text)
+    base = decompose(m, constant_potential(m, 1.0))
+    assert isinstance(base.basis, spectral.FourierBasis)
+    n = m.num_nodes
+    u = np.random.default_rng(6).standard_normal((4, n))
+    fs = [heat_multiplier(t) for t in (1e-3, 0.05, 1.0)]
+    for dec in (base, base.shifted(-1.0), base.scaled(2.0),
+                base.shifted(-1.0).scaled(0.6).shifted(1.0)):
+        phi = dec.basis.columns()
+        explicit = SpectralDecomposition(
+            dec.eigenvalues, spectral.DenseBasis(phi, dec.manifold.mass),
+            dec.potential, dec.manifold)
+        for k in (None, n // 3):
+            assert np.array_equal(dec.basis.columns(k), phi[:, :k])
+            want = explicit.coefficients(u, k)
+            got = dec.coefficients(u, k)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            assert np.max(np.abs(dec.coefficients(u[0], k) - want[0])) \
+                <= 1e-12 * np.max(np.abs(want))
+            want = explicit.synthesize(got)
+            assert np.max(np.abs(dec.synthesize(got) - want)) \
+                <= 1e-12 * np.max(np.abs(want))
+        for f in fs + [np.sqrt, lambda lam: lam]:
+            want = apply_function(explicit, f, u)
+            assert np.max(np.abs(apply_function(dec, f, u) - want)) \
+                <= 1e-12 * np.max(np.abs(want))
+        want = spectral._op_norms_2_to_inf(explicit, fs)
+        assert np.all(np.abs(spectral._op_norms_2_to_inf(dec, fs) - want)
+                      <= 1e-12 * want)
+    spec = EnsembleSpec(seed=9, size=60, generator="mixed")
+    a = generate_ensemble(m, spec, dec=base)
+    b = generate_ensemble(m, spec, dec=SpectralDecomposition(
+        base.eigenvalues, spectral.DenseBasis(base.basis.columns(), m.mass),
+        base.potential, m))
     assert np.all(np.max(np.abs(a - b), axis=1)
                   <= 1e-9 * np.max(np.abs(b), axis=1))
 
