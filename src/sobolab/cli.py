@@ -122,14 +122,16 @@ def _cmd_verify(args):
 
 
 def _cmd_heat(args):
+    window = _parse_floats(args.fit_window or "")
+    if args.fit_window and len(window) != 2:
+        raise ValueError(f"--fit-window needs t_low,t_high, got {args.fit_window!r}")
     m, dec1, spec, members = _prepare(args)
     rep = sg.heat_contraction_check(m, dec1, _parse_floats(args.t_list),
                                     [1.0, 2.0, math.inf], members)
     results = {"contraction": to_plain(rep), "model": m.label}
     status = 0 if rep.passed else 2
-    if args.fit_window:
-        lo, hi = _parse_floats(args.fit_window)
-        fit = sg.ultracontractivity_fit(dec1, lo, hi)
+    if window:
+        fit = sg.ultracontractivity_fit(dec1, *window)
         results["ultracontractivity"] = {
             "c_hat": fit.c_hat, "mu_hat": fit.mu_hat, "slope": fit.slope,
             "t": list(fit.t_values), "norms": list(fit.norms),
@@ -319,26 +321,54 @@ _BODIES = {
 }
 
 
+def _config_value(action, value):
+    """A config value as its flag would parse it: a switch takes a JSON
+    boolean; any other flag passes str(value) through its type and choices."""
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            raise ValueError(f"{value!r} is not true or false")
+        return value
+    value = (action.type or str)(str(value))
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"{value!r} is not one of {list(action.choices)}")
+    return value
+
+
 def _apply_config_file(parser, args) -> None:
-    """Config values fill any flag still at its parser default; flags win."""
+    """Config values fill any flag still at its parser default; flags win.
+
+    A JSON null leaves the default; a bad file or value is a ValueError
+    naming it.
+    """
     if not getattr(args, "config", None):
         return
-    defaults = json.loads(Path(args.config).read_text())
+    try:
+        defaults = json.loads(Path(args.config).read_text())
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"config file {args.config}: {exc}") from None
+    if not isinstance(defaults, dict):
+        raise ValueError(f"config file {args.config} must hold a JSON object")
+    actions = {action.dest: action for action in parser._actions}
     for key, value in defaults.items():
-        attr = key.replace("-", "_")
-        if hasattr(args, attr) and getattr(args, attr) == parser.get_default(attr):
-            setattr(args, attr, value)
+        action = actions.get(key.replace("-", "_"))
+        if (action is None or value is None
+                or getattr(args, action.dest, None) != action.default):
+            continue
+        try:
+            setattr(args, action.dest, _config_value(action, value))
+        except ValueError as exc:
+            raise ValueError(f"config key {key!r}: {exc}") from None
 
 
 def main(argv=None) -> int:
     parser, command_parsers = build_parser()
     args = parser.parse_args(argv)
-    _apply_config_file(command_parsers[args.command], args)
-    if args.command == "report" and args.dir is None:
-        args.dir = str(_out_dir(args))
-    config = {k: v for k, v in sorted(vars(args).items())
-              if k not in ("command", "out", "config")}
     try:
+        _apply_config_file(command_parsers[args.command], args)
+        if args.command == "report" and args.dir is None:
+            args.dir = str(_out_dir(args))
+        config = {k: v for k, v in sorted(vars(args).items())
+                  if k not in ("command", "out", "config")}
         results, status = _BODIES[args.command](args)
         payload = _payload(args.command, config, results)
         path = write_artifact(_out_dir(args), args.command, payload)

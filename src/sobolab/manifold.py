@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 DENSE_NODE_GUARD = 4000  # nodes of a sphere or box (dense decomposition)
+TORUS_AXIS_GUARD = 256  # nodes per torus axis (Fourier products cost O(res))
 MEMBER_GUARD = 2 ** 24  # ensemble size x nodes: a 128 MiB member matrix
 VALIDATE_RTOL = 1e-10  # invariant residuals allowed, relative to |stiffness|
 
@@ -187,10 +188,11 @@ def _check_node_count(variant: str, dim: int, res: int, members: int) -> None:
 
     A grid has res^dim nodes and an icosphere (res = subdiv) 10 * 4^res + 2.
     Spheres and boxes, which decompose only densely, may have at most
-    DENSE_NODE_GUARD nodes; on every model, members x nodes (the member
-    matrix of an ensemble) may be at most MEMBER_GUARD.  A power of 256
-    bits or more is named but never formed, so a huge n or subdiv costs
-    nothing.  Sizes that ModelSpec rejects pass unchecked.
+    DENSE_NODE_GUARD nodes, and a torus axis at most TORUS_AXIS_GUARD; on
+    every model, members x nodes (the member matrix of an ensemble) may be
+    at most MEMBER_GUARD.  A power of 256 bits or more is named but never
+    formed, so a huge n or subdiv costs nothing.  Sizes that ModelSpec
+    rejects pass unchecked.
     """
     sphere = variant == "sphere"
     base, exp = (4, res) if sphere else (res, dim)
@@ -204,6 +206,9 @@ def _check_node_count(variant: str, dim: int, res: int, members: int) -> None:
     if variant != "torus" and n > DENSE_NODE_GUARD:
         raise ValueError(f"{variant} model of {count} nodes exceeds the dense "
                          f"decomposition guard ({DENSE_NODE_GUARD})")
+    if variant == "torus" and res > TORUS_AXIS_GUARD:
+        raise ValueError(f"torus model of {count} nodes exceeds the axis "
+                         f"guard ({TORUS_AXIS_GUARD} nodes per axis)")
     if n * members > MEMBER_GUARD:
         raise ValueError(f"{variant} model of {count} nodes times {members} "
                          f"members exceeds the member matrix guard "

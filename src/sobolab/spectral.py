@@ -1,11 +1,11 @@
 """Spectral decomposition of H = -Laplacian + Psi and operator calculus f(H).
 
 The generalized symmetric problem (S + M_Psi) phi = lambda M phi is solved
-in closed form on a periodic grid with uniform mass and constant Psi (a
-tensor product of real Fourier modes, applied by axis-wise real FFTs), and
-otherwise reduced via the diagonal mass square root and solved with a dense
-symmetric eigensolver; every operator function (heat semigroup, fractional
-powers, resolvents) is evaluated on the resulting eigenpairs.
+in closed form on a periodic grid with uniform mass and constant Psi (real
+Fourier modes, applied by one product per axis with the res x res Fourier
+matrix), and otherwise reduced via the diagonal mass square root and solved
+with a dense symmetric eigensolver; every operator function (heat semigroup,
+fractional powers, resolvents) is evaluated on the resulting eigenpairs.
 """
 
 from __future__ import annotations
@@ -111,47 +111,41 @@ class DenseBasis:
 class FourierBasis:
     """Products of real Fourier columns over sqrt(m0) on a res^dim periodic grid.
 
-    Eigenvector k is the mode order[k] (C order over the axes, each axis in
-    the column order of _fourier_axis).  Coefficients and syntheses are
-    axis-wise real FFTs, so the N x N matrix is formed only by columns().
+    Eigenvector k is the mode order[k] (C order over the axes, each axis a
+    column of q = _fourier_axis(res)[1]).  Coefficients and syntheses apply
+    the res x res matrix q along every axis, O(res) per entry per axis, so
+    the N x N matrix is formed only by columns().
     """
 
-    res: int
+    q: np.ndarray  # the real Fourier columns of one axis
     dim: int
     m0: float  # the uniform node mass
     order: np.ndarray  # stable ascending-eigenvalue permutation of the modes
 
-    def _grid(self, u: np.ndarray) -> np.ndarray:
-        return u.reshape(u.shape[:-1] + (self.res,) * self.dim)
-
     def coefficients(self, u: np.ndarray, k: int | None = None) -> np.ndarray:
-        c = self._grid(u)
-        for axis in range(-self.dim, 0):
-            c = _real_fourier(c, axis)
-        c = c.reshape(u.shape)[..., self.order[:k]]
+        c = _per_axis(self.q.T, u, self.dim).reshape(u.shape)[..., self.order[:k]]
         c *= np.sqrt(self.m0)
         return c
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        shape = coeffs.shape[:-1] + self.order.shape
-        u = np.zeros(shape)
-        u[..., self.order[:coeffs.shape[-1]]] = coeffs
-        u = self._grid(u)
-        for axis in range(-self.dim, 0):  # rebinding frees each input early
-            u = _real_fourier_inverse(u, axis)
+        u = _per_axis(self.q, self._scatter(coeffs), self.dim)
         u /= np.sqrt(self.m0)
-        return u.reshape(shape)
+        return u.reshape(coeffs.shape[:-1] + self.order.shape)
+
+    def _scatter(self, coeffs: np.ndarray) -> np.ndarray:
+        u = np.zeros(coeffs.shape[:-1] + self.order.shape)
+        u[..., self.order[:coeffs.shape[-1]]] = coeffs
+        return u
 
     def columns(self, k: int | None = None) -> np.ndarray:
-        """The leading k columns in closed form, without an FFT."""
-        q = _fourier_axis(self.res)[1]
-        modes = np.indices((self.res,) * self.dim).reshape(self.dim, -1)
+        """The leading k columns in closed form, as products of columns of q."""
+        modes = np.indices(self.q.shape[:1] * self.dim).reshape(self.dim, -1)
         keep = self.order[:k]
         factors = []
         for d in range(self.dim):
             shape = [1] * self.dim + [keep.size]
-            shape[d] = self.res
-            factors.append(q[:, modes[d, keep]].reshape(shape))
+            shape[d] = -1
+            factors.append(self.q[:, modes[d, keep]].reshape(shape))
         phi = reduce(np.multiply, factors).reshape(self.order.size, keep.size)
         return phi / np.sqrt(self.m0)
 
@@ -170,47 +164,17 @@ class FourierBasis:
         return replace(self, m0=float(m.mass[0]))
 
 
-_SQRT2 = np.sqrt(2.0)
+def _per_axis(a: np.ndarray, u: np.ndarray, dim: int) -> np.ndarray:
+    """The res x res matrix a applied along every axis of u on res^dim nodes.
 
-
-def _along(axis: int, index) -> tuple:
-    """An index tuple taking index on a negative axis and all of the others."""
-    return (Ellipsis, index) + (slice(None),) * (-axis - 1)
-
-
-def _real_fourier(u: np.ndarray, axis: int) -> np.ndarray:
-    """Coefficients of u along a negative axis against the _fourier_axis columns.
-
-    With the orthonormal rfft F: c_0 = Re F_0, c_(2k-1) = sqrt 2 Re F_k,
-    c_(2k) = -sqrt 2 Im F_k, and for even res the last c is Re F_(res/2).
+    u is a node function or a member matrix in C grid order, and the result
+    has rows of res.  Rebinding u frees each input once the next product
+    exists, so a temporary passed in costs no extra copy.
     """
-    res = u.shape[axis]
-    f = np.fft.rfft(u, axis=axis, norm="ortho")
-    c = np.empty(u.shape)
-    c[_along(axis, 0)] = f[_along(axis, 0)].real
-    np.multiply(f[_along(axis, slice(1, None))].real, _SQRT2,
-                out=c[_along(axis, slice(1, None, 2))])
-    np.multiply(f[_along(axis, slice(1, (res + 1) // 2))].imag, -_SQRT2,
-                out=c[_along(axis, slice(2, None, 2))])
-    if res % 2 == 0:
-        c[_along(axis, -1)] = f[_along(axis, -1)].real
-    return c
-
-
-def _real_fourier_inverse(c: np.ndarray, axis: int) -> np.ndarray:
-    """The inverse of _real_fourier: node values sum_j c_j q_j along axis."""
-    res = c.shape[axis]
-    shape = list(c.shape)
-    shape[axis] = res // 2 + 1
-    f = np.empty(shape, dtype=complex)
-    f[_along(axis, 0)] = c[_along(axis, 0)]
-    np.divide(c[_along(axis, slice(1, None, 2))], _SQRT2,
-              out=f[_along(axis, slice(1, None))].real)
-    np.divide(c[_along(axis, slice(2, None, 2))], -_SQRT2,
-              out=f[_along(axis, slice(1, (res + 1) // 2))].imag)
-    if res % 2 == 0:
-        f[_along(axis, -1)] = c[_along(axis, -1)]
-    return np.fft.irfft(f, n=res, axis=axis, norm="ortho")
+    res = a.shape[0]
+    for d in range(dim - 1):
+        u = np.matmul(a, u.reshape(-1, res, res ** (dim - 1 - d)))
+    return u.reshape(-1, res) @ a.T
 
 
 @dataclass(frozen=True)
@@ -305,7 +269,8 @@ def decompose(m: DiscreteManifold, psi: PotentialField) -> SpectralDecomposition
         w = _fourier_eigenvalues(m, res)
         order = np.argsort(w, kind="stable")
         w = w[order] + psi.values[0]
-        basis = FourierBasis(res=res, dim=m.dim, m0=float(m.mass[0]), order=order)
+        basis = FourierBasis(q=_fourier_axis(res)[1], dim=m.dim,
+                             m0=float(m.mass[0]), order=order)
     else:
         w, basis = _dense_eigenpairs(m, psi)
     return SpectralDecomposition(eigenvalues=_clip(w), basis=basis,

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -178,6 +179,22 @@ def test_config_file_provides_defaults(tmp_path):
     assert doc["config"]["generator"] == "eigen-mix"  # explicit flag wins
 
 
+@pytest.mark.parametrize("content, words", [
+    (None, ["config file", "No such file"]),
+    ("{", ["config file", "Expecting"]),
+    ("[1, 2]", ["config file", "JSON object"]),
+    ('{"size": "abc"}', ["config key 'size'", "'abc'"]),
+    ('{"svg": "no"}', ["config key 'svg'", "true or false"]),
+    ('{"model": 5}', ["model variant '5'"]),
+], ids=["missing", "malformed", "list", "bad-size", "bad-switch", "number-model"])
+def test_bad_config_file_is_a_one_line_error(tmp_path, capsys, content, words):
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_text(content)
+    assert run(tmp_path, "heat", "--seed", "1", "--config", str(cfg)) == 1
+    one_line_error(capsys, *words)
+
+
 def test_artifacts_never_mutated(tmp_path):
     run(tmp_path, "ladder", "--n", "3", "--p0", "2", "--target", "2.5")
     path = sorted(Path(tmp_path).glob("ladder_*.json"))[0]
@@ -352,7 +369,9 @@ def test_heat_on_a_torus_makes_no_dense_eigendecomposition(tmp_path,
     (("estimate", "--p", "2", "--seed", "1"), ["p < dim"]),
     (("w2p", "--p", "1.5", "--mu", "3", "--seed", "1"), ["w2p requires p"]),
     (("scaling", "--mu", "1", "--p", "1.5", "--seed", "1"), ["mu=1", "p=1.5"]),
-], ids=["riesz-no-seed", "verify-p=n", "estimate-p=n", "w2p-p=mu/2", "scaling-mu<p"])
+    (("heat", "--fit-window", "1e-3", "--seed", "1"), ["--fit-window", "'1e-3'"]),
+], ids=["riesz-no-seed", "verify-p=n", "estimate-p=n", "w2p-p=mu/2", "scaling-mu<p",
+        "heat-one-fit-window-value"])
 def test_bad_arguments_fail_before_the_model_is_built(tmp_path, capsys,
                                                       monkeypatch, argv, words):
     def refuse(*args, **kwargs):
@@ -411,6 +430,31 @@ def test_heat_grid_job_peak_memory_is_below_one_dense_matrix(tmp_path):
         tracemalloc.stop()
     assert status == 0
     assert peak < nodes ** 2 * 8
+
+
+THREADED_TORUS_JOBS = [
+    ("heat", "--model", "torus:n=2,res=56", "--fit-window", "1e-3,1e-2"),
+    ("riesz", "--model", "torus:n=3,res=8"),
+]
+
+
+def test_torus_reports_are_byte_identical_across_blas_thread_counts(tmp_path):
+    """Torus jobs apply the eigenbasis by BLAS products along the grid axes;
+    each entry's sum runs in the same order at any thread count, so the
+    content-addressed artifact names agree."""
+    src = str(Path(sobolab.__file__).resolve().parents[1])
+    names = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        out = tmp_path / f"threads{threads}"
+        for argv in THREADED_TORUS_JOBS:
+            subprocess.run([sys.executable, "-m", "sobolab", *argv, "--seed", "5",
+                            "--out", str(out)], env=env, check=True,
+                           stdout=subprocess.DEVNULL)
+        names.append(sorted(p.name for p in out.iterdir()))
+    assert len(names[0]) == len(THREADED_TORUS_JOBS)
+    assert names[0] == names[1]
 
 
 @pytest.mark.slow

@@ -73,6 +73,9 @@ def test_parse_model_spec_parses_or_raises_value_error(text):
     (parse_model_spec, "sphere:r=1", "10*4^16+2 = 42949672962"),
     (parse_model_spec, "torus:n=40,res=2", "2^40 = 1099511627776"),
     (parse_flow_spec, "sphere:r0=1,subdiv=5", "10*4^5+2 = 10242"),
+    (parse_model_spec, "torus:n=1,res=257", "257^1 = 257"),
+    (parse_model_spec, "torus:n=2,res=512", "512^2 = 262144"),
+    (parse_flow_spec, "torus:n=1,res=300", "300^1 = 300"),
 ])
 def test_specs_over_the_node_guard_are_refused_before_building(parse, text,
                                                                count):

@@ -326,7 +326,7 @@ def test_fourier_eigenpairs_match_dense(text):
 
 @pytest.mark.parametrize("text", FOURIER_SPECS)
 def test_fourier_basis_matches_its_explicit_columns(text):
-    """The FFT coefficients, syntheses, f(H) and 2->inf norms equal the
+    """The per-axis coefficients, syntheses, f(H) and 2->inf norms equal the
     products with the closed-form columns, on views of the basis too."""
     m = build(text)
     base = decompose(m, constant_potential(m, 1.0))
@@ -364,6 +364,26 @@ def test_fourier_basis_matches_its_explicit_columns(text):
         base.potential, m))
     assert np.all(np.max(np.abs(a - b), axis=1)
                   <= 1e-9 * np.max(np.abs(b), axis=1))
+
+
+def test_fourier_transforms_peak_below_three_member_matrices():
+    """coefficients and synthesize on a 200-member 56^2 torus matrix each
+    hold at most two member-sized arrays at once: every axis product frees
+    its input, the caller's matrix aside."""
+    import tracemalloc
+
+    m = build("torus:n=2,res=56")
+    dec = decompose(m, constant_potential(m, 1.0))
+    u = np.random.default_rng(8).standard_normal((200, m.num_nodes))
+    c = dec.coefficients(u)
+    for transform, arg in ((dec.coefficients, u), (dec.synthesize, c)):
+        tracemalloc.start()
+        try:
+            transform(arg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * arg.nbytes, transform.__name__
 
 
 def _perturbed_torus():
