@@ -60,8 +60,18 @@ def _prepare(args):
     return m, dec1, spec, members
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x]
+def _parse_floats(text: str, flag: str) -> list[float]:
+    """A non-empty comma list of finite numbers; a ValueError naming flag."""
+    try:
+        values = [float(x) for x in text.split(",") if x]
+    except ValueError:
+        raise ValueError(f"{flag} needs comma-separated numbers, "
+                         f"got {text!r}") from None
+    if not values:
+        raise ValueError(f"{flag} needs at least one value, got {text!r}")
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{flag} values must be finite, got {text!r}")
+    return values
 
 
 def _parse_times(text: str) -> list[float]:
@@ -78,10 +88,7 @@ def _parse_times(text: str) -> list[float]:
             raise ValueError(f"time range {text!r} has more than "
                              f"{MAX_TIME_SAMPLES} samples")
         return [a + i * step for i in range(int(round(n)) + 1)]
-    times = _parse_floats(text)
-    if not all(map(math.isfinite, times)):
-        raise ValueError(f"sample times must be finite, got {text!r}")
-    return times
+    return _parse_floats(text, "--times")
 
 
 # ---------------------------------------------------------------------------
@@ -105,10 +112,10 @@ def _cmd_bootstrap(args):
 
 
 def _cmd_estimate(args):
+    b_grid = tuple(_parse_floats(args.b_grid, "--b-grid"))
     ct._pstar(parse_model_spec(args.model).dim, args.p)  # before building
     m, dec1, spec, members = _prepare(args)
-    est = ct.estimate_sobolev_AB(m, args.p, members,
-                                 b_grid=tuple(_parse_floats(args.b_grid)),
+    est = ct.estimate_sobolev_AB(m, args.p, members, b_grid=b_grid,
                                  meta=spec.meta())
     return {"estimate": to_plain(est), "model": m.label}, 0
 
@@ -122,12 +129,16 @@ def _cmd_verify(args):
 
 
 def _cmd_heat(args):
-    window = _parse_floats(args.fit_window or "")
-    if args.fit_window and len(window) != 2:
-        raise ValueError(f"--fit-window needs t_low,t_high, got {args.fit_window!r}")
+    t_list = _parse_floats(args.t_list, "--t-list")
+    window = []
+    if args.fit_window:
+        window = _parse_floats(args.fit_window, "--fit-window")
+        if len(window) != 2:
+            raise ValueError(
+                f"--fit-window needs t_low,t_high, got {args.fit_window!r}")
     m, dec1, spec, members = _prepare(args)
-    rep = sg.heat_contraction_check(m, dec1, _parse_floats(args.t_list),
-                                    [1.0, 2.0, math.inf], members)
+    rep = sg.heat_contraction_check(m, dec1, t_list, [1.0, 2.0, math.inf],
+                                    members)
     results = {"contraction": to_plain(rep), "model": m.label}
     status = 0 if rep.passed else 2
     if window:
@@ -233,8 +244,17 @@ def _add_common(p, *, model=True, seed=True):
                        choices=["none", "unit-l2"])
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 with one line, like every other error (exit 2
+    means an inequality check found violations).  Subparsers share the
+    class."""
+
+    def error(self, message):
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="sobolab",
         description="Numerical laboratory for Sobolev constants on "
                     "discretized manifolds.")

@@ -4,8 +4,9 @@ The generalized symmetric problem (S + M_Psi) phi = lambda M phi is solved
 in closed form on a periodic grid with uniform mass and constant Psi (real
 Fourier modes, applied by one product per axis with the res x res Fourier
 matrix), and otherwise reduced via the diagonal mass square root and solved
-with a dense symmetric eigensolver; every operator function (heat semigroup,
-fractional powers, resolvents) is evaluated on the resulting eigenpairs.
+in place by LAPACK's symmetric divide and conquer (dsyevd); every operator
+function (heat semigroup, fractional powers, resolvents) is evaluated on the
+resulting eigenpairs.
 """
 
 from __future__ import annotations
@@ -257,7 +258,8 @@ def decompose(m: DiscreteManifold, psi: PotentialField) -> SpectralDecomposition
 
     Periodic grids with uniform mass, a Kronecker-sum stiffness and constant
     Psi get exact Fourier eigenvalues and a FourierBasis; every other model a
-    dense eigh, refused over DENSE_NODE_GUARD nodes.  Eigenvalues with
+    dense divide-and-conquer solve of the mass-reduced matrix, refused over
+    DENSE_NODE_GUARD nodes.  Eigenvalues with
     |lambda| <= 1e-10 * max|lambda| are clipped to exactly 0 so the Neumann
     kernel is detected reliably by the operator calculus.
     """
@@ -278,7 +280,14 @@ def decompose(m: DiscreteManifold, psi: PotentialField) -> SpectralDecomposition
 
 
 def _dense_eigenpairs(m: DiscreteManifold, psi: PotentialField):
-    """Eigenvalues and a DenseBasis by a dense eigh."""
+    """Eigenvalues and a DenseBasis by LAPACK divide and conquer (dsyevd).
+
+    The mass-reduced matrix M^(-1/2) (S + M_Psi) M^(-1/2) is symmetrised and
+    solved in place, and the eigenvectors are scaled by 1/sqrt(mass) in
+    place, so no second N x N array is kept besides LAPACK's workspace.
+    LAPACK gets the F-contiguous view a.T, the same symmetric matrix,
+    because a C-order array would be copied first.
+    """
     n = m.num_nodes
     if n > DENSE_NODE_GUARD:
         raise ValueError(
@@ -288,9 +297,11 @@ def _dense_eigenpairs(m: DiscreteManifold, psi: PotentialField):
     a[np.diag_indices(n)] += m.mass * psi.values
     a /= sqrt_m[:, None]
     a /= sqrt_m[None, :]
-    a = 0.5 * (a + a.T)
-    w, v = la.eigh(a)
-    return w, DenseBasis(v / sqrt_m[:, None], m.mass)
+    a += a.T
+    a *= 0.5
+    w, v = la.eigh(a.T, driver="evd", overwrite_a=True, check_finite=False)
+    v /= sqrt_m[:, None]
+    return w, DenseBasis(v, m.mass)
 
 
 def _periodic_laplacian(res: int) -> sp.csr_matrix:

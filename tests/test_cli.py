@@ -370,8 +370,19 @@ def test_heat_on_a_torus_makes_no_dense_eigendecomposition(tmp_path,
     (("w2p", "--p", "1.5", "--mu", "3", "--seed", "1"), ["w2p requires p"]),
     (("scaling", "--mu", "1", "--p", "1.5", "--seed", "1"), ["mu=1", "p=1.5"]),
     (("heat", "--fit-window", "1e-3", "--seed", "1"), ["--fit-window", "'1e-3'"]),
+    (("heat", "--t-list", "abc", "--seed", "1"), ["--t-list", "'abc'"]),
+    (("heat", "--t-list", "0.1,nan", "--seed", "1"), ["--t-list", "finite"]),
+    (("heat", "--t-list", ",", "--seed", "1"), ["--t-list", "at least one"]),
+    (("estimate", "--p", "1.2", "--b-grid", "1,x", "--seed", "1"),
+     ["--b-grid", "'1,x'"]),
+    (("estimate", "--p", "1.2", "--b-grid", "inf", "--seed", "1"),
+     ["--b-grid", "finite"]),
+    (("estimate", "--p", "1.2", "--b-grid", ",", "--seed", "1"),
+     ["--b-grid", "at least one"]),
 ], ids=["riesz-no-seed", "verify-p=n", "estimate-p=n", "w2p-p=mu/2", "scaling-mu<p",
-        "heat-one-fit-window-value"])
+        "heat-one-fit-window-value", "heat-t-list-not-a-number",
+        "heat-t-list-nan", "heat-t-list-empty", "estimate-b-grid-not-a-number",
+        "estimate-b-grid-inf", "estimate-b-grid-empty"])
 def test_bad_arguments_fail_before_the_model_is_built(tmp_path, capsys,
                                                       monkeypatch, argv, words):
     def refuse(*args, **kwargs):
@@ -386,6 +397,26 @@ def test_bad_arguments_fail_before_the_model_is_built(tmp_path, capsys,
     else:
         assert run(tmp_path, *argv) == 1
         one_line_error(capsys, *words)
+
+
+@pytest.mark.parametrize("argv, words", [
+    ((), ["required", "command"]),
+    (("nope",), ["invalid choice", "'nope'"]),
+    (("estimate", "--model", "torus:n=2,res=8", "--seed", "1"),
+     ["required", "--p"]),
+    (("ladder", "--n", "3", "--target", "2.9", "--bogus"),
+     ["unrecognized", "--bogus"]),
+    (("estimate", "--p", "1.2", "--seed", "1", "--generator", "x"),
+     ["--generator", "invalid choice", "'x'"]),
+    (("heat", "--seed", "x"), ["--seed", "invalid int", "'x'"]),
+], ids=["no-command", "unknown-command", "missing-flag", "unknown-flag",
+        "bad-choice", "bad-type"])
+def test_usage_errors_exit_1_with_one_line(tmp_path, capsys, argv, words):
+    """Exit 2 means violations; a usage error is an error like any other."""
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, *(("--out", str(tmp_path)) if argv else ())])
+    assert exit_.value.code == 1
+    one_line_error(capsys, *words)
 
 
 TORUS_JOBS = [

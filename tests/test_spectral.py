@@ -410,9 +410,60 @@ def test_non_separable_models_fall_back_to_dense(case, monkeypatch):
     calls = []
     original = spectral.la.eigh
     monkeypatch.setattr(spectral.la, "eigh",
-                        lambda a: calls.append(a.shape) or original(a))
+                        lambda a, **kw: calls.append(a.shape) or original(a, **kw))
     dec = decompose(m, psi)
     assert calls == [(m.num_nodes, m.num_nodes)]
     assert _max_residual(dec) <= 1e-10 * np.max(np.abs(dec.eigenvalues))
     if case in ("perturbed-torus", "sphere", "box"):
         assert spectral._fourier_grid(m) is None
+
+
+def _reference_dense_eigenpairs(m, psi):
+    """The dense reduction as it was before divide and conquer: a
+    symmetrised copy handed to the default scipy eigh (MRRR, dsyevr)."""
+    sqrt_m = np.sqrt(m.mass)
+    a = m.stiffness.toarray()
+    a[np.diag_indices(m.num_nodes)] += m.mass * psi.values
+    a /= sqrt_m[:, None]
+    a /= sqrt_m[None, :]
+    a = 0.5 * (a + a.T)
+    w, v = spectral.la.eigh(a)
+    return SpectralDecomposition(spectral._clip(w),
+                                 spectral.DenseBasis(v / sqrt_m[:, None], m.mass),
+                                 psi, m)
+
+
+@pytest.mark.parametrize("text", ["sphere:r=1,subdiv=2", "sphere:r=1,subdiv=3",
+                                  "box:n=2,res=12", "box:n=3,res=6",
+                                  "torus:n=2,res=8,varying-psi"])
+def test_dense_divide_and_conquer_matches_the_reference_eigh(text, monkeypatch):
+    """The in-place divide-and-conquer solve gives the reference's spectrum,
+    clusters and ensembles, a mass-orthonormal basis to 1e-13, and hands
+    LAPACK a Fortran-ordered array that it overwrites (no copy)."""
+    m = build(text.replace(",varying-psi", ""))
+    psi = (PotentialField(1.0 + m.points[:, 0], "x") if "varying" in text
+           else constant_potential(m, 1.0))
+    ref = _reference_dense_eigenpairs(m, psi)
+    seen = []
+    original = spectral.la.eigh
+
+    def spy(a, **kw):
+        w, v = original(a, **kw)
+        seen.append((a.flags.f_contiguous, np.shares_memory(a, v)))
+        return w, v
+
+    monkeypatch.setattr(spectral.la, "eigh", spy)
+    dec = decompose(m, psi)
+    assert seen == [(True, True)]
+    lam_max = np.max(np.abs(ref.eigenvalues))
+    assert np.max(np.abs(dec.eigenvalues - ref.eigenvalues)) <= 1e-12 * lam_max
+    assert np.array_equal(dec.cluster_bounds(), ref.cluster_bounds())
+    phi = dec.basis.columns()
+    gram = phi.T @ (m.mass[:, None] * phi)
+    assert np.max(np.abs(gram - np.eye(m.num_nodes))) <= 1e-13
+    for generator in ("band-limited", "eigen-mix", "mixed"):
+        spec = EnsembleSpec(seed=11, size=40, generator=generator)
+        a = generate_ensemble(m, spec, dec=dec)
+        b = generate_ensemble(m, spec, dec=ref)
+        assert np.all(np.max(np.abs(a - b), axis=1)
+                      <= 1e-9 * np.max(np.abs(b), axis=1)), generator
