@@ -76,19 +76,22 @@ def _parse_floats(text: str, flag: str) -> list[float]:
 
 def _parse_times(text: str) -> list[float]:
     """Either "a:b:step" (inclusive endpoints) or a comma list; all finite."""
-    if ":" in text:
-        a, b, step = (float(x) for x in text.split(":"))
-        if not all(map(math.isfinite, (a, b, step))):
-            raise ValueError(
-                f"time range {text!r} needs finite endpoints and step")
-        if not step > 0:
-            raise ValueError(f"time step must be positive, got {step:g}")
-        n = (b - a) / step  # round(n) + 1 samples; inf when it overflows
-        if not n < MAX_TIME_SAMPLES - 0.5:
-            raise ValueError(f"time range {text!r} has more than "
-                             f"{MAX_TIME_SAMPLES} samples")
-        return [a + i * step for i in range(int(round(n)) + 1)]
-    return _parse_floats(text, "--times")
+    if ":" not in text:
+        return _parse_floats(text, "--times")
+    try:
+        a, b, step = map(float, text.split(":"))
+    except ValueError:  # not a number, or not three parts
+        raise ValueError(f"--times range needs numbers a:b:step, "
+                         f"got {text!r}") from None
+    if not all(map(math.isfinite, (a, b, step))):
+        raise ValueError(f"--times range {text!r} needs finite endpoints and step")
+    if not step > 0:
+        raise ValueError(f"--times needs a positive time step, got {step:g}")
+    n = (b - a) / step  # round(n) + 1 samples; inf when it overflows
+    if not n < MAX_TIME_SAMPLES - 0.5:
+        raise ValueError(f"--times range {text!r} has more than "
+                         f"{MAX_TIME_SAMPLES} samples")
+    return [a + i * step for i in range(int(round(n)) + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +133,8 @@ def _cmd_verify(args):
 
 def _cmd_heat(args):
     t_list = _parse_floats(args.t_list, "--t-list")
+    if min(t_list) < 0:
+        raise ValueError(f"--t-list heat times must be >= 0, got {args.t_list!r}")
     window = []
     if args.fit_window:
         window = _parse_floats(args.fit_window, "--fit-window")
@@ -173,7 +178,7 @@ def _cmd_riesz(args):
     scan = sg.riesz_ratio(dec1, args.p, members, meta=spec.meta())
     dec0 = dec1.shifted(-1.0)  # the bare Laplacian, exactly
     eq = sg.bessel_equivalence_constants(dec0, args.a, args.p, members)
-    ck = sg.gradient_bessel_constant(dec1, args.p, args.a, members)
+    ck = eq.pop("gradient_bessel_C")  # reported at the top level
     return {"riesz": to_plain(scan), "equivalence": eq,
             "gradient_bessel_C": ck, "model": m.label}, 0
 

@@ -19,7 +19,8 @@ from .constants import (EnsembleSpec, estimate_sobolev_AB, generate_ensemble,
 from .manifold import (DiscreteManifold, ModelSpec, _check_node_count, build,
                        gamma_integral, geometric_summary, scale_metric)
 from .norms import bessel_norm, grad_lp_norm, lp_norm
-from .spectral import constant_potential, decompose
+from .spectral import (apply_functions, bessel_multiplier, constant_potential,
+                       decompose)
 
 __all__ = [
     "HypothesisError",
@@ -137,16 +138,12 @@ def _defect(family: str, m: DiscreteManifold, summ: dict,
     return None
 
 
-def _form_norm(family: str, m: DiscreteManifold, dec_unit, U: np.ndarray,
-               p: float, defect: float | None) -> np.ndarray:
-    """Per-member right-hand norm of the b, d and e forms (before the constant).
-
-    Family b uses ||(-Lap+1)^(1/2)u||_p (dec_unit is the Psi = 1
-    decomposition); d and e use ||grad u||_p + (1 + defect)||u||_p with the
-    Ricci defect kappa or the integral-curvature gamma.
+def _gradient_form(m: DiscreteManifold, U: np.ndarray, p: float,
+                   defect: float) -> np.ndarray:
+    """Per-member right-hand norm of the d and e forms (before the constant):
+    ||grad u||_p + (1 + defect)||u||_p with the Ricci defect kappa or the
+    integral-curvature gamma.  Family b uses ||(-Lap+1)^(1/2)u||_p instead.
     """
-    if family == "b":
-        return bessel_norm(m, dec_unit, U, p)
     return grad_lp_norm(m, U, p) + (1.0 + defect) * lp_norm(m, U, p)
 
 
@@ -215,13 +212,20 @@ def track(flow: ExactFlow, times, selector: str, p: float,
         q = n * p / (n - p)
         c_adj = -min(0.0, float(np.min(base.scalar_curvature))) / n
         defect0 = _defect(family, base, geometric_summary(base), c_adj)
-        c0 = max(0.0, _worst_ratio(
-            lp_norm(base, members, q),
-            _form_norm(family, base, dec_base, members, p, defect0)).ratio)
+        if family == "b":
+            rhs0 = bessel_norm(base, dec_base, members, p)
+            # (-Lap+1)^(1/2) on g(t) = lam^2 g(0) is a multiplier on the bare
+            # t = 0 spectrum: one transform of the members serves every time
+            bessel_t = apply_functions(
+                dec_base.shifted(-1.0),
+                (bessel_multiplier(scale_factor(flow, t)) for t in times),
+                members)
+        else:
+            rhs0 = _gradient_form(base, members, p, defect0)
+        c0 = max(0.0, _worst_ratio(lp_norm(base, members, q), rhs0).ratio)
 
     # one pass builds each metric g(t); the two sides of every check are kept,
     # because the b/d/e constant needs the transfer over all times first
-    dec_bare = dec_base.shifted(-1.0) if family == "b" else None
     records, sides, transfer = [], [], 1.0
     for t in times:
         lam_t = scale_factor(flow, t)
@@ -243,13 +247,12 @@ def track(flow: ExactFlow, times, selector: str, p: float,
             # shift; the transfer factor compensates over the sampled horizon
             transfer = max(transfer, lam_t ** (-1.0)
                            / math.sqrt(1.0 + summ["r_max_plus"]))
-            dec_t = (dec_bare.scaled(lam_t).shifted(1.0)
-                     if family == "b" else None)
             defect = _defect(family, mt, summ, c_adj)
             if family == "e":
                 rec.update(gamma=defect)
             lhs = lp_norm(mt, members, q)
-            rhs = _form_norm(family, mt, dec_t, members, p, defect)
+            rhs = (lp_norm(mt, next(bessel_t), p) if family == "b"
+                   else _gradient_form(mt, members, p, defect))
         sides.append((lhs, rhs))
         records.append(rec)
 

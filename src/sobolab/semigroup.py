@@ -16,9 +16,10 @@ import numpy as np
 
 from .constants import _worst_ratio
 from .manifold import DiscreteManifold, scale_metric
-from .norms import bessel_norm, grad_lp_norm, lp_norm
+from .norms import grad_lp_norm, lp_norm
 from .spectral import (SpectralDecomposition, _op_norms_2_to_inf,
-                       apply_function, heat_multiplier, power_multiplier)
+                       apply_function, apply_functions, bessel_multiplier,
+                       heat_multiplier, power_multiplier)
 
 __all__ = [
     "MappingNormScan",
@@ -29,7 +30,6 @@ __all__ = [
     "check_heat_kernel_bounds",
     "mapping_norm",
     "riesz_ratio",
-    "gradient_bessel_constant",
     "bessel_equivalence_constants",
     "scaling_transfer_check",
     "OPERATOR_POWERS",
@@ -107,12 +107,10 @@ def heat_contraction_check(m: DiscreteManifold, dec: SpectralDecomposition,
     t_list, p_list = [float(t) for t in t_list], [float(p) for p in p_list]
     if any(t < 0 for t in t_list):
         raise ValueError(f"heat times must be >= 0, got {t_list}")
-    coeffs = dec.coefficients(members)
     before = [lp_norm(m, members, p) for p in p_list]
-    after = []  # (t, p, member) cases
-    for t in t_list:
-        evolved = dec.synthesize(np.exp(-t * dec.eigenvalues) * coeffs)
-        after.append([lp_norm(m, evolved, p) for p in p_list])
+    after = [[lp_norm(m, evolved, p) for p in p_list]  # (t, p, member) cases
+             for evolved in apply_functions(dec, map(heat_multiplier, t_list),
+                                            members)]
     worst = _worst_ratio(after, before, slack=tol)
     return ContractionReport(
         label="heat-lp-contraction", cases=worst.used,
@@ -170,14 +168,13 @@ def check_heat_kernel_bounds(m: DiscreteManifold, dec: SpectralDecomposition,
             raise ValueError(f"t={t} outside (0, sigma_star/4)")
     inf_minus = dec.potential.inf_minus
     base = np.stack([lp_norm(m, members, 2.0), lp_norm(m, members, 1.0)])
-    coeffs = dec.coefficients(members)
+    evolved = apply_functions(dec, map(heat_multiplier, t_list), members)
     sups, dens = [], []  # (t, tag, member) cases
     for t in t_list:
         correction = -0.75 * t * inf_minus
         bounds = np.array([math.exp(tau(t) + correction),
                            math.exp(2.0 * tau(t / 2.0) + correction)])
-        evolved = dec.synthesize(np.exp(-t * dec.eigenvalues) * coeffs)
-        sups.append(lp_norm(m, evolved, math.inf))
+        sups.append(lp_norm(m, next(evolved), math.inf))
         dens.append(bounds[:, None] * base)
     worst = _worst_ratio(np.array(sups)[:, None, :], dens, slack=VERIFY_SLACK)
     return ContractionReport(
@@ -271,20 +268,15 @@ def riesz_ratio(dec: SpectralDecomposition, p: float, members: np.ndarray,
                         mesh_level=mesh_level, meta=meta, refine=refine)
 
 
-def gradient_bessel_constant(dec_unit: SpectralDecomposition, p: float,
-                             a: float, members: np.ndarray) -> float:
-    """Smallest feasible C in ||grad v||_p <= C(||(-Lap+1)^{1/2}v||_p + a||v||_p)."""
-    m = dec_unit.manifold
-    denom = bessel_norm(m, dec_unit, members, p) + a * lp_norm(m, members, p)
-    return max(0.0, _worst_ratio(grad_lp_norm(m, members, p), denom).ratio)
-
-
 def bessel_equivalence_constants(dec_zero: SpectralDecomposition, a: float,
                                  p: float, members: np.ndarray) -> dict:
     """Measured two-sided constants between (-Lap+a^2)^{1/2} and a||.|| + (-Lap)^{1/2}.
 
     (-Lap)^{1/2} annihilates constants, so at a = 0 constant members carry no
-    information and are excluded from the ratio set.
+    information and are excluded from the ratio set of c1/c2.  Also the
+    smallest feasible C in ||grad v||_p <= C(||(-Lap+1)^{1/2}v||_p + a||v||_p)
+    over all members, as gradient_bessel_C.  The three operators come from
+    one transform of the members.
     """
     if not (1 < p < math.inf):
         raise ValueError("need 1 < p < inf")
@@ -293,18 +285,20 @@ def bessel_equivalence_constants(dec_zero: SpectralDecomposition, a: float,
     if np.max(np.abs(dec_zero.potential.values)) > 1e-12:
         raise ValueError("equivalence constants require the bare Laplacian spectrum")
     m = dec_zero.manifold
-    lam = dec_zero.eigenvalues
-    coeffs = dec_zero.coefficients(members)
     base = lp_norm(m, members, p)
-    mid = lp_norm(m, dec_zero.synthesize(np.sqrt(lam + a * a) * coeffs), p)
-    outer = a * base + lp_norm(m, dec_zero.synthesize(np.sqrt(lam) * coeffs), p)
+    mid, root, bessel = (lp_norm(m, v, p) for v in apply_functions(
+        dec_zero, (lambda lam: np.sqrt(lam + a * a), np.sqrt,
+                   bessel_multiplier(1.0)), members))
+    outer = a * base + root
     # constants carry no information at a = 0: both sides are roundoff
     used = outer > 1e-10 * (1.0 + a) * base
     worst = _worst_ratio(mid, outer, used=used)
     if worst.used == 0:
         raise ValueError("degenerate ensemble: every member is constant")
+    gradient = _worst_ratio(grad_lp_norm(m, members, p), bessel + a * base)
     return {"c1_hat": float(np.min(mid[used] / outer[used])),
-            "c2_hat": worst.ratio, "members_used": worst.used}
+            "c2_hat": worst.ratio, "members_used": worst.used,
+            "gradient_bessel_C": max(0.0, gradient.ratio)}
 
 
 # ---------------------------------------------------------------------------
@@ -346,17 +340,16 @@ def scaling_transfer_check(m: DiscreteManifold, lam: float, mu: float,
         raise ValueError(
             f"norm scaling law violated: relative error {worst_scaling:.3g}")
 
-    # H/lam^2 on the scaled metric has potential 1/lam^2; shifting it back to
-    # Psi = 1 gives the scaled-metric Bessel operator without a new eigh
-    dec_scaled = dec_unit.shifted(-1.0).scaled(lam).shifted(1.0)
-    c_scaled = max(0.0, _worst_ratio(
-        lp_norm(scaled, members, q_out),
-        bessel_norm(scaled, dec_scaled, members, p)).ratio)
+    # the Bessel operator of each metric is a multiplier on the bare
+    # Laplacian's spectrum, measured in that metric's norm
+    bessel, bessel_scaled = (lp_norm(mesh, v, p) for mesh, v in zip(
+        (m, scaled), apply_functions(
+            dec_unit.shifted(-1.0), map(bessel_multiplier, (1.0, lam)), members)))
+    c_scaled = max(0.0, _worst_ratio(lp_norm(scaled, members, q_out),
+                                     bessel_scaled).ratio)
 
     transferred = lam * c_scaled
-    worst = _worst_ratio(orig[q_out],
-                         transferred * bessel_norm(m, dec_unit, members, p),
-                         slack=VERIFY_SLACK)
+    worst = _worst_ratio(orig[q_out], transferred * bessel, slack=VERIFY_SLACK)
     return {"lam": lam, "mu": mu, "p": p, "q_out": q_out,
             "scaling_error": worst_scaling, "C_scaled": c_scaled,
             "C_transferred": transferred, "violations": worst.violations,

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import reduce
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 
-from .manifold import DENSE_NODE_GUARD, DiscreteManifold, scale_metric
+from .manifold import DENSE_NODE_GUARD, DiscreteManifold
 
 __all__ = [
     "DENSE_NODE_GUARD",
@@ -30,8 +30,10 @@ __all__ = [
     "quarter_curvature",
     "decompose",
     "apply_function",
+    "apply_functions",
     "lambda0",
     "heat_multiplier",
+    "bessel_multiplier",
     "power_multiplier",
     "spectrum_rows",
 ]
@@ -103,10 +105,6 @@ class DenseBasis:
         """sum_k w[k, j] phi_k(x)^2 at every node x, for each column j of w."""
         return (self.phi ** 2) @ w
 
-    def scaled(self, lam: float, m: DiscreteManifold) -> DenseBasis:
-        """The basis on m = scale_metric(., lam): phi / lam^(n/2)."""
-        return DenseBasis(self.phi * lam ** (-m.dim / 2.0), m.mass)
-
 
 @dataclass(frozen=True)
 class FourierBasis:
@@ -159,10 +157,6 @@ class FourierBasis:
         n = self.order.size
         return np.broadcast_to(np.sum(w, axis=0) / (n * self.m0),
                                (n,) + w.shape[1:])
-
-    def scaled(self, lam: float, m: DiscreteManifold) -> FourierBasis:
-        """The basis on m = scale_metric(., lam): m0 becomes m0 lam^n."""
-        return replace(self, m0=float(m.mass[0]))
 
 
 def _per_axis(a: np.ndarray, u: np.ndarray, dim: int) -> np.ndarray:
@@ -227,23 +221,6 @@ class SpectralDecomposition:
                              f"{self.potential.label}{c:+g}")
         return replace(self, eigenvalues=_clip(self.eigenvalues + c),
                        potential=psi)
-
-    def scaled(self, lam: float) -> SpectralDecomposition:
-        """Exact decomposition of H / lam^2 on scale_metric(manifold, lam).
-
-        Under g -> lam^2 g the mass scales by lam^n and the stiffness by
-        lam^(n-2), so eigenvalues (and the potential that keeps H/lam^2)
-        divide by lam^2 and mass-orthonormal eigenvectors by lam^(n/2).
-        """
-        m = scale_metric(self.manifold, lam)
-        if m is self.manifold:
-            return self
-        inv2 = lam ** -2.0
-        psi = PotentialField(self.potential.values * inv2,
-                             f"({self.potential.label})/{lam:g}^2")
-        return SpectralDecomposition(
-            eigenvalues=self.eigenvalues * inv2,
-            basis=self.basis.scaled(lam, m), potential=psi, manifold=m)
 
 
 def _clip(w: np.ndarray) -> np.ndarray:
@@ -383,17 +360,38 @@ def _multiplier(dec: SpectralDecomposition,
     return fw
 
 
-def apply_function(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.ndarray],
-                   u: np.ndarray) -> np.ndarray:
-    """Evaluate f(H) u = sum_k f(lambda_k) <u, phi_k>_mass phi_k.
+def apply_functions(dec: SpectralDecomposition,
+                    fs: Iterable[Callable[[np.ndarray], np.ndarray]],
+                    u: np.ndarray) -> Iterator[np.ndarray]:
+    """f(H) u for each f of fs in turn, from one forward transform of u.
 
     u is one node function (N,) or a member matrix (K, N), rows = members.
+    Each result is formed only when the next one is asked for, so a caller
+    that measures them one by one holds one of them at a time.
     """
-    return dec.synthesize(_multiplier(dec, f) * dec.coefficients(u))
+    c = dec.coefficients(u)
+    for f in fs:
+        yield dec.synthesize(_multiplier(dec, f) * c)
+
+
+def apply_function(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.ndarray],
+                   u: np.ndarray) -> np.ndarray:
+    """Evaluate f(H) u = sum_k f(lambda_k) <u, phi_k>_mass phi_k."""
+    return next(apply_functions(dec, (f,), u))
 
 
 def heat_multiplier(t: float) -> Callable[[np.ndarray], np.ndarray]:
     return lambda lam: np.exp(-t * lam)
+
+
+def bessel_multiplier(lam: float) -> Callable[[np.ndarray], np.ndarray]:
+    """mu -> sqrt(1 + mu / lam^2) on the bare Laplacian's spectrum mu.
+
+    g -> lam^2 g divides -Laplacian by lam^2, so this gives the node values
+    of (-Laplacian + 1)^(1/2) on the scaled metric, with no new decomposition.
+    """
+    inv2 = lam ** -2.0
+    return lambda mu: np.sqrt(mu * inv2 + 1.0)
 
 
 def power_multiplier(alpha: float) -> Callable[[np.ndarray], np.ndarray]:

@@ -5,11 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sobolab
 from sobolab import flow as fl
-from sobolab import cli, semigroup
+from sobolab import cli, semigroup, spectral
 from sobolab.cli import main
 
 
@@ -318,6 +319,29 @@ def test_command_decomposes_the_mesh_once(tmp_path, decompose_calls, argv):
     assert len(decompose_calls) == 1
 
 
+@pytest.mark.parametrize("argv, transforms", [
+    (("flow", "--flow", "sphere:r0=1,subdiv=2", "--theorem", "b2"), 2),
+    (("scaling", "--model", "torus:n=3,res=8"), 1),
+    (("riesz", "--model", "torus:n=2,res=12"), 2),
+    (("heat", "--model", "torus:n=2,res=12"), 1),
+], ids=["flow-b2", "scaling", "riesz", "heat"])
+def test_member_matrix_transforms_per_job(tmp_path, monkeypatch, argv,
+                                          transforms):
+    """Every f(H) of one member matrix shares one forward transform: flow b2
+    needs one for its t = 0 constant and one for all nine times, scaling one
+    for both metrics, riesz one for the Riesz scan and one for the three
+    Bessel-type operators, heat one for all times."""
+    size, seen = 30, []
+    for cls in (spectral.DenseBasis, spectral.FourierBasis):
+        def spy(self, u, k=None, original=cls.coefficients):
+            if k is None and np.ndim(u) == 2 and len(u) == size:
+                seen.append(type(self).__name__)
+            return original(self, u, k)
+        monkeypatch.setattr(cls, "coefficients", spy)
+    assert run(tmp_path, *argv, "--seed", "1", "--size", str(size)) in (0, 2)
+    assert len(seen) == transforms, seen
+
+
 def test_nonfinite_result_is_a_one_line_error(tmp_path, capsys):
     # A = B = 0 makes the right-hand side vanish: the worst ratio is inf
     assert run(tmp_path, "verify", "--model", "torus:n=2,res=8", "--p", "1.5",
@@ -373,6 +397,7 @@ def test_heat_on_a_torus_makes_no_dense_eigendecomposition(tmp_path,
     (("heat", "--t-list", "abc", "--seed", "1"), ["--t-list", "'abc'"]),
     (("heat", "--t-list", "0.1,nan", "--seed", "1"), ["--t-list", "finite"]),
     (("heat", "--t-list", ",", "--seed", "1"), ["--t-list", "at least one"]),
+    (("heat", "--t-list", "0.1,-1", "--seed", "1"), ["--t-list", "heat times"]),
     (("estimate", "--p", "1.2", "--b-grid", "1,x", "--seed", "1"),
      ["--b-grid", "'1,x'"]),
     (("estimate", "--p", "1.2", "--b-grid", "inf", "--seed", "1"),
@@ -381,7 +406,8 @@ def test_heat_on_a_torus_makes_no_dense_eigendecomposition(tmp_path,
      ["--b-grid", "at least one"]),
 ], ids=["riesz-no-seed", "verify-p=n", "estimate-p=n", "w2p-p=mu/2", "scaling-mu<p",
         "heat-one-fit-window-value", "heat-t-list-not-a-number",
-        "heat-t-list-nan", "heat-t-list-empty", "estimate-b-grid-not-a-number",
+        "heat-t-list-nan", "heat-t-list-empty", "heat-t-list-negative",
+        "estimate-b-grid-not-a-number",
         "estimate-b-grid-inf", "estimate-b-grid-empty"])
 def test_bad_arguments_fail_before_the_model_is_built(tmp_path, capsys,
                                                       monkeypatch, argv, words):

@@ -3,7 +3,8 @@
 An import that nothing uses, or an ``__all__`` entry that names nothing, is
 dead weight that no other test notices: a tool that walks ``__all__`` with
 ``getattr(module, name, None)`` skips a missing name silently.  The
-eigenbasis of a decomposition is read inside ``spectral`` only.
+eigenbasis of a decomposition is read inside ``spectral`` only, and its
+transforms are called there and in the ensemble projection only.
 """
 
 import ast
@@ -78,3 +79,20 @@ def test_only_spectral_reads_the_eigenbasis(path):
     reads = [n.lineno for n in ast.walk(tree)
              if isinstance(n, ast.Attribute) and n.attr == "basis"]
     assert not reads, f"{path.name} reads the basis on lines {reads}"
+
+
+TRANSFORMERS = {"spectral.py", "constants.py"}
+NOT_TRANSFORMERS = [p for p in MODULES if p.name not in TRANSFORMERS]
+
+
+@pytest.mark.parametrize("path", NOT_TRANSFORMERS,
+                         ids=[p.name for p in NOT_TRANSFORMERS])
+def test_only_spectral_and_the_ensemble_call_the_transforms(path):
+    """Every other f(H) u goes through spectral.apply_functions, which checks
+    that each multiplier is finite and transforms u once for many f; only the
+    ensemble projection in constants calls coefficients/synthesize itself."""
+    tree = ast.parse(path.read_text())
+    calls = [n.lineno for n in ast.walk(tree)
+             if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+             and n.func.attr in ("coefficients", "synthesize")]
+    assert not calls, f"{path.name} calls a basis transform on lines {calls}"

@@ -10,7 +10,7 @@ import math
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sobolab.cli import MAX_TIME_SAMPLES, _parse_times
@@ -38,10 +38,13 @@ def spec_strings(heads, keys):
 
 
 @given(TIMES)
+@example("1:2")
+@example("abc:1:2")
 def test_parse_times_parses_or_raises_value_error(text):
     try:
         times = _parse_times(text)
-    except ValueError:
+    except ValueError as err:
+        assert "--times" in str(err)
         return
     assert all(math.isfinite(t) for t in times)
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from sobolab import (EnsembleSpec, bessel_equivalence_constants, build,
                      scaling_transfer_check, tau_closed_form,
                      ultracontractivity_fit)
 from sobolab.constants import single_constant_from_pair
-from sobolab.semigroup import gradient_bessel_constant
 from sobolab.spectral import PotentialField
 
 
@@ -19,6 +19,24 @@ def test_contraction_torus(torus2, torus2_dec1, torus2_members):
                                  [1.0, 2.0, math.inf], torus2_members[:100])
     assert rep.violations == 0
     assert rep.worst_ratio <= 1.0 + 1e-8
+
+
+def test_contraction_check_holds_one_evolved_matrix_at_a_time(torus2_fit,
+                                                            torus2_fit_dec1):
+    """The times share one transform of the members, and each e^{-tH} u is
+    measured before the next is formed, so the check's peak stays at five
+    member matrices: the coefficients, their product with one multiplier,
+    the previous result and two per-axis products."""
+    members = np.random.default_rng(3).standard_normal(
+        (200, torus2_fit.num_nodes))
+    tracemalloc.start()
+    try:
+        heat_contraction_check(torus2_fit, torus2_fit_dec1, [0.01, 0.1, 1.0],
+                               [1.0, 2.0, math.inf], members)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.05 * members.nbytes
 
 
 def test_contraction_constant_is_exact_exponential(torus2, torus2_dec1):
@@ -249,7 +267,8 @@ def test_riesz_sphere_mesh_stable():
 
 
 def test_gradient_bessel_constant_finite(sphere3, sphere3_dec1, sphere3_members):
-    c = gradient_bessel_constant(sphere3_dec1, 1.5, 0.0, sphere3_members)
+    c = bessel_equivalence_constants(sphere3_dec1.shifted(-1.0), 0.0, 1.5,
+                                     sphere3_members)["gradient_bessel_C"]
     assert 0 < c < math.inf
 
 
