@@ -25,7 +25,7 @@ from .manifold import build, parse_model_spec
 from .norms import lp_norm
 from .reporting import (config_hash, to_plain, write_artifact, write_csv,
                         write_svg_loglog)
-from .spectral import constant_potential, decompose, spectrum_rows
+from .spectral import constant_potential, decompose, diagnostics, spectrum_rows
 
 __all__ = ["main"]
 
@@ -120,7 +120,8 @@ def _cmd_estimate(args):
     m, dec1, spec, members = _prepare(args)
     est = ct.estimate_sobolev_AB(m, args.p, members, b_grid=b_grid,
                                  meta=spec.meta())
-    return {"estimate": to_plain(est), "model": m.label}, 0
+    return {"estimate": to_plain(est), "model": m.label,
+            "diagnostics": diagnostics(dec1)}, 0
 
 
 def _cmd_verify(args):
@@ -128,7 +129,8 @@ def _cmd_verify(args):
     m, dec1, spec, members = _prepare(args)
     rep = ct.verify_inequality(ct.two_term_check(m, args.p, args.A, args.B),
                                members)
-    return {"report": to_plain(rep), "model": m.label}, (0 if rep.passed else 2)
+    return {"report": to_plain(rep), "model": m.label,
+            "diagnostics": diagnostics(dec1)}, (0 if rep.passed else 2)
 
 
 def _cmd_heat(args):
@@ -144,7 +146,8 @@ def _cmd_heat(args):
     m, dec1, spec, members = _prepare(args)
     rep = sg.heat_contraction_check(m, dec1, t_list, [1.0, 2.0, math.inf],
                                     members)
-    results = {"contraction": to_plain(rep), "model": m.label}
+    results = {"contraction": to_plain(rep), "model": m.label,
+               "diagnostics": diagnostics(dec1)}
     status = 0 if rep.passed else 2
     if window:
         fit = sg.ultracontractivity_fit(dec1, *window)
@@ -180,7 +183,8 @@ def _cmd_riesz(args):
     eq = sg.bessel_equivalence_constants(dec0, args.a, args.p, members)
     ck = eq.pop("gradient_bessel_C")  # reported at the top level
     return {"riesz": to_plain(scan), "equivalence": eq,
-            "gradient_bessel_C": ck, "model": m.label}, 0
+            "gradient_bessel_C": ck, "model": m.label,
+            "diagnostics": diagnostics(dec1)}, 0
 
 
 def _cmd_w2p(args):
@@ -194,14 +198,16 @@ def _cmd_w2p(args):
     half = sg.mapping_norm(dec1, "H^-1/2", args.p, mu * args.p / (mu - args.p),
                            members, meta=spec.meta())
     return {"second_order": to_plain(scan), "first_order": to_plain(half),
-            "model": m.label}, 0
+            "model": m.label, "diagnostics": diagnostics(dec1)}, 0
 
 
 def _cmd_scaling(args):
     sg._transfer_exponent(args.mu, args.p)  # before building
     m, dec1, spec, members = _prepare(args)
     rep = sg.scaling_transfer_check(m, args.lam, args.mu, args.p, members, dec1)
-    return {"transfer": rep, "model": m.label}, (0 if rep["violations"] == 0 else 2)
+    status = 0 if rep["violations"] == 0 else 2
+    return {"transfer": rep, "model": m.label,
+            "diagnostics": diagnostics(dec1)}, status
 
 
 def _cmd_flow(args):
@@ -214,7 +220,9 @@ def _cmd_flow(args):
               "worst_ratio", "violations"]
     rows = [[r[k] for k in header] for r in traj.records]
     csv_path = write_csv(_out_dir(args), "flow_trajectory", header, rows)
-    results = {"trajectory": to_plain(traj), "csv": str(csv_path)}
+    trajectory = to_plain(traj)
+    results = {"trajectory": trajectory, "csv": str(csv_path),
+               "diagnostics": trajectory.pop("diagnostics")}
     return results, (0 if traj.total_violations == 0 else 2)
 
 

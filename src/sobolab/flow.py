@@ -20,7 +20,7 @@ from .manifold import (DiscreteManifold, ModelSpec, _check_node_count, build,
                        gamma_integral, geometric_summary, scale_metric)
 from .norms import bessel_norm, grad_lp_norm, lp_norm
 from .spectral import (apply_functions, bessel_multiplier, constant_potential,
-                       decompose)
+                       decompose, diagnostics)
 
 __all__ = [
     "HypothesisError",
@@ -158,6 +158,7 @@ class FlowTrajectory:
     times: tuple[float, ...]
     records: tuple[dict, ...]
     base_constants: dict
+    diagnostics: dict  # spectral.diagnostics of the one decomposition
 
     @property
     def worst_ratio(self) -> float:
@@ -266,4 +267,5 @@ def track(flow: ExactFlow, times, selector: str, p: float,
         rec.update(worst_ratio=worst.ratio, violations=worst.violations)
     return FlowTrajectory(variant=flow.variant, selector=selector, p=p, p0=p0,
                           times=times, records=tuple(records),
-                          base_constants=base_constants)
+                          base_constants=base_constants,
+                          diagnostics=diagnostics(dec_base))

@@ -3,19 +3,23 @@
 Three model families are provided: flat tori (periodic finite-difference
 grids), round 2-spheres (subdivided icosahedra with cotangent stiffness),
 and boxes with the natural Neumann boundary condition.  Curvature fields
-are assigned analytically, never estimated from the mesh.
+are assigned analytically, never estimated from the mesh.  Grid gradients
+are numpy differences; only a sphere, or a first read of ``stiffness``,
+loads scipy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import product
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "GradientElements",
+    "GridGradient",
     "DiscreteManifold",
     "ModelSpec",
     "build",
@@ -29,19 +33,18 @@ __all__ = [
 DENSE_NODE_GUARD = 4000  # nodes of a sphere or box (dense decomposition)
 TORUS_AXIS_GUARD = 256  # nodes per torus axis (Fourier products cost O(res))
 MEMBER_GUARD = 2 ** 24  # ensemble size x nodes: a 128 MiB member matrix
-VALIDATE_RTOL = 1e-10  # invariant residuals allowed, relative to |stiffness|
+VALIDATE_RTOL = 1e-10  # |gradient of a constant| allowed / largest coefficient
 
 
-@dataclass(frozen=True)
-class GradientElements:
-    """Per-element gradient evaluation data.
-
-    ``matrix`` has shape (num_elements * ncomp, num_nodes); applying it to a
-    node function and reshaping to (num_elements, ncomp) gives the gradient
-    vector on each element.  ``weights`` are element volumes.
+class _Elements:
+    """What every gradient derives from G, its (num_elements * ncomp) x N
+    matrix: ``_apply(v)`` is G v for v of shape (N,) or (N, K), and
+    ``_apply_t(x)`` is G^T x for x of shape (num_elements * ncomp,).
+    ``weights`` are element volumes.  Each gradient also gives G as a scipy
+    matrix (``sparse``), the node pairs its rows join (``edges``), its
+    largest coefficient (``bound``) and itself on g -> lam^2 g (``scaled``).
     """
 
-    matrix: sp.csr_matrix
     weights: np.ndarray
     ncomp: int
 
@@ -54,7 +57,7 @@ class GradientElements:
 
         u is one node function (N,) or a member matrix (K, N), rows = members.
         """
-        return (self.matrix @ u.T).T.reshape(
+        return self._apply(u.T).T.reshape(
             u.shape[:-1] + (self.num_elements, self.ncomp))
 
     def pullback(self, s: np.ndarray) -> np.ndarray:
@@ -63,38 +66,242 @@ class GradientElements:
         The counterpart of vectors: <vectors(u), s> weighted by element
         volume equals u . pullback(s) for every node function u.
         """
-        return self.matrix.T @ (np.repeat(self.weights, self.ncomp) * s.ravel())
+        return self._apply_t(np.repeat(self.weights, self.ncomp) * s.ravel())
+
+    def _squares(self, u: np.ndarray) -> np.ndarray:
+        """Squared gradient lengths, shape (num_elements,) + u.shape[:-1]."""
+        g = self._apply(u.T)  # (E * ncomp,) or (E * ncomp, K)
+        np.square(g, out=g)  # in place: the product is the largest temporary
+        return g.reshape((self.num_elements, self.ncomp) + g.shape[1:]).sum(axis=1)
 
     def magnitudes(self, u: np.ndarray) -> np.ndarray:
         """Per-element gradient lengths, shape u.shape[:-1] + (num_elements,)."""
-        g = self.matrix @ u.T  # (E * ncomp,) or (E * ncomp, K)
-        np.square(g, out=g)  # in place: the product is the largest temporary
-        sq = g.reshape((self.num_elements, self.ncomp) + g.shape[1:]).sum(axis=1)
-        del g
+        sq = self._squares(u)
         return np.sqrt(sq, out=sq).T
+
+    def energy(self, u: np.ndarray) -> float | np.ndarray:
+        """Dirichlet energy sum_e w_e |grad u|_e^2, one value per row of u."""
+        return self.weights @ self._squares(u)
+
+
+@dataclass(frozen=True)
+class GradientElements(_Elements):
+    """Per-element gradient data held as a sparse matrix (sphere P1 elements).
+
+    ``matrix`` is G, a scipy CSR matrix; applying it to a node function and
+    reshaping to (num_elements, ncomp) gives the gradient vector on each
+    element.
+    """
+
+    matrix: object  # scipy.sparse.csr_matrix
+    weights: np.ndarray
+    ncomp: int
+
+    def _apply(self, v: np.ndarray) -> np.ndarray:
+        return self.matrix @ v
+
+    def _apply_t(self, x: np.ndarray) -> np.ndarray:
+        return self.matrix.T @ x
+
+    def sparse(self):
+        return self.matrix
+
+    def edges(self) -> np.ndarray:
+        """Node pairs (2, P) sharing a row of G: consecutive entries of a row."""
+        indptr = self.matrix.indptr
+        rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+        same = rows[1:] == rows[:-1]
+        cols = self.matrix.indices
+        return np.stack([cols[:-1][same], cols[1:][same]])
+
+    def bound(self) -> float:
+        """The largest |coefficient| of G."""
+        return float(np.max(np.abs(self.matrix.data), initial=0.0))
+
+    def scaled(self, lam: float, dim: int) -> GradientElements:
+        """The gradient of g -> lam^2 g on a dim-manifold."""
+        return GradientElements(self.matrix * (1.0 / lam),
+                                self.weights * lam ** dim, self.ncomp)
+
+
+@dataclass(frozen=True)
+class GridGradient(_Elements):
+    """Forward differences on a res^dim grid, applied by numpy slices.
+
+    Component d of an element is inv_h[d] u(x + e_d) - inv_h[d] u(x) along
+    one d-edge.  On a torus (periodic; sides are the periods) there is one
+    element per node x, and the edge from res - 1 wraps to 0.  On a Neumann
+    box the elements are trapezoid Q1 corners: one per (cell corner, cell),
+    weight cell_vol / 2^dim, whose component d is the difference along the
+    cell's d-edge through that corner, so every node lies on an element.
+    Elements run corner by corner, each corner's cells in C order.
+    """
+
+    res: int
+    sides: tuple[float, ...]
+    inv_h: np.ndarray  # 1 / h_d, the difference coefficient of each axis
+    weights: np.ndarray
+    periodic: bool
+
+    @property
+    def ncomp(self) -> int:
+        return len(self.sides)
+
+    def _layout(self, tail: tuple[int, ...]) -> tuple[int, ...]:
+        """Element array shape: (corner,) + cells + tail."""
+        n = self.ncomp
+        corners, cells = (1, self.res) if self.periodic else (2 ** n, self.res - 1)
+        return (corners,) + (cells,) * n + tail
+
+    def _edge_shape(self, shape: tuple[int, ...], d: int) -> tuple[int, ...]:
+        """Shape of the d-edge array of a grid array: one entry per edge
+        x -> x + e_d, res - 1 of them along axis d on a box."""
+        n = self.res if self.periodic else self.res - 1
+        return shape[:d] + (n,) + shape[d + 1:]
+
+    def _pieces(self, a: np.ndarray, d: int):
+        """(edge index, heads, tails) of the d-edges of a grid array a (grid
+        axes first): the edges x -> x + e_d inside the grid, then on a torus
+        the wrap from res - 1 to 0."""
+        r = self.res - 1
+        pre = (slice(None),) * d
+        inner, first, last = slice(0, r), slice(0, 1), slice(r, None)
+        yield pre + (inner,), a[pre + (slice(1, None),)], a[pre + (inner,)]
+        if self.periodic:
+            yield pre + (last,), a[pre + (first,)], a[pre + (last,)]
+
+    def _corners(self, d: int):
+        """(corner, its cells as an index into a d-edge array) of the elements."""
+        if self.periodic:
+            yield 0, ()
+            return
+        r = self.res - 1
+        for c, corner in enumerate(product((0, 1), repeat=self.ncomp)):
+            yield c, tuple(slice(None) if j == d else slice(k, k + r)
+                           for j, k in enumerate(corner))
+
+    def _elements(self, per_axis, tail: tuple[int, ...] = (), dtype=float):
+        """Rows (E * ncomp,) + tail of G's layout from (d, d-edge array) pairs."""
+        g = np.empty(self._layout((self.ncomp,) + tail), dtype=dtype)
+        comp = (slice(None),) * self.ncomp
+        for d, values in per_axis:
+            for c, cells in self._corners(d):
+                g[(c,) + comp + (d,)] = values[cells]
+        return g.reshape((-1,) + tail)
+
+    def _differences(self, v: np.ndarray):
+        """(d, inv_h u(head) - inv_h u(tail) on every d-edge) for v = u.T,
+        rounded as the sparse product G v.  Each array is overwritten by the
+        next one, so use it before asking for the next."""
+        a = np.ascontiguousarray(v).reshape((self.res,) * self.ncomp + v.shape[1:])
+        scaled, buf = np.empty_like(a), np.empty(a.size)
+        for d in range(self.ncomp):
+            np.multiply(a, self.inv_h[d], out=scaled)
+            shape = self._edge_shape(a.shape, d)
+            diff = buf[:math.prod(shape)].reshape(shape)
+            for edges, head, tail in self._pieces(scaled, d):
+                np.subtract(head, tail, out=diff[edges])
+            yield d, diff
+
+    def _apply(self, v: np.ndarray) -> np.ndarray:
+        return self._elements(self._differences(v), v.shape[1:])
+
+    def _squares(self, u: np.ndarray) -> np.ndarray:
+        # the components' squares added in order d = 0, 1, ..., as the rows
+        # of _apply would be, without forming that (E * ncomp, K) array
+        sq = np.empty(self._layout(u.shape[:-1]))
+        for d, diff in self._differences(u.T):
+            np.square(diff, out=diff)
+            for c, cells in self._corners(d):
+                if d:
+                    sq[c] += diff[cells]
+                else:
+                    sq[c] = diff[cells]
+        return sq.reshape((-1,) + u.shape[:-1])
+
+    def edges(self) -> np.ndarray:
+        """Node pairs (2, E * ncomp): each difference's head and tail, row order."""
+        nodes = np.arange(self.res ** self.ncomp).reshape((self.res,) * self.ncomp)
+        ends = []
+        for d in range(self.ncomp):
+            pair = np.empty((2,) + self._edge_shape(nodes.shape, d), dtype=np.intp)
+            for edges, head, tail in self._pieces(nodes, d):
+                pair[(slice(None),) + edges] = head, tail
+            ends.append(pair)
+        return np.stack([self._elements(enumerate(e[k] for e in ends),
+                                        dtype=np.intp) for k in (0, 1)])
+
+    def _apply_t(self, x: np.ndarray) -> np.ndarray:
+        # each node sums its terms in row order, as a sparse G^T x does
+        ends = self.edges()
+        cx = np.tile(self.inv_h, self.num_elements) * x
+        return np.bincount(ends.T.ravel(),
+                           weights=np.stack([cx, -cx], axis=1).ravel(),
+                           minlength=self.res ** self.ncomp)
+
+    def sparse(self):
+        """G as a scipy CSR matrix (the first use loads scipy.sparse)."""
+        import scipy.sparse as sp
+        head, tail = self.edges()
+        rows = np.arange(head.size)
+        c = np.tile(self.inv_h, self.num_elements)
+        return sp.csr_matrix(
+            (np.concatenate([c, -c]), (np.concatenate([rows, rows]),
+                                       np.concatenate([head, tail]))),
+            shape=(head.size, self.res ** self.ncomp))
+
+    def bound(self) -> float:
+        """The largest |coefficient| of G."""
+        return float(np.max(np.abs(self.inv_h)))
+
+    def scaled(self, lam: float, dim: int) -> GridGradient:
+        """The gradient of g -> lam^2 g on a dim-manifold."""
+        return replace(self, sides=tuple(s * lam for s in self.sides),
+                       inv_h=self.inv_h * (1.0 / lam),
+                       weights=self.weights * lam ** dim)
+
+
+def _component_count(a: np.ndarray, b: np.ndarray, n: int) -> int:
+    """Connected components of the graph on n nodes with edges (a[i], b[i]).
+
+    Each round hooks the larger root of every edge whose ends disagree onto
+    the smaller one, then points every node at its root; labels only fall,
+    so the rounds end.
+    """
+    label = np.arange(n)
+    while True:
+        la, lb = label[a], label[b]
+        split = la != lb
+        if not split.any():
+            return int(np.count_nonzero(label == np.arange(n)))
+        np.minimum.at(label, np.maximum(la, lb)[split], np.minimum(la, lb)[split])
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
 
 
 @dataclass(frozen=True)
 class DiscreteManifold:
     """Discretized Riemannian model.
 
-    mass is the lumped (diagonal) volume form, stiffness the Dirichlet-energy
-    bilinear form, grad the per-element gradient data matching the stiffness
-    assembly.  Curvature fields carry 1/length^2 units; ricci_lower is the
-    scalar a^2 >= 0 in the lower bound Ric >= -a^2 g.
+    mass is the lumped (diagonal) volume form and grad the per-element
+    gradient data; the Dirichlet form is sum_e w_e |grad u|_e^2, so the
+    stiffness matrix G^T W G is derived from grad.  Curvature fields carry
+    1/length^2 units; ricci_lower is the scalar a^2 >= 0 in the lower bound
+    Ric >= -a^2 g.
     """
 
     dim: int
     points: np.ndarray
     mass: np.ndarray
-    stiffness: sp.csr_matrix
-    grad: GradientElements
+    grad: GradientElements | GridGradient
     boundary_mask: np.ndarray
     scalar_curvature: np.ndarray
     ric_min: np.ndarray
     ricci_lower: float
     label: str
-    periods: tuple[float, ...] | None = None
 
     @property
     def num_nodes(self) -> int:
@@ -104,26 +311,45 @@ class DiscreteManifold:
     def volume(self) -> float:
         return float(self.mass.sum())
 
+    @property
+    def periods(self) -> tuple[float, ...] | None:
+        """The side lengths of a periodic grid, else None."""
+        g = self.grad
+        return g.sides if isinstance(g, GridGradient) and g.periodic else None
+
+    @cached_property
+    def stiffness(self):
+        """The stiffness G^T W G as a scipy CSR matrix, formed on first read.
+
+        Only the dense decomposition needs it; energies read the gradient.
+        """
+        import scipy.sparse as sp
+        g = self.grad.sparse()
+        return (g.T @ sp.diags(np.repeat(self.grad.weights, self.grad.ncomp))
+                @ g).tocsr()
+
     def dirichlet_energy(self, u: np.ndarray) -> float:
-        return float(u @ (self.stiffness @ u))
+        return float(self.grad.energy(u))
 
     def mass_inner(self, u: np.ndarray, v: np.ndarray) -> float:
         return float(np.sum(self.mass * u * v))
 
     def validate(self) -> None:
-        """Check construction invariants; raises ValueError on failure."""
+        """Check construction invariants; raises ValueError on failure.
+
+        The stiffness is symmetric with constants in its kernel by
+        construction, given a zero gradient of constants; a disconnected
+        gradient graph would add kernel directions no node couples to.
+        """
         if np.any(self.mass <= 0):
             raise ValueError("mass weights must be positive")
-        tol = VALIDATE_RTOL * (abs(self.stiffness).sum() + 1.0)
-        asym = abs(self.stiffness - self.stiffness.T).max()
-        if asym > tol:
-            raise ValueError("stiffness is not symmetric")
         ones = np.ones(self.num_nodes)
-        r = self.stiffness @ ones
-        if np.max(np.abs(r)) > tol:
-            raise ValueError("stiffness does not annihilate constants")
-        if np.max(self.grad.magnitudes(ones)) > tol:
+        if np.max(self.grad.magnitudes(ones), initial=0.0) \
+                > VALIDATE_RTOL * self.grad.bound():
             raise ValueError("element gradient of constants is nonzero")
+        parts = _component_count(*self.grad.edges(), self.num_nodes)
+        if parts != 1:
+            raise ValueError(f"gradient graph has {parts} connected components")
         if np.any(self.ric_min < -self.ricci_lower - 1e-12):
             raise ValueError("ric_min violates the ricci_lower bound")
 
@@ -248,70 +474,31 @@ def parse_model_spec(text: str, members: int = 1) -> ModelSpec:
 # ---------------------------------------------------------------------------
 # grid models (torus, box)
 
-def _grid_arrays(dim: int, res: int, sides: tuple[float, ...], periodic: bool):
-    """Nodes, stiffness and gradient elements for a tensor grid.
-
-    Stiffness is assembled from the same forward-difference cells used for
-    the gradient elements, so the p=2 gradient norm reproduces the stiffness
-    quadratic form exactly.
-    """
-    npts = res ** dim
-    h = np.array([s / res if periodic else s / (res - 1) for s in sides])
-    cell_vol = float(np.prod(h))
-
-    idx = np.arange(npts)
-    coords = np.stack(np.unravel_index(idx, (res,) * dim), axis=1)  # (N, dim)
-    points = coords * h[None, :]
-
-    rows, cols, vals = [], [], []
-    ncomp = dim
-    if periodic:
-        cells = idx
-    else:
-        keep = np.all(coords < res - 1, axis=1)
-        cells = idx[keep]
-    ncells = cells.shape[0]
-    cell_coords = np.stack(np.unravel_index(cells, (res,) * dim), axis=1)
-    for d in range(dim):
-        nbr = cell_coords.copy()
-        nbr[:, d] = (nbr[:, d] + 1) % res if periodic else nbr[:, d] + 1
-        nbr_idx = np.ravel_multi_index(nbr.T, (res,) * dim)
-        comp_rows = np.arange(ncells) * ncomp + d
-        rows.extend([comp_rows, comp_rows])
-        cols.extend([nbr_idx, cells])
-        vals.extend([np.full(ncells, 1.0 / h[d]), np.full(ncells, -1.0 / h[d])])
-    weights = np.full(ncells, cell_vol)
-    gmat = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(ncells * ncomp, npts),
-    )
-    grad = GradientElements(matrix=gmat, weights=weights, ncomp=ncomp)
-
-    # S = G^T diag(w) G so u'Su = sum_cells w |grad u|^2 identically
-    wdiag = sp.diags(np.repeat(weights, ncomp))
-    stiff = (gmat.T @ wdiag @ gmat).tocsr()
-    stiff.eliminate_zeros()
-
-    if periodic:
-        mass = np.full(npts, cell_vol)
-        boundary = np.zeros(npts, dtype=bool)
-    else:
-        w1 = np.where((coords == 0) | (coords == res - 1), 0.5, 1.0)
-        mass = cell_vol * np.prod(w1, axis=1)
-        boundary = np.any((coords == 0) | (coords == res - 1), axis=1)
-    return points, mass, stiff, grad, boundary
-
-
 def _build_grid(spec: ModelSpec) -> DiscreteManifold:
+    """A torus (one forward-difference element per node) or a Neumann box
+    (Q1 corner elements, half and quarter masses on faces and corners)."""
     periodic = spec.variant == "torus"
-    points, mass, stiff, grad, boundary = _grid_arrays(
-        spec.dim, spec.resolution, spec.sides, periodic)
-    n = points.shape[0]
+    dim, res = spec.dim, spec.resolution
+    h = np.array([s / res if periodic else s / (res - 1) for s in spec.sides])
+    cell_vol = float(np.prod(h))
+    n = res ** dim
+    coords = np.stack(np.unravel_index(np.arange(n), (res,) * dim), axis=1)
+    if periodic:
+        weights = np.full(n, cell_vol)
+        mass = np.full(n, cell_vol)
+        boundary = np.zeros(n, dtype=bool)
+    else:
+        weights = np.full((2 * (res - 1)) ** dim, cell_vol / 2 ** dim)
+        end = (coords == 0) | (coords == res - 1)
+        mass = cell_vol * np.prod(np.where(end, 0.5, 1.0), axis=1)
+        boundary = np.any(end, axis=1)
+    grad = GridGradient(res=res, sides=spec.sides, inv_h=1.0 / h,
+                        weights=weights, periodic=periodic)
     return DiscreteManifold(
-        dim=spec.dim, points=points, mass=mass, stiffness=stiff, grad=grad,
+        dim=dim, points=coords * h[None, :], mass=mass, grad=grad,
         boundary_mask=boundary,
         scalar_curvature=np.zeros(n), ric_min=np.zeros(n), ricci_lower=0.0,
-        label=spec.describe(), periods=spec.sides if periodic else None)
+        label=spec.describe())
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +544,10 @@ def _icosphere(subdiv: int, radius: float):
 
 
 def _triangle_mesh_arrays(points: np.ndarray, faces: np.ndarray):
-    """Cotangent stiffness, lumped mass and P1 gradient elements."""
+    """Lumped mass and P1 gradient elements (a sparse G; the cotangent
+    stiffness is G^T W G)."""
+    import scipy.sparse as sp  # spheres alone hold a sparse gradient
+
     n = points.shape[0]
     p0, p1, p2 = points[faces[:, 0]], points[faces[:, 1]], points[faces[:, 2]]
     normal = np.cross(p1 - p0, p2 - p0)
@@ -382,25 +572,22 @@ def _triangle_mesh_arrays(points: np.ndarray, faces: np.ndarray):
         shape=(nf * 3, n))
     grad = GradientElements(matrix=gmat, weights=areas, ncomp=3)
 
-    wdiag = sp.diags(np.repeat(areas, 3))
-    stiff = (gmat.T @ wdiag @ gmat).tocsr()
-
     mass = np.zeros(n)
     np.add.at(mass, faces.ravel(), np.repeat(areas / 3.0, 3))
-    return mass, stiff, grad
+    return mass, grad
 
 
 def _build_sphere(spec: ModelSpec) -> DiscreteManifold:
     points, faces = _icosphere(spec.resolution, spec.radius)
-    mass, stiff, grad = _triangle_mesh_arrays(points, faces)
+    mass, grad = _triangle_mesh_arrays(points, faces)
     n = points.shape[0]
     r2 = spec.radius ** 2
     return DiscreteManifold(
-        dim=2, points=points, mass=mass, stiffness=stiff, grad=grad,
+        dim=2, points=points, mass=mass, grad=grad,
         boundary_mask=np.zeros(n, dtype=bool),
         scalar_curvature=np.full(n, 2.0 / r2),
         ric_min=np.full(n, 1.0 / r2),
-        ricci_lower=0.0, label=spec.describe(), periods=None)
+        ricci_lower=0.0, label=spec.describe())
 
 
 def build(spec: ModelSpec | str) -> DiscreteManifold:
@@ -420,29 +607,25 @@ def build(spec: ModelSpec | str) -> DiscreteManifold:
 def scale_metric(m: DiscreteManifold, lam: float) -> DiscreteManifold:
     """Metric scaling g -> lam^2 g.
 
-    Volume weights scale by lam^n, the Dirichlet form by lam^(n-2), element
-    gradients by 1/lam (with element volumes by lam^n), curvatures by
-    1/lam^2.  lam=1 returns the manifold unchanged.
+    Volume weights scale by lam^n, element gradients by 1/lam (with element
+    volumes and grid periods by lam^n and lam, so the Dirichlet form scales
+    by lam^(n-2)), curvatures by 1/lam^2.  lam=1 returns the manifold
+    unchanged.
     """
     if lam <= 0:
         raise ValueError("scale factor must be positive")
     if lam == 1.0:
         return m
     n = m.dim
-    grad = GradientElements(matrix=m.grad.matrix * (1.0 / lam),
-                            weights=m.grad.weights * lam ** n,
-                            ncomp=m.grad.ncomp)
     return replace(
         m,
         points=m.points * lam,
         mass=m.mass * lam ** n,
-        stiffness=(m.stiffness * lam ** (n - 2)).tocsr(),
-        grad=grad,
+        grad=m.grad.scaled(lam, n),
         scalar_curvature=m.scalar_curvature / lam ** 2,
         ric_min=m.ric_min / lam ** 2,
         ricci_lower=m.ricci_lower / lam ** 2,
         label=m.label + f"*scale{lam:g}",
-        periods=None if m.periods is None else tuple(s * lam for s in m.periods),
     )
 
 

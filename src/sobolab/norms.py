@@ -55,5 +55,5 @@ def bessel_norm(m: DiscreteManifold, dec_unit: SpectralDecomposition,
 def q_energy(m: DiscreteManifold, psi: PotentialField,
              u: np.ndarray) -> float | np.ndarray:
     """Quadratic form int (|grad u|^2 + Psi u^2); may be negative for Psi < 0."""
-    stiff = np.sum(u * (m.stiffness @ u.T).T, axis=-1)
-    return _per_member(stiff + np.sum(m.mass * psi.values * u * u, axis=-1))
+    return _per_member(m.grad.energy(u)
+                       + np.sum(m.mass * psi.values * u * u, axis=-1))

@@ -4,9 +4,9 @@ The generalized symmetric problem (S + M_Psi) phi = lambda M phi is solved
 in closed form on a periodic grid with uniform mass and constant Psi (real
 Fourier modes, applied by one product per axis with the res x res Fourier
 matrix), and otherwise reduced via the diagonal mass square root and solved
-in place by LAPACK's symmetric divide and conquer (dsyevd); every operator
-function (heat semigroup, fractional powers, resolvents) is evaluated on the
-resulting eigenpairs.
+in place by LAPACK's symmetric divide and conquer (dsyevd, the one use of
+scipy.linalg, imported there); every operator function (heat semigroup,
+fractional powers, resolvents) is evaluated on the resulting eigenpairs.
 """
 
 from __future__ import annotations
@@ -16,10 +16,8 @@ from functools import reduce
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
-import scipy.linalg as la
-import scipy.sparse as sp
 
-from .manifold import DENSE_NODE_GUARD, DiscreteManifold
+from .manifold import DENSE_NODE_GUARD, DiscreteManifold, GridGradient
 
 __all__ = [
     "DENSE_NODE_GUARD",
@@ -36,11 +34,11 @@ __all__ = [
     "bessel_multiplier",
     "power_multiplier",
     "spectrum_rows",
+    "diagnostics",
 ]
 
 EIG_CLIP_REL = 1e-10
 CLUSTER_GAP_REL = 1e-9  # roundoff splits are ~1e-15, real gaps >= ~1e-5
-GRID_MATCH_REL = 1e-13  # stiffness-vs-Kronecker-sum mismatch allowed
 
 
 class SingularOperatorError(ValueError):
@@ -233,10 +231,13 @@ def _clip(w: np.ndarray) -> np.ndarray:
 def decompose(m: DiscreteManifold, psi: PotentialField) -> SpectralDecomposition:
     """Generalized symmetric eigendecomposition of S + M_Psi vs M.
 
-    Periodic grids with uniform mass, a Kronecker-sum stiffness and constant
-    Psi get exact Fourier eigenvalues and a FourierBasis; every other model a
-    dense divide-and-conquer solve of the mass-reduced matrix, refused over
-    DENSE_NODE_GUARD nodes.  Eigenvalues with
+    A model whose gradient is a periodic grid gradient (a torus: component d
+    the forward difference over h_d = period_d / res), whose element weights
+    all equal its uniform node mass, with a constant Psi, gets exact Fourier
+    eigenvalues and a FourierBasis: its stiffness is then the Kronecker sum
+    of (m0 / h_d^2) times the periodic second difference.  Every other model
+    gets a dense divide-and-conquer solve of the mass-reduced stiffness,
+    refused over DENSE_NODE_GUARD nodes.  Eigenvalues with
     |lambda| <= 1e-10 * max|lambda| are clipped to exactly 0 so the Neumann
     kernel is detected reliably by the operator calculus.
     """
@@ -265,6 +266,8 @@ def _dense_eigenpairs(m: DiscreteManifold, psi: PotentialField):
     LAPACK gets the F-contiguous view a.T, the same symmetric matrix,
     because a C-order array would be copied first.
     """
+    import scipy.linalg  # the dense path alone needs it
+
     n = m.num_nodes
     if n > DENSE_NODE_GUARD:
         raise ValueError(
@@ -276,46 +279,28 @@ def _dense_eigenpairs(m: DiscreteManifold, psi: PotentialField):
     a /= sqrt_m[None, :]
     a += a.T
     a *= 0.5
-    w, v = la.eigh(a.T, driver="evd", overwrite_a=True, check_finite=False)
+    w, v = scipy.linalg.eigh(a.T, driver="evd", overwrite_a=True,
+                             check_finite=False)
     v /= sqrt_m[:, None]
     return w, DenseBasis(v, m.mass)
-
-
-def _periodic_laplacian(res: int) -> sp.csr_matrix:
-    """The 1-d periodic second difference 2u_j - u_(j-1) - u_(j+1)."""
-    j = np.arange(res)
-    return sp.csr_matrix(
-        (np.repeat([2.0, -1.0, -1.0], res),
-         (np.tile(j, 3), np.concatenate([j, (j + 1) % res, (j - 1) % res]))),
-        shape=(res, res))
 
 
 def _fourier_grid(m: DiscreteManifold) -> int | None:
     """Nodes per axis when H is separable on a periodic grid, else None.
 
-    That needs uniform mass m0 and a stiffness equal, up to GRID_MATCH_REL,
-    to the Kronecker sum of (m0 / h_d^2) L_d over the axes (C order, axis 0
-    slowest), L_d the periodic second difference and h_d = period_d / res;
-    the comparison costs O(nnz).
+    Read from the gradient's structure: a periodic GridGradient, whose
+    inv_h_d is res / period_d by construction, with element weights all
+    equal to the uniform node mass m0.  Its stiffness is then exactly the
+    Kronecker sum of (m0 / h_d^2) L_d over the axes (C order, axis 0
+    slowest), L_d the periodic second difference.
     """
-    if m.periods is None or len(m.periods) != m.dim:
+    g = m.grad
+    if not (isinstance(g, GridGradient) and g.periodic):
         return None
-    n = m.num_nodes
-    res = round(n ** (1.0 / m.dim))
     m0 = m.mass[0]
-    if res < 2 or res ** m.dim != n or np.any(m.mass != m0):
+    if np.any(m.mass != m0) or np.any(g.weights != m0):
         return None
-    lap = _periodic_laplacian(res)
-    expected = sp.csr_matrix((n, n))
-    for d, period in enumerate(m.periods):
-        c = m0 / (period / res) ** 2
-        expected = expected + sp.kron(
-            sp.kron(sp.identity(res ** d), c * lap),
-            sp.identity(res ** (m.dim - d - 1)), format="csr")
-    scale = abs(expected).max()
-    if abs(m.stiffness - expected).max() > GRID_MATCH_REL * scale:
-        return None
-    return res
+    return g.res
 
 
 def _fourier_axis(res: int) -> tuple[np.ndarray, np.ndarray]:
@@ -419,3 +404,15 @@ def _op_norms_2_to_inf(dec: SpectralDecomposition,
 def spectrum_rows(dec: SpectralDecomposition) -> list[tuple[int, float]]:
     """(k, lambda_k) rows for CSV regression baselines."""
     return [(k, float(lam)) for k, lam in enumerate(dec.eigenvalues)]
+
+
+def diagnostics(dec1: SpectralDecomposition) -> dict:
+    """Deterministic facts about the Psi = 1 decomposition of a mesh.
+
+    decomposition is the path that solved it ("fourier" or "dense");
+    kernel_dim counts the exactly-zero eigenvalues of the bare Laplacian,
+    dec1.shifted(-1): 1 on every connected model.
+    """
+    path = "fourier" if isinstance(dec1.basis, FourierBasis) else "dense"
+    kernel = dec1.shifted(-1.0).eigenvalues == 0.0
+    return {"decomposition": path, "kernel_dim": int(np.count_nonzero(kernel))}

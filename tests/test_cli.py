@@ -53,6 +53,30 @@ def test_estimate_determinism_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("argv, path", [
+    (("heat", "--model", "torus:n=2,res=8"), "fourier"),
+    (("riesz", "--model", "box:n=2,res=6", "--p", "1.5"), "dense"),
+    (("flow", "--flow", "sphere:r0=1,subdiv=1", "--times", "0:0.2:0.1",
+      "--theorem", "d2", "--p", "1.5"), "dense"),
+], ids=["torus-heat", "box-riesz", "sphere-flow"])
+def test_artifact_diagnostics_repeat_byte_for_byte(tmp_path, monkeypatch,
+                                                   argv, path):
+    """Each artifact names its decomposition path and the bare Laplacian's
+    kernel dimension, inside the hashed payload, and a rerun reproduces it
+    (in a second directory under the same relative --out, because a flow
+    artifact records its CSV's path)."""
+    args = (*argv, "--seed", "3", "--size", "20")
+    for side in ("a", "b"):
+        (tmp_path / side).mkdir()
+        monkeypatch.chdir(tmp_path / side)
+        assert run(Path("out"), *args) == 0
+    (a,), doc = read_artifact(tmp_path / "a" / "out", argv[0])
+    (b,), _ = read_artifact(tmp_path / "b" / "out", argv[0])
+    assert a.name == b.name and a.read_bytes() == b.read_bytes()
+    assert doc["results"]["diagnostics"] == {"decomposition": path,
+                                             "kernel_dim": 1}
+
+
 def test_estimate_requires_seed(tmp_path):
     with pytest.raises(SystemExit):
         run(tmp_path, "estimate", "--model", "torus:n=2,res=16", "--p", "1.2")

@@ -4,10 +4,14 @@ An import that nothing uses, or an ``__all__`` entry that names nothing, is
 dead weight that no other test notices: a tool that walks ``__all__`` with
 ``getattr(module, name, None)`` skips a missing name silently.  The
 eigenbasis of a decomposition is read inside ``spectral`` only, and its
-transforms are called there and in the ensemble projection only.
+transforms are called there and in the ensemble projection only.  Torus jobs
+import no scipy.
 """
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -96,3 +100,66 @@ def test_only_spectral_and_the_ensemble_call_the_transforms(path):
              if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
              and n.func.attr in ("coefficients", "synthesize")]
     assert not calls, f"{path.name} calls a basis transform on lines {calls}"
+
+
+# ---------------------------------------------------------------------------
+# scipy is loaded only where a sphere's sparse gradient, a dense solve or the
+# quadrature in tau_of_t needs it; every torus job runs on numpy alone.  Each
+# check runs in a fresh interpreter, because this one has loaded scipy.
+
+TORUS_JOBS = [
+    ["estimate", "--model", "torus:n=2,res=8", "--p", "1.5"],
+    ["verify", "--model", "torus:n=2,res=8", "--p", "1.5", "--A", "1",
+     "--B", "64"],
+    ["heat", "--model", "torus:n=2,res=8", "--fit-window", "0.4,2", "--svg",
+     "--spectrum-csv", "--beta-csv"],
+    ["riesz", "--model", "torus:n=2,res=8", "--p", "1.5"],
+    ["w2p", "--model", "torus:n=3,res=6", "--p", "1.2", "--mu", "3"],
+    ["scaling", "--model", "torus:n=3,res=6"],
+    ["flow", "--flow", "torus:n=3,res=6", "--times", "0:1:0.5",
+     "--theorem", "b3", "--p", "2.5"],
+]
+OTHER_JOBS = [
+    ["heat", "--model", "sphere:r=1,subdiv=1"],
+    ["estimate", "--model", "box:n=2,res=6", "--p", "1.5"],
+]
+SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')
+import sobolab.cli
+seen = {'import': scipy_modules(), 'torus': [], 'other': []}
+for side, jobs in zip(('torus', 'other'), map(json.loads, sys.argv[2:])):
+    for argv in jobs:
+        argv += ['--seed', '1', '--size', '20', '--out', 'out']
+        seen[side].append([argv[0], sobolab.cli.main(argv), scipy_modules()])
+print(json.dumps(seen))
+"""
+
+
+@pytest.fixture(scope="module")
+def scipy_use(tmp_path_factory):
+    src = str(Path(sobolab.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, src, json.dumps(TORUS_JOBS),
+         json.dumps(OTHER_JOBS)],
+        cwd=tmp_path_factory.mktemp("jobs"), check=True, capture_output=True,
+        text=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_scipy(scipy_use):
+    assert scipy_use["import"] == []
+
+
+def test_torus_jobs_load_no_scipy(scipy_use):
+    assert [job[:2] for job in scipy_use["torus"]] == [
+        [argv[0], 0] for argv in TORUS_JOBS]
+    assert all(modules == [] for _, _, modules in scipy_use["torus"])
+
+
+def test_sphere_and_box_jobs_load_scipy_and_run(scipy_use):
+    assert [job[:2] for job in scipy_use["other"]] == [
+        [argv[0], 0] for argv in OTHER_JOBS]
+    assert "scipy.linalg" in scipy_use["other"][-1][2]

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from sobolab import (build, constant_potential, gamma_integral,
+from sobolab import (build, constant_potential, decompose, gamma_integral,
                      geometric_summary, scale_metric, with_fields)
-from sobolab.manifold import parse_model_spec
+from sobolab.manifold import (GradientElements, _component_count,
+                              parse_model_spec)
 
 
 def test_torus_volume_is_product_of_sides(torus2):
@@ -71,7 +74,8 @@ def test_scale_composition(torus2):
     assert np.allclose(a.mass, b.mass, rtol=1e-12)
     assert np.allclose(a.stiffness.toarray(), b.stiffness.toarray(), rtol=1e-12)
     assert np.allclose(a.grad.weights, b.grad.weights, rtol=1e-12)
-    assert np.allclose(a.grad.matrix.toarray(), b.grad.matrix.toarray(), rtol=1e-12)
+    u = np.random.default_rng(2).standard_normal(torus2.num_nodes)
+    assert np.allclose(a.grad.vectors(u), b.grad.vectors(u), rtol=1e-12)
     assert np.allclose(a.scalar_curvature, b.scalar_curvature, rtol=1e-12)
 
 
@@ -137,11 +141,47 @@ def test_gamma_integral_monotone_in_eps(torus2):
 
 def test_p2_gradient_matches_stiffness(torus2, sphere3):
     from sobolab import grad_lp_norm
+    from test_spectral import _perturbed_torus
     rng = np.random.default_rng(3)
-    for m in (torus2, sphere3, build("box:n=2,res=9,L=1.5")):
+    for m in (torus2, sphere3, build("box:n=2,res=9,L=1.5"), _perturbed_torus()):
         u = rng.standard_normal(m.num_nodes)
         energy = m.dirichlet_energy(u)
         assert grad_lp_norm(m, u, 2.0) ** 2 == pytest.approx(energy, rel=1e-8)
+        # the derived stiffness G^T W G gives the same quadratic form
+        assert u @ (m.stiffness @ u) == pytest.approx(energy, rel=1e-12)
+
+
+BOXES = [("box:n=2,res=12", 2, 12), ("box:n=3,res=6", 3, 6)]
+
+
+@pytest.mark.parametrize("text, n, res", BOXES)
+def test_neumann_box_is_connected_with_one_zero_eigenvalue(text, n, res):
+    """Q1 corner elements reach every node: one component, a one-dimensional
+    kernel, and the tensor sums of the 1-d Neumann chain's eigenvalues
+    (4/h^2) sin^2(k pi / (2(res-1)))."""
+    m = build(text)
+    assert _component_count(*m.grad.edges(), m.num_nodes) == 1
+    lam = decompose(m, constant_potential(m, 0.0)).eigenvalues
+    assert np.count_nonzero(lam == 0.0) == 1
+    h = 2 * np.pi / (res - 1)
+    chain = (4 / h ** 2) * np.sin(np.arange(res) * np.pi / (2 * (res - 1))) ** 2
+    expected = np.sort(sum(np.meshgrid(*[chain] * n, indexing="ij")).ravel())
+    assert np.max(np.abs(lam - expected)) <= 1e-12 * expected[-1]
+
+
+@pytest.mark.parametrize("text, n, res", BOXES)
+def test_validate_rejects_the_box_without_corner_elements(text, n, res):
+    """The earlier box assembly: one element per cell holding the forward
+    differences from its lowest corner, so a node with two coordinates at
+    res-1 lies on no element.  Those elements are the corner-(0, ..., 0)
+    rows of today's gradient, at the whole cell volume."""
+    m = build(text)
+    cells = (res - 1) ** n
+    old = GradientElements(m.grad.sparse()[:cells * n],
+                           np.full(cells, 2 ** n * m.grad.weights[0]), n)
+    parts = {2: 2, 3: 17}[n]
+    with pytest.raises(ValueError, match=f"{parts} connected components"):
+        replace(m, grad=old).validate()
 
 
 def test_validate_catches_broken_invariants(torus2):

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from sobolab import (EnsembleSpec, SingularOperatorError, apply_function,
@@ -133,7 +134,6 @@ def test_lambda0_values(torus2, sphere3):
 def test_op_norm_single_node_identity():
     m = DiscreteManifold(
         dim=2, points=np.zeros((1, 2)), mass=np.ones(1),
-        stiffness=sp.csr_matrix((1, 1)),
         grad=GradientElements(sp.csr_matrix((1, 1)), np.ones(1), 1),
         boundary_mask=np.zeros(1, dtype=bool),
         scalar_curvature=np.zeros(1), ric_min=np.zeros(1), ricci_lower=0.0,
@@ -387,13 +387,11 @@ def test_fourier_transforms_peak_below_three_member_matrices():
 
 
 def _perturbed_torus():
+    """A torus whose first grid cell weight is 1e-6 relative too large."""
     m = build("torus:n=2,res=8")
-    s = m.stiffness.tolil()
-    s[0, 1] -= 1e-6
-    s[1, 0] -= 1e-6
-    s[0, 0] += 1e-6
-    s[1, 1] += 1e-6
-    return replace(m, stiffness=s.tocsr())
+    weights = m.grad.weights.copy()
+    weights[0] *= 1.0 + 1e-6
+    return replace(m, grad=replace(m.grad, weights=weights))
 
 
 @pytest.mark.parametrize("case", ["perturbed-torus", "sphere", "box",
@@ -408,8 +406,8 @@ def test_non_separable_models_fall_back_to_dense(case, monkeypatch):
     psi = (PotentialField(1.0 + m.points[:, 0], "x") if case == "varying-potential"
            else constant_potential(m, 1.0))
     calls = []
-    original = spectral.la.eigh
-    monkeypatch.setattr(spectral.la, "eigh",
+    original = scipy.linalg.eigh
+    monkeypatch.setattr(scipy.linalg, "eigh",
                         lambda a, **kw: calls.append(a.shape) or original(a, **kw))
     dec = decompose(m, psi)
     assert calls == [(m.num_nodes, m.num_nodes)]
@@ -427,7 +425,7 @@ def _reference_dense_eigenpairs(m, psi):
     a /= sqrt_m[:, None]
     a /= sqrt_m[None, :]
     a = 0.5 * (a + a.T)
-    w, v = spectral.la.eigh(a)
+    w, v = scipy.linalg.eigh(a)
     return SpectralDecomposition(spectral._clip(w),
                                  spectral.DenseBasis(v / sqrt_m[:, None], m.mass),
                                  psi, m)
@@ -445,14 +443,14 @@ def test_dense_divide_and_conquer_matches_the_reference_eigh(text, monkeypatch):
            else constant_potential(m, 1.0))
     ref = _reference_dense_eigenpairs(m, psi)
     seen = []
-    original = spectral.la.eigh
+    original = scipy.linalg.eigh
 
     def spy(a, **kw):
         w, v = original(a, **kw)
         seen.append((a.flags.f_contiguous, np.shares_memory(a, v)))
         return w, v
 
-    monkeypatch.setattr(spectral.la, "eigh", spy)
+    monkeypatch.setattr(scipy.linalg, "eigh", spy)
     dec = decompose(m, psi)
     assert seen == [(True, True)]
     lam_max = np.max(np.abs(ref.eigenvalues))
