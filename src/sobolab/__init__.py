@@ -13,7 +13,7 @@ from .spectral import (PotentialField, SpectralDecomposition,
                        SingularOperatorError, apply_function,
                        constant_potential, decompose, heat_multiplier,
                        lambda0, power_multiplier, quarter_curvature)
-from .norms import bessel_norm, grad_lp_norm, lp_norm, q_energy
+from .norms import grad_lp_norm, lp_norm, q_energy
 from .constants import (EnsembleSpec, InequalityCheck, LogSobolevProfile,
                         SobolevEstimate, beta_from_sobolev, entropy,
                         estimate_single_A, estimate_sobolev_AB,

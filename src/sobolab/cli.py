@@ -46,7 +46,7 @@ def _payload(command: str, config: dict, results: dict) -> dict:
 
 def _ensemble_spec(args) -> ct.EnsembleSpec:
     if args.seed is None:
-        raise SystemExit("a seed is mandatory; pass --seed")
+        raise ValueError("a seed is mandatory; pass --seed")
     return ct.EnsembleSpec(seed=args.seed, size=args.size,
                            generator=args.generator,
                            normalization=args.normalization)
@@ -190,7 +190,7 @@ def _cmd_riesz(args):
 def _cmd_w2p(args):
     mu = args.mu
     if not args.p < mu / 2:
-        raise SystemExit("w2p requires p < mu/2")
+        raise ValueError("w2p requires p < mu/2")
     m, dec1, spec, members = _prepare(args)
     p_out = mu * args.p / (mu - 2 * args.p)
     scan = sg.mapping_norm(dec1, "H^-1", args.p, p_out, members,
@@ -213,7 +213,7 @@ def _cmd_scaling(args):
 def _cmd_flow(args):
     spec = _ensemble_spec(args)
     times = _parse_times(args.times)
-    flow = fl.parse_flow_spec(args.flow, t_max=max(times) + 1e-9 if times else None,
+    flow = fl.parse_flow_spec(args.flow, t_max=max(times) + 1e-9,
                               members=spec.size)
     traj = fl.track(flow, times, args.theorem, args.p, spec, p0=args.p0)
     header = ["t", "vol", "r_max_plus", "kappa", "lambda0", "bracket",

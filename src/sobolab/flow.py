@@ -14,11 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bootstrap import chain_constants
-from .constants import (EnsembleSpec, estimate_sobolev_AB, generate_ensemble,
-                        two_term_check, _worst_ratio)
-from .manifold import (DiscreteManifold, ModelSpec, _check_node_count, build,
-                       gamma_integral, geometric_summary, scale_metric)
-from .norms import bessel_norm, grad_lp_norm, lp_norm
+from .constants import (RELATIVE_SLACK, EnsembleSpec, estimate_sobolev_AB,
+                        generate_ensemble, two_term_check, _pstar, _worst_ratio)
+from .manifold import (DiscreteManifold, ModelSpec, build, gamma_integral,
+                       geometric_summary, parse_model_spec, scale_metric)
+from .norms import grad_lp_norm, lp_norm
 from .spectral import (apply_functions, bessel_multiplier, constant_potential,
                        decompose, diagnostics)
 
@@ -36,7 +36,6 @@ __all__ = [
 ]
 
 SELECTORS = ("a2", "a3", "b2", "b3", "d2", "d3", "e2", "e3")
-RATIO_SLACK = 1e-9
 GAMMA_EPS = 1.0  # the eps of the integral-curvature quantity in family e
 
 
@@ -87,32 +86,19 @@ def static_torus_flow(dim: int = 3, resolution: int = 10,
 
 def parse_flow_spec(text: str, t_max: float | None = None,
                     members: int = 1) -> ExactFlow:
-    """Parse "sphere:r0=1" or "torus:n=3,res=10,L=6.283".
-
-    Meshes the model-spec parser would refuse for an ensemble of the given
-    number of members are refused before anything is built.
-    """
-    head, _, rest = text.partition(":")
-    kw = dict(item.split("=", 1) for item in rest.split(",") if item)
-    known = {"sphere": {"r0", "r", "subdiv"}, "torus": {"n", "res", "L"}}
-    unknown = sorted(set(kw) - known.get(head, set()))
-    if head in known and unknown:
-        raise ValueError(f"unknown {head} flow options: {unknown}")
-    if head == "sphere":
-        subdiv = int(kw.get("subdiv", 3))
-        _check_node_count("sphere", 2, subdiv, members)
-        return shrinking_sphere_flow(
-            r0=float(kw.get("r0", kw.get("r", 1.0))), subdiv=subdiv,
-            t_max=t_max)
-    if head == "torus":
-        dim, res = int(kw.get("n", 3)), int(kw.get("res", 10))
-        _check_node_count("torus", dim, res, members)
-        sides: tuple[float, ...] = ()
-        if "L" in kw:
-            sides = tuple(float(s) for s in kw["L"].split("x"))
-        return static_torus_flow(dim=dim, resolution=res, sides=sides,
-                                 t_max=t_max or 1.0)
-    raise ValueError(f"unknown flow spec {text!r}")
+    """A model spec (see manifold.parse_model_spec) as its exact flow: a
+    sphere shrinks, a torus is static.  Boxes and scaled specs have no exact
+    flow here and are refused before anything is built."""
+    spec = parse_model_spec(text, members)
+    if spec.scale != 1.0:
+        raise ValueError(f"flow spec {text!r}: a flow starts from scale=1")
+    if spec.variant == "sphere":
+        return shrinking_sphere_flow(r0=spec.radius, subdiv=spec.resolution,
+                                     t_max=t_max)
+    if spec.variant == "torus":
+        return static_torus_flow(dim=spec.dim, resolution=spec.resolution,
+                                 sides=spec.sides, t_max=t_max or 1.0)
+    raise ValueError(f"flow spec {text!r}: no exact flow on a {spec.variant}")
 
 
 def scale_factor(flow: ExactFlow, t: float) -> float:
@@ -210,17 +196,17 @@ def track(flow: ExactFlow, times, selector: str, p: float,
         est = estimate_sobolev_AB(base, p0, members, meta=ensemble.meta())
         base_constants.update(A=est.A_est, B=est.B_est)
     else:
-        q = n * p / (n - p)
+        q = _pstar(n, p)
         c_adj = -min(0.0, float(np.min(base.scalar_curvature))) / n
         defect0 = _defect(family, base, geometric_summary(base), c_adj)
         if family == "b":
-            rhs0 = bessel_norm(base, dec_base, members, p)
             # (-Lap+1)^(1/2) on g(t) = lam^2 g(0) is a multiplier on the bare
-            # t = 0 spectrum: one transform of the members serves every time
-            bessel_t = apply_functions(
-                dec_base.shifted(-1.0),
-                (bessel_multiplier(scale_factor(flow, t)) for t in times),
-                members)
+            # t = 0 spectrum: one transform of the members serves the t = 0
+            # constant (lam = 1) and then every sampled time
+            lams = [1.0] + [scale_factor(flow, t) for t in times]
+            bessel_t = apply_functions(dec_base.shifted(-1.0),
+                                       map(bessel_multiplier, lams), members)
+            rhs0 = lp_norm(base, next(bessel_t), p)
         else:
             rhs0 = _gradient_form(base, members, p, defect0)
         c0 = max(0.0, _worst_ratio(lp_norm(base, members, q), rhs0).ratio)
@@ -263,7 +249,8 @@ def track(flow: ExactFlow, times, selector: str, p: float,
             rec.update(C=base_constants["C"] * math.sqrt(1.0 + rec["r_max_plus"]))
     for (lhs, rhs), rec in zip(sides, records):
         # family a checks its chained constants as they are (factor 1)
-        worst = _worst_ratio(lhs, rec.get("C", 1.0) * rhs, slack=RATIO_SLACK)
+        worst = _worst_ratio(lhs, rec.get("C", 1.0) * rhs,
+                             slack=RELATIVE_SLACK)
         rec.update(worst_ratio=worst.ratio, violations=worst.violations)
     return FlowTrajectory(variant=flow.variant, selector=selector, p=p, p0=p0,
                           times=times, records=tuple(records),

@@ -444,7 +444,8 @@ def _check_node_count(variant: str, dim: int, res: int, members: int) -> None:
 def parse_model_spec(text: str, members: int = 1) -> ModelSpec:
     """Parse a spec string like "torus:n=2,res=32,L=6.2831853".
 
-    Meshes too large for the dense decomposition (spheres and boxes) or
+    Unset keys default to n=2, res=16 (subdiv=3 on a sphere), r=1 (alias
+    r0), one side L = 2 pi and scale=1.  Meshes too large for the dense decomposition (spheres and boxes) or
     for an ensemble of the given number of members are refused (see
     _check_node_count) before anything is built.
     """
@@ -458,7 +459,8 @@ def parse_model_spec(text: str, members: int = 1) -> ModelSpec:
             kw[k.strip()] = v.strip()
     variant = head.strip()
     dim = int(kw.pop("n", 2))
-    res = int(kw.pop("res", kw.pop("subdiv", 16)))
+    default_res = 3 if variant == "sphere" else 16  # subdiv / nodes per axis
+    res = int(kw.pop("res", kw.pop("subdiv", default_res)))
     _check_node_count(variant, dim, res, members)
     radius = float(kw.pop("r", kw.pop("r0", 1.0)))
     scale = float(kw.pop("scale", 1.0))

@@ -1,16 +1,15 @@
-"""Discrete L^p, gradient, spectral-square-root and energy norms."""
+"""Discrete L^p, gradient and energy norms."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .manifold import DiscreteManifold
-from .spectral import PotentialField, SpectralDecomposition, apply_function
+from .spectral import PotentialField
 
 __all__ = [
     "lp_norm",
     "grad_lp_norm",
-    "bessel_norm",
     "q_energy",
 ]
 
@@ -42,14 +41,6 @@ def grad_lp_norm(m: DiscreteManifold, u: np.ndarray,
     if np.isinf(p):
         return _per_member(np.max(mags, axis=-1, initial=0.0))
     return _per_member(np.sum(m.grad.weights * mags ** p, axis=-1) ** (1.0 / p))
-
-
-def bessel_norm(m: DiscreteManifold, dec_unit: SpectralDecomposition,
-                u: np.ndarray, p: float) -> float | np.ndarray:
-    """||(-Laplacian+1)^(1/2) u||_p; dec_unit must be the Psi = 1 decomposition."""
-    if not np.allclose(dec_unit.potential.values, 1.0, atol=1e-12):
-        raise ValueError("bessel_norm requires the decomposition of -Laplacian + 1")
-    return lp_norm(m, apply_function(dec_unit, np.sqrt, u), p)
 
 
 def q_energy(m: DiscreteManifold, psi: PotentialField,

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .constants import _worst_ratio
+from .constants import RELATIVE_SLACK, _worst_ratio
 from .manifold import DiscreteManifold, scale_metric
 from .norms import grad_lp_norm, lp_norm
 from .spectral import (SpectralDecomposition, _op_norms_2_to_inf,
@@ -36,7 +36,6 @@ __all__ = [
 ]
 
 CONTRACTION_TOL = 1e-8
-VERIFY_SLACK = 1e-9
 REFINE_ITERATIONS = 5
 FIT_SAMPLES = 9  # log-spaced times in an ultracontractivity fit window
 
@@ -176,7 +175,7 @@ def check_heat_kernel_bounds(m: DiscreteManifold, dec: SpectralDecomposition,
                            math.exp(2.0 * tau(t / 2.0) + correction)])
         sups.append(lp_norm(m, next(evolved), math.inf))
         dens.append(bounds[:, None] * base)
-    worst = _worst_ratio(np.array(sups)[:, None, :], dens, slack=VERIFY_SLACK)
+    worst = _worst_ratio(np.array(sups)[:, None, :], dens, slack=RELATIVE_SLACK)
     return ContractionReport(
         label="heat-kernel-bounds", cases=worst.used,
         violations=worst.violations, worst_ratio=worst.ratio,
@@ -349,7 +348,7 @@ def scaling_transfer_check(m: DiscreteManifold, lam: float, mu: float,
                                      bessel_scaled).ratio)
 
     transferred = lam * c_scaled
-    worst = _worst_ratio(orig[q_out], transferred * bessel, slack=VERIFY_SLACK)
+    worst = _worst_ratio(orig[q_out], transferred * bessel, slack=RELATIVE_SLACK)
     return {"lam": lam, "mu": mu, "p": p, "q_out": q_out,
             "scaling_error": worst_scaling, "C_scaled": c_scaled,
             "C_transferred": transferred, "violations": worst.violations,

@@ -10,7 +10,7 @@ import pytest
 
 import sobolab
 from sobolab import flow as fl
-from sobolab import cli, semigroup, spectral
+from sobolab import cli, manifold, semigroup, spectral
 from sobolab.cli import main
 
 
@@ -77,9 +77,29 @@ def test_artifact_diagnostics_repeat_byte_for_byte(tmp_path, monkeypatch,
                                              "kernel_dim": 1}
 
 
-def test_estimate_requires_seed(tmp_path):
-    with pytest.raises(SystemExit):
-        run(tmp_path, "estimate", "--model", "torus:n=2,res=16", "--p", "1.2")
+@pytest.mark.parametrize("argv", [("riesz", "--model", "sphere:r=1"),
+                                  ("flow", "--flow", "sphere:r0=1")],
+                         ids=["model", "flow"])
+def test_bare_sphere_spec_builds_the_642_node_mesh(tmp_path, capsys,
+                                                   monkeypatch, argv):
+    """Model and flow specs share one grammar and its default subdiv=3."""
+    built = []
+
+    def stop_after_build(spec):
+        built.append(manifold.build(spec).num_nodes)
+        raise ValueError("stopped after the build")
+
+    monkeypatch.setattr(cli, "build", stop_after_build)
+    monkeypatch.setattr(fl, "build", stop_after_build)
+    assert run(tmp_path, *argv, "--seed", "1", "--size", "5") == 1
+    one_line_error(capsys, "stopped after the build")
+    assert built == [642]
+
+
+def test_estimate_requires_seed(tmp_path, capsys):
+    assert run(tmp_path, "estimate", "--model", "torus:n=2,res=16",
+               "--p", "1.2") == 1
+    one_line_error(capsys, "--seed")
 
 
 def test_verify_exit_codes(tmp_path):
@@ -344,7 +364,7 @@ def test_command_decomposes_the_mesh_once(tmp_path, decompose_calls, argv):
 
 
 @pytest.mark.parametrize("argv, transforms", [
-    (("flow", "--flow", "sphere:r0=1,subdiv=2", "--theorem", "b2"), 2),
+    (("flow", "--flow", "sphere:r0=1,subdiv=2", "--theorem", "b2"), 1),
     (("scaling", "--model", "torus:n=3,res=8"), 1),
     (("riesz", "--model", "torus:n=2,res=12"), 2),
     (("heat", "--model", "torus:n=2,res=12"), 1),
@@ -352,9 +372,10 @@ def test_command_decomposes_the_mesh_once(tmp_path, decompose_calls, argv):
 def test_member_matrix_transforms_per_job(tmp_path, monkeypatch, argv,
                                           transforms):
     """Every f(H) of one member matrix shares one forward transform: flow b2
-    needs one for its t = 0 constant and one for all nine times, scaling one
-    for both metrics, riesz one for the Riesz scan and one for the three
-    Bessel-type operators, heat one for all times."""
+    one for its t = 0 constant and all nine times (each a Bessel multiplier
+    on the same bare spectrum), scaling one for both metrics, riesz one for
+    the Riesz scan and one for the three Bessel-type operators, heat one for
+    all times."""
     size, seen = 30, []
     for cls in (spectral.DenseBasis, spectral.FourierBasis):
         def spy(self, u, k=None, original=cls.coefficients):
@@ -441,12 +462,8 @@ def test_bad_arguments_fail_before_the_model_is_built(tmp_path, capsys,
     monkeypatch.setattr(cli, "build", refuse)
     monkeypatch.setattr(cli, "decompose", refuse)
     argv = (*argv, "--model", "sphere:r=1,subdiv=4", "--size", "5")
-    if argv[0] in ("riesz", "w2p"):  # these two refuse with SystemExit
-        with pytest.raises(SystemExit, match=words[0]):
-            run(tmp_path, *argv)
-    else:
-        assert run(tmp_path, *argv) == 1
-        one_line_error(capsys, *words)
+    assert run(tmp_path, *argv) == 1
+    one_line_error(capsys, *words)
 
 
 @pytest.mark.parametrize("argv, words", [

@@ -3,8 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sobolab import (bessel_norm, build, constant_potential, grad_lp_norm,
+from sobolab import (apply_function, build, constant_potential, grad_lp_norm,
                      lp_norm, q_energy, scale_metric)
+from sobolab.spectral import bessel_multiplier
+
+
+def bessel(m, dec0, u, p):
+    """||(-Laplacian+1)^(1/2) u||_p from the bare Laplacian's decomposition."""
+    return lp_norm(m, apply_function(dec0, bessel_multiplier(1.0), u), p)
 
 
 def test_constant_on_unit_volume_is_one(torus2_unit):
@@ -53,31 +59,26 @@ def test_rayleigh_identity_first_eigenfunction(torus2, torus2_dec0):
         lam1 * lp_norm(torus2, u, 2.0) ** 2, rel=1e-6)
 
 
-def test_bessel_p2_identity(torus2, torus2_dec1):
+def test_bessel_p2_identity(torus2, torus2_dec0):
     rng = np.random.default_rng(3)
     u = rng.standard_normal(torus2.num_nodes)
     expected = np.sqrt(torus2.dirichlet_energy(u) + torus2.mass_inner(u, u))
-    assert bessel_norm(torus2, torus2_dec1, u, 2.0) == pytest.approx(
+    assert bessel(torus2, torus2_dec0, u, 2.0) == pytest.approx(
         expected, rel=1e-8)
 
 
-def test_bessel_of_constant_is_lp_norm(torus2, torus2_dec1):
+def test_bessel_of_constant_is_lp_norm(torus2, torus2_dec0):
     u = np.full(torus2.num_nodes, 2.5)
     for p in (1.0, 1.5, 3.0):
-        assert bessel_norm(torus2, torus2_dec1, u, p) == pytest.approx(
+        assert bessel(torus2, torus2_dec0, u, p) == pytest.approx(
             lp_norm(torus2, u, p), rel=1e-10)
 
 
-def test_bessel_requires_unit_potential(torus2, torus2_dec0):
-    with pytest.raises(ValueError):
-        bessel_norm(torus2, torus2_dec0, np.ones(torus2.num_nodes), 2.0)
-
-
-def test_bessel_w1p_two_sided_equivalence(torus2, torus2_dec1, torus2_members):
+def test_bessel_w1p_two_sided_equivalence(torus2, torus2_dec0, torus2_members):
     p = 1.5
     ratios = []
     for u in torus2_members[:100]:
-        b = bessel_norm(torus2, torus2_dec1, u, p)
+        b = bessel(torus2, torus2_dec0, u, p)
         w = lp_norm(torus2, u, p) + grad_lp_norm(torus2, u, p)  # W^{1,p}
         if w > 0:
             ratios.append(b / w)
@@ -148,7 +149,7 @@ def test_norms_on_member_matrix_equal_stacked_rows(request, names, p):
     U = members[:40]
     cases = [(lambda u: lp_norm(m, u, p)), (lambda u: grad_lp_norm(m, u, p))]
     if np.isfinite(p):
-        cases.append(lambda u: bessel_norm(m, dec1, u, p))
+        cases.append(lambda u: bessel(m, dec1.shifted(-1.0), u, p))
     for norm in cases:
         batched = norm(U)
         assert batched.shape == (len(U),)

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sobolab.cli import MAX_TIME_SAMPLES, _parse_times
+from sobolab import flow
 from sobolab.flow import ExactFlow, parse_flow_spec
 from sobolab.manifold import MEMBER_GUARD, ModelSpec, parse_model_spec
 
@@ -73,7 +74,7 @@ def test_parse_model_spec_parses_or_raises_value_error(text):
 
 
 @pytest.mark.parametrize("parse, text, count", [
-    (parse_model_spec, "sphere:r=1", "10*4^16+2 = 42949672962"),
+    (parse_model_spec, "sphere:r=1,subdiv=16", "10*4^16+2 = 42949672962"),
     (parse_model_spec, "torus:n=40,res=2", "2^40 = 1099511627776"),
     (parse_flow_spec, "sphere:r0=1,subdiv=5", "10*4^5+2 = 10242"),
     (parse_model_spec, "torus:n=1,res=257", "257^1 = 257"),
@@ -85,6 +86,33 @@ def test_specs_over_the_node_guard_are_refused_before_building(parse, text,
     with pytest.raises(ValueError, match="guard") as err:
         parse(text)
     assert count in str(err.value) and "\n" not in str(err.value)
+
+
+@pytest.mark.parametrize("text", ["torus:n=3,res=6,bogus=1", "sphere:subdiv=5",
+                                  "torus:n=1,res=300",
+                                  "torus:n=1000000,res=1,L=1"])
+def test_flow_and_model_specs_share_one_grammar(text):
+    """A flow spec is a model spec: both parsers refuse a bad string with the
+    same one-line error."""
+    errors = []
+    for parse in (parse_flow_spec, parse_model_spec):
+        with pytest.raises(ValueError) as err:
+            parse(text)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1] and "\n" not in errors[0]
+
+
+@pytest.mark.parametrize("text", ["box:n=1,res=8", "sphere:r0=1,scale=2",
+                                  "torus:n=2,res=8,scale=2"])
+def test_specs_without_an_exact_flow_are_refused_before_building(monkeypatch,
+                                                                 text):
+    def refuse(*args, **kwargs):
+        raise AssertionError("model built before the flow spec was checked")
+
+    monkeypatch.setattr(flow, "build", refuse)
+    with pytest.raises(ValueError, match="flow") as err:
+        parse_flow_spec(text)
+    assert "\n" not in str(err.value)
 
 
 def test_member_guard_bounds_size_times_nodes():
