@@ -12,7 +12,7 @@ from .manifold import (DiscreteManifold, ModelSpec, build, gamma_integral,
 from .spectral import (PotentialField, SpectralDecomposition,
                        SingularOperatorError, apply_function,
                        constant_potential, decompose, heat_multiplier,
-                       lambda0, power_multiplier, quarter_curvature)
+                       power_multiplier)
 from .norms import grad_lp_norm, lp_norm, q_energy
 from .constants import (EnsembleSpec, InequalityCheck, LogSobolevProfile,
                         SobolevEstimate, beta_from_sobolev, entropy,

@@ -56,7 +56,6 @@ def iterate_ladder(n: float, p0: float, count: int) -> list[float]:
 class PLadder:
     """Ladder values p_0 < p_1 < ... with interval lookup for targets."""
 
-    n: float
     p0: float
     values: tuple[float, ...]
 
@@ -84,7 +83,7 @@ def build_ladder(n: float, p0: float, target_p: float) -> PLadder:
     for _ in range(LADDER_GUARD):
         vals.append(p_next(n, vals[-1]))
         if target_p <= vals[-1]:
-            return PLadder(n=n, p0=p0, values=tuple(vals))
+            return PLadder(p0=p0, values=tuple(vals))
     raise RuntimeError("ladder guard exceeded; target too close to n")
 
 
@@ -135,11 +134,6 @@ class BootstrapStep:
 class BootstrapChain:
     """Composed constants from (p0, A, B) up to the target exponent."""
 
-    n: float
-    p0: float
-    target_p: float
-    base_A: float
-    base_B: float
     steps: tuple[BootstrapStep, ...]
     m_p: int
 
@@ -150,10 +144,6 @@ class BootstrapChain:
     @property
     def C2(self) -> float:
         return self.steps[-1].C2
-
-    @property
-    def cumulative(self) -> tuple[float, float]:
-        return self.C1, self.C2
 
 
 def chain_constants(n: float, p0: float, A: float, B: float, target_p: float,
@@ -190,9 +180,7 @@ def chain_constants(n: float, p0: float, A: float, B: float, target_p: float,
                                        r=r_p(n, from_p, to_p),
                                        C1=float(c1), C2=float(c2)))
             a_cur, b_cur, from_p = c1, c2, to_p
-    return BootstrapChain(n=n, p0=p0, target_p=target_p, base_A=float(A),
-                          base_B=float(B), steps=tuple(steps),
-                          m_p=2 ** (k + 1))
+    return BootstrapChain(steps=tuple(steps), m_p=2 ** (k + 1))
 
 
 def alpha_scaling_bound(n: float, p0: float, target_p: float, A1: float,
@@ -210,7 +198,7 @@ def alpha_scaling_bound(n: float, p0: float, target_p: float, A1: float,
     record = {
         "n": n, "p0": p0, "target_p": target_p, "A1": A1, "B1": B1,
         "alpha": alpha, "m_p": base.m_p, "factor": factor,
-        "base": base.cumulative, "scaled": scaled.cumulative,
+        "base": (base.C1, base.C2), "scaled": (scaled.C1, scaled.C2),
         "margins": (factor * base.C1 - scaled.C1, factor * base.C2 - scaled.C2),
     }
     for name, got, bound in (("C1", scaled.C1, factor * base.C1),

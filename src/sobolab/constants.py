@@ -299,7 +299,6 @@ class LogSobolevProfile:
 
     sigma_grid: np.ndarray
     beta_values: np.ndarray
-    source: str  # "measured" | "derived-from-sobolev"
 
     def __post_init__(self):
         s = np.asarray(self.sigma_grid, dtype=float)
@@ -334,8 +333,7 @@ def measure_log_sobolev_beta(m: DiscreteManifold, psi: PotentialField,
     sigma_grid = np.asarray(sigma_grid, dtype=float)
     beta = np.max(entropy(m, members)
                   - sigma_grid[:, None] * q_energy(m, psi, members), axis=1)
-    return LogSobolevProfile(sigma_grid=sigma_grid, beta_values=beta,
-                             source="measured")
+    return LogSobolevProfile(sigma_grid=sigma_grid, beta_values=beta)
 
 
 def log_coefficient_A0(A: float, mu: float) -> float:
@@ -355,8 +353,7 @@ def beta_from_sobolev(A: float, mu: float, sigma: float) -> float:
 def derived_profile(A: float, mu: float, sigma_grid: np.ndarray) -> LogSobolevProfile:
     sigma_grid = np.asarray(sigma_grid, dtype=float)
     beta = np.array([beta_from_sobolev(A, mu, s) for s in sigma_grid])
-    return LogSobolevProfile(sigma_grid=sigma_grid, beta_values=beta,
-                             source="derived-from-sobolev")
+    return LogSobolevProfile(sigma_grid=sigma_grid, beta_values=beta)
 
 
 def tau_closed_form(t: float, A: float, mu: float) -> float:

@@ -45,26 +45,35 @@ class HypothesisError(ValueError):
 
 @dataclass(frozen=True)
 class ExactFlow:
-    """Closed-form metric evolution g(t) = lam(t)^2 g(0) on a fixed mesh."""
+    """An Einstein base mesh under its exact Ricci flow.
 
-    variant: str  # "shrinking-sphere" | "static-torus"
+    Ric = (R/n) g with R constant, so g(t) = (1 - 2Rt/n) g(0) on the fixed
+    mesh: a round sphere shrinks to a point at t = n/(2R), a flat torus is
+    static.  t_max is the horizon of the tracked times.
+    """
+
     base: DiscreteManifold
     t_max: float
-    r0: float = 1.0
 
     def __post_init__(self):
-        if self.t_max <= 0:
-            raise ValueError("t_max must be positive")
-        if self.variant == "shrinking-sphere":
-            if self.t_max >= self.r0 ** 2 / 2.0:
-                raise ValueError("horizon must stay inside the smooth interval "
-                                 f"t < {self.r0 ** 2 / 2.0}")
-        elif self.variant != "static-torus":
-            raise ValueError(f"unknown flow variant {self.variant!r}")
         r = self.base.scalar_curvature
         if not np.all(r == r[0]):
             raise ValueError("exact flows need constant scalar curvature on the "
                              "base, so that R/4 is a shift of the spectrum")
+        if not 0 < self.t_max < self.singular_time:  # empty when R < 0
+            raise ValueError(f"horizon t_max={self.t_max} must lie in the smooth "
+                             f"interval (0, {self.singular_time})")
+
+    @property
+    def singular_time(self) -> float:
+        """n/(2R), where g(t) = (1 - t/singular_time) g(0) ends; inf if R = 0."""
+        r = float(self.base.scalar_curvature[0])
+        return self.base.dim / (2.0 * r) if r else math.inf
+
+    @property
+    def variant(self) -> str:
+        return ("shrinking-sphere" if self.singular_time < math.inf
+                else "static-torus")
 
 
 def shrinking_sphere_flow(r0: float = 1.0, subdiv: int = 3,
@@ -73,7 +82,7 @@ def shrinking_sphere_flow(r0: float = 1.0, subdiv: int = 3,
     base = build(ModelSpec(variant="sphere", radius=r0, resolution=subdiv))
     if t_max is None:
         t_max = 0.45 * r0 ** 2
-    return ExactFlow(variant="shrinking-sphere", base=base, t_max=t_max, r0=r0)
+    return ExactFlow(base=base, t_max=t_max)
 
 
 def static_torus_flow(dim: int = 3, resolution: int = 10,
@@ -81,7 +90,7 @@ def static_torus_flow(dim: int = 3, resolution: int = 10,
     """Ricci-flat fixed point: the metric is constant in t."""
     base = build(ModelSpec(variant="torus", dim=dim, resolution=resolution,
                            sides=sides))
-    return ExactFlow(variant="static-torus", base=base, t_max=t_max)
+    return ExactFlow(base=base, t_max=t_max)
 
 
 def parse_flow_spec(text: str, t_max: float | None = None,
@@ -105,9 +114,7 @@ def scale_factor(flow: ExactFlow, t: float) -> float:
     """lam(t) with g(t) = lam(t)^2 g(0)."""
     if not 0 <= t <= flow.t_max:
         raise ValueError(f"t={t} beyond the flow horizon {flow.t_max}")
-    if flow.variant == "shrinking-sphere":
-        return math.sqrt(1.0 - 2.0 * t / flow.r0 ** 2)
-    return 1.0
+    return math.sqrt(1.0 - t / flow.singular_time)
 
 
 def metric_at(flow: ExactFlow, t: float) -> DiscreteManifold:

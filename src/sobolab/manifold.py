@@ -34,6 +34,9 @@ DENSE_NODE_GUARD = 4000  # nodes of a sphere or box (dense decomposition)
 TORUS_AXIS_GUARD = 256  # nodes per torus axis (Fourier products cost O(res))
 MEMBER_GUARD = 2 ** 24  # ensemble size x nodes: a 128 MiB member matrix
 VALIDATE_RTOL = 1e-10  # |gradient of a constant| allowed / largest coefficient
+SPEC_KEYS = {"sphere": ("r", "r0", "subdiv", "scale"),  # model spec options
+             "torus": ("n", "res", "L", "scale"),
+             "box": ("n", "res", "L", "scale")}
 
 
 class _Elements:
@@ -289,18 +292,15 @@ class DiscreteManifold:
     mass is the lumped (diagonal) volume form and grad the per-element
     gradient data; the Dirichlet form is sum_e w_e |grad u|_e^2, so the
     stiffness matrix G^T W G is derived from grad.  Curvature fields carry
-    1/length^2 units; ricci_lower is the scalar a^2 >= 0 in the lower bound
-    Ric >= -a^2 g.
+    1/length^2 units; ric_min is the least Ricci eigenvalue at each node.
     """
 
     dim: int
     points: np.ndarray
     mass: np.ndarray
     grad: GradientElements | GridGradient
-    boundary_mask: np.ndarray
     scalar_curvature: np.ndarray
     ric_min: np.ndarray
-    ricci_lower: float
     label: str
 
     @property
@@ -339,7 +339,8 @@ class DiscreteManifold:
 
         The stiffness is symmetric with constants in its kernel by
         construction, given a zero gradient of constants; a disconnected
-        gradient graph would add kernel directions no node couples to.
+        gradient graph would add kernel directions no node couples to.  R is
+        the trace of Ric, so R >= n min Ric at every node.
         """
         if np.any(self.mass <= 0):
             raise ValueError("mass weights must be positive")
@@ -350,8 +351,11 @@ class DiscreteManifold:
         parts = _component_count(*self.grad.edges(), self.num_nodes)
         if parts != 1:
             raise ValueError(f"gradient graph has {parts} connected components")
-        if np.any(self.ric_min < -self.ricci_lower - 1e-12):
-            raise ValueError("ric_min violates the ricci_lower bound")
+        r = self.scalar_curvature
+        slack = 1e-12 * np.maximum(1.0, np.abs(r))
+        if np.any(r < self.dim * self.ric_min - slack):
+            raise ValueError("scalar curvature below n * ric_min (R is the "
+                             "trace of Ric)")
 
 
 @dataclass(frozen=True)
@@ -422,7 +426,7 @@ def _check_node_count(variant: str, dim: int, res: int, members: int) -> None:
     """
     sphere = variant == "sphere"
     base, exp = (4, res) if sphere else (res, dim)
-    if variant not in ("torus", "box", "sphere") or base < 2 or exp < 1:
+    if base < 2 or exp < 1:
         return
     count = f"10*4^{res}+2" if sphere else f"{res}^{dim}"
     n = math.inf
@@ -444,12 +448,18 @@ def _check_node_count(variant: str, dim: int, res: int, members: int) -> None:
 def parse_model_spec(text: str, members: int = 1) -> ModelSpec:
     """Parse a spec string like "torus:n=2,res=32,L=6.2831853".
 
-    Unset keys default to n=2, res=16 (subdiv=3 on a sphere), r=1 (alias
-    r0), one side L = 2 pi and scale=1.  Meshes too large for the dense decomposition (spheres and boxes) or
-    for an ensemble of the given number of members are refused (see
-    _check_node_count) before anything is built.
+    A sphere takes r (alias r0, default 1), subdiv (default 3) and scale; a
+    torus or box takes n (default 2), res (default 16), L (one side for
+    every axis, default 2 pi, or one per axis joined by x) and scale; scale
+    defaults to 1.  Any other key is refused, and so are meshes too large
+    for the dense decomposition (spheres and boxes) or for an ensemble of
+    the given number of members (see _check_node_count), before anything is
+    built.
     """
     head, _, rest = text.partition(":")
+    variant = head.strip()
+    if variant not in SPEC_KEYS:
+        raise ValueError(f"unknown model variant {variant!r}")
     kw: dict[str, str] = {}
     if rest:
         for item in rest.split(","):
@@ -457,18 +467,18 @@ def parse_model_spec(text: str, members: int = 1) -> ModelSpec:
             if not v:
                 raise ValueError(f"malformed model option {item!r}")
             kw[k.strip()] = v.strip()
-    variant = head.strip()
-    dim = int(kw.pop("n", 2))
-    default_res = 3 if variant == "sphere" else 16  # subdiv / nodes per axis
-    res = int(kw.pop("res", kw.pop("subdiv", default_res)))
+    keys = SPEC_KEYS[variant]
+    unknown = [k for k in kw if k not in keys]
+    if unknown:
+        raise ValueError(f"unknown {variant} options {unknown}; a {variant} "
+                         f"takes {', '.join(keys)}")
+    sphere = variant == "sphere"
+    dim = 2 if sphere else int(kw.get("n", 2))
+    res = int(kw.get("subdiv", 3) if sphere else kw.get("res", 16))
     _check_node_count(variant, dim, res, members)
-    radius = float(kw.pop("r", kw.pop("r0", 1.0)))
-    scale = float(kw.pop("scale", 1.0))
-    sides: tuple[float, ...] = ()
-    if "L" in kw:
-        sides = tuple(float(s) for s in kw.pop("L").split("x"))
-    if kw:
-        raise ValueError(f"unknown model options: {sorted(kw)}")
+    radius = float(kw.get("r", kw.get("r0", 1.0)))
+    scale = float(kw.get("scale", 1.0))
+    sides = tuple(float(s) for s in kw["L"].split("x")) if "L" in kw else ()
     return ModelSpec(variant=variant, dim=dim, resolution=res, sides=sides,
                      radius=radius, scale=scale)
 
@@ -488,18 +498,15 @@ def _build_grid(spec: ModelSpec) -> DiscreteManifold:
     if periodic:
         weights = np.full(n, cell_vol)
         mass = np.full(n, cell_vol)
-        boundary = np.zeros(n, dtype=bool)
     else:
         weights = np.full((2 * (res - 1)) ** dim, cell_vol / 2 ** dim)
         end = (coords == 0) | (coords == res - 1)
         mass = cell_vol * np.prod(np.where(end, 0.5, 1.0), axis=1)
-        boundary = np.any(end, axis=1)
     grad = GridGradient(res=res, sides=spec.sides, inv_h=1.0 / h,
                         weights=weights, periodic=periodic)
     return DiscreteManifold(
         dim=dim, points=coords * h[None, :], mass=mass, grad=grad,
-        boundary_mask=boundary,
-        scalar_curvature=np.zeros(n), ric_min=np.zeros(n), ricci_lower=0.0,
+        scalar_curvature=np.zeros(n), ric_min=np.zeros(n),
         label=spec.describe())
 
 
@@ -586,10 +593,8 @@ def _build_sphere(spec: ModelSpec) -> DiscreteManifold:
     r2 = spec.radius ** 2
     return DiscreteManifold(
         dim=2, points=points, mass=mass, grad=grad,
-        boundary_mask=np.zeros(n, dtype=bool),
         scalar_curvature=np.full(n, 2.0 / r2),
-        ric_min=np.full(n, 1.0 / r2),
-        ricci_lower=0.0, label=spec.describe())
+        ric_min=np.full(n, 1.0 / r2), label=spec.describe())
 
 
 def build(spec: ModelSpec | str) -> DiscreteManifold:
@@ -626,27 +631,17 @@ def scale_metric(m: DiscreteManifold, lam: float) -> DiscreteManifold:
         grad=m.grad.scaled(lam, n),
         scalar_curvature=m.scalar_curvature / lam ** 2,
         ric_min=m.ric_min / lam ** 2,
-        ricci_lower=m.ricci_lower / lam ** 2,
         label=m.label + f"*scale{lam:g}",
     )
 
 
-def with_fields(m: DiscreteManifold, *, scalar_curvature=None, ric_min=None,
-                ricci_lower: float | None = None, label: str | None = None
-                ) -> DiscreteManifold:
+def with_fields(m: DiscreteManifold, *, scalar_curvature=None,
+                ric_min=None) -> DiscreteManifold:
     """Override curvature fields (for synthetic test geometries)."""
-    kw = {}
-    if scalar_curvature is not None:
-        kw["scalar_curvature"] = np.broadcast_to(
-            np.asarray(scalar_curvature, dtype=float), (m.num_nodes,)).copy()
-    if ric_min is not None:
-        kw["ric_min"] = np.broadcast_to(
-            np.asarray(ric_min, dtype=float), (m.num_nodes,)).copy()
-    if ricci_lower is not None:
-        kw["ricci_lower"] = float(ricci_lower)
-    if label is not None:
-        kw["label"] = label
-    return replace(m, **kw)
+    fields = {"scalar_curvature": scalar_curvature, "ric_min": ric_min}
+    return replace(m, **{k: np.broadcast_to(np.asarray(v, dtype=float),
+                                            (m.num_nodes,)).copy()
+                         for k, v in fields.items() if v is not None})
 
 
 def geometric_summary(m: DiscreteManifold) -> dict:

@@ -25,11 +25,9 @@ __all__ = [
     "PotentialField",
     "SpectralDecomposition",
     "constant_potential",
-    "quarter_curvature",
     "decompose",
     "apply_function",
     "apply_functions",
-    "lambda0",
     "heat_multiplier",
     "bessel_multiplier",
     "power_multiplier",
@@ -47,10 +45,9 @@ class SingularOperatorError(ValueError):
 
 @dataclass(frozen=True)
 class PotentialField:
-    """Per-node potential Psi (1/length^2 units) with a provenance label."""
+    """Per-node potential Psi (1/length^2 units), checked finite."""
 
     values: np.ndarray
-    label: str
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -69,11 +66,7 @@ class PotentialField:
 
 
 def constant_potential(m: DiscreteManifold, c: float) -> PotentialField:
-    return PotentialField(np.full(m.num_nodes, float(c)), f"const:{c:g}")
-
-
-def quarter_curvature(m: DiscreteManifold) -> PotentialField:
-    return PotentialField(m.scalar_curvature / 4.0, "R/4")
+    return PotentialField(np.full(m.num_nodes, float(c)))
 
 
 @dataclass(frozen=True)
@@ -215,10 +208,8 @@ class SpectralDecomposition:
         the clipping rule of decompose is applied again, so a shift down to
         the bare Laplacian keeps its kernel at exactly 0.
         """
-        psi = PotentialField(self.potential.values + c,
-                             f"{self.potential.label}{c:+g}")
         return replace(self, eigenvalues=_clip(self.eigenvalues + c),
-                       potential=psi)
+                       potential=PotentialField(self.potential.values + c))
 
 
 def _clip(w: np.ndarray) -> np.ndarray:
@@ -384,11 +375,6 @@ def power_multiplier(alpha: float) -> Callable[[np.ndarray], np.ndarray]:
     def f(lam: np.ndarray) -> np.ndarray:
         return np.power(lam, alpha)
     return f
-
-
-def lambda0(m: DiscreteManifold) -> float:
-    """Smallest eigenvalue of -Laplacian + R/4."""
-    return decompose(m, quarter_curvature(m)).lambda_min
 
 
 def _op_norms_2_to_inf(dec: SpectralDecomposition,

@@ -15,7 +15,7 @@ from sobolab import (EnsembleSpec, alpha_scaling_bound, apply_function, build,
                      bessel_equivalence_constants, chain_constants,
                      check_heat_kernel_bounds, constant_potential, decompose,
                      estimate_sobolev_AB, generate_ensemble,
-                     heat_contraction_check, iterate_ladder, lambda0,
+                     heat_contraction_check, iterate_ladder,
                      mapping_norm, riesz_ratio, scale_metric,
                      scaling_transfer_check, shrinking_sphere_flow,
                      step_constants, tau_closed_form, tau_of_t, track,

@@ -111,7 +111,7 @@ def test_step_constants_reach_guard():
 def test_chain_single_step_reduces_to_step_constants():
     chain = chain_constants(3, 2.0, 1.0, 1.0, 2.5)
     direct = step_constants(3, 2.0, 2.5, 1.0, 1.0)
-    assert chain.cumulative == pytest.approx(direct, rel=1e-14)
+    assert (chain.C1, chain.C2) == pytest.approx(direct, rel=1e-14)
     assert chain.m_p == 2 and len(chain.steps) == 1
 
 

@@ -102,7 +102,6 @@ def test_measured_beta_nonincreasing(torus2_unit, torus2_unit_dec1):
     prof = measure_log_sobolev_beta(torus2_unit,
                                     constant_potential(torus2_unit, 1.0),
                                     grid, members)
-    assert prof.source == "measured"
     assert np.all(np.diff(prof.beta_values) <= 1e-12)
 
 
@@ -220,9 +219,9 @@ def test_chain_consistency_measured_beta_below_derived(torus2_unit,
 
 def test_profile_validation():
     with pytest.raises(ValueError):
-        LogSobolevProfile(np.array([1.0, 0.5]), np.array([0.0, 0.0]), "measured")
+        LogSobolevProfile(np.array([1.0, 0.5]), np.array([0.0, 0.0]))
     with pytest.raises(ValueError):
-        LogSobolevProfile(np.array([0.5, 1.0]), np.array([np.inf, 0.0]), "measured")
+        LogSobolevProfile(np.array([0.5, 1.0]), np.array([np.inf, 0.0]))
 
 
 def test_estimate_single_A_requires_positive_energy(torus2_unit):

@@ -129,10 +129,19 @@ def test_track_validates_inputs(sphere_flow):
 
 
 def test_parse_flow_spec():
-    flow = parse_flow_spec("sphere:r0=2", t_max=1.0)
-    assert flow.variant == "shrinking-sphere" and flow.r0 == 2.0
+    """The rate R/n is read from the base mesh: on a round sphere of radius
+    r0, g(t) = (1 - 2t/r0^2) g(0), singular at t = r0^2/2."""
+    for r0 in (1.0, 2.0, 1.3):
+        flow = parse_flow_spec(f"sphere:r0={r0:g},subdiv=1",
+                               t_max=0.45 * r0 ** 2)
+        assert flow.variant == "shrinking-sphere"
+        for t in (0.0, 0.2 * r0 ** 2):
+            assert scale_factor(flow, t) == pytest.approx(
+                np.sqrt(1.0 - 2.0 * t / r0 ** 2), rel=1e-15, abs=0.0)
+        with pytest.raises(ValueError, match="smooth interval"):
+            ExactFlow(base=flow.base, t_max=r0 ** 2 / 2.0)
     flow = parse_flow_spec("torus:n=3,res=6")
-    assert flow.variant == "static-torus"
+    assert flow.variant == "static-torus" and scale_factor(flow, 0.5) == 1.0
     with pytest.raises(ValueError):
         parse_flow_spec("klein:res=3")
 
@@ -188,8 +197,8 @@ def test_track_e_family_integral_curvature(sphere_flow):
     d2, e2 = (track(sphere_flow, [0.0, 0.4], sel, 1.5, spec) for sel in ("d2", "e2"))
     assert [r["gamma"] for r in e2.records] == [0.0, 0.0]
     assert [r["C"] for r in e2.records] == [r["C"] for r in d2.records]
-    base = with_fields(build("torus:n=3,res=6"), ric_min=-1.0, ricci_lower=1.0)
-    flow = ExactFlow(variant="static-torus", base=base, t_max=1.0)
+    base = with_fields(build("torus:n=3,res=6"), ric_min=-1.0)
+    flow = ExactFlow(base=base, t_max=1.0)
     traj = track(flow, [0.0, 1.0], "e3", 2.5, spec)
     for rec in traj.records:
         assert rec["gamma"] == pytest.approx(np.sqrt(base.volume), rel=1e-12)
@@ -201,4 +210,4 @@ def test_exact_flow_rejects_nonconstant_curvature():
     base = build("torus:n=2,res=6")
     curved = with_fields(base, scalar_curvature=np.linspace(0.0, 1.0, 36))
     with pytest.raises(ValueError, match="constant scalar curvature"):
-        ExactFlow(variant="static-torus", base=curved, t_max=1.0)
+        ExactFlow(base=curved, t_max=1.0)

@@ -1,11 +1,11 @@
 """Import hygiene of the package source, checked on the syntax tree alone.
 
-An import that nothing uses, or an ``__all__`` entry that names nothing, is
-dead weight that no other test notices: a tool that walks ``__all__`` with
-``getattr(module, name, None)`` skips a missing name silently.  The
-eigenbasis of a decomposition is read inside ``spectral`` only, and its
-transforms are called there and in the ensemble projection only.  Torus jobs
-import no scipy.
+An import that nothing uses (in the package, its tests or its tools), or an
+``__all__`` entry that names nothing, is dead weight that no other test
+notices: a tool that walks ``__all__`` with ``getattr(module, name, None)``
+skips a missing name silently.  The eigenbasis of a decomposition is read
+inside ``spectral`` only, and its transforms are called there and in the
+ensemble projection only.  Torus jobs import no scipy.
 """
 
 import ast
@@ -19,8 +19,10 @@ import pytest
 import sobolab
 
 MODULES = sorted(Path(sobolab.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("tools/*.py"))
 # the package namespace re-exports what it imports
-IMPORTERS = [p for p in MODULES if p.name != "__init__.py"]
+IMPORTERS = [p for p in MODULES if p.name != "__init__.py"] + SCRIPTS
 NOT_SPECTRAL = [p for p in MODULES if p.name != "spectral.py"]
 
 
@@ -58,7 +60,9 @@ def _top_level_names(tree: ast.Module) -> set[str]:
     return names
 
 
-@pytest.mark.parametrize("path", IMPORTERS, ids=[p.name for p in IMPORTERS])
+@pytest.mark.parametrize("path", IMPORTERS, ids=[
+    p.name if p.parent.name == "sobolab" else f"{p.parent.name}/{p.name}"
+    for p in IMPORTERS])
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text())
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}

@@ -22,12 +22,6 @@ def test_box_constant_has_zero_energy():
     ones = np.ones(box.num_nodes)
     assert box.dirichlet_energy(ones) == pytest.approx(0.0, abs=1e-12)
     assert box.volume == pytest.approx(1.0, rel=1e-12)
-    assert box.boundary_mask.sum() == 2
-
-
-def test_box_boundary_mask_2d():
-    box = build("box:n=2,res=5,L=1")
-    assert box.boundary_mask.sum() == 16  # perimeter of a 5x5 grid
 
 
 @pytest.mark.parametrize("spec_text", ["torus:n=0,res=8", "sphere:r=-1,subdiv=2",
@@ -107,8 +101,7 @@ def test_geometric_summary_permutation_invariant(torus2):
     from dataclasses import replace
     rng = np.random.default_rng(0)
     base = with_fields(torus2, scalar_curvature=rng.standard_normal(torus2.num_nodes),
-                       ric_min=-np.abs(rng.standard_normal(torus2.num_nodes)),
-                       ricci_lower=1e9)
+                       ric_min=-np.abs(rng.standard_normal(torus2.num_nodes)))
     perm = rng.permutation(torus2.num_nodes)
     shuffled = replace(base, mass=base.mass[perm],
                        scalar_curvature=base.scalar_curvature[perm],
@@ -119,21 +112,21 @@ def test_geometric_summary_permutation_invariant(torus2):
 def test_gamma_integral_cases(torus2, sphere3):
     assert gamma_integral(sphere3, 0.0, 1.0) == 0.0
     assert gamma_integral(torus2, 1.0, 0.5) == 0.0
-    synthetic = with_fields(torus2, ric_min=-1.0, ricci_lower=1.0)
+    synthetic = with_fields(torus2, ric_min=-1.0)
     # integrand is 1 everywhere: gamma = vol^(1/(2 eps)) with eps = 1
     assert gamma_integral(synthetic, 0.0, 1.0) == pytest.approx(
         np.sqrt(torus2.volume), rel=1e-12)
 
 
 def test_gamma_integral_monotone_in_c(torus2):
-    synthetic = with_fields(torus2, ric_min=-1.0, ricci_lower=1.0)
+    synthetic = with_fields(torus2, ric_min=-1.0)
     cs = [0.0, 0.25, 0.5, 0.75, 1.0, 2.0]
     vals = [gamma_integral(synthetic, c, 0.7) for c in cs]
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
 def test_gamma_integral_monotone_in_eps(torus2):
-    synthetic = with_fields(torus2, ric_min=-1.0, ricci_lower=1.0)
+    synthetic = with_fields(torus2, ric_min=-1.0)
     # integrand is 1: gamma = vol^{1/(2 eps)} decreases in eps (vol > 1)
     gammas = [gamma_integral(synthetic, 0.0, e) for e in (0.5, 1.0, 2.0)]
     assert gammas[0] > gammas[1] > gammas[2]
@@ -185,6 +178,6 @@ def test_validate_rejects_the_box_without_corner_elements(text, n, res):
 
 
 def test_validate_catches_broken_invariants(torus2):
-    bad = with_fields(torus2, ric_min=-2.0, ricci_lower=1.0)
+    bad = with_fields(torus2, ric_min=1.0)  # R = 0 < n * min Ric = 2
     with pytest.raises(ValueError):
         bad.validate()

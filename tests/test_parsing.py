@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from sobolab.cli import MAX_TIME_SAMPLES, _parse_times
 from sobolab import flow
 from sobolab.flow import ExactFlow, parse_flow_spec
-from sobolab.manifold import MEMBER_GUARD, ModelSpec, parse_model_spec
+from sobolab.manifold import (MEMBER_GUARD, SPEC_KEYS, ModelSpec,
+                              parse_model_spec)
 
 GARBAGE = st.text(alphabet=st.characters(blacklist_categories=("Nd", "Cs")),
                   max_size=8)
@@ -90,16 +91,26 @@ def test_specs_over_the_node_guard_are_refused_before_building(parse, text,
 
 @pytest.mark.parametrize("text", ["torus:n=3,res=6,bogus=1", "sphere:subdiv=5",
                                   "torus:n=1,res=300",
-                                  "torus:n=1000000,res=1,L=1"])
+                                  "torus:n=1000000,res=1,L=1",
+                                  "sphere:r=1,L=5",
+                                  "torus:n=2,res=8,r=7,subdiv=9",
+                                  "torus:subdiv=8", "box:n=2,res=8,r0=2"])
 def test_flow_and_model_specs_share_one_grammar(text):
     """A flow spec is a model spec: both parsers refuse a bad string with the
-    same one-line error."""
+    same one-line error.  A sphere takes r/r0, subdiv and scale, a grid n,
+    res, L and scale; any other key is named with the variant."""
     errors = []
     for parse in (parse_flow_spec, parse_model_spec):
         with pytest.raises(ValueError) as err:
             parse(text)
         errors.append(str(err.value))
     assert errors[0] == errors[1] and "\n" not in errors[0]
+    if "option" in errors[0]:  # each unknown key is named with the variant
+        variant, _, rest = text.partition(":")
+        keys = [item.partition("=")[0] for item in rest.split(",")]
+        assert variant in errors[0]
+        assert all(repr(k) in errors[0] for k in keys
+                   if k not in SPEC_KEYS[variant])
 
 
 @pytest.mark.parametrize("text", ["box:n=1,res=8", "sphere:r0=1,scale=2",

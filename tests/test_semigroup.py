@@ -46,7 +46,7 @@ def test_contraction_constant_is_exact_exponential(torus2, torus2_dec1):
 
 
 def test_contraction_rejects_negative_potential(torus2):
-    psi = PotentialField(np.full(torus2.num_nodes, -0.5), "const:-0.5")
+    psi = PotentialField(np.full(torus2.num_nodes, -0.5))
     dec = decompose(torus2, psi)
     with pytest.raises(ValueError):
         heat_contraction_check(torus2, dec, [0.1], [2.0],
@@ -128,7 +128,7 @@ def test_heat_kernel_bounds_mixed_sign_potential(torus3, torus3_members):
     """
     est = estimate_sobolev_AB(torus3, 2.0, torus3_members)
     a_single = single_constant_from_pair(est, torus3.volume, torus3.dim)
-    psi = PotentialField(np.full(torus3.num_nodes, -0.5), "const:-0.5")
+    psi = PotentialField(np.full(torus3.num_nodes, -0.5))
     dec = decompose(torus3, psi)
     assert dec.potential.inf_minus == -0.5
     tau = lambda t: tau_closed_form(t, a_single, 3.0) + 1.5 * t / 4.0

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 
 from sobolab import (EnsembleSpec, SingularOperatorError, apply_function,
                      constant_potential, decompose, generate_ensemble,
-                     heat_multiplier, lambda0, power_multiplier,
+                     heat_multiplier, power_multiplier,
                      scale_metric, spectral)
 from sobolab.manifold import (DiscreteManifold, GradientElements, ModelSpec,
                               build)
@@ -73,9 +73,9 @@ def test_decompose_guard_and_bad_potential(torus2):
     psi = constant_potential(torus2, 0.0)
     fake = psi.values[:10]
     with pytest.raises(ValueError):
-        decompose(torus2, PotentialField(fake, "short"))
+        decompose(torus2, PotentialField(fake))
     with pytest.raises(ValueError):
-        PotentialField(np.array([np.nan]), "bad")
+        PotentialField(np.array([np.nan]))
     # a mesh built in code bypasses the spec parsers' size gate; a box
     # decomposes densely at every size
     big = build(ModelSpec("box", dim=2, resolution=64))
@@ -125,19 +125,24 @@ def test_neumann_box_spectrum_closed_form():
         assert dec.eigenvalues[kk] == pytest.approx((kk * np.pi) ** 2, rel=5e-3)
 
 
+def _lambda0(m):
+    """Ground state of -Laplacian + R/4 as flow.track reads it: the Psi = 1
+    spectrum shifted by R/4 - 1 (R is constant on these models)."""
+    dec = decompose(m, constant_potential(m, 1.0))
+    return dec.shifted(m.scalar_curvature[0] / 4.0 - 1.0).lambda_min
+
+
 def test_lambda0_values(torus2, sphere3):
-    assert lambda0(torus2) == pytest.approx(0.0, abs=1e-10)
-    assert lambda0(sphere3) == pytest.approx(0.5, abs=1e-6)
-    assert lambda0(scale_metric(sphere3, 2.0)) == pytest.approx(1.0 / 8.0, abs=1e-6)
+    assert _lambda0(torus2) == pytest.approx(0.0, abs=1e-10)
+    assert _lambda0(sphere3) == pytest.approx(0.5, abs=1e-6)
+    assert _lambda0(scale_metric(sphere3, 2.0)) == pytest.approx(1.0 / 8.0, abs=1e-6)
 
 
 def test_op_norm_single_node_identity():
     m = DiscreteManifold(
         dim=2, points=np.zeros((1, 2)), mass=np.ones(1),
         grad=GradientElements(sp.csr_matrix((1, 1)), np.ones(1), 1),
-        boundary_mask=np.zeros(1, dtype=bool),
-        scalar_curvature=np.zeros(1), ric_min=np.zeros(1), ricci_lower=0.0,
-        label="point")
+        scalar_curvature=np.zeros(1), ric_min=np.zeros(1), label="point")
     dec = decompose(m, constant_potential(m, 0.0))
     got = spectral._op_norms_2_to_inf(dec, [lambda lam: np.ones_like(lam)])[0]
     assert got == pytest.approx(1.0)
@@ -188,9 +193,9 @@ def test_shifted_operator_equivalence(torus2):
     """e^{-tH} computed directly equals e^{-t inf Psi^-} e^{-t H1} with H1 shifted."""
     rng = np.random.default_rng(6)
     psi_vals = rng.standard_normal(torus2.num_nodes)
-    psi = PotentialField(psi_vals, "mixed-sign")
+    psi = PotentialField(psi_vals)
     inf_minus = psi.inf_minus
-    shifted = PotentialField(psi_vals - inf_minus, "shifted")
+    shifted = PotentialField(psi_vals - inf_minus)
     u = rng.standard_normal(torus2.num_nodes)
     t = 0.3
     direct = apply_function(decompose(torus2, psi), heat_multiplier(t), u)
@@ -403,7 +408,7 @@ def test_non_separable_models_fall_back_to_dense(case, monkeypatch):
         m = build({"sphere": "sphere:r=1,subdiv=1", "box": "box:n=2,res=6"}[case])
     else:
         m = build("torus:n=2,res=8")
-    psi = (PotentialField(1.0 + m.points[:, 0], "x") if case == "varying-potential"
+    psi = (PotentialField(1.0 + m.points[:, 0]) if case == "varying-potential"
            else constant_potential(m, 1.0))
     calls = []
     original = scipy.linalg.eigh
@@ -439,7 +444,7 @@ def test_dense_divide_and_conquer_matches_the_reference_eigh(text, monkeypatch):
     clusters and ensembles, a mass-orthonormal basis to 1e-13, and hands
     LAPACK a Fortran-ordered array that it overwrites (no copy)."""
     m = build(text.replace(",varying-psi", ""))
-    psi = (PotentialField(1.0 + m.points[:, 0], "x") if "varying" in text
+    psi = (PotentialField(1.0 + m.points[:, 0]) if "varying" in text
            else constant_potential(m, 1.0))
     ref = _reference_dense_eigenpairs(m, psi)
     seen = []
