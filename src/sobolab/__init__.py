@@ -14,13 +14,12 @@ from .spectral import (PotentialField, SpectralDecomposition,
                        constant_potential, decompose, heat_multiplier,
                        power_multiplier)
 from .norms import grad_lp_norm, lp_norm, q_energy
-from .constants import (EnsembleSpec, InequalityCheck, LogSobolevProfile,
-                        SobolevEstimate, beta_from_sobolev, entropy,
-                        estimate_single_A, estimate_sobolev_AB,
-                        generate_ensemble, measure_log_sobolev_beta,
-                        single_constant_from_pair, tau_closed_form, tau_of_t,
-                        two_term_check, ultracontractivity_constant,
-                        verify_inequality)
+from .constants import (EnsembleSpec, LogSobolevProfile, SobolevEstimate,
+                        beta_from_sobolev, entropy, estimate_single_A,
+                        estimate_sobolev_AB, generate_ensemble,
+                        measure_log_sobolev_beta, single_constant_from_pair,
+                        tau_closed_form, tau_of_t,
+                        ultracontractivity_constant, verify_inequality)
 from .bootstrap import (BootstrapChain, PLadder, alpha_scaling_bound,
                         build_ladder, chain_constants, iterate_ladder,
                         p_next, r_p, step_constants)

@@ -126,9 +126,9 @@ def _cmd_estimate(args):
 
 def _cmd_verify(args):
     ct._pstar(parse_model_spec(args.model).dim, args.p)  # before building
+    ct._check_constants(args.A, args.B)
     m, dec1, spec, members = _prepare(args)
-    rep = ct.verify_inequality(ct.two_term_check(m, args.p, args.A, args.B),
-                               members)
+    rep = ct.verify_inequality(m, args.p, args.A, args.B, members)
     return {"report": to_plain(rep), "model": m.label,
             "diagnostics": diagnostics(dec1)}, (0 if rep.passed else 2)
 

@@ -23,7 +23,6 @@ __all__ = [
     "EnsembleSpec",
     "generate_ensemble",
     "SobolevEstimate",
-    "min_feasible_A",
     "estimate_sobolev_AB",
     "estimate_single_A",
     "single_constant_from_pair",
@@ -36,8 +35,6 @@ __all__ = [
     "tau_closed_form",
     "tau_of_t",
     "ultracontractivity_constant",
-    "InequalityCheck",
-    "two_term_check",
     "VerifyReport",
     "verify_inequality",
     "DEFAULT_B_GRID",
@@ -212,7 +209,16 @@ def _pstar(n: int, p: float) -> float:
     return n * p / (n - p)
 
 
+def _check_constants(A: float, B: float) -> None:
+    """ValueError unless the two-term constants A and B are finite and >= 0."""
+    if not (0 <= A < math.inf and 0 <= B < math.inf):
+        raise ValueError(f"need finite A >= 0 and B >= 0, got A={A:g}, B={B:g}")
+
+
 def _sobolev_terms(m: DiscreteManifold, p: float, members: np.ndarray):
+    """p* and the per-member terms of the two-term form
+    ||u||_{p*}^p <= A ||grad u||_p^p + (B/vol^{p/n}) ||u||_p^p:
+    ||u||_{p*}^p, ||grad u||_p^p and ||u||_p^p / vol^{p/n}."""
     n = m.dim
     pstar = _pstar(n, p)
     lhs = lp_norm(m, members, pstar) ** p
@@ -223,21 +229,13 @@ def _sobolev_terms(m: DiscreteManifold, p: float, members: np.ndarray):
 
 def _min_A_from_terms(lhs: np.ndarray, grd: np.ndarray, low: np.ndarray,
                       B: float) -> float:
+    """Smallest A making the two-term form hold on every member at this B;
+    inf when some gradient-free member already violates the B term."""
     scale = np.maximum(lhs, B * low)
     flat = grd <= 1e-13 * np.maximum(scale, 1.0)
     if np.any(lhs[flat] > B * low[flat] * (1.0 + 1e-12) + 1e-300):
         return math.inf
     return max(0.0, _worst_ratio(lhs - B * low, grd, used=~flat).ratio)
-
-
-def min_feasible_A(m: DiscreteManifold, p: float, members: np.ndarray,
-                   B: float) -> float:
-    """Smallest A making the p-Sobolev inequality hold on every member.
-
-    Returns inf when some gradient-free member already violates the B term.
-    """
-    _, lhs, grd, low = _sobolev_terms(m, p, members)
-    return _min_A_from_terms(lhs, grd, low, B)
 
 
 def estimate_sobolev_AB(m: DiscreteManifold, p: float, members: np.ndarray,
@@ -394,31 +392,7 @@ def ultracontractivity_constant(A: float, mu: float) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# uniform inequality verification
-
-@dataclass(frozen=True)
-class InequalityCheck:
-    """LHS <= RHS functional pair; each maps the member matrix to a vector."""
-
-    label: str
-    lhs: Callable[[np.ndarray], np.ndarray]
-    rhs: Callable[[np.ndarray], np.ndarray]
-
-
-def two_term_check(m: DiscreteManifold, p: float, A: float, B: float
-                   ) -> InequalityCheck:
-    """||u||_{p*}^p <= A ||grad u||_p^p + (B/vol^{p/n}) ||u||_p^p as a check."""
-    if A < 0 or B < 0:
-        raise ValueError("need A >= 0 and B >= 0")
-    n = m.dim
-    pstar = _pstar(n, p)
-    vol_term = m.volume ** (p / n)
-    return InequalityCheck(
-        label=f"sobolev-two-term:p={p:g}",
-        lhs=lambda u: lp_norm(m, u, pstar) ** p,
-        rhs=lambda u: (A * grad_lp_norm(m, u, p) ** p
-                       + B / vol_term * lp_norm(m, u, p) ** p))
-
+# two-term inequality verification
 
 @dataclass(frozen=True)
 class VerifyReport:
@@ -433,10 +407,13 @@ class VerifyReport:
         return self.violations == 0
 
 
-def verify_inequality(check: InequalityCheck, members: np.ndarray) -> VerifyReport:
-    """Count members with LHS > RHS beyond RELATIVE_SLACK; report the worst ratio."""
-    worst = _worst_ratio(check.lhs(members), check.rhs(members),
-                         slack=RELATIVE_SLACK)
-    return VerifyReport(label=check.label, members=len(members),
+def verify_inequality(m: DiscreteManifold, p: float, A: float, B: float,
+                      members: np.ndarray) -> VerifyReport:
+    """Check ||u||_{p*}^p <= A ||grad u||_p^p + (B/vol^{p/n}) ||u||_p^p on
+    every member: count violations beyond RELATIVE_SLACK, report the worst ratio."""
+    _check_constants(A, B)
+    _, lhs, grd, low = _sobolev_terms(m, p, members)
+    worst = _worst_ratio(lhs, A * grd + B * low, slack=RELATIVE_SLACK)
+    return VerifyReport(label=f"sobolev-two-term:p={p:g}", members=len(members),
                         violations=worst.violations, worst_ratio=worst.ratio,
                         witness=worst.witness)

@@ -8,6 +8,7 @@ inequality constants are produced from them plus time-t geometry only.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .bootstrap import chain_constants
 from .constants import (RELATIVE_SLACK, EnsembleSpec, estimate_sobolev_AB,
-                        generate_ensemble, two_term_check, _pstar, _worst_ratio)
+                        generate_ensemble, _pstar, _sobolev_terms, _worst_ratio)
 from .manifold import (DiscreteManifold, ModelSpec, build, gamma_integral,
                        geometric_summary, parse_model_spec, scale_metric)
 from .norms import grad_lp_norm, lp_norm
@@ -106,7 +107,8 @@ def parse_flow_spec(text: str, t_max: float | None = None,
                                      t_max=t_max)
     if spec.variant == "torus":
         return static_torus_flow(dim=spec.dim, resolution=spec.resolution,
-                                 sides=spec.sides, t_max=t_max or 1.0)
+                                 sides=spec.sides,
+                                 t_max=1.0 if t_max is None else t_max)
     raise ValueError(f"flow spec {text!r}: no exact flow on a {spec.variant}")
 
 
@@ -121,23 +123,21 @@ def metric_at(flow: ExactFlow, t: float) -> DiscreteManifold:
     return scale_metric(flow.base, scale_factor(flow, t))
 
 
-def _defect(family: str, m: DiscreteManifold, summ: dict,
-            c_adj: float) -> float | None:
-    """The curvature defect of the d (kappa) and e (gamma) forms; None for b."""
-    if family == "d":
-        return summ["kappa"]
-    if family == "e":  # adjusted integral-curvature form
-        return gamma_integral(m, c_adj, GAMMA_EPS)
-    return None
-
-
-def _gradient_form(m: DiscreteManifold, U: np.ndarray, p: float,
-                   defect: float) -> np.ndarray:
-    """Per-member right-hand norm of the d and e forms (before the constant):
-    ||grad u||_p + (1 + defect)||u||_p with the Ricci defect kappa or the
-    integral-curvature gamma.  Family b uses ||(-Lap+1)^(1/2)u||_p instead.
+def _form_sides(family: str, m: DiscreteManifold, members: np.ndarray,
+                p: float, bessel: np.ndarray | None):
+    """Per-member (lhs, rhs) of the b, d or e form on the metric m, before
+    the constant: ||u||_{p*} against ||(-Lap+1)^(1/2)u||_p (b, read from the
+    transformed members ``bessel``) or ||grad u||_p + (1 + defect)||u||_p
+    with the Ricci defect kappa (d) or the integral-curvature gamma (e).
+    gamma needs no curvature adjustment: ExactFlow refuses R < 0.
     """
-    return grad_lp_norm(m, U, p) + (1.0 + defect) * lp_norm(m, U, p)
+    lhs = lp_norm(m, members, _pstar(m.dim, p))
+    if family == "b":
+        return lhs, lp_norm(m, bessel, p)
+    defect = (geometric_summary(m)["kappa"] if family == "d"
+              else gamma_integral(m, 0.0, GAMMA_EPS))
+    return lhs, (grad_lp_norm(m, members, p)
+                 + (1.0 + defect) * lp_norm(m, members, p))
 
 
 @dataclass(frozen=True)
@@ -203,9 +203,6 @@ def track(flow: ExactFlow, times, selector: str, p: float,
         est = estimate_sobolev_AB(base, p0, members, meta=ensemble.meta())
         base_constants.update(A=est.A_est, B=est.B_est)
     else:
-        q = _pstar(n, p)
-        c_adj = -min(0.0, float(np.min(base.scalar_curvature))) / n
-        defect0 = _defect(family, base, geometric_summary(base), c_adj)
         if family == "b":
             # (-Lap+1)^(1/2) on g(t) = lam^2 g(0) is a multiplier on the bare
             # t = 0 spectrum: one transform of the members serves the t = 0
@@ -213,10 +210,10 @@ def track(flow: ExactFlow, times, selector: str, p: float,
             lams = [1.0] + [scale_factor(flow, t) for t in times]
             bessel_t = apply_functions(dec_base.shifted(-1.0),
                                        map(bessel_multiplier, lams), members)
-            rhs0 = lp_norm(base, next(bessel_t), p)
         else:
-            rhs0 = _gradient_form(base, members, p, defect0)
-        c0 = max(0.0, _worst_ratio(lp_norm(base, members, q), rhs0).ratio)
+            bessel_t = itertools.repeat(None)
+        c0 = max(0.0, _worst_ratio(
+            *_form_sides(family, base, members, p, next(bessel_t))).ratio)
 
     # one pass builds each metric g(t); the two sides of every check are kept,
     # because the b/d/e constant needs the transfer over all times first
@@ -233,20 +230,17 @@ def track(flow: ExactFlow, times, selector: str, p: float,
             alpha = max(1.0, bracket if selector == "a2" else 1.0 + bracket)
             chain = chain_constants(n, p0, alpha * base_constants["A"],
                                     alpha * base_constants["B"], p)
-            check = two_term_check(mt, p, chain.C1, chain.C2)
-            lhs, rhs = check.lhs(members), check.rhs(members)
+            _, lhs, grd, low = _sobolev_terms(mt, p, members)
+            rhs = chain.C1 * grd + chain.C2 * low
             rec.update(alpha=alpha, C1=chain.C1, C2=chain.C2, m_p=chain.m_p)
         else:
             # the spectral/gradient norms are not scale-covariant under the +1
             # shift; the transfer factor compensates over the sampled horizon
             transfer = max(transfer, lam_t ** (-1.0)
                            / math.sqrt(1.0 + summ["r_max_plus"]))
-            defect = _defect(family, mt, summ, c_adj)
             if family == "e":
-                rec.update(gamma=defect)
-            lhs = lp_norm(mt, members, q)
-            rhs = (lp_norm(mt, next(bessel_t), p) if family == "b"
-                   else _gradient_form(mt, members, p, defect))
+                rec.update(gamma=gamma_integral(mt, 0.0, GAMMA_EPS))
+            lhs, rhs = _form_sides(family, mt, members, p, next(bessel_t))
         sides.append((lhs, rhs))
         records.append(rec)
 

@@ -363,10 +363,11 @@ class ModelSpec:
     """Catalog entry for a buildable model.
 
     variant is one of "torus", "sphere", "box".  resolution is nodes per axis
-    for grids and the subdivision level for spheres.  A grid's one side
-    length (default 2 pi) serves every axis; it is repeated only after the
-    variant and resolution are validated.  scale applies a
-    post-construction metric scaling g -> scale^2 g.
+    for grids and the subdivision level for spheres.  sides belong to grids
+    and radius to spheres: a sphere takes no sides and a grid keeps radius
+    1.0.  A grid's one side length (default 2 pi) serves every axis; it is
+    repeated only after the variant and resolution are validated.  scale
+    applies a post-construction metric scaling g -> scale^2 g.
     """
 
     variant: str
@@ -382,11 +383,16 @@ class ModelSpec:
         if not 0 < self.radius < np.inf:
             raise ValueError("radius must be positive and finite")
         if self.variant == "sphere":
+            if self.sides:
+                raise ValueError(f"a sphere takes no sides, got sides={self.sides}")
             if self.dim != 2:
                 raise ValueError("sphere models are 2-dimensional only")
             if self.resolution < 1:
                 raise ValueError("subdivision level too small for the stencil")
         else:
+            if self.radius != 1.0:
+                raise ValueError(f"a {self.variant} takes no radius, got "
+                                 f"radius={self.radius:g}")
             if self.dim < 1:
                 raise ValueError("dimension must be >= 1")
             if self.resolution < 2:

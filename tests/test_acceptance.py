@@ -21,8 +21,7 @@ from sobolab import (EnsembleSpec, alpha_scaling_bound, apply_function, build,
                      step_constants, tau_closed_form, tau_of_t, track,
                      ultracontractivity_fit, verify_inequality)
 from sobolab.bootstrap import p_next
-from sobolab.constants import (beta_from_sobolev, single_constant_from_pair,
-                               two_term_check)
+from sobolab.constants import beta_from_sobolev, single_constant_from_pair
 from sobolab.norms import grad_lp_norm, lp_norm
 from sobolab.reporting import canonical_json
 
@@ -144,14 +143,12 @@ def test_07_end_to_end_bootstrap(torus2_unit, torus2_unit_dec1, torus3,
     members2 = generate_ensemble(torus2_unit, spec, dec=torus2_unit_dec1)
     est2 = estimate_sobolev_AB(torus2_unit, 1.2, members2)
     chain2 = chain_constants(2, 1.2, est2.A_est, est2.B_est, 1.5)
-    rep2 = verify_inequality(two_term_check(torus2_unit, 1.5, chain2.C1,
-                                            chain2.C2), members2)
+    rep2 = verify_inequality(torus2_unit, 1.5, chain2.C1, chain2.C2, members2)
     assert rep2.violations == 0
 
     est3 = estimate_sobolev_AB(torus3, 2.0, torus3_members)
     chain3 = chain_constants(3, 2.0, est3.A_est, est3.B_est, 2.5)
-    rep3 = verify_inequality(two_term_check(torus3, 2.5, chain3.C1, chain3.C2),
-                             torus3_members)
+    rep3 = verify_inequality(torus3, 2.5, chain3.C1, chain3.C2, torus3_members)
     assert rep3.violations == 0
     ok(7, f"end-to-end-bootstrap (worst ratios {rep2.worst_ratio:.3f}, "
           f"{rep3.worst_ratio:.3f})")

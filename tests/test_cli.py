@@ -435,6 +435,12 @@ def test_heat_on_a_torus_makes_no_dense_eigendecomposition(tmp_path,
 @pytest.mark.parametrize("argv, words", [
     (("riesz",), ["a seed is mandatory"]),
     (("verify", "--p", "2", "--A", "1", "--B", "1", "--seed", "1"), ["p < dim"]),
+    (("verify", "--p", "1.5", "--A", "-1", "--B", "1", "--seed", "1"),
+     ["A >= 0", "A=-1", "B=1"]),
+    (("verify", "--p", "1.5", "--A", "nan", "--B", "1", "--seed", "1"),
+     ["finite", "A=nan"]),
+    (("verify", "--p", "1.5", "--A", "1", "--B", "inf", "--seed", "1"),
+     ["finite", "B=inf"]),
     (("estimate", "--p", "2", "--seed", "1"), ["p < dim"]),
     (("w2p", "--p", "1.5", "--mu", "3", "--seed", "1"), ["w2p requires p"]),
     (("scaling", "--mu", "1", "--p", "1.5", "--seed", "1"), ["mu=1", "p=1.5"]),
@@ -449,7 +455,8 @@ def test_heat_on_a_torus_makes_no_dense_eigendecomposition(tmp_path,
      ["--b-grid", "finite"]),
     (("estimate", "--p", "1.2", "--b-grid", ",", "--seed", "1"),
      ["--b-grid", "at least one"]),
-], ids=["riesz-no-seed", "verify-p=n", "estimate-p=n", "w2p-p=mu/2", "scaling-mu<p",
+], ids=["riesz-no-seed", "verify-p=n", "verify-A<0", "verify-A-nan",
+        "verify-B-inf", "estimate-p=n", "w2p-p=mu/2", "scaling-mu<p",
         "heat-one-fit-window-value", "heat-t-list-not-a-number",
         "heat-t-list-nan", "heat-t-list-empty", "heat-t-list-negative",
         "estimate-b-grid-not-a-number",

@@ -16,8 +16,7 @@ from sobolab import (EnsembleSpec, SpectralDecomposition, beta_from_sobolev,
                      scale_metric, tau_closed_form, tau_of_t,
                      ultracontractivity_constant, verify_inequality)
 from sobolab.constants import (LogSobolevProfile, derived_profile,
-                               min_feasible_A, single_constant_from_pair,
-                               two_term_check)
+                               single_constant_from_pair)
 
 
 def test_ensemble_bit_identical(torus2, torus2_dec1):
@@ -64,14 +63,15 @@ def test_estimate_rejects_bad_input(torus2, torus2_members):
 
 def test_constant_member_forces_B_at_least_one(torus2_unit):
     u = np.ones((1, torus2_unit.num_nodes))
-    assert min_feasible_A(torus2_unit, 1.2, u, 1.0) == 0.0
-    assert min_feasible_A(torus2_unit, 1.2, u, 0.5) == math.inf
+    assert estimate_sobolev_AB(torus2_unit, 1.2, u, b_grid=(1.0,)).A_est == 0.0
+    with pytest.raises(ValueError, match="no feasible"):
+        estimate_sobolev_AB(torus2_unit, 1.2, u, b_grid=(0.5,))
 
 
 def test_min_feasible_A_monotone_in_ensemble(torus2, torus2_members):
     half = torus2_members[:100]
-    a_half = min_feasible_A(torus2, 1.2, half, 1.0)
-    a_full = min_feasible_A(torus2, 1.2, torus2_members, 1.0)
+    a_half = estimate_sobolev_AB(torus2, 1.2, half, b_grid=(1.0,)).A_est
+    a_full = estimate_sobolev_AB(torus2, 1.2, torus2_members, b_grid=(1.0,)).A_est
     assert a_full >= a_half
 
 
@@ -174,17 +174,15 @@ def test_ultracontractivity_constant_values():
 
 def test_verify_tautological_estimate(torus2, torus2_members):
     est = estimate_sobolev_AB(torus2, 1.2, torus2_members)
-    rep = verify_inequality(two_term_check(torus2, 1.2, est.A_est, est.B_est),
-                            torus2_members)
+    rep = verify_inequality(torus2, 1.2, est.A_est, est.B_est, torus2_members)
     assert rep.violations == 0
     assert rep.worst_ratio <= 1.0 + 1e-9
 
 
 def test_verify_reports_halved_A(torus2, torus2_members):
     est = estimate_sobolev_AB(torus2, 1.2, torus2_members)
-    rep = verify_inequality(
-        two_term_check(torus2, 1.2, est.A_est / 2, est.B_est / 2),
-        torus2_members)
+    rep = verify_inequality(torus2, 1.2, est.A_est / 2, est.B_est / 2,
+                            torus2_members)
     # reported, not asserted: a rich ensemble is expected to expose this
     assert rep.worst_ratio > 1.0
     assert 0 <= rep.witness < len(torus2_members)
@@ -193,11 +191,10 @@ def test_verify_reports_halved_A(torus2, torus2_members):
 def test_verify_invariant_under_metric_scaling(torus2, torus2_members):
     """The vol^{p/n} convention makes constants scale-invariant."""
     est = estimate_sobolev_AB(torus2, 1.2, torus2_members)
-    rep = verify_inequality(two_term_check(torus2, 1.2, est.A_est, est.B_est),
-                            torus2_members)
+    rep = verify_inequality(torus2, 1.2, est.A_est, est.B_est, torus2_members)
     scaled = scale_metric(torus2, 2.0)
-    rep_scaled = verify_inequality(
-        two_term_check(scaled, 1.2, est.A_est, est.B_est), torus2_members)
+    rep_scaled = verify_inequality(scaled, 1.2, est.A_est, est.B_est,
+                                   torus2_members)
     assert rep_scaled.worst_ratio == pytest.approx(rep.worst_ratio, rel=1e-9)
     assert rep_scaled.violations == rep.violations
 

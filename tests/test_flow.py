@@ -3,7 +3,8 @@ import pytest
 
 from sobolab import (EnsembleSpec, HypothesisError, constant_potential,
                      decompose, generate_ensemble, metric_at,
-                     shrinking_sphere_flow, static_torus_flow, track)
+                     shrinking_sphere_flow, static_torus_flow, track,
+                     verify_inequality)
 from sobolab import flow as flow_module
 from sobolab.flow import SELECTORS, ExactFlow, parse_flow_spec, scale_factor
 from sobolab.manifold import build, scale_metric, with_fields
@@ -144,6 +145,8 @@ def test_parse_flow_spec():
     assert flow.variant == "static-torus" and scale_factor(flow, 0.5) == 1.0
     with pytest.raises(ValueError):
         parse_flow_spec("klein:res=3")
+    with pytest.raises(ValueError, match="horizon .* smooth interval"):
+        parse_flow_spec("torus:n=2,res=4", t_max=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +185,22 @@ def test_track_decomposes_once(name, selector, decompose_calls, monkeypatch):
         expected = generate_ensemble(
             base, spec, dec=decompose(base, constant_potential(base, 1.0)))
         assert np.array_equal(seen[0], expected)
+
+
+def test_flow_a_checks_what_verify_checks():
+    """Family a and verify evaluate the two-term form by one route: each
+    record is verify's report on g(t) with the record's chained constants."""
+    flow = parse_flow_spec("sphere:r0=1,subdiv=1", t_max=0.45)
+    spec = EnsembleSpec(seed=5, size=30, generator="mixed")
+    traj = track(flow, [0.0, 0.2, 0.4], "a2", 1.5, spec)
+    base = flow.base
+    members = generate_ensemble(
+        base, spec, dec=decompose(base, constant_potential(base, 1.0)))
+    for rec in traj.records:
+        rep = verify_inequality(metric_at(flow, rec["t"]), 1.5, rec["C1"],
+                                rec["C2"], members)
+        assert rec["worst_ratio"] == rep.worst_ratio
+        assert rec["violations"] == rep.violations
 
 
 def test_lambda0_series_decomposes_once(sphere_flow, decompose_calls):

@@ -5,7 +5,7 @@ import pytest
 
 from sobolab import (build, constant_potential, decompose, gamma_integral,
                      geometric_summary, scale_metric, with_fields)
-from sobolab.manifold import (GradientElements, _component_count,
+from sobolab.manifold import (GradientElements, ModelSpec, _component_count,
                               parse_model_spec)
 
 
@@ -38,6 +38,20 @@ def test_parse_model_spec_roundtrip():
     assert spec.sides == (6.2831853, 6.2831853)
     with pytest.raises(ValueError):
         parse_model_spec("torus:res=8,bogus=1")
+
+
+@pytest.mark.parametrize("fields, words", [
+    (dict(variant="sphere", resolution=1, sides=(5.0,)), ["sphere", "sides"]),
+    (dict(variant="torus", resolution=4, radius=7.0), ["torus", "radius=7"]),
+    (dict(variant="box", resolution=4, radius=0.5), ["box", "radius=0.5"]),
+], ids=["sphere-sides", "torus-radius", "box-radius"])
+def test_model_spec_refuses_another_variants_field(fields, words):
+    """describe() and build() read sides on grids and radius on spheres only,
+    so a spec carrying the other variant's field is refused, not kept."""
+    with pytest.raises(ValueError) as err:
+        ModelSpec(**fields)
+    assert "\n" not in str(err.value)
+    assert all(w in str(err.value) for w in words), err.value
 
 
 def test_scale_identity_returns_same_object(sphere3):
