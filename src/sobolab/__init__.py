@@ -28,6 +28,6 @@ from .semigroup import (MappingNormScan, bessel_equivalence_constants,
                         mapping_norm, riesz_ratio, scaling_transfer_check,
                         ultracontractivity_fit)
 from .flow import (ExactFlow, FlowTrajectory, HypothesisError, metric_at,
-                   shrinking_sphere_flow, static_torus_flow, track)
+                   shrinking_sphere_flow, track)
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ from . import constants as ct
 from . import flow as fl
 from . import semigroup as sg
 from .manifold import build, parse_model_spec
-from .norms import lp_norm
+from .norms import _check_exponent, lp_norm
 from .reporting import (config_hash, to_plain, write_artifact, write_csv,
                         write_svg_loglog)
 from .spectral import constant_potential, decompose, diagnostics, spectrum_rows
@@ -48,8 +48,7 @@ def _ensemble_spec(args) -> ct.EnsembleSpec:
     if args.seed is None:
         raise ValueError("a seed is mandatory; pass --seed")
     return ct.EnsembleSpec(seed=args.seed, size=args.size,
-                           generator=args.generator,
-                           normalization=args.normalization)
+                           generator=args.generator)
 
 
 def _prepare(args):
@@ -57,7 +56,7 @@ def _prepare(args):
     m = build(parse_model_spec(args.model, members=spec.size))
     dec1 = decompose(m, constant_potential(m, 1.0))
     members = ct.generate_ensemble(m, spec, dec=dec1)
-    return m, dec1, spec, members
+    return m, dec1, members
 
 
 def _parse_floats(text: str, flag: str) -> list[float]:
@@ -117,9 +116,8 @@ def _cmd_bootstrap(args):
 def _cmd_estimate(args):
     b_grid = tuple(_parse_floats(args.b_grid, "--b-grid"))
     ct._pstar(parse_model_spec(args.model).dim, args.p)  # before building
-    m, dec1, spec, members = _prepare(args)
-    est = ct.estimate_sobolev_AB(m, args.p, members, b_grid=b_grid,
-                                 meta=spec.meta())
+    m, dec1, members = _prepare(args)
+    est = ct.estimate_sobolev_AB(m, args.p, members, b_grid=b_grid)
     return {"estimate": to_plain(est), "model": m.label,
             "diagnostics": diagnostics(dec1)}, 0
 
@@ -127,7 +125,7 @@ def _cmd_estimate(args):
 def _cmd_verify(args):
     ct._pstar(parse_model_spec(args.model).dim, args.p)  # before building
     ct._check_constants(args.A, args.B)
-    m, dec1, spec, members = _prepare(args)
+    m, dec1, members = _prepare(args)
     rep = ct.verify_inequality(m, args.p, args.A, args.B, members)
     return {"report": to_plain(rep), "model": m.label,
             "diagnostics": diagnostics(dec1)}, (0 if rep.passed else 2)
@@ -143,7 +141,8 @@ def _cmd_heat(args):
         if len(window) != 2:
             raise ValueError(
                 f"--fit-window needs t_low,t_high, got {args.fit_window!r}")
-    m, dec1, spec, members = _prepare(args)
+        sg._check_fit_window(*window)
+    m, dec1, members = _prepare(args)
     rep = sg.heat_contraction_check(m, dec1, t_list, [1.0, 2.0, math.inf],
                                     members)
     results = {"contraction": to_plain(rep), "model": m.label,
@@ -177,8 +176,9 @@ def _cmd_heat(args):
 
 
 def _cmd_riesz(args):
-    m, dec1, spec, members = _prepare(args)
-    scan = sg.riesz_ratio(dec1, args.p, members, meta=spec.meta())
+    sg._check_equivalence_args(args.a, args.p)  # before building
+    m, dec1, members = _prepare(args)
+    scan = sg.riesz_ratio(dec1, args.p, members)
     dec0 = dec1.shifted(-1.0)  # the bare Laplacian, exactly
     eq = sg.bessel_equivalence_constants(dec0, args.a, args.p, members)
     ck = eq.pop("gradient_bessel_C")  # reported at the top level
@@ -191,19 +191,19 @@ def _cmd_w2p(args):
     mu = args.mu
     if not args.p < mu / 2:
         raise ValueError("w2p requires p < mu/2")
-    m, dec1, spec, members = _prepare(args)
+    _check_exponent(args.p)
+    m, dec1, members = _prepare(args)
     p_out = mu * args.p / (mu - 2 * args.p)
-    scan = sg.mapping_norm(dec1, "H^-1", args.p, p_out, members,
-                           meta=spec.meta())
+    scan = sg.mapping_norm(dec1, "H^-1", args.p, p_out, members)
     half = sg.mapping_norm(dec1, "H^-1/2", args.p, mu * args.p / (mu - args.p),
-                           members, meta=spec.meta())
+                           members)
     return {"second_order": to_plain(scan), "first_order": to_plain(half),
             "model": m.label, "diagnostics": diagnostics(dec1)}, 0
 
 
 def _cmd_scaling(args):
-    sg._transfer_exponent(args.mu, args.p)  # before building
-    m, dec1, spec, members = _prepare(args)
+    sg._transfer_exponent(args.lam, args.mu, args.p)  # before building
+    m, dec1, members = _prepare(args)
     rep = sg.scaling_transfer_check(m, args.lam, args.mu, args.p, members, dec1)
     status = 0 if rep["violations"] == 0 else 2
     return {"transfer": rep, "model": m.label,
@@ -227,14 +227,17 @@ def _cmd_flow(args):
 
 
 def _cmd_report(args):
+    if not Path(args.dir).is_dir():
+        raise ValueError(f"--dir {args.dir}: no such directory")
     entries = []
     for path in sorted(Path(args.dir).glob("*.json")):
         try:
-            doc = json.loads(path.read_text())
-        except json.JSONDecodeError:
+            doc = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError:  # not UTF-8, or not JSON
             continue
-        entries.append({"file": path.name, "command": doc.get("command"),
-                        "config_sha256": doc.get("config_sha256")})
+        if isinstance(doc, dict):  # any other JSON value is not an artifact
+            entries.append({"file": path.name, "command": doc.get("command"),
+                            "config_sha256": doc.get("config_sha256")})
     return {"artifacts": entries, "count": len(entries)}, 0
 
 
@@ -253,8 +256,6 @@ def _add_common(p, *, model=True, seed=True):
         p.add_argument("--size", type=int, default=200)
         p.add_argument("--generator", default="mixed",
                        choices=list(ct.GENERATORS))
-        p.add_argument("--normalization", default="none",
-                       choices=["none", "unit-l2"])
 
 
 class _Parser(argparse.ArgumentParser):
@@ -403,6 +404,9 @@ def main(argv=None) -> int:
         config = {k: v for k, v in sorted(vars(args).items())
                   if k not in ("command", "out", "config")}
         results, status = _BODIES[args.command](args)
+        if "seed" in config:  # the command drew an ensemble
+            results["ensemble"] = {"decay": ct.BAND_DECAY, "bumps": ct.BUMP_COUNT,
+                                   "modes": ct.SPECTRAL_MODES}
         payload = _payload(args.command, config, results)
         path = write_artifact(_out_dir(args), args.command, payload)
     except (ValueError, RuntimeError, OSError) as exc:

@@ -10,7 +10,7 @@ ultracontractivity constants tau(t) and c.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -57,20 +57,12 @@ class EnsembleSpec:
     seed: int
     size: int = 200
     generator: str = "mixed"
-    normalization: str = "none"  # "none" | "unit-l2"
 
     def __post_init__(self):
         if self.generator not in GENERATORS:
             raise ValueError(f"unknown generator {self.generator!r}")
-        if self.normalization not in ("none", "unit-l2"):
-            raise ValueError(f"unknown normalization {self.normalization!r}")
         if self.size < 1:
             raise ValueError("ensemble size must be positive")
-
-    def meta(self) -> dict:
-        return {"seed": self.seed, "size": self.size, "generator": self.generator,
-                "normalization": self.normalization, "decay": BAND_DECAY,
-                "modes": SPECTRAL_MODES, "bumps": BUMP_COUNT}
 
 
 def _wrapped_sq_dist(points: np.ndarray, center: np.ndarray,
@@ -147,8 +139,6 @@ def generate_ensemble(m: DiscreteManifold, spec: EnsembleSpec,
         members[rows] = dec.synthesize(np.array(weights) * dec.coefficients(
             members[rows] / np.sqrt(m.mass), band.size))
     members[~members.any(axis=1)] = 1.0  # degenerate draw; constants are valid members
-    if spec.normalization == "unit-l2":
-        members /= lp_norm(m, members, 2.0)[:, None]
     return members
 
 
@@ -164,7 +154,6 @@ class SobolevEstimate:
     A_est: float
     B_est: float
     max_ratio: float
-    ensemble_meta: dict = field(default_factory=dict)
 
 
 class _Worst(NamedTuple):
@@ -239,8 +228,7 @@ def _min_A_from_terms(lhs: np.ndarray, grd: np.ndarray, low: np.ndarray,
 
 
 def estimate_sobolev_AB(m: DiscreteManifold, p: float, members: np.ndarray,
-                        b_grid: tuple[float, ...] = DEFAULT_B_GRID,
-                        meta: dict | None = None) -> SobolevEstimate:
+                        b_grid: tuple[float, ...] = DEFAULT_B_GRID) -> SobolevEstimate:
     """Pick the feasible (A, B) pair minimizing A + B over the B grid.
 
     Ties resolve to the earliest grid entry, so estimates are reproducible.
@@ -262,7 +250,7 @@ def estimate_sobolev_AB(m: DiscreteManifold, p: float, members: np.ndarray,
     a, b = best
     ratio = _worst_ratio(lhs, a * grd + b * low).ratio
     return SobolevEstimate(p=p, target_exponent=pstar, A_est=a, B_est=b,
-                           max_ratio=ratio, ensemble_meta=dict(meta or {}))
+                           max_ratio=ratio)
 
 
 def estimate_single_A(m: DiscreteManifold, mu: float, members: np.ndarray,

@@ -28,7 +28,6 @@ __all__ = [
     "ExactFlow",
     "FlowTrajectory",
     "shrinking_sphere_flow",
-    "static_torus_flow",
     "parse_flow_spec",
     "scale_factor",
     "metric_at",
@@ -77,39 +76,26 @@ class ExactFlow:
                 else "static-torus")
 
 
-def shrinking_sphere_flow(r0: float = 1.0, subdiv: int = 3,
-                          t_max: float | None = None) -> ExactFlow:
+def shrinking_sphere_flow(r0: float, subdiv: int, t_max: float) -> ExactFlow:
     """Round 2-sphere under g(t) = (1 - 2t/r0^2) r0^2 g_unit; singular at r0^2/2."""
     base = build(ModelSpec(variant="sphere", radius=r0, resolution=subdiv))
-    if t_max is None:
-        t_max = 0.45 * r0 ** 2
-    return ExactFlow(base=base, t_max=t_max)
-
-
-def static_torus_flow(dim: int = 3, resolution: int = 10,
-                      sides: tuple[float, ...] = (), t_max: float = 1.0) -> ExactFlow:
-    """Ricci-flat fixed point: the metric is constant in t."""
-    base = build(ModelSpec(variant="torus", dim=dim, resolution=resolution,
-                           sides=sides))
     return ExactFlow(base=base, t_max=t_max)
 
 
 def parse_flow_spec(text: str, t_max: float | None = None,
                     members: int = 1) -> ExactFlow:
     """A model spec (see manifold.parse_model_spec) as its exact flow: a
-    sphere shrinks, a torus is static.  Boxes and scaled specs have no exact
+    sphere shrinks, a torus is static.  The horizon defaults to 0.45 r0^2
+    on a sphere and 1 on a torus.  Boxes and scaled specs have no exact
     flow here and are refused before anything is built."""
     spec = parse_model_spec(text, members)
     if spec.scale != 1.0:
         raise ValueError(f"flow spec {text!r}: a flow starts from scale=1")
-    if spec.variant == "sphere":
-        return shrinking_sphere_flow(r0=spec.radius, subdiv=spec.resolution,
-                                     t_max=t_max)
-    if spec.variant == "torus":
-        return static_torus_flow(dim=spec.dim, resolution=spec.resolution,
-                                 sides=spec.sides,
-                                 t_max=1.0 if t_max is None else t_max)
-    raise ValueError(f"flow spec {text!r}: no exact flow on a {spec.variant}")
+    if spec.variant not in ("sphere", "torus"):
+        raise ValueError(f"flow spec {text!r}: no exact flow on a {spec.variant}")
+    if t_max is None:
+        t_max = 0.45 * spec.radius ** 2 if spec.variant == "sphere" else 1.0
+    return ExactFlow(base=build(spec), t_max=t_max)
 
 
 def scale_factor(flow: ExactFlow, t: float) -> float:
@@ -200,7 +186,7 @@ def track(flow: ExactFlow, times, selector: str, p: float,
     base_constants: dict = {"lambda0_g0": lam0_base}
 
     if family == "a":
-        est = estimate_sobolev_AB(base, p0, members, meta=ensemble.meta())
+        est = estimate_sobolev_AB(base, p0, members)
         base_constants.update(A=est.A_est, B=est.B_est)
     else:
         if family == "b":

@@ -19,14 +19,18 @@ def _per_member(x) -> float | np.ndarray:
     return float(x) if np.ndim(x) == 0 else x
 
 
+def _check_exponent(p: float) -> None:
+    if not p >= 1:
+        raise ValueError(f"p must be >= 1, got p={p:g}")
+
+
 def lp_norm(m: DiscreteManifold, u: np.ndarray, p: float) -> float | np.ndarray:
     """Mass-weighted L^p norm; p = inf gives the node maximum.
 
     u is one node function (N,) or a member matrix (K, N), rows = members;
     the norm is taken along the last axis.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    _check_exponent(p)
     if np.isinf(p):
         return _per_member(np.max(np.abs(u), axis=-1))
     return _per_member(np.sum(m.mass * np.abs(u) ** p, axis=-1) ** (1.0 / p))
@@ -35,8 +39,7 @@ def lp_norm(m: DiscreteManifold, u: np.ndarray, p: float) -> float | np.ndarray:
 def grad_lp_norm(m: DiscreteManifold, u: np.ndarray,
                  p: float) -> float | np.ndarray:
     """Element-volume-weighted L^p norm of the per-element gradient magnitude."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    _check_exponent(p)
     mags = m.grad.magnitudes(u)
     if np.isinf(p):
         return _per_member(np.max(mags, axis=-1, initial=0.0))

@@ -106,8 +106,8 @@ def write_csv(out_dir: Path, stem: str, header: list[str], rows) -> Path:
 
 
 def write_svg_loglog(out_dir: Path, stem: str, xs, ys, title: str,
-                     fit_slope: float | None = None) -> Path:
-    """Minimal log-log scatter with an optional fitted line; no plotting deps."""
+                     fit_slope: float) -> Path:
+    """Minimal log-log scatter with its fitted line; no plotting deps."""
     xs = np.log10(np.asarray(xs, dtype=float))
     ys = np.log10(np.asarray(ys, dtype=float))
     w, h, pad = 480, 360, 48
@@ -129,11 +129,10 @@ def write_svg_loglog(out_dir: Path, stem: str, xs, ys, title: str,
         'stroke="black"/>',
         f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{h - pad}" stroke="black"/>',
     ]
-    if fit_slope is not None and len(xs) > 1:
-        y0 = ys[0] + fit_slope * (xs - xs[0])
-        parts.append(f'<polyline fill="none" stroke="#888" points="'
-                     + " ".join(f"{sx(x):.1f},{sy(y):.1f}" for x, y in zip(xs, y0))
-                     + '"/>')
+    y0 = ys[0] + fit_slope * (xs - xs[0])
+    parts.append(f'<polyline fill="none" stroke="#888" points="'
+                 + " ".join(f"{sx(x):.1f},{sy(y):.1f}" for x, y in zip(xs, y0))
+                 + '"/>')
     for x, y in zip(xs, ys):
         parts.append(f'<circle cx="{sx(x):.1f}" cy="{sy(y):.1f}" r="3" '
                      'fill="#1f6fb2"/>')

@@ -9,7 +9,7 @@ profiles are verified member-wise at fixed times.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -50,8 +50,6 @@ class MappingNormScan:
     p_in: float
     p_out: float
     estimate: float
-    mesh_level: str
-    ensemble_meta: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -117,6 +115,11 @@ def heat_contraction_check(m: DiscreteManifold, dec: SpectralDecomposition,
         worst_case=_case(worst.witness, t_list, p_list, len(members)))
 
 
+def _check_fit_window(t_low: float, t_high: float) -> None:
+    if not 0 < t_low < t_high:
+        raise ValueError(f"need 0 < t_low < t_high, got {t_low:g}, {t_high:g}")
+
+
 def ultracontractivity_fit(dec: SpectralDecomposition, t_low: float,
                            t_high: float) -> UltracontractivityFit:
     """Least-squares fit of log ||e^{-tH}||_{2->inf} against log t.
@@ -126,8 +129,7 @@ def ultracontractivity_fit(dec: SpectralDecomposition, t_low: float,
     under the spectral-truncation floor 4/lambda_max are rejected, and a
     lower endpoint under the floor is flagged.
     """
-    if not 0 < t_low < t_high:
-        raise ValueError("need 0 < t_low < t_high")
+    _check_fit_window(t_low, t_high)
     lam = dec.eigenvalues
     lam_max = float(lam[-1])
     floor = 4.0 / lam_max if lam_max > 0 else 0.0
@@ -227,7 +229,6 @@ def _refine(dec: SpectralDecomposition, power: float, grad_op: bool,
 
 def mapping_norm(dec: SpectralDecomposition, operator_label: str,
                  p_in: float, p_out: float, members: np.ndarray,
-                 mesh_level: str = "", meta: dict | None = None,
                  refine: bool = True) -> MappingNormScan:
     """Estimate ||Op||_{p_in -> p_out} for Op in H powers or grad H^-1/2.
 
@@ -255,16 +256,18 @@ def mapping_norm(dec: SpectralDecomposition, operator_label: str,
         best = max(best, _refine(dec, power, grad_op, p_in, p_out,
                                  members[scan.witness]))
     return MappingNormScan(operator_label=operator_label, p_in=p_in,
-                           p_out=p_out, estimate=best, mesh_level=mesh_level,
-                           ensemble_meta=dict(meta or {}))
+                           p_out=p_out, estimate=best)
 
 
 def riesz_ratio(dec: SpectralDecomposition, p: float, members: np.ndarray,
-                mesh_level: str = "", meta: dict | None = None,
                 refine: bool = True) -> MappingNormScan:
     """sup ||grad H^{-1/2} u||_p / ||u||_p over the ensemble."""
-    return mapping_norm(dec, "grad H^-1/2", p, p, members,
-                        mesh_level=mesh_level, meta=meta, refine=refine)
+    return mapping_norm(dec, "grad H^-1/2", p, p, members, refine=refine)
+
+
+def _check_equivalence_args(a: float, p: float) -> None:
+    if not (1 < p < math.inf and a >= 0):
+        raise ValueError(f"need 1 < p < inf and a >= 0, got p={p:g}, a={a:g}")
 
 
 def bessel_equivalence_constants(dec_zero: SpectralDecomposition, a: float,
@@ -277,10 +280,7 @@ def bessel_equivalence_constants(dec_zero: SpectralDecomposition, a: float,
     over all members, as gradient_bessel_C.  The three operators come from
     one transform of the members.
     """
-    if not (1 < p < math.inf):
-        raise ValueError("need 1 < p < inf")
-    if a < 0:
-        raise ValueError("a must be nonnegative")
+    _check_equivalence_args(a, p)
     if np.max(np.abs(dec_zero.potential.values)) > 1e-12:
         raise ValueError("equivalence constants require the bare Laplacian spectrum")
     m = dec_zero.manifold
@@ -303,8 +303,11 @@ def bessel_equivalence_constants(dec_zero: SpectralDecomposition, a: float,
 # ---------------------------------------------------------------------------
 # scaling transfer
 
-def _transfer_exponent(mu: float, p: float) -> float:
-    """mu p/(mu-p); ValueError unless mu > p."""
+def _transfer_exponent(lam: float, mu: float, p: float) -> float:
+    """mu p/(mu-p) for the transfer across g -> lam^2 g; ValueError unless
+    the transfer runs upward (lam >= 1) and mu > p."""
+    if not lam >= 1:
+        raise ValueError(f"transfer direction requires lam >= 1, got lam={lam:g}")
     if not mu > p:
         raise ValueError(f"need mu > p for the exponent mu p/(mu-p), "
                          f"got mu={mu}, p={p}")
@@ -321,11 +324,9 @@ def scaling_transfer_check(m: DiscreteManifold, lam: float, mu: float,
     lam^{n/q} ||u||_q, then measures C on the scaled metric and asserts the
     original-metric inequality with constant lam * C on the same ensemble.
     """
-    if lam < 1:
-        raise ValueError("transfer direction requires lam >= 1")
+    q_out = _transfer_exponent(lam, mu, p)
     if np.any(dec_unit.potential.values != 1.0):
         raise ValueError("scaling transfer needs the Psi = 1 decomposition")
-    q_out = _transfer_exponent(mu, p)
     scaled = scale_metric(m, lam)
     n = m.dim
     orig = {q: lp_norm(m, members, q) for q in (p, q_out, 2.0)}

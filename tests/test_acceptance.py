@@ -184,10 +184,10 @@ def test_09_mapping_norms(torus3, torus3_dec1, torus3_coarse,
     for label, m, dec in (("res10", torus3_coarse, torus3_coarse_dec1),
                           ("res14", torus3, torus3_dec1)):
         members = generate_ensemble(m, spec, dec=dec)
-        scans[label, "half"] = mapping_norm(dec, "H^-1/2", 1.5, 3.0, members,
-                                            mesh_level=label).estimate
-        scans[label, "full"] = mapping_norm(dec, "H^-1", 1.2, 6.0, members,
-                                            mesh_level=label).estimate
+        scans[label, "half"] = mapping_norm(dec, "H^-1/2", 1.5, 3.0,
+                                            members).estimate
+        scans[label, "full"] = mapping_norm(dec, "H^-1", 1.2, 6.0,
+                                            members).estimate
     for op in ("half", "full"):
         lo, hi = scans["res10", op], scans["res14", op]
         assert math.isfinite(lo) and math.isfinite(hi) and lo > 0
@@ -235,9 +235,8 @@ def test_12_determinism(torus2, torus2_dec1):
     runs = []
     for _ in range(2):
         members = generate_ensemble(torus2, spec, dec=torus2_dec1)
-        est = estimate_sobolev_AB(torus2, 1.2, members, meta=spec.meta())
-        scan = mapping_norm(torus2_dec1, "H^-1/2", 1.2, 1.5, members,
-                            meta=spec.meta())
+        est = estimate_sobolev_AB(torus2, 1.2, members)
+        scan = mapping_norm(torus2_dec1, "H^-1/2", 1.2, 1.5, members)
         runs.append(canonical_json({"estimate": est, "scan": scan}))
     assert runs[0] == runs[1]
     ok(12, "determinism (byte-identical reruns)")

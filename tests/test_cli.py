@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -212,6 +213,23 @@ def test_report_indexes_artifacts(tmp_path):
     assert "ladder" in commands
 
 
+def test_report_refuses_a_missing_directory(tmp_path, capsys):
+    missing = tmp_path / "nowhere"
+    assert main(["report", "--dir", str(missing), "--out", str(tmp_path)]) == 1
+    one_line_error(capsys, str(missing))
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("content", [b"[1]", b"{", b'{"command": "\xff"}'],
+                         ids=["not-an-object", "not-json", "not-utf-8"])
+def test_report_skips_json_files_that_are_not_artifacts(tmp_path, content):
+    run(tmp_path, "ladder", "--n", "3", "--p0", "2", "--target", "2.5")
+    (tmp_path / "other.json").write_bytes(content)
+    assert main(["report", "--dir", str(tmp_path), "--out", str(tmp_path)]) == 0
+    _, doc = read_artifact(tmp_path, "report")
+    assert [e["command"] for e in doc["results"]["artifacts"]] == ["ladder"]
+
+
 def test_config_file_provides_defaults(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 11, "size": 25, "generator": "bumps"}))
@@ -301,19 +319,6 @@ def test_flow_rejects_nonpositive_time_step(tmp_path, capsys):
         assert run(tmp_path, "flow", "--times", times, "--seed", "1",
                    "--size", "10") == 1
         one_line_error(capsys, "time step")
-
-
-def test_flow_honours_normalization(tmp_path, monkeypatch):
-    seen = []
-
-    def capture(flow, times, selector, p, ensemble, **kw):
-        seen.append(ensemble)
-        raise ValueError("stop after the ensemble spec")
-
-    monkeypatch.setattr(fl, "track", capture)
-    assert run(tmp_path, "flow", "--seed", "1", "--size", "10",
-               "--normalization", "unit-l2") == 1
-    assert [spec.normalization for spec in seen] == ["unit-l2"]
 
 
 def test_flow_rejects_unknown_spec_options(tmp_path, capsys):
@@ -455,12 +460,21 @@ def test_heat_on_a_torus_makes_no_dense_eigendecomposition(tmp_path,
      ["--b-grid", "finite"]),
     (("estimate", "--p", "1.2", "--b-grid", ",", "--seed", "1"),
      ["--b-grid", "at least one"]),
+    (("riesz", "--p", "1", "--seed", "1"), ["1 < p < inf", "p=1"]),
+    (("riesz", "--p", "inf", "--seed", "1"), ["1 < p < inf", "p=inf"]),
+    (("riesz", "--a", "-1", "--seed", "1"), ["a >= 0", "a=-1"]),
+    (("w2p", "--p", "0.5", "--seed", "1"), ["p must be >= 1", "p=0.5"]),
+    (("scaling", "--lam", "0.5", "--seed", "1"), ["lam >= 1", "lam=0.5"]),
+    (("heat", "--fit-window", "1e-2,1e-3", "--seed", "1"),
+     ["0 < t_low < t_high", "0.01, 0.001"]),
 ], ids=["riesz-no-seed", "verify-p=n", "verify-A<0", "verify-A-nan",
         "verify-B-inf", "estimate-p=n", "w2p-p=mu/2", "scaling-mu<p",
         "heat-one-fit-window-value", "heat-t-list-not-a-number",
         "heat-t-list-nan", "heat-t-list-empty", "heat-t-list-negative",
         "estimate-b-grid-not-a-number",
-        "estimate-b-grid-inf", "estimate-b-grid-empty"])
+        "estimate-b-grid-inf", "estimate-b-grid-empty", "riesz-p=1",
+        "riesz-p=inf", "riesz-a<0", "w2p-p<1", "scaling-lam<1",
+        "heat-fit-window-reversed"])
 def test_bad_arguments_fail_before_the_model_is_built(tmp_path, capsys,
                                                       monkeypatch, argv, words):
     def refuse(*args, **kwargs):
@@ -483,8 +497,10 @@ def test_bad_arguments_fail_before_the_model_is_built(tmp_path, capsys,
     (("estimate", "--p", "1.2", "--seed", "1", "--generator", "x"),
      ["--generator", "invalid choice", "'x'"]),
     (("heat", "--seed", "x"), ["--seed", "invalid int", "'x'"]),
+    (("estimate", "--p", "1.2", "--seed", "1", "--normalization", "none"),
+     ["unrecognized", "--normalization"]),
 ], ids=["no-command", "unknown-command", "missing-flag", "unknown-flag",
-        "bad-choice", "bad-type"])
+        "bad-choice", "bad-type", "removed-normalization"])
 def test_usage_errors_exit_1_with_one_line(tmp_path, capsys, argv, words):
     """Exit 2 means violations; a usage error is an error like any other."""
     with pytest.raises(SystemExit) as exit_:
@@ -589,3 +605,66 @@ def test_huge_ensemble_size_is_refused_before_building(tmp_path, capsys,
     monkeypatch.setattr(fl, "build", refuse)
     assert run(tmp_path, *argv, "--seed", "1", "--size", "1000000000") == 1
     one_line_error(capsys, "1000000000 members", "member matrix guard")
+
+
+SEEDED_JOBS = [
+    ("estimate", "--model", "torus:n=2,res=8", "--p", "1.2"),
+    ("verify", "--model", "torus:n=2,res=8", "--p", "1.2", "--A", "50",
+     "--B", "50"),
+    ("heat", "--model", "torus:n=2,res=8"),
+    ("riesz", "--model", "torus:n=2,res=8"),
+    ("w2p", "--model", "torus:n=3,res=4"),
+    ("scaling", "--model", "torus:n=3,res=4"),
+    ("flow", "--flow", "sphere:r0=1,subdiv=1", "--times", "0:0.2:0.1"),
+]
+
+
+def _key_names(tree) -> list[tuple[str, ...]]:
+    """The path of every object key in a plain JSON tree (list items add no
+    step to the path)."""
+    if isinstance(tree, list):
+        return [path for item in tree for path in _key_names(item)]
+    if not isinstance(tree, dict):
+        return []
+    return [(key, *path) for key, value in tree.items()
+            for path in [()] + _key_names(value)]
+
+
+@pytest.mark.parametrize("argv", SEEDED_JOBS, ids=[a[0] for a in SEEDED_JOBS])
+def test_seeded_artifact_records_the_ensemble_constants_once(tmp_path, argv):
+    """Every command that draws an ensemble records its fixed constants at
+    results.ensemble and nowhere else, and no removed setting survives."""
+    assert run(tmp_path, *argv, "--seed", "1", "--size", "10") == 0
+    _, doc = read_artifact(tmp_path, argv[0])
+    paths = _key_names(doc)
+    assert [p for p in paths if p[-1] == "ensemble"] == [("results", "ensemble")]
+    assert doc["results"]["ensemble"] == {"decay": 2.0, "modes": 40,
+                                          "bumps": 6}
+    removed = {"normalization", "ensemble_meta", "mesh_level"}
+    assert not [p for p in paths if p[-1] in removed]
+
+
+def _readme_cli_lines() -> list[list[str]]:
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("## CLI", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("sobolab ")]
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch):
+    """Every example of the README's CLI block runs (verify may find a
+    violation), and its closing report indexes the others."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SOBOLAB_OUT", raising=False)
+    lines = _readme_cli_lines()
+    assert lines[-1][:2] == ["sobolab", "report"]
+    for argv in lines:
+        try:
+            status = main(argv[1:])
+        except SystemExit as exc:  # a usage error
+            status = exc.code
+        assert status in (0, 2), argv  # 2: a finding, such as a violation
+    _, doc = read_artifact(tmp_path / "sobolab-out", "report")
+    assert sorted(e["command"] for e in doc["results"]["artifacts"]) == sorted(
+        argv[1] for argv in lines[:-1])

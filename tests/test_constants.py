@@ -32,14 +32,6 @@ def test_ensemble_requires_decomposition_for_spectral_kinds(torus2):
                                                generator="band-limited"))
 
 
-def test_ensemble_normalization(torus2, torus2_dec1):
-    spec = EnsembleSpec(seed=5, size=20, generator="mixed",
-                        normalization="unit-l2")
-    members = generate_ensemble(torus2, spec, dec=torus2_dec1)
-    for u in members:
-        assert lp_norm(torus2, u, 2.0) == pytest.approx(1.0, abs=1e-12)
-
-
 def test_estimate_feasible_and_reproducible(torus2, torus2_dec1, torus2_members):
     est = estimate_sobolev_AB(torus2, 1.2, torus2_members)
     assert est.max_ratio <= 1.0 + 1e-9
@@ -82,9 +74,9 @@ def test_single_constant_merge(torus3, torus3_members):
 
 
 def test_entropy_jensen_floor_unit_volume(torus2_unit, torus2_unit_dec1):
-    spec = EnsembleSpec(seed=2, size=40, generator="mixed",
-                        normalization="unit-l2")
+    spec = EnsembleSpec(seed=2, size=40, generator="mixed")
     members = generate_ensemble(torus2_unit, spec, dec=torus2_unit_dec1)
+    members /= lp_norm(torus2_unit, members, 2.0)[:, None]
     # on unit volume, int u^2 ln u^2 >= 0 for every unit-L2 member
     for u in members:
         assert entropy(torus2_unit, u) >= -1e-10
@@ -95,9 +87,9 @@ def test_entropy_jensen_floor_unit_volume(torus2_unit, torus2_unit_dec1):
 
 
 def test_measured_beta_nonincreasing(torus2_unit, torus2_unit_dec1):
-    spec = EnsembleSpec(seed=3, size=60, generator="mixed",
-                        normalization="unit-l2")
+    spec = EnsembleSpec(seed=3, size=60, generator="mixed")
     members = generate_ensemble(torus2_unit, spec, dec=torus2_unit_dec1)
+    members /= lp_norm(torus2_unit, members, 2.0)[:, None]
     grid = np.geomspace(1e-3, 2.0, 20)
     prof = measure_log_sobolev_beta(torus2_unit,
                                     constant_potential(torus2_unit, 1.0),
@@ -151,9 +143,9 @@ def test_tau_respects_sigma_star():
 
 
 def test_tau_from_measured_profile(torus2_unit, torus2_unit_dec1):
-    spec = EnsembleSpec(seed=4, size=30, generator="mixed",
-                        normalization="unit-l2")
+    spec = EnsembleSpec(seed=4, size=30, generator="mixed")
     members = generate_ensemble(torus2_unit, spec, dec=torus2_unit_dec1)
+    members /= lp_norm(torus2_unit, members, 2.0)[:, None]
     grid = np.geomspace(1e-4, 1.0, 30)
     prof = measure_log_sobolev_beta(torus2_unit,
                                     constant_potential(torus2_unit, 1.0),
@@ -203,9 +195,9 @@ def test_chain_consistency_measured_beta_below_derived(torus2_unit,
                                                        torus2_unit_dec1):
     """Measured entropy profile sits under the Sobolev-derived profile."""
     mu = 4.0
-    spec = EnsembleSpec(seed=11, size=100, generator="mixed",
-                        normalization="unit-l2")
+    spec = EnsembleSpec(seed=11, size=100, generator="mixed")
     members = generate_ensemble(torus2_unit, spec, dec=torus2_unit_dec1)
+    members /= lp_norm(torus2_unit, members, 2.0)[:, None]
     psi = constant_potential(torus2_unit, 1.0)
     a_single = estimate_single_A(torus2_unit, mu, members, psi)
     grid = np.geomspace(1e-3, 1.0, 25)

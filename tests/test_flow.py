@@ -3,7 +3,7 @@ import pytest
 
 from sobolab import (EnsembleSpec, HypothesisError, constant_potential,
                      decompose, generate_ensemble, metric_at,
-                     shrinking_sphere_flow, static_torus_flow, track,
+                     shrinking_sphere_flow, track,
                      verify_inequality)
 from sobolab import flow as flow_module
 from sobolab.flow import SELECTORS, ExactFlow, parse_flow_spec, scale_factor
@@ -17,7 +17,7 @@ def sphere_flow():
 
 @pytest.fixture(scope="module")
 def torus_flow():
-    return static_torus_flow(dim=3, resolution=8, t_max=1.0)
+    return parse_flow_spec("torus:n=3,res=8", t_max=1.0)
 
 
 def test_metric_at_zero_is_base(sphere_flow):
@@ -155,7 +155,7 @@ def test_parse_flow_spec():
 SMALL_FLOWS = {
     "sphere": (lambda: shrinking_sphere_flow(r0=1.0, subdiv=2, t_max=0.45),
                [0.0, 0.2, 0.4], 1.5, 1.2),
-    "torus": (lambda: static_torus_flow(dim=3, resolution=6, t_max=1.0),
+    "torus": (lambda: parse_flow_spec("torus:n=3,res=6", t_max=1.0),
               [0.0, 0.5, 1.0], 2.5, None),
 }
 
