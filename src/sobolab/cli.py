@@ -135,6 +135,8 @@ def _cmd_heat(args):
     t_list = _parse_floats(args.t_list, "--t-list")
     if min(t_list) < 0:
         raise ValueError(f"--t-list heat times must be >= 0, got {args.t_list!r}")
+    if args.svg and not args.fit_window:
+        raise ValueError("--svg plots the decay fit and needs --fit-window")
     window = []
     if args.fit_window:
         window = _parse_floats(args.fit_window, "--fit-window")
@@ -371,8 +373,8 @@ def _config_value(action, value):
 def _apply_config_file(parser, args) -> None:
     """Config values fill any flag still at its parser default; flags win.
 
-    A JSON null leaves the default; a bad file or value is a ValueError
-    naming it.
+    A JSON null leaves the default; a bad file, a key naming no flag of the
+    command or a bad value is a ValueError naming it.
     """
     if not getattr(args, "config", None):
         return
@@ -385,8 +387,9 @@ def _apply_config_file(parser, args) -> None:
     actions = {action.dest: action for action in parser._actions}
     for key, value in defaults.items():
         action = actions.get(key.replace("-", "_"))
-        if (action is None or value is None
-                or getattr(args, action.dest, None) != action.default):
+        if action is None:
+            raise ValueError(f"config key {key!r} names no flag of {parser.prog}")
+        if value is None or getattr(args, action.dest, None) != action.default:
             continue
         try:
             setattr(args, action.dest, _config_value(action, value))

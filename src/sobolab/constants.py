@@ -65,32 +65,39 @@ class EnsembleSpec:
             raise ValueError("ensemble size must be positive")
 
 
-def _wrapped_sq_dist(points: np.ndarray, center: np.ndarray,
-                     periods: tuple[float, ...] | None) -> np.ndarray:
-    d = points - center[None, :]
-    if periods is not None:
-        per = np.asarray(periods)
-        d = d - per[None, :] * np.round(d / per[None, :])
-    return np.sum(d * d, axis=1)
+def _bump_member(geo: tuple, rng: np.random.Generator, u: np.ndarray,
+                 scratch: np.ndarray) -> None:
+    """Superposition of Gaussian bumps into u; parameters drawn mesh-independently.
 
-
-def _bump_member(m: DiscreteManifold, rng: np.random.Generator) -> np.ndarray:
-    """Superposition of Gaussian bumps; parameters drawn mesh-independently."""
+    geo is what every bump of an ensemble reads of the mesh, computed once:
+    the bounding box's low corner, side lengths and diagonal, the periods and
+    the coordinate columns.  The squared (wrapped) distance to a centre is
+    summed one axis at a time in scratch, three node-sized rows.
+    """
+    lo, span, diam, periods, columns = geo
+    sq, d, t = scratch
     count = 1 + int(rng.integers(0, BUMP_COUNT))
-    lo = m.points.min(axis=0)
-    span = m.points.max(axis=0) - lo
-    diam = float(np.linalg.norm(span)) or 1.0
-    u = np.zeros(m.num_nodes)
+    u[:] = 0.0
     for _ in range(BUMP_COUNT):  # fixed draw count: mesh-comparable stream
-        frac = rng.random(m.points.shape[1])
+        frac = rng.random(len(columns))
         width = diam * (0.03 + 0.17 * rng.random())
         amp = rng.standard_normal()
         if count > 0:
             center = lo + frac * span
-            u += amp * np.exp(-_wrapped_sq_dist(m.points, center, m.periods)
-                              / (2.0 * width ** 2))
+            for j, x in enumerate(columns):
+                np.subtract(x, center[j], out=d)
+                if periods is not None:
+                    np.rint(np.divide(d, periods[j], out=t), out=t)
+                    t *= periods[j]
+                    d -= t
+                if j == 0:
+                    np.multiply(d, d, out=sq)
+                else:
+                    sq += np.multiply(d, d, out=t)
+            sq /= -2.0 * width ** 2
+            np.exp(sq, out=sq)
+            u += np.multiply(sq, amp, out=sq)
         count -= 1
-    return u
 
 
 def generate_ensemble(m: DiscreteManifold, spec: EnsembleSpec,
@@ -116,6 +123,12 @@ def generate_ensemble(m: DiscreteManifold, spec: EnsembleSpec,
         # count clusters start below SPECTRAL_MODES; K = bounds[count] ends the last
         count = np.searchsorted(bounds[:-1], min(SPECTRAL_MODES, bounds[-1]))
         band = (1.0 + dec.eigenvalues[:bounds[count]]) ** (-BAND_DECAY / 2.0)
+    if spec.generator in ("bumps", "mixed"):
+        lo = m.points.min(axis=0)
+        span = m.points.max(axis=0) - lo
+        geo = (lo, span, float(np.linalg.norm(span)) or 1.0, m.periods,
+               m.points.T.copy())
+        scratch = np.empty((3, m.num_nodes))
     rows, weights = [], []
     for i in range(spec.size):
         if spec.generator == "mixed":
@@ -123,7 +136,7 @@ def generate_ensemble(m: DiscreteManifold, spec: EnsembleSpec,
         else:
             kind = spec.generator
         if kind == "bumps":
-            members[i] = _bump_member(m, rng)
+            _bump_member(geo, rng, members[i], scratch)
             continue
         child = rng.spawn(1)[0]
         if kind == "band-limited":

@@ -31,9 +31,12 @@ def lp_norm(m: DiscreteManifold, u: np.ndarray, p: float) -> float | np.ndarray:
     the norm is taken along the last axis.
     """
     _check_exponent(p)
+    a = np.abs(u, dtype=float)
     if np.isinf(p):
-        return _per_member(np.max(np.abs(u), axis=-1))
-    return _per_member(np.sum(m.mass * np.abs(u) ** p, axis=-1) ** (1.0 / p))
+        return _per_member(np.max(a, axis=-1))
+    a **= p  # in the fresh |u|: no further node-sized temporaries
+    a *= m.mass
+    return _per_member(np.sum(a, axis=-1) ** (1.0 / p))
 
 
 def grad_lp_norm(m: DiscreteManifold, u: np.ndarray,
@@ -43,7 +46,9 @@ def grad_lp_norm(m: DiscreteManifold, u: np.ndarray,
     mags = m.grad.magnitudes(u)
     if np.isinf(p):
         return _per_member(np.max(mags, axis=-1, initial=0.0))
-    return _per_member(np.sum(m.grad.weights * mags ** p, axis=-1) ** (1.0 / p))
+    mags **= p  # in place: magnitudes returns a fresh array
+    mags *= m.grad.weights
+    return _per_member(np.sum(mags, axis=-1) ** (1.0 / p))
 
 
 def q_energy(m: DiscreteManifold, psi: PotentialField,

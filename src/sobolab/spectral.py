@@ -2,11 +2,12 @@
 
 The generalized symmetric problem (S + M_Psi) phi = lambda M phi is solved
 in closed form on a periodic grid with uniform mass and constant Psi (real
-Fourier modes, applied by one product per axis with the res x res Fourier
-matrix), and otherwise reduced via the diagonal mass square root and solved
-in place by LAPACK's symmetric divide and conquer (dsyevd, the one use of
-scipy.linalg, imported there); every operator function (heat semigroup,
-fractional powers, resolvents) is evaluated on the resulting eigenpairs.
+Fourier modes, applied by one product per axis with the leading columns of
+the res x res Fourier matrix), and otherwise reduced via the diagonal mass
+square root and solved in place by LAPACK's symmetric divide and conquer
+(dsyevd, the one use of scipy.linalg, imported there); every operator
+function (heat semigroup, fractional powers, resolvents) is evaluated on the
+resulting eigenpairs.
 """
 
 from __future__ import annotations
@@ -102,9 +103,11 @@ class FourierBasis:
     """Products of real Fourier columns over sqrt(m0) on a res^dim periodic grid.
 
     Eigenvector k is the mode order[k] (C order over the axes, each axis a
-    column of q = _fourier_axis(res)[1]).  Coefficients and syntheses apply
-    the res x res matrix q along every axis, O(res) per entry per axis, so
-    the N x N matrix is formed only by columns().
+    column of q = _fourier_axis(res)[1]).  Coefficients and syntheses of the
+    leading k modes apply the first b columns of q along every axis, b = 1 +
+    the largest per-axis index among order[:k] (b = res for all modes), so
+    they cost O(b) per entry per axis, and the N x N matrix is formed only by
+    columns().
     """
 
     q: np.ndarray  # the real Fourier columns of one axis
@@ -113,18 +116,27 @@ class FourierBasis:
     order: np.ndarray  # stable ascending-eigenvalue permutation of the modes
 
     def coefficients(self, u: np.ndarray, k: int | None = None) -> np.ndarray:
-        c = _per_axis(self.q.T, u, self.dim).reshape(u.shape)[..., self.order[:k]]
+        b, keep = self._leading(k)
+        c = _per_axis(self.q[:, :b].T, u, self.dim)
+        c = c.reshape(u.shape[:-1] + (b ** self.dim,))[..., keep]
         c *= np.sqrt(self.m0)
         return c
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        u = _per_axis(self.q, self._scatter(coeffs), self.dim)
+        b, keep = self._leading(coeffs.shape[-1])
+        u = _per_axis(self.q[:, :b], self._scatter(coeffs, b, keep), self.dim)
         u /= np.sqrt(self.m0)
         return u.reshape(coeffs.shape[:-1] + self.order.shape)
 
-    def _scatter(self, coeffs: np.ndarray) -> np.ndarray:
-        u = np.zeros(coeffs.shape[:-1] + self.order.shape)
-        u[..., self.order[:coeffs.shape[-1]]] = coeffs
+    def _leading(self, k: int | None) -> tuple[int, np.ndarray]:
+        """b and the flat indices of the modes order[:k] on the b^dim grid."""
+        axes = np.unravel_index(self.order[:k], self.q.shape[:1] * self.dim)
+        b = 1 + int(np.max(axes, initial=0))
+        return b, np.ravel_multi_index(axes, (b,) * self.dim)
+
+    def _scatter(self, coeffs: np.ndarray, b: int, keep: np.ndarray) -> np.ndarray:
+        u = np.zeros(coeffs.shape[:-1] + (b ** self.dim,))
+        u[..., keep] = coeffs
         return u
 
     def columns(self, k: int | None = None) -> np.ndarray:
@@ -151,16 +163,18 @@ class FourierBasis:
 
 
 def _per_axis(a: np.ndarray, u: np.ndarray, dim: int) -> np.ndarray:
-    """The res x res matrix a applied along every axis of u on res^dim nodes.
+    """The matrix a applied along every axis of u.
 
-    u is a node function or a member matrix in C grid order, and the result
-    has rows of res.  Rebinding u frees each input once the next product
-    exists, so a temporary passed in costs no extra copy.
+    u is a node function or a member matrix in C grid order with
+    a.shape[1]^dim entries per row, and the result has rows of a.shape[0].
+    a is the res x b factor of k leading modes or its transpose, so each
+    axis costs O(b) per node entry.  Rebinding u frees each input once the
+    next product exists, so a temporary passed in costs no extra copy.
     """
-    res = a.shape[0]
+    n = a.shape[1]
     for d in range(dim - 1):
-        u = np.matmul(a, u.reshape(-1, res, res ** (dim - 1 - d)))
-    return u.reshape(-1, res) @ a.T
+        u = np.matmul(a, u.reshape(-1, n, n ** (dim - 1 - d)))
+    return u.reshape(-1, n) @ a.T
 
 
 @dataclass(frozen=True)

@@ -249,7 +249,10 @@ def test_config_file_provides_defaults(tmp_path):
     ('{"size": "abc"}', ["config key 'size'", "'abc'"]),
     ('{"svg": "no"}', ["config key 'svg'", "true or false"]),
     ('{"model": 5}', ["model variant '5'"]),
-], ids=["missing", "malformed", "list", "bad-size", "bad-switch", "number-model"])
+    ('{"sead": 4}', ["config key 'sead'", "no flag", "heat"]),
+    ('{"b-grid": "1,2"}', ["config key 'b-grid'", "no flag", "heat"]),
+], ids=["missing", "malformed", "list", "bad-size", "bad-switch", "number-model",
+        "misspelt-key", "key-of-another-command"])
 def test_bad_config_file_is_a_one_line_error(tmp_path, capsys, content, words):
     cfg = tmp_path / "cfg.json"
     if content is not None:
@@ -467,6 +470,7 @@ def test_heat_on_a_torus_makes_no_dense_eigendecomposition(tmp_path,
     (("scaling", "--lam", "0.5", "--seed", "1"), ["lam >= 1", "lam=0.5"]),
     (("heat", "--fit-window", "1e-2,1e-3", "--seed", "1"),
      ["0 < t_low < t_high", "0.01, 0.001"]),
+    (("heat", "--svg", "--seed", "1"), ["--svg", "--fit-window"]),
 ], ids=["riesz-no-seed", "verify-p=n", "verify-A<0", "verify-A-nan",
         "verify-B-inf", "estimate-p=n", "w2p-p=mu/2", "scaling-mu<p",
         "heat-one-fit-window-value", "heat-t-list-not-a-number",
@@ -474,7 +478,7 @@ def test_heat_on_a_torus_makes_no_dense_eigendecomposition(tmp_path,
         "estimate-b-grid-not-a-number",
         "estimate-b-grid-inf", "estimate-b-grid-empty", "riesz-p=1",
         "riesz-p=inf", "riesz-a<0", "w2p-p<1", "scaling-lam<1",
-        "heat-fit-window-reversed"])
+        "heat-fit-window-reversed", "heat-svg-without-fit-window"])
 def test_bad_arguments_fail_before_the_model_is_built(tmp_path, capsys,
                                                       monkeypatch, argv, words):
     def refuse(*args, **kwargs):

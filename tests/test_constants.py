@@ -268,7 +268,28 @@ def test_spectral_members_leave_the_bump_stream_alone(text):
 
 # Reference: the member-at-a-time construction that generate_ensemble
 # replaced.  Each spectral member took its own coefficient and synthesis
-# product over the leading eigenvector columns.
+# product over the leading eigenvector columns, and each bump member read
+# the bounding box and summed its wrapped squared distances node by node.
+
+def _reference_bump(m, rng):
+    count = 1 + int(rng.integers(0, ct.BUMP_COUNT))
+    lo = m.points.min(axis=0)
+    span = m.points.max(axis=0) - lo
+    diam = float(np.linalg.norm(span)) or 1.0
+    u = np.zeros(m.num_nodes)
+    for _ in range(ct.BUMP_COUNT):
+        frac = rng.random(m.points.shape[1])
+        width = diam * (0.03 + 0.17 * rng.random())
+        amp = rng.standard_normal()
+        if count > 0:
+            d = m.points - (lo + frac * span)[None, :]
+            if m.periods is not None:
+                per = np.asarray(m.periods)[None, :]
+                d = d - per * np.round(d / per)
+            u += amp * np.exp(-np.sum(d * d, axis=1) / (2.0 * width ** 2))
+        count -= 1
+    return u
+
 
 def _reference_mass_noise(dec, rng, k):
     xi = rng.standard_normal(dec.manifold.num_nodes)
@@ -300,7 +321,7 @@ def _reference_ensemble(m, spec, dec):
         kind = (("band-limited", "bumps", "eigen-mix")[i % 3]
                 if spec.generator == "mixed" else spec.generator)
         if kind == "bumps":
-            u = ct._bump_member(m, rng)
+            u = _reference_bump(m, rng)
         elif kind == "band-limited":
             u = _reference_band_limited(dec, rng.spawn(1)[0])
         else:

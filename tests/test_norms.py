@@ -165,3 +165,21 @@ def test_q_energy_on_member_matrix_equals_stacked_rows(request, names):
     U = members[:40]
     stacked = np.array([q_energy(m, psi, u) for u in U])
     np.testing.assert_allclose(q_energy(m, psi, U), stacked, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("text", ["torus:n=2,res=16", "sphere:r=1,subdiv=2",
+                                  "box:n=2,res=8"])
+def test_norms_match_the_plain_expressions_bit_for_bit(text):
+    """The in-place powers and weights give the same bits as the plain
+    expressions, and the caller's u is left as it was."""
+    m = build(text)
+    u = np.random.default_rng(3).standard_normal((6, m.num_nodes))
+    kept = u.copy()
+    for p in (1.0, 1.5, 2.0, 6.0):
+        for v in (u, u[2]):
+            want = np.sum(m.mass * np.abs(v) ** p, axis=-1) ** (1.0 / p)
+            assert np.array_equal(lp_norm(m, v, p), want)
+            mags = m.grad.magnitudes(v)
+            want = np.sum(m.grad.weights * mags ** p, axis=-1) ** (1.0 / p)
+            assert np.array_equal(grad_lp_norm(m, v, p), want)
+    assert np.array_equal(u, kept)

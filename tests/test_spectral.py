@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+from sobolab import constants as ct
 from sobolab import (EnsembleSpec, SingularOperatorError, apply_function,
                      constant_potential, decompose, generate_ensemble,
                      heat_multiplier, power_multiplier,
@@ -369,6 +370,41 @@ def test_fourier_basis_matches_its_explicit_columns(text):
         base.potential, m))
     assert np.all(np.max(np.abs(a - b), axis=1)
                   <= 1e-9 * np.max(np.abs(b), axis=1))
+
+
+@pytest.mark.parametrize("text", ["torus:n=2,res=56", "torus:n=3,res=8"])
+def test_leading_mode_transforms_use_fewer_columns(text, monkeypatch):
+    """At the ensemble's K the transforms apply fewer than res Fourier
+    columns per axis and still equal the products with the explicit K
+    columns."""
+    m = build(text)
+    dec = decompose(m, constant_potential(m, 1.0))
+    res = dec.basis.q.shape[0]
+    factors, per_axis = [], spectral._per_axis
+
+    def recording(a, u, dim):
+        factors.append(a.shape)
+        return per_axis(a, u, dim)
+
+    monkeypatch.setattr(spectral, "_per_axis", recording)
+    generate_ensemble(m, EnsembleSpec(seed=2, size=6, generator="band-limited"),
+                      dec=dec)
+    assert len(factors) == 2  # one coefficient and one synthesis product
+    assert all(min(shape) < res and max(shape) == res for shape in factors)
+    bounds = dec.cluster_bounds()
+    k = bounds[np.searchsorted(bounds[:-1], min(ct.SPECTRAL_MODES, bounds[-1]))]
+    phi = dec.basis.columns(k)
+    u = np.random.default_rng(5).standard_normal((7, m.num_nodes))
+    want = (u * m.mass) @ phi
+    got = dec.coefficients(u, k)
+    assert got.shape == (7, k)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.max(np.abs(dec.coefficients(u[0], k) - want[0])) \
+        <= 1e-12 * np.max(np.abs(want))
+    want = got @ phi.T
+    assert np.max(np.abs(dec.synthesize(got) - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.max(np.abs(dec.synthesize(got[0]) - want[0])) \
+        <= 1e-12 * np.max(np.abs(want))
 
 
 def test_fourier_transforms_peak_below_three_member_matrices():
