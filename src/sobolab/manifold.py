@@ -609,8 +609,8 @@ def build(spec: ModelSpec | str) -> DiscreteManifold:
         spec = parse_model_spec(spec)
     m = (_build_sphere if spec.variant == "sphere" else _build_grid)(spec)
     m.validate()
-    if spec.scale != 1.0:
-        m = scale_metric(m, spec.scale)
+    if spec.scale != 1.0:  # the label already holds the scale
+        m = replace(scale_metric(m, spec.scale), label=m.label)
     return m
 
 

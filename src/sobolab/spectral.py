@@ -4,10 +4,11 @@ The generalized symmetric problem (S + M_Psi) phi = lambda M phi is solved
 in closed form on a periodic grid with uniform mass and constant Psi (real
 Fourier modes, applied by one product per axis with the leading columns of
 the res x res Fourier matrix), and otherwise reduced via the diagonal mass
-square root and solved in place by LAPACK's symmetric divide and conquer
-(dsyevd, the one use of scipy.linalg, imported there); every operator
-function (heat semigroup, fractional powers, resolvents) is evaluated on the
-resulting eigenpairs.
+square root, split into one block per character of the group generated by
+the mesh's axis mirrors, and solved in place by LAPACK's symmetric divide
+and conquer (dsyevd, the one use of scipy.linalg, imported there); every
+operator function (heat semigroup, fractional powers, resolvents) is
+evaluated on the resulting eigenpairs.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ __all__ = [
 
 EIG_CLIP_REL = 1e-10
 CLUSTER_GAP_REL = 1e-9  # roundoff splits are ~1e-15, real gaps >= ~1e-5
+MIRROR_MATCH_REL = 1e-9  # node distance to a mirror image / mesh extent
+MIRROR_RTOL = 1e-12  # mass, Psi and stiffness change under a mirror / largest
 
 
 class SingularOperatorError(ValueError):
@@ -265,29 +268,160 @@ def decompose(m: DiscreteManifold, psi: PotentialField) -> SpectralDecomposition
 def _dense_eigenpairs(m: DiscreteManifold, psi: PotentialField):
     """Eigenvalues and a DenseBasis by LAPACK divide and conquer (dsyevd).
 
-    The mass-reduced matrix M^(-1/2) (S + M_Psi) M^(-1/2) is symmetrised and
-    solved in place, and the eigenvectors are scaled by 1/sqrt(mass) in
-    place, so no second N x N array is kept besides LAPACK's workspace.
-    LAPACK gets the F-contiguous view a.T, the same symmetric matrix,
-    because a C-order array would be copied first.
+    The mass-reduced matrix A = M^(-1/2) (S + M_Psi) M^(-1/2) is solved one
+    block per character of the mirror group of _mirrors (see
+    _mirror_eigenpairs); with no mirror it is symmetrised and solved in
+    place, and the eigenvectors are scaled by 1/sqrt(mass) in place, so no
+    second N x N array is kept besides LAPACK's workspace.  LAPACK gets the
+    F-contiguous view a.T, the same symmetric matrix, because a C-order
+    array would be copied first.
     """
-    import scipy.linalg  # the dense path alone needs it
-
     n = m.num_nodes
     if n > DENSE_NODE_GUARD:
         raise ValueError(
             f"{n} nodes exceeds the dense decomposition guard ({DENSE_NODE_GUARD})")
+    mirrors = _mirrors(m, psi)
+    if mirrors:
+        return _mirror_eigenpairs(m, psi, mirrors)
     sqrt_m = np.sqrt(m.mass)
     a = m.stiffness.toarray()
     a[np.diag_indices(n)] += m.mass * psi.values
     a /= sqrt_m[:, None]
     a /= sqrt_m[None, :]
-    a += a.T
-    a *= 0.5
-    w, v = scipy.linalg.eigh(a.T, driver="evd", overwrite_a=True,
-                             check_finite=False)
+    w, v = _eigh_in_place(a)
     v /= sqrt_m[:, None]
     return w, DenseBasis(v, m.mass)
+
+
+def _eigh_in_place(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """dsyevd on the symmetric part of the C-ordered a, overwriting a."""
+    import scipy.linalg  # the dense path alone needs it
+
+    a += a.T
+    a *= 0.5
+    return scipy.linalg.eigh(a.T, driver="evd", overwrite_a=True,
+                             check_finite=False)
+
+
+def _mirrors(m: DiscreteManifold, psi: PotentialField) -> list[np.ndarray]:
+    """Node permutations of the axis reflections that leave H invariant.
+
+    The points are centred on their bounding box and rounded to integer
+    multiples of MIRROR_MATCH_REL times its extent.  Axis d's reflection
+    negates coordinate d; sorting the nodes and their images matches each
+    node to the node at its image, and the permutation r (node r[i] is the
+    image of node i) is kept when every image is a node, r is not the
+    identity, and mass, Psi and the stiffness's nonzeros are invariant to
+    MIRROR_RTOL of their largest entry.  Negating rounded coordinates is
+    exact, so every r kept is an involution and the kept ones commute.  A
+    mesh with two nodes in one rounding cell has no mirrors.
+    """
+    p = m.points
+    n = p.shape[0]
+    lo, hi = np.min(p, axis=0), np.max(p, axis=0)
+    tol = MIRROR_MATCH_REL * np.max(hi - lo)
+    if not tol > 0:
+        return []
+    keys = np.rint((p - 0.5 * (lo + hi)) / tol).astype(np.int64)
+    order = np.lexsort(keys.T)
+    ranked = keys[order]
+    if np.any(np.all(ranked[1:] == ranked[:-1], axis=1)):
+        return []
+    s = m.stiffness
+    found: list[np.ndarray] = []
+    for d in range(p.shape[1]):
+        keys[:, d] *= -1
+        by_image = np.lexsort(keys.T)
+        matched = np.array_equal(keys[by_image], ranked)
+        keys[:, d] *= -1
+        r = np.empty(n, dtype=np.intp)
+        r[by_image] = order
+        if (matched and np.any(r != np.arange(n))
+                and _within(m.mass[r] - m.mass, m.mass)
+                and _within(psi.values[r] - psi.values, psi.values)
+                and _within(_permuted_gap(s, r), s.data)):
+            found.append(r)
+    return found
+
+
+def _permuted_gap(s, r: np.ndarray) -> np.ndarray:
+    """The entries of S[r][:, r] - S on the union of both patterns, read
+    from the CSR arrays of S (r an involution)."""
+    n = s.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(s.indptr))
+    keys = np.concatenate([rows * n + s.indices, r[rows] * n + r[s.indices]])
+    _, slot = np.unique(keys, return_inverse=True)
+    return np.bincount(slot, weights=np.concatenate([s.data, -s.data]))
+
+
+def _within(gap: np.ndarray, ref: np.ndarray) -> bool:
+    """|gap| <= MIRROR_RTOL * max|ref| entrywise."""
+    bound = MIRROR_RTOL * np.max(np.abs(ref), initial=0.0)
+    return bool(np.all(np.abs(gap) <= bound))
+
+
+def _mirror_eigenpairs(m: DiscreteManifold, psi: PotentialField,
+                       mirrors: list[np.ndarray]):
+    """The dense eigenpairs of A, one dsyevd block per mirror-group character.
+
+    The k mirrors generate G = Z2^k: element g (a bit mask over the
+    mirrors) moves node x to perms[g, x], and character s is chi[s, g] =
+    (-1)^popcount(s & g).  Each orbit has its least node as representative
+    x, with stabiliser size D_x.  Block s holds the orbits on whose
+    stabiliser chi_s is trivial, and
+        B_s[x, y] = D_x^(-1/2) sum_g chi_s(g) A[x, g.y] D_y^(-1/2),
+    read from the rows of A at the representatives alone.  Eigenvector v of
+    B_s is chi_s(g) v(x) / sqrt(|orbit of x|) at node g.x, and 0 on the
+    other orbits, so the blocks' sizes sum to N.  The rows are freed before
+    the N x N eigenvector matrix is allocated; it starts at zero, because a
+    node on a mirror plane is missing from the blocks whose character is
+    -1 on its stabiliser.  Columns follow the stable ascending merge of all
+    blocks' eigenvalues.
+    """
+    n = m.num_nodes
+    perms, chi = np.arange(n)[None, :], np.ones((1, 1))
+    for r in mirrors:
+        perms = np.concatenate([perms, r[perms]])
+        chi = np.kron([[1.0, 1.0], [1.0, -1.0]], chi)
+    reps = np.flatnonzero(np.min(perms, axis=0) == np.arange(n))
+    images = perms[:, reps]  # (|G|, orbits): node g.x of each representative
+    fixed = images == reps
+    stab = np.count_nonzero(fixed, axis=0)
+    member = ~((chi < 0) @ fixed)  # (characters, orbits): orbit in block s
+
+    sqrt_m = np.sqrt(m.mass)
+    a_rows = m.stiffness[reps].toarray()
+    a_rows[np.arange(reps.size), reps] += m.mass[reps] * psi.values[reps]
+    a_rows /= sqrt_m[reps, None]
+    a_rows /= sqrt_m[None, :]
+    sums = np.tensordot(chi, a_rows[:, images], axes=(1, 1))  # (s, x, y)
+    del a_rows
+    d_half = 1.0 / np.sqrt(stab)
+    sums *= d_half[:, None]
+    sums *= d_half
+    blocks = []
+    for s in np.flatnonzero(np.any(member, axis=1)):
+        keep = np.flatnonzero(member[s])
+        w, v = _eigh_in_place(sums[s][np.ix_(keep, keep)])
+        blocks.append((s, keep, w, v))
+    del sums
+
+    # node g.x of an orbit gets chi_s(g) v(x) / sqrt(|orbit| mass(g.x));
+    # phi is written transposed, one contiguous row per eigenvector
+    scale = np.sqrt(stab / chi.shape[0]) / sqrt_m[images]
+    w = np.concatenate([blk[2] for blk in blocks])
+    order = np.argsort(w, kind="stable")
+    column = np.empty(n, dtype=np.intp)
+    column[order] = np.arange(n)
+    phi_t = np.zeros((n, n))
+    start = 0
+    for s, keep, _, v in blocks:
+        vectors = np.zeros((keep.size, n))
+        vectors[:, images[:, keep]] = v.T[:, None, :] * (chi[s][:, None]
+                                                         * scale[:, keep])
+        phi_t[column[start:start + keep.size]] = vectors
+        start += keep.size
+    return w[order], DenseBasis(phi_t.T, m.mass)
 
 
 def _fourier_grid(m: DiscreteManifold) -> int | None:
@@ -411,8 +545,13 @@ def diagnostics(dec1: SpectralDecomposition) -> dict:
 
     decomposition is the path that solved it ("fourier" or "dense");
     kernel_dim counts the exactly-zero eigenvalues of the bare Laplacian,
-    dec1.shifted(-1): 1 on every connected model.
+    dec1.shifted(-1): 1 on every connected model; mirrors is the number of
+    axis reflections the dense solve split the problem by (0 on the
+    Fourier path).
     """
-    path = "fourier" if isinstance(dec1.basis, FourierBasis) else "dense"
+    fourier = isinstance(dec1.basis, FourierBasis)
     kernel = dec1.shifted(-1.0).eigenvalues == 0.0
-    return {"decomposition": path, "kernel_dim": int(np.count_nonzero(kernel))}
+    return {"decomposition": "fourier" if fourier else "dense",
+            "kernel_dim": int(np.count_nonzero(kernel)),
+            "mirrors": 0 if fourier else len(_mirrors(dec1.manifold,
+                                                      dec1.potential))}

@@ -54,16 +54,17 @@ def test_estimate_determinism_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-@pytest.mark.parametrize("argv, path", [
-    (("heat", "--model", "torus:n=2,res=8"), "fourier"),
-    (("riesz", "--model", "box:n=2,res=6", "--p", "1.5"), "dense"),
+@pytest.mark.parametrize("argv, path, mirrors", [
+    (("heat", "--model", "torus:n=2,res=8"), "fourier", 0),
+    (("riesz", "--model", "box:n=2,res=6", "--p", "1.5"), "dense", 2),
     (("flow", "--flow", "sphere:r0=1,subdiv=1", "--times", "0:0.2:0.1",
-      "--theorem", "d2", "--p", "1.5"), "dense"),
+      "--theorem", "d2", "--p", "1.5"), "dense", 3),
 ], ids=["torus-heat", "box-riesz", "sphere-flow"])
 def test_artifact_diagnostics_repeat_byte_for_byte(tmp_path, monkeypatch,
-                                                   argv, path):
-    """Each artifact names its decomposition path and the bare Laplacian's
-    kernel dimension, inside the hashed payload, and a rerun reproduces it
+                                                   argv, path, mirrors):
+    """Each artifact names its decomposition path, the bare Laplacian's
+    kernel dimension and the mirrors of the dense solve, inside the hashed
+    payload, and a rerun reproduces it
     (in a second directory under the same relative --out, because a flow
     artifact records its CSV's path)."""
     args = (*argv, "--seed", "3", "--size", "20")
@@ -75,7 +76,8 @@ def test_artifact_diagnostics_repeat_byte_for_byte(tmp_path, monkeypatch,
     (b,), _ = read_artifact(tmp_path / "b" / "out", argv[0])
     assert a.name == b.name and a.read_bytes() == b.read_bytes()
     assert doc["results"]["diagnostics"] == {"decomposition": path,
-                                             "kernel_dim": 1}
+                                             "kernel_dim": 1,
+                                             "mirrors": mirrors}
 
 
 @pytest.mark.parametrize("argv", [("riesz", "--model", "sphere:r=1"),
@@ -147,7 +149,14 @@ def test_model_scale_option(tmp_path):
     assert run(tmp_path, "estimate", "--model", "torus:n=2,res=16,scale=2",
                "--p", "1.2", "--seed", "8", "--size", "30") == 0
     _, doc = read_artifact(tmp_path, "estimate")
-    assert "scale2" in doc["results"]["model"]
+    assert doc["results"]["model"] == "torus:n=2,res=16,L=6.28319x6.28319,scale=2"
+
+
+def test_scaled_model_artifact_records_its_scale_once(tmp_path):
+    assert run(tmp_path, "heat", "--model", "sphere:r=2,subdiv=1,scale=0.5",
+               "--seed", "3", "--size", "10", "--t-list", "0.1") == 0
+    _, doc = read_artifact(tmp_path, "heat")
+    assert doc["results"]["model"] == "sphere:r=2,subdiv=1,scale=0.5"
 
 
 def test_heat_command_with_fit_and_svg(tmp_path):

@@ -58,6 +58,14 @@ def test_scale_identity_returns_same_object(sphere3):
     assert scale_metric(sphere3, 1.0) is sphere3
 
 
+def test_scaled_spec_is_labelled_by_its_description():
+    """The spec's description already holds the scale; scale_metric's own
+    suffix is for meshes scaled after they are built."""
+    m = build("sphere:r=2,subdiv=1,scale=0.5")
+    assert m.label == "sphere:r=2,subdiv=1,scale=0.5"
+    assert scale_metric(m, 2.0).label == "sphere:r=2,subdiv=1,scale=0.5*scale2"
+
+
 def test_scale_2d_keeps_stiffness_volume_times_four(torus2):
     scaled = scale_metric(torus2, 2.0)
     assert np.allclose(scaled.stiffness.toarray(), torus2.stiffness.toarray())

@@ -435,6 +435,27 @@ def _perturbed_torus():
     return replace(m, grad=replace(m.grad, weights=weights))
 
 
+def _spy_eigh(monkeypatch):
+    """Record (size, F-ordered and overwritten) of every scipy eigh call."""
+    seen = []
+    original = scipy.linalg.eigh
+
+    def spy(a, **kw):
+        w, v = original(a, **kw)
+        seen.append((a.shape[0],
+                     a.flags.f_contiguous and np.shares_memory(a, v)))
+        return w, v
+
+    monkeypatch.setattr(scipy.linalg, "eigh", spy)
+    return seen
+
+
+def _one_call_per_block(seen, m, mirrors):
+    """2^mirrors F-ordered, overwritten calls whose sizes sum to N."""
+    return (len(seen) == 2 ** mirrors and all(ok for _, ok in seen)
+            and sum(size for size, _ in seen) == m.num_nodes)
+
+
 @pytest.mark.parametrize("case", ["perturbed-torus", "sphere", "box",
                                   "varying-potential"])
 def test_non_separable_models_fall_back_to_dense(case, monkeypatch):
@@ -446,12 +467,11 @@ def test_non_separable_models_fall_back_to_dense(case, monkeypatch):
         m = build("torus:n=2,res=8")
     psi = (PotentialField(1.0 + m.points[:, 0]) if case == "varying-potential"
            else constant_potential(m, 1.0))
-    calls = []
-    original = scipy.linalg.eigh
-    monkeypatch.setattr(scipy.linalg, "eigh",
-                        lambda a, **kw: calls.append(a.shape) or original(a, **kw))
+    seen = _spy_eigh(monkeypatch)
     dec = decompose(m, psi)
-    assert calls == [(m.num_nodes, m.num_nodes)]
+    mirrors = {"perturbed-torus": 0, "sphere": 3, "box": 2,
+               "varying-potential": 1}[case]
+    assert _one_call_per_block(seen, m, mirrors)
     assert _max_residual(dec) <= 1e-10 * np.max(np.abs(dec.eigenvalues))
     if case in ("perturbed-torus", "sphere", "box"):
         assert spectral._fourier_grid(m) is None
@@ -478,22 +498,15 @@ def _reference_dense_eigenpairs(m, psi):
 def test_dense_divide_and_conquer_matches_the_reference_eigh(text, monkeypatch):
     """The in-place divide-and-conquer solve gives the reference's spectrum,
     clusters and ensembles, a mass-orthonormal basis to 1e-13, and hands
-    LAPACK a Fortran-ordered array that it overwrites (no copy)."""
+    LAPACK one Fortran-ordered array per mirror block, which it overwrites
+    (no copy)."""
     m = build(text.replace(",varying-psi", ""))
     psi = (PotentialField(1.0 + m.points[:, 0]) if "varying" in text
            else constant_potential(m, 1.0))
     ref = _reference_dense_eigenpairs(m, psi)
-    seen = []
-    original = scipy.linalg.eigh
-
-    def spy(a, **kw):
-        w, v = original(a, **kw)
-        seen.append((a.flags.f_contiguous, np.shares_memory(a, v)))
-        return w, v
-
-    monkeypatch.setattr(scipy.linalg, "eigh", spy)
+    seen = _spy_eigh(monkeypatch)
     dec = decompose(m, psi)
-    assert seen == [(True, True)]
+    assert _one_call_per_block(seen, m, len(spectral._mirrors(m, psi)))
     lam_max = np.max(np.abs(ref.eigenvalues))
     assert np.max(np.abs(dec.eigenvalues - ref.eigenvalues)) <= 1e-12 * lam_max
     assert np.array_equal(dec.cluster_bounds(), ref.cluster_bounds())
@@ -506,3 +519,103 @@ def test_dense_divide_and_conquer_matches_the_reference_eigh(text, monkeypatch):
         b = generate_ensemble(m, spec, dec=ref)
         assert np.all(np.max(np.abs(a - b), axis=1)
                       <= 1e-9 * np.max(np.abs(b), axis=1)), generator
+
+
+# The mirror-block solve against the unsplit solve of the same matrix.
+
+MIRROR_CASES = [("sphere:r=1,subdiv=1", 3), ("sphere:r=1,subdiv=2", 3),
+                ("sphere:r=1,subdiv=3", 3), ("box:n=2,res=12", 2),
+                ("box:n=2,res=15", 2), ("box:n=3,res=6", 3),
+                ("torus:n=2,res=8,psi=1+x", 1)]
+
+
+def _mirror_case(text):
+    m = build(text.replace(",psi=1+x", ""))
+    psi = (PotentialField(1.0 + m.points[:, 0]) if "psi=1+x" in text
+           else constant_potential(m, 1.0))
+    return m, psi
+
+
+def _assert_dense_eigenpairs(dec):
+    """The residual and Gram bounds every dense solve meets."""
+    m = dec.manifold
+    assert _max_residual(dec) <= 1e-10 * np.max(np.abs(dec.eigenvalues))
+    phi = dec.basis.columns()
+    gram = phi.T @ (m.mass[:, None] * phi)
+    assert np.max(np.abs(gram - np.eye(m.num_nodes))) <= 1e-13
+
+
+@pytest.mark.parametrize("text, mirrors", MIRROR_CASES,
+                         ids=[text for text, _ in MIRROR_CASES])
+def test_mirror_blocks_match_the_unsplit_solve(text, mirrors, monkeypatch):
+    """Spheres, boxes (odd res puts nodes on the mirror planes) and a torus
+    whose Psi keeps only the y mirror split into 2^k blocks summing to N,
+    with the unsplit solve's spectrum, clusters and ensembles."""
+    m, psi = _mirror_case(text)
+    assert len(spectral._mirrors(m, psi)) == mirrors
+    seen = _spy_eigh(monkeypatch)
+    dec = decompose(m, psi)
+    assert _one_call_per_block(seen, m, mirrors)
+    monkeypatch.setattr(spectral, "_mirrors", lambda m, psi: [])
+    whole = decompose(m, psi)
+    assert seen[2 ** mirrors:] == [(m.num_nodes, True)]
+    lam_max = np.max(np.abs(whole.eigenvalues))
+    assert np.max(np.abs(dec.eigenvalues - whole.eigenvalues)) <= 1e-12 * lam_max
+    assert np.array_equal(dec.cluster_bounds(), whole.cluster_bounds())
+    _assert_dense_eigenpairs(dec)
+    for generator in ("band-limited", "eigen-mix", "mixed"):
+        spec = EnsembleSpec(seed=11, size=40, generator=generator)
+        a = generate_ensemble(m, spec, dec=dec)
+        b = generate_ensemble(m, spec, dec=whole)
+        assert np.all(np.max(np.abs(a - b), axis=1)
+                      <= 1e-9 * np.max(np.abs(b), axis=1)), generator
+
+
+@pytest.mark.parametrize("case", ["random-potential", "perturbed-torus"])
+def test_meshes_without_a_mirror_make_one_whole_solve(case, monkeypatch):
+    """A random Psi on a sphere, or one perturbed element weight, breaks
+    every mirror: one N x N solve, and diagnostics report no mirror."""
+    if case == "perturbed-torus":
+        m = _perturbed_torus()
+        psi = constant_potential(m, 1.0)
+    else:
+        m = build("sphere:r=1,subdiv=2")
+        psi = PotentialField(np.random.default_rng(3).uniform(1, 2, m.num_nodes))
+    assert spectral._mirrors(m, psi) == []
+    seen = _spy_eigh(monkeypatch)
+    dec = decompose(m, psi)
+    assert seen == [(m.num_nodes, True)]
+    _assert_dense_eigenpairs(dec)
+    assert spectral.diagnostics(dec)["mirrors"] == 0
+
+
+@pytest.mark.parametrize("text, mirrors", [
+    ("sphere:r=1,subdiv=2", 3), ("box:n=1,res=7", 1), ("box:n=2,res=6", 2),
+    ("box:n=3,res=5", 3), ("torus:n=2,res=8", 0), ("torus:n=3,res=4", 0)])
+def test_diagnostics_count_the_mirrors_of_the_solve(text, mirrors):
+    m = build(text)
+    diag = spectral.diagnostics(decompose(m, constant_potential(m, 1.0)))
+    assert diag["mirrors"] == mirrors
+    assert diag["decomposition"] == ("fourier" if text.startswith("torus")
+                                     else "dense")
+
+
+def test_a_potential_keeps_the_mirrors_it_is_even_under():
+    """On a box, Psi = 1 + x loses the x mirror and keeps the y mirror;
+    Psi even in x about the box centre keeps both."""
+    m = build("box:n=2,res=6")
+    x = m.points[:, 0]
+    [r] = spectral._mirrors(m, PotentialField(1.0 + x))
+    assert np.array_equal(m.points[r, 0], x)
+    even = PotentialField(1.0 + (x - 0.5 * (x.min() + x.max())) ** 2)
+    assert len(spectral._mirrors(m, even)) == 2
+
+
+@pytest.mark.slow
+def test_mirror_blocks_at_subdivision_four(monkeypatch):
+    """The 2562-node icosphere splits into 8 blocks within the dense bounds."""
+    m = build("sphere:r=1,subdiv=4")
+    seen = _spy_eigh(monkeypatch)
+    dec = decompose(m, constant_potential(m, 1.0))
+    assert _one_call_per_block(seen, m, 3)
+    _assert_dense_eigenpairs(dec)
