@@ -234,7 +234,7 @@ def _min_A_from_terms(lhs: np.ndarray, grd: np.ndarray, low: np.ndarray,
     """Smallest A making the two-term form hold on every member at this B;
     inf when some gradient-free member already violates the B term."""
     scale = np.maximum(lhs, B * low)
-    flat = grd <= 1e-13 * np.maximum(scale, 1.0)
+    flat = grd <= 1e-13 * scale
     if np.any(lhs[flat] > B * low[flat] * (1.0 + 1e-12) + 1e-300):
         return math.inf
     return max(0.0, _worst_ratio(lhs - B * low, grd, used=~flat).ratio)

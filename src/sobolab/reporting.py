@@ -27,6 +27,8 @@ __all__ = [
 
 def to_plain(obj):
     """Recursively convert dataclasses/ndarrays/tuples into JSON-ready types."""
+    if type(obj) in (int, float, str, bool):  # most CSV cells; checked first
+        return obj
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: to_plain(getattr(obj, f.name))
                 for f in dataclasses.fields(obj)}

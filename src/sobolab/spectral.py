@@ -6,9 +6,10 @@ Fourier modes, applied by one product per axis with the leading columns of
 the res x res Fourier matrix), and otherwise reduced via the diagonal mass
 square root, split into one block per character of the group generated by
 the mesh's axis mirrors, and solved in place by LAPACK's symmetric divide
-and conquer (dsyevd, the one use of scipy.linalg, imported there); every
-operator function (heat semigroup, fractional powers, resolvents) is
-evaluated on the resulting eigenpairs.
+and conquer (dsyevd, the one use of scipy.linalg, imported there), the
+blocks kept apart and applied one by one; every operator function (heat
+semigroup, fractional powers, resolvents) is evaluated on the resulting
+eigenpairs.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ EIG_CLIP_REL = 1e-10
 CLUSTER_GAP_REL = 1e-9  # roundoff splits are ~1e-15, real gaps >= ~1e-5
 MIRROR_MATCH_REL = 1e-9  # node distance to a mirror image / mesh extent
 MIRROR_RTOL = 1e-12  # mass, Psi and stiffness change under a mirror / largest
+MEMBER_CHUNK = 256  # members per pass of a MirrorBasis transform
 
 
 class SingularOperatorError(ValueError):
@@ -99,6 +101,86 @@ class DenseBasis:
     def row_sums(self, w: np.ndarray) -> np.ndarray:
         """sum_k w[k, j] phi_k(x)^2 at every node x, for each column j of w."""
         return (self.phi ** 2) @ w
+
+
+@dataclass(frozen=True)
+class MirrorBasis:
+    """Mass-orthonormal eigenvectors kept as one block per mirror character.
+
+    images[g, x] is node g.x of orbit representative x under the mirror
+    group G, chi[s, g] = +-1 its (symmetric) character table, and scale[g, x]
+    = sqrt(|stab x| / |G|) / sqrt(mass(g.x)).  Block (s, keep, v, cols)
+    holds the orbits keep on which character s lives, their eigenvectors v
+    as LAPACK returned them, and the columns cols (ascending) they take in
+    the stable ascending merge of all blocks' eigenvalues: eigenvector
+    cols[j] is chi[s, g] scale[g, x] v[x, j] at node g.x, x in keep, and 0
+    elsewhere.  The leading k modes are therefore a prefix of every block,
+    and a transform gathers the members over the orbit images, applies chi
+    once and each block's leading columns once, and scatters back, at about
+    1/|G| of the cost of the N x N product; columns() alone forms phi.
+    """
+
+    chi: np.ndarray
+    images: np.ndarray
+    scale: np.ndarray
+    blocks: tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]
+
+    @property
+    def mirrors(self) -> int:
+        return self.chi.shape[0].bit_length() - 1
+
+    @property
+    def size(self) -> int:
+        return sum(cols.size for *_, cols in self.blocks)
+
+    def _leading(self, k: int | None):
+        """Each block cut to its columns among the leading k modes."""
+        for s, keep, v, cols in self.blocks:
+            j = cols.size if k is None else int(np.searchsorted(cols, k))
+            yield s, keep, v[:, :j], cols[:j]
+
+    def coefficients(self, u: np.ndarray, k: int | None = None) -> np.ndarray:
+        rows = u.reshape(-1, u.shape[-1])
+        lead = list(self._leading(k))
+        # image g.x weighs u mass phi / |stab x| = u chi v / (|G| scale)
+        weight = (self.chi.shape[0] * self.scale)[:, :, None]
+        c = np.empty((self.size if k is None else k, len(rows)))
+        for lo in range(0, len(rows), MEMBER_CHUNK):
+            part = slice(lo, lo + MEMBER_CHUNK)
+            x = rows[part].T[self.images]  # (|G|, orbits, members)
+            x /= weight
+            x = (self.chi @ x.reshape(x.shape[0], -1)).reshape(x.shape)
+            for s, keep, v, cols in lead:
+                c[cols, part] = v.T @ x[s, keep]
+        return c.T.reshape(u.shape[:-1] + c.shape[:1])
+
+    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
+        rows = coeffs.reshape(-1, coeffs.shape[-1])
+        lead = list(self._leading(coeffs.shape[-1]))
+        u = np.empty((len(rows), self.size))
+        for lo in range(0, len(rows), MEMBER_CHUNK):
+            c = rows[lo:lo + MEMBER_CHUNK].T
+            y = np.zeros(self.images.shape + c.shape[1:])
+            for s, keep, v, cols in lead:
+                y[s, keep] = v @ c[cols]
+            y = (self.chi @ y.reshape(y.shape[0], -1)).reshape(y.shape)
+            y *= self.scale[:, :, None]
+            part = np.empty((self.size,) + c.shape[1:])
+            part[self.images] = y
+            u[lo:lo + MEMBER_CHUNK] = part.T
+        return u.reshape(coeffs.shape[:-1] + u.shape[1:])
+
+    def columns(self, k: int | None = None) -> np.ndarray:
+        return self.synthesize(np.eye(self.size if k is None else k)).T
+
+    def row_sums(self, w: np.ndarray) -> np.ndarray:
+        """sum_k w[k, j] phi_k(x)^2, from each orbit's squared block rows."""
+        r = np.zeros((self.images.shape[1],) + w.shape[1:])
+        for _, keep, v, cols in self.blocks:
+            r[keep] += (v ** 2) @ w[cols]
+        out = np.empty((self.size,) + w.shape[1:])
+        out[self.images] = (self.scale ** 2)[:, :, None] * r
+        return out
 
 
 @dataclass(frozen=True)
@@ -184,12 +266,12 @@ def _per_axis(a: np.ndarray, u: np.ndarray, dim: int) -> np.ndarray:
 class SpectralDecomposition:
     """Eigenpairs of H = -Laplacian + Psi, orthonormal in the mass inner product.
 
-    The eigenvectors are reached through basis (a DenseBasis or a
-    FourierBasis) and nowhere else.
+    The eigenvectors are reached through basis (a DenseBasis, a MirrorBasis
+    or a FourierBasis) and nowhere else.
     """
 
     eigenvalues: np.ndarray
-    basis: DenseBasis | FourierBasis
+    basis: DenseBasis | MirrorBasis | FourierBasis
     potential: PotentialField
     manifold: DiscreteManifold
 
@@ -266,7 +348,8 @@ def decompose(m: DiscreteManifold, psi: PotentialField) -> SpectralDecomposition
 
 
 def _dense_eigenpairs(m: DiscreteManifold, psi: PotentialField):
-    """Eigenvalues and a DenseBasis by LAPACK divide and conquer (dsyevd).
+    """Eigenvalues and a MirrorBasis, or with no mirror a DenseBasis, by
+    LAPACK divide and conquer (dsyevd).
 
     The mass-reduced matrix A = M^(-1/2) (S + M_Psi) M^(-1/2) is solved one
     block per character of the mirror group of _mirrors (see
@@ -372,11 +455,9 @@ def _mirror_eigenpairs(m: DiscreteManifold, psi: PotentialField,
         B_s[x, y] = D_x^(-1/2) sum_g chi_s(g) A[x, g.y] D_y^(-1/2),
     read from the rows of A at the representatives alone.  Eigenvector v of
     B_s is chi_s(g) v(x) / sqrt(|orbit of x|) at node g.x, and 0 on the
-    other orbits, so the blocks' sizes sum to N.  The rows are freed before
-    the N x N eigenvector matrix is allocated; it starts at zero, because a
-    node on a mirror plane is missing from the blocks whose character is
-    -1 on its stabiliser.  Columns follow the stable ascending merge of all
-    blocks' eigenvalues.
+    other orbits (a node on a mirror plane is missing from the blocks whose
+    character is -1 on its stabiliser), so the blocks' sizes sum to N.  The
+    blocks stay apart in a MirrorBasis; no N x N array is formed.
     """
     n = m.num_nodes
     perms, chi = np.arange(n)[None, :], np.ones((1, 1))
@@ -406,22 +487,17 @@ def _mirror_eigenpairs(m: DiscreteManifold, psi: PotentialField,
         blocks.append((s, keep, w, v))
     del sums
 
-    # node g.x of an orbit gets chi_s(g) v(x) / sqrt(|orbit| mass(g.x));
-    # phi is written transposed, one contiguous row per eigenvector
-    scale = np.sqrt(stab / chi.shape[0]) / sqrt_m[images]
     w = np.concatenate([blk[2] for blk in blocks])
     order = np.argsort(w, kind="stable")
     column = np.empty(n, dtype=np.intp)
     column[order] = np.arange(n)
-    phi_t = np.zeros((n, n))
-    start = 0
-    for s, keep, _, v in blocks:
-        vectors = np.zeros((keep.size, n))
-        vectors[:, images[:, keep]] = v.T[:, None, :] * (chi[s][:, None]
-                                                         * scale[:, keep])
-        phi_t[column[start:start + keep.size]] = vectors
-        start += keep.size
-    return w[order], DenseBasis(phi_t.T, m.mass)
+    ends = np.cumsum([keep.size for _, keep, _, _ in blocks])
+    basis = MirrorBasis(
+        chi=chi, images=images,
+        scale=np.sqrt(stab / chi.shape[0]) / sqrt_m[images],
+        blocks=tuple((s, keep, v, cols) for (s, keep, _, v), cols
+                     in zip(blocks, np.split(column, ends[:-1]))))
+    return w[order], basis
 
 
 def _fourier_grid(m: DiscreteManifold) -> int | None:
@@ -549,9 +625,9 @@ def diagnostics(dec1: SpectralDecomposition) -> dict:
     axis reflections the dense solve split the problem by (0 on the
     Fourier path).
     """
-    fourier = isinstance(dec1.basis, FourierBasis)
+    basis = dec1.basis
     kernel = dec1.shifted(-1.0).eigenvalues == 0.0
-    return {"decomposition": "fourier" if fourier else "dense",
+    return {"decomposition": ("fourier" if isinstance(basis, FourierBasis)
+                              else "dense"),
             "kernel_dim": int(np.count_nonzero(kernel)),
-            "mirrors": 0 if fourier else len(_mirrors(dec1.manifold,
-                                                      dec1.potential))}
+            "mirrors": basis.mirrors if isinstance(basis, MirrorBasis) else 0}

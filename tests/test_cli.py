@@ -127,6 +127,18 @@ def test_flow_command_csv(tmp_path):
                for row in lines[1:])
 
 
+def test_flow_a2_on_a_seed_with_tiny_bump_members(tmp_path):
+    """This seed draws bump members whose values all lie below 1.4e-12; the
+    flatness test of the (A, B) estimate is relative to each member, so they
+    keep their gradient and the base estimate is feasible."""
+    assert run(tmp_path, "flow", "--flow", "sphere:r0=1", "--times",
+               "0:0.4:0.05", "--p", "1.5", "--p0", "1.2", "--theorem", "a2",
+               "--seed", "119135138") == 0
+    _, doc = read_artifact(tmp_path, "flow")
+    base = doc["results"]["trajectory"]["base_constants"]
+    assert base["B"] == 1.0 and base["A"] == pytest.approx(0.1915, abs=1e-4)
+
+
 def test_flow_command_torus_finite_horizon(tmp_path):
     assert run(tmp_path, "flow", "--flow", "torus:n=3,res=6", "--times",
                "0,0.5,1.0", "--theorem", "b3", "--p", "2.5",
@@ -394,7 +406,7 @@ def test_member_matrix_transforms_per_job(tmp_path, monkeypatch, argv,
     the Riesz scan and one for the three Bessel-type operators, heat one for
     all times."""
     size, seen = 30, []
-    for cls in (spectral.DenseBasis, spectral.FourierBasis):
+    for cls in (spectral.DenseBasis, spectral.MirrorBasis, spectral.FourierBasis):
         def spy(self, u, k=None, original=cls.coefficients):
             if k is None and np.ndim(u) == 2 and len(u) == size:
                 seen.append(type(self).__name__)
@@ -589,6 +601,35 @@ def test_torus_reports_are_byte_identical_across_blas_thread_counts(tmp_path):
         names.append(sorted(p.name for p in out.iterdir()))
     assert len(names[0]) == len(THREADED_TORUS_JOBS)
     assert names[0] == names[1]
+
+
+DENSE_THREAD_JOBS = [
+    ("flow", "--theorem", "b2", "--size", "40"),
+    ("scaling", "--model", "sphere:r=1,subdiv=2"),
+    ("estimate", "--model", "box:n=2,res=12", "--p", "1.5"),
+]
+
+
+def test_dense_reports_agree_across_blas_thread_counts(tmp_path):
+    """Dense-path jobs (mirror-block solves and transforms) at 1 and 2 BLAS
+    threads: the compare tool finds equal ints and witnesses and floats
+    within its default rtol."""
+    root = Path(sobolab.__file__).resolve().parents[2]
+    dirs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(root / "src"),
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads}
+        out = tmp_path / f"threads{threads}"
+        for argv in DENSE_THREAD_JOBS:
+            subprocess.run([sys.executable, "-m", "sobolab", *argv, "--seed", "5",
+                            "--out", str(out)], env=env, check=True,
+                           stdout=subprocess.DEVNULL)
+        dirs.append(out)
+    assert len(list(dirs[0].glob("*.json"))) == len(DENSE_THREAD_JOBS)
+    done = subprocess.run([sys.executable, str(root / "tools" / "compare_artifacts.py"),
+                           *map(str, dirs)], capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout
 
 
 @pytest.mark.slow

@@ -134,3 +134,26 @@ def test_unpaired_artifacts_fail(dirs, capsys):
     status, out = compare(capsys, *dirs)
     assert status == 1
     assert f"A {path.name}" in out
+
+
+def test_a_zero_residual_field_has_an_absolute_floor(dirs, capsys):
+    """scaling_error is 0 in exact arithmetic: roundoff-level values agree
+    whatever their relative difference, larger ones still fail, and the
+    floor applies to no other field."""
+    def put(directory, value, field="scaling_error"):
+        def change(results):
+            results["contraction"][field] = value
+        edit(directory, "heat", change)
+
+    put(dirs[0], 1.40e-15)
+    put(dirs[1], 1.23e-15)
+    status, out = compare(capsys, *dirs)
+    assert status == 0 and "heat.results.contraction.scaling_error" in out
+    put(dirs[1], 1.40e-15 + 2e-12)
+    status, out = compare(capsys, *dirs)
+    assert status == 1 and "contraction.scaling_error: 1.4e-15" in out
+    put(dirs[0], 1.40e-15, "worst_ratio")
+    put(dirs[1], 1.23e-15, "worst_ratio")
+    put(dirs[1], 1.40e-15)
+    status, out = compare(capsys, *dirs)
+    assert status == 1 and "contraction.worst_ratio: 1.4e-15" in out

@@ -369,3 +369,18 @@ def test_worst_ratio_witness_is_the_earliest_tie():
     worst = ct._worst_ratio([-2.0, -1.0 - 1e-13, -1.0], [1.0, 1.0, 1.0])
     assert (worst.ratio, worst.witness) == (-1.0, 1)
     assert ct._worst_ratio([0.0], [0.0]) == (-math.inf, -1, 0, 0)
+
+
+def test_estimate_is_homogeneous_in_each_member(torus2, torus2_members):
+    """Every term of the two-term form is p-homogeneous in u, so scaling each
+    member by its own factor (down to values near 1e-12, where a fixed
+    absolute floor once made a bump look gradient-free) moves no estimate."""
+    factors = 10.0 ** np.random.default_rng(4).uniform(
+        -12, 6, len(torus2_members))
+    factors[:3] = 1e-12, 1e6, 1.0
+    for p in (1.2, 1.5):
+        want = estimate_sobolev_AB(torus2, p, torus2_members)
+        got = estimate_sobolev_AB(torus2, p, factors[:, None] * torus2_members)
+        assert got.B_est == want.B_est
+        assert got.A_est == pytest.approx(want.A_est, rel=1e-12, abs=0.0)
+        assert got.max_ratio == pytest.approx(want.max_ratio, rel=1e-12)

@@ -59,3 +59,13 @@ def test_write_svg_loglog(tmp_path):
     text = path.read_text()
     assert text.startswith("<svg")
     assert text.count("<circle") == 5
+
+
+def test_write_csv_bytes_for_builtin_and_numpy_cells(tmp_path):
+    """Built-in cells are written as they are and numpy scalars as the
+    built-ins they hold, so both give the same bytes."""
+    rows = [(1, 0.1, "x", True), (np.int64(1), np.float64(0.1), "x", np.bool_(True)),
+            (-2, 1e-300, "", False), (3, float(np.float64(2.0) / 3.0), "y", 0)]
+    path = write_csv(tmp_path, "cells", ["i", "f", "s", "b"], rows)
+    assert path.read_bytes() == (b"i,f,s,b\n1,0.1,x,True\n1,0.1,x,True\n"
+                                 b"-2,1e-300,,False\n3,0.6666666666666666,y,0\n")

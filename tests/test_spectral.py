@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -331,6 +332,35 @@ def test_fourier_eigenpairs_match_dense(text):
                   <= 1e-9 * np.max(np.abs(b), axis=1))
 
 
+def _assert_basis_matches_its_columns(base, u, ks):
+    """Coefficients of the leading k modes (k in ks) of the matrix u and of
+    its first row, their syntheses, f(H) and the 2->inf norms equal the
+    products with the explicit columns to 1e-12, on shifted views too."""
+    fs = [heat_multiplier(t) for t in (1e-3, 0.05, 1.0)]
+
+    def close(got, want):
+        return np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    for dec in (base, base.shifted(-1.0), base.shifted(-1.0).shifted(1.0)):
+        phi = dec.basis.columns()
+        explicit = SpectralDecomposition(
+            dec.eigenvalues, spectral.DenseBasis(phi, dec.manifold.mass),
+            dec.potential, dec.manifold)
+        for k in ks:
+            assert np.array_equal(dec.basis.columns(k), phi[:, :k])
+            want = explicit.coefficients(u, k)
+            got = dec.coefficients(u, k)
+            assert close(got, want) and close(dec.coefficients(u[0], k), want[0])
+            want = explicit.synthesize(got)
+            assert close(dec.synthesize(got), want)
+            assert close(dec.synthesize(got[0]), want[0])
+        for f in fs + [np.sqrt, lambda lam: lam]:
+            assert close(apply_function(dec, f, u), apply_function(explicit, f, u))
+        want = spectral._op_norms_2_to_inf(explicit, fs)
+        assert np.all(np.abs(spectral._op_norms_2_to_inf(dec, fs) - want)
+                      <= 1e-12 * want)
+
+
 @pytest.mark.parametrize("text", FOURIER_SPECS)
 def test_fourier_basis_matches_its_explicit_columns(text):
     """The per-axis coefficients, syntheses, f(H) and 2->inf norms equal the
@@ -340,29 +370,7 @@ def test_fourier_basis_matches_its_explicit_columns(text):
     assert isinstance(base.basis, spectral.FourierBasis)
     n = m.num_nodes
     u = np.random.default_rng(6).standard_normal((4, n))
-    fs = [heat_multiplier(t) for t in (1e-3, 0.05, 1.0)]
-    for dec in (base, base.shifted(-1.0), base.shifted(-1.0).shifted(1.0)):
-        phi = dec.basis.columns()
-        explicit = SpectralDecomposition(
-            dec.eigenvalues, spectral.DenseBasis(phi, dec.manifold.mass),
-            dec.potential, dec.manifold)
-        for k in (None, n // 3):
-            assert np.array_equal(dec.basis.columns(k), phi[:, :k])
-            want = explicit.coefficients(u, k)
-            got = dec.coefficients(u, k)
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-            assert np.max(np.abs(dec.coefficients(u[0], k) - want[0])) \
-                <= 1e-12 * np.max(np.abs(want))
-            want = explicit.synthesize(got)
-            assert np.max(np.abs(dec.synthesize(got) - want)) \
-                <= 1e-12 * np.max(np.abs(want))
-        for f in fs + [np.sqrt, lambda lam: lam]:
-            want = apply_function(explicit, f, u)
-            assert np.max(np.abs(apply_function(dec, f, u) - want)) \
-                <= 1e-12 * np.max(np.abs(want))
-        want = spectral._op_norms_2_to_inf(explicit, fs)
-        assert np.all(np.abs(spectral._op_norms_2_to_inf(dec, fs) - want)
-                      <= 1e-12 * want)
+    _assert_basis_matches_its_columns(base, u, (None, n // 3))
     spec = EnsembleSpec(seed=9, size=60, generator="mixed")
     a = generate_ensemble(m, spec, dec=base)
     b = generate_ensemble(m, spec, dec=SpectralDecomposition(
@@ -569,6 +577,48 @@ def test_mirror_blocks_match_the_unsplit_solve(text, mirrors, monkeypatch):
         b = generate_ensemble(m, spec, dec=whole)
         assert np.all(np.max(np.abs(a - b), axis=1)
                       <= 1e-9 * np.max(np.abs(b), axis=1)), generator
+
+
+@pytest.mark.parametrize("text", [text for text, _ in MIRROR_CASES])
+def test_mirror_basis_matches_its_explicit_columns(text, monkeypatch):
+    """The block transforms (gather over the orbit images, one character
+    product, one product per block, scatter) equal the products with the
+    explicit columns, for all modes and for the ensemble's K leading ones,
+    with the member matrix split into chunks."""
+    m, psi = _mirror_case(text)
+    base = decompose(m, psi)
+    assert isinstance(base.basis, spectral.MirrorBasis)
+    bounds = base.cluster_bounds()
+    count = np.searchsorted(bounds[:-1], min(ct.SPECTRAL_MODES, bounds[-1]))
+    monkeypatch.setattr(spectral, "MEMBER_CHUNK", 3)
+    u = np.random.default_rng(6).standard_normal((7, m.num_nodes))
+    _assert_basis_matches_its_columns(base, u, (None, int(bounds[count])))
+
+
+def test_mirror_decomposition_holds_no_dense_eigenvector_matrix():
+    """The split solve keeps its blocks apart: a traced decompose of the
+    642-node sphere peaks below one N x N float matrix."""
+    m = build("sphere:r=1,subdiv=3")
+    psi = constant_potential(m, 1.0)
+    m.stiffness  # built once per mesh, before the solve
+    tracemalloc.start()
+    try:
+        dec = decompose(m, psi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert isinstance(dec.basis, spectral.MirrorBasis)
+    assert peak < m.num_nodes ** 2 * 8
+
+
+def test_diagnostics_read_the_mirrors_from_the_basis(monkeypatch):
+    m = build("sphere:r=1,subdiv=2")
+    dec = decompose(m, constant_potential(m, 1.0))
+    calls = []
+    monkeypatch.setattr(spectral, "_mirrors",
+                        lambda *args: calls.append(args) or [])
+    assert spectral.diagnostics(dec)["mirrors"] == 3
+    assert calls == []
 
 
 @pytest.mark.parametrize("case", ["random-potential", "perturbed-torus"])

@@ -5,11 +5,12 @@
 Artifacts (the JSON files a command writes to its --out directory) are
 paired by (command, config_sha256).  Each pair must have the same keys and
 list lengths and equal ints, bools and strings; floats may differ by rtol
-relative.  A string naming a content-addressed file <stem>_<12 hex>.<ext>
-is compared by stem and extension, and a CSV it names (looked up next to
-the artifact) is compared cell by cell under the same rules.  A list of
-artifact entries, as in a report artifact, is compared in
-(command, config_sha256) order.
+relative, and a field that is 0 in exact arithmetic (a key of
+ZERO_FIELD_FLOOR) also by its absolute floor, below which it is roundoff.
+A string naming a content-addressed file <stem>_<12 hex>.<ext> is compared
+by stem and extension, and a CSV it names (looked up next to the artifact)
+is compared cell by cell under the same rules.  A list of artifact entries,
+as in a report artifact, is compared in (command, config_sha256) order.
 
 The report gives the largest relative float deviation per field path (list
 indices folded to []), the pairs whose file names differ, and the artifacts
@@ -27,6 +28,9 @@ import sys
 from pathlib import Path
 
 ADDRESSED = re.compile(r"(?P<stem>[^/\\]+)_[0-9a-f]{12}\.(?P<ext>\w+)$")
+# field name -> absolute difference that counts as agreement: residuals that
+# are 0 in exact arithmetic, whose relative difference measures only roundoff
+ZERO_FIELD_FLOOR = {"scaling_error": 1e-12}
 
 
 def _cell(text: str):
@@ -87,7 +91,8 @@ class Comparison:
         rel = 0.0 if a == b else abs(a - b) / max(abs(a), abs(b))
         field = re.sub(r"\[\d+\]", "[]", path)
         self.worst[field] = max(self.worst.get(field, 0.0), rel)
-        if not rel <= self.rtol:
+        floor = ZERO_FIELD_FLOOR.get(path.rsplit(".", 1)[-1], 0.0)
+        if not (rel <= self.rtol or abs(a - b) <= floor):
             self.problems.append(f"{path}: {a!r} vs {b!r} "
                                  f"(relative {rel:.3g} > {self.rtol:g})")
 
