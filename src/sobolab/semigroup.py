@@ -104,10 +104,13 @@ def heat_contraction_check(m: DiscreteManifold, dec: SpectralDecomposition,
     t_list, p_list = [float(t) for t in t_list], [float(p) for p in p_list]
     if any(t < 0 for t in t_list):
         raise ValueError(f"heat times must be >= 0, got {t_list}")
-    before = [lp_norm(m, members, p) for p in p_list]
-    after = [[lp_norm(m, evolved, p) for p in p_list]  # (t, p, member) cases
-             for evolved in apply_functions(dec, map(heat_multiplier, t_list),
-                                            members)]
+    def norms(u):
+        return [lp_norm(m, u, p) for p in p_list]
+
+    before = norms(members)
+    # map, not a loop variable, lets each e^{-tH} u go before the next forms
+    after = list(map(norms, apply_functions(dec, map(heat_multiplier, t_list),
+                                            members)))  # (t, p, member) cases
     worst = _worst_ratio(after, before, slack=tol)
     return ContractionReport(
         label="heat-lp-contraction", cases=worst.used,
@@ -285,7 +288,8 @@ def bessel_equivalence_constants(dec_zero: SpectralDecomposition, a: float,
         raise ValueError("equivalence constants require the bare Laplacian spectrum")
     m = dec_zero.manifold
     base = lp_norm(m, members, p)
-    mid, root, bessel = (lp_norm(m, v, p) for v in apply_functions(
+    # as in heat_contraction_check, map lets each image go before the next
+    mid, root, bessel = map(lambda v: lp_norm(m, v, p), apply_functions(
         dec_zero, (lambda lam: np.sqrt(lam + a * a), np.sqrt,
                    bessel_multiplier(1.0)), members))
     outer = a * base + root
@@ -342,9 +346,9 @@ def scaling_transfer_check(m: DiscreteManifold, lam: float, mu: float,
 
     # the Bessel operator of each metric is a multiplier on the bare
     # Laplacian's spectrum, measured in that metric's norm
-    bessel, bessel_scaled = (lp_norm(mesh, v, p) for mesh, v in zip(
-        (m, scaled), apply_functions(
-            dec_unit.shifted(-1.0), map(bessel_multiplier, (1.0, lam)), members)))
+    bessel, bessel_scaled = map(
+        lambda mesh, v: lp_norm(mesh, v, p), (m, scaled), apply_functions(
+            dec_unit.shifted(-1.0), map(bessel_multiplier, (1.0, lam)), members))
     c_scaled = max(0.0, _worst_ratio(lp_norm(scaled, members, q_out),
                                      bessel_scaled).ratio)
 

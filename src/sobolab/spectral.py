@@ -567,7 +567,9 @@ def apply_functions(dec: SpectralDecomposition,
 
     u is one node function (N,) or a member matrix (K, N), rows = members.
     Each result is formed only when the next one is asked for, so a caller
-    that measures them one by one holds one of them at a time.
+    that measures them one by one holds one of them at a time, provided it
+    lets each go before asking for the next: map does, while a loop
+    variable keeps the last result alive until it is rebound.
     """
     c = dec.coefficients(u)
     for f in fs:

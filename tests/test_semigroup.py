@@ -24,9 +24,9 @@ def test_contraction_torus(torus2, torus2_dec1, torus2_members):
 def test_contraction_check_holds_one_evolved_matrix_at_a_time(torus2_fit,
                                                             torus2_fit_dec1):
     """The times share one transform of the members, and each e^{-tH} u is
-    measured before the next is formed, so the check's peak stays at five
-    member matrices: the coefficients, their product with one multiplier,
-    the previous result and two per-axis products."""
+    measured and let go before the next is formed, so the check's peak stays
+    at four member matrices: the coefficients, their product with one
+    multiplier and two per-axis products."""
     members = np.random.default_rng(3).standard_normal(
         (200, torus2_fit.num_nodes))
     tracemalloc.start()
@@ -36,7 +36,7 @@ def test_contraction_check_holds_one_evolved_matrix_at_a_time(torus2_fit,
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 5.05 * members.nbytes
+    assert peak <= 4.05 * members.nbytes
 
 
 def test_contraction_constant_is_exact_exponential(torus2, torus2_dec1):
@@ -294,6 +294,26 @@ def test_bessel_equivalence_degenerate_ensemble(torus2, torus2_dec0):
 def test_bessel_equivalence_measured_finite(torus2, torus2_dec0, torus2_members):
     eq = bessel_equivalence_constants(torus2_dec0, 1.0, 1.5, torus2_members)
     assert 0 < eq["c1_hat"] <= eq["c2_hat"] < math.inf
+
+
+@pytest.mark.parametrize("check", [
+    lambda dec, u: bessel_equivalence_constants(dec.shifted(-1.0), 1.0, 1.5, u),
+    lambda dec, u: scaling_transfer_check(dec.manifold, 2.0, 3.0, 1.5, u, dec),
+], ids=["bessel_equivalence", "scaling_transfer"])
+def test_operator_images_are_measured_one_at_a_time(torus2_fit, torus2_fit_dec1,
+                                                    check):
+    """Each operator image of the members is measured and let go before the
+    next is formed: the peak is four member matrices, as in the contraction
+    check."""
+    members = np.random.default_rng(3).standard_normal(
+        (200, torus2_fit.num_nodes))
+    tracemalloc.start()
+    try:
+        check(torus2_fit_dec1, members)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.1 * members.nbytes
 
 
 def test_scaling_transfer_identity(torus3_coarse, torus3_coarse_dec1):
