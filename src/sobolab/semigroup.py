@@ -231,10 +231,11 @@ def _refine(dec: SpectralDecomposition, power: float, grad_op: bool,
 
 
 def mapping_norm(dec: SpectralDecomposition, operator_label: str,
-                 p_in: float, p_out: float, members: np.ndarray,
-                 refine: bool = True) -> MappingNormScan:
+                 p_in: float, p_out: float, members: np.ndarray) -> MappingNormScan:
     """Estimate ||Op||_{p_in -> p_out} for Op in H powers or grad H^-1/2.
 
+    The worst member of the ensemble scan starts an adjoint power iteration
+    (_refine) when p_in > 1, and the estimate is the larger of the two.
     Negative powers require a strictly positive spectrum; the exponent pair
     is the caller's contract (e.g. p_out = mu p/(mu-p) for H^-1/2 and
     mu p/(mu-2p) for H^-1 under a mu-dimensional Sobolev hypothesis).
@@ -255,17 +256,18 @@ def mapping_norm(dec: SpectralDecomposition, operator_label: str,
     scan = _worst_ratio(out_norm(m, apply_function(dec, fwd, members), p_out),
                         lp_norm(m, members, p_in))
     best = scan.ratio
-    if refine and scan.witness >= 0 and p_in > 1:
+    if scan.witness >= 0 and p_in > 1:
         best = max(best, _refine(dec, power, grad_op, p_in, p_out,
                                  members[scan.witness]))
     return MappingNormScan(operator_label=operator_label, p_in=p_in,
                            p_out=p_out, estimate=best)
 
 
-def riesz_ratio(dec: SpectralDecomposition, p: float, members: np.ndarray,
-                refine: bool = True) -> MappingNormScan:
-    """sup ||grad H^{-1/2} u||_p / ||u||_p over the ensemble."""
-    return mapping_norm(dec, "grad H^-1/2", p, p, members, refine=refine)
+def riesz_ratio(dec: SpectralDecomposition, p: float,
+                members: np.ndarray) -> MappingNormScan:
+    """sup ||grad H^{-1/2} u||_p / ||u||_p over the ensemble, sharpened
+    from its worst member as in mapping_norm."""
+    return mapping_norm(dec, "grad H^-1/2", p, p, members)
 
 
 def _check_equivalence_args(a: float, p: float) -> None:

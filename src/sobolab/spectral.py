@@ -5,11 +5,11 @@ in closed form on a periodic grid with uniform mass and constant Psi (real
 Fourier modes, applied by one product per axis with the leading columns of
 the res x res Fourier matrix), and otherwise reduced via the diagonal mass
 square root, split into one block per character of the group generated by
-the mesh's axis mirrors, and solved in place by LAPACK's symmetric divide
-and conquer (dsyevd, the one use of scipy.linalg, imported there), the
-blocks kept apart and applied one by one; every operator function (heat
-semigroup, fractional powers, resolvents) is evaluated on the resulting
-eigenpairs.
+the mesh's axis mirrors (one block, the whole matrix, when there is no
+mirror), and solved in place by LAPACK's symmetric divide and conquer
+(dsyevd, the one use of scipy.linalg, imported there), the blocks kept
+apart and applied one by one; every operator function (heat semigroup,
+fractional powers, resolvents) is evaluated on the resulting eigenpairs.
 """
 
 from __future__ import annotations
@@ -76,34 +76,6 @@ def constant_potential(m: DiscreteManifold, c: float) -> PotentialField:
 
 
 @dataclass(frozen=True)
-class DenseBasis:
-    """Mass-orthonormal eigenvectors held as the explicit N x N matrix phi.
-
-    Every basis has these methods; u is one node function (N,) or a member
-    matrix (K, N), rows = members, and so are the coefficient arrays.
-    """
-
-    phi: np.ndarray  # columns
-    mass: np.ndarray
-
-    def coefficients(self, u: np.ndarray, k: int | None = None) -> np.ndarray:
-        """Mass inner products <u, phi_j>, j < k (default all), for u or each row of u."""
-        return (u * self.mass) @ self.phi[:, :k]
-
-    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        """Sum of coeffs_j phi_j over the leading coeffs.shape[-1] modes, row by row."""
-        return coeffs @ self.phi[:, :coeffs.shape[-1]].T
-
-    def columns(self, k: int | None = None) -> np.ndarray:
-        """The leading k (default all) eigenvectors as columns."""
-        return self.phi[:, :k]
-
-    def row_sums(self, w: np.ndarray) -> np.ndarray:
-        """sum_k w[k, j] phi_k(x)^2 at every node x, for each column j of w."""
-        return (self.phi ** 2) @ w
-
-
-@dataclass(frozen=True)
 class MirrorBasis:
     """Mass-orthonormal eigenvectors kept as one block per mirror character.
 
@@ -117,7 +89,12 @@ class MirrorBasis:
     elsewhere.  The leading k modes are therefore a prefix of every block,
     and a transform gathers the members over the orbit images, applies chi
     once and each block's leading columns once, and scatters back, at about
-    1/|G| of the cost of the N x N product; columns() alone forms phi.
+    1/|G| of the cost of the N x N product; columns() alone forms phi.  A
+    mesh with no mirror has the trivial group: one block, chi = [[1]].
+
+    Every basis has coefficients, synthesize, columns and row_sums; u is one
+    node function (N,) or a member matrix (K, N), rows = members, and so are
+    the coefficient arrays.
     """
 
     chi: np.ndarray
@@ -171,6 +148,7 @@ class MirrorBasis:
         return u.reshape(coeffs.shape[:-1] + u.shape[1:])
 
     def columns(self, k: int | None = None) -> np.ndarray:
+        """The leading k (default all) eigenvectors as columns."""
         return self.synthesize(np.eye(self.size if k is None else k)).T
 
     def row_sums(self, w: np.ndarray) -> np.ndarray:
@@ -266,12 +244,12 @@ def _per_axis(a: np.ndarray, u: np.ndarray, dim: int) -> np.ndarray:
 class SpectralDecomposition:
     """Eigenpairs of H = -Laplacian + Psi, orthonormal in the mass inner product.
 
-    The eigenvectors are reached through basis (a DenseBasis, a MirrorBasis
-    or a FourierBasis) and nowhere else.
+    The eigenvectors are reached through basis (a MirrorBasis or a
+    FourierBasis) and nowhere else.
     """
 
     eigenvalues: np.ndarray
-    basis: DenseBasis | MirrorBasis | FourierBasis
+    basis: MirrorBasis | FourierBasis
     potential: PotentialField
     manifold: DiscreteManifold
 
@@ -348,36 +326,22 @@ def decompose(m: DiscreteManifold, psi: PotentialField) -> SpectralDecomposition
 
 
 def _dense_eigenpairs(m: DiscreteManifold, psi: PotentialField):
-    """Eigenvalues and a MirrorBasis, or with no mirror a DenseBasis, by
-    LAPACK divide and conquer (dsyevd).
-
-    The mass-reduced matrix A = M^(-1/2) (S + M_Psi) M^(-1/2) is solved one
-    block per character of the mirror group of _mirrors (see
-    _mirror_eigenpairs); with no mirror it is symmetrised and solved in
-    place, and the eigenvectors are scaled by 1/sqrt(mass) in place, so no
-    second N x N array is kept besides LAPACK's workspace.  LAPACK gets the
-    F-contiguous view a.T, the same symmetric matrix, because a C-order
-    array would be copied first.
-    """
+    """Eigenvalues and a MirrorBasis by LAPACK divide and conquer (dsyevd),
+    one block per character of the mirror group of _mirrors (see
+    _mirror_eigenpairs), refused over DENSE_NODE_GUARD nodes."""
     n = m.num_nodes
     if n > DENSE_NODE_GUARD:
         raise ValueError(
             f"{n} nodes exceeds the dense decomposition guard ({DENSE_NODE_GUARD})")
-    mirrors = _mirrors(m, psi)
-    if mirrors:
-        return _mirror_eigenpairs(m, psi, mirrors)
-    sqrt_m = np.sqrt(m.mass)
-    a = m.stiffness.toarray()
-    a[np.diag_indices(n)] += m.mass * psi.values
-    a /= sqrt_m[:, None]
-    a /= sqrt_m[None, :]
-    w, v = _eigh_in_place(a)
-    v /= sqrt_m[:, None]
-    return w, DenseBasis(v, m.mass)
+    return _mirror_eigenpairs(m, psi, _mirrors(m, psi))
 
 
 def _eigh_in_place(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """dsyevd on the symmetric part of the C-ordered a, overwriting a."""
+    """dsyevd on the symmetric part of the C-ordered a, overwriting a.
+
+    LAPACK gets the F-contiguous view a.T, the same symmetric matrix,
+    because a C-order array would be copied first.
+    """
     import scipy.linalg  # the dense path alone needs it
 
     a += a.T
@@ -445,7 +409,8 @@ def _within(gap: np.ndarray, ref: np.ndarray) -> bool:
 
 def _mirror_eigenpairs(m: DiscreteManifold, psi: PotentialField,
                        mirrors: list[np.ndarray]):
-    """The dense eigenpairs of A, one dsyevd block per mirror-group character.
+    """The eigenpairs of A = M^(-1/2) (S + M_Psi) M^(-1/2), one dsyevd block
+    per character of the mirror group.
 
     The k mirrors generate G = Z2^k: element g (a bit mask over the
     mirrors) moves node x to perms[g, x], and character s is chi[s, g] =
@@ -456,8 +421,12 @@ def _mirror_eigenpairs(m: DiscreteManifold, psi: PotentialField,
     read from the rows of A at the representatives alone.  Eigenvector v of
     B_s is chi_s(g) v(x) / sqrt(|orbit of x|) at node g.x, and 0 on the
     other orbits (a node on a mirror plane is missing from the blocks whose
-    character is -1 on its stabiliser), so the blocks' sizes sum to N.  The
-    blocks stay apart in a MirrorBasis; no N x N array is formed.
+    character is -1 on its stabiliser), so the blocks' sizes sum to N.
+    Each image's columns are added into the character sums in place (chi is
+    +-1), and the blocks are cut out and the sums let go before the first
+    dsyevd, so the trivial group of a mesh with no mirror (one block, the
+    whole of A) holds no more than an unsplit solve of A.  The blocks stay
+    apart in a MirrorBasis.
     """
     n = m.num_nodes
     perms, chi = np.arange(n)[None, :], np.ones((1, 1))
@@ -475,17 +444,22 @@ def _mirror_eigenpairs(m: DiscreteManifold, psi: PotentialField,
     a_rows[np.arange(reps.size), reps] += m.mass[reps] * psi.values[reps]
     a_rows /= sqrt_m[reps, None]
     a_rows /= sqrt_m[None, :]
-    sums = np.tensordot(chi, a_rows[:, images], axes=(1, 1))  # (s, x, y)
-    del a_rows
+    sums = np.zeros((chi.shape[0], reps.size, reps.size))  # (s, x, y)
+    for image, signs in zip(images, chi.T):
+        cols = a_rows[:, image]
+        for s, sign in enumerate(signs):
+            (np.add if sign > 0 else np.subtract)(sums[s], cols, out=sums[s])
+    del a_rows, cols
     d_half = 1.0 / np.sqrt(stab)
-    sums *= d_half[:, None]
-    sums *= d_half
-    blocks = []
+    cut = []
     for s in np.flatnonzero(np.any(member, axis=1)):
         keep = np.flatnonzero(member[s])
-        w, v = _eigh_in_place(sums[s][np.ix_(keep, keep)])
-        blocks.append((s, keep, w, v))
+        b = sums[s][np.ix_(keep, keep)]
+        b *= d_half[keep, None]
+        b *= d_half[keep]
+        cut.append((s, keep, b))
     del sums
+    blocks = [(s, keep, *_eigh_in_place(b)) for s, keep, b in cut]
 
     w = np.concatenate([blk[2] for blk in blocks])
     order = np.argsort(w, kind="stable")
@@ -624,12 +598,11 @@ def diagnostics(dec1: SpectralDecomposition) -> dict:
     decomposition is the path that solved it ("fourier" or "dense");
     kernel_dim counts the exactly-zero eigenvalues of the bare Laplacian,
     dec1.shifted(-1): 1 on every connected model; mirrors is the number of
-    axis reflections the dense solve split the problem by (0 on the
-    Fourier path).
+    axis reflections the dense solve split the problem by (0 for the
+    trivial group of a mesh with no mirror, and on the Fourier path).
     """
-    basis = dec1.basis
+    fourier = isinstance(dec1.basis, FourierBasis)
     kernel = dec1.shifted(-1.0).eigenvalues == 0.0
-    return {"decomposition": ("fourier" if isinstance(basis, FourierBasis)
-                              else "dense"),
+    return {"decomposition": "fourier" if fourier else "dense",
             "kernel_dim": int(np.count_nonzero(kernel)),
-            "mirrors": basis.mirrors if isinstance(basis, MirrorBasis) else 0}
+            "mirrors": 0 if fourier else dec1.basis.mirrors}

@@ -406,7 +406,7 @@ def test_member_matrix_transforms_per_job(tmp_path, monkeypatch, argv,
     the Riesz scan and one for the three Bessel-type operators, heat one for
     all times."""
     size, seen = 30, []
-    for cls in (spectral.DenseBasis, spectral.MirrorBasis, spectral.FourierBasis):
+    for cls in (spectral.MirrorBasis, spectral.FourierBasis):
         def spy(self, u, k=None, original=cls.coefficients):
             if k is None and np.ndim(u) == 2 and len(u) == size:
                 seen.append(type(self).__name__)

@@ -82,7 +82,8 @@ def test_every_all_entry_names_something(path):
 @pytest.mark.parametrize("path", NOT_SPECTRAL, ids=[p.name for p in NOT_SPECTRAL])
 def test_only_spectral_reads_the_eigenbasis(path):
     """Other modules go through coefficients/synthesize, so which basis a
-    decomposition holds (dense or Fourier) is a matter for spectral alone."""
+    decomposition holds (the mirror blocks of a dense solve, one block with
+    no mirror, or the Fourier columns) is a matter for spectral alone."""
     tree = ast.parse(path.read_text())
     reads = [n.lineno for n in ast.walk(tree)
              if isinstance(n, ast.Attribute) and n.attr == "basis"]

@@ -1,5 +1,5 @@
 import tracemalloc
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -332,6 +332,33 @@ def test_fourier_eigenpairs_match_dense(text):
                   <= 1e-9 * np.max(np.abs(b), axis=1))
 
 
+@dataclass(frozen=True)
+class ExplicitBasis:
+    """The reference every basis is checked against: products with the
+    explicit mass-orthonormal columns phi (N x N)."""
+
+    phi: np.ndarray
+    mass: np.ndarray
+
+    def coefficients(self, u, k=None):
+        return (u * self.mass) @ self.phi[:, :k]
+
+    def synthesize(self, coeffs):
+        return coeffs @ self.phi[:, :coeffs.shape[-1]].T
+
+    def columns(self, k=None):
+        return self.phi[:, :k]
+
+    def row_sums(self, w):
+        return (self.phi ** 2) @ w
+
+
+def _explicit(dec):
+    """dec with its basis replaced by the products with its columns."""
+    return replace(dec, basis=ExplicitBasis(dec.basis.columns(),
+                                            dec.manifold.mass))
+
+
 def _assert_basis_matches_its_columns(base, u, ks):
     """Coefficients of the leading k modes (k in ks) of the matrix u and of
     its first row, their syntheses, f(H) and the 2->inf norms equal the
@@ -342,10 +369,8 @@ def _assert_basis_matches_its_columns(base, u, ks):
         return np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     for dec in (base, base.shifted(-1.0), base.shifted(-1.0).shifted(1.0)):
-        phi = dec.basis.columns()
-        explicit = SpectralDecomposition(
-            dec.eigenvalues, spectral.DenseBasis(phi, dec.manifold.mass),
-            dec.potential, dec.manifold)
+        explicit = _explicit(dec)
+        phi = explicit.basis.phi
         for k in ks:
             assert np.array_equal(dec.basis.columns(k), phi[:, :k])
             want = explicit.coefficients(u, k)
@@ -373,9 +398,7 @@ def test_fourier_basis_matches_its_explicit_columns(text):
     _assert_basis_matches_its_columns(base, u, (None, n // 3))
     spec = EnsembleSpec(seed=9, size=60, generator="mixed")
     a = generate_ensemble(m, spec, dec=base)
-    b = generate_ensemble(m, spec, dec=SpectralDecomposition(
-        base.eigenvalues, spectral.DenseBasis(base.basis.columns(), m.mass),
-        base.potential, m))
+    b = generate_ensemble(m, spec, dec=_explicit(base))
     assert np.all(np.max(np.abs(a - b), axis=1)
                   <= 1e-9 * np.max(np.abs(b), axis=1))
 
@@ -496,7 +519,7 @@ def _reference_dense_eigenpairs(m, psi):
     a = 0.5 * (a + a.T)
     w, v = scipy.linalg.eigh(a)
     return SpectralDecomposition(spectral._clip(w),
-                                 spectral.DenseBasis(v / sqrt_m[:, None], m.mass),
+                                 ExplicitBasis(v / sqrt_m[:, None], m.mass),
                                  psi, m)
 
 
@@ -537,10 +560,18 @@ MIRROR_CASES = [("sphere:r=1,subdiv=1", 3), ("sphere:r=1,subdiv=2", 3),
                 ("torus:n=2,res=8,psi=1+x", 1)]
 
 
+# A random Psi breaks every mirror: the trivial group, one whole block.
+NO_MIRROR_CASES = ["sphere:r=1,subdiv=2,psi=random", "box:n=2,res=7,psi=random"]
+
+
 def _mirror_case(text):
-    m = build(text.replace(",psi=1+x", ""))
-    psi = (PotentialField(1.0 + m.points[:, 0]) if "psi=1+x" in text
-           else constant_potential(m, 1.0))
+    m = build(text.split(",psi=")[0])
+    if "psi=1+x" in text:
+        psi = PotentialField(1.0 + m.points[:, 0])
+    elif "psi=random" in text:
+        psi = PotentialField(np.random.default_rng(3).uniform(1, 2, m.num_nodes))
+    else:
+        psi = constant_potential(m, 1.0)
     return m, psi
 
 
@@ -579,12 +610,14 @@ def test_mirror_blocks_match_the_unsplit_solve(text, mirrors, monkeypatch):
                       <= 1e-9 * np.max(np.abs(b), axis=1)), generator
 
 
-@pytest.mark.parametrize("text", [text for text, _ in MIRROR_CASES])
+@pytest.mark.parametrize("text", [text for text, _ in MIRROR_CASES]
+                         + NO_MIRROR_CASES)
 def test_mirror_basis_matches_its_explicit_columns(text, monkeypatch):
     """The block transforms (gather over the orbit images, one character
     product, one product per block, scatter) equal the products with the
     explicit columns, for all modes and for the ensemble's K leading ones,
-    with the member matrix split into chunks."""
+    with the member matrix split into chunks; with no mirror too, where
+    the one block is the whole matrix."""
     m, psi = _mirror_case(text)
     base = decompose(m, psi)
     assert isinstance(base.basis, spectral.MirrorBasis)
@@ -595,11 +628,8 @@ def test_mirror_basis_matches_its_explicit_columns(text, monkeypatch):
     _assert_basis_matches_its_columns(base, u, (None, int(bounds[count])))
 
 
-def test_mirror_decomposition_holds_no_dense_eigenvector_matrix():
-    """The split solve keeps its blocks apart: a traced decompose of the
-    642-node sphere peaks below one N x N float matrix."""
-    m = build("sphere:r=1,subdiv=3")
-    psi = constant_potential(m, 1.0)
+def _traced_decompose(m, psi):
+    """decompose(m, psi) and its traced peak in N x N float matrices."""
     m.stiffness  # built once per mesh, before the solve
     tracemalloc.start()
     try:
@@ -607,8 +637,27 @@ def test_mirror_decomposition_holds_no_dense_eigenvector_matrix():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert isinstance(dec.basis, spectral.MirrorBasis)
-    assert peak < m.num_nodes ** 2 * 8
+    return dec, peak / (m.num_nodes ** 2 * 8)
+
+
+def test_mirror_decomposition_holds_no_dense_eigenvector_matrix():
+    """The split solve keeps its blocks apart and lets the character sums
+    go before the first block solve: a traced decompose of the 642-node
+    sphere peaks below 0.45 N x N float matrices (about 0.38)."""
+    m, psi = _mirror_case("sphere:r=1,subdiv=3")
+    dec, peak = _traced_decompose(m, psi)
+    assert dec.basis.mirrors == 3
+    assert peak < 0.45
+
+
+def test_no_mirror_decomposition_holds_what_an_unsplit_solve_does():
+    """The trivial group's one block costs what an unsplit in-place solve
+    does: the matrix and LAPACK's 2 N^2 workspace, about 3.03 N x N float
+    matrices on the 642-node sphere."""
+    m, psi = _mirror_case("sphere:r=1,subdiv=3,psi=random")
+    dec, peak = _traced_decompose(m, psi)
+    assert dec.basis.mirrors == 0
+    assert peak <= 3.1
 
 
 def test_diagnostics_read_the_mirrors_from_the_basis(monkeypatch):
@@ -624,17 +673,19 @@ def test_diagnostics_read_the_mirrors_from_the_basis(monkeypatch):
 @pytest.mark.parametrize("case", ["random-potential", "perturbed-torus"])
 def test_meshes_without_a_mirror_make_one_whole_solve(case, monkeypatch):
     """A random Psi on a sphere, or one perturbed element weight, breaks
-    every mirror: one N x N solve, and diagnostics report no mirror."""
+    every mirror: the trivial group makes one N x N solve, and diagnostics
+    report no mirror."""
     if case == "perturbed-torus":
         m = _perturbed_torus()
         psi = constant_potential(m, 1.0)
     else:
-        m = build("sphere:r=1,subdiv=2")
-        psi = PotentialField(np.random.default_rng(3).uniform(1, 2, m.num_nodes))
+        m, psi = _mirror_case("sphere:r=1,subdiv=2,psi=random")
     assert spectral._mirrors(m, psi) == []
     seen = _spy_eigh(monkeypatch)
     dec = decompose(m, psi)
     assert seen == [(m.num_nodes, True)]
+    assert np.array_equal(dec.basis.chi, [[1.0]])
+    assert np.array_equal(dec.basis.images, [np.arange(m.num_nodes)])
     _assert_dense_eigenpairs(dec)
     assert spectral.diagnostics(dec)["mirrors"] == 0
 
