@@ -51,9 +51,12 @@ def _ensemble_spec(args) -> ct.EnsembleSpec:
                            generator=args.generator)
 
 
-def _prepare(args):
+def _prepare(args, p=None):
     spec = _ensemble_spec(args)
-    m = build(parse_model_spec(args.model, members=spec.size))
+    model = parse_model_spec(args.model, members=spec.size)
+    if p is not None:  # an inequality's exponent, checked before building
+        ct._pstar(model.dim, p)
+    m = build(model)
     dec1 = decompose(m, constant_potential(m, 1.0))
     members = ct.generate_ensemble(m, spec, dec=dec1)
     return m, dec1, members
@@ -115,17 +118,15 @@ def _cmd_bootstrap(args):
 
 def _cmd_estimate(args):
     b_grid = tuple(_parse_floats(args.b_grid, "--b-grid"))
-    ct._pstar(parse_model_spec(args.model).dim, args.p)  # before building
-    m, dec1, members = _prepare(args)
+    m, dec1, members = _prepare(args, args.p)
     est = ct.estimate_sobolev_AB(m, args.p, members, b_grid=b_grid)
     return {"estimate": to_plain(est), "model": m.label,
             "diagnostics": diagnostics(dec1)}, 0
 
 
 def _cmd_verify(args):
-    ct._pstar(parse_model_spec(args.model).dim, args.p)  # before building
     ct._check_constants(args.A, args.B)
-    m, dec1, members = _prepare(args)
+    m, dec1, members = _prepare(args, args.p)
     rep = ct.verify_inequality(m, args.p, args.A, args.B, members)
     return {"report": to_plain(rep), "model": m.label,
             "diagnostics": diagnostics(dec1)}, (0 if rep.passed else 2)

@@ -30,9 +30,10 @@ __all__ = [
     "gamma_integral",
 ]
 
-DENSE_NODE_GUARD = 4000  # nodes of a sphere or box (dense decomposition)
+MEMORY_BUDGET = 10 ** 9  # bytes a job's predicted peak may reach
+DENSE_PEAK = 3.4  # floats x |G| (orbits^2 + N) at a dense solve's peak
+MEMBER_MATRICES = 5  # member matrices live at an ensemble job's peak
 TORUS_AXIS_GUARD = 256  # nodes per torus axis (Fourier products cost O(res))
-MEMBER_GUARD = 2 ** 24  # ensemble size x nodes: a 128 MiB member matrix
 VALIDATE_RTOL = 1e-10  # |gradient of a constant| allowed / largest coefficient
 SPEC_KEYS = {"sphere": ("r", "r0", "subdiv", "scale"),  # model spec options
              "torus": ("n", "res", "L", "scale"),
@@ -419,36 +420,44 @@ class ModelSpec:
         return s
 
 
+def _check_budget(job: str, nodes, group: int, orbits, members: int) -> float:
+    """Predicted peak bytes of a job, refused over MEMORY_BUDGET: DENSE_PEAK
+    |G| (orbits^2 + N) floats for a dense solve in the mirror group's blocks
+    (group = 0 on the Fourier path), MEMBER_MATRICES x members x N more."""
+    peak = 8.0 * (DENSE_PEAK * group * (orbits * orbits + nodes)
+                  + MEMBER_MATRICES * members * nodes)
+    if peak > MEMORY_BUDGET:
+        raise ValueError(f"{job} needs a predicted {peak / 1e9:.3g} GB, over "
+                         f"the memory budget of {MEMORY_BUDGET / 1e9:g} GB")
+    return peak
+
+
 def _check_node_count(variant: str, dim: int, res: int, members: int) -> None:
-    """Refuse a model spec whose mesh is too large before it is built.
+    """Refuse a model spec whose job is too large before the mesh is built.
 
     A grid has res^dim nodes and an icosphere (res = subdiv) 10 * 4^res + 2.
-    Spheres and boxes, which decompose only densely, may have at most
-    DENSE_NODE_GUARD nodes, and a torus axis at most TORUS_AXIS_GUARD; on
-    every model, members x nodes (the member matrix of an ensemble) may be
-    at most MEMBER_GUARD.  A power of 256 bits or more is named but never
-    formed, so a huge n or subdiv costs nothing.  Sizes that ModelSpec
-    rejects pass unchecked.
+    A torus axis may have at most TORUS_AXIS_GUARD nodes.  The budget takes
+    the mirror group at Psi = 1: 2^3 and about N / 8 orbits on an
+    icosphere, 2^dim and ceil(res / 2)^dim on a box, none on a torus.  A
+    power of 256 bits or more is named but never formed, so a huge n or
+    subdiv costs nothing.  Sizes that ModelSpec rejects pass unchecked.
     """
     sphere = variant == "sphere"
     base, exp = (4, res) if sphere else (res, dim)
     if base < 2 or exp < 1:
         return
     count = f"10*4^{res}+2" if sphere else f"{res}^{dim}"
-    n = math.inf
+    n, group, orbits = math.inf, 1, math.inf  # an unformed power: inf
     if exp * (base.bit_length() - 1) < 256:
         n = 10 * 4 ** res + 2 if sphere else res ** dim
         count += f" = {n}"
-    if variant != "torus" and n > DENSE_NODE_GUARD:
-        raise ValueError(f"{variant} model of {count} nodes exceeds the dense "
-                         f"decomposition guard ({DENSE_NODE_GUARD})")
+        group = {"sphere": 8, "box": 2 ** dim, "torus": 0}[variant]
+        orbits = n / 8 if sphere else ((res + 1) // 2) ** dim
     if variant == "torus" and res > TORUS_AXIS_GUARD:
         raise ValueError(f"torus model of {count} nodes exceeds the axis "
                          f"guard ({TORUS_AXIS_GUARD} nodes per axis)")
-    if n * members > MEMBER_GUARD:
-        raise ValueError(f"{variant} model of {count} nodes times {members} "
-                         f"members exceeds the member matrix guard "
-                         f"({MEMBER_GUARD} entries)")
+    _check_budget(f"{variant} model of {count} nodes times {members} members",
+                  n, group, orbits, members)
 
 
 def parse_model_spec(text: str, members: int = 1) -> ModelSpec:
@@ -457,10 +466,9 @@ def parse_model_spec(text: str, members: int = 1) -> ModelSpec:
     A sphere takes r (alias r0, default 1), subdiv (default 3) and scale; a
     torus or box takes n (default 2), res (default 16), L (one side for
     every axis, default 2 pi, or one per axis joined by x) and scale; scale
-    defaults to 1.  Any other key is refused, and so are meshes too large
-    for the dense decomposition (spheres and boxes) or for an ensemble of
-    the given number of members (see _check_node_count), before anything is
-    built.
+    defaults to 1.  Any other key is refused, and so is a job over the
+    memory budget with an ensemble of the given number of members (see
+    _check_node_count), before anything is built.
     """
     head, _, rest = text.partition(":")
     variant = head.strip()

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .constants import RELATIVE_SLACK, _worst_ratio
-from .manifold import DiscreteManifold, scale_metric
+from .manifold import VALIDATE_RTOL, DiscreteManifold, scale_metric
 from .norms import grad_lp_norm, lp_norm
 from .spectral import (SpectralDecomposition, _op_norms_2_to_inf,
                        apply_function, apply_functions, bessel_multiplier,
@@ -199,7 +199,7 @@ def _refine(dec: SpectralDecomposition, power: float, grad_op: bool,
     with element-volume weights.  Each step measures ||v||_{p_out}, takes
     the duality element v |v|^(p_out-2) / ||v||^(p_out-1), pulls it back to
     a node function in the mass pairing and maps that through the
-    mass-self-adjoint H^power.
+    mass-self-adjoint H^power, until v is 0 or a constant's roundoff gradient.
     """
     m = dec.manifold
     fwd = power_multiplier(power)
@@ -210,13 +210,15 @@ def _refine(dec: SpectralDecomposition, power: float, grad_op: bool,
         field, weights = (lambda v: v[:, None]), m.mass
         pullback = lambda s: s[:, 0]
     pd = p_in / (p_in - 1.0)
+    floor = VALIDATE_RTOL * m.grad.bound() if grad_op else 0.0
     u = u0 / lp_norm(m, u0, p_in)
     best = -math.inf
     for _ in range(REFINE_ITERATIONS):
-        vecs = field(apply_function(dec, fwd, u))
+        image = apply_function(dec, fwd, u)
+        vecs = field(image)
         mags = np.linalg.norm(vecs, axis=1)
         nv = float(np.sum(weights * mags ** p_out) ** (1.0 / p_out))
-        if nv == 0:
+        if nv == 0 or np.max(mags) <= floor * np.max(np.abs(image)):
             break
         best = max(best, nv)
         dual = vecs * (np.where(mags > 0, mags, 1.0) ** (p_out - 2.0))[:, None]

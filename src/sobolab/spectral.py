@@ -20,10 +20,9 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .manifold import DENSE_NODE_GUARD, DiscreteManifold, GridGradient
+from .manifold import DiscreteManifold, GridGradient, _check_budget
 
 __all__ = [
-    "DENSE_NODE_GUARD",
     "SingularOperatorError",
     "PotentialField",
     "SpectralDecomposition",
@@ -305,7 +304,7 @@ def decompose(m: DiscreteManifold, psi: PotentialField) -> SpectralDecomposition
     eigenvalues and a FourierBasis: its stiffness is then the Kronecker sum
     of (m0 / h_d^2) times the periodic second difference.  Every other model
     gets a dense divide-and-conquer solve of the mass-reduced stiffness,
-    refused over DENSE_NODE_GUARD nodes.  Eigenvalues with
+    in mirror blocks and within the memory budget.  Eigenvalues with
     |lambda| <= 1e-10 * max|lambda| are clipped to exactly 0 so the Neumann
     kernel is detected reliably by the operator calculus.
     """
@@ -320,20 +319,9 @@ def decompose(m: DiscreteManifold, psi: PotentialField) -> SpectralDecomposition
         basis = FourierBasis(q=_fourier_axis(res)[1], dim=m.dim,
                              m0=float(m.mass[0]), order=order)
     else:
-        w, basis = _dense_eigenpairs(m, psi)
+        w, basis = _mirror_eigenpairs(m, psi, _mirrors(m, psi))
     return SpectralDecomposition(eigenvalues=_clip(w), basis=basis,
                                  potential=psi, manifold=m)
-
-
-def _dense_eigenpairs(m: DiscreteManifold, psi: PotentialField):
-    """Eigenvalues and a MirrorBasis by LAPACK divide and conquer (dsyevd),
-    one block per character of the mirror group of _mirrors (see
-    _mirror_eigenpairs), refused over DENSE_NODE_GUARD nodes."""
-    n = m.num_nodes
-    if n > DENSE_NODE_GUARD:
-        raise ValueError(
-            f"{n} nodes exceeds the dense decomposition guard ({DENSE_NODE_GUARD})")
-    return _mirror_eigenpairs(m, psi, _mirrors(m, psi))
 
 
 def _eigh_in_place(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -410,7 +398,7 @@ def _within(gap: np.ndarray, ref: np.ndarray) -> bool:
 def _mirror_eigenpairs(m: DiscreteManifold, psi: PotentialField,
                        mirrors: list[np.ndarray]):
     """The eigenpairs of A = M^(-1/2) (S + M_Psi) M^(-1/2), one dsyevd block
-    per character of the mirror group.
+    per character of the mirror group, once it fits the memory budget.
 
     The k mirrors generate G = Z2^k: element g (a bit mask over the
     mirrors) moves node x to perms[g, x], and character s is chi[s, g] =
@@ -434,6 +422,7 @@ def _mirror_eigenpairs(m: DiscreteManifold, psi: PotentialField,
         perms = np.concatenate([perms, r[perms]])
         chi = np.kron([[1.0, 1.0], [1.0, -1.0]], chi)
     reps = np.flatnonzero(np.min(perms, axis=0) == np.arange(n))
+    _check_budget(f"dense solve of {n} nodes", n, chi.shape[0], reps.size, 0)
     images = perms[:, reps]  # (|G|, orbits): node g.x of each representative
     fixed = images == reps
     stab = np.count_nonzero(fixed, axis=0)

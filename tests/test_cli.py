@@ -634,8 +634,8 @@ def test_dense_reports_agree_across_blas_thread_counts(tmp_path):
 
 @pytest.mark.slow
 def test_heat_on_a_torus_past_the_dense_guard(tmp_path):
-    """65,536 nodes: the Fourier basis needs no node guard, and the decay
-    fit shows t^(-n/4) = t^(-1/2)."""
+    """65,536 nodes: the Fourier basis adds no dense term to the memory
+    budget, and the decay fit shows t^(-n/4) = t^(-1/2)."""
     assert run(tmp_path, "heat", "--model", "torus:n=2,res=256",
                "--t-list", "0.01,0.1,1", "--fit-window", "1e-3,1e-2",
                "--seed", "7") == 0
@@ -658,7 +658,27 @@ def test_huge_ensemble_size_is_refused_before_building(tmp_path, capsys,
     monkeypatch.setattr(cli, "build", refuse)
     monkeypatch.setattr(fl, "build", refuse)
     assert run(tmp_path, *argv, "--seed", "1", "--size", "1000000000") == 1
-    one_line_error(capsys, "1000000000 members", "member matrix guard")
+    one_line_error(capsys, "1000000000 members", "needs a predicted",
+                   "memory budget")
+
+
+@pytest.mark.slow
+def test_estimate_on_a_subdivision_five_sphere_fits_the_memory_budget(tmp_path):
+    """10,242 nodes solve in the 8 mirror blocks of an icosphere: the job
+    exits 0, and the child's peak RSS stays under the memory budget its
+    prediction was checked against."""
+    src = str(Path(sobolab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sobolab", "estimate", "--model",
+         "sphere:r=1,subdiv=5", "--p", "1.2", "--seed", "7", "--out",
+         str(tmp_path)], env=env, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    assert usage.ru_maxrss * 1024 < manifold.MEMORY_BUDGET  # kB on Linux
+    _, doc = read_artifact(tmp_path, "estimate")
+    assert doc["results"]["diagnostics"]["mirrors"] == 3
 
 
 SEEDED_JOBS = [

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from sobolab.cli import MAX_TIME_SAMPLES, _parse_times
 from sobolab import flow
 from sobolab.flow import ExactFlow, parse_flow_spec
-from sobolab.manifold import (MEMBER_GUARD, SPEC_KEYS, ModelSpec,
+from sobolab.manifold import (MEMORY_BUDGET, SPEC_KEYS, ModelSpec,
                               parse_model_spec)
 
 GARBAGE = st.text(alphabet=st.characters(blacklist_categories=("Nd", "Cs")),
@@ -77,19 +77,19 @@ def test_parse_model_spec_parses_or_raises_value_error(text):
 @pytest.mark.parametrize("parse, text, count", [
     (parse_model_spec, "sphere:r=1,subdiv=16", "10*4^16+2 = 42949672962"),
     (parse_model_spec, "torus:n=40,res=2", "2^40 = 1099511627776"),
-    (parse_flow_spec, "sphere:r0=1,subdiv=5", "10*4^5+2 = 10242"),
+    (parse_flow_spec, "sphere:r0=1,subdiv=6", "10*4^6+2 = 40962"),
     (parse_model_spec, "torus:n=1,res=257", "257^1 = 257"),
     (parse_model_spec, "torus:n=2,res=512", "512^2 = 262144"),
     (parse_flow_spec, "torus:n=1,res=300", "300^1 = 300"),
 ])
 def test_specs_over_the_node_guard_are_refused_before_building(parse, text,
                                                                count):
-    with pytest.raises(ValueError, match="guard") as err:
+    with pytest.raises(ValueError, match="axis guard|memory budget") as err:
         parse(text)
     assert count in str(err.value) and "\n" not in str(err.value)
 
 
-@pytest.mark.parametrize("text", ["torus:n=3,res=6,bogus=1", "sphere:subdiv=5",
+@pytest.mark.parametrize("text", ["torus:n=3,res=6,bogus=1", "sphere:subdiv=6",
                                   "torus:n=1,res=300",
                                   "torus:n=1000000,res=1,L=1",
                                   "sphere:r=1,L=5",
@@ -126,20 +126,30 @@ def test_specs_without_an_exact_flow_are_refused_before_building(monkeypatch,
     assert "\n" not in str(err.value)
 
 
-def test_member_guard_bounds_size_times_nodes():
-    """Tori are not held to the dense node guard; on every model the member
-    matrix (ensemble size x nodes) is bounded before anything is built."""
-    assert parse_model_spec("torus:n=2,res=256", members=200).resolution == 256
-    assert 256 ** 2 * 200 <= MEMBER_GUARD
-    with pytest.raises(ValueError, match="dense decomposition guard"):
-        parse_model_spec("box:n=2,res=64")
-    for parse, text in [(parse_model_spec, "torus:n=2,res=16"),
-                        (parse_model_spec, "sphere:r=1,subdiv=2"),
-                        (parse_flow_spec, "torus:n=3,res=6"),
-                        (parse_flow_spec, "sphere:r0=1,subdiv=2")]:
-        with pytest.raises(ValueError, match="member matrix guard") as err:
-            parse(text, members=10 ** 9)
-        assert "\n" not in str(err.value)
+def test_memory_budget_bounds_every_job_before_building():
+    """One byte budget bounds the predicted peak of a job: the dense solve
+    in its variant's mirror blocks plus its member matrices.  It admits
+    every sphere through subdivision 5, every box through 4000 nodes and
+    the 256^2 torus at 256 members, and refuses the rest with one line
+    naming the predicted bytes and the budget."""
+    budget = f"over the memory budget of {MEMORY_BUDGET / 1e9:g} GB"
+    for members in (200, 256):
+        assert parse_model_spec("torus:n=2,res=256", members=members)
+    for subdiv in range(1, 6):
+        assert parse_model_spec(f"sphere:subdiv={subdiv}", members=200)
+    for n in range(1, 12):
+        res = max(r for r in range(2, 4001) if r ** n <= 4000)
+        assert parse_model_spec(f"box:n={n},res={res}", members=200)
+    assert parse_model_spec("box:n=3,res=20", members=200)
+    for parse, text, members in [(parse_model_spec, "sphere:subdiv=6", 1),
+                                 (parse_model_spec, "box:n=14,res=2", 1),
+                                 (parse_model_spec, "torus:n=2,res=16", 10 ** 9),
+                                 (parse_model_spec, "sphere:r=1,subdiv=2", 10 ** 9),
+                                 (parse_flow_spec, "torus:n=3,res=6", 10 ** 9),
+                                 (parse_flow_spec, "sphere:r0=1,subdiv=2", 10 ** 9)]:
+        with pytest.raises(ValueError, match="needs a predicted") as err:
+            parse(text, members=members)
+        assert budget in str(err.value) and "\n" not in str(err.value)
     with pytest.raises(ValueError, match="2\\^300 nodes times 1 members"):
         parse_model_spec("torus:n=300,res=2")
 

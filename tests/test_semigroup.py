@@ -258,13 +258,20 @@ def test_riesz_p2_energy_identity_bound(torus2, torus2_dec1, torus2_members):
 
 
 def test_riesz_constant_contributes_zero(torus2, torus2_dec1):
-    """A constant's Riesz ratio is 0.  The refinement started from it
-    iterates on the roundoff of grad H^-1/2 1, so it may climb towards the
-    norm itself, but never past the p = 2 bound 1."""
-    u = np.ones((1, torus2.num_nodes))
-    assert _plain_scan(torus2_dec1, "grad H^-1/2", 2.0, 2.0, u) \
-        == pytest.approx(0.0, abs=1e-7)
-    assert riesz_ratio(torus2_dec1, 2.0, u).estimate <= 1.0 + 1e-8
+    """A constant's Riesz ratio is roundoff (about 1e-16), and so is grad
+    H^-1/2 of it, within VALIDATE_RTOL of grad.bound() times the constant.
+    The refinement stops before its first step rather than follow that
+    noise (it reached 0.989, 0.969 and 1.22 on these meshes), so the
+    estimate is the scan's."""
+    cases = [(torus2, 2.0), (build("torus:n=2,res=16"), 2.0),
+             (build("sphere:r=1,subdiv=2"), 1.5)]
+    for m, p in cases:
+        dec = (torus2_dec1 if m is torus2
+               else decompose(m, constant_potential(m, 1.0)))
+        u = np.ones((1, m.num_nodes))
+        scan = _plain_scan(dec, "grad H^-1/2", p, p, u)
+        assert scan < 1e-12
+        assert riesz_ratio(dec, p, u).estimate == scan
 
 
 def test_riesz_sphere_mesh_stable():

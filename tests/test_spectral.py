@@ -12,10 +12,10 @@ from sobolab import (EnsembleSpec, SingularOperatorError, apply_function,
                      heat_multiplier, power_multiplier,
                      scale_metric, spectral)
 from sobolab.manifold import (DiscreteManifold, GradientElements, ModelSpec,
-                              build)
+                              _check_budget, build)
 from sobolab.norms import lp_norm
-from sobolab.spectral import (DENSE_NODE_GUARD, PotentialField,
-                              SpectralDecomposition, spectrum_rows)
+from sobolab.spectral import (PotentialField, SpectralDecomposition,
+                              spectrum_rows)
 
 
 def test_torus_kernel_is_constant(torus2, torus2_dec0):
@@ -72,18 +72,31 @@ def test_negative_power_of_neumann_kernel_errors(torus2, torus2_dec0):
 
 
 def test_decompose_guard_and_bad_potential(torus2):
+    """A bad potential is refused, and so is a dense solve over the memory
+    budget.  A mesh built in code bypasses the spec parsers' budget check: a
+    random Psi on the 10,242-node sphere leaves no mirror, so the whole
+    matrix is one block (about 2.85 GB predicted).  It is refused after
+    _mirrors with one line naming the predicted bytes and the budget, while
+    the traced peak is still a small part of one N x N matrix."""
     psi = constant_potential(torus2, 0.0)
     fake = psi.values[:10]
     with pytest.raises(ValueError):
         decompose(torus2, PotentialField(fake))
     with pytest.raises(ValueError):
         PotentialField(np.array([np.nan]))
-    # a mesh built in code bypasses the spec parsers' size gate; a box
-    # decomposes densely at every size
-    big = build(ModelSpec("box", dim=2, resolution=64))
-    assert big.num_nodes > DENSE_NODE_GUARD
-    with pytest.raises(ValueError, match="guard"):
-        decompose(big, constant_potential(big, 0.0))
+    m = build(ModelSpec("sphere", resolution=5))
+    psi = PotentialField(np.random.default_rng(3).uniform(1, 2, m.num_nodes))
+    m.stiffness  # built once per mesh, before the solve
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="needs a predicted 2.85 GB, over "
+                                             "the memory budget") as err:
+            decompose(m, psi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "10242 nodes" in str(err.value) and "\n" not in str(err.value)
+    assert peak < 0.01 * m.num_nodes ** 2 * 8
 
 
 def test_residual_and_orthonormality(sphere3, sphere3_dec1):
@@ -293,7 +306,7 @@ FOURIER_SPECS = ["torus:n=1,res=32", "torus:n=2,res=32", "torus:n=3,res=8",
 
 
 def _dense(m, psi):
-    w, v = spectral._dense_eigenpairs(m, psi)
+    w, v = spectral._mirror_eigenpairs(m, psi, spectral._mirrors(m, psi))
     return SpectralDecomposition(spectral._clip(w), v, psi, m)
 
 
@@ -658,6 +671,21 @@ def test_no_mirror_decomposition_holds_what_an_unsplit_solve_does():
     dec, peak = _traced_decompose(m, psi)
     assert dec.basis.mirrors == 0
     assert peak <= 3.1
+
+
+@pytest.mark.parametrize("text, group", [("sphere:r=1,subdiv=2,psi=random", 1),
+                                         ("box:n=2,res=30", 4),
+                                         ("sphere:r=1,subdiv=3", 8)])
+def test_budget_prediction_bounds_the_traced_decomposition(text, group):
+    """The budget's prediction of a dense solve from its variant, DENSE_PEAK
+    |G| ((N/|G|)^2 + N) floats, holds the traced decompose peak and is
+    within 1.5 times of it, for the trivial group, 4 mirror blocks and 8."""
+    m, psi = _mirror_case(text)
+    dec, peak = _traced_decompose(m, psi)
+    assert dec.basis.chi.shape[0] == group
+    n = m.num_nodes
+    predicted = _check_budget("", n, group, n / group, 0) / (n * n * 8)
+    assert predicted / 1.5 < peak <= predicted
 
 
 def test_diagnostics_read_the_mirrors_from_the_basis(monkeypatch):
