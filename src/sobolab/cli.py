@@ -216,8 +216,14 @@ def _cmd_scaling(args):
 def _cmd_flow(args):
     spec = _ensemble_spec(args)
     times = _parse_times(args.times)
-    flow = fl.parse_flow_spec(args.flow, t_max=max(times) + 1e-9,
-                              members=spec.size)
+    flow = fl.parse_flow_spec(args.flow, members=spec.size)
+    last = max(times)
+    if not last < flow.singular_time:
+        raise ValueError(f"--times: the largest time {last:g} is not below "
+                         f"the singular time {flow.singular_time:g} of "
+                         f"{args.flow}")
+    if last > 0:  # the horizon is the last time; t = 0 alone keeps the default
+        flow = fl.ExactFlow(base=flow.base, t_max=last)
     traj = fl.track(flow, times, args.theorem, args.p, spec, p0=args.p0)
     header = ["t", "vol", "r_max_plus", "kappa", "lambda0", "bracket",
               "worst_ratio", "violations"]

@@ -4,6 +4,11 @@ Only closed-form flows are used (a shrinking round 2-sphere and a static
 flat torus), so every geometric quantity along the flow is auditable in
 closed form.  Base constants are estimated once at t = 0; per-time
 inequality constants are produced from them plus time-t geometry only.
+
+Every such flow is a homothety, g(t) = lam(t)^2 g(0), so each member norm
+is measured once on g(0) and rescaled: an L^q norm by lam^(n/q), ||grad
+u||_p by lam^(n/p-1), and so the three terms of the two-term form,
+||u||_{p*}^p, ||grad u||_p^p and vol^(-p/n) ||u||_p^p, all by lam^(n-p).
 """
 
 from __future__ import annotations
@@ -109,21 +114,41 @@ def metric_at(flow: ExactFlow, t: float) -> DiscreteManifold:
     return scale_metric(flow.base, scale_factor(flow, t))
 
 
-def _form_sides(family: str, m: DiscreteManifold, members: np.ndarray,
-                p: float, bessel: np.ndarray | None):
-    """Per-member (lhs, rhs) of the b, d or e form on the metric m, before
-    the constant: ||u||_{p*} against ||(-Lap+1)^(1/2)u||_p (b, read from the
-    transformed members ``bessel``) or ||grad u||_p + (1 + defect)||u||_p
-    with the Ricci defect kappa (d) or the integral-curvature gamma (e).
-    gamma needs no curvature adjustment: ExactFlow refuses R < 0.
-    """
-    lhs = lp_norm(m, members, _pstar(m.dim, p))
+def _defect(family: str, m: DiscreteManifold) -> float:
+    """The curvature term of the d or e form on m: the Ricci defect kappa
+    (d) or the integral-curvature gamma (e); b has none.  gamma needs no
+    curvature adjustment: ExactFlow refuses R < 0."""
+    if family == "d":
+        return geometric_summary(m)["kappa"]
+    return gamma_integral(m, 0.0, GAMMA_EPS) if family == "e" else 0.0
+
+
+def _base_norms(family: str, base: DiscreteManifold, members: np.ndarray,
+                p: float) -> tuple:
+    """The per-member norms of the b, d or e form that no time changes,
+    measured once on g(0): ||u||_{p*} and, for d and e, ||grad u||_p and
+    ||u||_p."""
+    star = lp_norm(base, members, _pstar(base.dim, p))
     if family == "b":
-        return lhs, lp_norm(m, bessel, p)
-    defect = (geometric_summary(m)["kappa"] if family == "d"
-              else gamma_integral(m, 0.0, GAMMA_EPS))
-    return lhs, (grad_lp_norm(m, members, p)
-                 + (1.0 + defect) * lp_norm(m, members, p))
+        return star, None, None
+    return star, grad_lp_norm(base, members, p), lp_norm(base, members, p)
+
+
+def _form_sides(norms: tuple, n: int, p: float, lam: float, defect: float,
+                bessel: np.ndarray | None):
+    """Per-member (lhs, rhs) of the b, d or e form on g(t) = lam^2 g(0),
+    before the constant, from the g(0) ``norms`` of _base_norms: ||u||_{p*}
+    lam^(n/p*) against ||(-Lap+1)^(1/2)u||_p lam^(n/p) (b; ``bessel`` is
+    the p-norm on g(0) of the members transformed at time t, because the
+    multiplier is not a rescaling) or ||grad u||_p lam^(n/p-1) + (1 +
+    defect) ||u||_p lam^(n/p) with the defect of g(t) (d, e).
+    """
+    star, grad, low = norms
+    lhs = star * lam ** (n / _pstar(n, p))
+    if bessel is not None:
+        return lhs, bessel * lam ** (n / p)
+    return lhs, (grad * lam ** (n / p - 1.0)
+                 + (1.0 + defect) * low * lam ** (n / p))
 
 
 @dataclass(frozen=True)
@@ -154,8 +179,13 @@ def track(flow: ExactFlow, times, selector: str, p: float,
 
     Base constants are estimated once at t = 0 on the ensemble; what varies
     with t is only the closed-form geometry (volume, curvature bracket,
-    scale factor).  Selectors ending in "2" require lambda0(g(0)) > 0 and
-    route static tori to the finite-horizon "3" variants.
+    scale factor).  The member norms are measured once on g(0) and each
+    time's values are the homothety's rescalings: lam^(n/q) for an L^q
+    norm, lam^(n/p-1) for ||grad u||_p, and the common lam^(n-p) for the
+    three terms of the two-term form (family a).  Only family b forms a
+    member image per time, since sqrt(1 + mu/lam^2) is not a rescaling.
+    Selectors ending in "2" require lambda0(g(0)) > 0 and route static
+    tori to the finite-horizon "3" variants.
     """
     if selector not in SELECTORS:
         raise ValueError(f"unknown selector {selector!r}; use one of {SELECTORS}")
@@ -185,24 +215,28 @@ def track(flow: ExactFlow, times, selector: str, p: float,
     family = selector[0]
     base_constants: dict = {"lambda0_g0": lam0_base}
 
+    # every member norm is measured once on g(0); time t rescales it
     if family == "a":
         est = estimate_sobolev_AB(base, p0, members)
         base_constants.update(A=est.A_est, B=est.B_est)
+        _, lhs0, grd0, low0 = _sobolev_terms(base, p, members)
     else:
+        norms = _base_norms(family, base, members, p)
         if family == "b":
             # (-Lap+1)^(1/2) on g(t) = lam^2 g(0) is a multiplier on the bare
             # t = 0 spectrum: one transform of the members serves the t = 0
             # constant (lam = 1) and then every sampled time
             lams = [1.0] + [scale_factor(flow, t) for t in times]
-            bessel_t = apply_functions(dec_base.shifted(-1.0),
-                                       map(bessel_multiplier, lams), members)
+            bessel_t = (lp_norm(base, image, p) for image in apply_functions(
+                dec_base.shifted(-1.0), map(bessel_multiplier, lams), members))
         else:
             bessel_t = itertools.repeat(None)
-        c0 = max(0.0, _worst_ratio(
-            *_form_sides(family, base, members, p, next(bessel_t))).ratio)
+        c0 = max(0.0, _worst_ratio(*_form_sides(
+            norms, n, p, 1.0, _defect(family, base), next(bessel_t))).ratio)
 
-    # one pass builds each metric g(t); the two sides of every check are kept,
-    # because the b/d/e constant needs the transfer over all times first
+    # one pass builds each metric g(t) for its geometry; the two sides of
+    # every check are kept, because the b/d/e constant needs the transfer
+    # over all times first
     records, sides, transfer = [], [], 1.0
     for t in times:
         lam_t = scale_factor(flow, t)
@@ -216,17 +250,20 @@ def track(flow: ExactFlow, times, selector: str, p: float,
             alpha = max(1.0, bracket if selector == "a2" else 1.0 + bracket)
             chain = chain_constants(n, p0, alpha * base_constants["A"],
                                     alpha * base_constants["B"], p)
-            _, lhs, grd, low = _sobolev_terms(mt, p, members)
-            rhs = chain.C1 * grd + chain.C2 * low
+            # all three terms scale by lam^(n-p)
+            scale = lam_t ** (n - p)
+            lhs = lhs0 * scale
+            rhs = chain.C1 * (grd0 * scale) + chain.C2 * (low0 * scale)
             rec.update(alpha=alpha, C1=chain.C1, C2=chain.C2, m_p=chain.m_p)
         else:
             # the spectral/gradient norms are not scale-covariant under the +1
             # shift; the transfer factor compensates over the sampled horizon
             transfer = max(transfer, lam_t ** (-1.0)
                            / math.sqrt(1.0 + summ["r_max_plus"]))
+            defect = _defect(family, mt)
             if family == "e":
-                rec.update(gamma=gamma_integral(mt, 0.0, GAMMA_EPS))
-            lhs, rhs = _form_sides(family, mt, members, p, next(bessel_t))
+                rec.update(gamma=defect)
+            lhs, rhs = _form_sides(norms, n, p, lam_t, defect, next(bessel_t))
         sides.append((lhs, rhs))
         records.append(rec)
 

@@ -14,6 +14,10 @@ __all__ = [
 ]
 
 
+# a sum of p-th powers below this may have lost terms to underflow
+_UNDERFLOW = np.finfo(float).tiny / np.finfo(float).eps
+
+
 def _per_member(x) -> float | np.ndarray:
     """A float for one member, the vector of per-member values for a matrix."""
     return float(x) if np.ndim(x) == 0 else x
@@ -34,9 +38,32 @@ def lp_norm(m: DiscreteManifold, u: np.ndarray, p: float) -> float | np.ndarray:
     a = np.abs(u, dtype=float)
     if np.isinf(p):
         return _per_member(np.max(a, axis=-1))
-    a **= p  # in the fresh |u|: no further node-sized temporaries
+    with np.errstate(over="ignore"):
+        a **= p  # in the fresh |u|: no further node-sized temporaries
     a *= m.mass
-    return _per_member(np.sum(a, axis=-1) ** (1.0 / p))
+    sums = np.sum(a, axis=-1)
+    norms = sums ** (1.0 / p)
+    lost = np.isinf(sums) | (sums < _UNDERFLOW)  # |u|^p over- or underflowed
+    if np.any(lost):
+        norms = _rescaled(m, u, p, norms, lost)
+    return _per_member(norms)
+
+
+def _rescaled(m: DiscreteManifold, u: np.ndarray, p: float,
+              norms: np.ndarray, lost: np.ndarray) -> np.ndarray:
+    """norms with each lost row recomputed as M (sum mass (|u|/M)^p)^(1/p),
+    M = max |u| on the row; a zero row and a row holding inf keep their
+    value."""
+    norms, lost = np.array(norms, ndmin=1), np.array(lost, ndmin=1)
+    rows = np.abs(np.reshape(u, lost.shape + (-1,))[lost], dtype=float)
+    top = np.max(rows, axis=-1)
+    fix = (top > 0) & (top < np.inf)
+    rows = rows[fix] / top[fix, None]
+    rows **= p
+    rows *= m.mass
+    lost[lost] = fix
+    norms[lost] = top[fix] * np.sum(rows, axis=-1) ** (1.0 / p)
+    return norms.reshape(np.shape(u)[:-1])
 
 
 def grad_lp_norm(m: DiscreteManifold, u: np.ndarray,

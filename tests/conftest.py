@@ -117,3 +117,25 @@ def decompose_calls(monkeypatch):
                 getattr(mod, "decompose", None) is original:
             monkeypatch.setattr(mod, "decompose", counting)
     return calls
+
+
+@pytest.fixture
+def norm_calls(monkeypatch):
+    """(name, exponent, argument) of every lp_norm and grad_lp_norm call made
+    while the test runs, patched in every sobolab namespace as above."""
+    from sobolab import norms
+    calls = []
+
+    def counting(original):
+        def wrapper(m, u, p):
+            calls.append((original.__name__, p, u))
+            return original(m, u, p)
+        return wrapper
+
+    for fn in (norms.lp_norm, norms.grad_lp_norm):
+        wrapped = counting(fn)
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "sobolab" and \
+                    getattr(mod, fn.__name__, None) is fn:
+                monkeypatch.setattr(mod, fn.__name__, wrapped)
+    return calls

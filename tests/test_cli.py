@@ -157,6 +157,26 @@ def test_flow_command_hypothesis_error_exit_1(tmp_path, capsys):
     assert "lambda0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("times", ["0", "0,0.4999999995"])
+def test_flow_accepts_every_time_before_the_singular_time(tmp_path, times):
+    assert run(tmp_path, "flow", "--flow", "sphere:r0=1,subdiv=1", "--times",
+               times, "--theorem", "b2", "--seed", "3", "--size", "5") == 0
+    _, doc = read_artifact(tmp_path, "flow")
+    got = [r["t"] for r in doc["results"]["trajectory"]["records"]]
+    assert got == [float(t) for t in times.split(",")]
+
+
+@pytest.mark.parametrize("times", ["0,0.5", "0:0.6:0.2"])
+def test_flow_refuses_times_from_the_singular_time_on(tmp_path, capsys, times):
+    assert run(tmp_path, "flow", "--flow", "sphere:r0=1,subdiv=1", "--times",
+               times, "--theorem", "b2", "--seed", "3", "--size", "5") == 1
+    err = capsys.readouterr().err
+    last = max(map(float, times.replace(":", ",").split(",")[:2]))
+    assert err.count("\n") == 1
+    assert f"largest time {last:g} " in err and "singular time 0.5" in err
+    assert "horizon" not in err
+
+
 def test_model_scale_option(tmp_path):
     assert run(tmp_path, "estimate", "--model", "torus:n=2,res=16,scale=2",
                "--p", "1.2", "--seed", "8", "--size", "30") == 0

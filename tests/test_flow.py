@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from sobolab import (EnsembleSpec, HypothesisError, constant_potential,
-                     decompose, generate_ensemble, metric_at,
-                     shrinking_sphere_flow, track,
+from sobolab import (EnsembleSpec, HypothesisError, apply_function,
+                     constant_potential, decompose, gamma_integral,
+                     generate_ensemble, geometric_summary, grad_lp_norm,
+                     lp_norm, metric_at, shrinking_sphere_flow, track,
                      verify_inequality)
 from sobolab import flow as flow_module
+from sobolab.constants import RELATIVE_SLACK, _worst_ratio
 from sobolab.flow import SELECTORS, ExactFlow, parse_flow_spec, scale_factor
 from sobolab.manifold import build, scale_metric, with_fields
 
@@ -188,8 +190,9 @@ def test_track_decomposes_once(name, selector, decompose_calls, monkeypatch):
 
 
 def test_flow_a_checks_what_verify_checks():
-    """Family a and verify evaluate the two-term form by one route: each
-    record is verify's report on g(t) with the record's chained constants."""
+    """Family a checks the two-term form that verify checks: each record is
+    verify's report on g(t) with the record's chained constants, up to the
+    roundoff of rescaling the g(0) terms."""
     flow = parse_flow_spec("sphere:r0=1,subdiv=1", t_max=0.45)
     spec = EnsembleSpec(seed=5, size=30, generator="mixed")
     traj = track(flow, [0.0, 0.2, 0.4], "a2", 1.5, spec)
@@ -199,8 +202,70 @@ def test_flow_a_checks_what_verify_checks():
     for rec in traj.records:
         rep = verify_inequality(metric_at(flow, rec["t"]), 1.5, rec["C1"],
                                 rec["C2"], members)
-        assert rec["worst_ratio"] == rep.worst_ratio
+        assert rec["worst_ratio"] == pytest.approx(rep.worst_ratio, rel=1e-13)
         assert rec["violations"] == rep.violations
+
+
+def _direct_sides(family, m, members, p):
+    """The per-member sides of the b, d or e form measured on m itself,
+    before the constant: the Bessel image from m's own decomposition, the
+    defect from m's own curvature."""
+    lhs = lp_norm(m, members, m.dim * p / (m.dim - p))
+    if family == "b":
+        image = apply_function(decompose(m, constant_potential(m, 1.0)),
+                               np.sqrt, members)
+        return lhs, lp_norm(m, image, p)
+    defect = (geometric_summary(m)["kappa"] if family == "d"
+              else gamma_integral(m, 0.0, flow_module.GAMMA_EPS))
+    return lhs, (grad_lp_norm(m, members, p)
+                 + (1.0 + defect) * lp_norm(m, members, p))
+
+
+@pytest.mark.parametrize("family", "abde")
+@pytest.mark.parametrize("name", ["sphere", "torus"])
+def test_records_match_a_direct_measurement_on_g_t(name, family):
+    """g(t) = lam^2 g(0) rescales every g(0) norm by a power of lam, so each
+    record equals the same form measured on metric_at(flow, t) with the
+    same members and the record's constants."""
+    if name == "sphere":
+        flow, sel = parse_flow_spec("sphere:r0=1,subdiv=1", t_max=0.45), "2"
+        times, p = [0.0, 0.1, 0.25, 0.4], 1.5
+    else:
+        flow, sel = parse_flow_spec("torus:n=3,res=4", t_max=1.0), "3"
+        times, p = [0.0, 0.5, 1.0], 2.5
+    spec = EnsembleSpec(seed=5, size=30, generator="mixed")
+    traj = track(flow, times, family + sel, p, spec)
+    base = flow.base
+    members = generate_ensemble(
+        base, spec, dec=decompose(base, constant_potential(base, 1.0)))
+    for rec in traj.records:
+        mt = metric_at(flow, rec["t"])
+        if family == "a":
+            rep = verify_inequality(mt, p, rec["C1"], rec["C2"], members)
+            ratio, violations = rep.worst_ratio, rep.violations
+        else:
+            lhs, rhs = _direct_sides(family, mt, members, p)
+            ratio, _, violations, _ = _worst_ratio(lhs, rec["C"] * rhs,
+                                                   slack=RELATIVE_SLACK)
+        assert rec["worst_ratio"] == pytest.approx(ratio, rel=1e-13)
+        assert rec["violations"] == violations
+
+
+@pytest.mark.parametrize("selector", ["a2", "b2"])
+def test_track_measures_each_member_norm_once(selector, norm_calls):
+    """The gradient norm runs once per exponent and ||u||_{p*} once on the
+    member matrix, however many times are sampled."""
+    flow = shrinking_sphere_flow(r0=1.0, subdiv=1, t_max=0.45)
+    spec = EnsembleSpec(seed=5, size=20, generator="mixed")
+    counts = []
+    for times in ([0.0, 0.3], [0.05 * i for i in range(9)]):
+        norm_calls.clear()
+        track(flow, times, selector, 1.5, spec, p0=1.2)
+        members = [u for name, q, u in norm_calls if q == 6.0]  # p* of 1.5
+        grads = sorted(q for name, q, _ in norm_calls if name == "grad_lp_norm")
+        assert len(members) == 1 and members[0].shape == (20, 42)
+        counts.append(grads)
+    assert counts[0] == counts[1] == ([1.2, 1.5] if selector == "a2" else [])
 
 
 def test_lambda0_series_decomposes_once(sphere_flow, decompose_calls):

@@ -183,3 +183,29 @@ def test_norms_match_the_plain_expressions_bit_for_bit(text):
             want = np.sum(m.grad.weights * mags ** p, axis=-1) ** (1.0 / p)
             assert np.array_equal(grad_lp_norm(m, v, p), want)
     assert np.array_equal(u, kept)
+
+
+def test_lp_norm_survives_overflow_and_underflow_of_large_exponents():
+    """|u|^q overflows (1e3^200), underflows (1e-3^200) or falls into the
+    subnormal range (0.03^210) in double; the norm is then taken of
+    |u|/max|u| on those rows only, and every other row keeps its plain
+    value bit for bit."""
+    m = build("sphere:r=1,subdiv=1")
+    ones = np.ones(m.num_nodes)
+    vol = m.volume ** (1.0 / 200.0)
+    with np.errstate(all="raise"):
+        assert lp_norm(m, 1e3 * ones, 200.0) == pytest.approx(1e3 * vol,
+                                                              rel=1e-14)
+    ramp = np.linspace(0.0, 1.0, m.num_nodes)
+    rows = np.stack([1e3 * ones, ramp, 1e-3 * ones, 0.0 * ones])
+    got = lp_norm(m, rows, 200.0)
+    with np.errstate(over="ignore"):
+        plain = np.sum(m.mass * rows ** 200.0, axis=-1) ** (1.0 / 200.0)
+    assert got[0] == pytest.approx(1e3 * vol, rel=1e-14)
+    assert got[1] == plain[1]
+    assert got[2] == pytest.approx(1e-3 * vol, rel=1e-14)
+    assert got[3] == 0.0
+    assert lp_norm(m, 0.03 * ones, 210.0) == pytest.approx(
+        0.03 * m.volume ** (1.0 / 210.0), rel=1e-14)
+    rows[3, 0] = np.inf
+    assert lp_norm(m, rows, 200.0)[3] == np.inf
