@@ -167,10 +167,12 @@ def _cmd_heat(args):
                          spectrum_rows(dec1))
         results["spectrum_csv"] = str(path)
     if args.beta_csv:
-        unit_members = members / lp_norm(m, members, 2.0)[:, None]
+        # in place: the contraction check is done with the members, and a
+        # unit-L2 copy would be a second member matrix
+        members /= lp_norm(m, members, 2.0)[:, None]
         grid = np.geomspace(1e-3, 2.0, 25)
         profile = ct.measure_log_sobolev_beta(
-            m, constant_potential(m, 1.0), grid, unit_members)
+            m, constant_potential(m, 1.0), grid, members)
         path = write_csv(_out_dir(args), "log_sobolev_profile",
                          ["sigma", "beta"],
                          list(zip(profile.sigma_grid, profile.beta_values)))
@@ -216,6 +218,9 @@ def _cmd_scaling(args):
 def _cmd_flow(args):
     spec = _ensemble_spec(args)
     times = _parse_times(args.times)
+    if min(times) < 0:  # before building
+        raise ValueError(f"--times: the time {min(times):g} is before the "
+                         f"start time 0 of {args.flow}")
     flow = fl.parse_flow_spec(args.flow, members=spec.size)
     last = max(times)
     if not last < flow.singular_time:

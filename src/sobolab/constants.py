@@ -15,8 +15,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .manifold import DiscreteManifold
-from .norms import _per_member, grad_lp_norm, lp_norm, q_energy
+from .manifold import DiscreteManifold, _chunks
+from .norms import _by_chunks, grad_lp_norm, lp_norm, q_energy
 from .spectral import PotentialField, SpectralDecomposition
 
 __all__ = [
@@ -112,7 +112,7 @@ def generate_ensemble(m: DiscreteManifold, spec: EnsembleSpec,
     inside a degenerate eigenspace; it draws from its own child generator,
     so the main stream (and with it every bump) does not depend on the mesh.
     Members are drawn in stream order; the spectral ones are then projected
-    in one product.
+    a chunk of rows at a time (manifold._chunks).
     """
     if spec.generator != "bumps" and dec is None:
         raise ValueError(f"generator {spec.generator!r} requires a spectral decomposition")
@@ -148,9 +148,11 @@ def generate_ensemble(m: DiscreteManifold, spec: EnsembleSpec,
             weights.append(keep)
         child.standard_normal(out=members[i])
         rows.append(i)
-    if rows:
-        members[rows] = dec.synthesize(np.array(weights) * dec.coefficients(
-            members[rows] / np.sqrt(m.mass), band.size))
+    rows, weights = np.array(rows, dtype=np.intp), np.array(weights)
+    root = np.sqrt(m.mass)
+    for part in _chunks(rows.size, m.num_nodes):
+        members[rows[part]] = dec.synthesize(weights[part] * dec.coefficients(
+            members[rows[part]] / root, band.size))
     members[~members.any(axis=1)] = 1.0  # degenerate draw; constants are valid members
     return members
 
@@ -314,8 +316,10 @@ class LogSobolevProfile:
 
 def entropy(m: DiscreteManifold, u: np.ndarray) -> float | np.ndarray:
     """int u^2 ln u^2 with the 0 ln 0 = 0 convention; one value per row of u."""
-    x = u * u
-    return _per_member(np.sum(m.mass * x * np.log(np.where(x > 0, x, 1.0)), axis=-1))
+    def measure(rows):
+        x = rows * rows
+        return np.sum(m.mass * x * np.log(np.where(x > 0, x, 1.0)), axis=-1)
+    return _by_chunks(u, measure)
 
 
 def measure_log_sobolev_beta(m: DiscreteManifold, psi: PotentialField,

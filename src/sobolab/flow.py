@@ -227,8 +227,9 @@ def track(flow: ExactFlow, times, selector: str, p: float,
             # t = 0 spectrum: one transform of the members serves the t = 0
             # constant (lam = 1) and then every sampled time
             lams = [1.0] + [scale_factor(flow, t) for t in times]
-            bessel_t = (lp_norm(base, image, p) for image in apply_functions(
-                dec_base.shifted(-1.0), map(bessel_multiplier, lams), members))
+            bessel_t = iter(apply_functions(
+                dec_base.shifted(-1.0), map(bessel_multiplier, lams), members,
+                lambda v: lp_norm(base, v, p)))
         else:
             bessel_t = itertools.repeat(None)
         c0 = max(0.0, _worst_ratio(*_form_sides(

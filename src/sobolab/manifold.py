@@ -32,7 +32,8 @@ __all__ = [
 
 MEMORY_BUDGET = 10 ** 9  # bytes a job's predicted peak may reach
 DENSE_PEAK = 3.4  # floats x |G| (orbits^2 + N) at a dense solve's peak
-MEMBER_MATRICES = 5  # member matrices live at an ensemble job's peak
+MEMBER_MATRICES = 2  # member matrices at an ensemble job's peak, chunks included
+CHUNK_BYTES = 2 ** 20  # member rows per pass: as many N-float rows as fit
 TORUS_AXIS_GUARD = 256  # nodes per torus axis (Fourier products cost O(res))
 VALIDATE_RTOL = 1e-10  # |gradient of a constant| allowed / largest coefficient
 SPEC_KEYS = {"sphere": ("r", "r0", "subdiv", "scale"),  # model spec options
@@ -79,13 +80,16 @@ class _Elements:
         return g.reshape((self.num_elements, self.ncomp) + g.shape[1:]).sum(axis=1)
 
     def magnitudes(self, u: np.ndarray) -> np.ndarray:
-        """Per-element gradient lengths, shape u.shape[:-1] + (num_elements,)."""
-        sq = self._squares(u)
-        return np.sqrt(sq, out=sq).T
+        """Per-element gradient lengths, shape u.shape[:-1] + (num_elements,),
+        each member's row contiguous, so a sum along it rounds the same
+        whatever the number of rows."""
+        return np.sqrt(self._squares(u).T, order="C")
 
     def energy(self, u: np.ndarray) -> float | np.ndarray:
-        """Dirichlet energy sum_e w_e |grad u|_e^2, one value per row of u."""
-        return self.weights @ self._squares(u)
+        """Dirichlet energy sum_e w_e |grad u|_e^2, one value per row of u,
+        each summed along its own contiguous row as magnitudes is."""
+        terms = np.multiply(self._squares(u).T, self.weights, order="C")
+        return np.sum(terms, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -420,10 +424,21 @@ class ModelSpec:
         return s
 
 
+def _chunks(count: int, nodes: int):
+    """Slices of count member rows of nodes floats, CHUNK_BYTES of rows
+    each (at least one row): every norm, f(H) image and ensemble projection
+    of a member matrix runs chunk by chunk, so only the matrix itself grows
+    with the ensemble."""
+    step = max(1, CHUNK_BYTES // (8 * nodes))
+    return (slice(lo, lo + step) for lo in range(0, count, step))
+
+
 def _check_budget(job: str, nodes, group: int, orbits, members: int) -> float:
     """Predicted peak bytes of a job, refused over MEMORY_BUDGET: DENSE_PEAK
     |G| (orbits^2 + N) floats for a dense solve in the mirror group's blocks
-    (group = 0 on the Fourier path), MEMBER_MATRICES x members x N more."""
+    (group = 0 on the Fourier path), MEMBER_MATRICES x members x N more: the
+    member matrix and room for its chunks' temporaries (_chunks), which a
+    few CHUNK_BYTES bound whatever the ensemble's size."""
     peak = 8.0 * (DENSE_PEAK * group * (orbits * orbits + nodes)
                   + MEMBER_MATRICES * members * nodes)
     if peak > MEMORY_BUDGET:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
-from .manifold import DiscreteManifold
+from .manifold import DiscreteManifold, _chunks
 from .spectral import PotentialField
 
 __all__ = [
@@ -23,6 +25,22 @@ def _per_member(x) -> float | np.ndarray:
     return float(x) if np.ndim(x) == 0 else x
 
 
+def _by_chunks(u: np.ndarray,
+               measure: Callable[[np.ndarray], np.ndarray]) -> float | np.ndarray:
+    """measure(rows), one value per row, over the member rows of u a chunk
+    at a time (manifold._chunks), so no temporary outgrows one chunk.
+
+    u is one node function (N,), measured as a one-row matrix, or a member
+    matrix (K, N).  measure reduces each row along its own contiguous
+    entries, so a row's value does not depend on the chunk it falls in.
+    """
+    rows = np.reshape(u, (-1, np.shape(u)[-1]))
+    out = np.empty(len(rows))
+    for part in _chunks(*rows.shape):
+        out[part] = measure(rows[part])
+    return _per_member(out.reshape(np.shape(u)[:-1]))
+
+
 def _check_exponent(p: float) -> None:
     if not p >= 1:
         raise ValueError(f"p must be >= 1, got p={p:g}")
@@ -35,51 +53,60 @@ def lp_norm(m: DiscreteManifold, u: np.ndarray, p: float) -> float | np.ndarray:
     the norm is taken along the last axis.
     """
     _check_exponent(p)
-    a = np.abs(u, dtype=float)
     if np.isinf(p):
-        return _per_member(np.max(a, axis=-1))
+        return _by_chunks(u, lambda rows: np.max(np.abs(rows), axis=-1))
+    return _by_chunks(u, lambda rows: _lp_rows(m.mass, rows, p))
+
+
+def _lp_rows(mass: np.ndarray, rows: np.ndarray, p: float) -> np.ndarray:
+    """The L^p norm of each row, rescaling the rows whose |u|^p over- or
+    underflowed (_rescaled)."""
+    a = np.abs(rows, dtype=float)
     with np.errstate(over="ignore"):
-        a **= p  # in the fresh |u|: no further node-sized temporaries
-    a *= m.mass
+        a **= p  # in the fresh |u|: no further chunk-sized temporaries
+    a *= mass
     sums = np.sum(a, axis=-1)
     norms = sums ** (1.0 / p)
-    lost = np.isinf(sums) | (sums < _UNDERFLOW)  # |u|^p over- or underflowed
+    lost = np.isinf(sums) | (sums < _UNDERFLOW)
     if np.any(lost):
-        norms = _rescaled(m, u, p, norms, lost)
-    return _per_member(norms)
+        _rescaled(mass, rows, p, norms, lost)
+    return norms
 
 
-def _rescaled(m: DiscreteManifold, u: np.ndarray, p: float,
-              norms: np.ndarray, lost: np.ndarray) -> np.ndarray:
-    """norms with each lost row recomputed as M (sum mass (|u|/M)^p)^(1/p),
+def _rescaled(mass: np.ndarray, rows: np.ndarray, p: float,
+              norms: np.ndarray, lost: np.ndarray) -> None:
+    """Recompute each lost row's norm in place as M (sum mass (|u|/M)^p)^(1/p),
     M = max |u| on the row; a zero row and a row holding inf keep their
     value."""
-    norms, lost = np.array(norms, ndmin=1), np.array(lost, ndmin=1)
-    rows = np.abs(np.reshape(u, lost.shape + (-1,))[lost], dtype=float)
-    top = np.max(rows, axis=-1)
+    a = np.abs(rows[lost], dtype=float)
+    top = np.max(a, axis=-1)
     fix = (top > 0) & (top < np.inf)
-    rows = rows[fix] / top[fix, None]
-    rows **= p
-    rows *= m.mass
+    a = a[fix] / top[fix, None]
+    a **= p
+    a *= mass
     lost[lost] = fix
-    norms[lost] = top[fix] * np.sum(rows, axis=-1) ** (1.0 / p)
-    return norms.reshape(np.shape(u)[:-1])
+    norms[lost] = top[fix] * np.sum(a, axis=-1) ** (1.0 / p)
 
 
 def grad_lp_norm(m: DiscreteManifold, u: np.ndarray,
                  p: float) -> float | np.ndarray:
     """Element-volume-weighted L^p norm of the per-element gradient magnitude."""
     _check_exponent(p)
-    mags = m.grad.magnitudes(u)
-    if np.isinf(p):
-        return _per_member(np.max(mags, axis=-1, initial=0.0))
-    mags **= p  # in place: magnitudes returns a fresh array
-    mags *= m.grad.weights
-    return _per_member(np.sum(mags, axis=-1) ** (1.0 / p))
+
+    def measure(rows):
+        mags = m.grad.magnitudes(rows)
+        if np.isinf(p):
+            return np.max(mags, axis=-1, initial=0.0)
+        mags **= p  # in place: magnitudes returns a fresh array
+        mags *= m.grad.weights
+        return np.sum(mags, axis=-1) ** (1.0 / p)
+
+    return _by_chunks(u, measure)
 
 
 def q_energy(m: DiscreteManifold, psi: PotentialField,
              u: np.ndarray) -> float | np.ndarray:
     """Quadratic form int (|grad u|^2 + Psi u^2); may be negative for Psi < 0."""
-    return _per_member(m.grad.energy(u)
-                       + np.sum(m.mass * psi.values * u * u, axis=-1))
+    weight = m.mass * psi.values
+    return _by_chunks(u, lambda rows: m.grad.energy(rows)
+                      + np.sum(weight * rows * rows, axis=-1))

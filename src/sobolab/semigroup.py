@@ -107,11 +107,9 @@ def heat_contraction_check(m: DiscreteManifold, dec: SpectralDecomposition,
     def norms(u):
         return [lp_norm(m, u, p) for p in p_list]
 
-    before = norms(members)
-    # map, not a loop variable, lets each e^{-tH} u go before the next forms
-    after = list(map(norms, apply_functions(dec, map(heat_multiplier, t_list),
-                                            members)))  # (t, p, member) cases
-    worst = _worst_ratio(after, before, slack=tol)
+    after = apply_functions(dec, map(heat_multiplier, t_list), members,
+                            norms)  # (t, p, member) cases
+    worst = _worst_ratio(after, norms(members), slack=tol)
     return ContractionReport(
         label="heat-lp-contraction", cases=worst.used,
         violations=worst.violations, worst_ratio=worst.ratio,
@@ -172,15 +170,15 @@ def check_heat_kernel_bounds(m: DiscreteManifold, dec: SpectralDecomposition,
             raise ValueError(f"t={t} outside (0, sigma_star/4)")
     inf_minus = dec.potential.inf_minus
     base = np.stack([lp_norm(m, members, 2.0), lp_norm(m, members, 1.0)])
-    evolved = apply_functions(dec, map(heat_multiplier, t_list), members)
-    sups, dens = [], []  # (t, tag, member) cases
+    sups = apply_functions(dec, map(heat_multiplier, t_list), members,
+                           lambda v: lp_norm(m, v, math.inf))
+    dens = []  # (t, tag, member) cases
     for t in t_list:
         correction = -0.75 * t * inf_minus
         bounds = np.array([math.exp(tau(t) + correction),
                            math.exp(2.0 * tau(t / 2.0) + correction)])
-        sups.append(lp_norm(m, next(evolved), math.inf))
         dens.append(bounds[:, None] * base)
-    worst = _worst_ratio(np.array(sups)[:, None, :], dens, slack=RELATIVE_SLACK)
+    worst = _worst_ratio(sups[:, None, :], dens, slack=RELATIVE_SLACK)
     return ContractionReport(
         label="heat-kernel-bounds", cases=worst.used,
         violations=worst.violations, worst_ratio=worst.ratio,
@@ -253,10 +251,10 @@ def mapping_norm(dec: SpectralDecomposition, operator_label: str,
     if power < 0 and dec.lambda_min <= 0:
         raise ValueError("negative power of a singular operator; "
                          "use a potential with a positive spectral floor")
-    fwd = power_multiplier(power)
     out_norm = grad_lp_norm if grad_op else lp_norm
-    scan = _worst_ratio(out_norm(m, apply_function(dec, fwd, members), p_out),
-                        lp_norm(m, members, p_in))
+    images, = apply_functions(dec, (power_multiplier(power),), members,
+                              lambda v: out_norm(m, v, p_out))
+    scan = _worst_ratio(images, lp_norm(m, members, p_in))
     best = scan.ratio
     if scan.witness >= 0 and p_in > 1:
         best = max(best, _refine(dec, power, grad_op, p_in, p_out,
@@ -292,10 +290,9 @@ def bessel_equivalence_constants(dec_zero: SpectralDecomposition, a: float,
         raise ValueError("equivalence constants require the bare Laplacian spectrum")
     m = dec_zero.manifold
     base = lp_norm(m, members, p)
-    # as in heat_contraction_check, map lets each image go before the next
-    mid, root, bessel = map(lambda v: lp_norm(m, v, p), apply_functions(
+    mid, root, bessel = apply_functions(
         dec_zero, (lambda lam: np.sqrt(lam + a * a), np.sqrt,
-                   bessel_multiplier(1.0)), members))
+                   bessel_multiplier(1.0)), members, lambda v: lp_norm(m, v, p))
     outer = a * base + root
     # constants carry no information at a = 0: both sides are roundoff
     used = outer > 1e-10 * (1.0 + a) * base
@@ -349,10 +346,12 @@ def scaling_transfer_check(m: DiscreteManifold, lam: float, mu: float,
             f"norm scaling law violated: relative error {worst_scaling:.3g}")
 
     # the Bessel operator of each metric is a multiplier on the bare
-    # Laplacian's spectrum, measured in that metric's norm
-    bessel, bessel_scaled = map(
-        lambda mesh, v: lp_norm(mesh, v, p), (m, scaled), apply_functions(
-            dec_unit.shifted(-1.0), map(bessel_multiplier, (1.0, lam)), members))
+    # Laplacian's spectrum, measured in that metric's norm: both images are
+    # measured in both, and each keeps its own
+    images = apply_functions(
+        dec_unit.shifted(-1.0), map(bessel_multiplier, (1.0, lam)), members,
+        lambda v: (lp_norm(m, v, p), lp_norm(scaled, v, p)))
+    bessel, bessel_scaled = images[0, 0], images[1, 1]
     c_scaled = max(0.0, _worst_ratio(lp_norm(scaled, members, q_out),
                                      bessel_scaled).ratio)
 

@@ -10,17 +10,21 @@ mirror), and solved in place by LAPACK's symmetric divide and conquer
 (dsyevd, the one use of scipy.linalg, imported there), the blocks kept
 apart and applied one by one; every operator function (heat semigroup,
 fractional powers, resolvents) is evaluated on the resulting eigenpairs.
+A full-width f(H) multiplies the coefficients in each basis's own order by
+f(lambda) permuted into that order, and apply_functions takes the members
+a chunk of rows at a time (manifold._chunks), measuring each image before
+the next is formed, so no f(H) image of a whole member matrix is held.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import reduce
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .manifold import DiscreteManifold, GridGradient, _check_budget
+from .manifold import DiscreteManifold, GridGradient, _check_budget, _chunks
 
 __all__ = [
     "SingularOperatorError",
@@ -41,7 +45,6 @@ EIG_CLIP_REL = 1e-10
 CLUSTER_GAP_REL = 1e-9  # roundoff splits are ~1e-15, real gaps >= ~1e-5
 MIRROR_MATCH_REL = 1e-9  # node distance to a mirror image / mesh extent
 MIRROR_RTOL = 1e-12  # mass, Psi and stiffness change under a mirror / largest
-MEMBER_CHUNK = 256  # members per pass of a MirrorBasis transform
 
 
 class SingularOperatorError(ValueError):
@@ -91,9 +94,14 @@ class MirrorBasis:
     1/|G| of the cost of the N x N product; columns() alone forms phi.  A
     mesh with no mirror has the trivial group: one block, chi = [[1]].
 
-    Every basis has coefficients, synthesize, columns and row_sums; u is one
-    node function (N,) or a member matrix (K, N), rows = members, and so are
-    the coefficient arrays.
+    Every basis has coefficients and synthesize (the leading modes in
+    ascending eigenvalue order), forward, backward and native (all modes in
+    the basis's own order), columns and row_sums; u is one node function
+    (N,) or a member matrix (K, N), rows = members, and so are the
+    coefficient arrays.  Here the own order is the blocks' in turn, as
+    (modes, members) columns, so a full-width f(H) neither gathers nor
+    scatters coefficients.  No transform chunks the members: its caller
+    passes one chunk (manifold._chunks) at a time.
     """
 
     chi: np.ndarray
@@ -115,40 +123,63 @@ class MirrorBasis:
             j = cols.size if k is None else int(np.searchsorted(cols, k))
             yield s, keep, v[:, :j], cols[:j]
 
+    def _orbit_sums(self, rows: np.ndarray) -> np.ndarray:
+        """(|G|, orbits, K) character sums of the (K, N) rows over the orbit
+        images; block s reads its orbits keep at [s, keep]."""
+        # image g.x weighs u mass phi / |stab x| = u chi v / (|G| scale)
+        x = rows.T[self.images]
+        x /= (self.chi.shape[0] * self.scale)[:, :, None]
+        return (self.chi @ x.reshape(x.shape[0], -1)).reshape(x.shape)
+
+    def _node_rows(self, y: np.ndarray) -> np.ndarray:
+        """The (K, N) rows of (|G|, orbits, K) block values y[s, keep]."""
+        y = (self.chi @ y.reshape(y.shape[0], -1)).reshape(y.shape)
+        y *= self.scale[:, :, None]
+        u = np.empty(y.shape[2:] + (self.size,))
+        u.T[self.images] = y
+        return u
+
     def coefficients(self, u: np.ndarray, k: int | None = None) -> np.ndarray:
         rows = u.reshape(-1, u.shape[-1])
-        lead = list(self._leading(k))
-        # image g.x weighs u mass phi / |stab x| = u chi v / (|G| scale)
-        weight = (self.chi.shape[0] * self.scale)[:, :, None]
+        x = self._orbit_sums(rows)
         c = np.empty((self.size if k is None else k, len(rows)))
-        for lo in range(0, len(rows), MEMBER_CHUNK):
-            part = slice(lo, lo + MEMBER_CHUNK)
-            x = rows[part].T[self.images]  # (|G|, orbits, members)
-            x /= weight
-            x = (self.chi @ x.reshape(x.shape[0], -1)).reshape(x.shape)
-            for s, keep, v, cols in lead:
-                c[cols, part] = v.T @ x[s, keep]
+        for s, keep, v, cols in self._leading(k):
+            c[cols] = v.T @ x[s, keep]
         return c.T.reshape(u.shape[:-1] + c.shape[:1])
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        rows = coeffs.reshape(-1, coeffs.shape[-1])
-        lead = list(self._leading(coeffs.shape[-1]))
-        u = np.empty((len(rows), self.size))
-        for lo in range(0, len(rows), MEMBER_CHUNK):
-            c = rows[lo:lo + MEMBER_CHUNK].T
-            y = np.zeros(self.images.shape + c.shape[1:])
-            for s, keep, v, cols in lead:
-                y[s, keep] = v @ c[cols]
-            y = (self.chi @ y.reshape(y.shape[0], -1)).reshape(y.shape)
-            y *= self.scale[:, :, None]
-            part = np.empty((self.size,) + c.shape[1:])
-            part[self.images] = y
-            u[lo:lo + MEMBER_CHUNK] = part.T
-        return u.reshape(coeffs.shape[:-1] + u.shape[1:])
+        c = coeffs.reshape(-1, coeffs.shape[-1]).T
+        y = np.zeros(self.images.shape + c.shape[1:])
+        for s, keep, v, cols in self._leading(coeffs.shape[-1]):
+            y[s, keep] = v @ c[cols]
+        return self._node_rows(y).reshape(coeffs.shape[:-1] + (self.size,))
+
+    def native(self, fw: np.ndarray) -> np.ndarray:
+        """fw, one value per eigenvalue, in forward's order, as a column."""
+        return np.concatenate([fw[cols] for *_, cols in self.blocks])[:, None]
+
+    def forward(self, rows: np.ndarray) -> np.ndarray:
+        """All coefficients of the (K, N) rows, (N, K), the blocks' in turn."""
+        x = self._orbit_sums(rows)
+        return np.concatenate([v.T @ x[s, keep] for s, keep, v, _ in self.blocks])
+
+    def backward(self, c: np.ndarray) -> np.ndarray:
+        """The (K, N) rows whose forward is c."""
+        y = np.zeros(self.images.shape + c.shape[1:])
+        lo = 0
+        for s, keep, v, _ in self.blocks:
+            y[s, keep] = v @ c[lo:lo + keep.size]
+            lo += keep.size
+        return self._node_rows(y)
 
     def columns(self, k: int | None = None) -> np.ndarray:
-        """The leading k (default all) eigenvectors as columns."""
-        return self.synthesize(np.eye(self.size if k is None else k)).T
+        """The leading k (default all) eigenvectors as columns, synthesized
+        from a chunk of the identity's rows at a time."""
+        eye = np.eye(self.size if k is None else k)
+        phi = np.empty((self.size, len(eye)))
+        for part in _chunks(len(eye), self.size):
+            phi[:, part] = self.synthesize(eye[part]).T
+        return phi
 
     def row_sums(self, w: np.ndarray) -> np.ndarray:
         """sum_k w[k, j] phi_k(x)^2, from each orbit's squared block rows."""
@@ -169,7 +200,11 @@ class FourierBasis:
     leading k modes apply the first b columns of q along every axis, b = 1 +
     the largest per-axis index among order[:k] (b = res for all modes), so
     they cost O(b) per entry per axis, and the N x N matrix is formed only by
-    columns().
+    columns().  forward and backward apply all of q per axis and keep the
+    modes in their C grid order, into which native permutes f(lambda); they
+    leave out the sqrt(m0) factors, which cancel in backward(native(fw) *
+    forward(u)).  No transform chunks the members: its caller passes one
+    chunk (manifold._chunks) at a time.
     """
 
     q: np.ndarray  # the real Fourier columns of one axis
@@ -186,7 +221,12 @@ class FourierBasis:
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         b, keep = self._leading(coeffs.shape[-1])
-        u = _per_axis(self.q[:, :b], self._scatter(coeffs, b, keep), self.dim)
+        # grid mode keep[j] reads coefficient j, every other mode a zero pad;
+        # the grid is a temporary, so _per_axis frees it after one product
+        slot = np.full(b ** self.dim, keep.size)
+        slot[keep] = np.arange(keep.size)
+        pad = [(0, 0)] * (coeffs.ndim - 1) + [(0, 1)]
+        u = _per_axis(self.q[:, :b], np.pad(coeffs, pad)[..., slot], self.dim)
         u /= np.sqrt(self.m0)
         return u.reshape(coeffs.shape[:-1] + self.order.shape)
 
@@ -196,10 +236,19 @@ class FourierBasis:
         b = 1 + int(np.max(axes, initial=0))
         return b, np.ravel_multi_index(axes, (b,) * self.dim)
 
-    def _scatter(self, coeffs: np.ndarray, b: int, keep: np.ndarray) -> np.ndarray:
-        u = np.zeros(coeffs.shape[:-1] + (b ** self.dim,))
-        u[..., keep] = coeffs
-        return u
+    def native(self, fw: np.ndarray) -> np.ndarray:
+        """fw, one value per eigenvalue, in the C grid order of the modes."""
+        out = np.empty_like(fw)
+        out[self.order] = fw
+        return out
+
+    def forward(self, rows: np.ndarray) -> np.ndarray:
+        """sqrt(m0) times all coefficients of the (K, N) rows, (K, N)."""
+        return _per_axis(self.q.T, rows, self.dim).reshape(rows.shape)
+
+    def backward(self, c: np.ndarray) -> np.ndarray:
+        """The (K, N) rows whose forward is c."""
+        return _per_axis(self.q, c, self.dim).reshape(c.shape)
 
     def columns(self, k: int | None = None) -> np.ndarray:
         """The leading k columns in closed form, as products of columns of q."""
@@ -525,24 +574,40 @@ def _multiplier(dec: SpectralDecomposition,
 
 def apply_functions(dec: SpectralDecomposition,
                     fs: Iterable[Callable[[np.ndarray], np.ndarray]],
-                    u: np.ndarray) -> Iterator[np.ndarray]:
-    """f(H) u for each f of fs in turn, from one forward transform of u.
+                    u: np.ndarray,
+                    measure: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """measure(f(H) u) for each f of fs, stacked over fs.
 
-    u is one node function (N,) or a member matrix (K, N), rows = members.
-    Each result is formed only when the next one is asked for, so a caller
-    that measures them one by one holds one of them at a time, provided it
-    lets each go before asking for the next: map does, while a loop
-    variable keeps the last result alive until it is rebound.
+    u is one node function (N,) or a member matrix (K, N), rows = members;
+    measure maps a chunk of image rows to per-member values along its last
+    axis (one per row), and the result is (len(fs),) + its leading axes +
+    u.shape[:-1].  The rows go a chunk at a time (manifold._chunks): each
+    chunk is transformed once for all of fs, and each image is measured and
+    let go before the next one is formed.
     """
-    c = dec.coefficients(u)
-    for f in fs:
-        yield dec.synthesize(_multiplier(dec, f) * c)
+    basis = dec.basis
+    weights = [basis.native(_multiplier(dec, f)) for f in fs]
+    rows = np.reshape(u, (-1, np.shape(u)[-1]))
+    parts = []
+    for part in _chunks(*rows.shape):
+        c = basis.forward(rows[part])
+        parts.append([measure(basis.backward(c * w)) for w in weights])
+    values = np.concatenate(parts, axis=-1)
+    return values.reshape(values.shape[:-1] + np.shape(u)[:-1])
 
 
 def apply_function(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.ndarray],
                    u: np.ndarray) -> np.ndarray:
-    """Evaluate f(H) u = sum_k f(lambda_k) <u, phi_k>_mass phi_k."""
-    return next(apply_functions(dec, (f,), u))
+    """Evaluate f(H) u = sum_k f(lambda_k) <u, phi_k>_mass phi_k.
+
+    The image is as large as u; apply_functions measures images chunk by
+    chunk instead.
+    """
+    basis = dec.basis
+    rows = np.reshape(u, (-1, np.shape(u)[-1]))
+    c = basis.forward(rows)
+    c *= basis.native(_multiplier(dec, f))
+    return basis.backward(c).reshape(np.shape(u))
 
 
 def heat_multiplier(t: float) -> Callable[[np.ndarray], np.ndarray]:

@@ -177,6 +177,21 @@ def test_flow_refuses_times_from_the_singular_time_on(tmp_path, capsys, times):
     assert "horizon" not in err
 
 
+@pytest.mark.parametrize("times", ["-0.1", "-0.2:0.2:0.1", "0.1,-0.1"])
+def test_flow_refuses_a_time_before_the_start(tmp_path, capsys, times):
+    """A negative time is refused against the start time 0, not as past a
+    flow horizon the user never gave."""
+    assert run(tmp_path, "flow", "--flow", "sphere:r0=1,subdiv=1",
+               f"--times={times}", "--theorem", "b2", "--seed", "3",
+               "--size", "5") == 1
+    err = capsys.readouterr().err
+    first = min(map(float, times.replace(":", ",").split(",")[:2]))
+    assert err.count("\n") == 1
+    assert f"the time {first:g} is before the start time 0" in err
+    assert "horizon" not in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_model_scale_option(tmp_path):
     assert run(tmp_path, "estimate", "--model", "torus:n=2,res=16,scale=2",
                "--p", "1.2", "--seed", "8", "--size", "30") == 0
@@ -412,28 +427,68 @@ def test_command_decomposes_the_mesh_once(tmp_path, decompose_calls, argv):
     assert len(decompose_calls) == 1
 
 
-@pytest.mark.parametrize("argv, transforms", [
-    (("flow", "--flow", "sphere:r0=1,subdiv=2", "--theorem", "b2"), 1),
-    (("scaling", "--model", "torus:n=3,res=8"), 1),
-    (("riesz", "--model", "torus:n=2,res=12"), 2),
-    (("heat", "--model", "torus:n=2,res=12"), 1),
+@pytest.mark.parametrize("argv, nodes, transforms", [
+    (("flow", "--flow", "sphere:r0=1,subdiv=2", "--theorem", "b2"), 162, 1),
+    (("scaling", "--model", "torus:n=3,res=8"), 512, 1),
+    (("riesz", "--model", "torus:n=2,res=12"), 144, 2),
+    (("heat", "--model", "torus:n=2,res=12"), 144, 1),
 ], ids=["flow-b2", "scaling", "riesz", "heat"])
-def test_member_matrix_transforms_per_job(tmp_path, monkeypatch, argv,
+def test_member_matrix_transforms_per_job(tmp_path, monkeypatch, argv, nodes,
                                           transforms):
-    """Every f(H) of one member matrix shares one forward transform: flow b2
-    one for its t = 0 constant and all nine times (each a Bessel multiplier
-    on the same bare spectrum), scaling one for both metrics, riesz one for
-    the Riesz scan and one for the three Bessel-type operators, heat one for
-    all times."""
-    size, seen = 30, []
+    """Every f(H) of one chunk of members shares one forward transform: flow
+    b2 one for its t = 0 constant and all nine times (each a Bessel
+    multiplier on the same bare spectrum), scaling one for both metrics,
+    riesz one for the Riesz scan and one for the three Bessel-type
+    operators, heat one for all times.  With 8 rows a chunk, 30 members
+    make 4 chunks; the refinement's one-row transforms are not counted."""
+    size, rows, seen = 30, 8, []
+    monkeypatch.setattr(manifold, "CHUNK_BYTES", rows * 8 * nodes)
     for cls in (spectral.MirrorBasis, spectral.FourierBasis):
-        def spy(self, u, k=None, original=cls.coefficients):
-            if k is None and np.ndim(u) == 2 and len(u) == size:
-                seen.append(type(self).__name__)
-            return original(self, u, k)
-        monkeypatch.setattr(cls, "coefficients", spy)
+        def spy(self, u, original=cls.forward):
+            if len(u) > 1:
+                seen.append(len(u))
+            return original(self, u)
+        monkeypatch.setattr(cls, "forward", spy)
     assert run(tmp_path, *argv, "--seed", "1", "--size", str(size)) in (0, 2)
-    assert len(seen) == transforms, seen
+    assert seen == [rows, rows, rows, size - 3 * rows] * transforms, seen
+
+
+BUDGET_JOBS = [
+    ("heat", "--model", "torus:n=2,res=64"),
+    ("heat", "--model", "torus:n=2,res=64", "--beta-csv"),
+    ("estimate", "--model", "torus:n=2,res=64", "--p", "1.5"),
+    ("verify", "--model", "torus:n=2,res=64", "--p", "1.5", "--A", "1",
+     "--B", "64"),
+    ("riesz", "--model", "torus:n=2,res=64", "--p", "1.5"),
+    ("w2p", "--model", "torus:n=3,res=16"),
+    ("scaling", "--model", "torus:n=3,res=16"),
+    ("flow", "--flow", "torus:n=3,res=16", "--times", "0:1:0.5",
+     "--theorem", "b3", "--p", "2.5"),
+    ("flow", "--flow", "torus:n=3,res=16", "--times", "0:1:0.5",
+     "--theorem", "a3", "--p", "2.5"),
+]
+
+
+@pytest.mark.parametrize("argv", BUDGET_JOBS, ids=[
+    "heat", "heat-beta-csv", "estimate", "verify", "riesz", "w2p", "scaling",
+    "flow-b3", "flow-a3"])
+def test_command_peak_is_within_the_budgets_member_term(tmp_path, argv):
+    """The memory budget counts manifold.MEMBER_MATRICES member matrices per
+    job: the matrix itself and its chunks' temporaries.  With 400 members of
+    4096 nodes (13 MB, 13 chunks) no command holds a second whole matrix (an
+    f(H) image, a |u|, a unit-L2 copy), so each traced peak stays under it
+    (measured 1.35-1.53 matrices)."""
+    import tracemalloc
+
+    size, nodes = 400, 4096
+    tracemalloc.start()
+    try:
+        status = run(tmp_path, *argv, "--seed", "3", "--size", str(size))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert status == 0
+    assert peak <= manifold.MEMBER_MATRICES * size * nodes * 8
 
 
 def test_nonfinite_result_is_a_one_line_error(tmp_path, capsys):

@@ -209,3 +209,34 @@ def test_lp_norm_survives_overflow_and_underflow_of_large_exponents():
         0.03 * m.volume ** (1.0 / 210.0), rel=1e-14)
     rows[3, 0] = np.inf
     assert lp_norm(m, rows, 200.0)[3] == np.inf
+
+
+@pytest.mark.parametrize("text", ["torus:n=2,res=16", "sphere:r=1,subdiv=2",
+                                  "box:n=2,res=9"])
+def test_functionals_equal_their_one_row_values_bit_for_bit(text,
+                                                            monkeypatch):
+    """lp_norm, grad_lp_norm, q_energy and entropy run a member matrix
+    chunk by chunk, and each row reduces along its own contiguous entries,
+    so every row of a matrix spanning several chunks has exactly its value
+    as one node function: chunks of 3 rows over 8 rows, the last of 2."""
+    from sobolab import (EnsembleSpec, PotentialField, decompose, entropy,
+                         generate_ensemble, manifold)
+
+    m = build(text)
+    dec = decompose(m, constant_potential(m, 1.0))
+    u = generate_ensemble(m, EnsembleSpec(seed=4, size=8), dec=dec)
+    psi = PotentialField(np.linspace(-0.5, 2.0, m.num_nodes))
+    monkeypatch.setattr(manifold, "CHUNK_BYTES", 3 * 8 * m.num_nodes)
+    assert [len(range(8)[s]) for s in manifold._chunks(8, m.num_nodes)] \
+        == [3, 3, 2]
+    functionals = [lambda v, p=p: lp_norm(m, v, p) for p in (1.0, 1.5, 6.0,
+                                                             np.inf)]
+    functionals += [lambda v, p=p: grad_lp_norm(m, v, p)
+                    for p in (1.0, 1.5, np.inf)]
+    functionals += [lambda v: q_energy(m, psi, v), lambda v: entropy(m, v)]
+    for f in functionals:
+        whole = f(u)
+        assert whole.shape == (8,)
+        assert np.array_equal(whole, [f(row) for row in u])
+        assert np.array_equal(whole, np.concatenate([f(u[i:i + 1])
+                                                     for i in range(8)]))

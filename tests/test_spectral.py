@@ -359,6 +359,15 @@ class ExplicitBasis:
     def synthesize(self, coeffs):
         return coeffs @ self.phi[:, :coeffs.shape[-1]].T
 
+    def native(self, fw):
+        return fw
+
+    def forward(self, rows):
+        return self.coefficients(rows)
+
+    def backward(self, c):
+        return self.synthesize(c)
+
     def columns(self, k=None):
         return self.phi[:, :k]
 
@@ -625,18 +634,17 @@ def test_mirror_blocks_match_the_unsplit_solve(text, mirrors, monkeypatch):
 
 @pytest.mark.parametrize("text", [text for text, _ in MIRROR_CASES]
                          + NO_MIRROR_CASES)
-def test_mirror_basis_matches_its_explicit_columns(text, monkeypatch):
+def test_mirror_basis_matches_its_explicit_columns(text):
     """The block transforms (gather over the orbit images, one character
     product, one product per block, scatter) equal the products with the
     explicit columns, for all modes and for the ensemble's K leading ones,
-    with the member matrix split into chunks; with no mirror too, where
+    and so does f(H) in the blocks' own order; with no mirror too, where
     the one block is the whole matrix."""
     m, psi = _mirror_case(text)
     base = decompose(m, psi)
     assert isinstance(base.basis, spectral.MirrorBasis)
     bounds = base.cluster_bounds()
     count = np.searchsorted(bounds[:-1], min(ct.SPECTRAL_MODES, bounds[-1]))
-    monkeypatch.setattr(spectral, "MEMBER_CHUNK", 3)
     u = np.random.default_rng(6).standard_normal((7, m.num_nodes))
     _assert_basis_matches_its_columns(base, u, (None, int(bounds[count])))
 
@@ -748,3 +756,34 @@ def test_mirror_blocks_at_subdivision_four(monkeypatch):
     dec = decompose(m, constant_potential(m, 1.0))
     assert _one_call_per_block(seen, m, 3)
     _assert_dense_eigenpairs(dec)
+
+
+@pytest.mark.parametrize("text", ["torus:n=2,res=12", "sphere:r=1,subdiv=2",
+                                  "box:n=2,res=9"])
+def test_chunked_images_match_whole_images(text, monkeypatch):
+    """apply_functions transforms the members a chunk at a time (here 7 rows
+    over 30) and measures each chunk's images; the values match the images
+    of apply_function measured whole to 1e-12, in the layout (fs, measure's
+    axes, members), and one node function gives one value per f."""
+    from sobolab import manifold
+    from sobolab.norms import grad_lp_norm
+
+    m = build(text)
+    dec = decompose(m, constant_potential(m, 1.0))
+    u = generate_ensemble(m, EnsembleSpec(seed=2, size=30), dec=dec)
+    fs = [heat_multiplier(0.01), heat_multiplier(1.0), np.sqrt,
+          power_multiplier(-0.5)]
+
+    def measure(v):
+        return (lp_norm(m, v, 1.5), lp_norm(m, v, np.inf),
+                grad_lp_norm(m, v, 2.0))
+
+    monkeypatch.setattr(manifold, "CHUNK_BYTES", 7 * 8 * m.num_nodes)
+    got = spectral.apply_functions(dec, iter(fs), u, measure)
+    want = np.array([measure(apply_function(dec, f, u)) for f in fs])
+    assert got.shape == want.shape == (4, 3, 30)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+    one = spectral.apply_functions(dec, fs, u[5], lambda v: lp_norm(m, v, 2.0))
+    assert one.shape == (4,)
+    assert np.all(np.abs(one - [lp_norm(m, apply_function(dec, f, u[5]), 2.0)
+                                for f in fs]) <= 1e-12 * one)
