@@ -21,8 +21,8 @@ from . import bootstrap as bs
 from . import constants as ct
 from . import flow as fl
 from . import semigroup as sg
-from .manifold import build, parse_model_spec
-from .norms import _check_exponent, lp_norm
+from .manifold import _keep_chunk_pages, build, parse_model_spec
+from .norms import _check_exponent
 from .reporting import (config_hash, to_plain, write_artifact, write_csv,
                         write_svg_loglog)
 from .spectral import constant_potential, decompose, diagnostics, spectrum_rows
@@ -58,8 +58,7 @@ def _prepare(args, p=None):
         ct._pstar(model.dim, p)
     m = build(model)
     dec1 = decompose(m, constant_potential(m, 1.0))
-    members = ct.generate_ensemble(m, spec, dec=dec1)
-    return m, dec1, members
+    return m, dec1, ct.MemberStream(m, spec, dec1)
 
 
 def _parse_floats(text: str, flag: str) -> list[float]:
@@ -146,8 +145,13 @@ def _cmd_heat(args):
                 f"--fit-window needs t_low,t_high, got {args.fit_window!r}")
         sg._check_fit_window(*window)
     m, dec1, members = _prepare(args)
-    rep = sg.heat_contraction_check(m, dec1, t_list, [1.0, 2.0, math.inf],
-                                    members)
+    # one pass over the members serves the contraction check and, with
+    # --beta-csv, the entropy profile of the members scaled to unit L2
+    scans = [sg._contraction_scan(m, dec1, t_list, [1.0, 2.0, math.inf])]
+    if args.beta_csv:
+        scans.append(ct._beta_scan(m, constant_potential(m, 1.0),
+                                   np.geomspace(1e-3, 2.0, 25), normalize=True))
+    rep, *profiles = ct._run(members, *scans)
     results = {"contraction": to_plain(rep), "model": m.label,
                "diagnostics": diagnostics(dec1)}
     status = 0 if rep.passed else 2
@@ -166,13 +170,7 @@ def _cmd_heat(args):
         path = write_csv(_out_dir(args), "spectrum", ["k", "lambda"],
                          spectrum_rows(dec1))
         results["spectrum_csv"] = str(path)
-    if args.beta_csv:
-        # in place: the contraction check is done with the members, and a
-        # unit-L2 copy would be a second member matrix
-        members /= lp_norm(m, members, 2.0)[:, None]
-        grid = np.geomspace(1e-3, 2.0, 25)
-        profile = ct.measure_log_sobolev_beta(
-            m, constant_potential(m, 1.0), grid, members)
+    for profile in profiles:  # the --beta-csv one
         path = write_csv(_out_dir(args), "log_sobolev_profile",
                          ["sigma", "beta"],
                          list(zip(profile.sigma_grid, profile.beta_values)))
@@ -183,9 +181,10 @@ def _cmd_heat(args):
 def _cmd_riesz(args):
     sg._check_equivalence_args(args.a, args.p)  # before building
     m, dec1, members = _prepare(args)
-    scan = sg.riesz_ratio(dec1, args.p, members)
     dec0 = dec1.shifted(-1.0)  # the bare Laplacian, exactly
-    eq = sg.bessel_equivalence_constants(dec0, args.a, args.p, members)
+    scan, eq = ct._run(
+        members, sg._mapping_scan(dec1, "grad H^-1/2", args.p, args.p, members),
+        sg._equivalence_scan(dec0, args.a, args.p))
     ck = eq.pop("gradient_bessel_C")  # reported at the top level
     return {"riesz": to_plain(scan), "equivalence": eq,
             "gradient_bessel_C": ck, "model": m.label,
@@ -199,9 +198,10 @@ def _cmd_w2p(args):
     _check_exponent(args.p)
     m, dec1, members = _prepare(args)
     p_out = mu * args.p / (mu - 2 * args.p)
-    scan = sg.mapping_norm(dec1, "H^-1", args.p, p_out, members)
-    half = sg.mapping_norm(dec1, "H^-1/2", args.p, mu * args.p / (mu - args.p),
-                           members)
+    scan, half = ct._run(
+        members, sg._mapping_scan(dec1, "H^-1", args.p, p_out, members),
+        sg._mapping_scan(dec1, "H^-1/2", args.p, mu * args.p / (mu - args.p),
+                         members))
     return {"second_order": to_plain(scan), "first_order": to_plain(half),
             "model": m.label, "diagnostics": diagnostics(dec1)}, 0
 
@@ -410,6 +410,7 @@ def _apply_config_file(parser, args) -> None:
 
 
 def main(argv=None) -> int:
+    _keep_chunk_pages()
     parser, command_parsers = build_parser()
     args = parser.parse_args(argv)
     try:

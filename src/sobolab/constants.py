@@ -4,23 +4,27 @@ Test-function ensembles are deterministic functions of (seed, generator,
 manifold).  Sobolev constants (A, B) are estimated as the smallest feasible
 pair over a B-grid; entropy profiles beta(sigma) are measured directly or
 derived in closed form from a Sobolev constant, with the associated
-ultracontractivity constants tau(t) and c.
+ultracontractivity constants tau(t) and c.  Every function that takes
+members takes a member matrix (rows = members) or a MemberStream and
+measures them a chunk of rows at a time; only per-member values outlive a
+chunk.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from .manifold import DiscreteManifold, _chunks
-from .norms import _by_chunks, grad_lp_norm, lp_norm, q_energy
+from .norms import _by_chunks, _grad_lp_norms, lp_norm, q_energy
 from .spectral import PotentialField, SpectralDecomposition
 
 __all__ = [
     "EnsembleSpec",
+    "MemberStream",
     "generate_ensemble",
     "SobolevEstimate",
     "estimate_sobolev_AB",
@@ -100,6 +104,71 @@ def _bump_member(geo: tuple, rng: np.random.Generator, u: np.ndarray,
         count -= 1
 
 
+@dataclass(frozen=True)
+class MemberStream:
+    """The members of an ensemble, drawn a chunk of rows at a time.
+
+    Iterating yields the rows of generate_ensemble(manifold, spec, dec) in
+    the chunks of manifold._chunks, and each iteration draws them anew from
+    the seed, so a job that measures and drops each chunk holds one chunk
+    of members, whatever the ensemble's size.
+    """
+
+    manifold: DiscreteManifold
+    spec: EnsembleSpec
+    dec: SpectralDecomposition | None = None
+
+    def __post_init__(self):
+        if self.spec.generator != "bumps" and self.dec is None:
+            raise ValueError(f"generator {self.spec.generator!r} requires a "
+                             "spectral decomposition")
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        m, spec, dec = self.manifold, self.spec, self.dec
+        rng = np.random.default_rng(spec.seed)
+        if spec.generator != "bumps":
+            bounds = dec.cluster_bounds()
+            # count clusters start below SPECTRAL_MODES; K = bounds[count]
+            # ends the last
+            count = np.searchsorted(bounds[:-1], min(SPECTRAL_MODES, bounds[-1]))
+            band = (1.0 + dec.eigenvalues[:bounds[count]]) ** (-BAND_DECAY / 2.0)
+            root = np.sqrt(m.mass)
+        if spec.generator in ("bumps", "mixed"):
+            lo = m.points.min(axis=0)
+            span = m.points.max(axis=0) - lo
+            geo = (lo, span, float(np.linalg.norm(span)) or 1.0, m.periods,
+                   m.points.T.copy())
+            scratch = np.empty((3, m.num_nodes))
+        for part in _chunks(spec.size, m.num_nodes):
+            index = range(spec.size)[part]
+            chunk = np.empty((len(index), m.num_nodes))
+            rows, weights = [], []
+            for row, i in enumerate(index):
+                if spec.generator == "mixed":
+                    kind = ("band-limited", "bumps", "eigen-mix")[i % 3]
+                else:
+                    kind = spec.generator
+                if kind == "bumps":
+                    _bump_member(geo, rng, chunk[row], scratch)
+                    continue
+                child = rng.spawn(1)[0]
+                if kind == "band-limited":
+                    weights.append(band)
+                else:  # three clusters, each ending at or before K
+                    keep = np.zeros_like(band)
+                    for c in child.integers(0, count, size=3):
+                        keep[bounds[c]:bounds[c + 1]] = 1.0
+                    weights.append(keep)
+                child.standard_normal(out=chunk[row])
+                rows.append(row)
+            if rows:
+                chunk[rows] = dec.synthesize(np.array(weights) * dec.coefficients(
+                    chunk[rows] / root, band.size))
+            # a degenerate draw: constants are valid members
+            chunk[~chunk.any(axis=1)] = 1.0
+            yield chunk
+
+
 def generate_ensemble(m: DiscreteManifold, spec: EnsembleSpec,
                       dec: SpectralDecomposition | None = None) -> np.ndarray:
     """Members as rows, bit-identical for identical (seed, generator, manifold).
@@ -111,50 +180,60 @@ def generate_ensemble(m: DiscreteManifold, spec: EnsembleSpec,
     eigenvalue clusters, so it does not depend on the eigensolver's basis
     inside a degenerate eigenspace; it draws from its own child generator,
     so the main stream (and with it every bump) does not depend on the mesh.
-    Members are drawn in stream order; the spectral ones are then projected
-    a chunk of rows at a time (manifold._chunks).
+    Members are drawn in stream order, and the spectral rows of each chunk
+    (manifold._chunks) are projected together: the matrix is the chunks of
+    MemberStream(m, spec, dec), concatenated.  A job that needs each member
+    once iterates the stream instead and never holds the matrix.
     """
-    if spec.generator != "bumps" and dec is None:
-        raise ValueError(f"generator {spec.generator!r} requires a spectral decomposition")
-    rng = np.random.default_rng(spec.seed)
     members = np.empty((spec.size, m.num_nodes))
-    if spec.generator != "bumps":
-        bounds = dec.cluster_bounds()
-        # count clusters start below SPECTRAL_MODES; K = bounds[count] ends the last
-        count = np.searchsorted(bounds[:-1], min(SPECTRAL_MODES, bounds[-1]))
-        band = (1.0 + dec.eigenvalues[:bounds[count]]) ** (-BAND_DECAY / 2.0)
-    if spec.generator in ("bumps", "mixed"):
-        lo = m.points.min(axis=0)
-        span = m.points.max(axis=0) - lo
-        geo = (lo, span, float(np.linalg.norm(span)) or 1.0, m.periods,
-               m.points.T.copy())
-        scratch = np.empty((3, m.num_nodes))
-    rows, weights = [], []
-    for i in range(spec.size):
-        if spec.generator == "mixed":
-            kind = ("band-limited", "bumps", "eigen-mix")[i % 3]
-        else:
-            kind = spec.generator
-        if kind == "bumps":
-            _bump_member(geo, rng, members[i], scratch)
-            continue
-        child = rng.spawn(1)[0]
-        if kind == "band-limited":
-            weights.append(band)
-        else:  # three clusters, each ending at or before K
-            keep = np.zeros_like(band)
-            for c in child.integers(0, count, size=3):
-                keep[bounds[c]:bounds[c + 1]] = 1.0
-            weights.append(keep)
-        child.standard_normal(out=members[i])
-        rows.append(i)
-    rows, weights = np.array(rows, dtype=np.intp), np.array(weights)
-    root = np.sqrt(m.mass)
-    for part in _chunks(rows.size, m.num_nodes):
-        members[rows[part]] = dec.synthesize(weights[part] * dec.coefficients(
-            members[rows[part]] / root, band.size))
-    members[~members.any(axis=1)] = 1.0  # degenerate draw; constants are valid members
+    for part, chunk in zip(_chunks(spec.size, m.num_nodes),
+                           MemberStream(m, spec, dec)):
+        members[part] = chunk
     return members
+
+
+def _member_chunks(members) -> Iterator[np.ndarray]:
+    """The member rows a chunk at a time: a MemberStream as it draws them, a
+    member matrix (one node function is one row) as its manifold._chunks
+    slices."""
+    if isinstance(members, MemberStream):
+        return iter(members)
+    rows = np.reshape(members, (-1, np.shape(members)[-1]))
+    return (rows[part] for part in _chunks(*rows.shape))
+
+
+def _sweep(members, *measures) -> list[tuple]:
+    """Each measure's per-member values over every member, from one pass
+    over the member chunks (_member_chunks).
+
+    A measure maps a chunk of rows to a tuple of arrays, each with one value
+    per row along its last axis; the values of all chunks are concatenated
+    along it.  Only those values outlive a chunk.
+    """
+    parts = [[] for _ in measures]
+    for chunk in _member_chunks(members):
+        for values, measure in zip(parts, measures):
+            values.append(measure(chunk))
+    if not parts[0]:
+        raise ValueError("empty ensemble")
+    return [tuple(np.concatenate(v, axis=-1) for v in zip(*values))
+            for values in parts]
+
+
+def _run(members, *scans) -> list:
+    """The result of each (measure, reduce) scan from one pass over the
+    members: reduce takes the measure's values (_sweep) over all of them."""
+    values = _sweep(members, *(measure for measure, _ in scans))
+    return [reduce(*v) for (_, reduce), v in zip(scans, values)]
+
+
+def _row(members, index: int) -> np.ndarray:
+    """Member row index; a MemberStream draws it anew, up to its chunk."""
+    for chunk in _member_chunks(members):
+        if index < len(chunk):
+            return chunk[index]
+        index -= len(chunk)
+    raise IndexError("member index out of range")
 
 
 # ---------------------------------------------------------------------------
@@ -219,16 +298,22 @@ def _check_constants(A: float, B: float) -> None:
         raise ValueError(f"need finite A >= 0 and B >= 0, got A={A:g}, B={B:g}")
 
 
-def _sobolev_terms(m: DiscreteManifold, p: float, members: np.ndarray):
-    """p* and the per-member terms of the two-term form
-    ||u||_{p*}^p <= A ||grad u||_p^p + (B/vol^{p/n}) ||u||_p^p:
-    ||u||_{p*}^p, ||grad u||_p^p and ||u||_p^p / vol^{p/n}."""
+def _sobolev_measure(m: DiscreteManifold, ps: tuple[float, ...]):
+    """A measure (see _sweep) of the per-member terms of the two-term form
+    ||u||_{p*}^p <= A ||grad u||_p^p + (B/vol^{p/n}) ||u||_p^p at each p of
+    ps: ||u||_{p*}^p, ||grad u||_p^p and ||u||_p^p / vol^{p/n}, three
+    arrays per p.  A chunk's element-gradient magnitudes are formed once for
+    all of ps."""
     n = m.dim
-    pstar = _pstar(n, p)
-    lhs = lp_norm(m, members, pstar) ** p
-    grd = grad_lp_norm(m, members, p) ** p
-    low = lp_norm(m, members, p) ** p / m.volume ** (p / n)
-    return pstar, lhs, grd, low
+    stars = [_pstar(n, p) for p in ps]
+
+    def measure(rows):
+        terms = []
+        for p, pstar, grad in zip(ps, stars, _grad_lp_norms(m, rows, ps)):
+            terms += [lp_norm(m, rows, pstar) ** p, grad ** p,
+                      lp_norm(m, rows, p) ** p / m.volume ** (p / n)]
+        return tuple(terms)
+    return measure
 
 
 def _min_A_from_terms(lhs: np.ndarray, grd: np.ndarray, low: np.ndarray,
@@ -242,17 +327,10 @@ def _min_A_from_terms(lhs: np.ndarray, grd: np.ndarray, low: np.ndarray,
     return max(0.0, _worst_ratio(lhs - B * low, grd, used=~flat).ratio)
 
 
-def estimate_sobolev_AB(m: DiscreteManifold, p: float, members: np.ndarray,
-                        b_grid: tuple[float, ...] = DEFAULT_B_GRID) -> SobolevEstimate:
-    """Pick the feasible (A, B) pair minimizing A + B over the B grid.
-
-    Ties resolve to the earliest grid entry, so estimates are reproducible.
-    """
-    if len(members) == 0:
-        raise ValueError("empty ensemble")
-    if len(b_grid) == 0:
-        raise ValueError("empty B grid")
-    pstar, lhs, grd, low = _sobolev_terms(m, p, members)
+def _best_pair(p: float, pstar: float, lhs: np.ndarray, grd: np.ndarray,
+               low: np.ndarray, b_grid: tuple[float, ...]) -> SobolevEstimate:
+    """The feasible (A, B) minimizing A + B over b_grid, from the per-member
+    terms at p (_sobolev_measure); ties resolve to the earliest B."""
     best = None
     for b in b_grid:
         a = _min_A_from_terms(lhs, grd, low, b)
@@ -268,7 +346,19 @@ def estimate_sobolev_AB(m: DiscreteManifold, p: float, members: np.ndarray,
                            max_ratio=ratio)
 
 
-def estimate_single_A(m: DiscreteManifold, mu: float, members: np.ndarray,
+def estimate_sobolev_AB(m: DiscreteManifold, p: float, members,
+                        b_grid: tuple[float, ...] = DEFAULT_B_GRID) -> SobolevEstimate:
+    """Pick the feasible (A, B) pair minimizing A + B over the B grid.
+
+    Ties resolve to the earliest grid entry, so estimates are reproducible.
+    """
+    if len(b_grid) == 0:
+        raise ValueError("empty B grid")
+    (lhs, grd, low), = _sweep(members, _sobolev_measure(m, (p,)))
+    return _best_pair(p, _pstar(m.dim, p), lhs, grd, low, b_grid)
+
+
+def estimate_single_A(m: DiscreteManifold, mu: float, members,
                       psi: PotentialField) -> float:
     """Smallest A with ||u||_{2mu/(mu-2)}^2 <= A int(|grad u|^2 + Psi u^2) on the ensemble.
 
@@ -277,10 +367,11 @@ def estimate_single_A(m: DiscreteManifold, mu: float, members: np.ndarray,
     if mu <= 2:
         raise ValueError("mu must exceed 2 for the exponent 2mu/(mu-2)")
     q = 2.0 * mu / (mu - 2.0)
-    energy = q_energy(m, psi, members)
+    (lhs, energy), = _sweep(members, lambda rows: (
+        lp_norm(m, rows, q) ** 2, q_energy(m, psi, rows)))
     if np.any(energy <= 0):
         raise ValueError("nonpositive energy member; use a nonnegative potential")
-    return max(0.0, _worst_ratio(lp_norm(m, members, q) ** 2, energy).ratio)
+    return max(0.0, _worst_ratio(lhs, energy).ratio)
 
 
 def single_constant_from_pair(est: SobolevEstimate, vol: float, n: int) -> float:
@@ -322,21 +413,36 @@ def entropy(m: DiscreteManifold, u: np.ndarray) -> float | np.ndarray:
     return _by_chunks(u, measure)
 
 
+def _beta_scan(m: DiscreteManifold, psi: PotentialField,
+               sigma_grid: np.ndarray, normalize: bool = False):
+    """measure_log_sobolev_beta as a (measure, reduce) scan for _run;
+    normalize scales each chunk's rows to unit L2 first."""
+    sigma_grid = np.asarray(sigma_grid, dtype=float)
+
+    def measure(rows):
+        if normalize:
+            rows = rows / lp_norm(m, rows, 2.0)[:, None]
+        return lp_norm(m, rows, 2.0), entropy(m, rows), q_energy(m, psi, rows)
+
+    def reduce(norms, ent, energy):
+        off = np.abs(norms - 1.0) > 1e-8
+        if off.any():
+            raise ValueError(f"member {int(np.argmax(off))} is not unit-L2 "
+                             "normalized")
+        beta = np.array([np.max(ent - s * energy) for s in sigma_grid])
+        return LogSobolevProfile(sigma_grid=sigma_grid, beta_values=beta)
+    return measure, reduce
+
+
 def measure_log_sobolev_beta(m: DiscreteManifold, psi: PotentialField,
-                             sigma_grid: np.ndarray, members: np.ndarray
+                             sigma_grid: np.ndarray, members
                              ) -> LogSobolevProfile:
     """beta(sigma) = max over unit-L2 members of entropy(u) - sigma Q(u).
 
     Raw per-sigma maxima are returned; non-increase in sigma is a property
     of the construction when Q >= 0, not an enforced post-processing step.
     """
-    off = np.abs(lp_norm(m, members, 2.0) - 1.0) > 1e-8
-    if off.any():
-        raise ValueError(f"member {int(np.argmax(off))} is not unit-L2 normalized")
-    sigma_grid = np.asarray(sigma_grid, dtype=float)
-    beta = np.max(entropy(m, members)
-                  - sigma_grid[:, None] * q_energy(m, psi, members), axis=1)
-    return LogSobolevProfile(sigma_grid=sigma_grid, beta_values=beta)
+    return _run(members, _beta_scan(m, psi, sigma_grid))[0]
 
 
 def log_coefficient_A0(A: float, mu: float) -> float:
@@ -413,12 +519,12 @@ class VerifyReport:
 
 
 def verify_inequality(m: DiscreteManifold, p: float, A: float, B: float,
-                      members: np.ndarray) -> VerifyReport:
+                      members) -> VerifyReport:
     """Check ||u||_{p*}^p <= A ||grad u||_p^p + (B/vol^{p/n}) ||u||_p^p on
     every member: count violations beyond RELATIVE_SLACK, report the worst ratio."""
     _check_constants(A, B)
-    _, lhs, grd, low = _sobolev_terms(m, p, members)
+    (lhs, grd, low), = _sweep(members, _sobolev_measure(m, (p,)))
     worst = _worst_ratio(lhs, A * grd + B * low, slack=RELATIVE_SLACK)
-    return VerifyReport(label=f"sobolev-two-term:p={p:g}", members=len(members),
+    return VerifyReport(label=f"sobolev-two-term:p={p:g}", members=lhs.size,
                         violations=worst.violations, worst_ratio=worst.ratio,
                         witness=worst.witness)

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bootstrap import chain_constants
-from .constants import (RELATIVE_SLACK, EnsembleSpec, estimate_sobolev_AB,
-                        generate_ensemble, _pstar, _sobolev_terms, _worst_ratio)
+from .constants import (DEFAULT_B_GRID, RELATIVE_SLACK, EnsembleSpec,
+                        MemberStream, _best_pair, _pstar, _sobolev_measure,
+                        _sweep, _worst_ratio)
 from .manifold import (DiscreteManifold, ModelSpec, build, gamma_integral,
                        geometric_summary, parse_model_spec, scale_metric)
 from .norms import grad_lp_norm, lp_norm
@@ -123,21 +124,26 @@ def _defect(family: str, m: DiscreteManifold) -> float:
     return gamma_integral(m, 0.0, GAMMA_EPS) if family == "e" else 0.0
 
 
-def _base_norms(family: str, base: DiscreteManifold, members: np.ndarray,
-                p: float) -> tuple:
-    """The per-member norms of the b, d or e form that no time changes,
-    measured once on g(0): ||u||_{p*} and, for d and e, ||grad u||_p and
-    ||u||_p."""
-    star = lp_norm(base, members, _pstar(base.dim, p))
-    if family == "b":
-        return star, None, None
-    return star, grad_lp_norm(base, members, p), lp_norm(base, members, p)
+def _base_measure(base: DiscreteManifold, p: float, images=None):
+    """A measure (see constants._sweep) of the per-member norms of the b, d
+    or e form that no time changes, measured once on g(0): ||u||_{p*} and
+    then the p-norms of a chunk's ``images`` (b; a spectral.apply_functions
+    of the chunk and a measure) or, with no images, ||grad u||_p and
+    ||u||_p (d, e)."""
+    pstar = _pstar(base.dim, p)
+
+    def measure(rows):
+        star = lp_norm(base, rows, pstar)
+        if images is not None:
+            return star, images(rows, lambda v: lp_norm(base, v, p))
+        return star, grad_lp_norm(base, rows, p), lp_norm(base, rows, p)
+    return measure
 
 
 def _form_sides(norms: tuple, n: int, p: float, lam: float, defect: float,
                 bessel: np.ndarray | None):
     """Per-member (lhs, rhs) of the b, d or e form on g(t) = lam^2 g(0),
-    before the constant, from the g(0) ``norms`` of _base_norms: ||u||_{p*}
+    before the constant, from the g(0) ``norms`` of _base_measure: ||u||_{p*}
     lam^(n/p*) against ||(-Lap+1)^(1/2)u||_p lam^(n/p) (b; ``bessel`` is
     the p-norm on g(0) of the members transformed at time t, because the
     multiplier is not a rescaling) or ||grad u||_p lam^(n/p-1) + (1 +
@@ -211,34 +217,42 @@ def track(flow: ExactFlow, times, selector: str, p: float,
             f"{lam0_base:.3g}; use the finite-horizon selector "
             f"{selector[0]}3 instead")
 
-    members = generate_ensemble(base, ensemble, dec=dec_base)
+    members = MemberStream(base, ensemble, dec_base)
     family = selector[0]
     base_constants: dict = {"lambda0_g0": lam0_base}
 
-    # every member norm is measured once on g(0); time t rescales it
+    # every member norm is measured once on g(0), in one pass over the
+    # members; time t rescales it
     if family == "a":
-        est = estimate_sobolev_AB(base, p0, members)
+        (*terms0, lhs0, grd0, low0), = _sweep(
+            members, _sobolev_measure(base, (p0, p)))
+        est = _best_pair(p0, _pstar(n, p0), *terms0, DEFAULT_B_GRID)
         base_constants.update(A=est.A_est, B=est.B_est)
-        _, lhs0, grd0, low0 = _sobolev_terms(base, p, members)
     else:
-        norms = _base_norms(family, base, members, p)
+        images = None
         if family == "b":
             # (-Lap+1)^(1/2) on g(t) = lam^2 g(0) is a multiplier on the bare
-            # t = 0 spectrum: one transform of the members serves the t = 0
+            # t = 0 spectrum: one transform of each chunk serves the t = 0
             # constant (lam = 1) and then every sampled time
             lams = [1.0] + [scale_factor(flow, t) for t in times]
-            bessel_t = iter(apply_functions(
-                dec_base.shifted(-1.0), map(bessel_multiplier, lams), members,
-                lambda v: lp_norm(base, v, p)))
+            dec_zero = dec_base.shifted(-1.0)
+
+            def images(rows, measure):
+                return apply_functions(dec_zero, map(bessel_multiplier, lams),
+                                       rows, measure)
+        norms, = _sweep(members, _base_measure(base, p, images))
+        if family == "b":
+            bessel_t = iter(norms[1])
+            norms = (norms[0], None, None)
         else:
             bessel_t = itertools.repeat(None)
         c0 = max(0.0, _worst_ratio(*_form_sides(
             norms, n, p, 1.0, _defect(family, base), next(bessel_t))).ratio)
 
-    # one pass builds each metric g(t) for its geometry; the two sides of
-    # every check are kept, because the b/d/e constant needs the transfer
-    # over all times first
-    records, sides, transfer = [], [], 1.0
+    # one pass builds each metric g(t) for its geometry, and keeps its scale
+    # factor and defect: the b/d/e constant needs the transfer over all
+    # times before any time is checked
+    records, steps, transfer = [], [], 1.0
     for t in times:
         lam_t = scale_factor(flow, t)
         mt = metric_at(flow, t)
@@ -247,14 +261,11 @@ def track(flow: ExactFlow, times, selector: str, p: float,
         rec = {"t": t, "vol": summ["vol"], "r_max_plus": summ["r_max_plus"],
                "kappa": summ["kappa"], "lambda0": lam0_base / lam_t ** 2,
                "bracket": bracket}
+        defect = 0.0
         if family == "a":
             alpha = max(1.0, bracket if selector == "a2" else 1.0 + bracket)
             chain = chain_constants(n, p0, alpha * base_constants["A"],
                                     alpha * base_constants["B"], p)
-            # all three terms scale by lam^(n-p)
-            scale = lam_t ** (n - p)
-            lhs = lhs0 * scale
-            rhs = chain.C1 * (grd0 * scale) + chain.C2 * (low0 * scale)
             rec.update(alpha=alpha, C1=chain.C1, C2=chain.C2, m_p=chain.m_p)
         else:
             # the spectral/gradient norms are not scale-covariant under the +1
@@ -264,16 +275,22 @@ def track(flow: ExactFlow, times, selector: str, p: float,
             defect = _defect(family, mt)
             if family == "e":
                 rec.update(gamma=defect)
-            lhs, rhs = _form_sides(norms, n, p, lam_t, defect, next(bessel_t))
-        sides.append((lhs, rhs))
+        steps.append((lam_t, defect))
         records.append(rec)
 
     if family != "a":
         base_constants.update(C0=c0, transfer=transfer, C=c0 * transfer)
         for rec in records:
             rec.update(C=base_constants["C"] * math.sqrt(1.0 + rec["r_max_plus"]))
-    for (lhs, rhs), rec in zip(sides, records):
-        # family a checks its chained constants as they are (factor 1)
+    for (lam_t, defect), rec in zip(steps, records):
+        if family == "a":
+            # all three terms scale by lam^(n-p); the chained constants are
+            # checked as they are (factor 1)
+            scale = lam_t ** (n - p)
+            lhs = lhs0 * scale
+            rhs = rec["C1"] * (grd0 * scale) + rec["C2"] * (low0 * scale)
+        else:
+            lhs, rhs = _form_sides(norms, n, p, lam_t, defect, next(bessel_t))
         worst = _worst_ratio(lhs, rec.get("C", 1.0) * rhs,
                              slack=RELATIVE_SLACK)
         rec.update(worst_ratio=worst.ratio, violations=worst.violations)

@@ -32,8 +32,9 @@ __all__ = [
 
 MEMORY_BUDGET = 10 ** 9  # bytes a job's predicted peak may reach
 DENSE_PEAK = 3.4  # floats x |G| (orbits^2 + N) at a dense solve's peak
-MEMBER_MATRICES = 2  # member matrices at an ensemble job's peak, chunks included
 CHUNK_BYTES = 2 ** 20  # member rows per pass: as many N-float rows as fit
+CHUNK_PEAK = 12  # chunks of members at a job's peak: drawn, transformed, measured
+MEMBER_VALUES = 64  # floats a job keeps per member: its values and their reductions
 TORUS_AXIS_GUARD = 256  # nodes per torus axis (Fourier products cost O(res))
 VALIDATE_RTOL = 1e-10  # |gradient of a constant| allowed / largest coefficient
 SPEC_KEYS = {"sphere": ("r", "r0", "subdiv", "scale"),  # model spec options
@@ -424,24 +425,61 @@ class ModelSpec:
         return s
 
 
+def _chunk_rows(nodes) -> int:
+    """Member rows of nodes floats in one chunk: as many as fit in
+    CHUNK_BYTES, at least one."""
+    return max(1, CHUNK_BYTES // (8 * nodes))
+
+
 def _chunks(count: int, nodes: int):
-    """Slices of count member rows of nodes floats, CHUNK_BYTES of rows
-    each (at least one row): every norm, f(H) image and ensemble projection
-    of a member matrix runs chunk by chunk, so only the matrix itself grows
-    with the ensemble."""
-    step = max(1, CHUNK_BYTES // (8 * nodes))
+    """Slices of count member rows of nodes floats, _chunk_rows each: an
+    ensemble is drawn, and every norm, f(H) image and projection of its
+    members is formed, chunk by chunk, so a job that keeps only per-member
+    values holds a few chunks whatever the ensemble's size."""
+    step = _chunk_rows(nodes)
     return (slice(lo, lo + step) for lo in range(0, count, step))
 
 
+def _keep_chunk_pages() -> None:
+    """Let the C allocator keep the pages of freed chunk temporaries.
+
+    A job allocates and frees a few arrays of about CHUNK_BYTES per chunk
+    of members.  glibc's default returns heap memory to the system whenever
+    twice the largest freed mmapped block lies free at the top of the heap,
+    so every chunk would fault its temporaries' pages in again (about 10^4
+    page faults in a heat job on 3136 nodes).  Blocks up to the budget's
+    chunk allowance, CHUNK_PEAK chunks, come from the heap, and that
+    much free memory stays mapped.  A C library without mallopt is left as
+    it is.
+    """
+    import ctypes  # numpy has loaded it
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    allowance = CHUNK_PEAK * CHUNK_BYTES
+    mallopt(-3, allowance)  # M_MMAP_THRESHOLD
+    mallopt(-1, allowance)  # M_TRIM_THRESHOLD
+
+
 def _check_budget(job: str, nodes, group: int, orbits, members: int) -> float:
-    """Predicted peak bytes of a job, refused over MEMORY_BUDGET: DENSE_PEAK
-    |G| (orbits^2 + N) floats for a dense solve in the mirror group's blocks
-    (group = 0 on the Fourier path), MEMBER_MATRICES x members x N more: the
-    member matrix and room for its chunks' temporaries (_chunks), which a
-    few CHUNK_BYTES bound whatever the ensemble's size."""
+    """Predicted peak bytes of a job, refused unless within MEMORY_BUDGET.
+
+    Three terms, in floats: DENSE_PEAK |G| (orbits^2 + N) for a dense solve
+    in the mirror group's blocks (group = 0 on the Fourier path);
+    CHUNK_PEAK chunks of min(members, _chunk_rows) rows of N, what
+    one chunk's draw, transforms and measures hold at once (a sphere's
+    gradient of one chunk alone takes about 6); and MEMBER_VALUES per
+    member, the per-member values a job keeps and reduces (3 to 28
+    measured at the default times; a heat --t-list time adds 3 cases, a
+    flow b --times sample one value).  members = 0 predicts the dense
+    solve alone.
+    """
+    rows = min(members, _chunk_rows(nodes)) * nodes if members else 0
     peak = 8.0 * (DENSE_PEAK * group * (orbits * orbits + nodes)
-                  + MEMBER_MATRICES * members * nodes)
-    if peak > MEMORY_BUDGET:
+                  + CHUNK_PEAK * rows + MEMBER_VALUES * members)
+    if not peak <= MEMORY_BUDGET:
         raise ValueError(f"{job} needs a predicted {peak / 1e9:.3g} GB, over "
                          f"the memory budget of {MEMORY_BUDGET / 1e9:g} GB")
     return peak
@@ -557,27 +595,28 @@ _ICO_FACES = np.array([
 
 
 def _icosphere(subdiv: int, radius: float):
+    """Points and faces of the icosahedron split subdiv times.  Each split
+    adds the edge midpoints, numbered in the order the faces first visit
+    their edges (ab, bc, ca of each face), projected to the unit sphere,
+    and cuts every face into four."""
     verts = _ICO_VERTS / np.linalg.norm(_ICO_VERTS, axis=1, keepdims=True)
     faces = _ICO_FACES.copy()
     for _ in range(subdiv):
-        edge_mid: dict[tuple[int, int], int] = {}
-        new_faces = []
-        verts_list = list(verts)
-
-        def midpoint(a: int, b: int) -> int:
-            key = (a, b) if a < b else (b, a)
-            if key not in edge_mid:
-                m = verts_list[a] + verts_list[b]
-                m = m / np.linalg.norm(m)
-                edge_mid[key] = len(verts_list)
-                verts_list.append(m)
-            return edge_mid[key]
-
-        for a, b, c in faces:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            new_faces += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
-        verts = np.array(verts_list)
-        faces = np.array(new_faces)
+        a, b, c = faces.T
+        ends = np.stack([a, b, b, c, c, a], axis=1).reshape(-1, 2)  # visit order
+        lo, hi = np.sort(ends, axis=1).T
+        _, first, inverse = np.unique(lo * len(verts) + hi,
+                                      return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        mids = verts[lo[first[order]]] + verts[hi[first[order]]]
+        # a per-row dot product rounds as the 1-D norm of each midpoint did
+        norms = np.sqrt((mids[:, None, :] @ mids[:, :, None])[:, 0, 0])
+        ab, bc, ca = (len(verts) + rank[inverse.ravel()]).reshape(-1, 3).T
+        verts = np.concatenate([verts, mids / norms[:, None]])
+        faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca],
+                         axis=1).reshape(-1, 3)
     return verts * radius, faces
 
 

@@ -92,16 +92,23 @@ def grad_lp_norm(m: DiscreteManifold, u: np.ndarray,
                  p: float) -> float | np.ndarray:
     """Element-volume-weighted L^p norm of the per-element gradient magnitude."""
     _check_exponent(p)
+    return _by_chunks(u, lambda rows: _grad_lp_norms(m, rows, (p,))[0])
 
-    def measure(rows):
-        mags = m.grad.magnitudes(rows)
+
+def _grad_lp_norms(m: DiscreteManifold, rows: np.ndarray,
+                   ps: tuple[float, ...]) -> list[np.ndarray]:
+    """grad_lp_norm of each of a chunk's rows at each exponent of ps, from
+    one computation of the element-gradient magnitudes."""
+    mags = m.grad.magnitudes(rows)
+    norms = []
+    for p in ps:
         if np.isinf(p):
-            return np.max(mags, axis=-1, initial=0.0)
-        mags **= p  # in place: magnitudes returns a fresh array
-        mags *= m.grad.weights
-        return np.sum(mags, axis=-1) ** (1.0 / p)
-
-    return _by_chunks(u, measure)
+            norms.append(np.max(mags, axis=-1, initial=0.0))
+            continue
+        powers = mags ** p
+        powers *= m.grad.weights
+        norms.append(np.sum(powers, axis=-1) ** (1.0 / p))
+    return norms
 
 
 def q_energy(m: DiscreteManifold, psi: PotentialField,

@@ -3,7 +3,10 @@
 Operator norms between L^p spaces are estimated as ensemble suprema,
 sharpened by a few adjoint power iterations from the worst member; exact
 norms are out of reach in general.  Heat bounds derived from entropy
-profiles are verified member-wise at fixed times.
+profiles are verified member-wise at fixed times.  Members are a member
+matrix or a constants.MemberStream, measured a chunk at a time; a check
+that the CLI runs in one pass with another is also a (measure, reduce) scan
+for constants._run.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .constants import RELATIVE_SLACK, _worst_ratio
+from .constants import RELATIVE_SLACK, _row, _run, _sweep, _worst_ratio
 from .manifold import VALIDATE_RTOL, DiscreteManifold, scale_metric
 from .norms import grad_lp_norm, lp_norm
 from .spectral import (SpectralDecomposition, _op_norms_2_to_inf,
@@ -90,30 +93,41 @@ def _case(witness: int, outer, inner, count: int) -> tuple:
     return labels + (int(k),)
 
 
-def heat_contraction_check(m: DiscreteManifold, dec: SpectralDecomposition,
-                           t_list, p_list, members: np.ndarray,
-                           tol: float = CONTRACTION_TOL) -> ContractionReport:
-    """||e^{-tH} u||_p <= ||u||_p for nonnegative potentials.
-
-    Exact positivity is not guaranteed by the discretization; the bound is
-    asserted with relative tolerance tol.
-    """
+def _contraction_scan(m: DiscreteManifold, dec: SpectralDecomposition,
+                      t_list, p_list, tol: float = CONTRACTION_TOL):
+    """heat_contraction_check as a (measure, reduce) scan for constants._run."""
     if not dec.potential.is_nonnegative:
         raise ValueError("contraction check requires a nonnegative potential; "
                          "shift the potential first")
     t_list, p_list = [float(t) for t in t_list], [float(p) for p in p_list]
     if any(t < 0 for t in t_list):
         raise ValueError(f"heat times must be >= 0, got {t_list}")
-    def norms(u):
-        return [lp_norm(m, u, p) for p in p_list]
 
-    after = apply_functions(dec, map(heat_multiplier, t_list), members,
-                            norms)  # (t, p, member) cases
-    worst = _worst_ratio(after, norms(members), slack=tol)
-    return ContractionReport(
-        label="heat-lp-contraction", cases=worst.used,
-        violations=worst.violations, worst_ratio=worst.ratio,
-        worst_case=_case(worst.witness, t_list, p_list, len(members)))
+    def norms(u):
+        return np.array([lp_norm(m, u, p) for p in p_list])
+
+    def measure(rows):  # (t, p, member) cases and (p, member) norms
+        return apply_functions(dec, map(heat_multiplier, t_list), rows,
+                               norms), norms(rows)
+
+    def reduce(after, before):
+        worst = _worst_ratio(after, before, slack=tol)
+        return ContractionReport(
+            label="heat-lp-contraction", cases=worst.used,
+            violations=worst.violations, worst_ratio=worst.ratio,
+            worst_case=_case(worst.witness, t_list, p_list, after.shape[-1]))
+    return measure, reduce
+
+
+def heat_contraction_check(m: DiscreteManifold, dec: SpectralDecomposition,
+                           t_list, p_list, members,
+                           tol: float = CONTRACTION_TOL) -> ContractionReport:
+    """||e^{-tH} u||_p <= ||u||_p for nonnegative potentials.
+
+    Exact positivity is not guaranteed by the discretization; the bound is
+    asserted with relative tolerance tol.
+    """
+    return _run(members, _contraction_scan(m, dec, t_list, p_list, tol))[0]
 
 
 def _check_fit_window(t_low: float, t_high: float) -> None:
@@ -155,8 +169,7 @@ def ultracontractivity_fit(dec: SpectralDecomposition, t_low: float,
 
 
 def check_heat_kernel_bounds(m: DiscreteManifold, dec: SpectralDecomposition,
-                             tau: Callable[[float], float], t_list,
-                             members: np.ndarray,
+                             tau: Callable[[float], float], t_list, members,
                              sigma_star: float = math.inf) -> ContractionReport:
     """Verify the L2->inf and L1->inf heat bounds driven by tau(t).
 
@@ -169,9 +182,10 @@ def check_heat_kernel_bounds(m: DiscreteManifold, dec: SpectralDecomposition,
         if not 0 < t < sigma_star / 4.0:
             raise ValueError(f"t={t} outside (0, sigma_star/4)")
     inf_minus = dec.potential.inf_minus
-    base = np.stack([lp_norm(m, members, 2.0), lp_norm(m, members, 1.0)])
-    sups = apply_functions(dec, map(heat_multiplier, t_list), members,
-                           lambda v: lp_norm(m, v, math.inf))
+    base, sups = _sweep(members, lambda rows: (
+        np.stack([lp_norm(m, rows, 2.0), lp_norm(m, rows, 1.0)]),
+        apply_functions(dec, map(heat_multiplier, t_list), rows,
+                        lambda v: lp_norm(m, v, math.inf))))[0]
     dens = []  # (t, tag, member) cases
     for t in t_list:
         correction = -0.75 * t * inf_minus
@@ -182,7 +196,7 @@ def check_heat_kernel_bounds(m: DiscreteManifold, dec: SpectralDecomposition,
     return ContractionReport(
         label="heat-kernel-bounds", cases=worst.used,
         violations=worst.violations, worst_ratio=worst.ratio,
-        worst_case=_case(worst.witness, t_list, ("L2", "L1"), len(members)))
+        worst_case=_case(worst.witness, t_list, ("L2", "L1"), base.shape[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -230,16 +244,10 @@ def _refine(dec: SpectralDecomposition, power: float, grad_op: bool,
     return best
 
 
-def mapping_norm(dec: SpectralDecomposition, operator_label: str,
-                 p_in: float, p_out: float, members: np.ndarray) -> MappingNormScan:
-    """Estimate ||Op||_{p_in -> p_out} for Op in H powers or grad H^-1/2.
-
-    The worst member of the ensemble scan starts an adjoint power iteration
-    (_refine) when p_in > 1, and the estimate is the larger of the two.
-    Negative powers require a strictly positive spectrum; the exponent pair
-    is the caller's contract (e.g. p_out = mu p/(mu-p) for H^-1/2 and
-    mu p/(mu-2p) for H^-1 under a mu-dimensional Sobolev hypothesis).
-    """
+def _mapping_scan(dec: SpectralDecomposition, operator_label: str,
+                  p_in: float, p_out: float, members):
+    """mapping_norm as a (measure, reduce) scan for constants._run; the
+    reduction draws its witness row again from members."""
     if p_out <= 0 or not math.isfinite(p_out):
         raise ValueError(f"output exponent {p_out} out of range")
     m = dec.manifold
@@ -252,19 +260,40 @@ def mapping_norm(dec: SpectralDecomposition, operator_label: str,
         raise ValueError("negative power of a singular operator; "
                          "use a potential with a positive spectral floor")
     out_norm = grad_lp_norm if grad_op else lp_norm
-    images, = apply_functions(dec, (power_multiplier(power),), members,
-                              lambda v: out_norm(m, v, p_out))
-    scan = _worst_ratio(images, lp_norm(m, members, p_in))
-    best = scan.ratio
-    if scan.witness >= 0 and p_in > 1:
-        best = max(best, _refine(dec, power, grad_op, p_in, p_out,
-                                 members[scan.witness]))
-    return MappingNormScan(operator_label=operator_label, p_in=p_in,
-                           p_out=p_out, estimate=best)
+
+    def measure(rows):
+        return (*apply_functions(dec, (power_multiplier(power),), rows,
+                                 lambda v: out_norm(m, v, p_out)),
+                lp_norm(m, rows, p_in))
+
+    def reduce(images, base):
+        scan = _worst_ratio(images, base)
+        best = scan.ratio
+        if scan.witness >= 0 and p_in > 1:
+            best = max(best, _refine(dec, power, grad_op, p_in, p_out,
+                                     _row(members, scan.witness)))
+        return MappingNormScan(operator_label=operator_label, p_in=p_in,
+                               p_out=p_out, estimate=best)
+    return measure, reduce
+
+
+def mapping_norm(dec: SpectralDecomposition, operator_label: str,
+                 p_in: float, p_out: float, members) -> MappingNormScan:
+    """Estimate ||Op||_{p_in -> p_out} for Op in H powers or grad H^-1/2.
+
+    The worst member of the ensemble scan starts an adjoint power iteration
+    (_refine) when p_in > 1, and the estimate is the larger of the two; a
+    MemberStream draws that member again.  Negative powers require a
+    strictly positive spectrum; the exponent pair is the caller's contract
+    (e.g. p_out = mu p/(mu-p) for H^-1/2 and mu p/(mu-2p) for H^-1 under a
+    mu-dimensional Sobolev hypothesis).
+    """
+    return _run(members, _mapping_scan(dec, operator_label, p_in, p_out,
+                                       members))[0]
 
 
 def riesz_ratio(dec: SpectralDecomposition, p: float,
-                members: np.ndarray) -> MappingNormScan:
+                members) -> MappingNormScan:
     """sup ||grad H^{-1/2} u||_p / ||u||_p over the ensemble, sharpened
     from its worst member as in mapping_norm."""
     return mapping_norm(dec, "grad H^-1/2", p, p, members)
@@ -275,34 +304,45 @@ def _check_equivalence_args(a: float, p: float) -> None:
         raise ValueError(f"need 1 < p < inf and a >= 0, got p={p:g}, a={a:g}")
 
 
+def _equivalence_scan(dec_zero: SpectralDecomposition, a: float, p: float):
+    """bessel_equivalence_constants as a (measure, reduce) scan for
+    constants._run."""
+    _check_equivalence_args(a, p)
+    if np.max(np.abs(dec_zero.potential.values)) > 1e-12:
+        raise ValueError("equivalence constants require the bare Laplacian spectrum")
+    m = dec_zero.manifold
+
+    def measure(rows):
+        return (lp_norm(m, rows, p), *apply_functions(
+            dec_zero, (lambda lam: np.sqrt(lam + a * a), np.sqrt,
+                       bessel_multiplier(1.0)), rows,
+            lambda v: lp_norm(m, v, p)), grad_lp_norm(m, rows, p))
+
+    def reduce(base, mid, root, bessel, grad):
+        outer = a * base + root
+        # constants carry no information at a = 0: both sides are roundoff
+        used = outer > 1e-10 * (1.0 + a) * base
+        worst = _worst_ratio(mid, outer, used=used)
+        if worst.used == 0:
+            raise ValueError("degenerate ensemble: every member is constant")
+        gradient = _worst_ratio(grad, bessel + a * base)
+        return {"c1_hat": float(np.min(mid[used] / outer[used])),
+                "c2_hat": worst.ratio, "members_used": worst.used,
+                "gradient_bessel_C": max(0.0, gradient.ratio)}
+    return measure, reduce
+
+
 def bessel_equivalence_constants(dec_zero: SpectralDecomposition, a: float,
-                                 p: float, members: np.ndarray) -> dict:
+                                 p: float, members) -> dict:
     """Measured two-sided constants between (-Lap+a^2)^{1/2} and a||.|| + (-Lap)^{1/2}.
 
     (-Lap)^{1/2} annihilates constants, so at a = 0 constant members carry no
     information and are excluded from the ratio set of c1/c2.  Also the
     smallest feasible C in ||grad v||_p <= C(||(-Lap+1)^{1/2}v||_p + a||v||_p)
     over all members, as gradient_bessel_C.  The three operators come from
-    one transform of the members.
+    one transform of each chunk of members.
     """
-    _check_equivalence_args(a, p)
-    if np.max(np.abs(dec_zero.potential.values)) > 1e-12:
-        raise ValueError("equivalence constants require the bare Laplacian spectrum")
-    m = dec_zero.manifold
-    base = lp_norm(m, members, p)
-    mid, root, bessel = apply_functions(
-        dec_zero, (lambda lam: np.sqrt(lam + a * a), np.sqrt,
-                   bessel_multiplier(1.0)), members, lambda v: lp_norm(m, v, p))
-    outer = a * base + root
-    # constants carry no information at a = 0: both sides are roundoff
-    used = outer > 1e-10 * (1.0 + a) * base
-    worst = _worst_ratio(mid, outer, used=used)
-    if worst.used == 0:
-        raise ValueError("degenerate ensemble: every member is constant")
-    gradient = _worst_ratio(grad_lp_norm(m, members, p), bessel + a * base)
-    return {"c1_hat": float(np.min(mid[used] / outer[used])),
-            "c2_hat": worst.ratio, "members_used": worst.used,
-            "gradient_bessel_C": max(0.0, gradient.ratio)}
+    return _run(members, _equivalence_scan(dec_zero, a, p))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +360,7 @@ def _transfer_exponent(lam: float, mu: float, p: float) -> float:
 
 
 def scaling_transfer_check(m: DiscreteManifold, lam: float, mu: float,
-                           p: float, members: np.ndarray,
-                           dec_unit: SpectralDecomposition,
+                           p: float, members, dec_unit: SpectralDecomposition,
                            scaling_tol: float = 1e-10) -> dict:
     """Transfer ||u||_{mu p/(mu-p)} <= C ||(-Lap+1)^{1/2}u||_p across g -> lam^2 g.
 
@@ -334,10 +373,25 @@ def scaling_transfer_check(m: DiscreteManifold, lam: float, mu: float,
         raise ValueError("scaling transfer needs the Psi = 1 decomposition")
     scaled = scale_metric(m, lam)
     n = m.dim
-    orig = {q: lp_norm(m, members, q) for q in (p, q_out, 2.0)}
-    pairs = [(lp_norm(scaled, members, q), lam ** (n / q) * orig[q]) for q in orig]
-    pairs.append((grad_lp_norm(scaled, members, p),
-                  lam ** (n / p - 1.0) * grad_lp_norm(m, members, p)))
+    qs = (p, q_out, 2.0)
+    dec_zero = dec_unit.shifted(-1.0)
+
+    def measure(rows):
+        # the Bessel operator of each metric is a multiplier on the bare
+        # Laplacian's spectrum, measured in that metric's norm: both images
+        # are measured in both, and each keeps its own
+        images = apply_functions(
+            dec_zero, map(bessel_multiplier, (1.0, lam)), rows,
+            lambda v: (lp_norm(m, v, p), lp_norm(scaled, v, p)))
+        return (np.array([lp_norm(m, rows, q) for q in qs]),
+                np.array([lp_norm(scaled, rows, q) for q in qs]),
+                grad_lp_norm(m, rows, p), grad_lp_norm(scaled, rows, p),
+                images[0, 0], images[1, 1])
+
+    orig, on_scaled, grad, grad_scaled, bessel, bessel_scaled = _sweep(
+        members, measure)[0]
+    pairs = [(on_scaled[i], lam ** (n / q) * orig[i]) for i, q in enumerate(qs)]
+    pairs.append((grad_scaled, lam ** (n / p - 1.0) * grad))
     worst_scaling = max(
         float(np.max(np.abs(a - b) / np.maximum(b, 1e-300), initial=0.0))
         for a, b in pairs)
@@ -345,18 +399,9 @@ def scaling_transfer_check(m: DiscreteManifold, lam: float, mu: float,
         raise ValueError(
             f"norm scaling law violated: relative error {worst_scaling:.3g}")
 
-    # the Bessel operator of each metric is a multiplier on the bare
-    # Laplacian's spectrum, measured in that metric's norm: both images are
-    # measured in both, and each keeps its own
-    images = apply_functions(
-        dec_unit.shifted(-1.0), map(bessel_multiplier, (1.0, lam)), members,
-        lambda v: (lp_norm(m, v, p), lp_norm(scaled, v, p)))
-    bessel, bessel_scaled = images[0, 0], images[1, 1]
-    c_scaled = max(0.0, _worst_ratio(lp_norm(scaled, members, q_out),
-                                     bessel_scaled).ratio)
-
+    c_scaled = max(0.0, _worst_ratio(on_scaled[1], bessel_scaled).ratio)
     transferred = lam * c_scaled
-    worst = _worst_ratio(orig[q_out], transferred * bessel, slack=RELATIVE_SLACK)
+    worst = _worst_ratio(orig[1], transferred * bessel, slack=RELATIVE_SLACK)
     return {"lam": lam, "mu": mu, "p": p, "q_out": q_out,
             "scaling_error": worst_scaling, "C_scaled": c_scaled,
             "C_transferred": transferred, "violations": worst.violations,

@@ -121,8 +121,9 @@ def decompose_calls(monkeypatch):
 
 @pytest.fixture
 def norm_calls(monkeypatch):
-    """(name, exponent, argument) of every lp_norm and grad_lp_norm call made
-    while the test runs, patched in every sobolab namespace as above."""
+    """(name, exponent, argument) of every lp_norm, grad_lp_norm and
+    _grad_lp_norms call made while the test runs, patched in every sobolab
+    namespace as above; _grad_lp_norms records its tuple of exponents."""
     from sobolab import norms
     calls = []
 
@@ -132,7 +133,7 @@ def norm_calls(monkeypatch):
             return original(m, u, p)
         return wrapper
 
-    for fn in (norms.lp_norm, norms.grad_lp_norm):
+    for fn in (norms.lp_norm, norms.grad_lp_norm, norms._grad_lp_norms):
         wrapped = counting(fn)
         for name, mod in list(sys.modules.items()):
             if name.split(".")[0] == "sobolab" and \

@@ -384,3 +384,27 @@ def test_estimate_is_homogeneous_in_each_member(torus2, torus2_members):
         assert got.B_est == want.B_est
         assert got.A_est == pytest.approx(want.A_est, rel=1e-12, abs=0.0)
         assert got.max_ratio == pytest.approx(want.max_ratio, rel=1e-12)
+
+
+@pytest.mark.parametrize("text", ["torus:n=2,res=8", "sphere:r=1,subdiv=1",
+                                  "box:n=2,res=6"])
+def test_streamed_members_do_not_depend_on_the_chunk_size(text, monkeypatch):
+    """The stream draws the same members in one-row chunks as in one chunk
+    of every row: bumps bit for bit, spectral members up to the order of
+    the projection's sums; each chunk has the rows _chunks gives it."""
+    from sobolab import manifold
+
+    m = build(text)
+    dec = decompose(m, constant_potential(m, 1.0))
+    spec = EnsembleSpec(seed=8, size=10)
+    drawn = {}
+    for rows in (1, spec.size):
+        monkeypatch.setattr(manifold, "CHUNK_BYTES", rows * 8 * m.num_nodes)
+        chunks = list(ct.MemberStream(m, spec, dec))
+        assert [len(c) for c in chunks] == [rows] * (spec.size // rows)
+        drawn[rows] = np.concatenate(chunks)
+    one, whole = drawn[1], drawn[spec.size]
+    assert np.array_equal(one[1::3], whole[1::3])  # bumps
+    spectral = np.arange(spec.size) % 3 != 1
+    assert np.max(np.abs(one[spectral] - whole[spectral])) <= 1e-12 * np.max(
+        np.abs(whole[spectral]))

@@ -5,7 +5,8 @@ import pytest
 
 from sobolab import (build, constant_potential, decompose, gamma_integral,
                      geometric_summary, scale_metric, with_fields)
-from sobolab.manifold import (GradientElements, ModelSpec, _component_count,
+from sobolab.manifold import (_ICO_FACES, _ICO_VERTS, GradientElements,
+                              ModelSpec, _component_count, _icosphere,
                               parse_model_spec)
 
 
@@ -203,3 +204,35 @@ def test_validate_catches_broken_invariants(torus2):
     bad = with_fields(torus2, ric_min=1.0)  # R = 0 < n * min Ric = 2
     with pytest.raises(ValueError):
         bad.validate()
+
+
+def _reference_icosphere(subdiv, radius):
+    """The per-edge loop _icosphere replaced: each face's edges ab, bc, ca
+    get their midpoint, normalised by its 1-D norm, on first visit."""
+    verts = _ICO_VERTS / np.linalg.norm(_ICO_VERTS, axis=1, keepdims=True)
+    faces = _ICO_FACES.copy()
+    for _ in range(subdiv):
+        edge_mid, new_faces, verts_list = {}, [], list(verts)
+
+        def midpoint(a, b):
+            key = (a, b) if a < b else (b, a)
+            if key not in edge_mid:
+                m = verts_list[a] + verts_list[b]
+                edge_mid[key] = len(verts_list)
+                verts_list.append(m / np.linalg.norm(m))
+            return edge_mid[key]
+
+        for a, b, c in faces:
+            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+            new_faces += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
+        verts, faces = np.array(verts_list), np.array(new_faces)
+    return verts * radius, faces
+
+
+@pytest.mark.parametrize("subdiv", range(6))
+def test_icosphere_matches_the_per_edge_loop_bit_for_bit(subdiv):
+    points, faces = _icosphere(subdiv, 1.3)
+    want_points, want_faces = _reference_icosphere(subdiv, 1.3)
+    assert np.array_equal(faces, want_faces)
+    assert np.array_equal(points, want_points)
+    assert points.shape == (10 * 4 ** subdiv + 2, 3)

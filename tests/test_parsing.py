@@ -128,12 +128,13 @@ def test_specs_without_an_exact_flow_are_refused_before_building(monkeypatch,
 
 def test_memory_budget_bounds_every_job_before_building():
     """One byte budget bounds the predicted peak of a job: the dense solve
-    in its variant's mirror blocks plus its member matrices.  It admits
-    every sphere through subdivision 5, every box through 4000 nodes and
-    the 256^2 torus at up to 953 members, and refuses the rest with one
-    line naming the predicted bytes and the budget."""
+    in its variant's mirror blocks, a few chunks of members and the values
+    kept per member.  It admits every sphere through subdivision 5, every
+    box through 4000 nodes and the 256^2 torus at a million members, and
+    refuses the rest with one line naming the predicted bytes and the
+    budget."""
     budget = f"over the memory budget of {MEMORY_BUDGET / 1e9:g} GB"
-    for members in (200, 256, 953):
+    for members in (200, 256, 954, 10 ** 6):
         assert parse_model_spec("torus:n=2,res=256", members=members)
     for subdiv in range(1, 6):
         assert parse_model_spec(f"sphere:subdiv={subdiv}", members=200)
@@ -143,7 +144,8 @@ def test_memory_budget_bounds_every_job_before_building():
     assert parse_model_spec("box:n=3,res=20", members=200)
     for parse, text, members in [(parse_model_spec, "sphere:subdiv=6", 1),
                                  (parse_model_spec, "box:n=14,res=2", 1),
-                                 (parse_model_spec, "torus:n=2,res=256", 954),
+                                 (parse_model_spec, "torus:n=2,res=256", 10 ** 7),
+                                 (parse_model_spec, "torus:n=2,res=256", 10 ** 9),
                                  (parse_model_spec, "torus:n=2,res=16", 10 ** 9),
                                  (parse_model_spec, "sphere:r=1,subdiv=2", 10 ** 9),
                                  (parse_flow_spec, "torus:n=3,res=6", 10 ** 9),

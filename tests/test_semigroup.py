@@ -387,3 +387,30 @@ def test_contraction_witness_is_stable_on_tied_ratios(torus2_fit,
     assert (nudged.violations, nudged.cases) == (rep.violations, rep.cases) \
         == (0, 1800)
     assert nudged.worst_ratio == pytest.approx(rep.worst_ratio, rel=1e-14)
+
+
+def test_refine_starts_from_the_streamed_witness_row(torus3_coarse,
+                                                    torus3_coarse_dec1,
+                                                    monkeypatch):
+    """A MemberStream gives _refine its witness row by drawing the members
+    again up to the witness's chunk: the row equals the one the scan
+    measured, bit for bit, and so does the estimate a matrix gives."""
+    from sobolab import manifold
+    from sobolab import semigroup as sg
+    from sobolab.constants import MemberStream
+
+    m, dec = torus3_coarse, torus3_coarse_dec1
+    monkeypatch.setattr(manifold, "CHUNK_BYTES", 4 * 8 * m.num_nodes)
+    spec = EnsembleSpec(seed=12, size=30, generator="mixed")
+    members = generate_ensemble(m, spec, dec=dec)
+    measure, _ = sg._mapping_scan(dec, "grad H^-1/2", 1.5, 1.5, members)
+    witness = _worst_ratio(*measure(members)).witness
+    assert witness >= 4  # past the first chunk
+    starts, refine = [], sg._refine
+    monkeypatch.setattr(sg, "_refine", lambda *args: starts.append(args[-1])
+                        or refine(*args))
+    streamed = riesz_ratio(dec, 1.5, MemberStream(m, spec, dec))
+    assert streamed == riesz_ratio(dec, 1.5, members)
+    assert len(starts) == 2
+    assert np.array_equal(starts[0], members[witness])
+    assert np.array_equal(starts[1], members[witness])
