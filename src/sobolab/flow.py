@@ -27,7 +27,7 @@ from .manifold import (DiscreteManifold, ModelSpec, build, gamma_integral,
                        geometric_summary, parse_model_spec, scale_metric)
 from .norms import grad_lp_norm, lp_norm
 from .spectral import (apply_functions, bessel_multiplier, constant_potential,
-                       decompose, diagnostics)
+                       decompose, diagnostics, multipliers)
 
 __all__ = [
     "HypothesisError",
@@ -127,9 +127,9 @@ def _defect(family: str, m: DiscreteManifold) -> float:
 def _base_measure(base: DiscreteManifold, p: float, images=None):
     """A measure (see constants._sweep) of the per-member norms of the b, d
     or e form that no time changes, measured once on g(0): ||u||_{p*} and
-    then the p-norms of a chunk's ``images`` (b; a spectral.apply_functions
-    of the chunk and a measure) or, with no images, ||grad u||_p and
-    ||u||_p (d, e)."""
+    then the p-norms of a chunk's ``images`` (b; spectral.apply_functions
+    of the chunk and a measure, with multipliers formed once) or, with no
+    images, ||grad u||_p and ||u||_p (d, e)."""
     pstar = _pstar(base.dim, p)
 
     def measure(rows):
@@ -236,10 +236,10 @@ def track(flow: ExactFlow, times, selector: str, p: float,
             # constant (lam = 1) and then every sampled time
             lams = [1.0] + [scale_factor(flow, t) for t in times]
             dec_zero = dec_base.shifted(-1.0)
+            bessel = multipliers(dec_zero, map(bessel_multiplier, lams))
 
             def images(rows, measure):
-                return apply_functions(dec_zero, map(bessel_multiplier, lams),
-                                       rows, measure)
+                return apply_functions(dec_zero, bessel, rows, measure)
         norms, = _sweep(members, _base_measure(base, p, images))
         if family == "b":
             bessel_t = iter(norms[1])

@@ -4,8 +4,10 @@ Three model families are provided: flat tori (periodic finite-difference
 grids), round 2-spheres (subdivided icosahedra with cotangent stiffness),
 and boxes with the natural Neumann boundary condition.  Curvature fields
 are assigned analytically, never estimated from the mesh.  Grid gradients
-are numpy differences; only a sphere, or a first read of ``stiffness``,
-loads scipy.
+are numpy differences and a sphere's P1 gradient is numpy arrays of node
+indices and coefficients; the stiffness G^T W G is numpy (row, column,
+value) entries derived from either.  Only a read of ``stiffness``, the
+same entries as a scipy matrix, loads scipy.
 """
 
 from __future__ import annotations
@@ -31,8 +33,9 @@ __all__ = [
 ]
 
 MEMORY_BUDGET = 10 ** 9  # bytes a job's predicted peak may reach
-DENSE_PEAK = 3.4  # floats x |G| (orbits^2 + N) at a dense solve's peak
+DENSE_PEAK = 1.4  # a dense solve's peak / the floats _check_budget counts
 CHUNK_BYTES = 2 ** 20  # member rows per pass: as many N-float rows as fit
+ELEMENT_BLOCK_BYTES = 2 ** 18  # sphere node values gathered per element block
 CHUNK_PEAK = 12  # chunks of members at a job's peak: drawn, transformed, measured
 MEMBER_VALUES = 64  # floats a job keeps per member: its values and their reductions
 TORUS_AXIS_GUARD = 256  # nodes per torus axis (Fourier products cost O(res))
@@ -46,9 +49,11 @@ class _Elements:
     """What every gradient derives from G, its (num_elements * ncomp) x N
     matrix: ``_apply(v)`` is G v for v of shape (N,) or (N, K), and
     ``_apply_t(x)`` is G^T x for x of shape (num_elements * ncomp,).
-    ``weights`` are element volumes.  Each gradient also gives G as a scipy
-    matrix (``sparse``), the node pairs its rows join (``edges``), its
-    largest coefficient (``bound``) and itself on g -> lam^2 g (``scaled``).
+    ``weights`` are element volumes and ``num_nodes`` is N.  Each gradient
+    also gives the squared gradient lengths without forming G u^T
+    (``_squares``), the nodes and coefficients of each row of G
+    (``_rows``), the node pairs its rows join (``edges``), its largest
+    coefficient (``bound``) and itself on g -> lam^2 g (``scaled``).
     """
 
     weights: np.ndarray
@@ -74,12 +79,6 @@ class _Elements:
         """
         return self._apply_t(np.repeat(self.weights, self.ncomp) * s.ravel())
 
-    def _squares(self, u: np.ndarray) -> np.ndarray:
-        """Squared gradient lengths, shape (num_elements,) + u.shape[:-1]."""
-        g = self._apply(u.T)  # (E * ncomp,) or (E * ncomp, K)
-        np.square(g, out=g)  # in place: the product is the largest temporary
-        return g.reshape((self.num_elements, self.ncomp) + g.shape[1:]).sum(axis=1)
-
     def magnitudes(self, u: np.ndarray) -> np.ndarray:
         """Per-element gradient lengths, shape u.shape[:-1] + (num_elements,),
         each member's row contiguous, so a sum along it rounds the same
@@ -92,45 +91,111 @@ class _Elements:
         terms = np.multiply(self._squares(u).T, self.weights, order="C")
         return np.sum(terms, axis=-1)
 
+    def stiffness_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """G^T W G as (rows, cols, values), sorted by (row, col), one entry
+        per node pair that shares a row of G.
+
+        Entry (i, j) sums (a_ri w_r) a_rj over the rows r of G in order,
+        from 0, as the sparse product G^T diag(w) G does, so the values
+        are those of that product.
+        """
+        n = self.num_nodes
+        nodes, coeffs = self._rows()
+        k = nodes.shape[1]
+        left = coeffs * np.repeat(self.weights, self.ncomp)[:, None]
+        keys = (np.repeat(nodes, k, axis=1) * n + np.tile(nodes, k)).ravel()
+        terms = (np.repeat(left, k, axis=1) * np.tile(coeffs, k)).ravel()
+        pairs, slot = np.unique(keys, return_inverse=True)
+        return pairs // n, pairs % n, np.bincount(slot, weights=terms)
+
+
+def _row_values(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_j a[:, j] x[:, j], added in order j = 0, 1, ...: one component
+    of each element, a its (elements, k) coefficients and x its node values
+    (elements, k) + tail."""
+    a = a.reshape(a.shape + (1,) * (x.ndim - 2))
+    g = a[:, 0] * x[:, 0]
+    for j in range(1, x.shape[1]):
+        g += a[:, j] * x[:, j]
+    return g
+
 
 @dataclass(frozen=True)
 class GradientElements(_Elements):
-    """Per-element gradient data held as a sparse matrix (sphere P1 elements).
+    """Per-element gradient data held as numpy arrays (sphere P1 elements).
 
-    ``matrix`` is G, a scipy CSR matrix; applying it to a node function and
-    reshaping to (num_elements, ncomp) gives the gradient vector on each
-    element.
+    Row e * ncomp + c of G is component c of the gradient on element e.
+    The rows of one element share its nodes, ``nodes[e]`` (ascending), and
+    row e * ncomp + c has the coefficients ``coeffs[e, c]`` at them; a row
+    adds its terms in node order, as a product with the sparse G does, so
+    every value is that product's.  num_nodes is N.
     """
 
-    matrix: object  # scipy.sparse.csr_matrix
+    nodes: np.ndarray  # (num_elements, k) node indices, ascending per element
+    coeffs: np.ndarray  # (num_elements, ncomp, k)
     weights: np.ndarray
-    ncomp: int
+    num_nodes: int
+
+    @property
+    def ncomp(self) -> int:
+        return self.coeffs.shape[1]
 
     def _apply(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ v
+        x = v[self.nodes]
+        g = np.stack([_row_values(self.coeffs[:, c], x)
+                      for c in range(self.ncomp)], axis=1)
+        return g.reshape((-1,) + v.shape[1:])
 
     def _apply_t(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix.T @ x
+        # each node sums its terms in row order, as a sparse G^T x does
+        terms = self.coeffs * x.reshape(self.coeffs.shape[:2])[:, :, None]
+        nodes = np.broadcast_to(self.nodes[:, None], terms.shape)
+        return np.bincount(nodes.ravel(), weights=terms.ravel(),
+                           minlength=self.num_nodes)
 
-    def sparse(self):
-        return self.matrix
+    def _squares(self, u: np.ndarray) -> np.ndarray:
+        """Squared gradient lengths, shape (num_elements,) + u.shape[:-1].
+
+        A block of elements at a time (about ELEMENT_BLOCK_BYTES of node
+        values): the block's node values are gathered once from a
+        node-major copy of u, and its components are formed, squared and
+        added in order c = 0, 1, ..., as the squared rows of G u^T would
+        be summed, without forming that (num_elements * ncomp, K) product.
+        """
+        rows = np.ascontiguousarray(u.reshape(-1, u.shape[-1]).T)  # (N, K)
+        sq = np.empty((self.num_elements, rows.shape[1]))
+        step = max(1, ELEMENT_BLOCK_BYTES // (8 * rows[0].size
+                                              * self.nodes.shape[1]))
+        for lo in range(0, self.num_elements, step):
+            part = slice(lo, lo + step)
+            x = rows[self.nodes[part]]  # (block, k, K)
+            for c in range(self.ncomp):
+                g = _row_values(self.coeffs[part, c], x)
+                np.square(g, out=g)
+                if c:
+                    sq[part] += g
+                else:
+                    sq[part] = g
+        return sq.reshape((self.num_elements,) + u.shape[:-1])
+
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's nodes (ascending) and coefficients, (rows, k) each."""
+        k = self.nodes.shape[1]
+        return (np.repeat(self.nodes, self.ncomp, axis=0),
+                self.coeffs.reshape(-1, k))
 
     def edges(self) -> np.ndarray:
-        """Node pairs (2, P) sharing a row of G: consecutive entries of a row."""
-        indptr = self.matrix.indptr
-        rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
-        same = rows[1:] == rows[:-1]
-        cols = self.matrix.indices
-        return np.stack([cols[:-1][same], cols[1:][same]])
+        """Node pairs (2, P) sharing an element: its consecutive nodes."""
+        return np.stack([self.nodes[:, :-1].ravel(), self.nodes[:, 1:].ravel()])
 
     def bound(self) -> float:
         """The largest |coefficient| of G."""
-        return float(np.max(np.abs(self.matrix.data), initial=0.0))
+        return float(np.max(np.abs(self.coeffs), initial=0.0))
 
     def scaled(self, lam: float, dim: int) -> GradientElements:
         """The gradient of g -> lam^2 g on a dim-manifold."""
-        return GradientElements(self.matrix * (1.0 / lam),
-                                self.weights * lam ** dim, self.ncomp)
+        return replace(self, coeffs=self.coeffs * (1.0 / lam),
+                       weights=self.weights * lam ** dim)
 
 
 @dataclass(frozen=True)
@@ -155,6 +220,10 @@ class GridGradient(_Elements):
     @property
     def ncomp(self) -> int:
         return len(self.sides)
+
+    @property
+    def num_nodes(self) -> int:
+        return self.res ** self.ncomp
 
     def _layout(self, tail: tuple[int, ...]) -> tuple[int, ...]:
         """Element array shape: (corner,) + cells + tail."""
@@ -230,7 +299,7 @@ class GridGradient(_Elements):
 
     def edges(self) -> np.ndarray:
         """Node pairs (2, E * ncomp): each difference's head and tail, row order."""
-        nodes = np.arange(self.res ** self.ncomp).reshape((self.res,) * self.ncomp)
+        nodes = np.arange(self.num_nodes).reshape((self.res,) * self.ncomp)
         ends = []
         for d in range(self.ncomp):
             pair = np.empty((2,) + self._edge_shape(nodes.shape, d), dtype=np.intp)
@@ -246,18 +315,16 @@ class GridGradient(_Elements):
         cx = np.tile(self.inv_h, self.num_elements) * x
         return np.bincount(ends.T.ravel(),
                            weights=np.stack([cx, -cx], axis=1).ravel(),
-                           minlength=self.res ** self.ncomp)
+                           minlength=self.num_nodes)
 
-    def sparse(self):
-        """G as a scipy CSR matrix (the first use loads scipy.sparse)."""
-        import scipy.sparse as sp
-        head, tail = self.edges()
-        rows = np.arange(head.size)
-        c = np.tile(self.inv_h, self.num_elements)
-        return sp.csr_matrix(
-            (np.concatenate([c, -c]), (np.concatenate([rows, rows]),
-                                       np.concatenate([head, tail]))),
-            shape=(head.size, self.res ** self.ncomp))
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's nodes (ascending) and coefficients, (rows, 2) each:
+        inv_h[d] at the head and -inv_h[d] at the tail."""
+        ends = self.edges().T
+        c = np.tile(self.inv_h, self.num_elements)[:, None] * [1.0, -1.0]
+        flip = ends[:, 0] > ends[:, 1]
+        ends[flip], c[flip] = ends[flip, ::-1], c[flip, ::-1]
+        return ends, c
 
     def bound(self) -> float:
         """The largest |coefficient| of G."""
@@ -297,8 +364,9 @@ class DiscreteManifold:
 
     mass is the lumped (diagonal) volume form and grad the per-element
     gradient data; the Dirichlet form is sum_e w_e |grad u|_e^2, so the
-    stiffness matrix G^T W G is derived from grad.  Curvature fields carry
-    1/length^2 units; ric_min is the least Ricci eigenvalue at each node.
+    stiffness matrix G^T W G is derived from grad, as numpy entries.
+    Curvature fields carry 1/length^2 units; ric_min is the least Ricci
+    eigenvalue at each node.
     """
 
     dim: int
@@ -324,15 +392,20 @@ class DiscreteManifold:
         return g.sides if isinstance(g, GridGradient) and g.periodic else None
 
     @cached_property
-    def stiffness(self):
-        """The stiffness G^T W G as a scipy CSR matrix, formed on first read.
+    def stiffness_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The stiffness G^T W G as (rows, cols, values), sorted by (row,
+        col), formed on first read.  Only the dense decomposition needs it;
+        energies read the gradient."""
+        return self.grad.stiffness_entries()
 
-        Only the dense decomposition needs it; energies read the gradient.
-        """
+    @cached_property
+    def stiffness(self):
+        """The same entries as a scipy CSR matrix (the first read loads
+        scipy.sparse), for tests and diagnostics."""
         import scipy.sparse as sp
-        g = self.grad.sparse()
-        return (g.T @ sp.diags(np.repeat(self.grad.weights, self.grad.ncomp))
-                @ g).tocsr()
+        rows, cols, values = self.stiffness_entries
+        return sp.csr_matrix((values, (rows, cols)),
+                             shape=(self.num_nodes, self.num_nodes))
 
     def dirichlet_energy(self, u: np.ndarray) -> float:
         return float(self.grad.energy(u))
@@ -466,19 +539,28 @@ def _keep_chunk_pages() -> None:
 def _check_budget(job: str, nodes, group: int, orbits, members: int) -> float:
     """Predicted peak bytes of a job, refused unless within MEMORY_BUDGET.
 
-    Three terms, in floats: DENSE_PEAK |G| (orbits^2 + N) for a dense solve
-    in the mirror group's blocks (group = 0 on the Fourier path);
-    CHUNK_PEAK chunks of min(members, _chunk_rows) rows of N, what
-    one chunk's draw, transforms and measures hold at once (a sphere's
-    gradient of one chunk alone takes about 6); and MEMBER_VALUES per
-    member, the per-member values a job keeps and reduces (3 to 28
-    measured at the default times; a heat --t-list time adds 3 cases, a
-    flow b --times sample one value).  members = 0 predicts the dense
-    solve alone.
+    Three terms, in floats.  A dense solve in the mirror group's blocks
+    (group = 0 on the Fourier path) holds DENSE_PEAK times the larger of
+    its two phases, plus 2 |G| N for the node images and character table.
+    The character sums hold |G| o^2 sums, the o x N stiffness rows at the
+    orbit representatives and one image's o^2 columns (o = orbits); the
+    solves hold the cut blocks, at most |G| o^2, and numpy's eigh of the
+    block being solved (at most o x o) another 4 o^2: a copy, dsyevd's
+    2 o^2 workspace and the eigenvectors.  CHUNK_PEAK chunks of
+    min(members, _chunk_rows) rows of N are what one chunk's draw,
+    transforms and measures hold at once (a sphere's gradient of one chunk
+    alone takes about 6); and MEMBER_VALUES per member are the per-member
+    values a job keeps and reduces (3 to 28 measured at the default times;
+    a heat --t-list time adds 3 cases, a flow b --times sample one value).
+    members = 0 predicts the dense solve alone.
     """
+    dense = 0.0
+    if group:
+        sums = group * orbits * orbits + orbits * nodes + orbits * orbits
+        solves = (group + 4) * orbits * orbits
+        dense = DENSE_PEAK * (max(sums, solves) + 2 * group * nodes)
     rows = min(members, _chunk_rows(nodes)) * nodes if members else 0
-    peak = 8.0 * (DENSE_PEAK * group * (orbits * orbits + nodes)
-                  + CHUNK_PEAK * rows + MEMBER_VALUES * members)
+    peak = 8.0 * (dense + CHUNK_PEAK * rows + MEMBER_VALUES * members)
     if not peak <= MEMORY_BUDGET:
         raise ValueError(f"{job} needs a predicted {peak / 1e9:.3g} GB, over "
                          f"the memory budget of {MEMORY_BUDGET / 1e9:g} GB")
@@ -621,10 +703,8 @@ def _icosphere(subdiv: int, radius: float):
 
 
 def _triangle_mesh_arrays(points: np.ndarray, faces: np.ndarray):
-    """Lumped mass and P1 gradient elements (a sparse G; the cotangent
-    stiffness is G^T W G)."""
-    import scipy.sparse as sp  # spheres alone hold a sparse gradient
-
+    """Lumped mass and P1 gradient elements (the cotangent stiffness is
+    G^T W G)."""
     n = points.shape[0]
     p0, p1, p2 = points[faces[:, 0]], points[faces[:, 1]], points[faces[:, 2]]
     normal = np.cross(p1 - p0, p2 - p0)
@@ -634,20 +714,16 @@ def _triangle_mesh_arrays(points: np.ndarray, faces: np.ndarray):
         raise ValueError("degenerate triangle in mesh")
     nhat = normal / area2[:, None]
 
-    # P1 gradient: grad u = sum_i u_i (nhat x e_i) / (2A), e_i the opposite edge
-    nf = faces.shape[0]
-    rows, cols, vals = [], [], []
+    # P1 gradient: grad u = sum_i u_i (nhat x e_i) / (2A), e_i the opposite
+    # edge; coeffs[f, c, i] is component c of vertex i's term
     edges = [p2 - p1, p0 - p2, p1 - p0]
-    for i in range(3):
-        perp = np.cross(nhat, edges[i]) / area2[:, None]  # (nf, 3)
-        for c in range(3):
-            rows.append(np.arange(nf) * 3 + c)
-            cols.append(faces[:, i])
-            vals.append(perp[:, c])
-    gmat = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nf * 3, n))
-    grad = GradientElements(matrix=gmat, weights=areas, ncomp=3)
+    coeffs = np.stack([np.cross(nhat, e) / area2[:, None] for e in edges],
+                      axis=2)
+    order = np.argsort(faces, axis=1)
+    grad = GradientElements(
+        nodes=np.take_along_axis(faces, order, axis=1),
+        coeffs=np.take_along_axis(coeffs, order[:, None, :], axis=2),
+        weights=areas, num_nodes=n)
 
     mass = np.zeros(n)
     np.add.at(mass, faces.ravel(), np.repeat(areas / 3.0, 3))

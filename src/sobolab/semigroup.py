@@ -22,7 +22,7 @@ from .manifold import VALIDATE_RTOL, DiscreteManifold, scale_metric
 from .norms import grad_lp_norm, lp_norm
 from .spectral import (SpectralDecomposition, _op_norms_2_to_inf,
                        apply_function, apply_functions, bessel_multiplier,
-                       heat_multiplier, power_multiplier)
+                       heat_multiplier, multipliers, power_multiplier)
 
 __all__ = [
     "MappingNormScan",
@@ -103,12 +103,13 @@ def _contraction_scan(m: DiscreteManifold, dec: SpectralDecomposition,
     if any(t < 0 for t in t_list):
         raise ValueError(f"heat times must be >= 0, got {t_list}")
 
+    heat = multipliers(dec, map(heat_multiplier, t_list))
+
     def norms(u):
         return np.array([lp_norm(m, u, p) for p in p_list])
 
     def measure(rows):  # (t, p, member) cases and (p, member) norms
-        return apply_functions(dec, map(heat_multiplier, t_list), rows,
-                               norms), norms(rows)
+        return apply_functions(dec, heat, rows, norms), norms(rows)
 
     def reduce(after, before):
         worst = _worst_ratio(after, before, slack=tol)
@@ -182,9 +183,10 @@ def check_heat_kernel_bounds(m: DiscreteManifold, dec: SpectralDecomposition,
         if not 0 < t < sigma_star / 4.0:
             raise ValueError(f"t={t} outside (0, sigma_star/4)")
     inf_minus = dec.potential.inf_minus
+    heat = multipliers(dec, map(heat_multiplier, t_list))
     base, sups = _sweep(members, lambda rows: (
         np.stack([lp_norm(m, rows, 2.0), lp_norm(m, rows, 1.0)]),
-        apply_functions(dec, map(heat_multiplier, t_list), rows,
+        apply_functions(dec, heat, rows,
                         lambda v: lp_norm(m, v, math.inf))))[0]
     dens = []  # (t, tag, member) cases
     for t in t_list:
@@ -260,9 +262,10 @@ def _mapping_scan(dec: SpectralDecomposition, operator_label: str,
         raise ValueError("negative power of a singular operator; "
                          "use a potential with a positive spectral floor")
     out_norm = grad_lp_norm if grad_op else lp_norm
+    weights = multipliers(dec, (power_multiplier(power),))
 
     def measure(rows):
-        return (*apply_functions(dec, (power_multiplier(power),), rows,
+        return (*apply_functions(dec, weights, rows,
                                  lambda v: out_norm(m, v, p_out)),
                 lp_norm(m, rows, p_in))
 
@@ -311,12 +314,13 @@ def _equivalence_scan(dec_zero: SpectralDecomposition, a: float, p: float):
     if np.max(np.abs(dec_zero.potential.values)) > 1e-12:
         raise ValueError("equivalence constants require the bare Laplacian spectrum")
     m = dec_zero.manifold
+    weights = multipliers(dec_zero, (lambda lam: np.sqrt(lam + a * a),
+                                     np.sqrt, bessel_multiplier(1.0)))
 
     def measure(rows):
         return (lp_norm(m, rows, p), *apply_functions(
-            dec_zero, (lambda lam: np.sqrt(lam + a * a), np.sqrt,
-                       bessel_multiplier(1.0)), rows,
-            lambda v: lp_norm(m, v, p)), grad_lp_norm(m, rows, p))
+            dec_zero, weights, rows, lambda v: lp_norm(m, v, p)),
+            grad_lp_norm(m, rows, p))
 
     def reduce(base, mid, root, bessel, grad):
         outer = a * base + root
@@ -375,13 +379,14 @@ def scaling_transfer_check(m: DiscreteManifold, lam: float, mu: float,
     n = m.dim
     qs = (p, q_out, 2.0)
     dec_zero = dec_unit.shifted(-1.0)
+    bessel = multipliers(dec_zero, map(bessel_multiplier, (1.0, lam)))
 
     def measure(rows):
         # the Bessel operator of each metric is a multiplier on the bare
         # Laplacian's spectrum, measured in that metric's norm: both images
         # are measured in both, and each keeps its own
         images = apply_functions(
-            dec_zero, map(bessel_multiplier, (1.0, lam)), rows,
+            dec_zero, bessel, rows,
             lambda v: (lp_norm(m, v, p), lp_norm(scaled, v, p)))
         return (np.array([lp_norm(m, rows, q) for q in qs]),
                 np.array([lp_norm(scaled, rows, q) for q in qs]),

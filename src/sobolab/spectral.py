@@ -6,14 +6,16 @@ Fourier modes, applied by one product per axis with the leading columns of
 the res x res Fourier matrix), and otherwise reduced via the diagonal mass
 square root, split into one block per character of the group generated by
 the mesh's axis mirrors (one block, the whole matrix, when there is no
-mirror), and solved in place by LAPACK's symmetric divide and conquer
-(dsyevd, the one use of scipy.linalg, imported there), the blocks kept
-apart and applied one by one; every operator function (heat semigroup,
-fractional powers, resolvents) is evaluated on the resulting eigenpairs.
-A full-width f(H) multiplies the coefficients in each basis's own order by
-f(lambda) permuted into that order, and apply_functions takes the members
-a chunk of rows at a time (manifold._chunks), measuring each image before
-the next is formed, so no f(H) image of a whole member matrix is held.
+mirror), and solved block by block by numpy.linalg.eigh (LAPACK's
+symmetric divide and conquer, dsyevd), the blocks kept apart and applied
+one by one; the stiffness is read from its numpy entries, so no solve
+loads scipy.  Every operator function (heat semigroup, fractional powers,
+resolvents) is evaluated on the resulting eigenpairs.  A full-width f(H)
+multiplies the coefficients in each basis's own order by f(lambda)
+permuted into that order (multipliers, formed once per job), and
+apply_functions takes the members a chunk of rows at a time
+(manifold._chunks), measuring each image before the next is formed, so no
+f(H) image of a whole member matrix is held.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ __all__ = [
     "constant_potential",
     "decompose",
     "apply_function",
+    "multipliers",
     "apply_functions",
     "heat_multiplier",
     "bessel_multiplier",
@@ -85,14 +88,15 @@ class MirrorBasis:
     group G, chi[s, g] = +-1 its (symmetric) character table, and scale[g, x]
     = sqrt(|stab x| / |G|) / sqrt(mass(g.x)).  Block (s, keep, v, cols)
     holds the orbits keep on which character s lives, their eigenvectors v
-    as LAPACK returned them, and the columns cols (ascending) they take in
-    the stable ascending merge of all blocks' eigenvalues: eigenvector
-    cols[j] is chi[s, g] scale[g, x] v[x, j] at node g.x, x in keep, and 0
-    elsewhere.  The leading k modes are therefore a prefix of every block,
-    and a transform gathers the members over the orbit images, applies chi
-    once and each block's leading columns once, and scatters back, at about
-    1/|G| of the cost of the N x N product; columns() alone forms phi.  A
-    mesh with no mirror has the trivial group: one block, chi = [[1]].
+    (column-major, as LAPACK computes them), and the columns cols
+    (ascending) they take in the stable ascending merge of all blocks'
+    eigenvalues: eigenvector cols[j] is chi[s, g] scale[g, x] v[x, j] at
+    node g.x, x in keep, and 0 elsewhere.  The leading k modes are
+    therefore a prefix of every block, and a transform gathers the members
+    over the orbit images, applies chi once and each block's leading
+    columns once, and scatters back, at about 1/|G| of the cost of the
+    N x N product; columns() alone forms phi.  A mesh with no mirror has
+    the trivial group: one block, chi = [[1]].
 
     Every basis has coefficients and synthesize (the leading modes in
     ascending eigenvalue order), forward, backward and native (all modes in
@@ -373,18 +377,19 @@ def decompose(m: DiscreteManifold, psi: PotentialField) -> SpectralDecomposition
                                  potential=psi, manifold=m)
 
 
-def _eigh_in_place(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """dsyevd on the symmetric part of the C-ordered a, overwriting a.
+def _eigh_symmetric(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """numpy.linalg.eigh (LAPACK's dsyevd) of the symmetric part of a.
 
-    LAPACK gets the F-contiguous view a.T, the same symmetric matrix,
-    because a C-order array would be copied first.
+    a is made exactly symmetric in place.  numpy solves a copy of it, so
+    the call holds a, that copy, dsyevd's 2 n^2 workspace and the n x n
+    eigenvectors it returns.  Those are put back in LAPACK's column-major
+    layout, so every product with them (a single vector's too) rounds as
+    with an in-place LAPACK solve.
     """
-    import scipy.linalg  # the dense path alone needs it
-
     a += a.T
     a *= 0.5
-    return scipy.linalg.eigh(a.T, driver="evd", overwrite_a=True,
-                             check_finite=False)
+    w, v = np.linalg.eigh(a)
+    return w, np.asfortranarray(v)
 
 
 def _mirrors(m: DiscreteManifold, psi: PotentialField) -> list[np.ndarray]:
@@ -395,8 +400,8 @@ def _mirrors(m: DiscreteManifold, psi: PotentialField) -> list[np.ndarray]:
     negates coordinate d; sorting the nodes and their images matches each
     node to the node at its image, and the permutation r (node r[i] is the
     image of node i) is kept when every image is a node, r is not the
-    identity, and mass, Psi and the stiffness's nonzeros are invariant to
-    MIRROR_RTOL of their largest entry.  Negating rounded coordinates is
+    identity, and mass, Psi and the stiffness's entries are invariant to
+    MIRROR_RTOL of their largest value.  Negating rounded coordinates is
     exact, so every r kept is an involution and the kept ones commute.  A
     mesh with two nodes in one rounding cell has no mirrors.
     """
@@ -411,7 +416,7 @@ def _mirrors(m: DiscreteManifold, psi: PotentialField) -> list[np.ndarray]:
     ranked = keys[order]
     if np.any(np.all(ranked[1:] == ranked[:-1], axis=1)):
         return []
-    s = m.stiffness
+    entries = m.stiffness_entries
     found: list[np.ndarray] = []
     for d in range(p.shape[1]):
         keys[:, d] *= -1
@@ -423,25 +428,36 @@ def _mirrors(m: DiscreteManifold, psi: PotentialField) -> list[np.ndarray]:
         if (matched and np.any(r != np.arange(n))
                 and _within(m.mass[r] - m.mass, m.mass)
                 and _within(psi.values[r] - psi.values, psi.values)
-                and _within(_permuted_gap(s, r), s.data)):
+                and _within(_permuted_gap(entries, r), entries[2])):
             found.append(r)
     return found
 
 
-def _permuted_gap(s, r: np.ndarray) -> np.ndarray:
-    """The entries of S[r][:, r] - S on the union of both patterns, read
-    from the CSR arrays of S (r an involution)."""
-    n = s.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(s.indptr))
-    keys = np.concatenate([rows * n + s.indices, r[rows] * n + r[s.indices]])
+def _permuted_gap(entries, r: np.ndarray) -> np.ndarray:
+    """The entries of S[r][:, r] - S on the union of both patterns, from
+    the (rows, cols, values) entries of S (r an involution)."""
+    rows, cols, values = entries
+    n = r.size
+    keys = np.concatenate([rows * n + cols, r[rows] * n + r[cols]])
     _, slot = np.unique(keys, return_inverse=True)
-    return np.bincount(slot, weights=np.concatenate([s.data, -s.data]))
+    return np.bincount(slot, weights=np.concatenate([values, -values]))
 
 
 def _within(gap: np.ndarray, ref: np.ndarray) -> bool:
     """|gap| <= MIRROR_RTOL * max|ref| entrywise."""
     bound = MIRROR_RTOL * np.max(np.abs(ref), initial=0.0)
     return bool(np.all(np.abs(gap) <= bound))
+
+
+def _stiffness_rows(m: DiscreteManifold, reps: np.ndarray) -> np.ndarray:
+    """The rows reps of the stiffness, dense: (reps.size, N)."""
+    rows, cols, values = m.stiffness_entries
+    at = np.full(m.num_nodes, -1)
+    at[reps] = np.arange(reps.size)
+    kept = at[rows] >= 0
+    out = np.zeros((reps.size, m.num_nodes))
+    out[at[rows[kept]], cols[kept]] = values[kept]
+    return out
 
 
 def _mirror_eigenpairs(m: DiscreteManifold, psi: PotentialField,
@@ -460,10 +476,10 @@ def _mirror_eigenpairs(m: DiscreteManifold, psi: PotentialField,
     other orbits (a node on a mirror plane is missing from the blocks whose
     character is -1 on its stabiliser), so the blocks' sizes sum to N.
     Each image's columns are added into the character sums in place (chi is
-    +-1), and the blocks are cut out and the sums let go before the first
-    dsyevd, so the trivial group of a mesh with no mirror (one block, the
-    whole of A) holds no more than an unsplit solve of A.  The blocks stay
-    apart in a MirrorBasis.
+    +-1), the blocks are cut out and the sums let go before the first
+    dsyevd, and each block is let go once solved, so the trivial group of a
+    mesh with no mirror (one block, the whole of A) holds no more than an
+    unsplit solve of A.  The blocks stay apart in a MirrorBasis.
     """
     n = m.num_nodes
     perms, chi = np.arange(n)[None, :], np.ones((1, 1))
@@ -478,7 +494,7 @@ def _mirror_eigenpairs(m: DiscreteManifold, psi: PotentialField,
     member = ~((chi < 0) @ fixed)  # (characters, orbits): orbit in block s
 
     sqrt_m = np.sqrt(m.mass)
-    a_rows = m.stiffness[reps].toarray()
+    a_rows = _stiffness_rows(m, reps)
     a_rows[np.arange(reps.size), reps] += m.mass[reps] * psi.values[reps]
     a_rows /= sqrt_m[reps, None]
     a_rows /= sqrt_m[None, :]
@@ -496,8 +512,12 @@ def _mirror_eigenpairs(m: DiscreteManifold, psi: PotentialField,
         b *= d_half[keep, None]
         b *= d_half[keep]
         cut.append((s, keep, b))
-    del sums
-    blocks = [(s, keep, *_eigh_in_place(b)) for s, keep, b in cut]
+    del sums, b
+    blocks = []
+    while cut:  # a block is let go once solved
+        s, keep, b = cut.pop(0)
+        blocks.append((s, keep, *_eigh_symmetric(b)))
+        del b
 
     w = np.concatenate([blk[2] for blk in blocks])
     order = np.argsort(w, kind="stable")
@@ -572,21 +592,28 @@ def _multiplier(dec: SpectralDecomposition,
     return fw
 
 
-def apply_functions(dec: SpectralDecomposition,
-                    fs: Iterable[Callable[[np.ndarray], np.ndarray]],
+def multipliers(dec: SpectralDecomposition,
+                fs: Iterable[Callable[[np.ndarray], np.ndarray]]) -> list:
+    """f(lambda) of each f of fs, in the basis's own order (basis.native):
+    what apply_functions multiplies the coefficients by.  A scan forms them
+    once and passes them for every chunk of members."""
+    return [dec.basis.native(_multiplier(dec, f)) for f in fs]
+
+
+def apply_functions(dec: SpectralDecomposition, weights: list,
                     u: np.ndarray,
                     measure: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """measure(f(H) u) for each f of fs, stacked over fs.
+    """measure(f(H) u) for each f whose multipliers(dec, ...) are weights,
+    stacked over them.
 
     u is one node function (N,) or a member matrix (K, N), rows = members;
     measure maps a chunk of image rows to per-member values along its last
-    axis (one per row), and the result is (len(fs),) + its leading axes +
-    u.shape[:-1].  The rows go a chunk at a time (manifold._chunks): each
-    chunk is transformed once for all of fs, and each image is measured and
-    let go before the next one is formed.
+    axis (one per row), and the result is (len(weights),) + its leading
+    axes + u.shape[:-1].  The rows go a chunk at a time
+    (manifold._chunks): each chunk is transformed once for all weights,
+    and each image is measured and let go before the next one is formed.
     """
     basis = dec.basis
-    weights = [basis.native(_multiplier(dec, f)) for f in fs]
     rows = np.reshape(u, (-1, np.shape(u)[-1]))
     parts = []
     for part in _chunks(*rows.shape):

@@ -5,7 +5,8 @@ An import that nothing uses (in the package, its tests or its tools), or an
 notices: a tool that walks ``__all__`` with ``getattr(module, name, None)``
 skips a missing name silently.  The eigenbasis of a decomposition is read
 inside ``spectral`` only, and its transforms are called there and in the
-ensemble projection only.  Torus jobs import no scipy.
+ensemble projection only.  No CLI job on a torus, sphere or box imports
+scipy.
 """
 
 import ast
@@ -108,9 +109,10 @@ def test_only_spectral_and_the_ensemble_call_the_transforms(path):
 
 
 # ---------------------------------------------------------------------------
-# scipy is loaded only where a sphere's sparse gradient, a dense solve or the
-# quadrature in tau_of_t needs it; every torus job runs on numpy alone.  Each
-# check runs in a fresh interpreter, because this one has loaded scipy.
+# scipy is loaded only where the quadrature in tau_of_t needs it, or where a
+# caller reads a manifold's stiffness as a scipy matrix; every torus, sphere
+# and box job runs on numpy alone.  Each check runs in a fresh interpreter,
+# because this one has loaded scipy.
 
 TORUS_JOBS = [
     ["estimate", "--model", "torus:n=2,res=8", "--p", "1.5"],
@@ -127,6 +129,11 @@ TORUS_JOBS = [
 OTHER_JOBS = [
     ["heat", "--model", "sphere:r=1,subdiv=1"],
     ["estimate", "--model", "box:n=2,res=6", "--p", "1.5"],
+    ["riesz", "--model", "box:n=3,res=4", "--p", "1.5"],
+    ["flow", "--flow", "sphere:r0=1,subdiv=1", "--times", "0:0.2:0.1",
+     "--theorem", "a2", "--p", "1.5", "--p0", "1.2"],
+    ["flow", "--flow", "sphere:r0=1,subdiv=1", "--times", "0:0.2:0.1",
+     "--theorem", "b2", "--p", "1.5"],
 ]
 SCRIPT = """
 import json, sys
@@ -164,7 +171,8 @@ def test_torus_jobs_load_no_scipy(scipy_use):
     assert all(modules == [] for _, _, modules in scipy_use["torus"])
 
 
-def test_sphere_and_box_jobs_load_scipy_and_run(scipy_use):
+def test_sphere_and_box_jobs_leave_scipy_unloaded(scipy_use):
+    """Dense solves, sphere gradients and flows run on numpy alone."""
     assert [job[:2] for job in scipy_use["other"]] == [
         [argv[0], 0] for argv in OTHER_JOBS]
-    assert "scipy.linalg" in scipy_use["other"][-1][2]
+    assert all(modules == [] for _, _, modules in scipy_use["other"])

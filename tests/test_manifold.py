@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -193,8 +194,17 @@ def test_validate_rejects_the_box_without_corner_elements(text, n, res):
     rows of today's gradient, at the whole cell volume."""
     m = build(text)
     cells = (res - 1) ** n
-    old = GradientElements(m.grad.sparse()[:cells * n],
-                           np.full(cells, 2 ** n * m.grad.weights[0]), n)
+    head, tail = m.grad.edges()[:, :cells * n].reshape(2, cells, n)
+    assert np.all(tail == tail[:, :1])  # each cell's lowest corner
+    nodes = np.concatenate([tail[:, :1], head], axis=1)  # x, then x + e_d
+    coeffs = np.zeros((cells, n, n + 1))
+    for d in range(n):
+        coeffs[:, d, 0], coeffs[:, d, d + 1] = -m.grad.inv_h[d], m.grad.inv_h[d]
+    order = np.argsort(nodes, axis=1)
+    old = GradientElements(np.take_along_axis(nodes, order, axis=1),
+                           np.take_along_axis(coeffs, order[:, None], axis=2),
+                           np.full(cells, 2 ** n * m.grad.weights[0]),
+                           m.num_nodes)
     parts = {2: 2, 3: 17}[n]
     with pytest.raises(ValueError, match=f"{parts} connected components"):
         replace(m, grad=old).validate()
@@ -236,3 +246,80 @@ def test_icosphere_matches_the_per_edge_loop_bit_for_bit(subdiv):
     assert np.array_equal(faces, want_faces)
     assert np.array_equal(points, want_points)
     assert points.shape == (10 * 4 ** subdiv + 2, 3)
+
+
+def _reference_p1_matrix(points, faces):
+    """The scipy CSR form of the sphere's P1 gradient the numpy arrays
+    replaced: row 3 f + c holds component c of (nhat x e_i) / (2 A) at
+    node faces[f, i], e_i the edge opposite vertex i."""
+    import scipy.sparse as sp
+
+    p0, p1, p2 = points[faces[:, 0]], points[faces[:, 1]], points[faces[:, 2]]
+    normal = np.cross(p1 - p0, p2 - p0)
+    area2 = np.linalg.norm(normal, axis=1)
+    nhat = normal / area2[:, None]
+    nf = faces.shape[0]
+    rows, cols, vals = [], [], []
+    for i, edge in enumerate([p2 - p1, p0 - p2, p1 - p0]):
+        perp = np.cross(nhat, edge) / area2[:, None]
+        for c in range(3):
+            rows.append(np.arange(nf) * 3 + c)
+            cols.append(faces[:, i])
+            vals.append(perp[:, c])
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(nf * 3, points.shape[0]))
+
+
+def _close(got, want, rtol=1e-14):
+    return np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("subdiv", range(1, 5))
+def test_sphere_gradient_arrays_match_the_sparse_matrix(subdiv):
+    """The numpy P1 gradient (nodes and coefficients per element) applies
+    G and G^T, joins the node pairs, bounds its coefficients, scales and
+    forms G^T W G as the scipy CSR matrix of the same mesh does."""
+    import scipy.sparse as sp
+
+    m = build(f"sphere:r=1.3,subdiv={subdiv}")
+    points, faces = _icosphere(subdiv, 1.3)
+    g, ref = m.grad, _reference_p1_matrix(points, faces)
+    rng = np.random.default_rng(subdiv)
+    v = rng.standard_normal((m.num_nodes, 5))
+    assert _close(g._apply(v), ref @ v) and _close(g._apply(v[:, 0]), ref @ v[:, 0])
+    s = rng.standard_normal((g.num_elements, 3))
+    assert _close(g.pullback(s), ref.T @ (np.repeat(g.weights, 3) * s.ravel()))
+    # CSR rows are consecutive entries of the same nodes, three per element
+    indices = ref.indices.reshape(-1, 3, 3)[:, 0]
+    assert np.array_equal(g.edges(), np.stack([indices[:, :2].ravel(),
+                                               indices[:, 1:].ravel()]))
+    assert g.bound() == np.max(np.abs(ref.data))
+    lam = 1.7
+    scaled = g.scaled(lam, 2)
+    assert _close(scaled._apply(v), (ref * (1.0 / lam)) @ v)
+    assert np.array_equal(scaled.weights, g.weights * lam ** 2)
+    stiff = (ref.T @ sp.diags(np.repeat(g.weights, 3)) @ ref).tocoo()
+    order = np.lexsort((stiff.col, stiff.row))
+    rows, cols, values = m.stiffness_entries
+    assert np.array_equal(rows, stiff.row[order])
+    assert np.array_equal(cols, stiff.col[order])
+    assert _close(values, stiff.data[order])
+
+
+def test_sphere_gradient_lengths_hold_under_three_blocks():
+    """magnitudes of 200 members on the 642-node sphere forms the squared
+    lengths a block of elements at a time: its traced peak stays under 3
+    (elements x members) float blocks (the squares, the lengths and a
+    node-major copy of the members)."""
+    m = build("sphere:r=1,subdiv=3")
+    u = np.random.default_rng(2).standard_normal((200, m.num_nodes))
+    block = m.grad.num_elements * len(u) * 8
+    tracemalloc.start()
+    try:
+        mags = m.grad.magnitudes(u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert mags.shape == (200, m.grad.num_elements)
+    assert peak < 3 * block

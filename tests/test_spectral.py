@@ -1,10 +1,15 @@
+import json
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse as sp
+
+import sobolab
 
 from sobolab import constants as ct
 from sobolab import (EnsembleSpec, SingularOperatorError, apply_function,
@@ -75,7 +80,7 @@ def test_decompose_guard_and_bad_potential(torus2):
     """A bad potential is refused, and so is a dense solve over the memory
     budget.  A mesh built in code bypasses the spec parsers' budget check: a
     random Psi on the 10,242-node sphere leaves no mirror, so the whole
-    matrix is one block (about 2.85 GB predicted).  It is refused after
+    matrix is one block (about 5.87 GB predicted).  It is refused after
     _mirrors with one line naming the predicted bytes and the budget, while
     the traced peak is still a small part of one N x N matrix."""
     psi = constant_potential(torus2, 0.0)
@@ -86,10 +91,10 @@ def test_decompose_guard_and_bad_potential(torus2):
         PotentialField(np.array([np.nan]))
     m = build(ModelSpec("sphere", resolution=5))
     psi = PotentialField(np.random.default_rng(3).uniform(1, 2, m.num_nodes))
-    m.stiffness  # built once per mesh, before the solve
+    m.stiffness_entries  # built once per mesh, before the solve
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="needs a predicted 2.85 GB, over "
+        with pytest.raises(ValueError, match="needs a predicted 5.87 GB, over "
                                              "the memory budget") as err:
             decompose(m, psi)
         _, peak = tracemalloc.get_traced_memory()
@@ -156,7 +161,8 @@ def test_lambda0_values(torus2, sphere3):
 def test_op_norm_single_node_identity():
     m = DiscreteManifold(
         dim=2, points=np.zeros((1, 2)), mass=np.ones(1),
-        grad=GradientElements(sp.csr_matrix((1, 1)), np.ones(1), 1),
+        grad=GradientElements(np.zeros((1, 1), dtype=int), np.zeros((1, 1, 1)),
+                              np.ones(1), 1),
         scalar_curvature=np.zeros(1), ric_min=np.zeros(1), label="point")
     dec = decompose(m, constant_potential(m, 0.0))
     got = spectral._op_norms_2_to_inf(dec, [lambda lam: np.ones_like(lam)])[0]
@@ -489,22 +495,20 @@ def _perturbed_torus():
 
 
 def _spy_eigh(monkeypatch):
-    """Record (size, F-ordered and overwritten) of every scipy eigh call."""
+    """Record (size, exactly symmetric) of every numpy eigh call."""
     seen = []
-    original = scipy.linalg.eigh
+    original = np.linalg.eigh
 
-    def spy(a, **kw):
-        w, v = original(a, **kw)
-        seen.append((a.shape[0],
-                     a.flags.f_contiguous and np.shares_memory(a, v)))
-        return w, v
+    def spy(a, *args, **kw):
+        seen.append((a.shape[0], np.array_equal(a, a.T)))
+        return original(a, *args, **kw)
 
-    monkeypatch.setattr(scipy.linalg, "eigh", spy)
+    monkeypatch.setattr(np.linalg, "eigh", spy)
     return seen
 
 
 def _one_call_per_block(seen, m, mirrors):
-    """2^mirrors F-ordered, overwritten calls whose sizes sum to N."""
+    """2^mirrors calls on exactly symmetric blocks whose sizes sum to N."""
     return (len(seen) == 2 ** mirrors and all(ok for _, ok in seen)
             and sum(size for size, _ in seen) == m.num_nodes)
 
@@ -549,10 +553,9 @@ def _reference_dense_eigenpairs(m, psi):
                                   "box:n=2,res=12", "box:n=3,res=6",
                                   "torus:n=2,res=8,varying-psi"])
 def test_dense_divide_and_conquer_matches_the_reference_eigh(text, monkeypatch):
-    """The in-place divide-and-conquer solve gives the reference's spectrum,
+    """The divide-and-conquer solve gives the reference's spectrum,
     clusters and ensembles, a mass-orthonormal basis to 1e-13, and hands
-    LAPACK one Fortran-ordered array per mirror block, which it overwrites
-    (no copy)."""
+    numpy's eigh one exactly symmetric block per mirror character."""
     m = build(text.replace(",varying-psi", ""))
     psi = (PotentialField(1.0 + m.points[:, 0]) if "varying" in text
            else constant_potential(m, 1.0))
@@ -651,7 +654,7 @@ def test_mirror_basis_matches_its_explicit_columns(text):
 
 def _traced_decompose(m, psi):
     """decompose(m, psi) and its traced peak in N x N float matrices."""
-    m.stiffness  # built once per mesh, before the solve
+    m.stiffness_entries  # built once per mesh, before the solve
     tracemalloc.start()
     try:
         dec = decompose(m, psi)
@@ -672,26 +675,68 @@ def test_mirror_decomposition_holds_no_dense_eigenvector_matrix():
 
 
 def test_no_mirror_decomposition_holds_what_an_unsplit_solve_does():
-    """The trivial group's one block costs what an unsplit in-place solve
-    does: the matrix and LAPACK's 2 N^2 workspace, about 3.03 N x N float
-    matrices on the 642-node sphere."""
+    """The trivial group's one block traces no more than an unsplit solve
+    of the matrix: its character sum, the rows it is read from and one
+    image of them, about 3.03 N x N float matrices on the 642-node sphere.
+    numpy's eigh copies and workspace are outside the trace."""
     m, psi = _mirror_case("sphere:r=1,subdiv=3,psi=random")
     dec, peak = _traced_decompose(m, psi)
     assert dec.basis.mirrors == 0
     assert peak <= 3.1
 
 
-@pytest.mark.parametrize("text, group", [("sphere:r=1,subdiv=2,psi=random", 1),
+RSS_SCRIPT = """
+import json, sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from sobolab.manifold import build
+from sobolab.spectral import PotentialField, decompose
+def peak_rss():
+    with open('/proc/self/status') as f:
+        return next(int(l.split()[1]) for l in f if l.startswith('VmHWM:'))
+m = build(sys.argv[2])
+psi = PotentialField(np.random.default_rng(3).uniform(1, 2, m.num_nodes))
+m.stiffness_entries
+before = peak_rss()
+dec = decompose(m, psi)
+print(json.dumps([dec.basis.chi.shape[0], m.num_nodes, (peak_rss() - before) * 1024]))
+"""
+
+
+def _rss_decompose(text):
+    """The group and node count of decompose(m, psi) under a random Psi,
+    and its peak RSS rise in N x N float matrices, from a fresh
+    interpreter: numpy's eigh holds a copy of the block and dsyevd's
+    workspace outside Python's allocator, so tracing misses them.  The
+    rise is read from the process's own high-water mark (VmHWM):
+    ru_maxrss after exec starts from the RSS of the process that spawned
+    it."""
+    if not Path("/proc/self/status").is_file():
+        pytest.skip("needs /proc/self/status")
+    src = str(Path(sobolab.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", RSS_SCRIPT, src,
+                          text.split(",psi=")[0]],
+                         check=True, capture_output=True, text=True).stdout
+    group, n, rise = json.loads(out)
+    return group, n, rise / (n * n * 8)
+
+
+@pytest.mark.parametrize("text, group", [("sphere:r=1,subdiv=3,psi=random", 1),
                                          ("box:n=2,res=30", 4),
                                          ("sphere:r=1,subdiv=3", 8)])
 def test_budget_prediction_bounds_the_traced_decomposition(text, group):
-    """The budget's prediction of a dense solve from its variant, DENSE_PEAK
-    |G| ((N/|G|)^2 + N) floats, holds the traced decompose peak and is
-    within 1.5 times of it, for the trivial group, 4 mirror blocks and 8."""
-    m, psi = _mirror_case(text)
-    dec, peak = _traced_decompose(m, psi)
-    assert dec.basis.chi.shape[0] == group
-    n = m.num_nodes
+    """The budget's prediction of a dense solve from its variant (o = N/|G|
+    orbits) holds the decompose peak and is within 1.5 times of it, for
+    the trivial group, 4 mirror blocks and 8.  The split solves peak in
+    their traced character sums; the one block peaks in numpy's eigh,
+    measured by peak RSS in a fresh interpreter (about 5.5 N x N)."""
+    if group == 1:
+        seen, n, peak = _rss_decompose(text)
+    else:
+        m, psi = _mirror_case(text)
+        dec, peak = _traced_decompose(m, psi)
+        seen, n = dec.basis.chi.shape[0], m.num_nodes
+    assert seen == group
     predicted = _check_budget("", n, group, n / group, 0) / (n * n * 8)
     assert predicted / 1.5 < peak <= predicted
 
@@ -762,7 +807,8 @@ def test_mirror_blocks_at_subdivision_four(monkeypatch):
                                   "box:n=2,res=9"])
 def test_chunked_images_match_whole_images(text, monkeypatch):
     """apply_functions transforms the members a chunk at a time (here 7 rows
-    over 30) and measures each chunk's images; the values match the images
+    over 30) with the multipliers formed once and measures each chunk's
+    images; the values match the images
     of apply_function measured whole to 1e-12, in the layout (fs, measure's
     axes, members), and one node function gives one value per f."""
     from sobolab import manifold
@@ -779,11 +825,41 @@ def test_chunked_images_match_whole_images(text, monkeypatch):
                 grad_lp_norm(m, v, 2.0))
 
     monkeypatch.setattr(manifold, "CHUNK_BYTES", 7 * 8 * m.num_nodes)
-    got = spectral.apply_functions(dec, iter(fs), u, measure)
+    weights = spectral.multipliers(dec, iter(fs))
+    got = spectral.apply_functions(dec, weights, u, measure)
     want = np.array([measure(apply_function(dec, f, u)) for f in fs])
     assert got.shape == want.shape == (4, 3, 30)
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
-    one = spectral.apply_functions(dec, fs, u[5], lambda v: lp_norm(m, v, 2.0))
+    one = spectral.apply_functions(dec, weights, u[5],
+                                   lambda v: lp_norm(m, v, 2.0))
     assert one.shape == (4,)
     assert np.all(np.abs(one - [lp_norm(m, apply_function(dec, f, u[5]), 2.0)
                                 for f in fs]) <= 1e-12 * one)
+
+
+@pytest.mark.parametrize("rows", [30, 7, 1])
+def test_each_scan_forms_its_multipliers_once(rows, monkeypatch):
+    """A scan forms f(lambda) once per function, whatever the number of
+    chunks (30 members in chunks of 30, 7 and 1 rows), and its values do
+    not depend on the chunking."""
+    from sobolab import manifold, semigroup
+
+    m = build("torus:n=2,res=6")
+    dec = decompose(m, constant_potential(m, 1.0))
+    u = generate_ensemble(m, EnsembleSpec(seed=4, size=30), dec=dec)
+    calls = []
+    original = spectral._multiplier
+    monkeypatch.setattr(spectral, "_multiplier",
+                        lambda dec, f: calls.append(f) or original(dec, f))
+    monkeypatch.setattr(manifold, "CHUNK_BYTES", rows * 8 * m.num_nodes)
+    heat = semigroup.heat_contraction_check(m, dec, [0.1, 1.0, 3.0],
+                                            [1.0, 2.0], u)
+    assert len(calls) == 3
+    pairs = semigroup.bessel_equivalence_constants(dec.shifted(-1.0), 0.5,
+                                                   1.5, u)
+    assert len(calls) == 3 + 3
+    monkeypatch.setattr(manifold, "CHUNK_BYTES", 30 * 8 * m.num_nodes)
+    assert semigroup.heat_contraction_check(m, dec, [0.1, 1.0, 3.0],
+                                            [1.0, 2.0], u) == heat
+    assert semigroup.bessel_equivalence_constants(dec.shifted(-1.0), 0.5,
+                                                  1.5, u) == pairs
