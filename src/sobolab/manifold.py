@@ -7,7 +7,10 @@ are assigned analytically, never estimated from the mesh.  Grid gradients
 are numpy differences and a sphere's P1 gradient is numpy arrays of node
 indices and coefficients; the stiffness G^T W G is numpy (row, column,
 value) entries derived from either.  Only a read of ``stiffness``, the
-same entries as a scipy matrix, loads scipy.
+same entries as a scipy matrix, loads scipy.  A torus or box stiffness is a
+Kronecker sum over the axes, so its spectrum is closed-form per axis
+(spectral.FourierBasis); the memory budget counts a grid's res x res axis
+matrices and a sphere's dense solve.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ CHUNK_BYTES = 2 ** 20  # member rows per pass: as many N-float rows as fit
 ELEMENT_BLOCK_BYTES = 2 ** 18  # sphere node values gathered per element block
 CHUNK_PEAK = 12  # chunks of members at a job's peak: drawn, transformed, measured
 MEMBER_VALUES = 64  # floats a job keeps per member: its values and their reductions
-TORUS_AXIS_GUARD = 256  # nodes per torus axis (Fourier products cost O(res))
+AXIS_GUARD = 256  # nodes per grid axis but a 1-d box's (products cost O(res))
 VALIDATE_RTOL = 1e-10  # |gradient of a constant| allowed / largest coefficient
 SPEC_KEYS = {"sphere": ("r", "r0", "subdiv", "scale"),  # model spec options
              "torus": ("n", "res", "L", "scale"),
@@ -536,23 +539,26 @@ def _keep_chunk_pages() -> None:
     mallopt(-1, allowance)  # M_TRIM_THRESHOLD
 
 
-def _check_budget(job: str, nodes, group: int, orbits, members: int) -> float:
+def _check_budget(job: str, nodes, group: int, orbits, members: int,
+                  axis: int = 0) -> float:
     """Predicted peak bytes of a job, refused unless within MEMORY_BUDGET.
 
-    Three terms, in floats.  A dense solve in the mirror group's blocks
-    (group = 0 on the Fourier path) holds DENSE_PEAK times the larger of
+    Four terms, in floats.  A dense solve in the mirror group's blocks
+    (group = 0 on the per-axis path) holds DENSE_PEAK times the larger of
     its two phases, plus 2 |G| N for the node images and character table.
     The character sums hold |G| o^2 sums, the o x N stiffness rows at the
     orbit representatives and one image's o^2 columns (o = orbits); the
     solves hold the cut blocks, at most |G| o^2, and numpy's eigh of the
     block being solved (at most o x o) another 4 o^2: a copy, dsyevd's
-    2 o^2 workspace and the eigenvectors.  CHUNK_PEAK chunks of
-    min(members, _chunk_rows) rows of N are what one chunk's draw,
-    transforms and measures hold at once (a sphere's gradient of one chunk
-    alone takes about 6); and MEMBER_VALUES per member are the per-member
-    values a job keeps and reduces (3 to 28 measured at the default times;
-    a heat --t-list time adds 3 cases, a flow b --times sample one value).
-    members = 0 predicts the dense solve alone.
+    2 o^2 workspace and the eigenvectors.  A per-axis basis of axis nodes
+    per axis holds 2 axis^2: its columns and the one copy of the same size
+    (weighted or squared) that a transform or a row sum forms.
+    CHUNK_PEAK chunks of min(members, _chunk_rows) rows of N are what one
+    chunk's draw, transforms and measures hold at once (a sphere's gradient
+    of one chunk alone takes about 6); and MEMBER_VALUES per member are the
+    per-member values a job keeps and reduces (3 to 28 measured at the
+    default times; a heat --t-list time adds 3 cases, a flow b --times
+    sample one value).  members = 0 predicts the decomposition alone.
     """
     dense = 0.0
     if group:
@@ -560,7 +566,8 @@ def _check_budget(job: str, nodes, group: int, orbits, members: int) -> float:
         solves = (group + 4) * orbits * orbits
         dense = DENSE_PEAK * (max(sums, solves) + 2 * group * nodes)
     rows = min(members, _chunk_rows(nodes)) * nodes if members else 0
-    peak = 8.0 * (dense + CHUNK_PEAK * rows + MEMBER_VALUES * members)
+    peak = 8.0 * (dense + 2 * axis * axis + CHUNK_PEAK * rows
+                  + MEMBER_VALUES * members)
     if not peak <= MEMORY_BUDGET:
         raise ValueError(f"{job} needs a predicted {peak / 1e9:.3g} GB, over "
                          f"the memory budget of {MEMORY_BUDGET / 1e9:g} GB")
@@ -571,11 +578,13 @@ def _check_node_count(variant: str, dim: int, res: int, members: int) -> None:
     """Refuse a model spec whose job is too large before the mesh is built.
 
     A grid has res^dim nodes and an icosphere (res = subdiv) 10 * 4^res + 2.
-    A torus axis may have at most TORUS_AXIS_GUARD nodes.  The budget takes
-    the mirror group at Psi = 1: 2^3 and about N / 8 orbits on an
-    icosphere, 2^dim and ceil(res / 2)^dim on a box, none on a torus.  A
-    power of 256 bits or more is named but never formed, so a huge n or
-    subdiv costs nothing.  Sizes that ModelSpec rejects pass unchecked.
+    An axis of a torus, or of a box of dimension 2 or more, may have at most
+    AXIS_GUARD nodes; a 1-d box's one axis matrix is its whole eigenbasis,
+    and the budget bounds it.  The budget takes the mirror group at Psi = 1
+    on an icosphere, 2^3 and about N / 8 orbits, and the res x res axis
+    matrices on a grid.  A power of 256 bits or more is named but never
+    formed, so a huge n or subdiv costs nothing.  Sizes that ModelSpec
+    rejects pass unchecked.
     """
     sphere = variant == "sphere"
     base, exp = (4, res) if sphere else (res, dim)
@@ -586,13 +595,12 @@ def _check_node_count(variant: str, dim: int, res: int, members: int) -> None:
     if exp * (base.bit_length() - 1) < 256:
         n = 10 * 4 ** res + 2 if sphere else res ** dim
         count += f" = {n}"
-        group = {"sphere": 8, "box": 2 ** dim, "torus": 0}[variant]
-        orbits = n / 8 if sphere else ((res + 1) // 2) ** dim
-    if variant == "torus" and res > TORUS_AXIS_GUARD:
-        raise ValueError(f"torus model of {count} nodes exceeds the axis "
-                         f"guard ({TORUS_AXIS_GUARD} nodes per axis)")
+        group, orbits = (8, n / 8) if sphere else (0, 0)
+    if (variant == "torus" or variant == "box" and dim > 1) and res > AXIS_GUARD:
+        raise ValueError(f"{variant} model of {count} nodes exceeds the axis "
+                         f"guard ({AXIS_GUARD} nodes per axis)")
     _check_budget(f"{variant} model of {count} nodes times {members} members",
-                  n, group, orbits, members)
+                  n, group, orbits, members, 0 if sphere else res)
 
 
 def parse_model_spec(text: str, members: int = 1) -> ModelSpec:

@@ -1,21 +1,22 @@
 """Spectral decomposition of H = -Laplacian + Psi and operator calculus f(H).
 
 The generalized symmetric problem (S + M_Psi) phi = lambda M phi is solved
-in closed form on a periodic grid with uniform mass and constant Psi (real
-Fourier modes, applied by one product per axis with the leading columns of
-the res x res Fourier matrix), and otherwise reduced via the diagonal mass
-square root, split into one block per character of the group generated by
-the mesh's axis mirrors (one block, the whole matrix, when there is no
-mirror), and solved block by block by numpy.linalg.eigh (LAPACK's
-symmetric divide and conquer, dsyevd), the blocks kept apart and applied
-one by one; the stiffness is read from its numpy entries, so no solve
-loads scipy.  Every operator function (heat semigroup, fractional powers,
-resolvents) is evaluated on the resulting eigenpairs.  A full-width f(H)
-multiplies the coefficients in each basis's own order by f(lambda)
-permuted into that order (multipliers, formed once per job), and
-apply_functions takes the members a chunk of rows at a time
-(manifold._chunks), measuring each image before the next is formed, so no
-f(H) image of a whole member matrix is held.
+in closed form on a grid with constant Psi, a torus or a Neumann box
+(products of per-axis real Fourier or DCT-I columns, applied by one product
+per axis with the leading columns of the res x res axis matrix).  Spheres
+and a non-constant Psi are reduced via the diagonal mass square root,
+split into one block per character of the group generated by the mesh's
+axis mirrors (one block, the whole matrix, when there is no mirror), and
+solved block by block by numpy.linalg.eigh (LAPACK's symmetric divide and
+conquer, dsyevd), the blocks kept apart and applied one by one; the
+stiffness is read from its numpy entries, so no solve loads scipy.  Every
+operator function (heat semigroup, fractional powers, resolvents) is
+evaluated on the resulting eigenpairs.  A full-width f(H) multiplies the
+coefficients in each basis's own order by f(lambda) permuted into that
+order (multipliers, formed once per job), and apply_functions takes the
+members a chunk of rows at a time (manifold._chunks), measuring each image
+before the next is formed, so no f(H) image of a whole member matrix is
+held.
 """
 
 from __future__ import annotations
@@ -185,25 +186,29 @@ class MirrorBasis:
             phi[:, part] = self.synthesize(eye[part]).T
         return phi
 
-    def row_sums(self, w: np.ndarray) -> np.ndarray:
-        """sum_k w[k, j] phi_k(x)^2, from each orbit's squared block rows."""
-        r = np.zeros((self.images.shape[1],) + w.shape[1:])
+    def row_sums(self, fw2: np.ndarray) -> np.ndarray:
+        """sum_k fw2[k, j] phi_k(x)^2, from each orbit's squared block rows."""
+        r = np.zeros((self.images.shape[1],) + fw2.shape[1:])
         for _, keep, v, cols in self.blocks:
-            r[keep] += (v ** 2) @ w[cols]
-        out = np.empty((self.size,) + w.shape[1:])
+            r[keep] += (v ** 2) @ fw2[cols]
+        out = np.empty((self.size,) + fw2.shape[1:])
         out[self.images] = (self.scale ** 2)[:, :, None] * r
         return out
 
 
 @dataclass(frozen=True)
 class FourierBasis:
-    """Products of real Fourier columns over sqrt(m0) on a res^dim periodic grid.
+    """Products of per-axis columns over sqrt(m0) on a res^dim grid.
 
-    Eigenvector k is the mode order[k] (C order over the axes, each axis a
-    column of q = _fourier_axis(res)[1]).  Coefficients and syntheses of the
-    leading k modes apply the first b columns of q along every axis, b = 1 +
-    the largest per-axis index among order[:k] (b = res for all modes), so
-    they cost O(b) per entry per axis, and the N x N matrix is formed only by
+    Every axis has the columns q, orthonormal under the node weights w: the
+    real Fourier columns with w = 1 on a torus, the DCT-I columns with the
+    trapezoid weights (1/2 at both ends) on a Neumann box, so the node
+    masses are m0 times the product of the per-axis weights.  Eigenvector k
+    is the mode order[k] (C order over the axes, each axis a column of q).
+    Coefficients apply the first b columns of q weighted by w along every
+    axis, and syntheses the first b columns of q, b = 1 + the largest
+    per-axis index among order[:k] (b = res for all modes), so they cost
+    O(b) per entry per axis, and the N x N matrix is formed only by
     columns().  forward and backward apply all of q per axis and keep the
     modes in their C grid order, into which native permutes f(lambda); they
     leave out the sqrt(m0) factors, which cancel in backward(native(fw) *
@@ -211,14 +216,15 @@ class FourierBasis:
     chunk (manifold._chunks) at a time.
     """
 
-    q: np.ndarray  # the real Fourier columns of one axis
+    q: np.ndarray  # the columns of one axis
+    w: np.ndarray  # the node weights of one axis, under which q is orthonormal
     dim: int
-    m0: float  # the uniform node mass
+    m0: float  # the cell mass
     order: np.ndarray  # stable ascending-eigenvalue permutation of the modes
 
     def coefficients(self, u: np.ndarray, k: int | None = None) -> np.ndarray:
         b, keep = self._leading(k)
-        c = _per_axis(self.q[:, :b].T, u, self.dim)
+        c = _per_axis((self.w[:, None] * self.q[:, :b]).T, u, self.dim)
         c = c.reshape(u.shape[:-1] + (b ** self.dim,))[..., keep]
         c *= np.sqrt(self.m0)
         return c
@@ -241,14 +247,15 @@ class FourierBasis:
         return b, np.ravel_multi_index(axes, (b,) * self.dim)
 
     def native(self, fw: np.ndarray) -> np.ndarray:
-        """fw, one value per eigenvalue, in the C grid order of the modes."""
+        """fw, one value or row per eigenvalue, in the modes' C grid order."""
         out = np.empty_like(fw)
         out[self.order] = fw
         return out
 
     def forward(self, rows: np.ndarray) -> np.ndarray:
         """sqrt(m0) times all coefficients of the (K, N) rows, (K, N)."""
-        return _per_axis(self.q.T, rows, self.dim).reshape(rows.shape)
+        return _per_axis((self.w[:, None] * self.q).T, rows,
+                         self.dim).reshape(rows.shape)
 
     def backward(self, c: np.ndarray) -> np.ndarray:
         """The (K, N) rows whose forward is c."""
@@ -266,15 +273,15 @@ class FourierBasis:
         phi = reduce(np.multiply, factors).reshape(self.order.size, keep.size)
         return phi / np.sqrt(self.m0)
 
-    def row_sums(self, w: np.ndarray) -> np.ndarray:
-        """sum_k w[k, j] / vol at every node.
+    def row_sums(self, fw2: np.ndarray) -> np.ndarray:
+        """sum_k fw2[k, j] phi_k(x)^2 at every node x.
 
-        The columns of one eigenvalue have squares summing to their count
-        over vol at every node, and w is a function of the eigenvalue.
+        phi_k(x)^2 is the product over the axes of q^2 at (x_d, k_d), over
+        m0, so the sums are q^2 applied along every axis of each column of
+        fw2 in the modes' grid order.
         """
-        n = self.order.size
-        return np.broadcast_to(np.sum(w, axis=0) / (n * self.m0),
-                               (n,) + w.shape[1:])
+        sums = _per_axis(self.q ** 2, self.native(fw2).T, self.dim)
+        return sums.reshape(fw2.shape[::-1]).T / self.m0
 
 
 def _per_axis(a: np.ndarray, u: np.ndarray, dim: int) -> np.ndarray:
@@ -308,14 +315,6 @@ class SpectralDecomposition:
     @property
     def lambda_min(self) -> float:
         return float(self.eigenvalues[0])
-
-    def coefficients(self, u: np.ndarray, k: int | None = None) -> np.ndarray:
-        """Mass inner products <u, phi_j>, j < k (default all), for u or each row of u."""
-        return self.basis.coefficients(u, k)
-
-    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        """Sum of coeffs_j phi_j over the leading coeffs.shape[-1] modes, row by row."""
-        return self.basis.synthesize(coeffs)
 
     def cluster_bounds(self) -> np.ndarray:
         """Start index of every eigenvalue cluster, followed by N.
@@ -351,26 +350,30 @@ def _clip(w: np.ndarray) -> np.ndarray:
 def decompose(m: DiscreteManifold, psi: PotentialField) -> SpectralDecomposition:
     """Generalized symmetric eigendecomposition of S + M_Psi vs M.
 
-    A model whose gradient is a periodic grid gradient (a torus: component d
-    the forward difference over h_d = period_d / res), whose element weights
-    all equal its uniform node mass, with a constant Psi, gets exact Fourier
-    eigenvalues and a FourierBasis: its stiffness is then the Kronecker sum
-    of (m0 / h_d^2) times the periodic second difference.  Every other model
-    gets a dense divide-and-conquer solve of the mass-reduced stiffness,
-    in mirror blocks and within the memory budget.  Eigenvalues with
-    |lambda| <= 1e-10 * max|lambda| are clipped to exactly 0 so the Neumann
-    kernel is detected reliably by the operator calculus.
+    A model whose gradient is a grid gradient accepted by _fourier_grid (a
+    torus, or a Neumann box), with a constant Psi, gets exact eigenvalues
+    and a FourierBasis: its stiffness is then a Kronecker sum of per-axis
+    second differences, and mode (k_0, ..., k_(n-1)), in C order like the
+    nodes, has the sum of the per-axis eigenvalues over h_d^2.  Every other
+    model gets a dense divide-and-conquer solve of the mass-reduced
+    stiffness, in mirror blocks and within the memory budget.  Eigenvalues
+    with |lambda| <= 1e-10 * max|lambda| are clipped to exactly 0 so the
+    Neumann kernel is detected reliably by the operator calculus.
     """
     n = m.num_nodes
     if psi.values.shape != (n,):
         raise ValueError("potential has wrong shape")
-    res = _fourier_grid(m)
-    if res is not None and np.all(psi.values == psi.values[0]):
-        w = _fourier_eigenvalues(m, res)
+    grid = _fourier_grid(m) if np.all(psi.values == psi.values[0]) else None
+    if grid is not None:
+        lam1, q, weights, m0 = grid
+        g = m.grad
+        cells = g.res if g.periodic else g.res - 1
+        modes = np.indices((g.res,) * m.dim).reshape(m.dim, -1)
+        w = sum(lam1[modes[d]] / (side / cells) ** 2
+                for d, side in enumerate(g.sides))
         order = np.argsort(w, kind="stable")
         w = w[order] + psi.values[0]
-        basis = FourierBasis(q=_fourier_axis(res)[1], dim=m.dim,
-                             m0=float(m.mass[0]), order=order)
+        basis = FourierBasis(q=q, w=weights, dim=m.dim, m0=m0, order=order)
     else:
         w, basis = _mirror_eigenpairs(m, psi, _mirrors(m, psi))
     return SpectralDecomposition(eigenvalues=_clip(w), basis=basis,
@@ -532,49 +535,58 @@ def _mirror_eigenpairs(m: DiscreteManifold, psi: PotentialField,
     return w[order], basis
 
 
-def _fourier_grid(m: DiscreteManifold) -> int | None:
-    """Nodes per axis when H is separable on a periodic grid, else None.
+def _fourier_grid(m: DiscreteManifold):
+    """_fourier_axis of the grid and its cell mass m0 when H is separable
+    on it, else None.
 
-    Read from the gradient's structure: a periodic GridGradient, whose
-    inv_h_d is res / period_d by construction, with element weights all
-    equal to the uniform node mass m0.  Its stiffness is then exactly the
-    Kronecker sum of (m0 / h_d^2) L_d over the axes (C order, axis 0
-    slowest), L_d the periodic second difference.
+    Read from the gradient's structure: a GridGradient, whose inv_h_d is
+    1 / h_d by construction (h_d = side_d / res on a torus, side_d / (res -
+    1) on a box), with all element weights equal and node masses m0 times
+    the product of the per-axis weights w.  m0 is an element's weight times
+    the 2^dim corner elements of a box cell (1 on a torus).  Each axis d
+    then contributes (m0 / h_d^2) times its second difference, weighted by
+    the other axes' w, to the stiffness, and the eigenvectors are products
+    of the per-axis ones (C order, axis 0 slowest).
     """
     g = m.grad
-    if not (isinstance(g, GridGradient) and g.periodic):
+    if not isinstance(g, GridGradient) or np.any(g.weights != g.weights[0]):
         return None
-    m0 = m.mass[0]
-    if np.any(m.mass != m0) or np.any(g.weights != m0):
+    lam, q, w = _fourier_axis(g.res, g.periodic)
+    m0 = float(g.weights[0] * (1 if g.periodic else 2 ** m.dim))
+    if np.any(m.mass != m0 * reduce(np.multiply.outer, [w] * m.dim).ravel()):
         return None
-    return g.res
+    return lam, q, w, m0
 
 
-def _fourier_axis(res: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues 4 sin^2(pi k/res) and orthonormal real Fourier columns.
+def _fourier_axis(res: int, periodic: bool):
+    """Eigenvalues, columns and weights of one axis's second difference.
 
-    Columns run 1, cos 1, sin 1, cos 2, sin 2, ... (then the alternating
-    mode when res is even); a cos/sin pair shares one computed eigenvalue.
+    Periodic: eigenvalues 4 sin^2(pi k/res), orthonormal real Fourier
+    columns 1, cos 1, sin 1, cos 2, sin 2, ... (then the alternating mode
+    when res is even), a cos/sin pair sharing one computed eigenvalue, and
+    weights 1.  Neumann: eigenvalues 4 sin^2(pi k/(2(res - 1))) and the
+    DCT-I columns cos(pi k j/(res - 1)), orthonormal under the trapezoid
+    weights (1/2 at both ends).
     """
-    freq = (np.arange(res) + 1) // 2
-    lam = 4.0 * np.sin(np.pi * freq / res) ** 2
-    angle = 2.0 * np.pi * (np.outer(np.arange(res), freq) % res) / res
-    q = np.where(np.arange(res) % 2 == 1, np.cos(angle), np.sin(angle))
-    q[:, 0] = 1.0
-    q *= np.where((freq == 0) | (2 * freq == res), 1.0, np.sqrt(2.0)) / np.sqrt(res)
-    return lam, q
-
-
-def _fourier_eigenvalues(m: DiscreteManifold, res: int) -> np.ndarray:
-    """Eigenvalues of -Laplacian on a grid accepted by _fourier_grid, per mode.
-
-    Mode (k_0, ..., k_(n-1)), in C order like the nodes, has the sum of the
-    per-axis 4 sin^2(pi k/res) / h_d^2.
-    """
-    lam1 = _fourier_axis(res)[0]
-    modes = np.indices((res,) * m.dim).reshape(m.dim, -1)
-    return sum(lam1[modes[d]] / (period / res) ** 2
-               for d, period in enumerate(m.periods))
+    w = np.ones(res)
+    if periodic:
+        freq = (np.arange(res) + 1) // 2
+        lam = 4.0 * np.sin(np.pi * freq / res) ** 2
+        angle = 2.0 * np.pi * (np.outer(np.arange(res), freq) % res) / res
+        q = np.where(np.arange(res) % 2 == 1, np.cos(angle), np.sin(angle))
+        q[:, 0] = 1.0
+        q *= np.where((freq == 0) | (2 * freq == res), 1.0, np.sqrt(2.0)) / np.sqrt(res)
+        return lam, q, w
+    r = res - 1
+    k = np.arange(res)
+    w[[0, -1]] = 0.5
+    lam = 4.0 * np.sin(0.5 * np.pi * k / r) ** 2
+    q = np.outer(k, k)  # two res x res arrays at most, as the budget counts
+    q %= 2 * r
+    q = q * (np.pi / r)
+    np.cos(q, out=q)
+    q *= np.sqrt(np.where(k % r == 0, 1.0, 2.0) / r)
+    return lam, q, w
 
 
 def _multiplier(dec: SpectralDecomposition,

@@ -135,6 +135,26 @@ def test_tau_quadrature_matches_closed_form():
     assert quad_val == pytest.approx(tau_closed_form(t, a, mu), rel=1e-6)
 
 
+@pytest.mark.parametrize("mu, a, t", [(3.0, 2.0, 0.1), (3.0, 0.18, 0.1),
+                                      (2.5, 0.25, 1e-3), (3.0, 0.5, 5.0)])
+def test_tau_gauss_legendre_rule_is_near_exact(mu, a, t):
+    """The fixed rule after sigma = t v^6 integrates the logarithmic beta
+    to roundoff, well inside the 1e-6 the chain checks ask for."""
+    got = tau_of_t(t, lambda s: beta_from_sobolev(a, mu, s))
+    assert got == pytest.approx(tau_closed_form(t, a, mu), rel=1e-12)
+
+
+def test_tau_of_a_profile_integrates_its_interpolant_exactly():
+    """beta held at 4 below sigma = 1, linear through (1, 4), (2, 2), (3, 3)
+    and held at 3 above: int_0^2.5 = 4 + 3 + 1.125 = 8.125, and past the grid
+    the held value adds 3 per unit."""
+    prof = LogSobolevProfile(np.array([1.0, 2.0, 3.0]),
+                             np.array([4.0, 2.0, 3.0]))
+    assert tau_of_t(2.5, prof) == pytest.approx(8.125 / 5.0, rel=1e-15)
+    assert tau_of_t(4.0, prof) == pytest.approx(12.5 / 8.0, rel=1e-15)
+    assert tau_of_t(0.5, prof) == pytest.approx(2.0, rel=1e-15)
+
+
 def test_tau_respects_sigma_star():
     with pytest.raises(ValueError):
         tau_of_t(2.0, lambda s: 1.0, sigma_star=1.0)

@@ -82,12 +82,17 @@ def test_every_all_entry_names_something(path):
 
 @pytest.mark.parametrize("path", NOT_SPECTRAL, ids=[p.name for p in NOT_SPECTRAL])
 def test_only_spectral_reads_the_eigenbasis(path):
-    """Other modules go through coefficients/synthesize, so which basis a
-    decomposition holds (the mirror blocks of a dense solve, one block with
-    no mirror, or the Fourier columns) is a matter for spectral alone."""
+    """Other modules reach a decomposition's basis only to call
+    coefficients/synthesize, which every basis has, so which basis it holds
+    (the mirror blocks of a dense solve, one block with no mirror, or the
+    per-axis columns of a grid) is a matter for spectral alone."""
     tree = ast.parse(path.read_text())
+    calls = {id(n.value) for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute)
+             and n.attr in ("coefficients", "synthesize")}
     reads = [n.lineno for n in ast.walk(tree)
-             if isinstance(n, ast.Attribute) and n.attr == "basis"]
+             if isinstance(n, ast.Attribute) and n.attr == "basis"
+             and id(n) not in calls]
     assert not reads, f"{path.name} reads the basis on lines {reads}"
 
 
@@ -109,10 +114,9 @@ def test_only_spectral_and_the_ensemble_call_the_transforms(path):
 
 
 # ---------------------------------------------------------------------------
-# scipy is loaded only where the quadrature in tau_of_t needs it, or where a
-# caller reads a manifold's stiffness as a scipy matrix; every torus, sphere
-# and box job runs on numpy alone.  Each check runs in a fresh interpreter,
-# because this one has loaded scipy.
+# scipy is loaded only where a caller reads a manifold's stiffness as a scipy
+# matrix; every torus, sphere and box job, and tau_of_t, run on numpy alone.
+# Each check runs in a fresh interpreter, because this one has loaded scipy.
 
 TORUS_JOBS = [
     ["estimate", "--model", "torus:n=2,res=8", "--p", "1.5"],
@@ -176,3 +180,24 @@ def test_sphere_and_box_jobs_leave_scipy_unloaded(scipy_use):
     assert [job[:2] for job in scipy_use["other"]] == [
         [argv[0], 0] for argv in OTHER_JOBS]
     assert all(modules == [] for _, _, modules in scipy_use["other"])
+
+
+TAU_SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from sobolab.constants import LogSobolevProfile, beta_from_sobolev, tau_of_t
+tau_of_t(0.1, lambda s: beta_from_sobolev(2.0, 3.0, s))
+tau_of_t(0.5, LogSobolevProfile(np.geomspace(1e-4, 1.0, 25),
+                                np.linspace(3.0, 1.0, 25)))
+print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))
+"""
+
+
+def test_tau_of_t_loads_no_scipy():
+    """Both rules of tau_of_t (a callable's and a measured profile's) are
+    fixed numpy sums, with no adaptive quadrature."""
+    src = str(Path(sobolab.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", TAU_SCRIPT, src], check=True,
+                          capture_output=True, text=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) == []

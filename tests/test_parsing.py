@@ -79,6 +79,7 @@ def test_parse_model_spec_parses_or_raises_value_error(text):
     (parse_model_spec, "torus:n=40,res=2", "2^40 = 1099511627776"),
     (parse_flow_spec, "sphere:r0=1,subdiv=6", "10*4^6+2 = 40962"),
     (parse_model_spec, "torus:n=1,res=257", "257^1 = 257"),
+    (parse_model_spec, "box:n=2,res=257", "257^2 = 66049"),
     (parse_model_spec, "torus:n=2,res=512", "512^2 = 262144"),
     (parse_flow_spec, "torus:n=1,res=300", "300^1 = 300"),
 ])
@@ -127,10 +128,11 @@ def test_specs_without_an_exact_flow_are_refused_before_building(monkeypatch,
 
 
 def test_memory_budget_bounds_every_job_before_building():
-    """One byte budget bounds the predicted peak of a job: the dense solve
-    in its variant's mirror blocks, a few chunks of members and the values
-    kept per member.  It admits every sphere through subdivision 5, every
-    box through 4000 nodes and the 256^2 torus at a million members, and
+    """One byte budget bounds the predicted peak of a job: a sphere's dense
+    solve in its mirror blocks or a grid's per-axis matrices, a few chunks
+    of members and the values kept per member.  It admits every sphere
+    through subdivision 5, every box through 4000 nodes, the 256^2 box and
+    torus (no dense term on a grid) and the torus at a million members, and
     refuses the rest with one line naming the predicted bytes and the
     budget."""
     budget = f"over the memory budget of {MEMORY_BUDGET / 1e9:g} GB"
@@ -141,9 +143,10 @@ def test_memory_budget_bounds_every_job_before_building():
     for n in range(1, 12):
         res = max(r for r in range(2, 4001) if r ** n <= 4000)
         assert parse_model_spec(f"box:n={n},res={res}", members=200)
-    assert parse_model_spec("box:n=3,res=20", members=200)
+    for text in ("box:n=3,res=20", "box:n=14,res=2", "box:n=2,res=256"):
+        assert parse_model_spec(text, members=200)
     for parse, text, members in [(parse_model_spec, "sphere:subdiv=6", 1),
-                                 (parse_model_spec, "box:n=14,res=2", 1),
+                                 (parse_model_spec, "box:n=3,res=256", 1),
                                  (parse_model_spec, "torus:n=2,res=256", 10 ** 7),
                                  (parse_model_spec, "torus:n=2,res=256", 10 ** 9),
                                  (parse_model_spec, "torus:n=2,res=16", 10 ** 9),

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import dataclass, replace
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -304,16 +305,36 @@ def test_shift_to_bare_laplacian_has_exact_kernel(view_base):
     assert kernel[0]
 
 
-# Closed-form Fourier eigenpairs on periodic grids against the dense eigh of
-# the same mesh.  Both bases are mass-orthonormal, but inside a degenerate
-# eigenspace they differ, so only basis-independent quantities are compared.
+# Closed-form per-axis eigenpairs on tori (real Fourier columns) and Neumann
+# boxes (DCT-I columns) against the mirror-block solve of the same mesh.
+# Both bases are mass-orthonormal, but inside a degenerate eigenspace they
+# differ, so only basis-independent quantities are compared.
 FOURIER_SPECS = ["torus:n=1,res=32", "torus:n=2,res=32", "torus:n=3,res=8",
-                 "torus:n=2,res=9,L=3x5", "torus:n=2,res=12,L=1,scale=1.7"]
+                 "torus:n=2,res=9,L=3x5", "torus:n=2,res=12,L=1,scale=1.7",
+                 "box:n=1,res=7", "box:n=2,res=2", "box:n=2,res=8",
+                 "box:n=2,res=9,L=1x2.5", "box:n=3,res=6",
+                 "box:n=3,res=5,L=1x2x3", "box:n=2,res=12,L=1,scale=1.7"]
 
 
 def _dense(m, psi):
     w, v = spectral._mirror_eigenpairs(m, psi, spectral._mirrors(m, psi))
     return SpectralDecomposition(spectral._clip(w), v, psi, m)
+
+
+def _tensor_sum(m):
+    """The eigenvalues of -Laplacian on a grid in closed form, ascending: the
+    sums over the axes of 4 sin^2(pi k / res) / h_d^2 on a torus (h_d =
+    side_d / res) and of 4 sin^2(pi k / (2 (res - 1))) / h_d^2 on a box (h_d
+    = side_d / (res - 1))."""
+    g = m.grad
+    k = np.arange(g.res)
+    if g.periodic:
+        per_axis = [4.0 * np.sin(np.pi * k / g.res) ** 2 * (g.res / s) ** 2
+                    for s in g.sides]
+    else:
+        per_axis = [4.0 * np.sin(np.pi * k / (2 * (g.res - 1))) ** 2
+                    * ((g.res - 1) / s) ** 2 for s in g.sides]
+    return np.sort(reduce(np.add.outer, per_axis).ravel())
 
 
 def _max_residual(dec):
@@ -330,8 +351,11 @@ def test_fourier_eigenpairs_match_dense(text):
     psi = constant_potential(m, 1.0)
     assert spectral._fourier_grid(m) is not None
     fourier, dense = decompose(m, psi), _dense(m, psi)
+    assert isinstance(fourier.basis, spectral.FourierBasis)
     lam_max = np.max(np.abs(dense.eigenvalues))
     assert np.max(np.abs(fourier.eigenvalues - dense.eigenvalues)) \
+        <= 1e-12 * lam_max
+    assert np.max(np.abs(fourier.eigenvalues - 1.0 - _tensor_sum(m))) \
         <= 1e-12 * lam_max
     phi = fourier.basis.columns()
     gram = phi.T @ (m.mass[:, None] * phi)
@@ -389,26 +413,29 @@ def _explicit(dec):
 
 def _assert_basis_matches_its_columns(base, u, ks):
     """Coefficients of the leading k modes (k in ks) of the matrix u and of
-    its first row, their syntheses, f(H) and the 2->inf norms equal the
-    products with the explicit columns to 1e-12, on shifted views too."""
+    its first row, their syntheses, f(H), the row sums of f(lambda)^2 and
+    the 2->inf norms equal the products with the explicit columns to 1e-12,
+    on shifted views too."""
     fs = [heat_multiplier(t) for t in (1e-3, 0.05, 1.0)]
 
     def close(got, want):
         return np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     for dec in (base, base.shifted(-1.0), base.shifted(-1.0).shifted(1.0)):
-        explicit = _explicit(dec)
+        basis, explicit = dec.basis, _explicit(dec)
         phi = explicit.basis.phi
         for k in ks:
-            assert np.array_equal(dec.basis.columns(k), phi[:, :k])
-            want = explicit.coefficients(u, k)
-            got = dec.coefficients(u, k)
-            assert close(got, want) and close(dec.coefficients(u[0], k), want[0])
-            want = explicit.synthesize(got)
-            assert close(dec.synthesize(got), want)
-            assert close(dec.synthesize(got[0]), want[0])
+            assert np.array_equal(basis.columns(k), phi[:, :k])
+            want = explicit.basis.coefficients(u, k)
+            got = basis.coefficients(u, k)
+            assert close(got, want) and close(basis.coefficients(u[0], k), want[0])
+            want = explicit.basis.synthesize(got)
+            assert close(basis.synthesize(got), want)
+            assert close(basis.synthesize(got[0]), want[0])
         for f in fs + [np.sqrt, lambda lam: lam]:
             assert close(apply_function(dec, f, u), apply_function(explicit, f, u))
+        fw2 = np.stack([spectral._multiplier(dec, f) ** 2 for f in fs], axis=1)
+        assert close(basis.row_sums(fw2), explicit.basis.row_sums(fw2))
         want = spectral._op_norms_2_to_inf(explicit, fs)
         assert np.all(np.abs(spectral._op_norms_2_to_inf(dec, fs) - want)
                       <= 1e-12 * want)
@@ -416,8 +443,9 @@ def _assert_basis_matches_its_columns(base, u, ks):
 
 @pytest.mark.parametrize("text", FOURIER_SPECS)
 def test_fourier_basis_matches_its_explicit_columns(text):
-    """The per-axis coefficients, syntheses, f(H) and 2->inf norms equal the
-    products with the closed-form columns, on shifted views too."""
+    """The per-axis coefficients, syntheses, f(H), row sums and 2->inf
+    norms equal the products with the closed-form columns, on tori and
+    boxes and on shifted views too."""
     m = build(text)
     base = decompose(m, constant_potential(m, 1.0))
     assert isinstance(base.basis, spectral.FourierBasis)
@@ -455,14 +483,15 @@ def test_leading_mode_transforms_use_fewer_columns(text, monkeypatch):
     phi = dec.basis.columns(k)
     u = np.random.default_rng(5).standard_normal((7, m.num_nodes))
     want = (u * m.mass) @ phi
-    got = dec.coefficients(u, k)
+    got = dec.basis.coefficients(u, k)
     assert got.shape == (7, k)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-    assert np.max(np.abs(dec.coefficients(u[0], k) - want[0])) \
+    assert np.max(np.abs(dec.basis.coefficients(u[0], k) - want[0])) \
         <= 1e-12 * np.max(np.abs(want))
     want = got @ phi.T
-    assert np.max(np.abs(dec.synthesize(got) - want)) <= 1e-12 * np.max(np.abs(want))
-    assert np.max(np.abs(dec.synthesize(got[0]) - want[0])) \
+    assert np.max(np.abs(dec.basis.synthesize(got) - want)) \
+        <= 1e-12 * np.max(np.abs(want))
+    assert np.max(np.abs(dec.basis.synthesize(got[0]) - want[0])) \
         <= 1e-12 * np.max(np.abs(want))
 
 
@@ -475,8 +504,9 @@ def test_fourier_transforms_peak_below_three_member_matrices():
     m = build("torus:n=2,res=56")
     dec = decompose(m, constant_potential(m, 1.0))
     u = np.random.default_rng(8).standard_normal((200, m.num_nodes))
-    c = dec.coefficients(u)
-    for transform, arg in ((dec.coefficients, u), (dec.synthesize, c)):
+    c = dec.basis.coefficients(u)
+    for transform, arg in ((dec.basis.coefficients, u),
+                           (dec.basis.synthesize, c)):
         tracemalloc.start()
         try:
             transform(arg)
@@ -516,22 +546,24 @@ def _one_call_per_block(seen, m, mirrors):
 @pytest.mark.parametrize("case", ["perturbed-torus", "sphere", "box",
                                   "varying-potential"])
 def test_non_separable_models_fall_back_to_dense(case, monkeypatch):
-    if case == "perturbed-torus":
-        m = _perturbed_torus()
-    elif case in ("sphere", "box"):
-        m = build({"sphere": "sphere:r=1,subdiv=1", "box": "box:n=2,res=6"}[case])
+    """A perturbed torus and a sphere are not separable grids; a box with a
+    Psi even about its centre, and a torus with Psi = 1 + x, are separable
+    grids with a non-constant Psi."""
+    if case in ("perturbed-torus", "sphere"):
+        m = (_perturbed_torus() if case == "perturbed-torus"
+             else build("sphere:r=1,subdiv=1"))
+        psi = constant_potential(m, 1.0)
     else:
-        m = build("torus:n=2,res=8")
-    psi = (PotentialField(1.0 + m.points[:, 0]) if case == "varying-potential"
-           else constant_potential(m, 1.0))
+        m, psi = _mirror_case({"box": "box:n=2,res=6",
+                               "varying-potential": "torus:n=2,res=8,psi=1+x"}[case])
     seen = _spy_eigh(monkeypatch)
     dec = decompose(m, psi)
     mirrors = {"perturbed-torus": 0, "sphere": 3, "box": 2,
                "varying-potential": 1}[case]
     assert _one_call_per_block(seen, m, mirrors)
     assert _max_residual(dec) <= 1e-10 * np.max(np.abs(dec.eigenvalues))
-    if case in ("perturbed-torus", "sphere", "box"):
-        assert spectral._fourier_grid(m) is None
+    assert (spectral._fourier_grid(m) is None) == (case in ("perturbed-torus",
+                                                            "sphere"))
 
 
 def _reference_dense_eigenpairs(m, psi):
@@ -555,10 +587,9 @@ def _reference_dense_eigenpairs(m, psi):
 def test_dense_divide_and_conquer_matches_the_reference_eigh(text, monkeypatch):
     """The divide-and-conquer solve gives the reference's spectrum,
     clusters and ensembles, a mass-orthonormal basis to 1e-13, and hands
-    numpy's eigh one exactly symmetric block per mirror character."""
-    m = build(text.replace(",varying-psi", ""))
-    psi = (PotentialField(1.0 + m.points[:, 0]) if "varying" in text
-           else constant_potential(m, 1.0))
+    numpy's eigh one exactly symmetric block per mirror character.  Boxes
+    reach the dense path through a Psi even about their centre."""
+    m, psi = _mirror_case(text.replace(",varying-psi", ",psi=1+x"))
     ref = _reference_dense_eigenpairs(m, psi)
     seen = _spy_eigh(monkeypatch)
     dec = decompose(m, psi)
@@ -577,7 +608,10 @@ def test_dense_divide_and_conquer_matches_the_reference_eigh(text, monkeypatch):
                       <= 1e-9 * np.max(np.abs(b), axis=1)), generator
 
 
-# The mirror-block solve against the unsplit solve of the same matrix.
+# The mirror-block solve against the unsplit solve of the same matrix.  A box
+# with a constant Psi takes the per-axis path, so a box case reaches the
+# mirror blocks through Psi = 1 + |x - centre|^2, which every axis mirror
+# keeps.
 
 MIRROR_CASES = [("sphere:r=1,subdiv=1", 3), ("sphere:r=1,subdiv=2", 3),
                 ("sphere:r=1,subdiv=3", 3), ("box:n=2,res=12", 2),
@@ -595,9 +629,18 @@ def _mirror_case(text):
         psi = PotentialField(1.0 + m.points[:, 0])
     elif "psi=random" in text:
         psi = PotentialField(np.random.default_rng(3).uniform(1, 2, m.num_nodes))
+    elif text.startswith("box") and ",psi=" not in text:
+        psi = _even_potential(m)
     else:
         psi = constant_potential(m, 1.0)
     return m, psi
+
+
+def _even_potential(m):
+    """Psi = 1 + |x - centre|^2, even under every axis mirror of a box."""
+    p = m.points
+    centre = 0.5 * (p.min(axis=0) + p.max(axis=0))
+    return PotentialField(1.0 + np.sum((p - centre) ** 2, axis=1))
 
 
 def _assert_dense_eigenpairs(dec):
@@ -773,13 +816,43 @@ def test_meshes_without_a_mirror_make_one_whole_solve(case, monkeypatch):
 
 @pytest.mark.parametrize("text, mirrors", [
     ("sphere:r=1,subdiv=2", 3), ("box:n=1,res=7", 1), ("box:n=2,res=6", 2),
-    ("box:n=3,res=5", 3), ("torus:n=2,res=8", 0), ("torus:n=3,res=4", 0)])
+    ("box:n=3,res=5", 3), ("torus:n=2,res=8", 0), ("torus:n=3,res=4", 0),
+    ("box:n=1,res=7,psi=1", 0), ("box:n=2,res=6,psi=1", 0),
+    ("box:n=3,res=5,psi=1", 0)])
 def test_diagnostics_count_the_mirrors_of_the_solve(text, mirrors):
-    m = build(text)
-    diag = spectral.diagnostics(decompose(m, constant_potential(m, 1.0)))
+    """Boxes reach the dense path through a Psi even about their centre,
+    which keeps every axis mirror (odd res puts nodes on the planes); with
+    Psi = 1 they take the per-axis path, as tori do."""
+    m, psi = _mirror_case(text)
+    diag = spectral.diagnostics(decompose(m, psi))
     assert diag["mirrors"] == mirrors
-    assert diag["decomposition"] == ("fourier" if text.startswith("torus")
-                                     else "dense")
+    assert diag["decomposition"] == ("dense" if mirrors else "fourier")
+
+
+def _refuse(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} called on the per-axis path")
+    return refuse
+
+
+def test_boxes_with_a_constant_potential_make_no_dense_solve(tmp_path,
+                                                            monkeypatch):
+    """With a constant Psi a box looks for no mirror and calls neither
+    numpy's eigh nor the mirror solve: not on box:n=12,res=2 (4096 one-node
+    mirror blocks on the dense path) and not in an estimate on the 8000
+    nodes of box:n=3,res=20."""
+    from sobolab.cli import main
+
+    for name in ("_mirrors", "_mirror_eigenpairs"):
+        monkeypatch.setattr(spectral, name, _refuse(name))
+    monkeypatch.setattr(np.linalg, "eigh", _refuse("numpy.linalg.eigh"))
+    m = build("box:n=12,res=2")
+    dec = decompose(m, constant_potential(m, 1.0))
+    assert isinstance(dec.basis, spectral.FourierBasis)
+    lam = dec.eigenvalues - 1.0
+    assert np.max(np.abs(lam - _tensor_sum(m))) <= 1e-12 * np.max(lam)
+    assert main(["estimate", "--model", "box:n=3,res=20", "--p", "1.5",
+                 "--seed", "7", "--out", str(tmp_path)]) == 0
 
 
 def test_a_potential_keeps_the_mirrors_it_is_even_under():
