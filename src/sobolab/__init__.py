@@ -7,8 +7,7 @@ constant tracking along exact toy Ricci flows.
 """
 
 from .manifold import (DiscreteManifold, ModelSpec, build, gamma_integral,
-                       geometric_summary, parse_model_spec, scale_metric,
-                       with_fields)
+                       geometric_summary, parse_model_spec, scale_metric)
 from .spectral import (PotentialField, SpectralDecomposition,
                        SingularOperatorError, apply_function,
                        constant_potential, decompose, heat_multiplier,

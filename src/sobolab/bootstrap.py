@@ -158,6 +158,9 @@ def chain_constants(n: float, p0: float, A: float, B: float, target_p: float,
     """
     if A <= 0 or B < 0:
         raise ValueError("need A > 0 and B >= 0")
+    if precision is not None and precision < 1:
+        raise ValueError(f"precision must be at least 1 decimal digit, "
+                         f"got {precision}")
     ladder = build_ladder(n, p0, target_p)
     k = ladder.k_for(target_p)
     hops = list(ladder.values[1:k + 1]) + [target_p]

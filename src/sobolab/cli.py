@@ -117,6 +117,7 @@ def _cmd_bootstrap(args):
 
 def _cmd_estimate(args):
     b_grid = tuple(_parse_floats(args.b_grid, "--b-grid"))
+    ct._check_b_grid(b_grid)
     m, dec1, members = _prepare(args, args.p)
     est = ct.estimate_sobolev_AB(m, args.p, members, b_grid=b_grid)
     return {"estimate": to_plain(est), "model": m.label,

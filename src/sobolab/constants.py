@@ -162,8 +162,9 @@ class MemberStream:
                 child.standard_normal(out=chunk[row])
                 rows.append(row)
             if rows:
-                c = dec.basis.coefficients(chunk[rows] / root, band.size)
-                chunk[rows] = dec.basis.synthesize(np.array(weights) * c)
+                c = dec.basis.forward(chunk[rows] / root, band.size)
+                c *= dec.basis.native(np.array(weights), band.size)
+                chunk[rows] = dec.basis.backward(c, band.size)
             # a degenerate draw: constants are valid members
             chunk[~chunk.any(axis=1)] = 1.0
             yield chunk
@@ -298,6 +299,15 @@ def _check_constants(A: float, B: float) -> None:
         raise ValueError(f"need finite A >= 0 and B >= 0, got A={A:g}, B={B:g}")
 
 
+def _check_b_grid(b_grid: tuple[float, ...]) -> None:
+    """ValueError unless the B grid is non-empty and every B on it is >= 0."""
+    if len(b_grid) == 0:
+        raise ValueError("empty B grid")
+    bad = [b for b in b_grid if not b >= 0]
+    if bad:
+        raise ValueError(f"need B >= 0 on the B grid, got B={bad[0]:g}")
+
+
 def _sobolev_measure(m: DiscreteManifold, ps: tuple[float, ...]):
     """A measure (see _sweep) of the per-member terms of the two-term form
     ||u||_{p*}^p <= A ||grad u||_p^p + (B/vol^{p/n}) ||u||_p^p at each p of
@@ -352,8 +362,7 @@ def estimate_sobolev_AB(m: DiscreteManifold, p: float, members,
 
     Ties resolve to the earliest grid entry, so estimates are reproducible.
     """
-    if len(b_grid) == 0:
-        raise ValueError("empty B grid")
+    _check_b_grid(b_grid)
     (lhs, grd, low), = _sweep(members, _sobolev_measure(m, (p,)))
     return _best_pair(p, _pstar(m.dim, p), lhs, grd, low, b_grid)
 

@@ -30,7 +30,6 @@ __all__ = [
     "build",
     "parse_model_spec",
     "scale_metric",
-    "with_fields",
     "geometric_summary",
     "gamma_integral",
 ]
@@ -785,15 +784,6 @@ def scale_metric(m: DiscreteManifold, lam: float) -> DiscreteManifold:
         ric_min=m.ric_min / lam ** 2,
         label=m.label + f"*scale{lam:g}",
     )
-
-
-def with_fields(m: DiscreteManifold, *, scalar_curvature=None,
-                ric_min=None) -> DiscreteManifold:
-    """Override curvature fields (for synthetic test geometries)."""
-    fields = {"scalar_curvature": scalar_curvature, "ric_min": ric_min}
-    return replace(m, **{k: np.broadcast_to(np.asarray(v, dtype=float),
-                                            (m.num_nodes,)).copy()
-                         for k, v in fields.items() if v is not None})
 
 
 def geometric_summary(m: DiscreteManifold) -> dict:

@@ -11,9 +11,9 @@ solved block by block by numpy.linalg.eigh (LAPACK's symmetric divide and
 conquer, dsyevd), the blocks kept apart and applied one by one; the
 stiffness is read from its numpy entries, so no solve loads scipy.  Every
 operator function (heat semigroup, fractional powers, resolvents) is
-evaluated on the resulting eigenpairs.  A full-width f(H) multiplies the
-coefficients in each basis's own order by f(lambda) permuted into that
-order (multipliers, formed once per job), and apply_functions takes the
+evaluated on the resulting eigenpairs.  An f(H) multiplies the
+coefficients in each basis's own layout by f(lambda) laid out the same way
+(multipliers, formed once per job), and apply_functions takes the
 members a chunk of rows at a time (manifold._chunks), measuring each image
 before the next is formed, so no f(H) image of a whole member matrix is
 held.
@@ -99,14 +99,14 @@ class MirrorBasis:
     N x N product; columns() alone forms phi.  A mesh with no mirror has
     the trivial group: one block, chi = [[1]].
 
-    Every basis has coefficients and synthesize (the leading modes in
-    ascending eigenvalue order), forward, backward and native (all modes in
-    the basis's own order), columns and row_sums; u is one node function
-    (N,) or a member matrix (K, N), rows = members, and so are the
-    coefficient arrays.  Here the own order is the blocks' in turn, as
-    (modes, members) columns, so a full-width f(H) neither gathers nor
-    scatters coefficients.  No transform chunks the members: its caller
-    passes one chunk (manifold._chunks) at a time.
+    Every basis has forward, backward and native, each on the leading k
+    modes (all by default) in one layout of the basis's own, columns and
+    row_sums.  forward maps (K, N) rows (rows = members) to coefficients,
+    backward(., k) inverts forward(., k), and native lays out one value per
+    mode, or a row of them per member, as forward lays out coefficients.
+    Here that is the blocks' in turn, as (modes, members) columns, so an
+    f(H) neither gathers nor scatters coefficients.  No transform chunks
+    the members: its caller passes one chunk (manifold._chunks) at a time.
     """
 
     chi: np.ndarray
@@ -144,37 +144,27 @@ class MirrorBasis:
         u.T[self.images] = y
         return u
 
-    def coefficients(self, u: np.ndarray, k: int | None = None) -> np.ndarray:
-        rows = u.reshape(-1, u.shape[-1])
+    def native(self, fw: np.ndarray, k: int | None = None) -> np.ndarray:
+        """fw, one value per leading mode (or a row of them per member), in
+        forward's layout: (modes, 1), or (modes, members)."""
+        fw = np.atleast_2d(fw)
+        return np.concatenate([fw[:, cols] for *_, cols in self._leading(k)],
+                              axis=1).T
+
+    def forward(self, rows: np.ndarray, k: int | None = None) -> np.ndarray:
+        """The coefficients of the (K, N) rows on the leading k (default
+        all) modes, (modes, K), the blocks' in turn."""
         x = self._orbit_sums(rows)
-        c = np.empty((self.size if k is None else k, len(rows)))
-        for s, keep, v, cols in self._leading(k):
-            c[cols] = v.T @ x[s, keep]
-        return c.T.reshape(u.shape[:-1] + c.shape[:1])
+        return np.concatenate([v.T @ x[s, keep]
+                               for s, keep, v, _ in self._leading(k)])
 
-    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        c = coeffs.reshape(-1, coeffs.shape[-1]).T
-        y = np.zeros(self.images.shape + c.shape[1:])
-        for s, keep, v, cols in self._leading(coeffs.shape[-1]):
-            y[s, keep] = v @ c[cols]
-        return self._node_rows(y).reshape(coeffs.shape[:-1] + (self.size,))
-
-    def native(self, fw: np.ndarray) -> np.ndarray:
-        """fw, one value per eigenvalue, in forward's order, as a column."""
-        return np.concatenate([fw[cols] for *_, cols in self.blocks])[:, None]
-
-    def forward(self, rows: np.ndarray) -> np.ndarray:
-        """All coefficients of the (K, N) rows, (N, K), the blocks' in turn."""
-        x = self._orbit_sums(rows)
-        return np.concatenate([v.T @ x[s, keep] for s, keep, v, _ in self.blocks])
-
-    def backward(self, c: np.ndarray) -> np.ndarray:
-        """The (K, N) rows whose forward is c."""
+    def backward(self, c: np.ndarray, k: int | None = None) -> np.ndarray:
+        """The (K, N) rows whose forward at k is c."""
         y = np.zeros(self.images.shape + c.shape[1:])
         lo = 0
-        for s, keep, v, _ in self.blocks:
-            y[s, keep] = v @ c[lo:lo + keep.size]
-            lo += keep.size
+        for s, keep, v, _ in self._leading(k):
+            y[s, keep] = v @ c[lo:lo + v.shape[1]]
+            lo += v.shape[1]
         return self._node_rows(y)
 
     def columns(self, k: int | None = None) -> np.ndarray:
@@ -183,7 +173,7 @@ class MirrorBasis:
         eye = np.eye(self.size if k is None else k)
         phi = np.empty((self.size, len(eye)))
         for part in _chunks(len(eye), self.size):
-            phi[:, part] = self.synthesize(eye[part]).T
+            phi[:, part] = self.backward(self.native(eye[part], k), k).T
         return phi
 
     def row_sums(self, fw2: np.ndarray) -> np.ndarray:
@@ -205,15 +195,15 @@ class FourierBasis:
     trapezoid weights (1/2 at both ends) on a Neumann box, so the node
     masses are m0 times the product of the per-axis weights.  Eigenvector k
     is the mode order[k] (C order over the axes, each axis a column of q).
-    Coefficients apply the first b columns of q weighted by w along every
-    axis, and syntheses the first b columns of q, b = 1 + the largest
-    per-axis index among order[:k] (b = res for all modes), so they cost
-    O(b) per entry per axis, and the N x N matrix is formed only by
-    columns().  forward and backward apply all of q per axis and keep the
-    modes in their C grid order, into which native permutes f(lambda); they
-    leave out the sqrt(m0) factors, which cancel in backward(native(fw) *
-    forward(u)).  No transform chunks the members: its caller passes one
-    chunk (manifold._chunks) at a time.
+    At k leading modes forward applies the first b columns of q weighted by
+    w along every axis, and backward the first b columns of q, b = 1 + the
+    largest per-axis index among order[:k] (b = res for all modes), so they
+    cost O(b) per entry per axis, and the N x N matrix is formed only by
+    columns(), in closed form.  The coefficients sit on the b^dim grid of
+    modes in C order, zero in native off the kept modes, and leave out the
+    sqrt(m0) factors, which cancel in backward(forward(u, k) * native(fw,
+    k), k).  No transform chunks the members: its caller passes one chunk
+    (manifold._chunks) at a time.
     """
 
     q: np.ndarray  # the columns of one axis
@@ -222,44 +212,34 @@ class FourierBasis:
     m0: float  # the cell mass
     order: np.ndarray  # stable ascending-eigenvalue permutation of the modes
 
-    def coefficients(self, u: np.ndarray, k: int | None = None) -> np.ndarray:
-        b, keep = self._leading(k)
-        c = _per_axis((self.w[:, None] * self.q[:, :b]).T, u, self.dim)
-        c = c.reshape(u.shape[:-1] + (b ** self.dim,))[..., keep]
-        c *= np.sqrt(self.m0)
-        return c
-
-    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        b, keep = self._leading(coeffs.shape[-1])
-        # grid mode keep[j] reads coefficient j, every other mode a zero pad;
-        # the grid is a temporary, so _per_axis frees it after one product
-        slot = np.full(b ** self.dim, keep.size)
-        slot[keep] = np.arange(keep.size)
-        pad = [(0, 0)] * (coeffs.ndim - 1) + [(0, 1)]
-        u = _per_axis(self.q[:, :b], np.pad(coeffs, pad)[..., slot], self.dim)
-        u /= np.sqrt(self.m0)
-        return u.reshape(coeffs.shape[:-1] + self.order.shape)
-
     def _leading(self, k: int | None) -> tuple[int, np.ndarray]:
-        """b and the flat indices of the modes order[:k] on the b^dim grid."""
+        """b and the flat indices of the modes order[:k] on the b^dim grid
+        (res and order itself for all modes)."""
+        if k is None:
+            return self.q.shape[0], self.order
         axes = np.unravel_index(self.order[:k], self.q.shape[:1] * self.dim)
         b = 1 + int(np.max(axes, initial=0))
         return b, np.ravel_multi_index(axes, (b,) * self.dim)
 
-    def native(self, fw: np.ndarray) -> np.ndarray:
-        """fw, one value or row per eigenvalue, in the modes' C grid order."""
-        out = np.empty_like(fw)
-        out[self.order] = fw
+    def native(self, fw: np.ndarray, k: int | None = None) -> np.ndarray:
+        """fw, one value per leading mode (or a row of them per member), on
+        forward's b^dim grid of modes in C order, zero off the kept ones."""
+        b, keep = self._leading(k)
+        out = np.zeros(fw.shape[:-1] + (b ** self.dim,))
+        out[..., keep] = fw
         return out
 
-    def forward(self, rows: np.ndarray) -> np.ndarray:
-        """sqrt(m0) times all coefficients of the (K, N) rows, (K, N)."""
-        return _per_axis((self.w[:, None] * self.q).T, rows,
-                         self.dim).reshape(rows.shape)
+    def forward(self, rows: np.ndarray, k: int | None = None) -> np.ndarray:
+        """The coefficients of the (K, N) rows, over sqrt(m0), on the
+        b^dim grid of the leading k (default all) modes: (K, b^dim)."""
+        b, _ = self._leading(k)
+        return _per_axis((self.w[:, None] * self.q[:, :b]).T, rows,
+                         self.dim).reshape(len(rows), -1)
 
-    def backward(self, c: np.ndarray) -> np.ndarray:
-        """The (K, N) rows whose forward is c."""
-        return _per_axis(self.q, c, self.dim).reshape(c.shape)
+    def backward(self, c: np.ndarray, k: int | None = None) -> np.ndarray:
+        """The (K, N) rows whose forward at k is c."""
+        b, _ = self._leading(k)
+        return _per_axis(self.q[:, :b], c, self.dim).reshape(len(c), -1)
 
     def columns(self, k: int | None = None) -> np.ndarray:
         """The leading k columns in closed form, as products of columns of q."""
@@ -268,7 +248,7 @@ class FourierBasis:
         factors = []
         for d in range(self.dim):
             shape = [1] * self.dim + [keep.size]
-            shape[d] = -1
+            shape[d] = self.q.shape[0]
             factors.append(self.q[:, modes[d, keep]].reshape(shape))
         phi = reduce(np.multiply, factors).reshape(self.order.size, keep.size)
         return phi / np.sqrt(self.m0)
@@ -280,7 +260,7 @@ class FourierBasis:
         m0, so the sums are q^2 applied along every axis of each column of
         fw2 in the modes' grid order.
         """
-        sums = _per_axis(self.q ** 2, self.native(fw2).T, self.dim)
+        sums = _per_axis(self.q ** 2, self.native(fw2.T), self.dim)
         return sums.reshape(fw2.shape[::-1]).T / self.m0
 
 

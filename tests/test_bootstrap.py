@@ -139,6 +139,12 @@ def test_chain_high_precision_agrees():
     assert hi.C2 == pytest.approx(lo.C2, rel=1e-10)
 
 
+@pytest.mark.parametrize("precision", [-5, 0])
+def test_chain_refuses_precision_below_one_digit(precision):
+    with pytest.raises(ValueError, match="at least 1 decimal digit"):
+        chain_constants(3, 2.0, 1.3, 0.7, 2.9, precision=precision)
+
+
 def test_alpha_bound_equality_at_one():
     rec = alpha_scaling_bound(3, 2.0, 2.5, 1.0, 1.0, 1.0)
     assert rec["margins"][0] == pytest.approx(0.0, abs=1e-9)

@@ -12,7 +12,7 @@ import pytest
 
 import sobolab
 from sobolab import flow as fl
-from sobolab import cli, manifold, semigroup, spectral
+from sobolab import cli, constants, manifold, semigroup, spectral
 from sobolab.cli import main
 
 
@@ -443,18 +443,31 @@ def test_member_matrix_transforms_per_job(tmp_path, monkeypatch, argv, nodes,
     riesz one for the Riesz scan and one for the three Bessel-type
     operators, heat one for all times.  With 8 rows a chunk, 30 members
     make 4 chunks, each drawn once and transformed for every scan before
-    the next; the refinement's one-row transforms are not counted."""
-    size, rows, seen = 30, 8, []
+    the next; the refinement's one-row transforms are not counted.  Each
+    chunk drawn (the refinement draws its witness's chunk again) projects
+    its spectral rows with one forward on the leading modes."""
+    size, rows, seen, projected, drawn = 30, 8, [], [], []
     monkeypatch.setattr(manifold, "CHUNK_BYTES", rows * 8 * nodes)
     for cls in (spectral.MirrorBasis, spectral.FourierBasis):
-        def spy(self, u, original=cls.forward):
-            if len(u) > 1:
+        def spy(self, u, k=None, original=cls.forward):
+            if k is not None:
+                projected.append(len(u))
+            elif len(u) > 1:
                 seen.append(len(u))
-            return original(self, u)
+            return original(self, u, k)
         monkeypatch.setattr(cls, "forward", spy)
+
+    def draw(self, original=constants.MemberStream.__iter__):
+        # the mixed generator makes every member i with i % 3 == 1 a bump
+        for j, chunk in enumerate(original(self)):
+            drawn.append(sum(i % 3 != 1 for i in range(j * rows,
+                                                       j * rows + len(chunk))))
+            yield chunk
+    monkeypatch.setattr(constants.MemberStream, "__iter__", draw)
     assert run(tmp_path, *argv, "--seed", "1", "--size", str(size)) in (0, 2)
     assert seen == [n for n in (rows, rows, rows, size - 3 * rows)
                     for _ in range(transforms)], seen
+    assert drawn[:4] == [5, 6, 5, 4] and projected == drawn, (drawn, projected)
 
 
 BUDGET_JOBS = [
@@ -597,6 +610,8 @@ def test_heat_on_a_torus_makes_no_dense_eigendecomposition(tmp_path,
      ["--b-grid", "finite"]),
     (("estimate", "--p", "1.2", "--b-grid", ",", "--seed", "1"),
      ["--b-grid", "at least one"]),
+    (("estimate", "--p", "1.2", "--b-grid", "1,-1", "--seed", "1"),
+     ["B >= 0", "B=-1"]),
     (("riesz", "--p", "1", "--seed", "1"), ["1 < p < inf", "p=1"]),
     (("riesz", "--p", "inf", "--seed", "1"), ["1 < p < inf", "p=inf"]),
     (("riesz", "--a", "-1", "--seed", "1"), ["a >= 0", "a=-1"]),
@@ -610,7 +625,8 @@ def test_heat_on_a_torus_makes_no_dense_eigendecomposition(tmp_path,
         "heat-one-fit-window-value", "heat-t-list-not-a-number",
         "heat-t-list-nan", "heat-t-list-empty", "heat-t-list-negative",
         "estimate-b-grid-not-a-number",
-        "estimate-b-grid-inf", "estimate-b-grid-empty", "riesz-p=1",
+        "estimate-b-grid-inf", "estimate-b-grid-empty",
+        "estimate-b-grid-negative", "riesz-p=1",
         "riesz-p=inf", "riesz-a<0", "w2p-p<1", "scaling-lam<1",
         "heat-fit-window-reversed", "heat-svg-without-fit-window"])
 def test_bad_arguments_fail_before_the_model_is_built(tmp_path, capsys,

@@ -51,6 +51,12 @@ def test_estimate_rejects_bad_input(torus2, torus2_members):
         estimate_sobolev_AB(torus2, 2.0, torus2_members)  # p = n
     with pytest.raises(ValueError):
         estimate_sobolev_AB(torus2, 1.2, torus2_members[:0])
+    with pytest.raises(ValueError, match="empty B grid"):
+        estimate_sobolev_AB(torus2, 1.2, torus2_members, b_grid=())
+    # a negative B is no pair verify accepts, so estimate never reports one
+    for b_grid in ((-1.0,), (1.0, -0.5), (float("nan"),)):
+        with pytest.raises(ValueError, match="B >= 0"):
+            estimate_sobolev_AB(torus2, 1.2, torus2_members, b_grid=b_grid)
 
 
 def test_constant_member_forces_B_at_least_one(torus2_unit):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from sobolab import (EnsembleSpec, HypothesisError, apply_function,
 from sobolab import flow as flow_module
 from sobolab.constants import RELATIVE_SLACK, _worst_ratio
 from sobolab.flow import SELECTORS, ExactFlow, parse_flow_spec, scale_factor
-from sobolab.manifold import build, scale_metric, with_fields
+from sobolab.manifold import build, scale_metric
 
 
 @pytest.fixture(scope="module")
@@ -269,7 +271,8 @@ def test_track_e_family_integral_curvature(sphere_flow):
     d2, e2 = (track(sphere_flow, [0.0, 0.4], sel, 1.5, spec) for sel in ("d2", "e2"))
     assert [r["gamma"] for r in e2.records] == [0.0, 0.0]
     assert [r["C"] for r in e2.records] == [r["C"] for r in d2.records]
-    base = with_fields(build("torus:n=3,res=6"), ric_min=-1.0)
+    torus = build("torus:n=3,res=6")
+    base = replace(torus, ric_min=np.full(torus.num_nodes, -1.0))
     flow = ExactFlow(base=base, t_max=1.0)
     traj = track(flow, [0.0, 1.0], "e3", 2.5, spec)
     for rec in traj.records:
@@ -280,6 +283,6 @@ def test_track_e_family_integral_curvature(sphere_flow):
 
 def test_exact_flow_rejects_nonconstant_curvature():
     base = build("torus:n=2,res=6")
-    curved = with_fields(base, scalar_curvature=np.linspace(0.0, 1.0, 36))
+    curved = replace(base, scalar_curvature=np.linspace(0.0, 1.0, 36))
     with pytest.raises(ValueError, match="constant scalar curvature"):
         ExactFlow(base=curved, t_max=1.0)

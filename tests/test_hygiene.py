@@ -83,13 +83,13 @@ def test_every_all_entry_names_something(path):
 @pytest.mark.parametrize("path", NOT_SPECTRAL, ids=[p.name for p in NOT_SPECTRAL])
 def test_only_spectral_reads_the_eigenbasis(path):
     """Other modules reach a decomposition's basis only to call
-    coefficients/synthesize, which every basis has, so which basis it holds
+    forward/native/backward, which every basis has, so which basis it holds
     (the mirror blocks of a dense solve, one block with no mirror, or the
     per-axis columns of a grid) is a matter for spectral alone."""
     tree = ast.parse(path.read_text())
     calls = {id(n.value) for n in ast.walk(tree)
              if isinstance(n, ast.Attribute)
-             and n.attr in ("coefficients", "synthesize")}
+             and n.attr in ("forward", "native", "backward")}
     reads = [n.lineno for n in ast.walk(tree)
              if isinstance(n, ast.Attribute) and n.attr == "basis"
              and id(n) not in calls]
@@ -105,11 +105,11 @@ NOT_TRANSFORMERS = [p for p in MODULES if p.name not in TRANSFORMERS]
 def test_only_spectral_and_the_ensemble_call_the_transforms(path):
     """Every other f(H) u goes through spectral.apply_functions, which checks
     that each multiplier is finite and transforms u once for many f; only the
-    ensemble projection in constants calls coefficients/synthesize itself."""
+    ensemble projection in constants calls forward/native/backward itself."""
     tree = ast.parse(path.read_text())
     calls = [n.lineno for n in ast.walk(tree)
              if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
-             and n.func.attr in ("coefficients", "synthesize")]
+             and n.func.attr in ("forward", "native", "backward")]
     assert not calls, f"{path.name} calls a basis transform on lines {calls}"
 
 

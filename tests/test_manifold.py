@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sobolab import (build, constant_potential, decompose, gamma_integral,
-                     geometric_summary, scale_metric, with_fields)
+                     geometric_summary, scale_metric)
 from sobolab.manifold import (_ICO_FACES, _ICO_VERTS, GradientElements,
                               ModelSpec, _component_count, _icosphere,
                               parse_model_spec)
@@ -122,10 +122,9 @@ def test_geometric_summary_scaled_sphere_closed_form(sphere3):
 
 
 def test_geometric_summary_permutation_invariant(torus2):
-    from dataclasses import replace
     rng = np.random.default_rng(0)
-    base = with_fields(torus2, scalar_curvature=rng.standard_normal(torus2.num_nodes),
-                       ric_min=-np.abs(rng.standard_normal(torus2.num_nodes)))
+    base = replace(torus2, scalar_curvature=rng.standard_normal(torus2.num_nodes),
+                   ric_min=-np.abs(rng.standard_normal(torus2.num_nodes)))
     perm = rng.permutation(torus2.num_nodes)
     shuffled = replace(base, mass=base.mass[perm],
                        scalar_curvature=base.scalar_curvature[perm],
@@ -136,21 +135,21 @@ def test_geometric_summary_permutation_invariant(torus2):
 def test_gamma_integral_cases(torus2, sphere3):
     assert gamma_integral(sphere3, 0.0, 1.0) == 0.0
     assert gamma_integral(torus2, 1.0, 0.5) == 0.0
-    synthetic = with_fields(torus2, ric_min=-1.0)
+    synthetic = replace(torus2, ric_min=np.full(torus2.num_nodes, -1.0))
     # integrand is 1 everywhere: gamma = vol^(1/(2 eps)) with eps = 1
     assert gamma_integral(synthetic, 0.0, 1.0) == pytest.approx(
         np.sqrt(torus2.volume), rel=1e-12)
 
 
 def test_gamma_integral_monotone_in_c(torus2):
-    synthetic = with_fields(torus2, ric_min=-1.0)
+    synthetic = replace(torus2, ric_min=np.full(torus2.num_nodes, -1.0))
     cs = [0.0, 0.25, 0.5, 0.75, 1.0, 2.0]
     vals = [gamma_integral(synthetic, c, 0.7) for c in cs]
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
 def test_gamma_integral_monotone_in_eps(torus2):
-    synthetic = with_fields(torus2, ric_min=-1.0)
+    synthetic = replace(torus2, ric_min=np.full(torus2.num_nodes, -1.0))
     # integrand is 1: gamma = vol^{1/(2 eps)} decreases in eps (vol > 1)
     gammas = [gamma_integral(synthetic, 0.0, e) for e in (0.5, 1.0, 2.0)]
     assert gammas[0] > gammas[1] > gammas[2]
@@ -211,7 +210,7 @@ def test_validate_rejects_the_box_without_corner_elements(text, n, res):
 
 
 def test_validate_catches_broken_invariants(torus2):
-    bad = with_fields(torus2, ric_min=1.0)  # R = 0 < n * min Ric = 2
+    bad = replace(torus2, ric_min=np.ones(torus2.num_nodes))  # R = 0 < n * min Ric = 2
     with pytest.raises(ValueError):
         bad.validate()
 

@@ -378,25 +378,20 @@ def test_fourier_eigenpairs_match_dense(text):
 @dataclass(frozen=True)
 class ExplicitBasis:
     """The reference every basis is checked against: products with the
-    explicit mass-orthonormal columns phi (N x N)."""
+    explicit mass-orthonormal columns phi (N x N), the coefficients of the
+    leading k modes in ascending order."""
 
     phi: np.ndarray
     mass: np.ndarray
 
-    def coefficients(self, u, k=None):
-        return (u * self.mass) @ self.phi[:, :k]
-
-    def synthesize(self, coeffs):
-        return coeffs @ self.phi[:, :coeffs.shape[-1]].T
-
-    def native(self, fw):
+    def native(self, fw, k=None):
         return fw
 
-    def forward(self, rows):
-        return self.coefficients(rows)
+    def forward(self, rows, k=None):
+        return (rows * self.mass) @ self.phi[:, :k]
 
-    def backward(self, c):
-        return self.synthesize(c)
+    def backward(self, c, k=None):
+        return c @ self.phi[:, :k].T
 
     def columns(self, k=None):
         return self.phi[:, :k]
@@ -405,18 +400,34 @@ class ExplicitBasis:
         return (self.phi ** 2) @ w
 
 
+def _ensemble_modes(dec):
+    """The ensemble's K: the end of the last cluster starting below
+    SPECTRAL_MODES."""
+    bounds = dec.cluster_bounds()
+    return int(bounds[np.searchsorted(bounds[:-1],
+                                      min(ct.SPECTRAL_MODES, bounds[-1]))])
+
+
 def _explicit(dec):
     """dec with its basis replaced by the products with its columns."""
     return replace(dec, basis=ExplicitBasis(dec.basis.columns(),
                                             dec.manifold.mass))
 
 
+def _projection(basis, u, w, k):
+    """backward(forward(u, k) * native(w, k), k): u projected on the leading
+    k modes, mode j weighted by w[..., j]."""
+    return basis.backward(basis.forward(u, k) * basis.native(w, k), k)
+
+
 def _assert_basis_matches_its_columns(base, u, ks):
-    """Coefficients of the leading k modes (k in ks) of the matrix u and of
-    its first row, their syntheses, f(H), the row sums of f(lambda)^2 and
-    the 2->inf norms equal the products with the explicit columns to 1e-12,
-    on shifted views too."""
+    """At every k in ks, columns(k) is the explicit columns' prefix, forward
+    inverts backward, and the weighted projection (one row of weights per
+    member, or one for all) of the matrix u and of its first row equals the
+    products with the explicit columns to 1e-12; so do f(H), the row sums
+    of f(lambda)^2 and the 2->inf norms, on shifted views too."""
     fs = [heat_multiplier(t) for t in (1e-3, 0.05, 1.0)]
+    rng = np.random.default_rng(7)
 
     def close(got, want):
         return np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -425,13 +436,16 @@ def _assert_basis_matches_its_columns(base, u, ks):
         basis, explicit = dec.basis, _explicit(dec)
         phi = explicit.basis.phi
         for k in ks:
-            assert np.array_equal(basis.columns(k), phi[:, :k])
-            want = explicit.basis.coefficients(u, k)
-            got = basis.coefficients(u, k)
-            assert close(got, want) and close(basis.coefficients(u[0], k), want[0])
-            want = explicit.basis.synthesize(got)
-            assert close(basis.synthesize(got), want)
-            assert close(basis.synthesize(got[0]), want[0])
+            phik = phi[:, :k]
+            assert np.array_equal(basis.columns(k), phik)
+            z = basis.native(rng.standard_normal((len(u), phik.shape[1])), k)
+            assert close(basis.forward(basis.backward(z, k), k), z)
+            for w in (rng.uniform(0.5, 2.0, (len(u), phik.shape[1])),
+                      rng.uniform(0.5, 2.0, phik.shape[1])):
+                want = _projection(explicit.basis, u, w, k)
+                assert close(_projection(basis, u, w, k), want)
+                assert close(_projection(basis, u[:1], w[:1] if w.ndim > 1
+                                         else w, k), want[:1])
         for f in fs + [np.sqrt, lambda lam: lam]:
             assert close(apply_function(dec, f, u), apply_function(explicit, f, u))
         fw2 = np.stack([spectral._multiplier(dec, f) ** 2 for f in fs], axis=1)
@@ -443,15 +457,16 @@ def _assert_basis_matches_its_columns(base, u, ks):
 
 @pytest.mark.parametrize("text", FOURIER_SPECS)
 def test_fourier_basis_matches_its_explicit_columns(text):
-    """The per-axis coefficients, syntheses, f(H), row sums and 2->inf
-    norms equal the products with the closed-form columns, on tori and
-    boxes and on shifted views too."""
+    """The per-axis transforms, for all modes and for the leading ones,
+    f(H), row sums and 2->inf norms equal the products with the
+    closed-form columns, on tori and boxes and on shifted views too."""
     m = build(text)
     base = decompose(m, constant_potential(m, 1.0))
     assert isinstance(base.basis, spectral.FourierBasis)
     n = m.num_nodes
     u = np.random.default_rng(6).standard_normal((4, n))
-    _assert_basis_matches_its_columns(base, u, (None, n // 3))
+    _assert_basis_matches_its_columns(base, u, (None, n // 3,
+                                                _ensemble_modes(base)))
     spec = EnsembleSpec(seed=9, size=60, generator="mixed")
     a = generate_ensemble(m, spec, dec=base)
     b = generate_ensemble(m, spec, dec=_explicit(base))
@@ -476,37 +491,33 @@ def test_leading_mode_transforms_use_fewer_columns(text, monkeypatch):
     monkeypatch.setattr(spectral, "_per_axis", recording)
     generate_ensemble(m, EnsembleSpec(seed=2, size=6, generator="band-limited"),
                       dec=dec)
-    assert len(factors) == 2  # one coefficient and one synthesis product
+    assert len(factors) == 2  # one forward and one backward product
     assert all(min(shape) < res and max(shape) == res for shape in factors)
-    bounds = dec.cluster_bounds()
-    k = bounds[np.searchsorted(bounds[:-1], min(ct.SPECTRAL_MODES, bounds[-1]))]
+    k = _ensemble_modes(dec)
     phi = dec.basis.columns(k)
-    u = np.random.default_rng(5).standard_normal((7, m.num_nodes))
-    want = (u * m.mass) @ phi
-    got = dec.basis.coefficients(u, k)
-    assert got.shape == (7, k)
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-    assert np.max(np.abs(dec.basis.coefficients(u[0], k) - want[0])) \
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal((7, m.num_nodes))
+    w = rng.uniform(0.5, 2.0, (7, k))
+    b = 1 + np.max(np.unravel_index(dec.basis.order[:k], (res,) * m.dim))
+    assert b < res and dec.basis.forward(u, k).shape == (7, b ** m.dim)
+    want = ((u * m.mass) @ phi * w) @ phi.T
+    assert np.max(np.abs(_projection(dec.basis, u, w, k) - want)) \
         <= 1e-12 * np.max(np.abs(want))
-    want = got @ phi.T
-    assert np.max(np.abs(dec.basis.synthesize(got) - want)) \
-        <= 1e-12 * np.max(np.abs(want))
-    assert np.max(np.abs(dec.basis.synthesize(got[0]) - want[0])) \
+    assert np.max(np.abs(_projection(dec.basis, u[:1], w[:1], k) - want[:1])) \
         <= 1e-12 * np.max(np.abs(want))
 
 
 def test_fourier_transforms_peak_below_three_member_matrices():
-    """coefficients and synthesize on a 200-member 56^2 torus matrix each
-    hold at most two member-sized arrays at once: every axis product frees
-    its input, the caller's matrix aside."""
+    """forward and backward on a 200-member 56^2 torus matrix each hold at
+    most two member-sized arrays at once: every axis product frees its
+    input, the caller's matrix aside."""
     import tracemalloc
 
     m = build("torus:n=2,res=56")
     dec = decompose(m, constant_potential(m, 1.0))
     u = np.random.default_rng(8).standard_normal((200, m.num_nodes))
-    c = dec.basis.coefficients(u)
-    for transform, arg in ((dec.basis.coefficients, u),
-                           (dec.basis.synthesize, c)):
+    c = dec.basis.forward(u)
+    for transform, arg in ((dec.basis.forward, u), (dec.basis.backward, c)):
         tracemalloc.start()
         try:
             transform(arg)
@@ -514,6 +525,20 @@ def test_fourier_transforms_peak_below_three_member_matrices():
         finally:
             tracemalloc.stop()
         assert peak <= 2.2 * arg.nbytes, transform.__name__
+
+
+@pytest.mark.parametrize("text", ["torus:n=2,res=4", "box:n=1,res=2",
+                                  "sphere:r=1,subdiv=1"])
+def test_no_leading_modes_give_no_columns_and_zero_rows(text):
+    """At k = 0 a basis has no columns, and the projection of any rows on
+    the leading 0 modes is zero."""
+    m = build(text)
+    basis = decompose(m, constant_potential(m, 1.0)).basis
+    assert basis.columns(0).shape == (m.num_nodes, 0)
+    u = np.random.default_rng(4).standard_normal((3, m.num_nodes))
+    for w in (np.ones((3, 0)), np.ones(0)):
+        rows = _projection(basis, u, w, 0)
+        assert rows.shape == u.shape and not np.any(rows)
 
 
 def _perturbed_torus():
@@ -689,10 +714,8 @@ def test_mirror_basis_matches_its_explicit_columns(text):
     m, psi = _mirror_case(text)
     base = decompose(m, psi)
     assert isinstance(base.basis, spectral.MirrorBasis)
-    bounds = base.cluster_bounds()
-    count = np.searchsorted(bounds[:-1], min(ct.SPECTRAL_MODES, bounds[-1]))
     u = np.random.default_rng(6).standard_normal((7, m.num_nodes))
-    _assert_basis_matches_its_columns(base, u, (None, int(bounds[count])))
+    _assert_basis_matches_its_columns(base, u, (None, _ensemble_modes(base)))
 
 
 def _traced_decompose(m, psi):
