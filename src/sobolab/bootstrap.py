@@ -156,8 +156,8 @@ def chain_constants(n: float, p0: float, A: float, B: float, target_p: float,
     given, switches the arithmetic to mpmath with that many decimal digits
     (powers like B^(2p/p0) amplify roundoff across hops).
     """
-    if A <= 0 or B < 0:
-        raise ValueError("need A > 0 and B >= 0")
+    if not (0 < A < math.inf and 0 <= B < math.inf):
+        raise ValueError(f"need finite A > 0 and B >= 0, got A={A:g}, B={B:g}")
     if precision is not None and precision < 1:
         raise ValueError(f"precision must be at least 1 decimal digit, "
                          f"got {precision}")
@@ -177,11 +177,17 @@ def chain_constants(n: float, p0: float, A: float, B: float, target_p: float,
     steps = []
     from_p = p0
     with ctx:
-        for to_p in hops:
-            c1, c2 = _one_step(n, from_p, to_p, a_cur, b_cur, power)
-            steps.append(BootstrapStep(from_p=from_p, to_p=to_p,
-                                       r=r_p(n, from_p, to_p),
-                                       C1=float(c1), C2=float(c2)))
+        for hop, to_p in enumerate(hops, 1):
+            try:
+                c1, c2 = _one_step(n, from_p, to_p, a_cur, b_cur, power)
+            except OverflowError:
+                c1 = c2 = math.inf
+            step = BootstrapStep(from_p=from_p, to_p=to_p, r=r_p(n, from_p, to_p),
+                                 C1=float(c1), C2=float(c2))
+            if not (math.isfinite(step.C1) and math.isfinite(step.C2)):
+                raise ValueError(f"hop {hop} of the chain, p = {from_p:g} -> "
+                                 f"{to_p:g}: its constants overflow a float")
+            steps.append(step)
             a_cur, b_cur, from_p = c1, c2, to_p
     return BootstrapChain(steps=tuple(steps), m_p=2 ** (k + 1))
 

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -51,11 +52,17 @@ def _ensemble_spec(args) -> ct.EnsembleSpec:
                            generator=args.generator)
 
 
-def _prepare(args, p=None):
+def _prepare(args, p=None, lam=None):
     spec = _ensemble_spec(args)
     model = parse_model_spec(args.model, members=spec.size)
     if p is not None:  # an inequality's exponent, checked before building
         ct._pstar(model.dim, p)
+    if lam is not None:  # the metric g -> lam^2 g must be a model too
+        try:
+            replace(model, scale=model.scale * lam)
+        except ValueError as exc:
+            raise ValueError(f"--lam {lam:g} scales the model past floats: "
+                             f"{exc}") from None
     m = build(model)
     dec1 = decompose(m, constant_potential(m, 1.0))
     return m, dec1, ct.MemberStream(m, spec, dec1)
@@ -194,6 +201,8 @@ def _cmd_riesz(args):
 
 def _cmd_w2p(args):
     mu = args.mu
+    if not math.isfinite(mu):
+        raise ValueError(f"w2p requires a finite --mu, got mu={mu:g}")
     if not args.p < mu / 2:
         raise ValueError("w2p requires p < mu/2")
     _check_exponent(args.p)
@@ -209,7 +218,7 @@ def _cmd_w2p(args):
 
 def _cmd_scaling(args):
     sg._transfer_exponent(args.lam, args.mu, args.p)  # before building
-    m, dec1, members = _prepare(args)
+    m, dec1, members = _prepare(args, lam=args.lam)
     rep = sg.scaling_transfer_check(m, args.lam, args.mu, args.p, members, dec1)
     status = 0 if rep["violations"] == 0 else 2
     return {"transfer": rep, "model": m.label,

@@ -9,11 +9,12 @@ Every such flow is a homothety, g(t) = lam(t)^2 g(0), so each member norm
 is measured once on g(0) and rescaled: an L^q norm by lam^(n/q), ||grad
 u||_p by lam^(n/p-1), and so the three terms of the two-term form,
 ||u||_{p*}^p, ||grad u||_p^p and vol^(-p/n) ||u||_p^p, all by lam^(n-p).
+Every family takes one path in ``track``: one pass over the members, then
+one loop over the sampled geometry and one that checks each record.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -115,46 +116,39 @@ def metric_at(flow: ExactFlow, t: float) -> DiscreteManifold:
     return scale_metric(flow.base, scale_factor(flow, t))
 
 
-def _defect(family: str, m: DiscreteManifold) -> float:
-    """The curvature term of the d or e form on m: the Ricci defect kappa
-    (d) or the integral-curvature gamma (e); b has none.  gamma needs no
-    curvature adjustment: ExactFlow refuses R < 0."""
-    if family == "d":
-        return geometric_summary(m)["kappa"]
-    return gamma_integral(m, 0.0, GAMMA_EPS) if family == "e" else 0.0
-
-
-def _base_measure(base: DiscreteManifold, p: float, images=None):
-    """A measure (see constants._sweep) of the per-member norms of the b, d
-    or e form that no time changes, measured once on g(0): ||u||_{p*} and
-    then the p-norms of a chunk's ``images`` (b; spectral.apply_functions
-    of the chunk and a measure, with multipliers formed once) or, with no
-    images, ||grad u||_p and ||u||_p (d, e)."""
-    pstar = _pstar(base.dim, p)
-
-    def measure(rows):
-        star = lp_norm(base, rows, pstar)
-        if images is not None:
-            return star, images(rows, lambda v: lp_norm(base, v, p))
-        return star, grad_lp_norm(base, rows, p), lp_norm(base, rows, p)
-    return measure
-
-
-def _form_sides(norms: tuple, n: int, p: float, lam: float, defect: float,
-                bessel: np.ndarray | None):
-    """Per-member (lhs, rhs) of the b, d or e form on g(t) = lam^2 g(0),
-    before the constant, from the g(0) ``norms`` of _base_measure: ||u||_{p*}
-    lam^(n/p*) against ||(-Lap+1)^(1/2)u||_p lam^(n/p) (b; ``bessel`` is
-    the p-norm on g(0) of the members transformed at time t, because the
-    multiplier is not a rescaling) or ||grad u||_p lam^(n/p-1) + (1 +
-    defect) ||u||_p lam^(n/p) with the defect of g(t) (d, e).
+def _form_sides(members, dec_base, family: str, p: float, lams):
+    """The per-member sides of the b, d or e form on g(t) = lam^2 g(0),
+    before the constant, as sides(i, lam, defect) at sample i, lam =
+    lams[i] and the defect of g(t): ||u||_{p*} lam^(n/p*) against
+    ||(-Lap+1)^(1/2)u||_p lam^(n/p) (b) or ||grad u||_p lam^(n/p-1) + (1 +
+    defect) ||u||_p lam^(n/p) (d, e).  Every norm is measured on g(0) in
+    one _sweep of the members; b's Bessel operator on g(t) is a multiplier
+    on the bare t = 0 spectrum, not a rescaling, so one transform of each
+    chunk gives its image at every lam of lams.
     """
-    star, grad, low = norms
-    lhs = star * lam ** (n / _pstar(n, p))
-    if bessel is not None:
-        return lhs, bessel * lam ** (n / p)
-    return lhs, (grad * lam ** (n / p - 1.0)
-                 + (1.0 + defect) * low * lam ** (n / p))
+    base = dec_base.manifold
+    n, pstar = base.dim, _pstar(base.dim, p)
+    if family == "b":
+        dec_zero = dec_base.shifted(-1.0)
+        bessel = multipliers(dec_zero, map(bessel_multiplier, lams))
+
+        def measure(rows):
+            return lp_norm(base, rows, pstar), apply_functions(
+                dec_zero, bessel, rows, lambda v: lp_norm(base, v, p))
+    else:
+        def measure(rows):
+            return (lp_norm(base, rows, pstar), grad_lp_norm(base, rows, p),
+                    lp_norm(base, rows, p))
+    (star, *norms), = _sweep(members, measure)
+
+    def sides(i, lam, defect):
+        lhs = star * lam ** (n / pstar)
+        if family == "b":
+            return lhs, norms[0][i] * lam ** (n / p)
+        grad, low = norms
+        return lhs, (grad * lam ** (n / p - 1.0)
+                     + (1.0 + defect) * low * lam ** (n / p))
+    return sides
 
 
 @dataclass(frozen=True)
@@ -185,13 +179,12 @@ def track(flow: ExactFlow, times, selector: str, p: float,
 
     Base constants are estimated once at t = 0 on the ensemble; what varies
     with t is only the closed-form geometry (volume, curvature bracket,
-    scale factor).  The member norms are measured once on g(0) and each
-    time's values are the homothety's rescalings: lam^(n/q) for an L^q
-    norm, lam^(n/p-1) for ||grad u||_p, and the common lam^(n-p) for the
-    three terms of the two-term form (family a).  Only family b forms a
-    member image per time, since sqrt(1 + mu/lam^2) is not a rescaling.
-    Selectors ending in "2" require lambda0(g(0)) > 0 and route static
-    tori to the finite-horizon "3" variants.
+    scale factor).  The member norms are measured once on g(0) (family a:
+    constants._sobolev_measure; b, d, e: _form_sides) and rescaled per
+    time; one loop builds the geometry of g(0) and each g(t), and one gives
+    each record its constants and checks them.  Selectors ending in "2"
+    require lambda0(g(0)) > 0 and route static tori to the finite-horizon
+    "3" variants.
     """
     if selector not in SELECTORS:
         raise ValueError(f"unknown selector {selector!r}; use one of {SELECTORS}")
@@ -220,79 +213,56 @@ def track(flow: ExactFlow, times, selector: str, p: float,
     members = MemberStream(base, ensemble, dec_base)
     family = selector[0]
     base_constants: dict = {"lambda0_g0": lam0_base}
+    samples = (0.0, *times)  # sample 0 is g(0), where C0 is measured
+    lams = [scale_factor(flow, t) for t in samples]
 
-    # every member norm is measured once on g(0), in one pass over the
-    # members; time t rescales it
+    # each member norm once on g(0); sample i rescales it by lams[i] powers
     if family == "a":
         (*terms0, lhs0, grd0, low0), = _sweep(
             members, _sobolev_measure(base, (p0, p)))
         est = _best_pair(p0, _pstar(n, p0), *terms0, DEFAULT_B_GRID)
         base_constants.update(A=est.A_est, B=est.B_est)
     else:
-        images = None
-        if family == "b":
-            # (-Lap+1)^(1/2) on g(t) = lam^2 g(0) is a multiplier on the bare
-            # t = 0 spectrum: one transform of each chunk serves the t = 0
-            # constant (lam = 1) and then every sampled time
-            lams = [1.0] + [scale_factor(flow, t) for t in times]
-            dec_zero = dec_base.shifted(-1.0)
-            bessel = multipliers(dec_zero, map(bessel_multiplier, lams))
+        sides = _form_sides(members, dec_base, family, p, lams)
 
-            def images(rows, measure):
-                return apply_functions(dec_zero, bessel, rows, measure)
-        norms, = _sweep(members, _base_measure(base, p, images))
-        if family == "b":
-            bessel_t = iter(norms[1])
-            norms = (norms[0], None, None)
-        else:
-            bessel_t = itertools.repeat(None)
-        c0 = max(0.0, _worst_ratio(*_form_sides(
-            norms, n, p, 1.0, _defect(family, base), next(bessel_t))).ratio)
-
-    # one pass builds each metric g(t) for its geometry, and keeps its scale
-    # factor and defect: the b/d/e constant needs the transfer over all
-    # times before any time is checked
-    records, steps, transfer = [], [], 1.0
-    for t in times:
-        lam_t = scale_factor(flow, t)
+    # one pass builds each sample's metric g(t) for its geometry
+    records = []
+    for t, lam in zip(samples, lams):
         mt = metric_at(flow, t)
         summ = geometric_summary(mt)
-        bracket = (summ["r_max_plus"] + 1.0) * summ["vol"] ** (2.0 / n)
         rec = {"t": t, "vol": summ["vol"], "r_max_plus": summ["r_max_plus"],
-               "kappa": summ["kappa"], "lambda0": lam0_base / lam_t ** 2,
-               "bracket": bracket}
-        defect = 0.0
+               "kappa": summ["kappa"], "lambda0": lam0_base / lam ** 2,
+               "bracket": (summ["r_max_plus"] + 1.0) * summ["vol"] ** (2.0 / n)}
+        if family == "e":  # c = 0: ExactFlow refuses R < 0
+            rec.update(gamma=gamma_integral(mt, 0.0, GAMMA_EPS))
+        records.append(rec)
+    at_zero, *records = records
+    defect = {"d": "kappa", "e": "gamma"}.get(family)  # b has no defect
+
+    if family != "a":
+        c0 = max(0.0, _worst_ratio(
+            *sides(0, 1.0, at_zero.get(defect, 0.0))).ratio)
+        # the spectral/gradient norms are not scale-covariant under the +1
+        # shift; the transfer factor compensates over the sampled horizon
+        transfer = max(1.0, max(lam ** (-1.0) / math.sqrt(1.0 + rec["r_max_plus"])
+                                for lam, rec in zip(lams[1:], records)))
+        base_constants.update(C0=c0, transfer=transfer, C=c0 * transfer)
+    # one pass gives each record its constants and checks them
+    for i, rec in enumerate(records, 1):
         if family == "a":
-            alpha = max(1.0, bracket if selector == "a2" else 1.0 + bracket)
+            alpha = max(1.0, rec["bracket"] if selector == "a2"
+                        else 1.0 + rec["bracket"])
             chain = chain_constants(n, p0, alpha * base_constants["A"],
                                     alpha * base_constants["B"], p)
             rec.update(alpha=alpha, C1=chain.C1, C2=chain.C2, m_p=chain.m_p)
-        else:
-            # the spectral/gradient norms are not scale-covariant under the +1
-            # shift; the transfer factor compensates over the sampled horizon
-            transfer = max(transfer, lam_t ** (-1.0)
-                           / math.sqrt(1.0 + summ["r_max_plus"]))
-            defect = _defect(family, mt)
-            if family == "e":
-                rec.update(gamma=defect)
-        steps.append((lam_t, defect))
-        records.append(rec)
-
-    if family != "a":
-        base_constants.update(C0=c0, transfer=transfer, C=c0 * transfer)
-        for rec in records:
-            rec.update(C=base_constants["C"] * math.sqrt(1.0 + rec["r_max_plus"]))
-    for (lam_t, defect), rec in zip(steps, records):
-        if family == "a":
-            # all three terms scale by lam^(n-p); the chained constants are
-            # checked as they are (factor 1)
-            scale = lam_t ** (n - p)
+            scale = lams[i] ** (n - p)  # of all three terms
             lhs = lhs0 * scale
-            rhs = rec["C1"] * (grd0 * scale) + rec["C2"] * (low0 * scale)
+            rhs = chain.C1 * (grd0 * scale) + chain.C2 * (low0 * scale)
         else:
-            lhs, rhs = _form_sides(norms, n, p, lam_t, defect, next(bessel_t))
-        worst = _worst_ratio(lhs, rec.get("C", 1.0) * rhs,
-                             slack=RELATIVE_SLACK)
+            rec.update(C=base_constants["C"] * math.sqrt(1.0 + rec["r_max_plus"]))
+            lhs, rhs = sides(i, lams[i], rec.get(defect, 0.0))
+            rhs = rec["C"] * rhs
+        worst = _worst_ratio(lhs, rhs, slack=RELATIVE_SLACK)
         rec.update(worst_ratio=worst.ratio, violations=worst.violations)
     return FlowTrajectory(variant=flow.variant, selector=selector, p=p, p0=p0,
                           times=times, records=tuple(records),

@@ -488,6 +488,40 @@ class ModelSpec:
             object.__setattr__(self, "sides", tuple(float(s) for s in sides))
         if not 0 < self.scale < np.inf:
             raise ValueError("scale must be positive and finite")
+        self._check_sizes()
+
+    def _check_sizes(self) -> None:
+        """ValueError naming the spec key unless the mesh's sizes are finite
+        positive floats: each cell side (a grid's L/res, L/(res-1) on a box;
+        a sphere's r), its square and the cell volume (their product), on
+        g and on the scaled metric, and scale^n.  A size past them
+        overflows a float or vanishes when the mesh is built."""
+        def bad(sides):
+            sizes = (*sides, *(s * s for s in sides), math.prod(sides))
+            return not all(0 < v < math.inf for v in sizes)
+
+        if self.variant == "sphere":
+            key, what = f"r={self.radius:g} (or r0)", "r^2"
+            sides = (self.radius,)
+        else:
+            cells = self.resolution - (self.variant == "box")
+            key = "L=" + "x".join(f"{s:g}" for s in self.sides)
+            what = f"the cell side L/{cells}, its square or the cell volume"
+            sides = tuple(s / cells for s in self.sides)
+        if bad(sides):
+            raise ValueError(f"spec key {key}: {what} is not a finite "
+                             f"positive float")
+        try:
+            power = self.scale ** self.dim
+        except OverflowError:
+            power = math.inf
+        if not 0 < power < math.inf:
+            raise ValueError(f"spec key scale={self.scale:g}: "
+                             f"scale^{self.dim} is not a finite positive float")
+        if bad(tuple(s * self.scale for s in sides)):
+            raise ValueError(f"spec keys {key} and scale={self.scale:g}: "
+                             f"{what} of the scaled metric is not a finite "
+                             f"positive float")
 
     def describe(self) -> str:
         if self.variant == "sphere":

@@ -303,8 +303,9 @@ def riesz_ratio(dec: SpectralDecomposition, p: float,
 
 
 def _check_equivalence_args(a: float, p: float) -> None:
-    if not (1 < p < math.inf and a >= 0):
-        raise ValueError(f"need 1 < p < inf and a >= 0, got p={p:g}, a={a:g}")
+    if not (1 < p < math.inf and 0 <= a < math.inf):
+        raise ValueError(f"need 1 < p < inf and a finite a >= 0, got p={p:g}, "
+                         f"a={a:g}")
 
 
 def _equivalence_scan(dec_zero: SpectralDecomposition, a: float, p: float):
@@ -354,7 +355,11 @@ def bessel_equivalence_constants(dec_zero: SpectralDecomposition, a: float,
 
 def _transfer_exponent(lam: float, mu: float, p: float) -> float:
     """mu p/(mu-p) for the transfer across g -> lam^2 g; ValueError unless
-    the transfer runs upward (lam >= 1) and mu > p."""
+    lam, mu and p are finite, the transfer runs upward (lam >= 1) and
+    mu > p."""
+    if not all(map(math.isfinite, (lam, mu, p))):
+        raise ValueError(f"need finite lam, mu and p, got lam={lam:g}, "
+                         f"mu={mu:g}, p={p:g}")
     if not lam >= 1:
         raise ValueError(f"transfer direction requires lam >= 1, got lam={lam:g}")
     if not mu > p:

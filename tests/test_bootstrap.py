@@ -145,6 +145,18 @@ def test_chain_refuses_precision_below_one_digit(precision):
         chain_constants(3, 2.0, 1.3, 0.7, 2.9, precision=precision)
 
 
+@pytest.mark.parametrize("A, hop", [(1e150, "hop 1 "), (1e60, "hop 2 "),
+                                    (1e30, "hop 3 ")])
+def test_chain_names_the_hop_whose_constants_overflow(A, hop):
+    """Each hop raises the constants to a power p/p0 > 1, so a large A
+    overflows a float at some hop; the error names it, whether math.pow
+    raised or a product reached inf."""
+    with pytest.raises(ValueError, match=hop + ".*overflow a float"):
+        chain_constants(3, 2.0, A, A, 2.99)
+    with pytest.raises(ValueError, match="finite A > 0"):
+        chain_constants(3, 2.0, math.inf, 1.0, 2.99)
+
+
 def test_alpha_bound_equality_at_one():
     rec = alpha_scaling_bound(3, 2.0, 2.5, 1.0, 1.0, 1.0)
     assert rec["margins"][0] == pytest.approx(0.0, abs=1e-9)

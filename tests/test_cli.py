@@ -2,9 +2,11 @@ import json
 import math
 import os
 import platform
+import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -620,6 +622,10 @@ def test_heat_on_a_torus_makes_no_dense_eigendecomposition(tmp_path,
     (("heat", "--fit-window", "1e-2,1e-3", "--seed", "1"),
      ["0 < t_low < t_high", "0.01, 0.001"]),
     (("heat", "--svg", "--seed", "1"), ["--svg", "--fit-window"]),
+    (("scaling", "--mu", "inf", "--seed", "1"), ["finite", "mu=inf"]),
+    (("w2p", "--mu", "inf", "--seed", "1"), ["finite", "--mu", "mu=inf"]),
+    (("riesz", "--a", "inf", "--seed", "1"), ["finite", "a=inf"]),
+    (("scaling", "--lam", "inf", "--seed", "1"), ["finite", "lam=inf"]),
 ], ids=["riesz-no-seed", "verify-p=n", "verify-A<0", "verify-A-nan",
         "verify-B-inf", "estimate-p=n", "w2p-p=mu/2", "scaling-mu<p",
         "heat-one-fit-window-value", "heat-t-list-not-a-number",
@@ -628,7 +634,8 @@ def test_heat_on_a_torus_makes_no_dense_eigendecomposition(tmp_path,
         "estimate-b-grid-inf", "estimate-b-grid-empty",
         "estimate-b-grid-negative", "riesz-p=1",
         "riesz-p=inf", "riesz-a<0", "w2p-p<1", "scaling-lam<1",
-        "heat-fit-window-reversed", "heat-svg-without-fit-window"])
+        "heat-fit-window-reversed", "heat-svg-without-fit-window",
+        "scaling-mu-inf", "w2p-mu-inf", "riesz-a-inf", "scaling-lam-inf"])
 def test_bad_arguments_fail_before_the_model_is_built(tmp_path, capsys,
                                                       monkeypatch, argv, words):
     def refuse(*args, **kwargs):
@@ -639,6 +646,46 @@ def test_bad_arguments_fail_before_the_model_is_built(tmp_path, capsys,
     argv = (*argv, "--model", "sphere:r=1,subdiv=4", "--size", "5")
     assert run(tmp_path, *argv) == 1
     one_line_error(capsys, *words)
+
+
+@pytest.mark.parametrize("argv, words", [
+    (("estimate", "--p", "1.5", "--model", "torus:n=2,res=4,scale=1e200",
+      "--seed", "1"), ["spec key scale=1e+200", "scale^2"]),
+    (("estimate", "--p", "1.5", "--model", "torus:n=2,res=4,scale=1e-200",
+      "--seed", "1"), ["spec key scale=1e-200", "scale^2"]),
+    (("heat", "--model", "sphere:r=1e200,subdiv=1", "--seed", "1"),
+     ["spec key r=1e+200", "r^2"]),
+    (("heat", "--model", "torus:n=2,res=4,L=1e300", "--seed", "1"),
+     ["spec key L=1e+300", "cell volume"]),
+    (("flow", "--flow", "sphere:r0=1e200,subdiv=1", "--seed", "1"),
+     ["r=1e+200 (or r0)", "r^2"]),
+    (("scaling", "--lam", "1e200", "--model", "torus:n=2,res=4", "--seed",
+      "1"), ["--lam 1e+200", "scale^2"]),
+    (("bootstrap", "--n", "3", "--p0", "2", "--A", "1e300", "--B", "1e300",
+      "--target", "2.9"), ["hop 1", "p = 2 -> ", "overflow"]),
+], ids=["scale-overflow", "scale-underflow", "sphere-radius", "torus-side",
+        "flow-sphere-radius", "scaling-lam", "bootstrap-hop"])
+def test_float_overflow_is_refused_with_one_line(tmp_path, capsys, argv,
+                                                 words):
+    """A size or constant past the float range is refused at the boundary,
+    naming its spec key, flag or hop, with no traceback and no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(tmp_path, *argv) == 1
+    one_line_error(capsys, *words)
+
+
+def test_specs_within_the_float_range_are_kept():
+    """Only a cell side, its square, the cell volume or scale^n past the
+    float range is refused: extreme sizes short of it still parse."""
+    for text in ("torus:n=2,res=4,L=1e-160", "torus:n=1,res=4,L=1e150",
+                 "torus:n=2,res=4,scale=1e150", "sphere:r=1e150,subdiv=1",
+                 "sphere:subdiv=1,scale=1e-150", "box:n=2,res=4,L=1e150"):
+        manifold.parse_model_spec(text)
+    for text in ("torus:n=1,res=4,L=1e155", "torus:n=2,res=4,L=1e100,"
+                 "scale=1e100", "box:n=3,res=3,scale=1e-110"):
+        with pytest.raises(ValueError, match="not a finite positive float"):
+            manifold.parse_model_spec(text)
 
 
 @pytest.mark.parametrize("argv, words", [
@@ -789,37 +836,50 @@ def test_huge_ensemble_size_is_refused_before_building(tmp_path, capsys,
                    "memory budget")
 
 
-OWN_PEAK_RSS = """
-import sys
-sys.path.insert(0, sys.argv[1])
-import sobolab.cli
-status = sobolab.cli.main(sys.argv[2:])
-with open('/proc/self/status') as f:
-    print(next(int(l.split()[1]) for l in f if l.startswith('VmHWM:')))
-sys.exit(status)
-"""
+PEAK_RSS = Path(__file__).resolve().parents[1] / "tools" / "peak_rss.py"
 
 
 @pytest.mark.slow
 def test_estimate_on_a_subdivision_five_sphere_fits_the_memory_budget(tmp_path):
     """10,242 nodes solve in the 8 mirror blocks of an icosphere: the job
     exits 0, and its peak RSS stays under the memory budget its prediction
-    was checked against.  The job reads its own high-water mark (VmHWM):
-    ru_maxrss after exec starts from the RSS of the process that spawned
-    it, here pytest's."""
+    was checked against.  tools/peak_rss.py reads the job's own high-water
+    mark (VmHWM): ru_maxrss after exec starts from the RSS of the process
+    that spawned it, here pytest's."""
     if not Path("/proc/self/status").is_file():
         pytest.skip("needs /proc/self/status")
-    src = str(Path(sobolab.__file__).resolve().parents[1])
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
     proc = subprocess.run(
-        [sys.executable, "-c", OWN_PEAK_RSS, src, "estimate", "--model",
-         "sphere:r=1,subdiv=5", "--p", "1.2", "--seed", "7", "--out",
-         str(tmp_path)], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0
-    peak_kb = int(proc.stdout.splitlines()[-1])
-    assert peak_kb * 1024 < manifold.MEMORY_BUDGET
+        [sys.executable, str(PEAK_RSS),
+         "--max-mb", str(manifold.MEMORY_BUDGET / 2 ** 20), "--", "estimate",
+         "--model", "sphere:r=1,subdiv=5", "--p", "1.2", "--seed", "7",
+         "--out", str(tmp_path)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout
+    assert proc.stdout.startswith("exit 0, VmHWM "), proc.stdout
     _, doc = read_artifact(tmp_path, "estimate")
     assert doc["results"]["diagnostics"]["mirrors"] == 3
+
+
+def test_peak_rss_fails_a_job_over_its_bound_or_with_an_error(tmp_path):
+    """tools/peak_rss.py prints the job's exit status and its own VmHWM,
+    and fails when either is out of bounds."""
+    if not Path("/proc/self/status").is_file():
+        pytest.skip("needs /proc/self/status")
+
+    def peak(bound, *argv):
+        return subprocess.run(
+            [sys.executable, str(PEAK_RSS), "--max-mb", bound,
+             "--", *argv, "--out", str(tmp_path)], capture_output=True,
+            text=True)
+
+    ladder = ("ladder", "--n", "3", "--target", "2.9")
+    within, over = peak("1000", *ladder), peak("1", *ladder)
+    assert within.returncode == 0 and over.returncode == 1
+    for proc in (within, over):
+        assert re.fullmatch(r"exit 0, VmHWM \d+\.\d MB \(bound \d+ MB\)\n",
+                            proc.stdout), proc.stdout
+    failed = peak("1000", "ladder", "--n", "3", "--target", "5")
+    assert failed.returncode == 1 and failed.stdout.startswith("exit 1, ")
 
 
 SEEDED_JOBS = [

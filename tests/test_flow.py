@@ -9,6 +9,7 @@ from sobolab import (EnsembleSpec, HypothesisError, apply_function,
                      lp_norm, metric_at, shrinking_sphere_flow, track,
                      verify_inequality)
 from sobolab import flow as flow_module
+from sobolab.bootstrap import chain_constants
 from sobolab.constants import RELATIVE_SLACK, _worst_ratio
 from sobolab.flow import SELECTORS, ExactFlow, parse_flow_spec, scale_factor
 from sobolab.manifold import build, scale_metric
@@ -286,3 +287,42 @@ def test_exact_flow_rejects_nonconstant_curvature():
     curved = replace(base, scalar_curvature=np.linspace(0.0, 1.0, 36))
     with pytest.raises(ValueError, match="constant scalar curvature"):
         ExactFlow(base=curved, t_max=1.0)
+
+
+@pytest.mark.parametrize("name", ["sphere", "torus"])
+def test_record_constants_are_composed_from_the_base_constants(name):
+    """b, d, e: each record's C is C0 * transfer * sqrt(1 + R+max(t)), and
+    the worst ratio at t = 0 is 1 / (transfer sqrt(1 + R+max(0))), since C0
+    is that ratio's numerator (1/sqrt(3) on the unit sphere).  a: C1 and C2
+    are the chain from (alpha A, alpha B), alpha = max(1, bracket) for a2
+    and max(1, 1 + bracket) for a3."""
+    if name == "sphere":
+        flow, sel = parse_flow_spec("sphere:r0=1,subdiv=1", t_max=0.45), "2"
+        times, p, p0 = [0.0, 0.1, 0.25, 0.4], 1.5, 1.2
+    else:
+        flow, sel = parse_flow_spec("torus:n=3,res=4", t_max=1.0), "3"
+        times, p, p0 = [0.0, 0.5, 1.0], 2.5, 2.0
+    spec = EnsembleSpec(seed=5, size=30, generator="mixed")
+    for family in "bde":
+        traj = track(flow, times, family + sel, p, spec, p0=p0)
+        c0, transfer = (traj.base_constants[k] for k in ("C0", "transfer"))
+        assert traj.base_constants["C"] == c0 * transfer
+        for rec in traj.records:
+            assert rec["C"] == c0 * transfer * np.sqrt(1.0 + rec["r_max_plus"])
+        first = traj.records[0]
+        assert first["worst_ratio"] == pytest.approx(
+            1.0 / (transfer * np.sqrt(1.0 + first["r_max_plus"])),
+            rel=1e-12, abs=0.0)
+        if name == "sphere":
+            assert first["worst_ratio"] == pytest.approx(1.0 / np.sqrt(3.0),
+                                                         rel=1e-12, abs=0.0)
+    for sel in ("a2", "a3") if name == "sphere" else ("a3",):
+        traj = track(flow, times, sel, p, spec, p0=p0)
+        a, b = traj.base_constants["A"], traj.base_constants["B"]
+        for rec in traj.records:
+            alpha = max(1.0, rec["bracket"] if sel == "a2"
+                        else 1.0 + rec["bracket"])
+            chain = chain_constants(flow.base.dim, p0, alpha * a, alpha * b, p)
+            assert rec["alpha"] == alpha
+            assert (rec["C1"], rec["C2"], rec["m_p"]) == (
+                chain.C1, chain.C2, chain.m_p)
