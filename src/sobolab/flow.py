@@ -124,13 +124,15 @@ def _form_sides(members, dec_base, family: str, p: float, lams):
     defect) ||u||_p lam^(n/p) (d, e).  Every norm is measured on g(0) in
     one _sweep of the members; b's Bessel operator on g(t) is a multiplier
     on the bare t = 0 spectrum, not a rescaling, so one transform of each
-    chunk gives its image at every lam of lams.
+    chunk gives its image at every distinct lam of lams, each formed once.
     """
     base = dec_base.manifold
     n, pstar = base.dim, _pstar(base.dim, p)
     if family == "b":
         dec_zero = dec_base.shifted(-1.0)
-        bessel = multipliers(dec_zero, map(bessel_multiplier, lams))
+        distinct, at = np.unique(lams, return_inverse=True)
+        bessel = multipliers(dec_zero,
+                             map(bessel_multiplier, distinct.tolist()))
 
         def measure(rows):
             return lp_norm(base, rows, pstar), apply_functions(
@@ -144,7 +146,7 @@ def _form_sides(members, dec_base, family: str, p: float, lams):
     def sides(i, lam, defect):
         lhs = star * lam ** (n / pstar)
         if family == "b":
-            return lhs, norms[0][i] * lam ** (n / p)
+            return lhs, norms[0][at[i]] * lam ** (n / p)
         grad, low = norms
         return lhs, (grad * lam ** (n / p - 1.0)
                      + (1.0 + defect) * low * lam ** (n / p))

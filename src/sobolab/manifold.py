@@ -9,8 +9,9 @@ indices and coefficients; the stiffness G^T W G is numpy (row, column,
 value) entries derived from either.  Only a read of ``stiffness``, the
 same entries as a scipy matrix, loads scipy.  A torus or box stiffness is a
 Kronecker sum over the axes, so its spectrum is closed-form per axis
-(spectral.FourierBasis); the memory budget counts a grid's res x res axis
-matrices and a sphere's dense solve.
+(spectral.FourierBasis); each builder declares its mesh's axis
+reflections, whose blocks a dense solve uses.  The memory budget counts a
+grid's res x res axis matrices and a sphere's dense solve.
 """
 
 from __future__ import annotations
@@ -368,7 +369,9 @@ class DiscreteManifold:
     gradient data; the Dirichlet form is sum_e w_e |grad u|_e^2, so the
     stiffness matrix G^T W G is derived from grad, as numpy entries.
     Curvature fields carry 1/length^2 units; ric_min is the least Ricci
-    eigenvalue at each node.
+    eigenvalue at each node.  reflections are the node permutations r of
+    the mesh's axis reflections (node r[i] is the image of node i), as its
+    builder declares them.
     """
 
     dim: int
@@ -378,6 +381,7 @@ class DiscreteManifold:
     scalar_curvature: np.ndarray
     ric_min: np.ndarray
     label: str
+    reflections: tuple[np.ndarray, ...] = ()
 
     @property
     def num_nodes(self) -> int:
@@ -421,7 +425,8 @@ class DiscreteManifold:
         The stiffness is symmetric with constants in its kernel by
         construction, given a zero gradient of constants; a disconnected
         gradient graph would add kernel directions no node couples to.  R is
-        the trace of Ric, so R >= n min Ric at every node.
+        the trace of Ric, so R >= n min Ric at every node.  The reflections
+        are commuting involutions of the nodes other than the identity.
         """
         if np.any(self.mass <= 0):
             raise ValueError("mass weights must be positive")
@@ -437,6 +442,16 @@ class DiscreteManifold:
         if np.any(r < self.dim * self.ric_min - slack):
             raise ValueError("scalar curvature below n * ric_min (R is the "
                              "trace of Ric)")
+        nodes = np.arange(self.num_nodes)
+        for i, r in enumerate(self.reflections):
+            if not np.array_equal(np.sort(r), nodes):
+                raise ValueError(f"reflection {i} is not a node permutation")
+            if not np.array_equal(r[r], nodes) or np.array_equal(r, nodes):
+                raise ValueError(f"reflection {i} is not a proper involution")
+            if any(not np.array_equal(r[q], q[r])
+                   for q in self.reflections[:i]):
+                raise ValueError(f"reflection {i} does not commute with "
+                                 f"another")
 
 
 @dataclass(frozen=True)
@@ -492,23 +507,37 @@ class ModelSpec:
 
     def _check_sizes(self) -> None:
         """ValueError naming the spec key unless the mesh's sizes are finite
-        positive floats: each cell side (a grid's L/res, L/(res-1) on a box;
-        a sphere's r), its square and the cell volume (their product), on
-        g and on the scaled metric, and scale^n.  A size past them
-        overflows a float or vanishes when the mesh is built."""
-        def bad(sides):
-            sizes = (*sides, *(s * s for s in sides), math.prod(sides))
-            return not all(0 < v < math.inf for v in sizes)
+        positive floats, on g and on the scaled metric: each cell side s (a
+        grid's L/res, L/(res-1) on a box; r/2^subdiv on a sphere, whose
+        triangles' doubled areas are 1.1 to 1.6 times s^2), s^2, the cell
+        volume V (the product of the sides) and, on a sphere's g, V^2 (the
+        squared length of a triangle's normal); and unless 1/s^2 (the scale
+        of the curvature and the eigenvalues) and 1/(s^2 V) (the squared
+        gradient of a member xi / sqrt(mass)) are finite, and so is
+        scale^n.  A size past them overflows a float or vanishes when the
+        mesh is built or its members are measured."""
+        def bad(sides, *sizes):
+            vol = math.prod(sides)
+            sizes += (*sides, *(s * s for s in sides), vol)
+            if not all(0 < v < math.inf for v in sizes):
+                return True
+            small = (*(s * s for s in sides), *(s * s * vol for s in sides))
+            return not all(v > 0 and 1 / v < math.inf for v in small)
 
         if self.variant == "sphere":
-            key, what = f"r={self.radius:g} (or r0)", "r^2"
-            sides = (self.radius,)
+            k = self.resolution
+            key = f"r={self.radius:g} (or r0)"
+            what = (f"the cell side r/2^{k}, r^2/4^{k}, its square or an "
+                    f"inverse")
+            side = math.ldexp(self.radius, -k)
+            sides, normals = (side, side), ((side * side) * (side * side),)
         else:
             cells = self.resolution - (self.variant == "box")
             key = "L=" + "x".join(f"{s:g}" for s in self.sides)
-            what = f"the cell side L/{cells}, its square or the cell volume"
-            sides = tuple(s / cells for s in self.sides)
-        if bad(sides):
+            what = (f"the cell side L/{cells}, its square or inverse square, "
+                    f"the cell volume V or 1/(side^2 V)")
+            sides, normals = tuple(s / cells for s in self.sides), ()
+        if bad(sides, *normals):
             raise ValueError(f"spec key {key}: {what} is not a finite "
                              f"positive float")
         try:
@@ -678,7 +707,8 @@ def parse_model_spec(text: str, members: int = 1) -> ModelSpec:
 
 def _build_grid(spec: ModelSpec) -> DiscreteManifold:
     """A torus (one forward-difference element per node) or a Neumann box
-    (Q1 corner elements, half and quarter masses on faces and corners)."""
+    (Q1 corner elements, half and quarter masses on faces and corners);
+    reflection d takes index k along axis d to res - 1 - k."""
     periodic = spec.variant == "torus"
     dim, res = spec.dim, spec.resolution
     h = np.array([s / res if periodic else s / (res - 1) for s in spec.sides])
@@ -694,10 +724,12 @@ def _build_grid(spec: ModelSpec) -> DiscreteManifold:
         mass = cell_vol * np.prod(np.where(end, 0.5, 1.0), axis=1)
     grad = GridGradient(res=res, sides=spec.sides, inv_h=1.0 / h,
                         weights=weights, periodic=periodic)
+    grid = np.arange(n).reshape((res,) * dim)
     return DiscreteManifold(
         dim=dim, points=coords * h[None, :], mass=mass, grad=grad,
         scalar_curvature=np.zeros(n), ric_min=np.zeros(n),
-        label=spec.describe())
+        label=spec.describe(),
+        reflections=tuple(np.flip(grid, d).ravel() for d in range(dim)))
 
 
 # ---------------------------------------------------------------------------
@@ -718,29 +750,40 @@ _ICO_FACES = np.array([
 
 
 def _icosphere(subdiv: int, radius: float):
-    """Points and faces of the icosahedron split subdiv times.  Each split
-    adds the edge midpoints, numbered in the order the faces first visit
-    their edges (ab, bc, ca of each face), projected to the unit sphere,
-    and cuts every face into four."""
+    """Points, faces and axis reflections r of the icosahedron split subdiv
+    times.  Each split adds the edge midpoints, numbered in the order the
+    faces first visit their edges (ab, bc, ca of each face), projected to
+    the unit sphere, and cuts every face into four.  Reflection d negates
+    coordinate d of the base vertices (0, +-1, +-phi: exactly) and takes
+    the midpoint of (a, b) to that of (r[a], r[b])."""
     verts = _ICO_VERTS / np.linalg.norm(_ICO_VERTS, axis=1, keepdims=True)
     faces = _ICO_FACES.copy()
+    mirrors = [np.argmax(np.all(_ICO_VERTS[:, None] * signs == _ICO_VERTS,
+                                axis=2), axis=1)
+               for signs in 1.0 - 2.0 * np.eye(3)]  # row d negates axis d
     for _ in range(subdiv):
+        n = len(verts)
         a, b, c = faces.T
         ends = np.stack([a, b, b, c, c, a], axis=1).reshape(-1, 2)  # visit order
         lo, hi = np.sort(ends, axis=1).T
-        _, first, inverse = np.unique(lo * len(verts) + hi,
-                                      return_index=True, return_inverse=True)
+        keys, first, inverse = np.unique(lo * n + hi, return_index=True,
+                                         return_inverse=True)
         order = np.argsort(first)
         rank = np.empty_like(order)
         rank[order] = np.arange(order.size)
         mids = verts[lo[first[order]]] + verts[hi[first[order]]]
         # a per-row dot product rounds as the 1-D norm of each midpoint did
         norms = np.sqrt((mids[:, None, :] @ mids[:, :, None])[:, 0, 0])
-        ab, bc, ca = (len(verts) + rank[inverse.ravel()]).reshape(-1, 3).T
+        ab, bc, ca = (n + rank[inverse.ravel()]).reshape(-1, 3).T
         verts = np.concatenate([verts, mids / norms[:, None]])
         faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca],
                          axis=1).reshape(-1, 3)
-    return verts * radius, faces
+        for i, r in enumerate(mirrors):
+            ra, rb = np.sort(r[np.stack(np.divmod(keys, n))], axis=0)
+            mid = np.empty_like(rank)
+            mid[rank] = n + rank[np.searchsorted(keys, ra * n + rb)]
+            mirrors[i] = np.concatenate([r, mid])
+    return verts * radius, faces, tuple(mirrors)
 
 
 def _triangle_mesh_arrays(points: np.ndarray, faces: np.ndarray):
@@ -772,14 +815,15 @@ def _triangle_mesh_arrays(points: np.ndarray, faces: np.ndarray):
 
 
 def _build_sphere(spec: ModelSpec) -> DiscreteManifold:
-    points, faces = _icosphere(spec.resolution, spec.radius)
+    points, faces, reflections = _icosphere(spec.resolution, spec.radius)
     mass, grad = _triangle_mesh_arrays(points, faces)
     n = points.shape[0]
     r2 = spec.radius ** 2
     return DiscreteManifold(
         dim=2, points=points, mass=mass, grad=grad,
         scalar_curvature=np.full(n, 2.0 / r2),
-        ric_min=np.full(n, 1.0 / r2), label=spec.describe())
+        ric_min=np.full(n, 1.0 / r2), label=spec.describe(),
+        reflections=reflections)
 
 
 def build(spec: ModelSpec | str) -> DiscreteManifold:

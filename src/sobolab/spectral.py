@@ -5,9 +5,10 @@ in closed form on a grid with constant Psi, a torus or a Neumann box
 (products of per-axis real Fourier or DCT-I columns, applied by one product
 per axis with the leading columns of the res x res axis matrix).  Spheres
 and a non-constant Psi are reduced via the diagonal mass square root,
-split into one block per character of the group generated by the mesh's
-axis mirrors (one block, the whole matrix, when there is no mirror), and
-solved block by block by numpy.linalg.eigh (LAPACK's symmetric divide and
+split into one block per character of the group generated by the axis
+reflections the mesh declares (DiscreteManifold.reflections) that leave
+H invariant (one block, the whole matrix, when none does), and solved
+block by block by numpy.linalg.eigh (LAPACK's symmetric divide and
 conquer, dsyevd), the blocks kept apart and applied one by one; the
 stiffness is read from its numpy entries, so no solve loads scipy.  Every
 operator function (heat semigroup, fractional powers, resolvents) is
@@ -47,7 +48,6 @@ __all__ = [
 
 EIG_CLIP_REL = 1e-10
 CLUSTER_GAP_REL = 1e-9  # roundoff splits are ~1e-15, real gaps >= ~1e-5
-MIRROR_MATCH_REL = 1e-9  # node distance to a mirror image / mesh extent
 MIRROR_RTOL = 1e-12  # mass, Psi and stiffness change under a mirror / largest
 
 
@@ -376,44 +376,14 @@ def _eigh_symmetric(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _mirrors(m: DiscreteManifold, psi: PotentialField) -> list[np.ndarray]:
-    """Node permutations of the axis reflections that leave H invariant.
-
-    The points are centred on their bounding box and rounded to integer
-    multiples of MIRROR_MATCH_REL times its extent.  Axis d's reflection
-    negates coordinate d; sorting the nodes and their images matches each
-    node to the node at its image, and the permutation r (node r[i] is the
-    image of node i) is kept when every image is a node, r is not the
-    identity, and mass, Psi and the stiffness's entries are invariant to
-    MIRROR_RTOL of their largest value.  Negating rounded coordinates is
-    exact, so every r kept is an involution and the kept ones commute.  A
-    mesh with two nodes in one rounding cell has no mirrors.
-    """
-    p = m.points
-    n = p.shape[0]
-    lo, hi = np.min(p, axis=0), np.max(p, axis=0)
-    tol = MIRROR_MATCH_REL * np.max(hi - lo)
-    if not tol > 0:
-        return []
-    keys = np.rint((p - 0.5 * (lo + hi)) / tol).astype(np.int64)
-    order = np.lexsort(keys.T)
-    ranked = keys[order]
-    if np.any(np.all(ranked[1:] == ranked[:-1], axis=1)):
-        return []
+    """The declared reflections m.reflections (commuting involutions) that
+    leave mass, Psi and the stiffness's entries invariant to MIRROR_RTOL
+    of their largest value: they generate Z2^k."""
     entries = m.stiffness_entries
-    found: list[np.ndarray] = []
-    for d in range(p.shape[1]):
-        keys[:, d] *= -1
-        by_image = np.lexsort(keys.T)
-        matched = np.array_equal(keys[by_image], ranked)
-        keys[:, d] *= -1
-        r = np.empty(n, dtype=np.intp)
-        r[by_image] = order
-        if (matched and np.any(r != np.arange(n))
-                and _within(m.mass[r] - m.mass, m.mass)
-                and _within(psi.values[r] - psi.values, psi.values)
-                and _within(_permuted_gap(entries, r), entries[2])):
-            found.append(r)
-    return found
+    return [r for r in m.reflections
+            if _within(m.mass[r] - m.mass, m.mass)
+            and _within(psi.values[r] - psi.values, psi.values)
+            and _within(_permuted_gap(entries, r), entries[2])]
 
 
 def _permuted_gap(entries, r: np.ndarray) -> np.ndarray:
@@ -662,7 +632,7 @@ def _op_norms_2_to_inf(dec: SpectralDecomposition,
 
 def spectrum_rows(dec: SpectralDecomposition) -> list[tuple[int, float]]:
     """(k, lambda_k) rows for CSV regression baselines."""
-    return [(k, float(lam)) for k, lam in enumerate(dec.eigenvalues)]
+    return list(enumerate(dec.eigenvalues.tolist()))
 
 
 def diagnostics(dec1: SpectralDecomposition) -> dict:

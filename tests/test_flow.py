@@ -259,6 +259,28 @@ def test_track_measures_each_member_norm_once(selector, norm_calls):
         [("_grad_lp_norms", (1.2, 1.5))] if selector == "a2" else [])
 
 
+def test_flow_b_forms_one_bessel_image_per_distinct_scale(monkeypatch):
+    """Sample 0 and t = 0 share lam = 1, so --times 0:0.4:0.05 (nine times,
+    ten samples) forms nine full-width Bessel images per chunk, not ten."""
+    from sobolab.cli import _parse_times
+    from sobolab.spectral import MirrorBasis
+
+    flow = shrinking_sphere_flow(r0=1.0, subdiv=1, t_max=0.45)
+    spec = EnsembleSpec(seed=5, size=20, generator="mixed")  # one chunk
+    full_width = []
+    backward = MirrorBasis.backward
+
+    def spy(self, c, k=None):
+        full_width.append(k is None)
+        return backward(self, c, k)
+
+    monkeypatch.setattr(MirrorBasis, "backward", spy)
+    times = _parse_times("0:0.4:0.05")
+    assert len(times) == 9 and times[0] == 0.0
+    track(flow, times, "b2", 1.5, spec, p0=1.2)
+    assert full_width.count(True) == 9
+
+
 def test_lambda0_series_decomposes_once(sphere_flow, decompose_calls):
     series = _lambda0_series(sphere_flow, [0.0, 0.1, 0.4], 1.5, "d2")
     assert decompose_calls == [sphere_flow.base.num_nodes]

@@ -215,6 +215,37 @@ def test_validate_catches_broken_invariants(torus2):
         bad.validate()
 
 
+def _swap_first_two(n):
+    swap = np.arange(n)
+    swap[[0, 1]] = 1, 0
+    return swap
+
+
+@pytest.mark.parametrize("case, words", [
+    ("repeated-node", "reflection 0 is not a node permutation"),
+    ("too-short", "reflection 0 is not a node permutation"),
+    ("cycle", "reflection 1 is not a proper involution"),
+    ("identity", "reflection 0 is not a proper involution"),
+    ("non-commuting", "reflection 2 does not commute with another"),
+])
+def test_validate_rejects_a_declared_reflection_that_is_not_one(case, words):
+    """Each declared reflection must be a permutation of the nodes, an
+    involution other than the identity, and commute with the others."""
+    m = build("box:n=2,res=4")
+    n = m.num_nodes
+    x, y = m.reflections
+    m.validate()
+    reflections = {
+        "repeated-node": (np.zeros(n, dtype=int), y),
+        "too-short": (x[:-1], y),
+        "cycle": (x, np.roll(np.arange(n), 1)),
+        "identity": (np.arange(n), y),
+        "non-commuting": (x, y, _swap_first_two(n)),
+    }[case]
+    with pytest.raises(ValueError, match=words):
+        replace(m, reflections=reflections).validate()
+
+
 def _reference_icosphere(subdiv, radius):
     """The per-edge loop _icosphere replaced: each face's edges ab, bc, ca
     get their midpoint, normalised by its 1-D norm, on first visit."""
@@ -240,7 +271,7 @@ def _reference_icosphere(subdiv, radius):
 
 @pytest.mark.parametrize("subdiv", range(6))
 def test_icosphere_matches_the_per_edge_loop_bit_for_bit(subdiv):
-    points, faces = _icosphere(subdiv, 1.3)
+    points, faces, _ = _icosphere(subdiv, 1.3)
     want_points, want_faces = _reference_icosphere(subdiv, 1.3)
     assert np.array_equal(faces, want_faces)
     assert np.array_equal(points, want_points)
@@ -282,7 +313,7 @@ def test_sphere_gradient_arrays_match_the_sparse_matrix(subdiv):
     import scipy.sparse as sp
 
     m = build(f"sphere:r=1.3,subdiv={subdiv}")
-    points, faces = _icosphere(subdiv, 1.3)
+    points, faces, _ = _icosphere(subdiv, 1.3)
     g, ref = m.grad, _reference_p1_matrix(points, faces)
     rng = np.random.default_rng(subdiv)
     v = rng.standard_normal((m.num_nodes, 5))

@@ -889,6 +889,79 @@ def test_a_potential_keeps_the_mirrors_it_is_even_under():
     assert len(spectral._mirrors(m, even)) == 2
 
 
+def _searched_mirrors(m, psi):
+    """The geometric search the declared reflections replaced: the points
+    centred on their bounding box and rounded to 1e-9 of its extent, axis
+    d's reflection matched by sorting the nodes and their images, and kept
+    when every image is a node, it is not the identity and H is invariant."""
+    p = m.points
+    n = p.shape[0]
+    lo, hi = np.min(p, axis=0), np.max(p, axis=0)
+    tol = 1e-9 * np.max(hi - lo)
+    if not tol > 0:
+        return []
+    keys = np.rint((p - 0.5 * (lo + hi)) / tol).astype(np.int64)
+    order = np.lexsort(keys.T)
+    ranked = keys[order]
+    if np.any(np.all(ranked[1:] == ranked[:-1], axis=1)):
+        return []
+    entries = m.stiffness_entries
+    found = []
+    for d in range(p.shape[1]):
+        keys[:, d] *= -1
+        by_image = np.lexsort(keys.T)
+        matched = np.array_equal(keys[by_image], ranked)
+        keys[:, d] *= -1
+        r = np.empty(n, dtype=np.intp)
+        r[by_image] = order
+        if (matched and np.any(r != np.arange(n))
+                and spectral._within(m.mass[r] - m.mass, m.mass)
+                and spectral._within(psi.values[r] - psi.values, psi.values)
+                and spectral._within(spectral._permuted_gap(entries, r),
+                                     entries[2])):
+            found.append(r)
+    return found
+
+
+REFLECTION_MESHES = [
+    "sphere:r=1,subdiv=1", "sphere:r=1,subdiv=2", "sphere:r=1,subdiv=3",
+    "sphere:r=1,subdiv=4", "sphere:r=2,subdiv=5", "torus:n=1,res=7",
+    "torus:n=2,res=6", "torus:n=3,res=5", "torus:n=2,res=4,L=1x3",
+    "box:n=1,res=5", "box:n=2,res=6", "box:n=3,res=4", "box:n=2,res=5,L=1x2"]
+
+
+@pytest.mark.parametrize("text", REFLECTION_MESHES)
+def test_declared_reflections_are_those_the_geometric_search_found(text):
+    """Every builder declares the reflections the search matched, in the
+    same order, a metric scaling keeps them, and the invariance test keeps
+    the same ones under Psi = 1, Psi = 1 + x and a seeded random Psi."""
+    m = build(text)
+    one = constant_potential(m, 1.0)
+    searched = _searched_mirrors(m, one)
+    axes = 3 if text.startswith("sphere") else m.dim
+    assert len(m.reflections) == len(searched) == axes
+    assert all(np.array_equal(r, s) for r, s in zip(m.reflections, searched))
+    assert scale_metric(m, 2.5).reflections is m.reflections
+    rng = np.random.default_rng(5)
+    counts = []
+    for psi in (one, PotentialField(1.0 + m.points[:, 0]),
+                PotentialField(rng.uniform(1.0, 2.0, m.num_nodes))):
+        kept, searched = spectral._mirrors(m, psi), _searched_mirrors(m, psi)
+        assert len(kept) == len(searched)
+        assert all(np.array_equal(r, s) for r, s in zip(kept, searched))
+        counts.append(len(kept))
+    assert counts == [axes, axes - 1, 0]  # 1 + x loses the x reflection
+
+
+def test_mirrors_read_no_coordinates():
+    """The invariance test reads the declared reflections, not the points."""
+    m = build("sphere:r=1,subdiv=2")
+    hidden = replace(m, points=np.full_like(m.points, np.nan))
+    psi = constant_potential(m, 1.0)
+    assert len(spectral._mirrors(hidden, psi)) == 3
+    assert spectral._mirrors(replace(m, reflections=()), psi) == []
+
+
 @pytest.mark.slow
 def test_mirror_blocks_at_subdivision_four(monkeypatch):
     """The 2562-node icosphere splits into 8 blocks within the dense bounds."""
