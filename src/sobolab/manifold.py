@@ -85,14 +85,18 @@ class _Elements:
     def magnitudes(self, u: np.ndarray) -> np.ndarray:
         """Per-element gradient lengths, shape u.shape[:-1] + (num_elements,),
         each member's row contiguous, so a sum along it rounds the same
-        whatever the number of rows."""
-        return np.sqrt(self._squares(u).T, order="C")
+        whatever the number of rows.  A square past the float range is inf,
+        without a warning; the caller refuses it."""
+        with np.errstate(over="ignore"):
+            return np.sqrt(self._squares(u).T, order="C")
 
     def energy(self, u: np.ndarray) -> float | np.ndarray:
         """Dirichlet energy sum_e w_e |grad u|_e^2, one value per row of u,
-        each summed along its own contiguous row as magnitudes is."""
-        terms = np.multiply(self._squares(u).T, self.weights, order="C")
-        return np.sum(terms, axis=-1)
+        each summed along its own contiguous row as magnitudes is; inf
+        past the float range, as there."""
+        with np.errstate(over="ignore"):
+            terms = np.multiply(self._squares(u).T, self.weights, order="C")
+            return np.sum(terms, axis=-1)
 
     def stiffness_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """G^T W G as (rows, cols, values), sorted by (row, col), one entry
@@ -507,35 +511,32 @@ class ModelSpec:
 
     def _check_sizes(self) -> None:
         """ValueError naming the spec key unless the mesh's sizes are finite
-        positive floats, on g and on the scaled metric: each cell side s (a
-        grid's L/res, L/(res-1) on a box; r/2^subdiv on a sphere, whose
-        triangles' doubled areas are 1.1 to 1.6 times s^2), s^2, the cell
-        volume V (the product of the sides) and, on a sphere's g, V^2 (the
-        squared length of a triangle's normal); and unless 1/s^2 (the scale
-        of the curvature and the eigenvalues) and 1/(s^2 V) (the squared
-        gradient of a member xi / sqrt(mass)) are finite, and so is
-        scale^n.  A size past them overflows a float or vanishes when the
-        mesh is built or its members are measured."""
+        positive floats, on g and on the scaled metric: each side s (a
+        grid's cell sides L/res, L/(res-1) on a box; a sphere's r and cell
+        side r/2^subdiv, whose triangles' doubled areas are 1.1 to 1.6 times
+        its square), s^2, the product of the sides, and 1/s^2 of the least
+        side (the scale of the eigenvalues and the curvature); on a sphere's
+        g the squared length of a triangle's normal; and scale^n.  A size
+        past them overflows a float or vanishes when the mesh is built."""
         def bad(sides, *sizes):
-            vol = math.prod(sides)
-            sizes += (*sides, *(s * s for s in sides), vol)
-            if not all(0 < v < math.inf for v in sizes):
-                return True
-            small = (*(s * s for s in sides), *(s * s * vol for s in sides))
-            return not all(v > 0 and 1 / v < math.inf for v in small)
+            squares = [s * s for s in sides]
+            sizes += (*sides, *squares, math.prod(sides))
+            return (not all(0 < v < math.inf for v in sizes)
+                    or 1 / min(squares) == math.inf)
 
         if self.variant == "sphere":
             k = self.resolution
             key = f"r={self.radius:g} (or r0)"
-            what = (f"the cell side r/2^{k}, r^2/4^{k}, its square or an "
-                    f"inverse")
+            what = (f"r, r^2, the cell side r/2^{k}, its square or inverse "
+                    f"square, or a triangle's squared normal length")
             side = math.ldexp(self.radius, -k)
-            sides, normals = (side, side), ((side * side) * (side * side),)
+            area = side * side
+            sides, normals = (self.radius, side), (area * area,)
         else:
             cells = self.resolution - (self.variant == "box")
             key = "L=" + "x".join(f"{s:g}" for s in self.sides)
             what = (f"the cell side L/{cells}, its square or inverse square, "
-                    f"the cell volume V or 1/(side^2 V)")
+                    f"or the cell volume")
             sides, normals = tuple(s / cells for s in self.sides), ()
         if bad(sides, *normals):
             raise ValueError(f"spec key {key}: {what} is not a finite "

@@ -98,16 +98,22 @@ def grad_lp_norm(m: DiscreteManifold, u: np.ndarray,
 def _grad_lp_norms(m: DiscreteManifold, rows: np.ndarray,
                    ps: tuple[float, ...]) -> list[np.ndarray]:
     """grad_lp_norm of each of a chunk's rows at each exponent of ps, from
-    one computation of the element-gradient magnitudes."""
+    one computation of the element-gradient magnitudes.  A norm past the
+    float range is refused, naming the model: its cells are too small for
+    the gradients of its members."""
     mags = m.grad.magnitudes(rows)
     norms = []
-    for p in ps:
-        if np.isinf(p):
-            norms.append(np.max(mags, axis=-1, initial=0.0))
-            continue
-        powers = mags ** p
-        powers *= m.grad.weights
-        norms.append(np.sum(powers, axis=-1) ** (1.0 / p))
+    with np.errstate(over="ignore"):
+        for p in ps:
+            if np.isinf(p):
+                norms.append(np.max(mags, axis=-1, initial=0.0))
+                continue
+            powers = mags ** p
+            powers *= m.grad.weights
+            norms.append(np.sum(powers, axis=-1) ** (1.0 / p))
+    if not all(np.isfinite(x).all() for x in norms):
+        raise ValueError(f"model {m.label}: a member's gradient norm "
+                         f"overflows a float (the cells are too small)")
     return norms
 
 

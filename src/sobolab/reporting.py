@@ -98,19 +98,12 @@ def write_artifact(out_dir: Path, stem: str, payload) -> Path:
                             end="\n")
 
 
-def _csv_cell(x) -> str:
-    """A float as its repr, any other cell as its str; a cell that is not a
-    built-in int, float or str is made plain (to_plain) first."""
-    if type(x) not in (float, int, str):
-        x = to_plain(x)
-    return repr(x) if isinstance(x, float) else str(x)
-
-
 def write_csv(out_dir: Path, stem: str, header: list[str], rows) -> Path:
-    """One line per row; a built-in int, float or str cell is formatted as
-    it is, any other cell (numpy scalars, bools) through to_plain."""
     lines = [",".join(header)]
-    lines.extend(",".join(map(_csv_cell, row)) for row in rows)
+    for row in rows:
+        cells = [to_plain(x) for x in row]
+        lines.append(",".join(repr(x) if isinstance(x, float) else str(x)
+                              for x in cells))
     return _write_addressed(out_dir, stem, "csv", "\n".join(lines) + "\n")
 
 

@@ -666,9 +666,10 @@ def test_bad_arguments_fail_before_the_model_is_built(tmp_path, capsys,
     (("heat", "--model", "torus:n=2,res=4,L=1e-160", "--seed", "1"),
      ["spec key L=1e-160x1e-160", "inverse square"]),
     (("heat", "--model", "sphere:r=1e100,subdiv=1", "--seed", "1"),
-     ["spec key r=1e+100", "r^2/4^1, its square"]),
+     ["spec key r=1e+100", "squared normal length"]),
     (("estimate", "--model", "torus:n=2,res=4,scale=1e-100", "--p", "1.5",
-      "--seed", "1"), ["scale=1e-100", "1/(side^2 V)", "scaled metric"]),
+      "--seed", "1"), ["model torus:n=2,res=4", "scale=1e-100",
+                       "gradient norm overflows"]),
     (("heat", "--model", "box:n=2,res=4,L=1e-160", "--seed", "1"),
      ["spec key L=1e-160x1e-160", "inverse square"]),
     (("heat", "--model", "sphere:subdiv=1,scale=1e-160", "--seed", "1"),
@@ -680,9 +681,10 @@ def test_bad_arguments_fail_before_the_model_is_built(tmp_path, capsys,
 def test_float_overflow_is_refused_with_one_line(tmp_path, capsys, argv,
                                                  words):
     """A size or constant past the float range, or one whose eigenvalues,
-    curvature, triangle normals or member gradients overflow, is refused
-    at the boundary, naming its spec key, flag or hop, with no traceback
-    and no warning."""
+    curvature or triangle normals overflow, is refused at the boundary,
+    naming its spec key, flag or hop, and member gradients that overflow
+    where they are formed, naming the model; with no traceback and no
+    warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run(tmp_path, *argv) == 1
@@ -692,14 +694,13 @@ def test_float_overflow_is_refused_with_one_line(tmp_path, capsys, argv,
 def test_specs_within_the_float_range_are_kept():
     """Only a size past the float range (ModelSpec._check_sizes) is
     refused: extreme sizes short of it still parse."""
-    for text in ("torus:n=2,res=4,L=1e-74", "torus:n=1,res=4,L=1e150",
-                 "torus:n=2,res=4,scale=1e150", "sphere:r=1e74,subdiv=1",
-                 "sphere:subdiv=1,scale=1e-74", "box:n=2,res=4,L=1e150"):
+    for text in ("torus:n=2,res=4,L=1e-150", "torus:n=1,res=4,L=1e150",
+                 "torus:n=2,res=4,scale=1e150", "sphere:r=1e76,subdiv=1",
+                 "sphere:subdiv=1,scale=1e-150", "box:n=2,res=4,L=1e150"):
         manifold.parse_model_spec(text)
     for text in ("torus:n=1,res=4,L=1e155", "torus:n=2,res=4,L=1e100,"
                  "scale=1e100", "box:n=3,res=3,scale=1e-110",
-                 "torus:n=2,res=4,L=1e-160", "sphere:r=1e150,subdiv=1",
-                 "sphere:subdiv=1,scale=1e-150"):
+                 "torus:n=2,res=4,L=1e-160", "sphere:r=1e150,subdiv=1"):
         with pytest.raises(ValueError, match="not a finite positive float"):
             manifold.parse_model_spec(text)
 
