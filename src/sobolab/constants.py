@@ -313,7 +313,10 @@ def _sobolev_measure(m: DiscreteManifold, ps: tuple[float, ...]):
     ||u||_{p*}^p <= A ||grad u||_p^p + (B/vol^{p/n}) ||u||_p^p at each p of
     ps: ||u||_{p*}^p, ||grad u||_p^p and ||u||_p^p / vol^{p/n}, three
     arrays per p.  A chunk's element-gradient magnitudes are formed once for
-    all of ps."""
+    all of ps.  The three terms take the same factor l^(n-p) of the length,
+    so they are taken on the reference mesh, and the constants and ratios
+    they give do not read l."""
+    m = m.reference
     n = m.dim
     stars = [_pstar(n, p) for p in ps]
 
@@ -418,7 +421,8 @@ def entropy(m: DiscreteManifold, u: np.ndarray) -> float | np.ndarray:
     """int u^2 ln u^2 with the 0 ln 0 = 0 convention; one value per row of u."""
     def measure(rows):
         x = rows * rows
-        return np.sum(m.mass * x * np.log(np.where(x > 0, x, 1.0)), axis=-1)
+        return m.physical(
+            np.sum(m.mass * x * np.log(np.where(x > 0, x, 1.0)), axis=-1), m.dim)
     return _by_chunks(u, measure)
 
 

@@ -5,12 +5,14 @@ flat torus), so every geometric quantity along the flow is auditable in
 closed form.  Base constants are estimated once at t = 0; per-time
 inequality constants are produced from them plus time-t geometry only.
 
-Every such flow is a homothety, g(t) = lam(t)^2 g(0), so each member norm
-is measured once on g(0) and rescaled: an L^q norm by lam^(n/q), ||grad
-u||_p by lam^(n/p-1), and so the three terms of the two-term form,
-||u||_{p*}^p, ||grad u||_p^p and vol^(-p/n) ||u||_p^p, all by lam^(n-p).
-Every family takes one path in ``track``: one pass over the members, then
-one loop over the sampled geometry and one that checks each record.
+Every such flow is a homothety, g(t) = lam(t)^2 g(0): the mesh of g(t) is
+the reference mesh of g(0) at length lam(t) l(0).  So each member norm is
+measured once on the reference mesh and given each sample's length by the
+one rule of DiscreteManifold.physical: an L^q norm l^(n/q), ||grad u||_p
+l^(n/p-1), and so the three terms of the two-term form, ||u||_{p*}^p,
+||grad u||_p^p and vol^(-p/n) ||u||_p^p, all l^(n-p).  Every family takes
+one path in ``track``: one pass over the members, then one loop over the
+sampled geometry and one that checks each record.
 """
 
 from __future__ import annotations
@@ -56,7 +58,9 @@ class ExactFlow:
 
     Ric = (R/n) g with R constant, so g(t) = (1 - 2Rt/n) g(0) on the fixed
     mesh: a round sphere shrinks to a point at t = n/(2R), a flat torus is
-    static.  t_max is the horizon of the tracked times.
+    static.  Which one is read from the sign of the reference mesh's R,
+    and the singular time is l^2 n/(2 R_ref).  t_max is the horizon of the
+    tracked times.
     """
 
     base: DiscreteManifold
@@ -75,11 +79,11 @@ class ExactFlow:
     def singular_time(self) -> float:
         """n/(2R), where g(t) = (1 - t/singular_time) g(0) ends; inf if R = 0."""
         r = float(self.base.scalar_curvature[0])
-        return self.base.dim / (2.0 * r) if r else math.inf
+        return self.base.physical(self.base.dim / (2.0 * r), 2) if r else math.inf
 
     @property
     def variant(self) -> str:
-        return ("shrinking-sphere" if self.singular_time < math.inf
+        return ("shrinking-sphere" if self.base.scalar_curvature[0] > 0
                 else "static-torus")
 
 
@@ -93,16 +97,21 @@ def parse_flow_spec(text: str, t_max: float | None = None,
                     members: int = 1) -> ExactFlow:
     """A model spec (see manifold.parse_model_spec) as its exact flow: a
     sphere shrinks, a torus is static.  The horizon defaults to 0.45 r0^2
-    on a sphere and 1 on a torus.  Boxes and scaled specs have no exact
-    flow here and are refused before anything is built."""
+    on a sphere, refused with r0 past floats, and 1 on a torus.  Boxes and
+    scaled specs have no exact flow here and are refused before anything
+    is built."""
     spec = parse_model_spec(text, members)
     if spec.scale != 1.0:
         raise ValueError(f"flow spec {text!r}: a flow starts from scale=1")
     if spec.variant not in ("sphere", "torus"):
         raise ValueError(f"flow spec {text!r}: no exact flow on a {spec.variant}")
-    if t_max is None:
-        t_max = 0.45 * spec.radius ** 2 if spec.variant == "sphere" else 1.0
-    return ExactFlow(base=build(spec), t_max=t_max)
+    base = build(spec)
+    if spec.variant == "sphere" and t_max is None:
+        t_max = base.physical(0.45, 2)  # 0.9 of the singular time r0^2/2
+        if not math.isfinite(t_max):
+            raise ValueError(f"flow spec {text!r}: the singular time r0^2/2 "
+                             f"of r0={spec.radius:g} is not a finite float")
+    return ExactFlow(base=base, t_max=1.0 if t_max is None else t_max)
 
 
 def scale_factor(flow: ExactFlow, t: float) -> float:
@@ -118,16 +127,17 @@ def metric_at(flow: ExactFlow, t: float) -> DiscreteManifold:
 
 def _form_sides(members, dec_base, family: str, p: float, lams):
     """The per-member sides of the b, d or e form on g(t) = lam^2 g(0),
-    before the constant, as sides(i, lam, defect) at sample i, lam =
-    lams[i] and the defect of g(t): ||u||_{p*} lam^(n/p*) against
-    ||(-Lap+1)^(1/2)u||_p lam^(n/p) (b) or ||grad u||_p lam^(n/p-1) + (1 +
-    defect) ||u||_p lam^(n/p) (d, e).  Every norm is measured on g(0) in
-    one _sweep of the members; b's Bessel operator on g(t) is a multiplier
-    on the bare t = 0 spectrum, not a rescaling, so one transform of each
-    chunk gives its image at every distinct lam of lams, each formed once.
+    before the constant, as sides(i, mesh, defect) at sample i, lam =
+    lams[i], mesh that of g(t) and the defect of g(t): ||u||_{p*} against
+    ||(-Lap+1)^(1/2)u||_p (b) or ||grad u||_p + (1 + defect) ||u||_p (d, e).
+    Every norm is measured on the reference mesh in one _sweep of the
+    members and given the mesh's length (DiscreteManifold.physical); b's
+    Bessel operator on g(t) is a multiplier on the bare t = 0 spectrum, not
+    a rescaling, so one transform of each chunk gives its image at every
+    distinct lam of lams, each formed once.
     """
-    base = dec_base.manifold
-    n, pstar = base.dim, _pstar(base.dim, p)
+    ref = dec_base.manifold.reference
+    n, pstar = ref.dim, _pstar(ref.dim, p)
     if family == "b":
         dec_zero = dec_base.shifted(-1.0)
         distinct, at = np.unique(lams, return_inverse=True)
@@ -135,21 +145,21 @@ def _form_sides(members, dec_base, family: str, p: float, lams):
                              map(bessel_multiplier, distinct.tolist()))
 
         def measure(rows):
-            return lp_norm(base, rows, pstar), apply_functions(
-                dec_zero, bessel, rows, lambda v: lp_norm(base, v, p))
+            return lp_norm(ref, rows, pstar), apply_functions(
+                dec_zero, bessel, rows, lambda v: lp_norm(ref, v, p))
     else:
         def measure(rows):
-            return (lp_norm(base, rows, pstar), grad_lp_norm(base, rows, p),
-                    lp_norm(base, rows, p))
+            return (lp_norm(ref, rows, pstar), grad_lp_norm(ref, rows, p),
+                    lp_norm(ref, rows, p))
     (star, *norms), = _sweep(members, measure)
 
-    def sides(i, lam, defect):
-        lhs = star * lam ** (n / pstar)
+    def sides(i, mesh, defect):
+        lhs = mesh.physical(star, n / pstar)
         if family == "b":
-            return lhs, norms[0][at[i]] * lam ** (n / p)
+            return lhs, mesh.physical(norms[0][at[i]], n / p)
         grad, low = norms
-        return lhs, (grad * lam ** (n / p - 1.0)
-                     + (1.0 + defect) * low * lam ** (n / p))
+        return lhs, (mesh.physical(grad, n / p - 1.0)
+                     + (1.0 + defect) * mesh.physical(low, n / p))
     return sides
 
 
@@ -181,12 +191,12 @@ def track(flow: ExactFlow, times, selector: str, p: float,
 
     Base constants are estimated once at t = 0 on the ensemble; what varies
     with t is only the closed-form geometry (volume, curvature bracket,
-    scale factor).  The member norms are measured once on g(0) (family a:
-    constants._sobolev_measure; b, d, e: _form_sides) and rescaled per
-    time; one loop builds the geometry of g(0) and each g(t), and one gives
-    each record its constants and checks them.  Selectors ending in "2"
-    require lambda0(g(0)) > 0 and route static tori to the finite-horizon
-    "3" variants.
+    length).  The member norms are measured once on the reference mesh
+    (family a: constants._sobolev_measure; b, d, e: _form_sides) and given
+    each time's length; one loop builds the geometry of g(0) and each g(t),
+    and one gives each record its constants and checks them.  Selectors
+    ending in "2" require lambda0(g(0)) > 0 and route static tori to the
+    finite-horizon "3" variants.
     """
     if selector not in SELECTORS:
         raise ValueError(f"unknown selector {selector!r}; use one of {SELECTORS}")
@@ -205,7 +215,8 @@ def track(flow: ExactFlow, times, selector: str, p: float,
     # rescaling of it, and it seeds the ensemble.  R/4 is constant (ExactFlow
     # checks it), so -Lap + R/4 is this operator shifted by R/4 - 1.
     dec_base = decompose(base, constant_potential(base, 1.0))
-    lam0_base = dec_base.shifted(base.scalar_curvature[0] / 4.0 - 1.0).lambda_min
+    r_base = base.physical(base.scalar_curvature[0], -2)
+    lam0_base = dec_base.shifted(r_base / 4.0 - 1.0).lambda_min
     if selector.endswith("2") and lam0_base <= 1e-12:
         raise HypothesisError(
             f"selector {selector!r} requires lambda0(g(0)) > 0, got "
@@ -218,7 +229,8 @@ def track(flow: ExactFlow, times, selector: str, p: float,
     samples = (0.0, *times)  # sample 0 is g(0), where C0 is measured
     lams = [scale_factor(flow, t) for t in samples]
 
-    # each member norm once on g(0); sample i rescales it by lams[i] powers
+    # each member norm once on the reference mesh; sample i gives it the
+    # length of g(t_i)
     if family == "a":
         (*terms0, lhs0, grd0, low0), = _sweep(
             members, _sobolev_measure(base, (p0, p)))
@@ -228,9 +240,9 @@ def track(flow: ExactFlow, times, selector: str, p: float,
         sides = _form_sides(members, dec_base, family, p, lams)
 
     # one pass builds each sample's metric g(t) for its geometry
+    meshes = [metric_at(flow, t) for t in samples]
     records = []
-    for t, lam in zip(samples, lams):
-        mt = metric_at(flow, t)
+    for t, lam, mt in zip(samples, lams, meshes):
         summ = geometric_summary(mt)
         rec = {"t": t, "vol": summ["vol"], "r_max_plus": summ["r_max_plus"],
                "kappa": summ["kappa"], "lambda0": lam0_base / lam ** 2,
@@ -243,7 +255,7 @@ def track(flow: ExactFlow, times, selector: str, p: float,
 
     if family != "a":
         c0 = max(0.0, _worst_ratio(
-            *sides(0, 1.0, at_zero.get(defect, 0.0))).ratio)
+            *sides(0, base, at_zero.get(defect, 0.0))).ratio)
         # the spectral/gradient norms are not scale-covariant under the +1
         # shift; the transfer factor compensates over the sampled horizon
         transfer = max(1.0, max(lam ** (-1.0) / math.sqrt(1.0 + rec["r_max_plus"])
@@ -257,12 +269,13 @@ def track(flow: ExactFlow, times, selector: str, p: float,
             chain = chain_constants(n, p0, alpha * base_constants["A"],
                                     alpha * base_constants["B"], p)
             rec.update(alpha=alpha, C1=chain.C1, C2=chain.C2, m_p=chain.m_p)
-            scale = lams[i] ** (n - p)  # of all three terms
-            lhs = lhs0 * scale
-            rhs = chain.C1 * (grd0 * scale) + chain.C2 * (low0 * scale)
+            # the three terms, measured on the reference mesh, take l^(n-p)
+            lhs, grd, low = (meshes[i].physical(x, n - p)
+                             for x in (lhs0, grd0, low0))
+            rhs = chain.C1 * grd + chain.C2 * low
         else:
             rec.update(C=base_constants["C"] * math.sqrt(1.0 + rec["r_max_plus"]))
-            lhs, rhs = sides(i, lams[i], rec.get(defect, 0.0))
+            lhs, rhs = sides(i, meshes[i], rec.get(defect, 0.0))
             rhs = rec["C"] * rhs
         worst = _worst_ratio(lhs, rhs, slack=RELATIVE_SLACK)
         rec.update(worst_ratio=worst.ratio, violations=worst.violations)

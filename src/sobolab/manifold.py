@@ -2,8 +2,11 @@
 
 Three model families are provided: flat tori (periodic finite-difference
 grids), round 2-spheres (subdivided icosahedra with cotangent stiffness),
-and boxes with the natural Neumann boundary condition.  Curvature fields
-are assigned analytically, never estimated from the mesh.  Grid gradients
+and boxes with the natural Neumann boundary condition, each built at a
+reference size and carrying its physical size as one length
+(DiscreteManifold), so no array leaves the float range whatever the size.
+Curvature fields are assigned analytically, never estimated from the mesh.
+Grid gradients
 are numpy differences and a sphere's P1 gradient is numpy arrays of node
 indices and coefficients; the stiffness G^T W G is numpy (row, column,
 value) entries derived from either.  Only a read of ``stiffness``, the
@@ -55,8 +58,8 @@ class _Elements:
     ``weights`` are element volumes and ``num_nodes`` is N.  Each gradient
     also gives the squared gradient lengths without forming G u^T
     (``_squares``), the nodes and coefficients of each row of G
-    (``_rows``), the node pairs its rows join (``edges``), its largest
-    coefficient (``bound``) and itself on g -> lam^2 g (``scaled``).
+    (``_rows``), the node pairs its rows join (``edges``) and its largest
+    coefficient (``bound``).
     """
 
     weights: np.ndarray
@@ -85,18 +88,14 @@ class _Elements:
     def magnitudes(self, u: np.ndarray) -> np.ndarray:
         """Per-element gradient lengths, shape u.shape[:-1] + (num_elements,),
         each member's row contiguous, so a sum along it rounds the same
-        whatever the number of rows.  A square past the float range is inf,
-        without a warning; the caller refuses it."""
-        with np.errstate(over="ignore"):
-            return np.sqrt(self._squares(u).T, order="C")
+        whatever the number of rows."""
+        return np.sqrt(self._squares(u).T, order="C")
 
     def energy(self, u: np.ndarray) -> float | np.ndarray:
         """Dirichlet energy sum_e w_e |grad u|_e^2, one value per row of u,
-        each summed along its own contiguous row as magnitudes is; inf
-        past the float range, as there."""
-        with np.errstate(over="ignore"):
-            terms = np.multiply(self._squares(u).T, self.weights, order="C")
-            return np.sum(terms, axis=-1)
+        each summed along its own contiguous row as magnitudes is."""
+        terms = np.multiply(self._squares(u).T, self.weights, order="C")
+        return np.sum(terms, axis=-1)
 
     def stiffness_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """G^T W G as (rows, cols, values), sorted by (row, col), one entry
@@ -199,18 +198,14 @@ class GradientElements(_Elements):
         """The largest |coefficient| of G."""
         return float(np.max(np.abs(self.coeffs), initial=0.0))
 
-    def scaled(self, lam: float, dim: int) -> GradientElements:
-        """The gradient of g -> lam^2 g on a dim-manifold."""
-        return replace(self, coeffs=self.coeffs * (1.0 / lam),
-                       weights=self.weights * lam ** dim)
-
 
 @dataclass(frozen=True)
 class GridGradient(_Elements):
     """Forward differences on a res^dim grid, applied by numpy slices.
 
-    Component d of an element is inv_h[d] u(x + e_d) - inv_h[d] u(x) along
-    one d-edge.  On a torus (periodic; sides are the periods) there is one
+    h are the cell sides, one per axis (res of them make a torus's period,
+    res - 1 a box's side).  Component d of an element is inv_h[d] u(x +
+    e_d) - inv_h[d] u(x) along one d-edge.  On a torus (periodic) there is one
     element per node x, and the edge from res - 1 wraps to 0.  On a Neumann
     box the elements are trapezoid Q1 corners: one per (cell corner, cell),
     weight cell_vol / 2^dim, whose component d is the difference along the
@@ -219,14 +214,18 @@ class GridGradient(_Elements):
     """
 
     res: int
-    sides: tuple[float, ...]
-    inv_h: np.ndarray  # 1 / h_d, the difference coefficient of each axis
+    h: np.ndarray  # the cell side of each axis
     weights: np.ndarray
     periodic: bool
 
     @property
     def ncomp(self) -> int:
-        return len(self.sides)
+        return len(self.h)
+
+    @property
+    def inv_h(self) -> np.ndarray:
+        """1 / h_d, the difference coefficient of each axis."""
+        return 1.0 / self.h
 
     @property
     def num_nodes(self) -> int:
@@ -279,9 +278,9 @@ class GridGradient(_Elements):
         rounded as the sparse product G v.  Each array is overwritten by the
         next one, so use it before asking for the next."""
         a = np.ascontiguousarray(v).reshape((self.res,) * self.ncomp + v.shape[1:])
-        scaled, buf = np.empty_like(a), np.empty(a.size)
+        scaled, buf, inv_h = np.empty_like(a), np.empty(a.size), self.inv_h
         for d in range(self.ncomp):
-            np.multiply(a, self.inv_h[d], out=scaled)
+            np.multiply(a, inv_h[d], out=scaled)
             shape = self._edge_shape(a.shape, d)
             diff = buf[:math.prod(shape)].reshape(shape)
             for edges, head, tail in self._pieces(scaled, d):
@@ -337,12 +336,6 @@ class GridGradient(_Elements):
         """The largest |coefficient| of G."""
         return float(np.max(np.abs(self.inv_h)))
 
-    def scaled(self, lam: float, dim: int) -> GridGradient:
-        """The gradient of g -> lam^2 g on a dim-manifold."""
-        return replace(self, sides=tuple(s * lam for s in self.sides),
-                       inv_h=self.inv_h * (1.0 / lam),
-                       weights=self.weights * lam ** dim)
-
 
 def _component_count(a: np.ndarray, b: np.ndarray, n: int) -> int:
     """Connected components of the graph on n nodes with edges (a[i], b[i]).
@@ -367,15 +360,19 @@ def _component_count(a: np.ndarray, b: np.ndarray, n: int) -> int:
 
 @dataclass(frozen=True)
 class DiscreteManifold:
-    """Discretized Riemannian model.
+    """Discretized Riemannian model: a reference mesh and its length l.
 
+    Every array is the reference mesh's: a unit sphere, or a grid of unit
+    geometric-mean cell side.  The metric is l^2 times the reference one,
+    and a quantity of length dimension k takes l^k in one place (physical).
     mass is the lumped (diagonal) volume form and grad the per-element
     gradient data; the Dirichlet form is sum_e w_e |grad u|_e^2, so the
-    stiffness matrix G^T W G is derived from grad, as numpy entries.
-    Curvature fields carry 1/length^2 units; ric_min is the least Ricci
-    eigenvalue at each node.  reflections are the node permutations r of
-    the mesh's axis reflections (node r[i] is the image of node i), as its
-    builder declares them.
+    stiffness matrix G^T W G is derived from grad, as numpy entries.  The
+    curvature fields carry 1/length^2 units only through l
+    (geometric_summary); ric_min is the least Ricci eigenvalue at each
+    node.  reflections are the node permutations r of the mesh's axis
+    reflections (node r[i] is the image of node i), as its builder
+    declares them.
     """
 
     dim: int
@@ -386,20 +383,43 @@ class DiscreteManifold:
     ric_min: np.ndarray
     label: str
     reflections: tuple[np.ndarray, ...] = ()
+    length: float = 1.0
+
+    def __post_init__(self):
+        if not 0 < self.length < math.inf:
+            raise ValueError(f"model {self.label}: its length "
+                             f"{self.length:g} is not a finite positive float")
 
     @property
     def num_nodes(self) -> int:
         return self.mass.shape[0]
 
+    def physical(self, x, k: float):
+        """x l^k for x of length dimension k on the reference mesh: x itself
+        at l = 1, and inf or 0 past floats without a warning (a report
+        refuses a non-finite field); 0 stays 0."""
+        if self.length == 1.0:
+            return x
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            y = x * np.float64(self.length) ** k
+        return np.where(np.equal(x, 0), 0.0, y)[()]
+
+    @property
+    def reference(self) -> DiscreteManifold:
+        """The mesh at length 1, where scale-invariant ratios are taken."""
+        return self if self.length == 1.0 else replace(self, length=1.0)
+
     @property
     def volume(self) -> float:
-        return float(self.mass.sum())
+        return self.physical(float(self.mass.sum()), self.dim)
 
     @property
     def periods(self) -> tuple[float, ...] | None:
-        """The side lengths of a periodic grid, else None."""
+        """The reference periods of a periodic grid, else None."""
         g = self.grad
-        return g.sides if isinstance(g, GridGradient) and g.periodic else None
+        if isinstance(g, GridGradient) and g.periodic:
+            return tuple(g.h * g.res)
+        return None
 
     @cached_property
     def stiffness_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -418,10 +438,10 @@ class DiscreteManifold:
                              shape=(self.num_nodes, self.num_nodes))
 
     def dirichlet_energy(self, u: np.ndarray) -> float:
-        return float(self.grad.energy(u))
+        return self.physical(float(self.grad.energy(u)), self.dim - 2)
 
     def mass_inner(self, u: np.ndarray, v: np.ndarray) -> float:
-        return float(np.sum(self.mass * u * v))
+        return self.physical(float(np.sum(self.mass * u * v)), self.dim)
 
     def validate(self) -> None:
         """Check construction invariants; raises ValueError on failure.
@@ -467,7 +487,9 @@ class ModelSpec:
     and radius to spheres: a sphere takes no sides and a grid keeps radius
     1.0.  A grid's one side length (default 2 pi) serves every axis; it is
     repeated only after the variant and resolution are validated.  scale
-    applies a post-construction metric scaling g -> scale^2 g.
+    applies a metric scaling g -> scale^2 g.  Any finite positive sides,
+    radius and scale are kept: the mesh is built at its reference size,
+    and they set its length alone (DiscreteManifold).
     """
 
     variant: str
@@ -507,51 +529,6 @@ class ModelSpec:
             object.__setattr__(self, "sides", tuple(float(s) for s in sides))
         if not 0 < self.scale < np.inf:
             raise ValueError("scale must be positive and finite")
-        self._check_sizes()
-
-    def _check_sizes(self) -> None:
-        """ValueError naming the spec key unless the mesh's sizes are finite
-        positive floats, on g and on the scaled metric: each side s (a
-        grid's cell sides L/res, L/(res-1) on a box; a sphere's r and cell
-        side r/2^subdiv, whose triangles' doubled areas are 1.1 to 1.6 times
-        its square), s^2, the product of the sides, and 1/s^2 of the least
-        side (the scale of the eigenvalues and the curvature); on a sphere's
-        g the squared length of a triangle's normal; and scale^n.  A size
-        past them overflows a float or vanishes when the mesh is built."""
-        def bad(sides, *sizes):
-            squares = [s * s for s in sides]
-            sizes += (*sides, *squares, math.prod(sides))
-            return (not all(0 < v < math.inf for v in sizes)
-                    or 1 / min(squares) == math.inf)
-
-        if self.variant == "sphere":
-            k = self.resolution
-            key = f"r={self.radius:g} (or r0)"
-            what = (f"r, r^2, the cell side r/2^{k}, its square or inverse "
-                    f"square, or a triangle's squared normal length")
-            side = math.ldexp(self.radius, -k)
-            area = side * side
-            sides, normals = (self.radius, side), (area * area,)
-        else:
-            cells = self.resolution - (self.variant == "box")
-            key = "L=" + "x".join(f"{s:g}" for s in self.sides)
-            what = (f"the cell side L/{cells}, its square or inverse square, "
-                    f"or the cell volume")
-            sides, normals = tuple(s / cells for s in self.sides), ()
-        if bad(sides, *normals):
-            raise ValueError(f"spec key {key}: {what} is not a finite "
-                             f"positive float")
-        try:
-            power = self.scale ** self.dim
-        except OverflowError:
-            power = math.inf
-        if not 0 < power < math.inf:
-            raise ValueError(f"spec key scale={self.scale:g}: "
-                             f"scale^{self.dim} is not a finite positive float")
-        if bad(tuple(s * self.scale for s in sides)):
-            raise ValueError(f"spec keys {key} and scale={self.scale:g}: "
-                             f"{what} of the scaled metric is not a finite "
-                             f"positive float")
 
     def describe(self) -> str:
         if self.variant == "sphere":
@@ -646,8 +623,8 @@ def _check_node_count(variant: str, dim: int, res: int, members: int) -> None:
     and the budget bounds it.  The budget takes the mirror group at Psi = 1
     on an icosphere, 2^3 and about N / 8 orbits, and the res x res axis
     matrices on a grid.  A power of 256 bits or more is named but never
-    formed, so a huge n or subdiv costs nothing.  Sizes that ModelSpec
-    rejects pass unchecked.
+    formed, so a huge n or subdiv costs nothing.  Resolutions that
+    ModelSpec rejects pass unchecked.
     """
     sphere = variant == "sphere"
     base, exp = (4, res) if sphere else (res, dim)
@@ -709,10 +686,14 @@ def parse_model_spec(text: str, members: int = 1) -> ModelSpec:
 def _build_grid(spec: ModelSpec) -> DiscreteManifold:
     """A torus (one forward-difference element per node) or a Neumann box
     (Q1 corner elements, half and quarter masses on faces and corners);
-    reflection d takes index k along axis d to res - 1 - k."""
+    reflection d takes index k along axis d to res - 1 - k.  Its length is
+    the geometric mean of the cell sides times scale, and the reference
+    cells are the cells over it (all 1 on an isotropic grid)."""
     periodic = spec.variant == "torus"
     dim, res = spec.dim, spec.resolution
     h = np.array([s / res if periodic else s / (res - 1) for s in spec.sides])
+    length = h[0] * math.exp(sum(math.log(x / h[0]) for x in h) / dim)
+    h = h / length
     cell_vol = float(np.prod(h))
     n = res ** dim
     coords = np.stack(np.unravel_index(np.arange(n), (res,) * dim), axis=1)
@@ -723,14 +704,14 @@ def _build_grid(spec: ModelSpec) -> DiscreteManifold:
         weights = np.full((2 * (res - 1)) ** dim, cell_vol / 2 ** dim)
         end = (coords == 0) | (coords == res - 1)
         mass = cell_vol * np.prod(np.where(end, 0.5, 1.0), axis=1)
-    grad = GridGradient(res=res, sides=spec.sides, inv_h=1.0 / h,
-                        weights=weights, periodic=periodic)
+    grad = GridGradient(res=res, h=h, weights=weights, periodic=periodic)
     grid = np.arange(n).reshape((res,) * dim)
     return DiscreteManifold(
         dim=dim, points=coords * h[None, :], mass=mass, grad=grad,
         scalar_curvature=np.zeros(n), ric_min=np.zeros(n),
         label=spec.describe(),
-        reflections=tuple(np.flip(grid, d).ravel() for d in range(dim)))
+        reflections=tuple(np.flip(grid, d).ravel() for d in range(dim)),
+        length=float(length) * spec.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -750,11 +731,11 @@ _ICO_FACES = np.array([
 ])
 
 
-def _icosphere(subdiv: int, radius: float):
-    """Points, faces and axis reflections r of the icosahedron split subdiv
-    times.  Each split adds the edge midpoints, numbered in the order the
-    faces first visit their edges (ab, bc, ca of each face), projected to
-    the unit sphere, and cuts every face into four.  Reflection d negates
+def _icosphere(subdiv: int):
+    """Points, faces and axis reflections r of the unit icosahedron split
+    subdiv times.  Each split adds the edge midpoints, numbered in the order
+    the faces first visit their edges (ab, bc, ca of each face), projected
+    to the unit sphere, and cuts every face into four.  Reflection d negates
     coordinate d of the base vertices (0, +-1, +-phi: exactly) and takes
     the midpoint of (a, b) to that of (r[a], r[b])."""
     verts = _ICO_VERTS / np.linalg.norm(_ICO_VERTS, axis=1, keepdims=True)
@@ -784,7 +765,7 @@ def _icosphere(subdiv: int, radius: float):
             mid = np.empty_like(rank)
             mid[rank] = n + rank[np.searchsorted(keys, ra * n + rb)]
             mirrors[i] = np.concatenate([r, mid])
-    return verts * radius, faces, tuple(mirrors)
+    return verts, faces, tuple(mirrors)
 
 
 def _triangle_mesh_arrays(points: np.ndarray, faces: np.ndarray):
@@ -816,15 +797,15 @@ def _triangle_mesh_arrays(points: np.ndarray, faces: np.ndarray):
 
 
 def _build_sphere(spec: ModelSpec) -> DiscreteManifold:
-    points, faces, reflections = _icosphere(spec.resolution, spec.radius)
+    """The unit icosphere (R = 2, Ric = 1), of length r times scale."""
+    points, faces, reflections = _icosphere(spec.resolution)
     mass, grad = _triangle_mesh_arrays(points, faces)
     n = points.shape[0]
-    r2 = spec.radius ** 2
     return DiscreteManifold(
         dim=2, points=points, mass=mass, grad=grad,
-        scalar_curvature=np.full(n, 2.0 / r2),
-        ric_min=np.full(n, 1.0 / r2), label=spec.describe(),
-        reflections=reflections)
+        scalar_curvature=np.full(n, 2.0), ric_min=np.full(n, 1.0),
+        label=spec.describe(), reflections=reflections,
+        length=spec.radius * spec.scale)
 
 
 def build(spec: ModelSpec | str) -> DiscreteManifold:
@@ -833,8 +814,6 @@ def build(spec: ModelSpec | str) -> DiscreteManifold:
         spec = parse_model_spec(spec)
     m = (_build_sphere if spec.variant == "sphere" else _build_grid)(spec)
     m.validate()
-    if spec.scale != 1.0:  # the label already holds the scale
-        m = replace(scale_metric(m, spec.scale), label=m.label)
     return m
 
 
@@ -842,27 +821,14 @@ def build(spec: ModelSpec | str) -> DiscreteManifold:
 # operations
 
 def scale_metric(m: DiscreteManifold, lam: float) -> DiscreteManifold:
-    """Metric scaling g -> lam^2 g.
-
-    Volume weights scale by lam^n, element gradients by 1/lam (with element
-    volumes and grid periods by lam^n and lam, so the Dirichlet form scales
-    by lam^(n-2)), curvatures by 1/lam^2.  lam=1 returns the manifold
-    unchanged.
+    """Metric scaling g -> lam^2 g: the length times lam, the reference
+    mesh kept.  lam=1 returns the manifold unchanged.
     """
     if lam <= 0:
         raise ValueError("scale factor must be positive")
     if lam == 1.0:
         return m
-    n = m.dim
-    return replace(
-        m,
-        points=m.points * lam,
-        mass=m.mass * lam ** n,
-        grad=m.grad.scaled(lam, n),
-        scalar_curvature=m.scalar_curvature / lam ** 2,
-        ric_min=m.ric_min / lam ** 2,
-        label=m.label + f"*scale{lam:g}",
-    )
+    return replace(m, length=lam * m.length, label=m.label + f"*scale{lam:g}")
 
 
 def geometric_summary(m: DiscreteManifold) -> dict:
@@ -872,8 +838,9 @@ def geometric_summary(m: DiscreteManifold) -> dict:
     """
     return {
         "vol": m.volume,
-        "r_max_plus": float(max(0.0, np.max(m.scalar_curvature))),
-        "kappa": float(np.sqrt(max(0.0, -np.min(m.ric_min)))),
+        "r_max_plus": m.physical(float(max(0.0, np.max(m.scalar_curvature))),
+                                 -2),
+        "kappa": m.physical(float(np.sqrt(max(0.0, -np.min(m.ric_min)))), -1),
     }
 
 
@@ -886,6 +853,7 @@ def gamma_integral(m: DiscreteManifold, c: float, eps: float) -> float:
         raise ValueError("eps must be positive")
     if c < 0:
         raise ValueError("c must be nonnegative")
-    neg = np.maximum(0.0, -(m.ric_min + c))
-    integral = float(np.sum(m.mass * neg ** (m.dim / 2.0 + eps)))
+    neg = np.maximum(0.0, -(m.physical(m.ric_min, -2) + c))
+    integral = float(np.sum(m.physical(m.mass, m.dim)
+                            * neg ** (m.dim / 2.0 + eps)))
     return integral ** (1.0 / (2.0 * eps))

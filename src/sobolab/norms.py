@@ -1,4 +1,5 @@
-"""Discrete L^p, gradient and energy norms."""
+"""Discrete L^p, gradient and energy norms, summed on the reference mesh
+and given the length's factor once (DiscreteManifold.physical)."""
 
 from __future__ import annotations
 
@@ -55,7 +56,8 @@ def lp_norm(m: DiscreteManifold, u: np.ndarray, p: float) -> float | np.ndarray:
     _check_exponent(p)
     if np.isinf(p):
         return _by_chunks(u, lambda rows: np.max(np.abs(rows), axis=-1))
-    return _by_chunks(u, lambda rows: _lp_rows(m.mass, rows, p))
+    return m.physical(_by_chunks(u, lambda rows: _lp_rows(m.mass, rows, p)),
+                      m.dim / p)
 
 
 def _lp_rows(mass: np.ndarray, rows: np.ndarray, p: float) -> np.ndarray:
@@ -92,34 +94,24 @@ def grad_lp_norm(m: DiscreteManifold, u: np.ndarray,
                  p: float) -> float | np.ndarray:
     """Element-volume-weighted L^p norm of the per-element gradient magnitude."""
     _check_exponent(p)
-    return _by_chunks(u, lambda rows: _grad_lp_norms(m, rows, (p,))[0])
+    return m.physical(
+        _by_chunks(u, lambda rows: _grad_lp_norms(m, rows, (p,))[0]),
+        m.dim / p - 1.0)
 
 
 def _grad_lp_norms(m: DiscreteManifold, rows: np.ndarray,
                    ps: tuple[float, ...]) -> list[np.ndarray]:
-    """grad_lp_norm of each of a chunk's rows at each exponent of ps, from
-    one computation of the element-gradient magnitudes.  A norm past the
-    float range is refused, naming the model: its cells are too small for
-    the gradients of its members."""
+    """grad_lp_norm of each of a chunk's rows on the reference mesh at each
+    exponent of ps, from one computation of the element-gradient
+    magnitudes."""
     mags = m.grad.magnitudes(rows)
-    norms = []
-    with np.errstate(over="ignore"):
-        for p in ps:
-            if np.isinf(p):
-                norms.append(np.max(mags, axis=-1, initial=0.0))
-                continue
-            powers = mags ** p
-            powers *= m.grad.weights
-            norms.append(np.sum(powers, axis=-1) ** (1.0 / p))
-    if not all(np.isfinite(x).all() for x in norms):
-        raise ValueError(f"model {m.label}: a member's gradient norm "
-                         f"overflows a float (the cells are too small)")
-    return norms
+    return [np.max(mags, axis=-1, initial=0.0) if np.isinf(p)
+            else _lp_rows(m.grad.weights, mags, p) for p in ps]
 
 
 def q_energy(m: DiscreteManifold, psi: PotentialField,
              u: np.ndarray) -> float | np.ndarray:
     """Quadratic form int (|grad u|^2 + Psi u^2); may be negative for Psi < 0."""
-    weight = m.mass * psi.values
-    return _by_chunks(u, lambda rows: m.grad.energy(rows)
-                      + np.sum(weight * rows * rows, axis=-1))
+    n, weight = m.dim, m.mass * psi.values
+    return _by_chunks(u, lambda rows: m.physical(m.grad.energy(rows), n - 2)
+                      + m.physical(np.sum(weight * rows * rows, axis=-1), n))

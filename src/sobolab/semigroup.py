@@ -104,9 +104,10 @@ def _contraction_scan(m: DiscreteManifold, dec: SpectralDecomposition,
         raise ValueError(f"heat times must be >= 0, got {t_list}")
 
     heat = multipliers(dec, map(heat_multiplier, t_list))
+    ref = m.reference  # a ratio of two L^p norms does not read the length
 
     def norms(u):
-        return np.array([lp_norm(m, u, p) for p in p_list])
+        return np.array([lp_norm(ref, u, p) for p in p_list])
 
     def measure(rows):  # (t, p, member) cases and (p, member) norms
         return apply_functions(dec, heat, rows, norms), norms(rows)
@@ -214,8 +215,10 @@ def _refine(dec: SpectralDecomposition, power: float, grad_op: bool,
     the duality element v |v|^(p_out-2) / ||v||^(p_out-1), pulls it back to
     a node function in the mass pairing and maps that through the
     mass-self-adjoint H^power, until v is 0 or a constant's roundoff gradient.
+    The norms, and so the best ratio, are the reference mesh's.
     """
     m = dec.manifold
+    ref = m.reference
     fwd = power_multiplier(power)
     if grad_op:
         field, weights = m.grad.vectors, m.grad.weights
@@ -225,7 +228,7 @@ def _refine(dec: SpectralDecomposition, power: float, grad_op: bool,
         pullback = lambda s: s[:, 0]
     pd = p_in / (p_in - 1.0)
     floor = VALIDATE_RTOL * m.grad.bound() if grad_op else 0.0
-    u = u0 / lp_norm(m, u0, p_in)
+    u = u0 / lp_norm(ref, u0, p_in)
     best = -math.inf
     for _ in range(REFINE_ITERATIONS):
         image = apply_function(dec, fwd, u)
@@ -242,7 +245,7 @@ def _refine(dec: SpectralDecomposition, power: float, grad_op: bool,
         if not mag.any():
             break
         u = np.sign(w) * mag ** (pd - 1.0)
-        u /= lp_norm(m, u, p_in)
+        u /= lp_norm(ref, u, p_in)
     return best
 
 
@@ -263,11 +266,12 @@ def _mapping_scan(dec: SpectralDecomposition, operator_label: str,
                          "use a potential with a positive spectral floor")
     out_norm = grad_lp_norm if grad_op else lp_norm
     weights = multipliers(dec, (power_multiplier(power),))
+    ref = m.reference  # the ratios take the length's factor once, in reduce
 
     def measure(rows):
         return (*apply_functions(dec, weights, rows,
-                                 lambda v: out_norm(m, v, p_out)),
-                lp_norm(m, rows, p_in))
+                                 lambda v: out_norm(ref, v, p_out)),
+                lp_norm(ref, rows, p_in))
 
     def reduce(images, base):
         scan = _worst_ratio(images, base)
@@ -275,6 +279,7 @@ def _mapping_scan(dec: SpectralDecomposition, operator_label: str,
         if scan.witness >= 0 and p_in > 1:
             best = max(best, _refine(dec, power, grad_op, p_in, p_out,
                                      _row(members, scan.witness)))
+        best = m.physical(best, m.dim / p_out - m.dim / p_in - grad_op)
         return MappingNormScan(operator_label=operator_label, p_in=p_in,
                                p_out=p_out, estimate=best)
     return measure, reduce
@@ -381,30 +386,36 @@ def scaling_transfer_check(m: DiscreteManifold, lam: float, mu: float,
     if np.any(dec_unit.potential.values != 1.0):
         raise ValueError("scaling transfer needs the Psi = 1 decomposition")
     scaled = scale_metric(m, lam)
-    n = m.dim
+    ref, n = m.reference, m.dim
     qs = (p, q_out, 2.0)
     dec_zero = dec_unit.shifted(-1.0)
     bessel = multipliers(dec_zero, map(bessel_multiplier, (1.0, lam)))
 
     def measure(rows):
         # the Bessel operator of each metric is a multiplier on the bare
-        # Laplacian's spectrum, measured in that metric's norm: both images
-        # are measured in both, and each keeps its own
-        images = apply_functions(
-            dec_zero, bessel, rows,
-            lambda v: (lp_norm(m, v, p), lp_norm(scaled, v, p)))
-        return (np.array([lp_norm(m, rows, q) for q in qs]),
-                np.array([lp_norm(scaled, rows, q) for q in qs]),
-                grad_lp_norm(m, rows, p), grad_lp_norm(scaled, rows, p),
-                images[0, 0], images[1, 1])
+        # Laplacian's spectrum; every norm is taken once on the reference
+        # mesh, and each metric gives it its length
+        return (np.array([lp_norm(ref, rows, q) for q in qs]),
+                grad_lp_norm(ref, rows, p),
+                *apply_functions(dec_zero, bessel, rows,
+                                 lambda v: lp_norm(ref, v, p)))
 
-    orig, on_scaled, grad, grad_scaled, bessel, bessel_scaled = _sweep(
-        members, measure)[0]
-    pairs = [(on_scaled[i], lam ** (n / q) * orig[i]) for i, q in enumerate(qs)]
-    pairs.append((grad_scaled, lam ** (n / p - 1.0) * grad))
-    worst_scaling = max(
-        float(np.max(np.abs(a - b) / np.maximum(b, 1e-300), initial=0.0))
-        for a, b in pairs)
+    norms, grad, bessel, bessel_scaled = _sweep(members, measure)[0]
+    orig = [m.physical(x, n / q) for x, q in zip(norms, qs)]
+    on_scaled = [scaled.physical(x, n / q) for x, q in zip(norms, qs)]
+    grad_scaled = scaled.physical(grad, n / p - 1.0)
+    grad = m.physical(grad, n / p - 1.0)
+    bessel = m.physical(bessel, n / p)
+    bessel_scaled = scaled.physical(bessel_scaled, n / p)
+    # a power past floats is inf, as the scaled norm is: _worst_ratio refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam64 = np.float64(lam)
+        pairs = [(on_scaled[i], lam64 ** (n / q) * orig[i])
+                 for i, q in enumerate(qs)]
+        pairs.append((grad_scaled, lam64 ** (n / p - 1.0) * grad))
+        worst_scaling = max(
+            float(np.max(np.abs(a - b) / np.maximum(b, 1e-300), initial=0.0))
+            for a, b in pairs)
     if worst_scaling > scaling_tol:
         raise ValueError(
             f"norm scaling law violated: relative error {worst_scaling:.3g}")

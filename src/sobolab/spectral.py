@@ -12,7 +12,9 @@ block by block by numpy.linalg.eigh (LAPACK's symmetric divide and
 conquer, dsyevd), the blocks kept apart and applied one by one; the
 stiffness is read from its numpy entries, so no solve loads scipy.  Every
 operator function (heat semigroup, fractional powers, resolvents) is
-evaluated on the resulting eigenpairs.  An f(H) multiplies the
+evaluated on the resulting eigenpairs.  The eigenvectors are the reference
+mesh's (DiscreteManifold); the eigenvalues take their factor 1/l^2 of the
+length in decompose.  An f(H) multiplies the
 coefficients in each basis's own layout by f(lambda) laid out the same way
 (multipliers, formed once per job), and apply_functions takes the
 members a chunk of rows at a time (manifold._chunks), measuring each image
@@ -300,14 +302,17 @@ class SpectralDecomposition:
         """Start index of every eigenvalue cluster, followed by N.
 
         A new cluster starts where consecutive eigenvalues differ by more
-        than CLUSTER_GAP_REL * max|lambda|, so a cluster holds whole
-        eigenspaces and quantities built from whole clusters do not depend
-        on the eigensolver's choice of basis inside them.
+        than CLUSTER_GAP_REL * max|lambda| (_finite_max), so a cluster holds
+        whole eigenspaces and quantities built from whole clusters do not
+        depend on the eigensolver's choice of basis inside them; the inf
+        eigenvalues are one cluster.
         """
         lam = self.eigenvalues
-        tol = CLUSTER_GAP_REL * np.max(np.abs(lam), initial=0.0)
+        tol = CLUSTER_GAP_REL * _finite_max(lam)
+        gaps = np.subtract(lam[1:], lam[:-1], out=np.zeros(lam.size - 1),
+                           where=np.isfinite(lam[:-1]))
         return np.concatenate(
-            ([0], np.flatnonzero(np.diff(lam) > tol) + 1, [lam.size]))
+            ([0], np.flatnonzero(gaps > tol) + 1, [lam.size]))
 
     def shifted(self, c: float) -> SpectralDecomposition:
         """Exact decomposition of H + c for a constant c, with no new eigh.
@@ -320,10 +325,15 @@ class SpectralDecomposition:
                        potential=PotentialField(self.potential.values + c))
 
 
+def _finite_max(w: np.ndarray) -> float:
+    """max |w| over the finite w: 1/l^2 takes eigenvalues past floats."""
+    return np.max(np.abs(w), where=np.isfinite(w), initial=0.0)
+
+
 def _clip(w: np.ndarray) -> np.ndarray:
-    """Set eigenvalues with |lambda| <= EIG_CLIP_REL * max|lambda| to exactly 0."""
-    clip = EIG_CLIP_REL * np.max(np.abs(w)) if w.size else 0.0
-    w[np.abs(w) <= clip] = 0.0
+    """Set eigenvalues with |lambda| <= EIG_CLIP_REL * max|lambda|
+    (_finite_max) to exactly 0."""
+    w[np.abs(w) <= EIG_CLIP_REL * _finite_max(w)] = 0.0
     return w
 
 
@@ -334,8 +344,8 @@ def decompose(m: DiscreteManifold, psi: PotentialField) -> SpectralDecomposition
     torus, or a Neumann box), with a constant Psi, gets exact eigenvalues
     and a FourierBasis: its stiffness is then a Kronecker sum of per-axis
     second differences, and mode (k_0, ..., k_(n-1)), in C order like the
-    nodes, has the sum of the per-axis eigenvalues over h_d^2.  Every other
-    model gets a dense divide-and-conquer solve of the mass-reduced
+    nodes, has the sum of the per-axis eigenvalues over (l h_d)^2.  Every
+    other model gets a dense divide-and-conquer solve of the mass-reduced
     stiffness, in mirror blocks and within the memory budget.  Eigenvalues
     with |lambda| <= 1e-10 * max|lambda| are clipped to exactly 0 so the
     Neumann kernel is detected reliably by the operator calculus.
@@ -347,12 +357,10 @@ def decompose(m: DiscreteManifold, psi: PotentialField) -> SpectralDecomposition
     if grid is not None:
         lam1, q, weights, m0 = grid
         g = m.grad
-        cells = g.res if g.periodic else g.res - 1
         modes = np.indices((g.res,) * m.dim).reshape(m.dim, -1)
-        w = sum(lam1[modes[d]] / (side / cells) ** 2
-                for d, side in enumerate(g.sides))
+        w = sum(lam1[modes[d]] / h ** 2 for d, h in enumerate(g.h))
         order = np.argsort(w, kind="stable")
-        w = w[order] + psi.values[0]
+        w = m.physical(w[order], -2) + psi.values[0]
         basis = FourierBasis(q=q, w=weights, dim=m.dim, m0=m0, order=order)
     else:
         w, basis = _mirror_eigenpairs(m, psi, _mirrors(m, psi))
@@ -415,8 +423,10 @@ def _stiffness_rows(m: DiscreteManifold, reps: np.ndarray) -> np.ndarray:
 
 def _mirror_eigenpairs(m: DiscreteManifold, psi: PotentialField,
                        mirrors: list[np.ndarray]):
-    """The eigenpairs of A = M^(-1/2) (S + M_Psi) M^(-1/2), one dsyevd block
-    per character of the mirror group, once it fits the memory budget.
+    """The eigenpairs of A = M^(-1/2) (S / l^2 + M_Psi) M^(-1/2), one
+    dsyevd block per character of the mirror group, once it fits the memory
+    budget.  Below the reference size (l < 1) the blocks are of l^2 (A - c),
+    c = min Psi, so neither l^2 Psi nor S / l^2 leaves the float range.
 
     The k mirrors generate G = Z2^k: element g (a bit mask over the
     mirrors) moves node x to perms[g, x], and character s is chi[s, g] =
@@ -446,9 +456,14 @@ def _mirror_eigenpairs(m: DiscreteManifold, psi: PotentialField,
     stab = np.count_nonzero(fixed, axis=0)
     member = ~((chi < 0) @ fixed)  # (characters, orbits): orbit in block s
 
+    small = m.length < 1.0
+    c = float(np.min(psi.values)) if small else 0.0
+    psi_rows = m.physical(psi.values[reps] - c, 2) if small else psi.values[reps]
     sqrt_m = np.sqrt(m.mass)
     a_rows = _stiffness_rows(m, reps)
-    a_rows[np.arange(reps.size), reps] += m.mass[reps] * psi.values[reps]
+    if m.length > 1.0:
+        a_rows *= m.physical(1.0, -2)
+    a_rows[np.arange(reps.size), reps] += m.mass[reps] * psi_rows
     a_rows /= sqrt_m[reps, None]
     a_rows /= sqrt_m[None, :]
     sums = np.zeros((chi.shape[0], reps.size, reps.size))  # (s, x, y)
@@ -482,7 +497,8 @@ def _mirror_eigenpairs(m: DiscreteManifold, psi: PotentialField,
         scale=np.sqrt(stab / chi.shape[0]) / sqrt_m[images],
         blocks=tuple((s, keep, v, cols) for (s, keep, _, v), cols
                      in zip(blocks, np.split(column, ends[:-1]))))
-    return w[order], basis
+    # clipped before 1/l^2, which may take roundoff past floats
+    return m.physical(_clip(w[order]), -2) + c if small else w[order], basis
 
 
 def _fourier_grid(m: DiscreteManifold):
@@ -490,8 +506,8 @@ def _fourier_grid(m: DiscreteManifold):
     on it, else None.
 
     Read from the gradient's structure: a GridGradient, whose inv_h_d is
-    1 / h_d by construction (h_d = side_d / res on a torus, side_d / (res -
-    1) on a box), with all element weights equal and node masses m0 times
+    1 / h_d by construction (h_d the reference cell side of axis d), with
+    all element weights equal and node masses m0 times
     the product of the per-axis weights w.  m0 is an element's weight times
     the 2^dim corner elements of a box cell (1 on a torus).  Each axis d
     then contributes (m0 / h_d^2) times its second difference, weighted by
@@ -624,10 +640,12 @@ def _op_norms_2_to_inf(dec: SpectralDecomposition,
                        fs: list[Callable[[np.ndarray], np.ndarray]]) -> np.ndarray:
     """Exact L2 -> Linf norm max_x sqrt(sum_k f(l_k)^2 phi_k(x)^2) of each f(H).
 
-    The basis forms the row sums once for all of fs.
+    The basis forms the row sums once for all of fs; phi_k^2 takes its
+    factor 1/l^n at the maxima.
     """
     fw2 = np.stack([_multiplier(dec, f) ** 2 for f in fs], axis=1)
-    return np.sqrt(np.max(dec.basis.row_sums(fw2), axis=0))
+    m = dec.manifold
+    return np.sqrt(m.physical(np.max(dec.basis.row_sums(fw2), axis=0), -m.dim))
 
 
 def spectrum_rows(dec: SpectralDecomposition) -> list[tuple[int, float]]:

@@ -649,60 +649,142 @@ def test_bad_arguments_fail_before_the_model_is_built(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("argv, words", [
-    (("estimate", "--p", "1.5", "--model", "torus:n=2,res=4,scale=1e200",
-      "--seed", "1"), ["spec key scale=1e+200", "scale^2"]),
-    (("estimate", "--p", "1.5", "--model", "torus:n=2,res=4,scale=1e-200",
-      "--seed", "1"), ["spec key scale=1e-200", "scale^2"]),
-    (("heat", "--model", "sphere:r=1e200,subdiv=1", "--seed", "1"),
-     ["spec key r=1e+200", "r^2"]),
-    (("heat", "--model", "torus:n=2,res=4,L=1e300", "--seed", "1"),
-     ["spec key L=1e+300", "cell volume"]),
     (("flow", "--flow", "sphere:r0=1e200,subdiv=1", "--seed", "1"),
-     ["r=1e+200 (or r0)", "r^2"]),
-    (("scaling", "--lam", "1e200", "--model", "torus:n=2,res=4", "--seed",
-      "1"), ["--lam 1e+200", "scale^2"]),
+     ["r0=1e+200", "singular time"]),
     (("bootstrap", "--n", "3", "--p0", "2", "--A", "1e300", "--B", "1e300",
       "--target", "2.9"), ["hop 1", "p = 2 -> ", "overflow"]),
-    (("heat", "--model", "torus:n=2,res=4,L=1e-160", "--seed", "1"),
-     ["spec key L=1e-160x1e-160", "inverse square"]),
-    (("heat", "--model", "sphere:r=1e100,subdiv=1", "--seed", "1"),
-     ["spec key r=1e+100", "squared normal length"]),
-    (("estimate", "--model", "torus:n=2,res=4,scale=1e-100", "--p", "1.5",
-      "--seed", "1"), ["model torus:n=2,res=4", "scale=1e-100",
-                       "gradient norm overflows"]),
-    (("heat", "--model", "box:n=2,res=4,L=1e-160", "--seed", "1"),
-     ["spec key L=1e-160x1e-160", "inverse square"]),
-    (("heat", "--model", "sphere:subdiv=1,scale=1e-160", "--seed", "1"),
-     ["scale=1e-160", "r/2^1", "scaled metric"]),
-], ids=["scale-overflow", "scale-underflow", "sphere-radius", "torus-side",
-        "flow-sphere-radius", "scaling-lam", "bootstrap-hop",
-        "torus-eigenvalues", "sphere-normals", "torus-member-gradient",
-        "box-eigenvalues", "sphere-curvature"])
+], ids=["flow-sphere-radius", "bootstrap-hop"])
 def test_float_overflow_is_refused_with_one_line(tmp_path, capsys, argv,
                                                  words):
-    """A size or constant past the float range, or one whose eigenvalues,
-    curvature or triangle normals overflow, is refused at the boundary,
-    naming its spec key, flag or hop, and member gradients that overflow
-    where they are formed, naming the model; with no traceback and no
-    warning."""
+    """A flow whose singular time, or a chain whose constants, overflow a
+    float is refused at the boundary, naming its spec key or hop, with no
+    traceback and no warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run(tmp_path, *argv) == 1
     one_line_error(capsys, *words)
 
 
+def _run_quietly(tmp_path, *argv):
+    """Exit status and artifact of a job run with every warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status = run(tmp_path, *argv)
+    paths = sorted(Path(tmp_path).glob(f"{argv[0]}_*.json"))
+    return status, json.loads(paths[-1].read_text()) if paths else None
+
+
+# Specs a size bound refused before meshes were built at a reference size:
+# each now runs, and an estimate (scale-invariant) agrees with the unit-size
+# job on the same mesh.
+FORMERLY_REFUSED = [
+    ("estimate", "--p", "1.5", "--model", "torus:n=2,res=4,scale=1e200"),
+    ("estimate", "--p", "1.5", "--model", "torus:n=2,res=4,scale=1e-200"),
+    ("heat", "--model", "sphere:r=1e200,subdiv=1"),
+    ("heat", "--model", "torus:n=2,res=4,L=1e300"),
+    ("scaling", "--lam", "1e200", "--model", "torus:n=2,res=4"),
+    ("heat", "--model", "torus:n=2,res=4,L=1e-160"),
+    ("heat", "--model", "sphere:r=1e100,subdiv=1"),
+    ("estimate", "--model", "torus:n=2,res=4,scale=1e-100", "--p", "1.5"),
+    ("heat", "--model", "box:n=2,res=4,L=1e-160"),
+    ("heat", "--model", "sphere:subdiv=1,scale=1e-160"),
+]
+
+
+@pytest.mark.parametrize("argv", FORMERLY_REFUSED, ids=[
+    "scale-overflow", "scale-underflow", "sphere-radius", "torus-side",
+    "scaling-lam", "torus-eigenvalues", "sphere-normals",
+    "torus-member-gradient", "box-eigenvalues", "sphere-curvature"])
+def test_sizes_past_the_old_bounds_run(tmp_path, argv):
+    status, doc = _run_quietly(tmp_path / "job", *argv, "--seed", "1")
+    assert status == 0
+    if argv[0] == "estimate":
+        model = argv[argv.index("--model") + 1].split(",scale=")[0]
+        unit = list(argv)
+        unit[argv.index("--model") + 1] = model
+        assert _run_quietly(tmp_path / "unit", *unit, "--seed", "1")[0] == 0
+        _, want = read_artifact(tmp_path / "unit", "estimate")
+        got, want = doc["results"]["estimate"], want["results"]["estimate"]
+        assert got["A_est"] == pytest.approx(want["A_est"], rel=1e-12)
+        assert got["B_est"] == want["B_est"]
+
+
+# The float-range jobs that leaked warnings or inf eigenvalues while sizes
+# were checked spec key by spec key, and two at the ends of the range.
+FLOAT_RANGE_JOBS = [
+    ("heat", "--model", "box:n=2,res=4,L=1e154"),
+    ("heat", "--model", "torus:n=2,res=16,scale=1e154"),
+    ("heat", "--model", "sphere:subdiv=1,scale=1e154"),
+    ("heat", "--model", "torus:n=2,res=4,L=5e-154"),
+    ("heat", "--model", "box:n=2,res=4,L=3e-154"),
+    ("estimate", "--model", "torus:n=3,res=4,L=1e103", "--p", "1.5"),
+    ("estimate", "--model", "torus:n=3,res=8,L=1e-300", "--p", "1.5"),
+]
+
+
+@pytest.mark.parametrize("argv", FLOAT_RANGE_JOBS, ids=[
+    "box-1e154", "torus-scale-1e154", "sphere-scale-1e154", "torus-5e-154",
+    "box-3e-154", "estimate-1e103", "estimate-mixed-1e-300"])
+def test_float_range_jobs_run_or_refuse_with_one_line(tmp_path, capsys, argv):
+    """Each job exits 0 with finite fields (the artifact's JSON holds no
+    inf or nan), or 1 with one line naming a field or a spec key; never
+    with a warning."""
+    status, doc = _run_quietly(tmp_path, *argv, "--seed", "1")
+    if status == 1:
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert re.search(r"is not finite|spec|r0=|L=|scale=", err), err
+    else:
+        assert status == 0 and doc is not None
+
+
+def test_flow_on_a_sphere_past_the_float_range_names_r0(tmp_path, capsys):
+    """r0 = 1e200 puts the singular time r0^2/2 past floats: the job runs
+    as a shrinking sphere, or exits 1 with one line naming r0."""
+    status, doc = _run_quietly(tmp_path, "flow", "--flow",
+                               "sphere:r0=1e200,subdiv=1", "--size", "20",
+                               "--seed", "1")
+    if status == 1:
+        one_line_error(capsys, "r0=1e+200")
+    else:
+        assert doc["results"]["trajectory"]["variant"] == "shrinking-sphere"
+
+
+def test_estimates_are_bit_identical_at_every_size(tmp_path):
+    """Bump members are drawn from the reference mesh's coordinates, so
+    their estimate is the same float at any finite L; and the transfer
+    check runs at lam = 1e200."""
+    argv = ("estimate", "--generator", "bumps", "--p", "1.5", "--seed", "1")
+    results = set()
+    for length in ("1e-300", "1e-70", "6.283185307179586", "1e40", "1e300"):
+        status, doc = _run_quietly(tmp_path / length, *argv, "--model",
+                                   f"torus:n=3,res=8,L={length}")
+        assert status == 0
+        est = doc["results"]["estimate"]
+        results.add((est["A_est"], est["B_est"], est["max_ratio"]))
+    assert len(results) == 1
+    status, doc = _run_quietly(tmp_path / "scaling", "scaling", "--lam",
+                               "1e200", "--model", "torus:n=2,res=4",
+                               "--size", "20", "--seed", "1")
+    assert status == 0 and doc["results"]["transfer"]["lam"] == 1e200
+
+
 def test_specs_within_the_float_range_are_kept():
-    """Only a size past the float range (ModelSpec._check_sizes) is
-    refused: extreme sizes short of it still parse."""
+    """Every finite positive size is kept, and builds the same reference
+    mesh as the unit-size spec: only the length differs."""
     for text in ("torus:n=2,res=4,L=1e-150", "torus:n=1,res=4,L=1e150",
                  "torus:n=2,res=4,scale=1e150", "sphere:r=1e76,subdiv=1",
-                 "sphere:subdiv=1,scale=1e-150", "box:n=2,res=4,L=1e150"):
-        manifold.parse_model_spec(text)
-    for text in ("torus:n=1,res=4,L=1e155", "torus:n=2,res=4,L=1e100,"
+                 "sphere:subdiv=1,scale=1e-150", "box:n=2,res=4,L=1e150",
+                 "torus:n=1,res=4,L=1e155", "torus:n=2,res=4,L=1e100,"
                  "scale=1e100", "box:n=3,res=3,scale=1e-110",
                  "torus:n=2,res=4,L=1e-160", "sphere:r=1e150,subdiv=1"):
-        with pytest.raises(ValueError, match="not a finite positive float"):
-            manifold.parse_model_spec(text)
+        m = manifold.build(text)
+        unit = manifold.build(re.sub(r",(L|r|scale)=[^,]*", "", text))
+        assert 0 < m.length < math.inf
+        assert np.array_equal(m.mass, unit.mass)
+        assert np.array_equal(m.points, unit.points)
+    with pytest.raises(ValueError, match="not a finite positive float"):
+        manifold.build("torus:n=2,res=4,L=1e300,scale=1e300")
 
 
 @pytest.mark.parametrize("argv, words", [

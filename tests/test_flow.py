@@ -33,7 +33,7 @@ def test_sphere_quarter_time_closed_form(sphere_flow):
     m = metric_at(sphere_flow, 0.25)
     mesh_ratio = sphere_flow.base.volume / (4 * np.pi)
     assert m.volume == pytest.approx(2 * np.pi * mesh_ratio, rel=1e-12)
-    assert np.allclose(m.scalar_curvature, 4.0)
+    assert geometric_summary(m)["r_max_plus"] == pytest.approx(4.0, rel=1e-12)
 
 
 def test_static_torus_is_constant(torus_flow):
@@ -46,12 +46,11 @@ def test_flow_consistency_field_by_field(sphere_flow):
     t = 0.3
     direct = metric_at(sphere_flow, t)
     rescaled = scale_metric(metric_at(sphere_flow, 0.0), scale_factor(sphere_flow, t))
-    assert np.allclose(direct.mass, rescaled.mass, rtol=1e-12)
-    assert np.allclose(direct.stiffness.toarray(), rescaled.stiffness.toarray(),
-                       rtol=1e-12)
-    assert np.allclose(direct.scalar_curvature, rescaled.scalar_curvature,
-                       rtol=1e-12)
-    assert np.allclose(direct.grad.weights, rescaled.grad.weights, rtol=1e-12)
+    assert direct.length == rescaled.length
+    assert direct.volume == rescaled.volume
+    assert geometric_summary(direct) == geometric_summary(rescaled)
+    u = np.random.default_rng(4).standard_normal(direct.num_nodes)
+    assert direct.dirichlet_energy(u) == rescaled.dirichlet_energy(u)
 
 
 def test_horizon_validation():
@@ -289,12 +288,13 @@ def test_lambda0_series_decomposes_once(sphere_flow, decompose_calls):
 
 def test_track_e_family_integral_curvature(sphere_flow):
     """gamma vanishes on the sphere (e reduces to d) and is closed-form on a
-    flat torus given ric_min = -1: the integrand is 1, so gamma = vol^(1/2)."""
+    flat torus of length 1 (unit cells) given ric_min = -1: the integrand
+    is 1, so gamma = vol^(1/2)."""
     spec = EnsembleSpec(seed=3, size=20, generator="mixed")
     d2, e2 = (track(sphere_flow, [0.0, 0.4], sel, 1.5, spec) for sel in ("d2", "e2"))
     assert [r["gamma"] for r in e2.records] == [0.0, 0.0]
     assert [r["C"] for r in e2.records] == [r["C"] for r in d2.records]
-    torus = build("torus:n=3,res=6")
+    torus = build("torus:n=3,res=6,L=6")
     base = replace(torus, ric_min=np.full(torus.num_nodes, -1.0))
     flow = ExactFlow(base=base, t_max=1.0)
     traj = track(flow, [0.0, 1.0], "e3", 2.5, spec)
@@ -302,6 +302,18 @@ def test_track_e_family_integral_curvature(sphere_flow):
         assert rec["gamma"] == pytest.approx(np.sqrt(base.volume), rel=1e-12)
         assert 0 < rec["C"] < np.inf
     assert traj.total_violations == 0
+
+
+def test_variant_and_singular_time_read_the_reference_curvature():
+    """On a sphere of r0 = 1e154 the curvature 2/r0^2 is near the float
+    floor, and its singular time near the ceiling: the flow still shrinks,
+    read from the sign of the unit sphere's R, at r0^2/2."""
+    flow = parse_flow_spec("sphere:r0=1e154,subdiv=1")
+    assert flow.variant == "shrinking-sphere"
+    assert flow.singular_time == pytest.approx(0.5e308, rel=1e-15)
+    assert flow.t_max == pytest.approx(0.45e308, rel=1e-15)
+    assert geometric_summary(flow.base)["r_max_plus"] == pytest.approx(
+        2e-308, rel=1e-15)
 
 
 def test_exact_flow_rejects_nonconstant_curvature():

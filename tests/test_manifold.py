@@ -82,19 +82,34 @@ def test_scale_2d_keeps_stiffness_volume_times_four(torus2):
 
 def test_scale_sphere_halves_squared_curvature(sphere3):
     scaled = scale_metric(sphere3, 2.0)
-    assert np.allclose(scaled.scalar_curvature, 0.5)
-    assert np.allclose(scaled.ric_min, 0.25)
+    assert geometric_summary(scaled)["r_max_plus"] == pytest.approx(0.5)
+    assert np.allclose(scaled.physical(scaled.ric_min, -2.0), 0.25)
 
 
 def test_scale_composition(torus2):
     a = scale_metric(scale_metric(torus2, 1.5), 2.0)
     b = scale_metric(torus2, 3.0)
-    assert np.allclose(a.mass, b.mass, rtol=1e-12)
-    assert np.allclose(a.stiffness.toarray(), b.stiffness.toarray(), rtol=1e-12)
-    assert np.allclose(a.grad.weights, b.grad.weights, rtol=1e-12)
+    assert a.length == pytest.approx(b.length, rel=1e-15)
+    assert a.volume == pytest.approx(b.volume, rel=1e-12)
     u = np.random.default_rng(2).standard_normal(torus2.num_nodes)
-    assert np.allclose(a.grad.vectors(u), b.grad.vectors(u), rtol=1e-12)
-    assert np.allclose(a.scalar_curvature, b.scalar_curvature, rtol=1e-12)
+    assert a.dirichlet_energy(u) == pytest.approx(b.dirichlet_energy(u),
+                                                  rel=1e-12)
+    assert geometric_summary(a) == geometric_summary(b)
+
+
+def test_physical_takes_the_length_power_once_without_warnings():
+    """x l^k, x itself at l = 1; past floats inf or 0 without a warning,
+    with 0 kept 0; a length past floats is refused, naming the model."""
+    unit = build("torus:n=2,res=8,L=8")
+    x = np.array([0.0, 1.5])
+    assert unit.length == 1.0 and unit.physical(x, 3.0) is x
+    m = build("torus:n=2,res=8,L=8e-300")
+    assert m.length == 1e-300
+    assert np.array_equal(m.physical(x, -2.0), [0.0, np.inf])
+    assert np.array_equal(m.physical(x, 2.0), [0.0, 0.0])
+    assert m.physical(2.0, -0.5) == 2.0 * 1e150
+    with pytest.raises(ValueError, match="L=8e-300x8e-300,scale=1e-300"):
+        build("torus:n=2,res=8,L=8e-300,scale=1e-300")
 
 
 def test_scale_rejects_nonpositive(torus2):
@@ -132,24 +147,29 @@ def test_geometric_summary_permutation_invariant(torus2):
     assert geometric_summary(shuffled) == geometric_summary(base)
 
 
+def _ric_minus_one(m):
+    """m with ric_min = -1 on the physical mesh: -l^2 on the reference one."""
+    return replace(m, ric_min=np.full(m.num_nodes, -m.length ** 2))
+
+
 def test_gamma_integral_cases(torus2, sphere3):
     assert gamma_integral(sphere3, 0.0, 1.0) == 0.0
     assert gamma_integral(torus2, 1.0, 0.5) == 0.0
-    synthetic = replace(torus2, ric_min=np.full(torus2.num_nodes, -1.0))
+    synthetic = _ric_minus_one(torus2)
     # integrand is 1 everywhere: gamma = vol^(1/(2 eps)) with eps = 1
     assert gamma_integral(synthetic, 0.0, 1.0) == pytest.approx(
         np.sqrt(torus2.volume), rel=1e-12)
 
 
 def test_gamma_integral_monotone_in_c(torus2):
-    synthetic = replace(torus2, ric_min=np.full(torus2.num_nodes, -1.0))
+    synthetic = _ric_minus_one(torus2)
     cs = [0.0, 0.25, 0.5, 0.75, 1.0, 2.0]
     vals = [gamma_integral(synthetic, c, 0.7) for c in cs]
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
 def test_gamma_integral_monotone_in_eps(torus2):
-    synthetic = replace(torus2, ric_min=np.full(torus2.num_nodes, -1.0))
+    synthetic = _ric_minus_one(torus2)
     # integrand is 1: gamma = vol^{1/(2 eps)} decreases in eps (vol > 1)
     gammas = [gamma_integral(synthetic, 0.0, e) for e in (0.5, 1.0, 2.0)]
     assert gammas[0] > gammas[1] > gammas[2]
@@ -246,7 +266,7 @@ def test_validate_rejects_a_declared_reflection_that_is_not_one(case, words):
         replace(m, reflections=reflections).validate()
 
 
-def _reference_icosphere(subdiv, radius):
+def _reference_icosphere(subdiv):
     """The per-edge loop _icosphere replaced: each face's edges ab, bc, ca
     get their midpoint, normalised by its 1-D norm, on first visit."""
     verts = _ICO_VERTS / np.linalg.norm(_ICO_VERTS, axis=1, keepdims=True)
@@ -266,13 +286,13 @@ def _reference_icosphere(subdiv, radius):
             ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
             new_faces += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
         verts, faces = np.array(verts_list), np.array(new_faces)
-    return verts * radius, faces
+    return verts, faces
 
 
 @pytest.mark.parametrize("subdiv", range(6))
 def test_icosphere_matches_the_per_edge_loop_bit_for_bit(subdiv):
-    points, faces, _ = _icosphere(subdiv, 1.3)
-    want_points, want_faces = _reference_icosphere(subdiv, 1.3)
+    points, faces, _ = _icosphere(subdiv)
+    want_points, want_faces = _reference_icosphere(subdiv)
     assert np.array_equal(faces, want_faces)
     assert np.array_equal(points, want_points)
     assert points.shape == (10 * 4 ** subdiv + 2, 3)
@@ -308,12 +328,13 @@ def _close(got, want, rtol=1e-14):
 @pytest.mark.parametrize("subdiv", range(1, 5))
 def test_sphere_gradient_arrays_match_the_sparse_matrix(subdiv):
     """The numpy P1 gradient (nodes and coefficients per element) applies
-    G and G^T, joins the node pairs, bounds its coefficients, scales and
-    forms G^T W G as the scipy CSR matrix of the same mesh does."""
+    G and G^T, joins the node pairs, bounds its coefficients and forms
+    G^T W G as the scipy CSR matrix of the same mesh does: the unit
+    sphere's, whatever the radius."""
     import scipy.sparse as sp
 
     m = build(f"sphere:r=1.3,subdiv={subdiv}")
-    points, faces, _ = _icosphere(subdiv, 1.3)
+    points, faces, _ = _icosphere(subdiv)
     g, ref = m.grad, _reference_p1_matrix(points, faces)
     rng = np.random.default_rng(subdiv)
     v = rng.standard_normal((m.num_nodes, 5))
@@ -325,10 +346,6 @@ def test_sphere_gradient_arrays_match_the_sparse_matrix(subdiv):
     assert np.array_equal(g.edges(), np.stack([indices[:, :2].ravel(),
                                                indices[:, 1:].ravel()]))
     assert g.bound() == np.max(np.abs(ref.data))
-    lam = 1.7
-    scaled = g.scaled(lam, 2)
-    assert _close(scaled._apply(v), (ref * (1.0 / lam)) @ v)
-    assert np.array_equal(scaled.weights, g.weights * lam ** 2)
     stiff = (ref.T @ sp.diags(np.repeat(g.weights, 3)) @ ref).tocoo()
     order = np.lexsort((stiff.col, stiff.row))
     rows, cols, values = m.stiffness_entries

@@ -15,10 +15,10 @@ import sobolab
 from sobolab import constants as ct
 from sobolab import (EnsembleSpec, SingularOperatorError, apply_function,
                      constant_potential, decompose, generate_ensemble,
-                     heat_multiplier, power_multiplier,
+                     geometric_summary, heat_multiplier, power_multiplier,
                      scale_metric, spectral)
 from sobolab.manifold import (DiscreteManifold, GradientElements, ModelSpec,
-                              _check_budget, build)
+                              _check_budget, build, parse_model_spec)
 from sobolab.norms import lp_norm
 from sobolab.spectral import (PotentialField, SpectralDecomposition,
                               spectrum_rows)
@@ -52,7 +52,7 @@ def test_identity_multiplier_reproduces_operator(torus2, torus2_dec1):
     rng = np.random.default_rng(0)
     u = rng.standard_normal(torus2.num_nodes)
     via_spectrum = apply_function(torus2_dec1, lambda lam: lam, u)
-    direct = (torus2.stiffness @ u) / torus2.mass + u
+    direct = torus2.physical(torus2.stiffness @ u, -2.0) / torus2.mass + u
     assert np.max(np.abs(via_spectrum - direct)) < 1e-8 * np.max(np.abs(direct))
 
 
@@ -150,7 +150,7 @@ def _lambda0(m):
     """Ground state of -Laplacian + R/4 as flow.track reads it: the Psi = 1
     spectrum shifted by R/4 - 1 (R is constant on these models)."""
     dec = decompose(m, constant_potential(m, 1.0))
-    return dec.shifted(m.scalar_curvature[0] / 4.0 - 1.0).lambda_min
+    return dec.shifted(geometric_summary(m)["r_max_plus"] / 4.0 - 1.0).lambda_min
 
 
 def test_lambda0_values(torus2, sphere3):
@@ -321,26 +321,28 @@ def _dense(m, psi):
     return SpectralDecomposition(spectral._clip(w), v, psi, m)
 
 
-def _tensor_sum(m):
-    """The eigenvalues of -Laplacian on a grid in closed form, ascending: the
-    sums over the axes of 4 sin^2(pi k / res) / h_d^2 on a torus (h_d =
-    side_d / res) and of 4 sin^2(pi k / (2 (res - 1))) / h_d^2 on a box (h_d
-    = side_d / (res - 1))."""
+def _tensor_sum(m, sides):
+    """The eigenvalues of -Laplacian on a grid of the given side lengths in
+    closed form, ascending: the sums over the axes of 4 sin^2(pi k / res) /
+    h_d^2 on a torus (h_d = side_d / res) and of 4 sin^2(pi k / (2 (res -
+    1))) / h_d^2 on a box (h_d = side_d / (res - 1))."""
     g = m.grad
     k = np.arange(g.res)
     if g.periodic:
         per_axis = [4.0 * np.sin(np.pi * k / g.res) ** 2 * (g.res / s) ** 2
-                    for s in g.sides]
+                    for s in sides]
     else:
         per_axis = [4.0 * np.sin(np.pi * k / (2 * (g.res - 1))) ** 2
-                    * ((g.res - 1) / s) ** 2 for s in g.sides]
+                    * ((g.res - 1) / s) ** 2 for s in sides]
     return np.sort(reduce(np.add.outer, per_axis).ravel())
 
 
 def _max_residual(dec):
-    """max |(S + M Psi) phi_k - lambda_k M phi_k| over nodes and pairs."""
+    """max |(S / l^2 + M Psi) phi_k - lambda_k M phi_k| over nodes and
+    pairs, S and M the reference mesh's (the physical residual over l^(n/2))."""
     m, phi = dec.manifold, dec.basis.columns()
-    resid = (m.stiffness @ phi + (m.mass * dec.potential.values)[:, None] * phi
+    resid = (m.physical(m.stiffness @ phi, -2.0)
+             + (m.mass * dec.potential.values)[:, None] * phi
              - m.mass[:, None] * phi * dec.eigenvalues[None, :])
     return np.max(np.abs(resid))
 
@@ -355,7 +357,9 @@ def test_fourier_eigenpairs_match_dense(text):
     lam_max = np.max(np.abs(dense.eigenvalues))
     assert np.max(np.abs(fourier.eigenvalues - dense.eigenvalues)) \
         <= 1e-12 * lam_max
-    assert np.max(np.abs(fourier.eigenvalues - 1.0 - _tensor_sum(m))) \
+    spec = parse_model_spec(text)
+    sides = [side * spec.scale for side in spec.sides]
+    assert np.max(np.abs(fourier.eigenvalues - 1.0 - _tensor_sum(m, sides))) \
         <= 1e-12 * lam_max
     phi = fourier.basis.columns()
     gram = phi.T @ (m.mass[:, None] * phi)
@@ -595,7 +599,7 @@ def _reference_dense_eigenpairs(m, psi):
     """The dense reduction as it was before divide and conquer: a
     symmetrised copy handed to the default scipy eigh (MRRR, dsyevr)."""
     sqrt_m = np.sqrt(m.mass)
-    a = m.stiffness.toarray()
+    a = m.physical(m.stiffness.toarray(), -2.0)
     a[np.diag_indices(m.num_nodes)] += m.mass * psi.values
     a /= sqrt_m[:, None]
     a /= sqrt_m[None, :]
@@ -873,7 +877,8 @@ def test_boxes_with_a_constant_potential_make_no_dense_solve(tmp_path,
     dec = decompose(m, constant_potential(m, 1.0))
     assert isinstance(dec.basis, spectral.FourierBasis)
     lam = dec.eigenvalues - 1.0
-    assert np.max(np.abs(lam - _tensor_sum(m))) <= 1e-12 * np.max(lam)
+    expected = _tensor_sum(m, parse_model_spec("box:n=12,res=2").sides)
+    assert np.max(np.abs(lam - expected)) <= 1e-12 * np.max(lam)
     assert main(["estimate", "--model", "box:n=3,res=20", "--p", "1.5",
                  "--seed", "7", "--out", str(tmp_path)]) == 0
 
