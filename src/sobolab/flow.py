@@ -213,11 +213,12 @@ def track(flow: ExactFlow, times, selector: str, p: float,
         raise ValueError(f"need p0 < p < n, got p0={p0}, p={p}, n={n}")
     # the one decomposition of the run: every time-t spectrum is a shift and
     # rescaling of it, and it seeds the ensemble.  R/4 is constant (ExactFlow
-    # checks it), so -Lap + R/4 is this operator shifted by R/4 - 1.
+    # checks it), so -Lap + R/4 is this operator shifted by -1, exactly, then
+    # by R/4; the hypothesis reads the reference mesh's lambda0 l^2.
     dec_base = decompose(base, constant_potential(base, 1.0))
     r_base = base.physical(base.scalar_curvature[0], -2)
-    lam0_base = dec_base.shifted(r_base / 4.0 - 1.0).lambda_min
-    if selector.endswith("2") and lam0_base <= 1e-12:
+    lam0_base = dec_base.shifted(-1.0).shifted(r_base / 4.0).lambda_min
+    if selector.endswith("2") and base.physical(lam0_base, 2) <= 1e-12:
         raise HypothesisError(
             f"selector {selector!r} requires lambda0(g(0)) > 0, got "
             f"{lam0_base:.3g}; use the finite-horizon selector "

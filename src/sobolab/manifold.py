@@ -164,25 +164,24 @@ class GradientElements(_Elements):
 
         A block of elements at a time (about ELEMENT_BLOCK_BYTES of node
         values): the block's node values are gathered once from a
-        node-major copy of u, and its components are formed, squared and
-        added in order c = 0, 1, ..., as the squared rows of G u^T would
-        be summed, without forming that (num_elements * ncomp, K) product.
+        node-major copy of u, and one batched product with its
+        coefficients forms its components, squared and summed.  One row is
+        given a copy as a second column: numpy's matmul takes a
+        matrix-vector kernel for a lone column, which rounds otherwise, and
+        a row's value must not depend on the rows that come with it.
         """
         rows = np.ascontiguousarray(u.reshape(-1, u.shape[-1]).T)  # (N, K)
+        count = rows.shape[1]
+        if count == 1:
+            rows = np.repeat(rows, 2, axis=1)
         sq = np.empty((self.num_elements, rows.shape[1]))
         step = max(1, ELEMENT_BLOCK_BYTES // (8 * rows[0].size
                                               * self.nodes.shape[1]))
         for lo in range(0, self.num_elements, step):
             part = slice(lo, lo + step)
-            x = rows[self.nodes[part]]  # (block, k, K)
-            for c in range(self.ncomp):
-                g = _row_values(self.coeffs[part, c], x)
-                np.square(g, out=g)
-                if c:
-                    sq[part] += g
-                else:
-                    sq[part] = g
-        return sq.reshape((self.num_elements,) + u.shape[:-1])
+            g = np.matmul(self.coeffs[part], rows[self.nodes[part]])
+            np.sum(np.square(g, out=g), axis=1, out=sq[part])
+        return sq[:, :count].reshape((self.num_elements,) + u.shape[:-1])
 
     def _rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Each row's nodes (ascending) and coefficients, (rows, k) each."""

@@ -12,20 +12,20 @@ block by block by numpy.linalg.eigh (LAPACK's symmetric divide and
 conquer, dsyevd), the blocks kept apart and applied one by one; the
 stiffness is read from its numpy entries, so no solve loads scipy.  Every
 operator function (heat semigroup, fractional powers, resolvents) is
-evaluated on the resulting eigenpairs.  The eigenvectors are the reference
-mesh's (DiscreteManifold); the eigenvalues take their factor 1/l^2 of the
-length in decompose.  An f(H) multiplies the
-coefficients in each basis's own layout by f(lambda) laid out the same way
-(multipliers, formed once per job), and apply_functions takes the
-members a chunk of rows at a time (manifold._chunks), measuring each image
-before the next is formed, so no f(H) image of a whole member matrix is
-held.
+evaluated on the resulting eigenpairs.  Both paths solve the reference
+mesh's (DiscreteManifold) operator l^2 (H - c), c = min Psi, and keep its
+spectrum mu apart from c (SpectralDecomposition), so a constant shift is
+exact at every length.  An f(H) multiplies the coefficients in each
+basis's own layout by f(lambda) laid out the same way (multipliers, formed
+once per job), and apply_functions takes the members a chunk of rows at a
+time (manifold._chunks), measuring each image before the next is formed,
+so no f(H) image of a whole member matrix is held.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Callable, Iterable
 
 import numpy as np
@@ -285,14 +285,21 @@ def _per_axis(a: np.ndarray, u: np.ndarray, dim: int) -> np.ndarray:
 class SpectralDecomposition:
     """Eigenpairs of H = -Laplacian + Psi, orthonormal in the mass inner product.
 
+    mu is the clipped ascending spectrum of the reference operator l^2 (H -
+    shift), and the eigenvalues are mu / l^2 + shift, formed here alone.
     The eigenvectors are reached through basis (a MirrorBasis or a
     FourierBasis) and nowhere else.
     """
 
-    eigenvalues: np.ndarray
+    mu: np.ndarray
     basis: MirrorBasis | FourierBasis
     potential: PotentialField
     manifold: DiscreteManifold
+    shift: float = 0.0
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        return self.manifold.physical(self.mu, -2) + self.shift
 
     @property
     def lambda_min(self) -> float:
@@ -301,71 +308,62 @@ class SpectralDecomposition:
     def cluster_bounds(self) -> np.ndarray:
         """Start index of every eigenvalue cluster, followed by N.
 
-        A new cluster starts where consecutive eigenvalues differ by more
-        than CLUSTER_GAP_REL * max|lambda| (_finite_max), so a cluster holds
-        whole eigenspaces and quantities built from whole clusters do not
-        depend on the eigensolver's choice of basis inside them; the inf
-        eigenvalues are one cluster.
+        A new cluster starts where consecutive mu differ by more than
+        CLUSTER_GAP_REL * max|mu|, so the clusters are the same at every
+        length, a cluster holds whole eigenspaces, and quantities built
+        from whole clusters do not depend on the eigensolver's choice of
+        basis inside them.
         """
-        lam = self.eigenvalues
-        tol = CLUSTER_GAP_REL * _finite_max(lam)
-        gaps = np.subtract(lam[1:], lam[:-1], out=np.zeros(lam.size - 1),
-                           where=np.isfinite(lam[:-1]))
-        return np.concatenate(
-            ([0], np.flatnonzero(gaps > tol) + 1, [lam.size]))
+        mu = self.mu
+        gaps = np.diff(mu) > CLUSTER_GAP_REL * np.max(np.abs(mu))
+        return np.concatenate(([0], np.flatnonzero(gaps) + 1, [mu.size]))
 
     def shifted(self, c: float) -> SpectralDecomposition:
         """Exact decomposition of H + c for a constant c, with no new eigh.
 
-        The basis is shared; eigenvalues and potential move by c and
-        the clipping rule of decompose is applied again, so a shift down to
-        the bare Laplacian keeps its kernel at exactly 0.
+        Only shift and potential move by c, so the bare Laplacian
+        dec1.shifted(-1.0) has shift 1 - 1 = 0 and mu's exact kernel.
         """
-        return replace(self, eigenvalues=_clip(self.eigenvalues + c),
+        return replace(self, shift=self.shift + c,
                        potential=PotentialField(self.potential.values + c))
 
 
-def _finite_max(w: np.ndarray) -> float:
-    """max |w| over the finite w: 1/l^2 takes eigenvalues past floats."""
-    return np.max(np.abs(w), where=np.isfinite(w), initial=0.0)
-
-
-def _clip(w: np.ndarray) -> np.ndarray:
-    """Set eigenvalues with |lambda| <= EIG_CLIP_REL * max|lambda|
-    (_finite_max) to exactly 0."""
-    w[np.abs(w) <= EIG_CLIP_REL * _finite_max(w)] = 0.0
-    return w
+def _clip(mu: np.ndarray) -> np.ndarray:
+    """Set the mu with |mu| <= EIG_CLIP_REL * max|mu| to exactly 0."""
+    mu[np.abs(mu) <= EIG_CLIP_REL * np.max(np.abs(mu))] = 0.0
+    return mu
 
 
 def decompose(m: DiscreteManifold, psi: PotentialField) -> SpectralDecomposition:
     """Generalized symmetric eigendecomposition of S + M_Psi vs M.
 
     A model whose gradient is a grid gradient accepted by _fourier_grid (a
-    torus, or a Neumann box), with a constant Psi, gets exact eigenvalues
-    and a FourierBasis: its stiffness is then a Kronecker sum of per-axis
-    second differences, and mode (k_0, ..., k_(n-1)), in C order like the
-    nodes, has the sum of the per-axis eigenvalues over (l h_d)^2.  Every
-    other model gets a dense divide-and-conquer solve of the mass-reduced
-    stiffness, in mirror blocks and within the memory budget.  Eigenvalues
-    with |lambda| <= 1e-10 * max|lambda| are clipped to exactly 0 so the
-    Neumann kernel is detected reliably by the operator calculus.
+    torus, or a Neumann box), with a constant Psi, gets exact mu and a
+    FourierBasis: its stiffness is then a Kronecker sum of per-axis second
+    differences, and mode (k_0, ..., k_(n-1)), in C order like the nodes,
+    has mu the sum of the per-axis eigenvalues over h_d^2.  Every other
+    model gets a dense divide-and-conquer solve of the mass-reduced
+    stiffness, in mirror blocks and within the memory budget.  mu with |mu|
+    <= 1e-10 * max|mu| are clipped to exactly 0 so the Neumann kernel is
+    detected reliably by the operator calculus.
     """
     n = m.num_nodes
     if psi.values.shape != (n,):
         raise ValueError("potential has wrong shape")
-    grid = _fourier_grid(m) if np.all(psi.values == psi.values[0]) else None
+    c = float(psi.values[0])
+    grid = _fourier_grid(m) if np.all(psi.values == c) else None
     if grid is not None:
         lam1, q, weights, m0 = grid
         g = m.grad
         modes = np.indices((g.res,) * m.dim).reshape(m.dim, -1)
-        w = sum(lam1[modes[d]] / h ** 2 for d, h in enumerate(g.h))
-        order = np.argsort(w, kind="stable")
-        w = m.physical(w[order], -2) + psi.values[0]
+        mu = sum(lam1[modes[d]] / h ** 2 for d, h in enumerate(g.h))
+        order = np.argsort(mu, kind="stable")
+        mu = mu[order]
         basis = FourierBasis(q=q, w=weights, dim=m.dim, m0=m0, order=order)
     else:
-        w, basis = _mirror_eigenpairs(m, psi, _mirrors(m, psi))
-    return SpectralDecomposition(eigenvalues=_clip(w), basis=basis,
-                                 potential=psi, manifold=m)
+        mu, c, basis = _mirror_eigenpairs(m, psi, _mirrors(m, psi))
+    return SpectralDecomposition(mu=_clip(mu), basis=basis, potential=psi,
+                                 manifold=m, shift=c)
 
 
 def _eigh_symmetric(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -423,10 +421,10 @@ def _stiffness_rows(m: DiscreteManifold, reps: np.ndarray) -> np.ndarray:
 
 def _mirror_eigenpairs(m: DiscreteManifold, psi: PotentialField,
                        mirrors: list[np.ndarray]):
-    """The eigenpairs of A = M^(-1/2) (S / l^2 + M_Psi) M^(-1/2), one
+    """The spectrum mu of the reference operator A = M^(-1/2) (S + l^2
+    M_(Psi - c)) M^(-1/2), c = min Psi, that c and the eigenvectors, one
     dsyevd block per character of the mirror group, once it fits the memory
-    budget.  Below the reference size (l < 1) the blocks are of l^2 (A - c),
-    c = min Psi, so neither l^2 Psi nor S / l^2 leaves the float range.
+    budget.  A constant Psi leaves the reference stiffness alone.
 
     The k mirrors generate G = Z2^k: element g (a bit mask over the
     mirrors) moves node x to perms[g, x], and character s is chi[s, g] =
@@ -456,14 +454,11 @@ def _mirror_eigenpairs(m: DiscreteManifold, psi: PotentialField,
     stab = np.count_nonzero(fixed, axis=0)
     member = ~((chi < 0) @ fixed)  # (characters, orbits): orbit in block s
 
-    small = m.length < 1.0
-    c = float(np.min(psi.values)) if small else 0.0
-    psi_rows = m.physical(psi.values[reps] - c, 2) if small else psi.values[reps]
+    c = float(np.min(psi.values))
     sqrt_m = np.sqrt(m.mass)
     a_rows = _stiffness_rows(m, reps)
-    if m.length > 1.0:
-        a_rows *= m.physical(1.0, -2)
-    a_rows[np.arange(reps.size), reps] += m.mass[reps] * psi_rows
+    a_rows[np.arange(reps.size), reps] += (
+        m.mass[reps] * m.physical(psi.values[reps] - c, 2))
     a_rows /= sqrt_m[reps, None]
     a_rows /= sqrt_m[None, :]
     sums = np.zeros((chi.shape[0], reps.size, reps.size))  # (s, x, y)
@@ -497,8 +492,7 @@ def _mirror_eigenpairs(m: DiscreteManifold, psi: PotentialField,
         scale=np.sqrt(stab / chi.shape[0]) / sqrt_m[images],
         blocks=tuple((s, keep, v, cols) for (s, keep, _, v), cols
                      in zip(blocks, np.split(column, ends[:-1]))))
-    # clipped before 1/l^2, which may take roundoff past floats
-    return m.physical(_clip(w[order]), -2) + c if small else w[order], basis
+    return w[order], c, basis
 
 
 def _fourier_grid(m: DiscreteManifold):
@@ -657,13 +651,12 @@ def diagnostics(dec1: SpectralDecomposition) -> dict:
     """Deterministic facts about the Psi = 1 decomposition of a mesh.
 
     decomposition is the path that solved it ("fourier" or "dense");
-    kernel_dim counts the exactly-zero eigenvalues of the bare Laplacian,
-    dec1.shifted(-1): 1 on every connected model; mirrors is the number of
-    axis reflections the dense solve split the problem by (0 for the
-    trivial group of a mesh with no mirror, and on the Fourier path).
+    kernel_dim counts the exactly-zero mu (the bare Laplacian's kernel): 1
+    on every connected model at every length; mirrors is the number of axis
+    reflections the dense solve split the problem by (0 for the trivial
+    group of a mesh with no mirror, and on the Fourier path).
     """
     fourier = isinstance(dec1.basis, FourierBasis)
-    kernel = dec1.shifted(-1.0).eigenvalues == 0.0
     return {"decomposition": "fourier" if fourier else "dense",
-            "kernel_dim": int(np.count_nonzero(kernel)),
+            "kernel_dim": int(np.count_nonzero(dec1.mu == 0.0)),
             "mirrors": 0 if fourier else dec1.basis.mirrors}

@@ -769,6 +769,38 @@ def test_estimates_are_bit_identical_at_every_size(tmp_path):
     assert status == 0 and doc["results"]["transfer"]["lam"] == 1e200
 
 
+# Jobs far from unit size: a spectrum read as 1 + mu / l^2 and shifted back
+# by -1 lost mu / l^2 to roundoff, so the kernel grew or went negative.
+FAR_FROM_UNIT_JOBS = [
+    *(("estimate", "--p", "1.5", "--model", f"torus:n=3,res=8,L={length}")
+      for length in ("1e-100", "1e9", "1e10", "1e100")),
+    ("estimate", "--p", "1.5", "--model", "box:n=2,res=8,L=1e10"),
+    ("estimate", "--p", "1.5", "--model", "sphere:r=1e100,subdiv=2"),
+    ("riesz", "--model", "sphere:r=1e100,subdiv=1"),
+]
+
+
+@pytest.mark.parametrize("argv", FAR_FROM_UNIT_JOBS, ids=[
+    "torus-1e-100", "torus-1e9", "torus-1e10", "torus-1e100", "box-1e10",
+    "sphere-1e100", "riesz-sphere-1e100"])
+def test_the_kernel_is_one_mode_at_every_size(tmp_path, argv):
+    status, doc = _run_quietly(tmp_path, *argv, "--size", "20", "--seed", "7")
+    assert status == 0
+    assert doc["results"]["diagnostics"]["kernel_dim"] == 1
+
+
+@pytest.mark.parametrize("r0", ["1e4", "1e8", "1e100"])
+def test_a_round_sphere_flow_has_lambda0_a_quarter_of_r(tmp_path, r0):
+    """lambda0(g(0)) of -Lap + R/4 is R/4 = 1/(2 r0^2) on a round sphere,
+    and the b2 hypothesis lambda0 > 0 holds at any r0."""
+    status, doc = _run_quietly(tmp_path, "flow", "--flow",
+                               f"sphere:r0={r0},subdiv=2", "--theorem", "b2",
+                               "--size", "20", "--seed", "7")
+    assert status == 0
+    lam0 = doc["results"]["trajectory"]["base_constants"]["lambda0_g0"]
+    assert abs(lam0 * 2.0 * float(r0) ** 2 - 1.0) <= 1e-12
+
+
 def test_specs_within_the_float_range_are_kept():
     """Every finite positive size is kept, and builds the same reference
     mesh as the unit-size spec: only the length differs."""

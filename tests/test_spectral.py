@@ -317,8 +317,8 @@ FOURIER_SPECS = ["torus:n=1,res=32", "torus:n=2,res=32", "torus:n=3,res=8",
 
 
 def _dense(m, psi):
-    w, v = spectral._mirror_eigenpairs(m, psi, spectral._mirrors(m, psi))
-    return SpectralDecomposition(spectral._clip(w), v, psi, m)
+    mu, c, v = spectral._mirror_eigenpairs(m, psi, spectral._mirrors(m, psi))
+    return SpectralDecomposition(spectral._clip(mu), v, psi, m, c)
 
 
 def _tensor_sum(m, sides):
@@ -605,7 +605,8 @@ def _reference_dense_eigenpairs(m, psi):
     a /= sqrt_m[None, :]
     a = 0.5 * (a + a.T)
     w, v = scipy.linalg.eigh(a)
-    return SpectralDecomposition(spectral._clip(w),
+    # a decomposition holds mu, the spectrum of l^2 H here (its shift is 0)
+    return SpectralDecomposition(spectral._clip(m.physical(w, 2.0)),
                                  ExplicitBasis(v / sqrt_m[:, None], m.mass),
                                  psi, m)
 
