@@ -13,8 +13,9 @@ value) entries derived from either.  Only a read of ``stiffness``, the
 same entries as a scipy matrix, loads scipy.  A torus or box stiffness is a
 Kronecker sum over the axes, so its spectrum is closed-form per axis
 (spectral.FourierBasis); each builder declares its mesh's axis
-reflections, whose blocks a dense solve uses.  The memory budget counts a
-grid's res x res axis matrices and a sphere's dense solve.
+reflections, whose blocks a dense solve uses, and makes a connected mesh,
+so nothing searches its graph.  The memory budget counts a grid's res x res
+axis matrices, a sphere's dense solve and every mesh's element arrays.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ DENSE_PEAK = 1.4  # a dense solve's peak / the floats _check_budget counts
 CHUNK_BYTES = 2 ** 20  # member rows per pass: as many N-float rows as fit
 ELEMENT_BLOCK_BYTES = 2 ** 18  # sphere node values gathered per element block
 CHUNK_PEAK = 12  # chunks of members at a job's peak: drawn, transformed, measured
+ELEMENT_PEAK = 3  # floats per element and member row: |G u|^2, |G u|, |G u|^p
 MEMBER_VALUES = 64  # floats a job keeps per member: its values and their reductions
 AXIS_GUARD = 256  # nodes per grid axis but a 1-d box's (products cost O(res))
 VALIDATE_RTOL = 1e-10  # |gradient of a constant| allowed / largest coefficient
@@ -58,8 +60,7 @@ class _Elements:
     ``weights`` are element volumes and ``num_nodes`` is N.  Each gradient
     also gives the squared gradient lengths without forming G u^T
     (``_squares``), the nodes and coefficients of each row of G
-    (``_rows``), the node pairs its rows join (``edges``) and its largest
-    coefficient (``bound``).
+    (``_rows``) and its largest coefficient (``bound``).
     """
 
     weights: np.ndarray
@@ -188,10 +189,6 @@ class GradientElements(_Elements):
         k = self.nodes.shape[1]
         return (np.repeat(self.nodes, self.ncomp, axis=0),
                 self.coeffs.reshape(-1, k))
-
-    def edges(self) -> np.ndarray:
-        """Node pairs (2, P) sharing an element: its consecutive nodes."""
-        return np.stack([self.nodes[:, :-1].ravel(), self.nodes[:, 1:].ravel()])
 
     def bound(self) -> float:
         """The largest |coefficient| of G."""
@@ -336,27 +333,6 @@ class GridGradient(_Elements):
         return float(np.max(np.abs(self.inv_h)))
 
 
-def _component_count(a: np.ndarray, b: np.ndarray, n: int) -> int:
-    """Connected components of the graph on n nodes with edges (a[i], b[i]).
-
-    Each round hooks the larger root of every edge whose ends disagree onto
-    the smaller one, then points every node at its root; labels only fall,
-    so the rounds end.
-    """
-    label = np.arange(n)
-    while True:
-        la, lb = label[a], label[b]
-        split = la != lb
-        if not split.any():
-            return int(np.count_nonzero(label == np.arange(n)))
-        np.minimum.at(label, np.maximum(la, lb)[split], np.minimum(la, lb)[split])
-        while True:
-            up = label[label]
-            if np.array_equal(up, label):
-                break
-            label = up
-
-
 @dataclass(frozen=True)
 class DiscreteManifold:
     """Discretized Riemannian model: a reference mesh and its length l.
@@ -446,10 +422,12 @@ class DiscreteManifold:
         """Check construction invariants; raises ValueError on failure.
 
         The stiffness is symmetric with constants in its kernel by
-        construction, given a zero gradient of constants; a disconnected
-        gradient graph would add kernel directions no node couples to.  R is
-        the trace of Ric, so R >= n min Ric at every node.  The reflections
-        are commuting involutions of the nodes other than the identity.
+        construction, given a zero gradient of constants.  Connectivity is
+        the builders': each mesh is connected as built, and a disconnected
+        gradient would show as kernel_dim > 1 in every artifact's
+        diagnostics.  R is the trace of Ric, so R >= n min Ric at every
+        node.  The reflections are commuting involutions of the nodes other
+        than the identity.
         """
         if np.any(self.mass <= 0):
             raise ValueError("mass weights must be positive")
@@ -457,9 +435,6 @@ class DiscreteManifold:
         if np.max(self.grad.magnitudes(ones), initial=0.0) \
                 > VALIDATE_RTOL * self.grad.bound():
             raise ValueError("element gradient of constants is nonzero")
-        parts = _component_count(*self.grad.edges(), self.num_nodes)
-        if parts != 1:
-            raise ValueError(f"gradient graph has {parts} connected components")
         r = self.scalar_curvature
         slack = 1e-12 * np.maximum(1.0, np.abs(r))
         if np.any(r < self.dim * self.ric_min - slack):
@@ -579,10 +554,10 @@ def _keep_chunk_pages() -> None:
 
 
 def _check_budget(job: str, nodes, group: int, orbits, members: int,
-                  axis: int = 0) -> float:
+                  axis: int = 0, elements=0) -> float:
     """Predicted peak bytes of a job, refused unless within MEMORY_BUDGET.
 
-    Four terms, in floats.  A dense solve in the mirror group's blocks
+    Five terms, in floats.  A dense solve in the mirror group's blocks
     (group = 0 on the per-axis path) holds DENSE_PEAK times the larger of
     its two phases, plus 2 |G| N for the node images and character table.
     The character sums hold |G| o^2 sums, the o x N stiffness rows at the
@@ -593,20 +568,23 @@ def _check_budget(job: str, nodes, group: int, orbits, members: int,
     per axis holds 2 axis^2: its columns and the one copy of the same size
     (weighted or squared) that a transform or a row sum forms.
     CHUNK_PEAK chunks of min(members, _chunk_rows) rows of N are what one
-    chunk's draw, transforms and measures hold at once (a sphere's gradient
-    of one chunk alone takes about 6); and MEMBER_VALUES per member are the
-    per-member values a job keeps and reduces (3 to 28 measured at the
-    default times; a heat --t-list time adds 3 cases, a flow b --times
-    sample one value).  members = 0 predicts the decomposition alone.
+    chunk's draw, transforms and measures hold at once.  A gradient norm of
+    a chunk holds ELEMENT_PEAK floats per row and element (the squares, the
+    magnitudes and their p-th powers), next to the mesh's element weights:
+    8 (res - 1)^3 elements on a 3-d box against res^3 nodes.  MEMBER_VALUES
+    per member are the per-member values a job keeps and reduces (3 to 28
+    measured at the default times; a heat --t-list time adds 3 cases, a
+    flow b --times sample one value).  members = 0 predicts the
+    decomposition alone.
     """
     dense = 0.0
     if group:
         sums = group * orbits * orbits + orbits * nodes + orbits * orbits
         solves = (group + 4) * orbits * orbits
         dense = DENSE_PEAK * (max(sums, solves) + 2 * group * nodes)
-    rows = min(members, _chunk_rows(nodes)) * nodes if members else 0
-    peak = 8.0 * (dense + 2 * axis * axis + CHUNK_PEAK * rows
-                  + MEMBER_VALUES * members)
+    rows = min(members, _chunk_rows(nodes)) if members else 0
+    peak = 8.0 * (dense + 2 * axis * axis + elements + MEMBER_VALUES * members
+                  + rows * (CHUNK_PEAK * nodes + ELEMENT_PEAK * elements))
     if not peak <= MEMORY_BUDGET:
         raise ValueError(f"{job} needs a predicted {peak / 1e9:.3g} GB, over "
                          f"the memory budget of {MEMORY_BUDGET / 1e9:g} GB")
@@ -616,7 +594,9 @@ def _check_budget(job: str, nodes, group: int, orbits, members: int,
 def _check_node_count(variant: str, dim: int, res: int, members: int) -> None:
     """Refuse a model spec whose job is too large before the mesh is built.
 
-    A grid has res^dim nodes and an icosphere (res = subdiv) 10 * 4^res + 2.
+    A grid has res^dim nodes and an icosphere (res = subdiv) 10 * 4^res + 2;
+    a torus has res^dim elements, a box (2 res - 2)^dim and an icosphere
+    20 * 4^res.
     An axis of a torus, or of a box of dimension 2 or more, may have at most
     AXIS_GUARD nodes; a 1-d box's one axis matrix is its whole eigenbasis,
     and the budget bounds it.  The budget takes the mirror group at Psi = 1
@@ -630,16 +610,18 @@ def _check_node_count(variant: str, dim: int, res: int, members: int) -> None:
     if base < 2 or exp < 1:
         return
     count = f"10*4^{res}+2" if sphere else f"{res}^{dim}"
-    n, group, orbits = math.inf, 1, math.inf  # an unformed power: inf
+    n, e, group, orbits = math.inf, math.inf, 1, math.inf  # unformed: inf
     if exp * (base.bit_length() - 1) < 256:
         n = 10 * 4 ** res + 2 if sphere else res ** dim
+        e = (20 * 4 ** res if sphere else n if variant == "torus"
+             else (2 * res - 2) ** dim)
         count += f" = {n}"
         group, orbits = (8, n / 8) if sphere else (0, 0)
     if (variant == "torus" or variant == "box" and dim > 1) and res > AXIS_GUARD:
         raise ValueError(f"{variant} model of {count} nodes exceeds the axis "
                          f"guard ({AXIS_GUARD} nodes per axis)")
     _check_budget(f"{variant} model of {count} nodes times {members} members",
-                  n, group, orbits, members, 0 if sphere else res)
+                  n, group, orbits, members, 0 if sphere else res, e)
 
 
 def parse_model_spec(text: str, members: int = 1) -> ModelSpec:

@@ -479,6 +479,8 @@ BUDGET_JOBS = [
     ("verify", "--model", "torus:n=2,res=64", "--p", "1.5", "--A", "1",
      "--B", "64"),
     ("riesz", "--model", "torus:n=2,res=64", "--p", "1.5"),
+    ("estimate", "--model", "box:n=3,res=16", "--p", "1.5"),
+    ("riesz", "--model", "box:n=3,res=16", "--p", "1.5"),
     ("w2p", "--model", "torus:n=3,res=16"),
     ("scaling", "--model", "torus:n=3,res=16"),
     ("flow", "--flow", "torus:n=3,res=16", "--times", "0:1:0.5",
@@ -489,20 +491,22 @@ BUDGET_JOBS = [
 
 
 @pytest.mark.parametrize("argv", BUDGET_JOBS, ids=[
-    "heat", "heat-beta-csv", "estimate", "verify", "riesz", "w2p", "scaling",
-    "flow-b3", "flow-a3"])
+    "heat", "heat-beta-csv", "estimate", "verify", "riesz", "estimate-box",
+    "riesz-box", "w2p", "scaling", "flow-b3", "flow-a3"])
 def test_command_peak_is_within_the_budgets_member_term(tmp_path, argv):
     """A job draws, measures and drops its members a chunk at a time, so
     its traced peak grows with --size by its per-member values alone: at
     100 and 400 members of 4096 nodes (4 and 13 chunks of 32 rows) the
     peaks differ by less than one chunk plus MEMBER_VALUES floats per added
     member, and both stay under the budget's prediction without a dense
-    solve (CHUNK_PEAK chunks plus the per-member values).  A first
-    one-member run leaves out what the first job in a process allocates
-    once."""
+    solve (CHUNK_PEAK chunks, ELEMENT_PEAK element floats per chunk row,
+    the element weights and the per-member values): a 3-d box has 27,000
+    elements to its 4096 nodes.  A first one-member run leaves out what the
+    first job in a process allocates once."""
     import tracemalloc
 
     nodes, peaks = 4096, {}
+    elements = manifold.build(argv[2]).grad.num_elements  # argv[2]: the mesh
     assert run(tmp_path, *argv, "--seed", "3", "--size", "1") == 0
     for size in (100, 400):
         tracemalloc.start()
@@ -512,7 +516,8 @@ def test_command_peak_is_within_the_budgets_member_term(tmp_path, argv):
         finally:
             tracemalloc.stop()
         assert status == 0
-        assert peaks[size] <= manifold._check_budget("", nodes, 0, 0, size)
+        assert peaks[size] <= manifold._check_budget("", nodes, 0, 0, size,
+                                                     elements=elements)
     chunk = manifold._chunk_rows(nodes) * nodes * 8
     assert abs(peaks[400] - peaks[100]) < chunk + manifold.MEMBER_VALUES * 8 * 300
 

@@ -7,8 +7,37 @@ import pytest
 from sobolab import (build, constant_potential, decompose, gamma_integral,
                      geometric_summary, scale_metric)
 from sobolab.manifold import (_ICO_FACES, _ICO_VERTS, GradientElements,
-                              ModelSpec, _component_count, _icosphere,
-                              parse_model_spec)
+                              ModelSpec, _icosphere, parse_model_spec)
+from sobolab.spectral import diagnostics
+
+
+def _component_count(a: np.ndarray, b: np.ndarray, n: int) -> int:
+    """Connected components of the graph on n nodes with edges (a[i], b[i]).
+
+    Each round hooks the larger root of every edge whose ends disagree onto
+    the smaller one, then points every node at its root; labels only fall,
+    so the rounds end.
+    """
+    label = np.arange(n)
+    while True:
+        la, lb = label[a], label[b]
+        split = la != lb
+        if not split.any():
+            return int(np.count_nonzero(label == np.arange(n)))
+        np.minimum.at(label, np.maximum(la, lb)[split], np.minimum(la, lb)[split])
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
+
+
+def _gradient_components(grad) -> int:
+    """Components of the graph joining the consecutive nodes of each row of
+    a gradient's G."""
+    nodes, _ = grad._rows()
+    return _component_count(nodes[:, :-1].ravel(), nodes[:, 1:].ravel(),
+                            grad.num_nodes)
 
 
 def test_torus_volume_is_product_of_sides(torus2):
@@ -205,12 +234,29 @@ def test_neumann_box_is_connected_with_one_zero_eigenvalue(text, n, res):
     assert np.max(np.abs(lam - expected)) <= 1e-12 * expected[-1]
 
 
+@pytest.mark.parametrize("text", [
+    "torus:n=1,res=2", "torus:n=1,res=7", "torus:n=2,res=2",
+    "torus:n=2,res=5,L=1x3", "torus:n=3,res=2", "torus:n=3,res=4",
+    "box:n=1,res=2", "box:n=1,res=9", "box:n=2,res=2", "box:n=2,res=7",
+    "box:n=3,res=2", "box:n=3,res=5",
+    "sphere:subdiv=1", "sphere:subdiv=2", "sphere:subdiv=3", "sphere:subdiv=4"])
+def test_every_builder_makes_a_connected_gradient(text):
+    """Connectivity belongs to the builders, and build does not search for
+    it: a torus or box differences every pair of neighbouring indices along
+    each axis, and an icosphere is subdivided from the connected
+    icosahedron."""
+    assert _gradient_components(build(text).grad) == 1
+
+
 @pytest.mark.parametrize("text, n, res", BOXES)
-def test_validate_rejects_the_box_without_corner_elements(text, n, res):
+def test_the_box_without_corner_elements_shows_its_components_in_kernel_dim(
+        text, n, res):
     """The earlier box assembly: one element per cell holding the forward
     differences from its lowest corner, so a node with two coordinates at
     res-1 lies on no element.  Those elements are the corner-(0, ..., 0)
-    rows of today's gradient, at the whole cell volume."""
+    rows of today's gradient, at the whole cell volume.  Its graph falls
+    apart, and the dense solve's kernel_dim counts exactly its components,
+    as every artifact's diagnostics would."""
     m = build(text)
     cells = (res - 1) ** n
     head, tail = m.grad.edges()[:, :cells * n].reshape(2, cells, n)
@@ -225,8 +271,12 @@ def test_validate_rejects_the_box_without_corner_elements(text, n, res):
                            np.full(cells, 2 ** n * m.grad.weights[0]),
                            m.num_nodes)
     parts = {2: 2, 3: 17}[n]
-    with pytest.raises(ValueError, match=f"{parts} connected components"):
-        replace(m, grad=old).validate()
+    assert _gradient_components(old) == parts
+    broken = replace(m, grad=old)
+    broken.validate()
+    dec = decompose(broken, constant_potential(broken, 1.0))
+    assert diagnostics(dec) == {"decomposition": "dense", "kernel_dim": parts,
+                                "mirrors": 0}
 
 
 def test_validate_catches_broken_invariants(torus2):
@@ -328,9 +378,8 @@ def _close(got, want, rtol=1e-14):
 @pytest.mark.parametrize("subdiv", range(1, 5))
 def test_sphere_gradient_arrays_match_the_sparse_matrix(subdiv):
     """The numpy P1 gradient (nodes and coefficients per element) applies
-    G and G^T, joins the node pairs, bounds its coefficients and forms
-    G^T W G as the scipy CSR matrix of the same mesh does: the unit
-    sphere's, whatever the radius."""
+    G and G^T, bounds its coefficients and forms G^T W G as the scipy CSR
+    matrix of the same mesh does: the unit sphere's, whatever the radius."""
     import scipy.sparse as sp
 
     m = build(f"sphere:r=1.3,subdiv={subdiv}")
@@ -341,10 +390,6 @@ def test_sphere_gradient_arrays_match_the_sparse_matrix(subdiv):
     assert _close(g._apply(v), ref @ v) and _close(g._apply(v[:, 0]), ref @ v[:, 0])
     s = rng.standard_normal((g.num_elements, 3))
     assert _close(g.pullback(s), ref.T @ (np.repeat(g.weights, 3) * s.ravel()))
-    # CSR rows are consecutive entries of the same nodes, three per element
-    indices = ref.indices.reshape(-1, 3, 3)[:, 0]
-    assert np.array_equal(g.edges(), np.stack([indices[:, :2].ravel(),
-                                               indices[:, 1:].ravel()]))
     assert g.bound() == np.max(np.abs(ref.data))
     stiff = (ref.T @ sp.diags(np.repeat(g.weights, 3)) @ ref).tocoo()
     order = np.lexsort((stiff.col, stiff.row))
@@ -370,3 +415,17 @@ def test_sphere_gradient_lengths_hold_under_three_blocks():
         tracemalloc.stop()
     assert mags.shape == (200, m.grad.num_elements)
     assert peak < 3 * block
+
+
+def test_building_a_box_holds_a_few_element_floats():
+    """build forms a mesh and validates it without searching its gradient
+    graph: on the 32^3 Neumann box (238,328 elements) its traced peak stays
+    under 8 floats per element.  A union-find over one node pair per
+    gradient row took it to about 24."""
+    tracemalloc.start()
+    try:
+        m = build("box:n=3,res=32")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * m.grad.num_elements * 8
