@@ -6,10 +6,11 @@ and boxes with the natural Neumann boundary condition, each built at a
 reference size and carrying its physical size as one length
 (DiscreteManifold), so no array leaves the float range whatever the size.
 Curvature fields are assigned analytically, never estimated from the mesh.
-Grid gradients
-are numpy differences and a sphere's P1 gradient is numpy arrays of node
-indices and coefficients; the stiffness G^T W G is numpy (row, column,
-value) entries derived from either.  Only a read of ``stiffness``, the
+Grid gradients are numpy differences and a sphere's P1 gradient is numpy
+arrays of node indices and coefficients.  Either gives per-element gradient
+lengths and the weighted Laplacian G^T diag(omega) G u, and never a field of
+gradient vectors; the stiffness G^T W G is numpy (row, column, value)
+entries derived from either.  Only a read of ``stiffness``, the
 same entries as a scipy matrix, loads scipy.  A torus or box stiffness is a
 Kronecker sum over the axes, so its spectrum is closed-form per axis
 (spectral.FourierBasis); each builder declares its mesh's axis
@@ -55,8 +56,8 @@ SPEC_KEYS = {"sphere": ("r", "r0", "subdiv", "scale"),  # model spec options
 
 class _Elements:
     """What every gradient derives from G, its (num_elements * ncomp) x N
-    matrix: ``_apply(v)`` is G v for v of shape (N,) or (N, K), and
-    ``_apply_t(x)`` is G^T x for x of shape (num_elements * ncomp,).
+    matrix: ``laplacian(u, omega)`` is G^T diag(omega) G u for one node
+    function u, omega one weight per element shared by its components.
     ``weights`` are element volumes and ``num_nodes`` is N.  Each gradient
     also gives the squared gradient lengths without forming G u^T
     (``_squares``), the nodes and coefficients of each row of G
@@ -69,22 +70,6 @@ class _Elements:
     @property
     def num_elements(self) -> int:
         return self.weights.shape[0]
-
-    def vectors(self, u: np.ndarray) -> np.ndarray:
-        """Gradient vectors, shape u.shape[:-1] + (num_elements, ncomp).
-
-        u is one node function (N,) or a member matrix (K, N), rows = members.
-        """
-        return self._apply(u.T).T.reshape(
-            u.shape[:-1] + (self.num_elements, self.ncomp))
-
-    def pullback(self, s: np.ndarray) -> np.ndarray:
-        """Node vector G^T W s of an element field s (num_elements, ncomp).
-
-        The counterpart of vectors: <vectors(u), s> weighted by element
-        volume equals u . pullback(s) for every node function u.
-        """
-        return self._apply_t(np.repeat(self.weights, self.ncomp) * s.ravel())
 
     def magnitudes(self, u: np.ndarray) -> np.ndarray:
         """Per-element gradient lengths, shape u.shape[:-1] + (num_elements,),
@@ -116,26 +101,14 @@ class _Elements:
         return pairs // n, pairs % n, np.bincount(slot, weights=terms)
 
 
-def _row_values(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_j a[:, j] x[:, j], added in order j = 0, 1, ...: one component
-    of each element, a its (elements, k) coefficients and x its node values
-    (elements, k) + tail."""
-    a = a.reshape(a.shape + (1,) * (x.ndim - 2))
-    g = a[:, 0] * x[:, 0]
-    for j in range(1, x.shape[1]):
-        g += a[:, j] * x[:, j]
-    return g
-
-
 @dataclass(frozen=True)
 class GradientElements(_Elements):
     """Per-element gradient data held as numpy arrays (sphere P1 elements).
 
     Row e * ncomp + c of G is component c of the gradient on element e.
     The rows of one element share its nodes, ``nodes[e]`` (ascending), and
-    row e * ncomp + c has the coefficients ``coeffs[e, c]`` at them; a row
-    adds its terms in node order, as a product with the sparse G does, so
-    every value is that product's.  num_nodes is N.
+    row e * ncomp + c has the coefficients ``coeffs[e, c]`` at them.
+    num_nodes is N.
     """
 
     nodes: np.ndarray  # (num_elements, k) node indices, ascending per element
@@ -147,17 +120,14 @@ class GradientElements(_Elements):
     def ncomp(self) -> int:
         return self.coeffs.shape[1]
 
-    def _apply(self, v: np.ndarray) -> np.ndarray:
-        x = v[self.nodes]
-        g = np.stack([_row_values(self.coeffs[:, c], x)
-                      for c in range(self.ncomp)], axis=1)
-        return g.reshape((-1,) + v.shape[1:])
-
-    def _apply_t(self, x: np.ndarray) -> np.ndarray:
-        # each node sums its terms in row order, as a sparse G^T x does
-        terms = self.coeffs * x.reshape(self.coeffs.shape[:2])[:, :, None]
-        nodes = np.broadcast_to(self.nodes[:, None], terms.shape)
-        return np.bincount(nodes.ravel(), weights=terms.ravel(),
+    def laplacian(self, u: np.ndarray, omega: np.ndarray) -> np.ndarray:
+        """G^T diag(omega) G u: one batched product with the coefficients
+        forms each element's components, the transposed product its node
+        terms, and each node sums its terms in element order."""
+        g = np.matmul(self.coeffs, u[self.nodes][:, :, None])
+        g *= omega[:, None, None]
+        terms = np.matmul(self.coeffs.transpose(0, 2, 1), g)
+        return np.bincount(self.nodes.ravel(), weights=terms.ravel(),
                            minlength=self.num_nodes)
 
     def _squares(self, u: np.ndarray) -> np.ndarray:
@@ -260,14 +230,14 @@ class GridGradient(_Elements):
             yield c, tuple(slice(None) if j == d else slice(k, k + r)
                            for j, k in enumerate(corner))
 
-    def _elements(self, per_axis, tail: tuple[int, ...] = (), dtype=float):
-        """Rows (E * ncomp,) + tail of G's layout from (d, d-edge array) pairs."""
-        g = np.empty(self._layout((self.ncomp,) + tail), dtype=dtype)
+    def _elements(self, per_axis) -> np.ndarray:
+        """Rows (E * ncomp,) of G's layout from (d, d-edge node array) pairs."""
+        g = np.empty(self._layout((self.ncomp,)), dtype=np.intp)
         comp = (slice(None),) * self.ncomp
         for d, values in per_axis:
             for c, cells in self._corners(d):
                 g[(c,) + comp + (d,)] = values[cells]
-        return g.reshape((-1,) + tail)
+        return g.ravel()
 
     def _differences(self, v: np.ndarray):
         """(d, inv_h u(head) - inv_h u(tail) on every d-edge) for v = u.T,
@@ -283,12 +253,9 @@ class GridGradient(_Elements):
                 np.subtract(head, tail, out=diff[edges])
             yield d, diff
 
-    def _apply(self, v: np.ndarray) -> np.ndarray:
-        return self._elements(self._differences(v), v.shape[1:])
-
     def _squares(self, u: np.ndarray) -> np.ndarray:
-        # the components' squares added in order d = 0, 1, ..., as the rows
-        # of _apply would be, without forming that (E * ncomp, K) array
+        # the components' squares added in order d = 0, 1, ..., without
+        # forming the (E * ncomp, K) array of G u^T
         sq = np.empty(self._layout(u.shape[:-1]))
         for d, diff in self._differences(u.T):
             np.square(diff, out=diff)
@@ -308,16 +275,24 @@ class GridGradient(_Elements):
             for edges, head, tail in self._pieces(nodes, d):
                 pair[(slice(None),) + edges] = head, tail
             ends.append(pair)
-        return np.stack([self._elements(enumerate(e[k] for e in ends),
-                                        dtype=np.intp) for k in (0, 1)])
+        return np.stack([self._elements(enumerate(e[k] for e in ends))
+                         for k in (0, 1)])
 
-    def _apply_t(self, x: np.ndarray) -> np.ndarray:
-        # each node sums its terms in row order, as a sparse G^T x does
-        ends = self.edges()
-        cx = np.tile(self.inv_h, self.num_elements) * x
-        return np.bincount(ends.T.ravel(),
-                           weights=np.stack([cx, -cx], axis=1).ravel(),
-                           minlength=self.num_nodes)
+    def laplacian(self, u: np.ndarray, omega: np.ndarray) -> np.ndarray:
+        """G^T diag(omega) G u, an axis at a time: each d-edge weighs its
+        difference by the omega of the elements on it, and its flux, times
+        inv_h[d], goes to its head node and from its tail node."""
+        omega = omega.reshape(self._layout(()))
+        out = np.zeros((self.res,) * self.ncomp)
+        for d, diff in self._differences(u):
+            weight = np.zeros(diff.shape)
+            for c, cells in self._corners(d):
+                weight[cells] += omega[c]
+            flux = weight * diff * self.inv_h[d]
+            for edges, head, tail in self._pieces(out, d):
+                head += flux[edges]
+                tail -= flux[edges]
+        return out.ravel()
 
     def _rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Each row's nodes (ascending) and coefficients, (rows, 2) each:
@@ -790,9 +765,13 @@ def _build_sphere(spec: ModelSpec) -> DiscreteManifold:
 
 
 def build(spec: ModelSpec | str) -> DiscreteManifold:
-    """Construct the model described by spec (ModelSpec or spec string)."""
+    """Construct the model described by spec (ModelSpec or spec string),
+    refused as parse_model_spec refuses one member's job before anything
+    is built."""
     if isinstance(spec, str):
         spec = parse_model_spec(spec)
+    else:
+        _check_node_count(spec.variant, spec.dim, spec.resolution, 1)
     m = (_build_sphere if spec.variant == "sphere" else _build_grid)(spec)
     m.validate()
     return m

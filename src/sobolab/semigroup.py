@@ -209,38 +209,38 @@ def _refine(dec: SpectralDecomposition, power: float, grad_op: bool,
             p_in: float, p_out: float, u0: np.ndarray) -> float:
     """Adjoint power iteration for u -> H^power u or u -> grad H^power u.
 
-    The output v is a weighted vector field: for H^power a one-component
-    field on nodes with mass weights, for grad H^power the element gradients
+    The output v is measured by its lengths |v|: for H^power the node
+    values with mass weights, for grad H^power the element gradient lengths
     with element-volume weights.  Each step measures ||v||_{p_out}, takes
-    the duality element v |v|^(p_out-2) / ||v||^(p_out-1), pulls it back to
-    a node function in the mass pairing and maps that through the
-    mass-self-adjoint H^power, until v is 0 or a constant's roundoff gradient.
-    The norms, and so the best ratio, are the reference mesh's.
+    the duality element |v|^(p_out-2) v / ||v||^(p_out-1) back to a node
+    function in the mass pairing (for a gradient the weighted Laplacian
+    G^T diag(w |grad v|^(p_out-2)) G v over the mass) and maps that through
+    the mass-self-adjoint H^power, until v is 0 or a constant's roundoff
+    gradient.  The norms, and so the best ratio, are the reference mesh's.
     """
     m = dec.manifold
     ref = m.reference
     fwd = power_multiplier(power)
     if grad_op:
-        field, weights = m.grad.vectors, m.grad.weights
-        pullback = lambda s: m.grad.pullback(s) / m.mass
+        lengths, weights = m.grad.magnitudes, m.grad.weights
+        dual = lambda v, s: m.grad.laplacian(v, weights * s) / m.mass
     else:
-        field, weights = (lambda v: v[:, None]), m.mass
-        pullback = lambda s: s[:, 0]
+        lengths, weights = np.abs, m.mass
+        dual = lambda v, s: v * s
     pd = p_in / (p_in - 1.0)
     floor = VALIDATE_RTOL * m.grad.bound() if grad_op else 0.0
     u = u0 / lp_norm(ref, u0, p_in)
     best = -math.inf
     for _ in range(REFINE_ITERATIONS):
         image = apply_function(dec, fwd, u)
-        vecs = field(image)
-        mags = np.linalg.norm(vecs, axis=1)
+        mags = lengths(image)
         nv = float(np.sum(weights * mags ** p_out) ** (1.0 / p_out))
         if nv == 0 or np.max(mags) <= floor * np.max(np.abs(image)):
             break
         best = max(best, nv)
-        dual = vecs * (np.where(mags > 0, mags, 1.0) ** (p_out - 2.0))[:, None]
-        dual /= nv ** (p_out - 1.0)
-        w = apply_function(dec, fwd, pullback(dual))
+        # the scale |v|^(p_out-2) is let go before the next lengths are formed
+        back = dual(image, np.where(mags > 0, mags, 1.0) ** (p_out - 2.0))
+        w = apply_function(dec, fwd, back / nv ** (p_out - 1.0))
         mag = np.abs(w)
         if not mag.any():
             break

@@ -522,6 +522,31 @@ def test_command_peak_is_within_the_budgets_member_term(tmp_path, argv):
     assert abs(peaks[400] - peaks[100]) < chunk + manifold.MEMBER_VALUES * 8 * 300
 
 
+def test_riesz_on_a_3d_box_is_within_its_budget_prediction(tmp_path):
+    """A Riesz refinement's dual step is one weighted Laplacian of a node
+    function, G^T diag(w |grad v|^(p-2)) G v, formed an axis at a time with
+    no element vector field or node-pair table, so riesz on a 32^3 box
+    (32,768 nodes, 238,328 elements) stays under what _check_node_count
+    predicts for its spec: the per-axis matrices, the chunks of members,
+    the element floats per chunk row and the element weights.  A first
+    one-member run leaves out what the first job in a process allocates
+    once."""
+    import tracemalloc
+
+    argv = ("riesz", "--model", "box:n=3,res=32", "--p", "1.5", "--seed", "3")
+    elements = manifold.build(argv[2]).grad.num_elements
+    assert run(tmp_path, *argv, "--size", "1") == 0
+    tracemalloc.start()
+    try:
+        status = run(tmp_path, *argv, "--size", "20")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert status == 0
+    assert peak <= manifold._check_budget("", 32 ** 3, 0, 0, 20, axis=32,
+                                          elements=elements)
+
+
 PAGE_FAULTS = """
 import io, resource, sys, contextlib
 sys.path.insert(0, sys.argv[1])

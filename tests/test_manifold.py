@@ -85,6 +85,29 @@ def test_model_spec_refuses_another_variants_field(fields, words):
     assert all(w in str(err.value) for w in words), err.value
 
 
+def test_build_checks_a_model_spec_as_it_checks_a_spec_string():
+    """build runs the axis guard and the memory budget on a ModelSpec too,
+    so a spec made in code is refused with the spec string's line."""
+    with pytest.raises(ValueError, match="axis guard") as direct:
+        build(ModelSpec("torus", 2, 300))
+    with pytest.raises(ValueError, match="axis guard") as parsed:
+        build("torus:n=2,res=300")
+    assert str(direct.value) == str(parsed.value)
+
+
+def test_build_refuses_an_oversized_sphere_spec_before_building_it():
+    """A subdivision-12 icosphere (168M nodes) is refused by the budget
+    line, not built."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="over the memory budget"):
+            build(ModelSpec("sphere", resolution=12))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 def test_scale_identity_returns_same_object(sphere3):
     assert scale_metric(sphere3, 1.0) is sphere3
 
@@ -378,18 +401,19 @@ def _close(got, want, rtol=1e-14):
 @pytest.mark.parametrize("subdiv", range(1, 5))
 def test_sphere_gradient_arrays_match_the_sparse_matrix(subdiv):
     """The numpy P1 gradient (nodes and coefficients per element) applies
-    G and G^T, bounds its coefficients and forms G^T W G as the scipy CSR
-    matrix of the same mesh does: the unit sphere's, whatever the radius."""
+    G^T diag(omega) G, bounds its coefficients and forms G^T W G as the
+    scipy CSR matrix of the same mesh does: the unit sphere's, whatever the
+    radius."""
     import scipy.sparse as sp
 
     m = build(f"sphere:r=1.3,subdiv={subdiv}")
     points, faces, _ = _icosphere(subdiv)
     g, ref = m.grad, _reference_p1_matrix(points, faces)
     rng = np.random.default_rng(subdiv)
-    v = rng.standard_normal((m.num_nodes, 5))
-    assert _close(g._apply(v), ref @ v) and _close(g._apply(v[:, 0]), ref @ v[:, 0])
-    s = rng.standard_normal((g.num_elements, 3))
-    assert _close(g.pullback(s), ref.T @ (np.repeat(g.weights, 3) * s.ravel()))
+    u = rng.standard_normal(m.num_nodes)
+    omega = rng.uniform(0.1, 2.0, g.num_elements)
+    assert _close(g.laplacian(u, omega),
+                  ref.T @ (np.repeat(omega, 3) * (ref @ u)))
     assert g.bound() == np.max(np.abs(ref.data))
     stiff = (ref.T @ sp.diags(np.repeat(g.weights, 3)) @ ref).tocoo()
     order = np.lexsort((stiff.col, stiff.row))

@@ -226,20 +226,32 @@ def test_mapping_norm_singular_and_exponent_guards(torus2, torus2_dec0,
         mapping_norm(dec1, "H^-3", 1.5, 3.0, torus2_members)
 
 
-def test_grad_composite_adjoint_identity(torus2, torus2_dec1):
-    """<grad H^(-1/2) u, s>_elements equals <u, pullback(s)>_mass on the
-    reference mesh."""
-    from sobolab import apply_function, power_multiplier
-    rng = np.random.default_rng(19)
-    m = torus2.reference
-    u = rng.standard_normal(m.num_nodes)
-    s = rng.standard_normal((m.grad.num_elements, m.grad.ncomp))
-    fwd = power_multiplier(-0.5)
-    forward = np.sum(m.grad.weights[:, None]
-                     * m.grad.vectors(apply_function(torus2_dec1, fwd, u)) * s)
-    back = m.mass_inner(u, apply_function(torus2_dec1, fwd,
-                                          m.grad.pullback(s) / m.mass))
-    assert forward == pytest.approx(back, rel=1e-10)
+@pytest.mark.parametrize("spec", [
+    "torus:n=1,res=2", "torus:n=1,res=9", "torus:n=2,res=2",
+    "torus:n=2,res=7,L=1x3", "torus:n=2,res=32", "torus:n=3,res=2",
+    "torus:n=3,res=5", "box:n=1,res=2", "box:n=1,res=8", "box:n=2,res=2",
+    "box:n=2,res=6,L=1x3", "box:n=3,res=2", "box:n=3,res=5",
+    "sphere:r=1,subdiv=1",
+    "sphere:r=1,subdiv=2", "sphere:r=1,subdiv=3"])
+def test_laplacian_is_the_weighted_stiffness(spec):
+    """grad.laplacian(u, omega), the dual step of a Riesz refinement, is
+    G^T diag(omega) G u for the dense G of the gradient's rows, symmetric
+    in u and v, and at omega = the element volumes u . L u is the
+    Dirichlet energy."""
+    g = build(spec).grad
+    nodes, coeffs = g._rows()
+    dense = np.zeros((len(nodes), g.num_nodes))
+    np.add.at(dense, (np.arange(len(nodes))[:, None], nodes), coeffs)
+    rng = np.random.default_rng(23)
+    u, v = rng.standard_normal((2, g.num_nodes))
+    omega = rng.uniform(0.1, 2.0, g.num_elements)
+    lu, lv = g.laplacian(u, omega), g.laplacian(v, omega)
+    want = dense.T @ (np.repeat(omega, g.ncomp) * (dense @ u))
+    assert np.max(np.abs(lu - want)) <= 1e-14 * np.max(np.abs(want))
+    scale = np.linalg.norm(u) * np.linalg.norm(lv)
+    assert abs(u @ lv - v @ lu) <= 1e-13 * scale
+    assert u @ g.laplacian(u, g.weights) == pytest.approx(g.energy(u),
+                                                          rel=1e-14)
 
 
 def test_refined_inverse_reaches_first_nonzero_eigenvalue(torus2, torus2_dec1):
