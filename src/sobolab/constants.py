@@ -12,7 +12,9 @@ chunk.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
@@ -110,8 +112,9 @@ class MemberStream:
 
     Iterating yields the rows of generate_ensemble(manifold, spec, dec) in
     the chunks of manifold._chunks, and each iteration draws them anew from
-    the seed, so a job that measures and drops each chunk holds one chunk
-    of members, whatever the ensemble's size.
+    the seed, so a job that measures and drops each chunk holds two chunks
+    of members (_sweep draws the next while it measures one), whatever the
+    ensemble's size.
     """
 
     manifold: DiscreteManifold
@@ -162,7 +165,10 @@ class MemberStream:
                 child.standard_normal(out=chunk[row])
                 rows.append(row)
             if rows:
-                c = dec.basis.forward(chunk[rows] / root, band.size)
+                x = chunk[rows]  # a copy: divided in place, let go before yield
+                x /= root
+                c = dec.basis.forward(x, band.size)
+                del x
                 c *= dec.basis.native(np.array(weights), band.size)
                 chunk[rows] = dec.basis.backward(c, band.size)
             # a degenerate draw: constants are valid members
@@ -203,18 +209,61 @@ def _member_chunks(members) -> Iterator[np.ndarray]:
     return (rows[part] for part in _chunks(*rows.shape))
 
 
+class _NextChunk:
+    """next(chunks, None), drawn on a worker thread while the caller
+    measures the chunk before it.
+
+    The draw runs in a copy of the caller's context, so numpy's errstate
+    (a context variable since numpy 2) holds there as it does in the
+    caller; result() joins the thread and returns the chunk (None past the
+    last) or raises what the draw raised.
+    """
+
+    def __init__(self, chunks: Iterator[np.ndarray]):
+        self._chunk = self._error = None
+        self.thread = threading.Thread(
+            target=contextvars.copy_context().run, args=(self._draw, chunks))
+        self.thread.start()
+
+    def _draw(self, chunks: Iterator[np.ndarray]) -> None:
+        try:
+            self._chunk = next(chunks, None)
+        except BaseException as exc:  # raised again in the caller by result()
+            self._error = exc
+
+    def result(self) -> np.ndarray | None:
+        self.thread.join()
+        if self._error is not None:
+            raise self._error
+        return self._chunk
+
+
 def _sweep(members, *measures) -> list[tuple]:
     """Each measure's per-member values over every member, from one pass
     over the member chunks (_member_chunks).
 
     A measure maps a chunk of rows to a tuple of arrays, each with one value
     per row along its last axis; the values of all chunks are concatenated
-    along it.  Only those values outlive a chunk.
+    along it.  Only those values outlive a chunk.  A MemberStream's next
+    chunk is drawn on one worker thread (_NextChunk) while the current one
+    is measured, so the draw and the measures each run in stream order and
+    every value is what a serial pass gives; the thread is joined before
+    _sweep returns or raises, and a measure that raises stops the draw.
     """
     parts = [[] for _ in measures]
-    for chunk in _member_chunks(members):
-        for values, measure in zip(parts, measures):
-            values.append(measure(chunk))
+    chunks = _member_chunks(members)
+    ahead = isinstance(members, MemberStream)
+    chunk, draw = next(chunks, None), None
+    try:
+        while chunk is not None:
+            if ahead:
+                draw = _NextChunk(chunks)
+            for values, measure in zip(parts, measures):
+                values.append(measure(chunk))
+            chunk = draw.result() if ahead else next(chunks, None)
+    finally:
+        if draw is not None:
+            draw.thread.join()
     if not parts[0]:
         raise ValueError("empty ensemble")
     return [tuple(np.concatenate(v, axis=-1) for v in zip(*values))

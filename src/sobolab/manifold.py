@@ -44,7 +44,7 @@ MEMORY_BUDGET = 10 ** 9  # bytes a job's predicted peak may reach
 DENSE_PEAK = 1.4  # a dense solve's peak / the floats _check_budget counts
 CHUNK_BYTES = 2 ** 20  # member rows per pass: as many N-float rows as fit
 ELEMENT_BLOCK_BYTES = 2 ** 18  # sphere node values gathered per element block
-CHUNK_PEAK = 12  # chunks of members at a job's peak: drawn, transformed, measured
+CHUNK_PEAK = 12  # chunks at a job's peak: one measured, the next drawn meanwhile
 ELEMENT_PEAK = 3  # floats per element and member row: |G u|^2, |G u|, |G u|^p
 MEMBER_VALUES = 64  # floats a job keeps per member: its values and their reductions
 AXIS_GUARD = 256  # nodes per grid axis but a 1-d box's (products cost O(res))
@@ -514,8 +514,11 @@ def _keep_chunk_pages() -> None:
     so every chunk would fault its temporaries' pages in again (about 10^4
     page faults in a heat job on 3136 nodes).  Blocks up to the budget's
     chunk allowance, CHUNK_PEAK chunks, come from the heap, and that
-    much free memory stays mapped.  A C library without mallopt is left as
-    it is.
+    much free memory stays mapped.  The allocator keeps one arena
+    (M_ARENA_MAX = 1), so the chunks that constants._sweep draws on a worker
+    thread come from the same heap and reuse the same kept pages; a second
+    arena would hold its own.  A C library without mallopt is left as it
+    is.
     """
     import ctypes  # numpy has loaded it
 
@@ -526,6 +529,7 @@ def _keep_chunk_pages() -> None:
     allowance = CHUNK_PEAK * CHUNK_BYTES
     mallopt(-3, allowance)  # M_MMAP_THRESHOLD
     mallopt(-1, allowance)  # M_TRIM_THRESHOLD
+    mallopt(-8, 1)  # M_ARENA_MAX
 
 
 def _check_budget(job: str, nodes, group: int, orbits, members: int,
@@ -542,10 +546,12 @@ def _check_budget(job: str, nodes, group: int, orbits, members: int,
     2 o^2 workspace and the eigenvectors.  A per-axis basis of axis nodes
     per axis holds 2 axis^2: its columns and the one copy of the same size
     (weighted or squared) that a transform or a row sum forms.
-    CHUNK_PEAK chunks of min(members, _chunk_rows) rows of N are what one
-    chunk's draw, transforms and measures hold at once.  A gradient norm of
-    a chunk holds ELEMENT_PEAK floats per row and element (the squares, the
-    magnitudes and their p-th powers), next to the mesh's element weights:
+    CHUNK_PEAK chunks of min(members, _chunk_rows) rows of N are what a
+    chunk's transforms and measures hold at once, with the next chunk and
+    its draw's temporaries (constants._sweep draws it meanwhile).  A
+    gradient norm of a chunk holds ELEMENT_PEAK floats per row and element
+    (the squares, the magnitudes and their p-th powers), next to the mesh's
+    element weights:
     8 (res - 1)^3 elements on a 3-d box against res^3 nodes.  MEMBER_VALUES
     per member are the per-member values a job keeps and reduces (3 to 28
     measured at the default times; a heat --t-list time adds 3 cases, a

@@ -3,6 +3,7 @@ and given the length's factor once (DiscreteManifold.physical)."""
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -61,33 +62,69 @@ def lp_norm(m: DiscreteManifold, u: np.ndarray, p: float) -> float | np.ndarray:
 
 
 def _lp_rows(mass: np.ndarray, rows: np.ndarray, p: float) -> np.ndarray:
-    """The L^p norm of each row, rescaling the rows whose |u|^p over- or
-    underflowed (_rescaled)."""
+    """The L^p norm of each row (_roots of its sum of mass |u|^p)."""
     a = np.abs(rows, dtype=float)
     with np.errstate(over="ignore"):
         a **= p  # in the fresh |u|: no further chunk-sized temporaries
     a *= mass
-    sums = np.sum(a, axis=-1)
+    return _roots(mass, rows, p, np.sum(a, axis=-1))
+
+
+def _lp_norms(m: DiscreteManifold, rows: np.ndarray,
+              ps: tuple[float, ...]) -> list[np.ndarray]:
+    """lp_norm of each of a chunk's rows at each exponent of ps, from one
+    |u|.
+
+    p = inf takes the node maximum of |u|, and a p other than 1 and 2 its
+    p-th power; then |u| itself is weighted for p = 1, and let go before
+    u u is formed for p = 2.  |u|^1 and |u|^2 are |u| and u u bit for bit,
+    so every sum, and every value, is lp_norm's.
+    """
+    for p in ps:
+        _check_exponent(p)
+    mass, sums, out = m.mass, {}, {}
+    a = np.abs(rows, dtype=float)
+    if math.inf in ps:
+        out[math.inf] = np.max(a, axis=-1)
+    with np.errstate(over="ignore"):
+        for p in set(ps) - {1.0, 2.0, math.inf}:
+            x = a ** p
+            x *= mass
+            sums[p] = np.sum(x, axis=-1)
+            del x
+        if 1.0 in ps:
+            a *= mass
+            sums[1.0] = np.sum(a, axis=-1)
+        del a
+        if 2.0 in ps:
+            x = np.multiply(rows, rows, dtype=float)
+            x *= mass
+            sums[2.0] = np.sum(x, axis=-1)
+    for p, s in sums.items():
+        out[p] = m.physical(_roots(mass, rows, p, s), m.dim / p)
+    return [out[p] for p in ps]
+
+
+def _roots(mass: np.ndarray, rows: np.ndarray, p: float,
+           sums: np.ndarray) -> np.ndarray:
+    """sums^(1/p), the L^p norms of rows from their sums of mass |u|^p.
+
+    A row whose sum over- or underflowed is taken again as
+    M (sum mass (|u|/M)^p)^(1/p), M = max |u| on the row; a zero row and a
+    row holding inf keep sums^(1/p).
+    """
     norms = sums ** (1.0 / p)
     lost = np.isinf(sums) | (sums < _UNDERFLOW)
     if np.any(lost):
-        _rescaled(mass, rows, p, norms, lost)
+        a = np.abs(rows[lost], dtype=float)
+        top = np.max(a, axis=-1)
+        fix = (top > 0) & (top < np.inf)
+        a = a[fix] / top[fix, None]
+        a **= p
+        a *= mass
+        lost[lost] = fix
+        norms[lost] = top[fix] * np.sum(a, axis=-1) ** (1.0 / p)
     return norms
-
-
-def _rescaled(mass: np.ndarray, rows: np.ndarray, p: float,
-              norms: np.ndarray, lost: np.ndarray) -> None:
-    """Recompute each lost row's norm in place as M (sum mass (|u|/M)^p)^(1/p),
-    M = max |u| on the row; a zero row and a row holding inf keep their
-    value."""
-    a = np.abs(rows[lost], dtype=float)
-    top = np.max(a, axis=-1)
-    fix = (top > 0) & (top < np.inf)
-    a = a[fix] / top[fix, None]
-    a **= p
-    a *= mass
-    lost[lost] = fix
-    norms[lost] = top[fix] * np.sum(a, axis=-1) ** (1.0 / p)
 
 
 def grad_lp_norm(m: DiscreteManifold, u: np.ndarray,

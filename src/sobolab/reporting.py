@@ -27,7 +27,7 @@ __all__ = [
 
 def to_plain(obj):
     """Recursively convert dataclasses/ndarrays/tuples into JSON-ready types."""
-    if type(obj) in (int, float, str, bool):  # most CSV cells; checked first
+    if type(obj) in (int, float, str, bool):  # most leaves; checked first
         return obj
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: to_plain(getattr(obj, f.name))
@@ -99,11 +99,17 @@ def write_artifact(out_dir: Path, stem: str, payload) -> Path:
 
 
 def write_csv(out_dir: Path, stem: str, header: list[str], rows) -> Path:
+    """Write the rows under header to <stem>_<contenthash12>.csv.
+
+    A float cell, numpy's included, is written as the repr of the
+    built-in float it holds, and any other cell (an int, a string or a
+    bool, numpy's included) as its str.
+    """
     lines = [",".join(header)]
     for row in rows:
-        cells = [to_plain(x) for x in row]
-        lines.append(",".join(repr(x) if isinstance(x, float) else str(x)
-                              for x in cells))
+        lines.append(",".join([
+            repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
+            for x in row]))
     return _write_addressed(out_dir, stem, "csv", "\n".join(lines) + "\n")
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .constants import RELATIVE_SLACK, _row, _run, _sweep, _worst_ratio
 from .manifold import VALIDATE_RTOL, DiscreteManifold, scale_metric
-from .norms import grad_lp_norm, lp_norm
+from .norms import _lp_norms, grad_lp_norm, lp_norm
 from .spectral import (SpectralDecomposition, _op_norms_2_to_inf,
                        apply_function, apply_functions, bessel_multiplier,
                        heat_multiplier, multipliers, power_multiplier)
@@ -107,7 +107,7 @@ def _contraction_scan(m: DiscreteManifold, dec: SpectralDecomposition,
     ref = m.reference  # a ratio of two L^p norms does not read the length
 
     def norms(u):
-        return np.array([lp_norm(ref, u, p) for p in p_list])
+        return np.array(_lp_norms(ref, u, p_list))
 
     def measure(rows):  # (t, p, member) cases and (p, member) norms
         return apply_functions(dec, heat, rows, norms), norms(rows)
@@ -279,9 +279,13 @@ def _mapping_scan(dec: SpectralDecomposition, operator_label: str,
         if scan.witness >= 0 and p_in > 1:
             best = max(best, _refine(dec, power, grad_op, p_in, p_out,
                                      _row(members, scan.witness)))
-        best = m.physical(best, m.dim / p_out - m.dim / p_in - grad_op)
+        estimate = m.physical(best, m.dim / p_out - m.dim / p_in - grad_op)
+        if estimate == 0 < best < math.inf:
+            raise ValueError(f"the {operator_label} mapping-norm estimate "
+                             f"underflows to 0 at length {m.length:.3g} "
+                             f"({m.label})")
         return MappingNormScan(operator_label=operator_label, p_in=p_in,
-                               p_out=p_out, estimate=best)
+                               p_out=p_out, estimate=estimate)
     return measure, reduce
 
 

@@ -239,9 +239,17 @@ class FourierBasis:
                          self.dim).reshape(len(rows), -1)
 
     def backward(self, c: np.ndarray, k: int | None = None) -> np.ndarray:
-        """The (K, N) rows whose forward at k is c."""
+        """The (K, N) rows whose forward at k is c.
+
+        c is handed to _per_axis with no reference kept here, so a
+        temporary passed in (apply_functions' weighted coefficients) is
+        freed once the first axis product exists.
+        """
         b, _ = self._leading(k)
-        return _per_axis(self.q[:, :b], c, self.dim).reshape(len(c), -1)
+        count, held = len(c), [c]
+        del c
+        return _per_axis(self.q[:, :b], held.pop(),
+                         self.dim).reshape(count, -1)
 
     def columns(self, k: int | None = None) -> np.ndarray:
         """The leading k columns in closed form, as products of columns of q."""

@@ -704,6 +704,26 @@ def _run_quietly(tmp_path, *argv):
     return status, json.loads(paths[-1].read_text()) if paths else None
 
 
+@pytest.mark.parametrize("argv, status", [
+    (("w2p", "--model", "torus:n=3,res=6,L=1e200"), 1),
+    (("riesz", "--model", "sphere:r=1e100,subdiv=1"), 0),
+], ids=["w2p-underflow", "riesz-sphere-1e100"])
+def test_a_mapping_norm_estimate_that_underflows_is_refused(tmp_path, capsys,
+                                                            argv, status):
+    """l^-2 takes w2p's positive H^-1 estimate on a 1e200 torus below
+    floats: the job exits 1 with one line naming the estimate and the
+    length, and writes no artifact; riesz on a 1e100 sphere, whose
+    estimate is scale-invariant, still runs."""
+    got, doc = _run_quietly(tmp_path, *argv, "--seed", "1")
+    assert got == status
+    if status:
+        one_line_error(capsys, "H^-1 mapping-norm estimate", "underflows to 0",
+                       "length 1.67e+199")
+        assert not list(tmp_path.iterdir())
+    else:
+        assert doc["results"]["riesz"]["estimate"] > 0
+
+
 # Specs a size bound refused before meshes were built at a reference size:
 # each now runs, and an estimate (scale-invariant) agrees with the unit-size
 # job on the same mesh.

@@ -2,6 +2,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -434,3 +436,101 @@ def test_streamed_members_do_not_depend_on_the_chunk_size(text, monkeypatch):
     spectral = np.arange(spec.size) % 3 != 1
     assert np.max(np.abs(one[spectral] - whole[spectral])) <= 1e-12 * np.max(
         np.abs(whole[spectral]))
+
+
+def _heat_grid_stream(m, dec, before=None):
+    """The 200 members of seed 1 as a MemberStream; before(k), when given,
+    runs after chunk k is drawn and before it is yielded."""
+    class Stream(ct.MemberStream):
+        def __iter__(self):
+            for k, chunk in enumerate(super().__iter__()):
+                before(k)
+                yield chunk
+    spec = EnsembleSpec(seed=1, size=200)
+    return (ct.MemberStream if before is None else Stream)(m, spec, dec)
+
+
+def test_sweep_draws_ahead_with_the_values_of_a_serial_pass(torus2_fit,
+                                                            torus2_fit_dec1):
+    """The next chunk of a stream is drawn while the current one is
+    measured, and every value is the one a serial loop over the same
+    chunks, and _sweep of the same members as a matrix, give; no thread
+    outlives the sweep."""
+    from sobolab import semigroup as sg
+
+    m, dec = torus2_fit, torus2_fit_dec1
+    stream = _heat_grid_stream(m, dec)
+    measures = [sg._contraction_scan(m, dec, [0.01, 0.1, 1.0],
+                                     [1.0, 2.0, math.inf])[0],
+                ct._sobolev_measure(m, (1.5,))]
+    threads = threading.active_count()
+    got = ct._sweep(stream, *measures)
+    assert threading.active_count() == threads
+    chunks = list(stream)
+    assert len(chunks) == 5
+    serial = [[np.concatenate(v, axis=-1)
+               for v in zip(*(measure(c) for c in chunks))]
+              for measure in measures]
+    matrix = ct._sweep(generate_ensemble(m, stream.spec, dec), *measures)
+    for values in zip(got, serial, matrix):
+        for a, b, c in zip(*values):
+            assert np.array_equal(a, b) and np.array_equal(a, c)
+
+
+def _overflow(k):
+    if k == 2:
+        np.array([1e308]) * 10.0
+
+
+@pytest.mark.parametrize("fault, errstate, error", [
+    (lambda k: 1 / (k - 2), {}, ZeroDivisionError),
+    pytest.param(_overflow, {"over": "raise"}, FloatingPointError,
+                 marks=pytest.mark.skipif(
+                     np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                     reason="errstate is per thread before numpy 2")),
+    (_overflow, {}, RuntimeWarning),
+], ids=["exception", "caller-errstate", "warning-as-error"])
+def test_an_error_in_the_draw_reaches_the_caller(torus2_fit, torus2_fit_dec1,
+                                                 fault, errstate, error):
+    """What the draw of a later chunk raises on the worker thread is raised
+    in the caller: the draw runs under the caller's numpy errstate and
+    warning filters, and no thread outlives the sweep."""
+    stream = _heat_grid_stream(torus2_fit, torus2_fit_dec1, fault)
+    threads = threading.active_count()
+    with warnings.catch_warnings(), np.errstate(**errstate):
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(error):
+            ct._sweep(stream, lambda rows: (rows[:, 0],))
+    assert threading.active_count() == threads
+
+
+def test_an_error_in_a_measure_stops_the_draw(torus2_fit, torus2_fit_dec1):
+    """A measure that raises on the first chunk leaves the second, drawn
+    meanwhile, as the last chunk drawn; the error reaches the caller and
+    no thread outlives the sweep."""
+    drawn = []
+    stream = _heat_grid_stream(torus2_fit, torus2_fit_dec1, drawn.append)
+
+    def measure(rows):
+        raise KeyError("measure")
+    threads = threading.active_count()
+    with pytest.raises(KeyError, match="measure"):
+        ct._sweep(stream, measure)
+    assert threading.active_count() == threads
+    assert drawn == [0, 1]
+
+
+def test_a_row_and_a_member_matrix_start_no_draw_thread(torus2_fit,
+                                                        torus2_fit_dec1,
+                                                        monkeypatch):
+    """_row draws a stream serially up to its chunk, and a member matrix's
+    chunks are slices: neither draws on a worker thread."""
+    stream = _heat_grid_stream(torus2_fit, torus2_fit_dec1)
+    members = generate_ensemble(torus2_fit, stream.spec, torus2_fit_dec1)
+
+    def refuse(chunks):
+        raise AssertionError("a draw thread was started")
+    monkeypatch.setattr(ct, "_NextChunk", refuse)
+    assert np.array_equal(ct._row(stream, 150), members[150])
+    values, = ct._sweep(members, lambda rows: (rows[:, 7],))
+    assert np.array_equal(values[0], members[:, 7])

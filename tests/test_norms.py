@@ -243,3 +243,27 @@ def test_functionals_equal_their_one_row_values_bit_for_bit(text,
         assert np.array_equal(whole, [f(row) for row in u])
         assert np.array_equal(whole, np.concatenate([f(u[i:i + 1])
                                                      for i in range(8)]))
+
+
+@pytest.mark.parametrize("text", ["torus:n=2,res=16", "sphere:r=1,subdiv=2",
+                                  "box:n=2,res=8,L=1e-3"])
+def test_norms_from_one_abs_equal_lp_norm_at_each_exponent(text):
+    """_lp_norms reads every exponent off one |u| (and u u for p = 2), with
+    the values of one lp_norm call per exponent, bit for bit: also on rows
+    whose sums overflow (1e200) or underflow (1e-170) and are rescaled, on
+    a zero row, a row holding inf and a length other than 1."""
+    from sobolab.norms import _lp_norms
+
+    m = build(text)
+    u = np.random.default_rng(5).standard_normal((7, m.num_nodes))
+    u[1] *= 1e200
+    u[2] *= 1e-170
+    u[3] = 0.0
+    u[4, 3] = np.inf
+    kept = u.copy()
+    for ps in ((1.0, 2.0, np.inf), (np.inf, 2.0), (1.5, 1.0, 6.0, 2.0)):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = _lp_norms(m, u, ps)
+        for p, values in zip(ps, got):
+            assert np.array_equal(values, lp_norm(m, u, p))
+    assert np.array_equal(u, kept)

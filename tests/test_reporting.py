@@ -69,3 +69,48 @@ def test_write_csv_bytes_for_builtin_and_numpy_cells(tmp_path):
     path = write_csv(tmp_path, "cells", ["i", "f", "s", "b"], rows)
     assert path.read_bytes() == (b"i,f,s,b\n1,0.1,x,True\n1,0.1,x,True\n"
                                  b"-2,1e-300,,False\n3,0.6666666666666666,y,0\n")
+
+
+def _reference_csv_lines(header, rows) -> str:
+    """The CSV text of a writer that converts each cell with to_plain first."""
+    lines = [",".join(header)]
+    for row in rows:
+        cells = [to_plain(x) for x in row]
+        lines.append(",".join(repr(x) if isinstance(x, float) else str(x)
+                              for x in cells))
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_files_equal_the_to_plain_writer_byte_for_byte(tmp_path):
+    """The spectrum, flow-trajectory and beta-profile CSVs, and rows of
+    numpy float64 and int64 cells, are the bytes a writer that passes every
+    cell through to_plain gives."""
+    from sobolab import (EnsembleSpec, build, constant_potential, decompose,
+                         generate_ensemble)
+    from sobolab import constants as ct
+    from sobolab import flow as fl
+    from sobolab.spectral import spectrum_rows
+
+    m = build("torus:n=2,res=8")
+    dec = decompose(m, constant_potential(m, 1.0))
+    members = generate_ensemble(m, EnsembleSpec(seed=2, size=12), dec)
+    profile, = ct._run(members, ct._beta_scan(
+        m, constant_potential(m, 1.0), np.geomspace(1e-3, 2.0, 5),
+        normalize=True))
+    flow = fl.parse_flow_spec("sphere:r0=1,subdiv=1", members=12)
+    traj = fl.track(flow, [0.0, 0.1], "b2", 1.5, EnsembleSpec(seed=2, size=12))
+    header = ["t", "vol", "r_max_plus", "kappa", "lambda0", "bracket",
+              "worst_ratio", "violations"]
+    tables = {
+        "spectrum": (["k", "lambda"], spectrum_rows(dec)),
+        "flow_trajectory": (header,
+                            [[r[k] for k in header] for r in traj.records]),
+        "log_sobolev_profile": (["sigma", "beta"],
+                                list(zip(profile.sigma_grid,
+                                         profile.beta_values))),
+        "numpy": (["i", "f"], [(np.int64(-3), np.float64(1e-300)),
+                               (np.int64(7), np.float64(2.0) / 3.0)]),
+    }
+    for stem, (head, rows) in tables.items():
+        path = write_csv(tmp_path, stem, head, rows)
+        assert path.read_bytes() == _reference_csv_lines(head, rows).encode()
