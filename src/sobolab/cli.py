@@ -24,8 +24,8 @@ from . import semigroup as sg
 from .manifold import _keep_chunk_pages, build, parse_model_spec
 from .norms import _check_exponent
 from .reporting import (config_hash, to_plain, write_artifact, write_csv,
-                        write_svg_loglog)
-from .spectral import constant_potential, decompose, diagnostics, spectrum_rows
+                        write_indexed_csv, write_svg_loglog)
+from .spectral import constant_potential, decompose, diagnostics
 
 __all__ = ["main"]
 
@@ -148,7 +148,8 @@ def _cmd_heat(args):
     m, dec1, members = _prepare(args)
     # one pass over the members serves the contraction check and, with
     # --beta-csv, the entropy profile of the members scaled to unit L2
-    scans = [sg._contraction_scan(m, dec1, t_list, [1.0, 2.0, math.inf])]
+    scans = [sg._contraction_scan(m, dec1, t_list, [1.0, 2.0, math.inf],
+                                  members)]
     if args.beta_csv:
         scans.append(ct._beta_scan(m, constant_potential(m, 1.0),
                                    np.geomspace(1e-3, 2.0, 25), normalize=True))
@@ -168,8 +169,8 @@ def _cmd_heat(args):
                                     fit_slope=fit.slope)
             results["svg"] = str(path)
     if args.spectrum_csv:
-        path = write_csv(_out_dir(args), "spectrum", ["k", "lambda"],
-                         spectrum_rows(dec1))
+        path = write_indexed_csv(_out_dir(args), "spectrum", ["k", "lambda"],
+                                 dec1.eigenvalues)
         results["spectrum_csv"] = str(path)
     for profile in profiles:  # the --beta-csv one
         path = write_csv(_out_dir(args), "log_sobolev_profile",
@@ -284,25 +285,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    ap = _Parser(
-        prog="sobolab",
-        description="Numerical laboratory for Sobolev constants on "
-                    "discretized manifolds.")
-    sub = ap.add_subparsers(dest="command", required=True)
-    command_parsers = {}
-
-    def add_parser(name, **kw):
-        command_parsers[name] = sub.add_parser(name, **kw)
-        return command_parsers[name]
-
-    p = add_parser("ladder", help="exponent ladder table")
+def _ladder_args(p):
     _add_common(p, model=False, seed=False)
     p.add_argument("--n", type=float, required=True)
     p.add_argument("--p0", type=float, default=2.0)
     p.add_argument("--target", type=float, required=True)
 
-    p = add_parser("bootstrap", help="chained constants to a target exponent")
+
+def _bootstrap_args(p):
     _add_common(p, model=False, seed=False)
     p.add_argument("--n", type=float, required=True)
     p.add_argument("--p0", type=float, default=2.0)
@@ -312,18 +302,21 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--precision", type=int, default=None,
                    help="decimal digits for a high-precision regression baseline")
 
-    p = add_parser("estimate", help="ensemble Sobolev (A,B) estimate")
+
+def _estimate_args(p):
     _add_common(p)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--b-grid", default=",".join(str(b) for b in ct.DEFAULT_B_GRID))
 
-    p = add_parser("verify", help="check a two-term inequality with given constants")
+
+def _verify_args(p):
     _add_common(p)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--A", type=float, required=True)
     p.add_argument("--B", type=float, required=True)
 
-    p = add_parser("heat", help="semigroup contraction and decay fit")
+
+def _heat_args(p):
     _add_common(p)
     p.add_argument("--t-list", default="0.01,0.1,1.0")
     p.add_argument("--fit-window", default=None,
@@ -333,23 +326,27 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--beta-csv", action="store_true",
                    help="measure the entropy profile and write (sigma, beta) rows")
 
-    p = add_parser("riesz", help="Riesz ratio and square-root equivalence scans")
+
+def _riesz_args(p):
     _add_common(p)
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--a", type=float, default=1.0)
 
-    p = add_parser("w2p", help="second-order mapping-norm scan")
+
+def _w2p_args(p):
     _add_common(p)
     p.add_argument("--p", type=float, default=1.2)
     p.add_argument("--mu", type=float, default=3.0)
 
-    p = add_parser("scaling", help="norm-scaling laws and constant transfer")
+
+def _scaling_args(p):
     _add_common(p)
     p.add_argument("--lam", type=float, default=2.0)
     p.add_argument("--mu", type=float, default=3.0)
     p.add_argument("--p", type=float, default=1.5)
 
-    p = add_parser("flow", help="track inequality constants along an exact flow")
+
+def _flow_args(p):
     _add_common(p, model=False)
     p.add_argument("--flow", default="sphere:r0=1")
     p.add_argument("--times", default="0:0.4:0.05")
@@ -358,18 +355,49 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--p", type=float, default=1.5)
     p.add_argument("--p0", type=float, default=None)
 
-    p = add_parser("report", help="index previously written artifacts")
+
+def _report_args(p):
     _add_common(p, model=False, seed=False)
     p.add_argument("--dir", default=None)
-    return ap, command_parsers
 
 
-_BODIES = {
-    "ladder": _cmd_ladder, "bootstrap": _cmd_bootstrap,
-    "estimate": _cmd_estimate, "verify": _cmd_verify, "heat": _cmd_heat,
-    "riesz": _cmd_riesz, "w2p": _cmd_w2p, "scaling": _cmd_scaling,
-    "flow": _cmd_flow, "report": _cmd_report,
+_COMMANDS = {  # name: (help, the function adding its arguments, body)
+    "ladder": ("exponent ladder table", _ladder_args, _cmd_ladder),
+    "bootstrap": ("chained constants to a target exponent", _bootstrap_args,
+                  _cmd_bootstrap),
+    "estimate": ("ensemble Sobolev (A,B) estimate", _estimate_args,
+                 _cmd_estimate),
+    "verify": ("check a two-term inequality with given constants",
+               _verify_args, _cmd_verify),
+    "heat": ("semigroup contraction and decay fit", _heat_args, _cmd_heat),
+    "riesz": ("Riesz ratio and square-root equivalence scans", _riesz_args,
+              _cmd_riesz),
+    "w2p": ("second-order mapping-norm scan", _w2p_args, _cmd_w2p),
+    "scaling": ("norm-scaling laws and constant transfer", _scaling_args,
+                _cmd_scaling),
+    "flow": ("track inequality constants along an exact flow", _flow_args,
+             _cmd_flow),
+    "report": ("index previously written artifacts", _report_args,
+               _cmd_report),
 }
+
+
+def build_parser(command: str | None = None
+                 ) -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and each command's subparser.  Every command is
+    registered, but only the named command's arguments are added (every
+    command's with none): each argument costs argparse a help formatter."""
+    ap = _Parser(
+        prog="sobolab",
+        description="Numerical laboratory for Sobolev constants on "
+                    "discretized manifolds.")
+    sub = ap.add_subparsers(dest="command", required=True)
+    command_parsers = {}
+    for name, (text, add_arguments, _) in _COMMANDS.items():
+        command_parsers[name] = sub.add_parser(name, help=text)
+        if command in (None, name):
+            add_arguments(command_parsers[name])
+    return ap, command_parsers
 
 
 def _config_value(action, value):
@@ -414,7 +442,9 @@ def _apply_config_file(parser, args) -> None:
 
 def main(argv=None) -> int:
     _keep_chunk_pages()
-    parser, command_parsers = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, command_parsers = build_parser(
+        argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         _apply_config_file(command_parsers[args.command], args)
@@ -422,7 +452,7 @@ def main(argv=None) -> int:
             args.dir = str(_out_dir(args))
         config = {k: v for k, v in sorted(vars(args).items())
                   if k not in ("command", "out", "config")}
-        results, status = _BODIES[args.command](args)
+        results, status = _COMMANDS[args.command][2](args)
         if "seed" in config:  # the command drew an ensemble
             results["ensemble"] = {"decay": ct.BAND_DECAY, "bumps": ct.BUMP_COUNT,
                                    "modes": ct.SPECTRAL_MODES}

@@ -209,6 +209,14 @@ def _member_chunks(members) -> Iterator[np.ndarray]:
     return (rows[part] for part in _chunks(*rows.shape))
 
 
+def _member_count(members) -> int:
+    """The number of member rows: a MemberStream's size, or the rows of a
+    member matrix (one node function is one row)."""
+    if isinstance(members, MemberStream):
+        return members.spec.size
+    return math.prod(np.shape(members)[:-1])
+
+
 class _NextChunk:
     """next(chunks, None), drawn on a worker thread while the caller
     measures the chunk before it.

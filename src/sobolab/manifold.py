@@ -532,9 +532,9 @@ def _keep_chunk_pages() -> None:
     mallopt(-8, 1)  # M_ARENA_MAX
 
 
-def _check_budget(job: str, nodes, group: int, orbits, members: int,
-                  axis: int = 0, elements=0) -> float:
-    """Predicted peak bytes of a job, refused unless within MEMORY_BUDGET.
+def _predicted_peak(nodes, group: int, orbits, members: int, axis: int = 0,
+                    elements=0, matrices: int = 0) -> float:
+    """Predicted peak bytes of a job.
 
     Five terms, in floats.  A dense solve in the mirror group's blocks
     (group = 0 on the per-axis path) holds DENSE_PEAK times the larger of
@@ -545,7 +545,9 @@ def _check_budget(job: str, nodes, group: int, orbits, members: int,
     block being solved (at most o x o) another 4 o^2: a copy, dsyevd's
     2 o^2 workspace and the eigenvectors.  A per-axis basis of axis nodes
     per axis holds 2 axis^2: its columns and the one copy of the same size
-    (weighted or squared) that a transform or a row sum forms.
+    (weighted or squared) that a transform or a row sum forms, and
+    matrices axis^2 more for the axis heat matrices a scan holds
+    (spectral.heat_images: one per time and distinct axis spacing).
     CHUNK_PEAK chunks of min(members, _chunk_rows) rows of N are what a
     chunk's transforms and measures hold at once, with the next chunk and
     its draw's temporaries (constants._sweep draws it meanwhile).  A
@@ -564,8 +566,15 @@ def _check_budget(job: str, nodes, group: int, orbits, members: int,
         solves = (group + 4) * orbits * orbits
         dense = DENSE_PEAK * (max(sums, solves) + 2 * group * nodes)
     rows = min(members, _chunk_rows(nodes)) if members else 0
-    peak = 8.0 * (dense + 2 * axis * axis + elements + MEMBER_VALUES * members
+    return 8.0 * (dense + (2 + matrices) * axis * axis + elements
+                  + MEMBER_VALUES * members
                   + rows * (CHUNK_PEAK * nodes + ELEMENT_PEAK * elements))
+
+
+def _check_budget(job: str, *sizes, **kw) -> float:
+    """_predicted_peak(*sizes, **kw) of a job, refused unless within
+    MEMORY_BUDGET."""
+    peak = _predicted_peak(*sizes, **kw)
     if not peak <= MEMORY_BUDGET:
         raise ValueError(f"{job} needs a predicted {peak / 1e9:.3g} GB, over "
                          f"the memory budget of {MEMORY_BUDGET / 1e9:g} GB")

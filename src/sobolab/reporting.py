@@ -21,6 +21,7 @@ __all__ = [
     "config_hash",
     "write_artifact",
     "write_csv",
+    "write_indexed_csv",
     "write_svg_loglog",
 ]
 
@@ -110,6 +111,17 @@ def write_csv(out_dir: Path, stem: str, header: list[str], rows) -> Path:
         lines.append(",".join([
             repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
             for x in row]))
+    return _write_addressed(out_dir, stem, "csv", "\n".join(lines) + "\n")
+
+
+def write_indexed_csv(out_dir: Path, stem: str, header: list[str],
+                      values) -> Path:
+    """Write the rows (k, values[k]), k = 0, 1, ..., under header to
+    <stem>_<contenthash12>.csv: write_csv's bytes and name for those rows,
+    formatted from the floats of values.tolist() with no test per cell."""
+    lines = [",".join(header)]
+    lines += [f"{k},{x!r}" for k, x in
+              enumerate(np.asarray(values, dtype=float).tolist())]
     return _write_addressed(out_dir, stem, "csv", "\n".join(lines) + "\n")
 
 

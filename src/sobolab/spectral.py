@@ -19,18 +19,24 @@ exact at every length.  An f(H) multiplies the coefficients in each
 basis's own layout by f(lambda) laid out the same way (multipliers, formed
 once per job), and apply_functions takes the members a chunk of rows at a
 time (manifold._chunks), measuring each image before the next is formed,
-so no f(H) image of a whole member matrix is held.
+so no f(H) image of a whole member matrix is held.  The heat semigroup on a
+grid is a product of one res x res heat matrix per axis times e^(-t c)
+(heat_images): a scan forms those matrices once per time and applies them
+to the node values, with no coefficients, whenever forming them costs less
+than the forward transforms they remove.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property, reduce
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .manifold import DiscreteManifold, GridGradient, _check_budget, _chunks
+from .manifold import (MEMORY_BUDGET, DiscreteManifold, GridGradient,
+                       _check_budget, _chunks, _predicted_peak)
 
 __all__ = [
     "SingularOperatorError",
@@ -41,10 +47,10 @@ __all__ = [
     "apply_function",
     "multipliers",
     "apply_functions",
+    "heat_images",
     "heat_multiplier",
     "bessel_multiplier",
     "power_multiplier",
-    "spectrum_rows",
     "diagnostics",
 ]
 
@@ -138,14 +144,6 @@ class MirrorBasis:
         x /= (self.chi.shape[0] * self.scale)[:, :, None]
         return (self.chi @ x.reshape(x.shape[0], -1)).reshape(x.shape)
 
-    def _node_rows(self, y: np.ndarray) -> np.ndarray:
-        """The (K, N) rows of (|G|, orbits, K) block values y[s, keep]."""
-        y = (self.chi @ y.reshape(y.shape[0], -1)).reshape(y.shape)
-        y *= self.scale[:, :, None]
-        u = np.empty(y.shape[2:] + (self.size,))
-        u.T[self.images] = y
-        return u
-
     def native(self, fw: np.ndarray, k: int | None = None) -> np.ndarray:
         """fw, one value per leading mode (or a row of them per member), in
         forward's layout: (modes, 1), or (modes, members)."""
@@ -161,13 +159,29 @@ class MirrorBasis:
                                for s, keep, v, _ in self._leading(k)])
 
     def backward(self, c: np.ndarray, k: int | None = None) -> np.ndarray:
-        """The (K, N) rows whose forward at k is c."""
-        y = np.zeros(self.images.shape + c.shape[1:])
+        """The (K, N) rows whose forward at k is c.
+
+        The (|G|, orbits, K) block values y[s, keep] are summed over the
+        characters and scattered to the nodes.  No reference to c is kept
+        past the block products, nor to the block values past their
+        character sums, so a temporary passed in (apply_functions' weighted
+        coefficients) is freed once the block values exist, as in
+        FourierBasis.backward.
+        """
+        held = [c]
+        del c
+        y = np.zeros(self.images.shape + held[0].shape[1:])
         lo = 0
         for s, keep, v, _ in self._leading(k):
-            y[s, keep] = v @ c[lo:lo + v.shape[1]]
+            y[s, keep] = v @ held[0][lo:lo + v.shape[1]]
             lo += v.shape[1]
-        return self._node_rows(y)
+        held.clear()
+        shape = y.shape
+        y = (self.chi @ y.reshape(shape[0], -1)).reshape(shape)
+        y *= self.scale[:, :, None]
+        u = np.empty(shape[2:] + (self.size,))
+        u.T[self.images] = y
+        return u
 
     def columns(self, k: int | None = None) -> np.ndarray:
         """The leading k (default all) eigenvectors as columns, synthesized
@@ -195,7 +209,8 @@ class FourierBasis:
     Every axis has the columns q, orthonormal under the node weights w: the
     real Fourier columns with w = 1 on a torus, the DCT-I columns with the
     trapezoid weights (1/2 at both ends) on a Neumann box, so the node
-    masses are m0 times the product of the per-axis weights.  Eigenvector k
+    masses are m0 times the product of the per-axis weights; lam are their
+    eigenvalues for a unit cell side (_fourier_axis).  Eigenvector k
     is the mode order[k] (C order over the axes, each axis a column of q).
     At k leading modes forward applies the first b columns of q weighted by
     w along every axis, and backward the first b columns of q, b = 1 + the
@@ -210,6 +225,7 @@ class FourierBasis:
 
     q: np.ndarray  # the columns of one axis
     w: np.ndarray  # the node weights of one axis, under which q is orthonormal
+    lam: np.ndarray  # the eigenvalue of each column of q at a unit cell side
     dim: int
     m0: float  # the cell mass
     order: np.ndarray  # stable ascending-eigenvalue permutation of the modes
@@ -274,19 +290,23 @@ class FourierBasis:
         return sums.reshape(fw2.shape[::-1]).T / self.m0
 
 
-def _per_axis(a: np.ndarray, u: np.ndarray, dim: int) -> np.ndarray:
-    """The matrix a applied along every axis of u.
+def _per_axis(a, u: np.ndarray, dim: int) -> np.ndarray:
+    """The matrix a applied along every axis of u, or a[d] along axis d when
+    a is a tuple of dim matrices.
 
-    u is a node function or a member matrix in C grid order with
-    a.shape[1]^dim entries per row, and the result has rows of a.shape[0].
-    a is the res x b factor of k leading modes or its transpose, so each
-    axis costs O(b) per node entry.  Rebinding u frees each input once the
-    next product exists, so a temporary passed in costs no extra copy.
+    u is a node function or a member matrix in C grid order with the
+    product of the matrices' column counts as entries per row, and the
+    result has rows of the product of their row counts.  a is the res x b
+    factor of k leading modes or its transpose, so each axis costs O(b) per
+    node entry, or an axis heat matrix of each axis (heat_images).
+    Rebinding u frees each input once the next product exists, so a
+    temporary passed in costs no extra copy.
     """
-    n = a.shape[1]
+    mats = a if isinstance(a, tuple) else (a,) * dim
     for d in range(dim - 1):
-        u = np.matmul(a, u.reshape(-1, n, n ** (dim - 1 - d)))
-    return u.reshape(-1, n) @ a.T
+        rest = math.prod(b.shape[1] for b in mats[d + 1:])
+        u = np.matmul(mats[d], u.reshape(-1, mats[d].shape[1], rest))
+    return u.reshape(-1, mats[-1].shape[1]) @ mats[-1].T
 
 
 @dataclass(frozen=True)
@@ -367,7 +387,8 @@ def decompose(m: DiscreteManifold, psi: PotentialField) -> SpectralDecomposition
         mu = sum(lam1[modes[d]] / h ** 2 for d, h in enumerate(g.h))
         order = np.argsort(mu, kind="stable")
         mu = mu[order]
-        basis = FourierBasis(q=q, w=weights, dim=m.dim, m0=m0, order=order)
+        basis = FourierBasis(q=q, w=weights, lam=lam1, dim=m.dim, m0=m0,
+                             order=order)
     else:
         mu, c, basis = _mirror_eigenpairs(m, psi, _mirrors(m, psi))
     return SpectralDecomposition(mu=_clip(mu), basis=basis, potential=psi,
@@ -580,27 +601,105 @@ def multipliers(dec: SpectralDecomposition,
     return [dec.basis.native(_multiplier(dec, f)) for f in fs]
 
 
+def _measured(u: np.ndarray, measure: Callable[[np.ndarray], np.ndarray],
+              images) -> np.ndarray:
+    """measure of each image that images(rows) yields for a chunk of rows,
+    stacked over the images.
+
+    u is one node function (N,) or a member matrix (K, N), rows = members;
+    measure maps a chunk of image rows to per-member values along its last
+    axis (one per row), and the result is (images,) + its leading axes +
+    u.shape[:-1].  The rows go a chunk at a time (manifold._chunks), and
+    each image is measured and let go before the next one is formed.
+    """
+    rows = np.reshape(u, (-1, np.shape(u)[-1]))
+    parts = []
+    for part in _chunks(*rows.shape):
+        values = []
+        for image in images(rows[part]):
+            values.append(measure(image))
+            del image
+        parts.append(values)
+    values = np.concatenate(parts, axis=-1)
+    return values.reshape(values.shape[:-1] + np.shape(u)[:-1])
+
+
 def apply_functions(dec: SpectralDecomposition, weights: list,
                     u: np.ndarray,
                     measure: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """measure(f(H) u) for each f whose multipliers(dec, ...) are weights,
-    stacked over them.
-
-    u is one node function (N,) or a member matrix (K, N), rows = members;
-    measure maps a chunk of image rows to per-member values along its last
-    axis (one per row), and the result is (len(weights),) + its leading
-    axes + u.shape[:-1].  The rows go a chunk at a time
-    (manifold._chunks): each chunk is transformed once for all weights,
-    and each image is measured and let go before the next one is formed.
-    """
+    stacked over them as _measured stacks them: each chunk of rows is
+    transformed once for all weights."""
     basis = dec.basis
-    rows = np.reshape(u, (-1, np.shape(u)[-1]))
-    parts = []
-    for part in _chunks(*rows.shape):
-        c = basis.forward(rows[part])
-        parts.append([measure(basis.backward(c * w)) for w in weights])
-    values = np.concatenate(parts, axis=-1)
-    return values.reshape(values.shape[:-1] + np.shape(u)[:-1])
+
+    def images(rows):
+        c = basis.forward(rows)
+        for w in weights:
+            yield basis.backward(c * w)
+    return _measured(u, measure, images)
+
+
+def heat_images(dec: SpectralDecomposition, t_list, members: int):
+    """A function of (u, measure) giving measure(e^(-tH) u) for each t of
+    t_list with the shape and values of apply_functions(dec,
+    multipliers(dec, map(heat_multiplier, t_list)), u, measure); members is
+    the number of member rows it is passed over a scan.
+
+    On a FourierBasis H is the constant c = dec.shift plus a Kronecker sum
+    of the axes' second differences, so e^(-tH) is e^(-tc) times one res x
+    res heat matrix K_d(t) = q diag(e^(-t lam_d)) (w q)^T along each axis d,
+    lam_d the axis eigenvalues over h_d^2 at the length (_heat_axes).  They
+    are formed once per time and distinct axis spacing, and each image is
+    one product per axis of the node values: no forward transform and no
+    coefficients.  Otherwise, and whenever _heat_axes declines, the images
+    are apply_functions' with the heat multipliers.  Each multiplier is
+    checked finite on the spectrum (_multiplier) once either way; the
+    per-axis path lets it go.
+    """
+    t_list = [float(t) for t in t_list]
+    axes = _heat_axes(dec, t_list, members)
+    if axes is None:
+        weights = multipliers(dec, map(heat_multiplier, t_list))
+        return lambda u, measure: apply_functions(dec, weights, u, measure)
+    dim = dec.manifold.dim
+
+    def images(rows):
+        for mats, scale in axes:
+            v = _per_axis(mats, rows, dim).reshape(rows.shape)
+            v *= scale
+            yield v
+            del v  # before the next image is formed
+    return lambda u, measure: _measured(u, measure, images)
+
+
+def _heat_axes(dec: SpectralDecomposition, t_list: list, members: int):
+    """(the axes' heat matrices, e^(-t c)) for each t, or None unless the
+    basis is a FourierBasis and holding the matrices pays.
+
+    Forming them takes times x spacings x res^3 multiply-adds (spacings:
+    the distinct cell sides h_d), and the forward transforms they remove
+    members x N x res x dim; the matrices are taken when they cost less and
+    the job's predicted peak with them (manifold._predicted_peak) stays
+    within the memory budget.
+    """
+    basis, m = dec.basis, dec.manifold
+    if not isinstance(basis, FourierBasis):
+        return None
+    res, n = basis.q.shape[0], m.num_nodes
+    spacings, axis = np.unique(m.grad.h, return_inverse=True)
+    count = len(t_list) * spacings.size
+    if not (count * res ** 3 < members * n * res * m.dim
+            and _predicted_peak(n, 0, 0, members, res, m.grad.num_elements,
+                                count) <= MEMORY_BUDGET):
+        return None
+    wq = (basis.w[:, None] * basis.q).T
+    lam = m.physical(basis.lam / spacings[:, None] ** 2, -2)
+    axes = []
+    for t in t_list:
+        _multiplier(dec, heat_multiplier(t))  # refuses a non-finite one
+        heat = [(basis.q * np.exp(-t * x)) @ wq for x in lam]
+        axes.append((tuple(heat[i] for i in axis), np.exp(-t * dec.shift)))
+    return axes
 
 
 def apply_function(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.ndarray],
@@ -648,11 +747,6 @@ def _op_norms_2_to_inf(dec: SpectralDecomposition,
     fw2 = np.stack([_multiplier(dec, f) ** 2 for f in fs], axis=1)
     m = dec.manifold
     return np.sqrt(m.physical(np.max(dec.basis.row_sums(fw2), axis=0), -m.dim))
-
-
-def spectrum_rows(dec: SpectralDecomposition) -> list[tuple[int, float]]:
-    """(k, lambda_k) rows for CSV regression baselines."""
-    return list(enumerate(dec.eigenvalues.tolist()))
 
 
 def diagnostics(dec1: SpectralDecomposition) -> dict:

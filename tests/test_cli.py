@@ -435,15 +435,18 @@ def test_command_decomposes_the_mesh_once(tmp_path, decompose_calls, argv):
     (("flow", "--flow", "sphere:r0=1,subdiv=2", "--theorem", "b2"), 162, 1),
     (("scaling", "--model", "torus:n=3,res=8"), 512, 1),
     (("riesz", "--model", "torus:n=2,res=12"), 144, 2),
-    (("heat", "--model", "torus:n=2,res=12"), 144, 1),
-], ids=["flow-b2", "scaling", "riesz", "heat"])
+    (("heat", "--model", "torus:n=2,res=12"), 144, 0),
+    (("heat", "--model", "box:n=2,res=12"), 144, 0),
+], ids=["flow-b2", "scaling", "riesz", "heat", "heat-box"])
 def test_member_matrix_transforms_per_job(tmp_path, monkeypatch, argv, nodes,
                                           transforms):
     """Every f(H) of one chunk of members shares one forward transform: flow
     b2 one for its t = 0 constant and all nine times (each a Bessel
     multiplier on the same bare spectrum), scaling one for both metrics,
     riesz one for the Riesz scan and one for the three Bessel-type
-    operators, heat one for all times.  With 8 rows a chunk, 30 members
+    operators.  Heat on a torus or a box makes none beyond the draw's: its
+    axis heat matrices act on the node values (spectral.heat_images).  With
+    8 rows a chunk, 30 members
     make 4 chunks, each drawn once and transformed for every scan before
     the next; the refinement's one-row transforms are not counted.  Each
     chunk drawn (the refinement draws its witness's chunk again) projects
@@ -1124,3 +1127,50 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch):
     _, doc = read_artifact(tmp_path / "sobolab-out", "report")
     assert sorted(e["command"] for e in doc["results"]["artifacts"]) == sorted(
         argv[1] for argv in lines[:-1])
+
+
+def test_help_lists_every_command_and_a_commands_flags(capsys):
+    """main adds only the invoked command's arguments, but every command
+    stays registered: the top-level help lists them all, and a command's
+    help lists its own flags."""
+    with pytest.raises(SystemExit) as top:
+        main(["--help"])
+    text = capsys.readouterr().out
+    assert top.value.code == 0
+    assert all(name in text for name in cli._COMMANDS)
+    with pytest.raises(SystemExit) as heat:
+        main(["heat", "--help"])
+    text = capsys.readouterr().out
+    assert heat.value.code == 0
+    assert all(flag in text for flag in (
+        "--model", "--seed", "--size", "--t-list", "--fit-window", "--svg",
+        "--spectrum-csv", "--beta-csv"))
+
+
+@pytest.mark.slow
+def test_heat_matrices_of_many_times_are_within_the_budget(tmp_path,
+                                                           monkeypatch):
+    """A heat job of 50 times on a 256^2 torus holds one axis heat matrix
+    per time (0.5 MB each), and its traced peak stays under the budget's
+    prediction, which counts them.  A first one-member run leaves out what
+    the first job in a process allocates once."""
+    import tracemalloc
+
+    taken = []
+    axes = spectral._heat_axes
+    monkeypatch.setattr(spectral, "_heat_axes",
+                        lambda *a: taken.append(axes(*a)) or taken[-1])
+    times = ",".join(f"{t:g}" for t in np.geomspace(1e-3, 1.0, 50))
+    argv = ("heat", "--model", "torus:n=2,res=256", "--t-list", times,
+            "--seed", "3")
+    assert run(tmp_path, *argv, "--size", "1") == 0
+    tracemalloc.start()
+    try:
+        status = run(tmp_path, *argv, "--size", "30")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert status == 0
+    assert taken[0] is None and len(taken[1]) == 50
+    assert peak <= manifold._check_budget("", 256 ** 2, 0, 0, 30, axis=256,
+                                          elements=256 ** 2, matrices=50)

@@ -461,7 +461,7 @@ def test_sweep_draws_ahead_with_the_values_of_a_serial_pass(torus2_fit,
     m, dec = torus2_fit, torus2_fit_dec1
     stream = _heat_grid_stream(m, dec)
     measures = [sg._contraction_scan(m, dec, [0.01, 0.1, 1.0],
-                                     [1.0, 2.0, math.inf])[0],
+                                     [1.0, 2.0, math.inf], stream)[0],
                 ct._sobolev_measure(m, (1.5,))]
     threads = threading.active_count()
     got = ct._sweep(stream, *measures)
@@ -484,10 +484,7 @@ def _overflow(k):
 
 @pytest.mark.parametrize("fault, errstate, error", [
     (lambda k: 1 / (k - 2), {}, ZeroDivisionError),
-    pytest.param(_overflow, {"over": "raise"}, FloatingPointError,
-                 marks=pytest.mark.skipif(
-                     np.lib.NumpyVersion(np.__version__) < "2.0.0",
-                     reason="errstate is per thread before numpy 2")),
+    (_overflow, {"over": "raise"}, FloatingPointError),
     (_overflow, {}, RuntimeWarning),
 ], ids=["exception", "caller-errstate", "warning-as-error"])
 def test_an_error_in_the_draw_reaches_the_caller(torus2_fit, torus2_fit_dec1,

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from sobolab.reporting import (canonical_json, config_hash, to_plain,
-                               write_artifact, write_csv, write_svg_loglog)
+                               write_artifact, write_csv, write_indexed_csv,
+                               write_svg_loglog)
 
 
 @dataclass(frozen=True)
@@ -84,12 +85,12 @@ def _reference_csv_lines(header, rows) -> str:
 def test_csv_files_equal_the_to_plain_writer_byte_for_byte(tmp_path):
     """The spectrum, flow-trajectory and beta-profile CSVs, and rows of
     numpy float64 and int64 cells, are the bytes a writer that passes every
-    cell through to_plain gives."""
+    cell through to_plain gives; the spectrum's are written from the
+    eigenvalue array (write_indexed_csv), under write_csv's name."""
     from sobolab import (EnsembleSpec, build, constant_potential, decompose,
                          generate_ensemble)
     from sobolab import constants as ct
     from sobolab import flow as fl
-    from sobolab.spectral import spectrum_rows
 
     m = build("torus:n=2,res=8")
     dec = decompose(m, constant_potential(m, 1.0))
@@ -101,8 +102,10 @@ def test_csv_files_equal_the_to_plain_writer_byte_for_byte(tmp_path):
     traj = fl.track(flow, [0.0, 0.1], "b2", 1.5, EnsembleSpec(seed=2, size=12))
     header = ["t", "vol", "r_max_plus", "kappa", "lambda0", "bracket",
               "worst_ratio", "violations"]
+    spectrum = write_indexed_csv(tmp_path / "indexed", "spectrum",
+                                 ["k", "lambda"], dec.eigenvalues)
     tables = {
-        "spectrum": (["k", "lambda"], spectrum_rows(dec)),
+        "spectrum": (["k", "lambda"], list(enumerate(dec.eigenvalues))),
         "flow_trajectory": (header,
                             [[r[k] for k in header] for r in traj.records]),
         "log_sobolev_profile": (["sigma", "beta"],
@@ -114,3 +117,4 @@ def test_csv_files_equal_the_to_plain_writer_byte_for_byte(tmp_path):
     for stem, (head, rows) in tables.items():
         path = write_csv(tmp_path, stem, head, rows)
         assert path.read_bytes() == _reference_csv_lines(head, rows).encode()
+    assert spectrum.read_bytes() == (tmp_path / spectrum.name).read_bytes()

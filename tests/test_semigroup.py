@@ -26,11 +26,11 @@ def test_contraction_torus(torus2, torus2_dec1, torus2_members):
 
 def test_contraction_check_holds_one_evolved_matrix_at_a_time(torus2_fit,
                                                             torus2_fit_dec1):
-    """The times share one transform of each chunk of members, and each
-    e^{-tH} u of a chunk is measured and let go before the next is formed,
-    so the check's peak is about four chunks (the coefficients, their
-    product with one multiplier and two per-axis products), below the 4.8 MB
-    member matrix and whatever the ensemble's size."""
+    """Each e^{-tH} u of a chunk is measured and let go before the next is
+    formed, so the check's peak is a few chunks (about two on this torus:
+    the two axis heat-matrix products of one image; three when the times
+    shared one transform into coefficients), below the 4.8 MB member matrix
+    and whatever the ensemble's size."""
     members = np.random.default_rng(3).standard_normal(
         (200, torus2_fit.num_nodes))
     tracemalloc.start()

@@ -20,8 +20,8 @@ from sobolab import (EnsembleSpec, SingularOperatorError, apply_function,
 from sobolab.manifold import (DiscreteManifold, GradientElements, ModelSpec,
                               _check_budget, build, parse_model_spec)
 from sobolab.norms import lp_norm
-from sobolab.spectral import (PotentialField, SpectralDecomposition,
-                              spectrum_rows)
+from sobolab.reporting import write_indexed_csv
+from sobolab.spectral import PotentialField, SpectralDecomposition
 
 
 def test_torus_kernel_is_constant(torus2, torus2_dec0):
@@ -226,9 +226,13 @@ def test_shifted_operator_equivalence(torus2):
     assert np.max(np.abs(direct - via_shift)) < 1e-8 * max(1.0, np.max(np.abs(direct)))
 
 
-def test_spectrum_rows(torus2_dec0):
-    rows = spectrum_rows(torus2_dec0)
-    assert rows[0] == (0, 0.0)
+def test_spectrum_rows(torus2_dec0, tmp_path):
+    """The spectrum CSV has one (k, lambda_k) row per eigenvalue, the
+    kernel's first."""
+    path = write_indexed_csv(tmp_path, "spectrum", ["k", "lambda"],
+                             torus2_dec0.eigenvalues)
+    rows = path.read_text().splitlines()[1:]
+    assert rows[0] == "0,0.0"
     assert len(rows) == len(torus2_dec0.eigenvalues)
 
 
@@ -529,6 +533,75 @@ def test_fourier_transforms_peak_below_three_member_matrices():
         finally:
             tracemalloc.stop()
         assert peak <= 2.2 * arg.nbytes, transform.__name__
+
+
+def test_mirror_images_peak_below_three_and_a_half_member_matrices():
+    """apply_functions on a 200-member sphere matrix (one chunk) holds the
+    coefficients, the character sums of the block values and the image at
+    its peak: backward lets go of the weighted coefficients once the block
+    values exist, and of those once their character sums do."""
+    import tracemalloc
+
+    m = build("sphere:r=1,subdiv=3")
+    dec = decompose(m, constant_potential(m, 1.0))
+    u = np.random.default_rng(3).standard_normal((200, m.num_nodes))
+    weights = spectral.multipliers(dec, [heat_multiplier(0.1)])
+    tracemalloc.start()
+    try:
+        spectral.apply_functions(dec, weights, u, lambda v: lp_norm(m, v, 2.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * u.nbytes
+
+
+HEAT_GRIDS = ["torus:n=1,res=64", "torus:n=3,res=12", "torus:n=2,res=32,L=3x5",
+              "box:n=2,res=33", "box:n=3,res=9", "box:n=1,res=12",
+              "torus:n=2,res=16,scale=1.7", "torus:n=3,res=8,L=1e10"]
+
+
+@pytest.mark.parametrize("psi", [0.0, 1.0, 2.5])
+@pytest.mark.parametrize("text", HEAT_GRIDS)
+def test_heat_images_equal_the_heat_multipliers(text, psi):
+    """On a grid the axis heat matrices give the images of the heat
+    multipliers within 1e-12 max|u| in every row, at t = 0 too, with
+    unequal sides, at a scale and far from unit length; a node function
+    gives one value per time.  The member count passed makes forming the
+    matrices pay."""
+    m = build(text)
+    dec = decompose(m, constant_potential(m, psi))
+    ts = [0.0, 1e-3, 0.01, 0.1, 1.0]
+    u = generate_ensemble(m, EnsembleSpec(seed=5, size=20), dec=dec)
+    assert spectral._heat_axes(dec, ts, 10 ** 6) is not None
+
+    def rows(v):
+        return v.T
+
+    got = spectral.heat_images(dec, ts, 10 ** 6)(u, rows)
+    want = spectral.apply_functions(
+        dec, spectral.multipliers(dec, map(heat_multiplier, ts)), u, rows)
+    assert got.shape == want.shape == (len(ts), m.num_nodes, 20)
+    assert np.all(np.max(np.abs(got - want), axis=1)
+                  <= 1e-12 * np.max(np.abs(u), axis=1))
+    one = spectral.heat_images(dec, ts, 10 ** 6)(u[3],
+                                                 lambda v: lp_norm(m, v, 2.0))
+    assert one.shape == (len(ts),)
+    assert np.allclose(one, lp_norm(m, want[:, :, 3], 2.0), rtol=1e-12)
+
+
+@pytest.mark.slow
+def test_a_long_1d_box_keeps_the_multiplier_path(monkeypatch):
+    """On a 4000-node box, forming the three 4000^2 heat matrices (1.9e11
+    multiply-adds) costs more than the forward transforms of 200 members
+    they remove (3.2e9), so heat keeps the heat multipliers."""
+    m = build("box:n=1,res=4000")
+    dec = decompose(m, constant_potential(m, 1.0))
+    ts = [0.01, 0.1, 1.0]
+    calls = []
+    monkeypatch.setattr(spectral, "apply_functions",
+                        lambda dec, weights, u, measure: calls.append(weights))
+    spectral.heat_images(dec, ts, 200)(np.ones(m.num_nodes), np.sum)
+    assert len(calls) == 1 and len(calls[0]) == 3
 
 
 @pytest.mark.parametrize("text", ["torus:n=2,res=4", "box:n=1,res=2",
